@@ -16,7 +16,6 @@
 //! Offsets in the directory are relative to the start of the payload area.
 
 use crate::error::ApkError;
-use crate::sdex::VerifyPreset;
 use crate::wire::adler32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -150,35 +149,20 @@ impl Sapk {
     /// should use [`Sapk::decode_bytes`], which slices sections out of the
     /// caller's buffer without copying.
     pub fn decode(raw: &[u8]) -> Result<Sapk, ApkError> {
-        Sapk::decode_with_payload(raw, None, VerifyPreset::All)
+        Sapk::decode_with_payload(raw, None)
     }
 
     /// Zero-copy [`Sapk::decode`]: sections are sub-views of `raw`, so the
     /// payload bytes are never copied. Validation is identical to
     /// [`Sapk::decode`] — the two are equivalence-pinned by proptest.
     pub fn decode_bytes(raw: Bytes) -> Result<Sapk, ApkError> {
-        Sapk::decode_with_payload(&raw, Some(&raw), VerifyPreset::All)
-    }
-
-    /// Zero-copy decode under an explicit [`VerifyPreset`].
-    ///
-    /// Only [`VerifyPreset::None`] changes behaviour here — it skips the
-    /// Adler-32 compare over the directory + payload. Section-directory
-    /// bounds checks always run: section views are sliced out of the
-    /// buffer, so a bad directory must fail structurally rather than
-    /// panic, whatever the trust level.
-    pub fn decode_bytes_with(raw: Bytes, preset: VerifyPreset) -> Result<Sapk, ApkError> {
-        Sapk::decode_with_payload(&raw, Some(&raw), preset)
+        Sapk::decode_with_payload(&raw, Some(&raw))
     }
 
     /// Shared decode body: parse `raw`, building sections either by
     /// copying out of the cursor (`shared == None`) or by slicing the
     /// shared buffer `raw` is a view of.
-    fn decode_with_payload(
-        raw: &[u8],
-        shared: Option<&Bytes>,
-        preset: VerifyPreset,
-    ) -> Result<Sapk, ApkError> {
+    fn decode_with_payload(raw: &[u8], shared: Option<&Bytes>) -> Result<Sapk, ApkError> {
         let mut buf = raw;
         if buf.remaining() < 4 {
             return Err(ApkError::Truncated { context: "magic" });
@@ -199,11 +183,9 @@ impl Sapk {
             return Err(ApkError::UnsupportedVersion(version));
         }
         let stored = buf.get_u32_le();
-        if preset.checks_checksum() {
-            let computed = adler32(buf);
-            if stored != computed {
-                return Err(ApkError::ChecksumMismatch { stored, computed });
-            }
+        let computed = adler32(buf);
+        if stored != computed {
+            return Err(ApkError::ChecksumMismatch { stored, computed });
         }
 
         if !buf.has_remaining() {

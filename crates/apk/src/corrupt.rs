@@ -53,15 +53,14 @@ pub enum CorruptionKind {
         /// Which register slot to hit, modulo the number of slots.
         site_num: u8,
     },
-    /// Overwrite one non-empty slot of the SDEX **type lookup table** (the
-    /// v3 section) with an out-of-range type index and re-encode (checksum
-    /// restamped), so the damage sails through the adler gate and lands on
-    /// the table validators that only `VerifyPreset::All` runs — pinning
-    /// that full verification rejects a damaged table while trusted
-    /// presets, which are never handed corrupted bytes by contract, would
-    /// carry it silently. Like
-    /// [`ClobberRegister`](Self::ClobberRegister) this leaves *container*
-    /// decoding intact on SAPK input, and falls back to
+    /// Overwrite one non-empty slot of the SDEX **type lookup table** with
+    /// an out-of-range type index and re-encode (checksum restamped), so
+    /// the damage sails through the adler gate and lands on the table's
+    /// per-slot bounds check, ahead of the canonical-rebuild compare.
+    /// `Dex::type_by_name` probes the stored table without re-checking it,
+    /// so this pins that decode rejects a damaged table before any lookup
+    /// can read it. Like [`ClobberRegister`](Self::ClobberRegister) this
+    /// leaves *container* decoding intact on SAPK input, and falls back to
     /// [`BitFlip`](Self::BitFlip) when the input has no non-empty lookup
     /// table to damage.
     ClobberLookupTable {
@@ -126,8 +125,8 @@ pub fn corrupt(bytes: &[u8], kind: CorruptionKind) -> Vec<u8> {
         },
         CorruptionKind::ClobberLookupTable { slot_num } => match clobber_lut(bytes, slot_num) {
             Some(out) => out,
-            // No non-empty lookup table anywhere (pre-v3 blob, typeless
-            // dex, corrupt input): degrade to a checksum-caught bit flip.
+            // No non-empty lookup table anywhere (typeless dex, corrupt
+            // input): degrade to a checksum-caught bit flip.
             None => corrupt(bytes, CorruptionKind::BitFlip { pos_num: slot_num }),
         },
     }
@@ -189,7 +188,7 @@ fn clobber_lut(bytes: &[u8], slot_num: u8) -> Option<Vec<u8>> {
 
 fn clobber_lut_in_dex(dex: &mut Dex, slot_num: u8) -> Option<()> {
     let type_count = dex.type_count() as u32;
-    let slots = dex.lut_slots_mut()?;
+    let slots = dex.lut_slots_mut();
     let occupied: Vec<usize> = slots
         .iter()
         .enumerate()
@@ -416,7 +415,7 @@ mod tests {
     fn clobber_lookup_table_reaches_the_lut_validator() {
         let blob = dex_with_registers().encode().to_vec();
         // Every slot choice produces a blob the adler gate accepts and the
-        // lookup-table validation (only run at `VerifyPreset::All`) rejects.
+        // lookup-table validation rejects.
         for slot_num in [0u8, 1, 2, 3, 4, 77, 255] {
             let bad = corrupt(&blob, CorruptionKind::ClobberLookupTable { slot_num });
             let err = crate::Dex::decode(&bad).expect_err("clobbered lookup table decoded");
@@ -450,22 +449,6 @@ mod tests {
             corrupt(&garbage, kind),
             corrupt(&garbage, CorruptionKind::BitFlip { pos_num: 5 })
         );
-    }
-
-    #[test]
-    fn damaged_lut_under_trusted_preset_never_panics() {
-        use crate::sdex::VerifyPreset;
-        // Trusted presets are never *supposed* to see a damaged table, but
-        // if one slips through, probing must degrade to a miss — not panic
-        // or spin.
-        let bad = corrupt(
-            &dex_with_registers().encode(),
-            CorruptionKind::ClobberLookupTable { slot_num: 1 },
-        );
-        let dex = crate::Dex::decode_bytes_with(bytes::Bytes::from(bad), VerifyPreset::None)
-            .expect("trusted decode skips lut verification");
-        let _ = dex.type_by_name("com/example/Main");
-        let _ = dex.type_by_name("definitely/not/There");
     }
 
     #[test]

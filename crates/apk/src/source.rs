@@ -24,7 +24,6 @@
 //! [`ContainerSource::is_mapped`] when the distinction matters (the
 //! pipeline's `bytes_mapped` counters do).
 
-use crate::sdex::VerifyPreset;
 use bytes::Bytes;
 use std::fs::File;
 use std::io::{self, Read as _};
@@ -159,10 +158,6 @@ unsafe impl Sync for MmapRegion {}
 pub struct ContainerSource {
     bytes: Bytes,
     mapped: bool,
-    /// How much decode-time verification entries read from this source
-    /// deserve. Defaults to [`VerifyPreset::All`]; the shard layer
-    /// upgrades trust only after its own container checksum verified.
-    preset: VerifyPreset,
 }
 
 impl ContainerSource {
@@ -171,22 +166,7 @@ impl ContainerSource {
         ContainerSource {
             bytes: bytes.into(),
             mapped: false,
-            preset: VerifyPreset::All,
         }
-    }
-
-    /// Tag this source with a decode preset. The source itself never
-    /// decodes anything — the tag rides along so readers slicing entries
-    /// out of it ([`ContainerSource::slice`]) know how much re-validation
-    /// those bytes still need.
-    pub fn with_preset(mut self, preset: VerifyPreset) -> ContainerSource {
-        self.preset = preset;
-        self
-    }
-
-    /// The decode preset entries from this source should be parsed under.
-    pub fn verify_preset(&self) -> VerifyPreset {
-        self.preset
     }
 
     /// Read the whole file into one shared heap buffer (portable path).
@@ -209,7 +189,6 @@ impl ContainerSource {
         Ok(ContainerSource {
             bytes: Bytes::from_owner(region),
             mapped: true,
-            preset: VerifyPreset::All,
         })
     }
 

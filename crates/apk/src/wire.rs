@@ -99,27 +99,6 @@ pub fn get_string_span(full: &[u8], buf: &mut &[u8]) -> Result<(u32, u32), ApkEr
     Ok(span)
 }
 
-/// [`get_string_span`] minus the UTF-8 scan: record the span of a
-/// varint-length-prefixed string without validating its bytes.
-///
-/// Length and bounds checks are identical to [`get_string_span`] — the span
-/// always lies inside `full` — so slicing through it can never read out of
-/// bounds. What the caller loses is the UTF-8 guarantee: a [`crate::Dex`]
-/// built from unchecked spans may only hand out `&str` views for input that
-/// was validated earlier (the trusted-preset contract in
-/// [`crate::VerifyPreset`]).
-#[inline]
-pub fn get_string_span_unchecked(full: &[u8], buf: &mut &[u8]) -> Result<(u32, u32), ApkError> {
-    let len = get_uvarint(buf)? as usize;
-    if buf.len() < len {
-        return Err(ApkError::Truncated { context: "string" });
-    }
-    let off = full.len() - buf.len();
-    let span = span_u32(off, len)?;
-    *buf = &buf[len..];
-    Ok(span)
-}
-
 /// Narrow a `(offset, len)` span to the u32 wire representation, refusing
 /// values that would silently wrap.
 ///
@@ -135,20 +114,6 @@ pub fn span_u32(off: usize, len: usize) -> Result<(u32, u32), ApkError> {
             len: len as u64,
         }),
     }
-}
-
-/// Read exactly `n` bytes into a fresh vector.
-pub fn get_bytes<B: Buf>(
-    buf: &mut B,
-    n: usize,
-    context: &'static str,
-) -> Result<Vec<u8>, ApkError> {
-    if buf.remaining() < n {
-        return Err(ApkError::Truncated { context });
-    }
-    let mut raw = vec![0u8; n];
-    buf.copy_to_slice(&mut raw);
-    Ok(raw)
 }
 
 /// Compute the Adler-32 checksum of `data` (RFC 1950), the same checksum

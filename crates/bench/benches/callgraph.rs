@@ -48,12 +48,12 @@ fn fixture() -> (Dex, Manifest) {
     (dex, manifest)
 }
 
-/// A hierarchy-heavy dex for the vtable-binding ablation: `DEPTH` classes
+/// A hierarchy-heavy dex for the vtable-binding bench: `DEPTH` classes
 /// in one superclass chain, `PER_CLASS` methods each, plus a driver whose
 /// virtual invokes all name the *deepest* class as receiver while the
 /// definitions live in ancestors. Every one of those sites misses the
 /// direct signature map and resolves through the flattened vtable — a
-/// 256-entry table probed 744 times — so the layout choice dominates.
+/// 256-entry table probed 744 times — so vtable binding dominates.
 fn deep_hierarchy_dex() -> Dex {
     const DEPTH: usize = 32;
     const PER_CLASS: usize = 8;
@@ -113,21 +113,11 @@ fn bench(c: &mut Criterion) {
     group.bench_function("build_hash_oracle", |b| {
         b.iter(|| HashCallGraph::build(black_box(&dex)))
     });
-    // Vtable-binding ablation (DESIGN.md §6.9): the default open-addressing
-    // per-class vtables versus the sorted-array + binary-search layout the
-    // `use_lut = false` pipeline knob falls back to.
-    group.bench_function("build_sorted_vtables", |b| {
-        b.iter(|| CallGraph::build_with(black_box(&dex), false))
-    });
-    // The same layout ablation on the hierarchy-heavy fixture, where
-    // virtual binding is the dominant cost instead of a rounding error —
-    // this pair is the ISSUE's hash-beats-binary-search criterion.
+    // Build on the hierarchy-heavy fixture, where virtual binding through
+    // the hash vtables is the dominant cost instead of a rounding error.
     let deep = deep_hierarchy_dex();
     group.bench_function("vtable_bind_hash", |b| {
-        b.iter(|| CallGraph::build_with(black_box(&deep), true))
-    });
-    group.bench_function("vtable_bind_binary_search", |b| {
-        b.iter(|| CallGraph::build_with(black_box(&deep), false))
+        b.iter(|| CallGraph::build(black_box(&deep)))
     });
     // Name-lookup ablation: O(1) probes into the stored wire lookup table
     // versus a linear scan of the type table — the pre-v3 shape every
@@ -139,7 +129,6 @@ fn bench(c: &mut Criterion) {
         .chain((0..64).map(|i| format!("com/miss/Absent{i}")))
         .collect();
     group.bench_function("type_by_name_lut", |b| {
-        assert!(dex.has_lookup_table());
         b.iter(|| {
             for name in &class_names {
                 black_box(dex.type_by_name(black_box(name)));

@@ -7,7 +7,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
-use wla_core::wla_apk::VerifyPreset;
 use wla_core::wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{
@@ -68,15 +67,6 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("stream_mmap_734", |b| {
         b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(true, false)))
-    });
-    // Trusted-corpus fast path (DESIGN.md §6.9): the same mmap stream with
-    // decode re-validation skipped — sound here because this corpus is
-    // written with `corrupt_fraction: 0.0` and the shard open just
-    // revalidated the file-level checksum.
-    group.bench_function("stream_mmap_trusted_734", |b| {
-        let mut config = stream_config(true, false);
-        config.pipeline.verify_preset = VerifyPreset::None;
-        b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, config))
     });
     group.bench_function("stream_buffered_734", |b| {
         b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(false, false)))

@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wla_core::wla_apk::sdex::oracle;
-use wla_core::wla_apk::{Dex, Sapk, SectionTag, VerifyPreset};
+use wla_core::wla_apk::{Dex, Sapk, SectionTag};
 use wla_core::wla_corpus::{CorpusConfig, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{
@@ -98,29 +98,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             for blob in &dex_blobs {
                 black_box(oracle::decode(black_box(blob)).unwrap());
-            }
-        })
-    });
-    // Verify-preset ablation (DESIGN.md §6.9): the same zero-copy decode
-    // with per-string UTF-8 + structural re-validation skipped
-    // (checksum-only) and with the checksum skipped too (trusted). The
-    // trusted row is the ISSUE's ≥1.5x bar against `decode_zero_copy`.
-    group.bench_function("decode_checksum_only", |b| {
-        b.iter(|| {
-            for blob in &dex_blobs {
-                black_box(
-                    Dex::decode_bytes_with(black_box(blob.clone()), VerifyPreset::ChecksumOnly)
-                        .unwrap(),
-                );
-            }
-        })
-    });
-    group.bench_function("decode_trusted", |b| {
-        b.iter(|| {
-            for blob in &dex_blobs {
-                black_box(
-                    Dex::decode_bytes_with(black_box(blob.clone()), VerifyPreset::None).unwrap(),
-                );
             }
         })
     });

@@ -90,7 +90,6 @@ fn bench(c: &mut Criterion) {
                     PipelineConfig {
                         workers: 4,
                         use_dataflow,
-                        ..PipelineConfig::default()
                     },
                 )
             })

@@ -119,18 +119,6 @@ impl<'d> CallGraph<'d> {
     /// every arena; pass two resolves each site (vtable-cached) into a
     /// flat edge list that is then bucketed, sorted, and deduped in place.
     pub fn build(dex: &'d Dex) -> Self {
-        CallGraph::build_with(dex, true)
-    }
-
-    /// [`CallGraph::build`] with an explicit vtable layout.
-    ///
-    /// `hash_vtables == true` (what `build` uses) lays each per-class
-    /// flattened vtable out as an open-addressing hash over `(name,
-    /// descriptor)`, making virtual/interface binding an O(1) probe per
-    /// site. `false` keeps the earlier sorted-array layout with
-    /// binary-search lookup — same results, kept for the ablation bench
-    /// row and as an in-tree correctness foil.
-    pub fn build_with(dex: &'d Dex, hash_vtables: bool) -> Self {
         // Pass 1 (count): dense index per defined method, signature index
         // for resolution, and the invoke-site count for exact pre-sizing.
         let mut dense = vec![NOT_DEFINED; dex.method_count()];
@@ -175,7 +163,7 @@ impl<'d> CallGraph<'d> {
         // Pass 2 (fill): record sites and resolve internal edges into a
         // flat (caller, callee) list, then bucket it into CSR.
         let mut stats = BuildStats::default();
-        let mut vtables = VtableCache::new(dex.type_count(), hash_vtables);
+        let mut vtables = VtableCache::new(dex.type_count());
         let mut sites: Vec<CallSite> = Vec::with_capacity(invoke_sites);
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(invoke_sites);
         for class in dex.classes() {
@@ -219,6 +207,16 @@ impl<'d> CallGraph<'d> {
             sites,
             stats,
         }
+    }
+
+    /// Same as [`CallGraph::build`]: the flag is ignored, hash vtables are
+    /// the only layout.
+    ///
+    /// Kept only because the end-to-end benchmark package
+    /// (`crates/bench/src/bin/benchmark`) calls it; nothing else in the
+    /// workspace may.
+    pub fn build_with(dex: &'d Dex, _hash_vtables: bool) -> Self {
+        CallGraph::build(dex)
     }
 
     /// The dex this graph was built over.
@@ -397,22 +395,18 @@ fn vt_hash(name: u32, descriptor: u32) -> u32 {
 /// Lazily built per-class flattened vtables, direct-indexed by `TypeId`.
 /// Each table is the class's own methods plus every inherited signature —
 /// computed once per receiver class instead of re-walking the superclass
-/// chain at every virtual invoke site. Layout is chosen at construction:
-/// an open-addressing hash over `(name, descriptor)` (O(1) probe per
-/// binding, the default), or the earlier sorted array with binary-search
-/// lookup (kept for ablation).
+/// chain at every virtual invoke site — laid out as an open-addressing
+/// hash over `(name, descriptor)`, so binding is an O(1) probe.
 struct VtableCache {
     tables: Vec<Option<Box<[VtEntry]>>>,
     scratch: Vec<VtEntry>,
-    hash: bool,
 }
 
 impl VtableCache {
-    fn new(type_count: usize, hash: bool) -> Self {
+    fn new(type_count: usize) -> Self {
         VtableCache {
             tables: (0..type_count).map(|_| None).collect(),
             scratch: Vec::new(),
-            hash,
         }
     }
 
@@ -430,8 +424,7 @@ impl VtableCache {
             stats.vtable_misses += 1;
             self.scratch.clear();
             // Scan order = hierarchy order (class, then ancestors), so the
-            // *nearest* definition of a signature is seen first whichever
-            // layout is built below.
+            // *nearest* definition of a signature is seen first.
             let mut collect = |t: TypeId| {
                 if let Some(class) = dex.class(t) {
                     for m in &class.methods {
@@ -445,58 +438,43 @@ impl VtableCache {
             for ancestor in dex.superclasses(ty) {
                 collect(ancestor);
             }
-            *slot = Some(if self.hash {
-                // Open addressing with linear probing at ≤ 0.5 load;
-                // first-wins insertion in hierarchy order keeps the nearest
-                // definition and drops shadowed ancestors.
-                let cap = (self.scratch.len() * 2).next_power_of_two();
-                let mask = cap - 1;
-                let mut table = vec![VT_EMPTY; cap].into_boxed_slice();
-                'insert: for &(n, d, idx) in &self.scratch {
-                    let mut i = vt_hash(n, d) as usize & mask;
-                    loop {
-                        let e = table[i];
-                        if e.2 == NOT_DEFINED {
-                            table[i] = (n, d, idx);
-                            continue 'insert;
-                        }
-                        if e.0 == n && e.1 == d {
-                            // A nearer definition already claimed the slot.
-                            continue 'insert;
-                        }
-                        i = (i + 1) & mask;
+            // Open addressing with linear probing at ≤ 0.5 load;
+            // first-wins insertion in hierarchy order keeps the nearest
+            // definition and drops shadowed ancestors.
+            let cap = (self.scratch.len() * 2).next_power_of_two();
+            let mask = cap - 1;
+            let mut table = vec![VT_EMPTY; cap].into_boxed_slice();
+            'insert: for &(n, d, idx) in &self.scratch {
+                let mut i = vt_hash(n, d) as usize & mask;
+                loop {
+                    let e = table[i];
+                    if e.2 == NOT_DEFINED {
+                        table[i] = (n, d, idx);
+                        continue 'insert;
                     }
+                    if e.0 == n && e.1 == d {
+                        // A nearer definition already claimed the slot.
+                        continue 'insert;
+                    }
+                    i = (i + 1) & mask;
                 }
-                table
-            } else {
-                // Sorted layout: a stable sort keyed on the signature keeps
-                // the nearest definition first and dedup drops the rest.
-                self.scratch.sort_by_key(|&(n, d, _)| (n, d));
-                self.scratch.dedup_by_key(|&mut (n, d, _)| (n, d));
-                self.scratch.as_slice().into()
-            });
+            }
+            *slot = Some(table);
         } else {
             stats.vtable_hits += 1;
         }
         let table = slot.as_deref().expect("just built");
-        if self.hash {
-            let mask = table.len() - 1;
-            let mut i = vt_hash(name, descriptor) as usize & mask;
-            loop {
-                let e = table[i];
-                if e.2 == NOT_DEFINED {
-                    return None;
-                }
-                if e.0 == name && e.1 == descriptor {
-                    return Some(e.2);
-                }
-                i = (i + 1) & mask;
+        let mask = table.len() - 1;
+        let mut i = vt_hash(name, descriptor) as usize & mask;
+        loop {
+            let e = table[i];
+            if e.2 == NOT_DEFINED {
+                return None;
             }
-        } else {
-            table
-                .binary_search_by_key(&(name, descriptor), |&(n, d, _)| (n, d))
-                .ok()
-                .map(|i| table[i].2)
+            if e.0 == name && e.1 == descriptor {
+                return Some(e.2);
+            }
+            i = (i + 1) & mask;
         }
     }
 }
@@ -848,10 +826,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_sorted_vtables_build_identical_graphs() {
+    fn hash_vtables_match_the_hash_oracle() {
         // A deep override chain plus an unresolved external call exercises
-        // hit, miss, and shadowing paths; both layouts must agree edge for
-        // edge and count for count.
+        // hit, miss, and shadowing paths; the hash-vtable CSR build must
+        // agree with the chain-walking oracle on every edge and count.
         let mut b = DexBuilder::new();
         let c_handle = b.intern_method("com/x/C", "handle", "()V");
         let c_other = b.intern_method("com/x/C", "other", "(I)V");
@@ -899,19 +877,26 @@ mod tests {
             .unwrap();
         let dex = b.build();
 
-        let hashed = CallGraph::build_with(&dex, true);
-        let sorted = CallGraph::build_with(&dex, false);
-        assert_eq!(hashed.edge_count(), sorted.edge_count());
-        assert_eq!(hashed.defined_count(), sorted.defined_count());
-        assert_eq!(hashed.sites(), sorted.sites());
-        assert_eq!(hashed.build_stats(), sorted.build_stats());
+        let g = CallGraph::build(&dex);
+        let oracle = crate::oracle::HashCallGraph::build(&dex);
+        // The oracle keeps duplicate edges; the CSR build counts the ones
+        // it dedups.
+        assert_eq!(
+            g.edge_count() + g.build_stats().duplicate_edges as usize,
+            oracle.edge_count()
+        );
+        assert_eq!(g.defined_count(), oracle.defined_count());
+        assert_eq!(g.sites(), oracle.sites());
         let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
-        let h: Vec<MethodId> = hashed.callees(main).collect();
-        let s: Vec<MethodId> = sorted.callees(main).collect();
-        assert_eq!(h, s);
-        // Nearest override must win under the hash layout too.
+        let mut h: Vec<MethodId> = g.callees(main).collect();
+        let mut o = oracle.callees(main).to_vec();
+        h.sort();
+        o.sort();
+        o.dedup();
+        assert_eq!(h, o);
+        // Nearest override must win under the hash layout.
         assert!(h
             .iter()
-            .any(|&m| dex.type_name(hashed.defining_class(m).unwrap()) == "com/x/B"));
+            .any(|&m| dex.type_name(g.defining_class(m).unwrap()) == "com/x/B"));
     }
 }

@@ -42,6 +42,7 @@ pub fn pipeline_stats_report(run: &StaticRun) -> PipelineStatsReport {
             ("decode".to_owned(), ms(s.stage.decode_ns)),
             ("decompile".to_owned(), ms(s.stage.decompile_ns)),
             ("callgraph".to_owned(), ms(s.stage.callgraph_ns)),
+            ("dataflow".to_owned(), ms(s.stage.dataflow_ns)),
             ("label".to_owned(), ms(s.stage.label_ns)),
         ]
     };
@@ -74,11 +75,7 @@ pub fn pipeline_stats_report(run: &StaticRun) -> PipelineStatsReport {
         } else {
             0.0
         },
-        decode_full: s.decode.full,
-        decode_checksum_only: s.decode.checksum_only,
-        decode_trusted: s.decode.trusted,
-        lut_present: s.decode.lut_present,
-        lut_rebuilds: s.decode.lut_rebuilds,
+        dex_decodes: s.decode.dexes,
         dataflow_methods: s.dataflow.methods,
         dataflow_linear_rate: if s.dataflow.methods > 0 {
             s.dataflow.linear_methods as f64 / s.dataflow.methods as f64
@@ -938,7 +935,7 @@ mod tests {
         let report = pipeline_stats_report(&run);
         assert_eq!(report.total, run.stats.total as u64);
         assert_eq!(report.analyzed + report.broken, report.total);
-        assert_eq!(report.stages_ms.len(), 4);
+        assert_eq!(report.stages_ms.len(), 5);
         assert!(report.apps_per_second > 0.0);
         // The serial-tail and interner pre-size observability flows through.
         assert!(report.serial_tail_ms > 0.0);

@@ -42,7 +42,7 @@ use std::fs;
 use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
-use wla_apk::{ApkError, ContainerSource, VerifyPreset};
+use wla_apk::{ApkError, ContainerSource};
 
 /// Leading magic bytes of a shard file.
 pub const SHARD_MAGIC: [u8; 4] = *b"WSHD";
@@ -244,21 +244,6 @@ impl Shard {
         let e = &self.entries[i];
         self.source
             .slice(self.payload_base + e.off as usize, e.len as usize)
-    }
-
-    /// Tag every entry window handed out by [`Shard::entry_bytes`] with a
-    /// decode preset. Opening a shard already validated the file-level
-    /// Adler-32, so the *bytes* are exactly what the writer produced;
-    /// whether those bytes deserve a trusted preset is the caller's call
-    /// (a generated corpus with planted corruption must stay at
-    /// [`VerifyPreset::All`]).
-    pub fn set_verify_preset(&mut self, preset: VerifyPreset) {
-        self.source = self.source.clone().with_preset(preset);
-    }
-
-    /// The decode preset entry windows are tagged with.
-    pub fn verify_preset(&self) -> VerifyPreset {
-        self.source.verify_preset()
     }
 
     /// The shard's stored checksum (validated against the bytes on open).

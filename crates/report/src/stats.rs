@@ -57,19 +57,8 @@ pub struct PipelineStatsReport {
     /// Traversal speed: CSR edges scanned per second of callgraph-stage
     /// time (0 when no call graph was built).
     pub edges_per_second: f64,
-    /// Dex decodes that ran full structural verification
-    /// (`VerifyPreset::All`).
-    pub decode_full: u64,
-    /// Dex decodes that verified only the checksum
-    /// (`VerifyPreset::ChecksumOnly`).
-    pub decode_checksum_only: u64,
-    /// Fully trusted dex decodes (`VerifyPreset::None`).
-    pub decode_trusted: u64,
-    /// Decoded dexes carrying a stored type lookup table.
-    pub lut_present: u64,
-    /// Dexes whose probe table had to be built lazily (no usable stored
-    /// table).
-    pub lut_rebuilds: u64,
+    /// Dex sections decoded, each with full validation.
+    pub dex_decodes: u64,
     /// Methods run through the constant-propagation pass (0 when the
     /// pass was ablated).
     pub dataflow_methods: u64,
@@ -172,30 +161,8 @@ impl PipelineStatsReport {
                 ]);
             }
         }
-        let decodes = self.decode_full + self.decode_checksum_only + self.decode_trusted;
-        if decodes > 0 {
-            t.row_owned(vec![
-                "Dex decodes (full verify)".into(),
-                format!("{} of {}", thousands(self.decode_full), thousands(decodes)),
-            ]);
-            if self.decode_checksum_only + self.decode_trusted > 0 {
-                t.row_owned(vec![
-                    "  checksum-only / trusted".into(),
-                    format!(
-                        "{} / {}",
-                        thousands(self.decode_checksum_only),
-                        thousands(self.decode_trusted)
-                    ),
-                ]);
-            }
-            t.row_owned(vec![
-                "Stored lookup tables".into(),
-                format!(
-                    "{} ({} rebuilt lazily)",
-                    thousands(self.lut_present),
-                    thousands(self.lut_rebuilds)
-                ),
-            ]);
+        if self.dex_decodes > 0 {
+            t.row_owned(vec!["Dex decodes".into(), thousands(self.dex_decodes)]);
         }
         if self.dataflow_methods > 0 {
             t.row_owned(vec![
@@ -558,7 +525,8 @@ mod tests {
             stages_ms: vec![
                 ("decode".into(), 100.0),
                 ("decompile".into(), 50.0),
-                ("callgraph".into(), 30.0),
+                ("callgraph".into(), 20.0),
+                ("dataflow".into(), 10.0),
                 ("label".into(), 20.0),
             ],
             failure_kinds: vec![("analysis-panic".into(), 1), ("bad-magic".into(), 1)],
@@ -571,11 +539,7 @@ mod tests {
             vtable_hit_rate: 0.75,
             bitset_reuses: 1_460,
             edges_per_second: 2_500_000.0,
-            decode_full: 1_500,
-            decode_checksum_only: 12,
-            decode_trusted: 3,
-            lut_present: 1_515,
-            lut_rebuilds: 0,
+            dex_decodes: 1_515,
             dataflow_methods: 9_876,
             dataflow_linear_rate: 0.94,
             dataflow_sites: 3_210,
@@ -601,6 +565,7 @@ mod tests {
         assert!(r.contains("Per-stage analysis time"));
         assert!(r.contains("decode"));
         assert!(r.contains("50.0%")); // decode share of the 200ms stage total
+        assert!(r.contains("dataflow"));
         assert!(r.contains("Failure taxonomy"));
         assert!(r.contains("analysis-panic"));
         assert!(r.contains("20,480 (512 KiB)"));
@@ -612,9 +577,7 @@ mod tests {
         assert!(r.contains("75.0%")); // vtable hit rate
         assert!(r.contains("1,460")); // bitset reuses
         assert!(r.contains("2.5 Medges/s"));
-        assert!(r.contains("1,500 of 1,515")); // full-verify decodes
-        assert!(r.contains("12 / 3")); // checksum-only / trusted decodes
-        assert!(r.contains("1,515 (0 rebuilt lazily)")); // stored lookup tables
+        assert!(r.contains("1,515")); // dex decodes
         assert!(r.contains("9,876 (94.0%)")); // dataflow methods, linear share
         assert!(r.contains("100.0% of 3,210")); // URL-site resolution
         assert!(r.contains("Shard streaming"));

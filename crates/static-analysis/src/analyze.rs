@@ -11,7 +11,7 @@ use crate::dataflow::{self, DataflowCounters};
 use std::collections::HashSet;
 use std::time::Instant;
 use wla_apk::names::WEBVIEW_CONTENT_METHODS;
-use wla_apk::{ApkError, Dex, Sapk, VerifyPreset};
+use wla_apk::{ApkError, Dex, Sapk};
 use wla_callgraph::{
     entry_points, provenance_oracle, record_web_calls_with, CallGraph, CallGraphCounters,
     ReachScratch, UrlOrigin, WebCallRecord,
@@ -26,9 +26,10 @@ use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
 ///
 /// Stage boundaries follow Figure 1: container/dex *decode*, *decompile*
 /// (source lifting + WebView-subclass closure), *callgraph* (build,
-/// entry points, traversal + recording), and *label* (summary building,
-/// package extraction, deep-link exclusion). On a decode failure only
-/// `decode_ns` is populated — the later stages never ran.
+/// entry points, traversal + recording), *dataflow* (URL-argument
+/// provenance over each graph's call sites), and *label* (summary
+/// building, package extraction, deep-link exclusion). On a decode
+/// failure only `decode_ns` is populated — the later stages never ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Container + dex decoding.
@@ -39,6 +40,8 @@ pub struct StageTimings {
     pub decompile_ns: u64,
     /// Call-graph construction, entry points, traversal, recording.
     pub callgraph_ns: u64,
+    /// URL-argument provenance annotation of each graph's call sites.
+    pub dataflow_ns: u64,
     /// Summary construction: package labels, deep-link filtering.
     pub label_ns: u64,
 }
@@ -46,7 +49,7 @@ pub struct StageTimings {
 impl StageTimings {
     /// Total time across all stages.
     pub fn total_ns(&self) -> u64 {
-        self.decode_ns + self.decompile_ns + self.callgraph_ns + self.label_ns
+        self.decode_ns + self.decompile_ns + self.callgraph_ns + self.dataflow_ns + self.label_ns
     }
 
     /// Accumulate another app's timings into this one.
@@ -54,54 +57,23 @@ impl StageTimings {
         self.decode_ns += other.decode_ns;
         self.decompile_ns += other.decompile_ns;
         self.callgraph_ns += other.callgraph_ns;
+        self.dataflow_ns += other.dataflow_ns;
         self.label_ns += other.label_ns;
     }
 }
 
-/// Dex-decode observability: how many dex decodes ran under each
-/// [`VerifyPreset`], and how the type lookup table fared. Summed across a
-/// worker's apps, merged into
-/// [`PipelineStats`](crate::PipelineStats) at join time.
+/// Dex-decode observability, summed across a worker's apps and merged
+/// into [`PipelineStats`](crate::PipelineStats) at join time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCounters {
-    /// Dex decodes under [`VerifyPreset::All`].
-    pub full: u64,
-    /// Dex decodes under [`VerifyPreset::ChecksumOnly`].
-    pub checksum_only: u64,
-    /// Dex decodes under [`VerifyPreset::None`] (fully trusted).
-    pub trusted: u64,
-    /// Decoded dexes that carried a stored (wire-format) lookup table and
-    /// kept it ([`AnalysisCtx::use_lut`] on).
-    pub lut_present: u64,
-    /// Dexes whose probe table was built lazily on first name lookup —
-    /// either no stored table on the wire, or the stored one was
-    /// discarded under ablation.
-    pub lut_rebuilds: u64,
+    /// Dex sections decoded (every one fully validated).
+    pub dexes: u64,
 }
 
 impl DecodeCounters {
-    /// Dex decodes across all presets.
-    pub fn total(&self) -> u64 {
-        self.full + self.checksum_only + self.trusted
-    }
-
-    /// Fraction of decodes that skipped structural re-validation
-    /// (`ChecksumOnly` + `None` over the total).
-    pub fn trusted_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.checksum_only + self.trusted) as f64 / total as f64
-    }
-
     /// Accumulate another worker's counters into this one.
     pub fn merge(&mut self, other: &DecodeCounters) {
-        self.full += other.full;
-        self.checksum_only += other.checksum_only;
-        self.trusted += other.trusted;
-        self.lut_present += other.lut_present;
-        self.lut_rebuilds += other.lut_rebuilds;
+        self.dexes += other.dexes;
     }
 }
 
@@ -134,17 +106,7 @@ pub struct AnalysisCtx<'c> {
     /// resolved/unknown/conflict sites) accumulated across this worker's
     /// apps.
     pub dataflow: DataflowCounters,
-    /// How much decode-time verification each container gets. Defaults to
-    /// [`VerifyPreset::All`] — the corruption-facing setting; the trusted
-    /// presets are for corpora whose bytes were already validated
-    /// end-to-end (a just-generated corpus, a resume-stamped shard).
-    pub verify_preset: VerifyPreset,
-    /// Use the wire-format type lookup table and the hash-vtable call
-    /// graph (default). `false` ablates to the linear/binary-search
-    /// paths — the bench knob behind the lut ablation table.
-    pub use_lut: bool,
-    /// Decode counters (per-preset decodes, lut presence/rebuilds)
-    /// accumulated across this worker's apps.
+    /// Decode counters accumulated across this worker's apps.
     pub decode: DecodeCounters,
 }
 
@@ -159,8 +121,6 @@ impl<'c> AnalysisCtx<'c> {
             graph_counters: CallGraphCounters::default(),
             use_dataflow: true,
             dataflow: DataflowCounters::default(),
-            verify_preset: VerifyPreset::All,
-            use_lut: true,
             decode: DecodeCounters::default(),
         }
     }
@@ -374,8 +334,7 @@ pub fn analyze_app_bytes_timed_with(
 ) -> (Result<AppAnalysis, ApkError>, StageTimings) {
     let mut timings = StageTimings::default();
     let started = Instant::now();
-    let decoded =
-        Sapk::decode_bytes_with(bytes, ctx.verify_preset).and_then(|apk| decode_rest(apk, ctx));
+    let decoded = Sapk::decode_bytes(bytes).and_then(|apk| decode_rest(apk, ctx));
     timings.decode_ns = started.elapsed().as_nanos() as u64;
     finish_analysis(meta, decoded, ctx, timings)
 }
@@ -403,21 +362,26 @@ fn finish_analysis(
 
     // (4) call graph; (5) traversal + recording — per dex. Recording
     // interns every retained name and labels caller packages in one pass.
+    // Annotation gets its own timer; the call-graph stage is the rest of
+    // the loop, so the stages still sum to the per-app wall time.
     let started = Instant::now();
+    let mut dataflow_ns = 0u64;
     let records: Vec<WebCallRecord> = dexes
         .iter()
         .map(|dex| {
-            let mut graph = CallGraph::build_with(dex, ctx.use_lut);
+            let mut graph = CallGraph::build(dex);
             ctx.graph_counters
                 .absorb_build(&graph.build_stats(), graph.edge_count());
             // URL-argument provenance rides on the site stream before
             // recording: the dataflow pass by default, the legacy
             // pending-string oracle under ablation.
+            let annotate = Instant::now();
             if ctx.use_dataflow {
                 dataflow::annotate(dex, graph.sites_mut(), &mut ctx.dataflow);
             } else {
                 provenance_oracle::annotate(dex, graph.sites_mut());
             }
+            dataflow_ns += annotate.elapsed().as_nanos() as u64;
             let roots = entry_points(&graph, &manifest);
             record_web_calls_with(
                 &graph,
@@ -430,7 +394,8 @@ fn finish_analysis(
             )
         })
         .collect();
-    timings.callgraph_ns = started.elapsed().as_nanos() as u64;
+    timings.dataflow_ns = dataflow_ns;
+    timings.callgraph_ns = (started.elapsed().as_nanos() as u64).saturating_sub(dataflow_ns);
 
     // §3.1.3–3.1.4: deep-link exclusion. Non-inserting lookups: a
     // deep-link class no site referenced was never interned and can't
@@ -482,10 +447,6 @@ fn finish_analysis(
     custom_webview_classes.sort_by(|a, b| ctx.lexicon.resolve(*a).cmp(ctx.lexicon.resolve(*b)));
     timings.label_ns = started.elapsed().as_nanos() as u64;
 
-    // Sample after every name lookup has run: a dex whose lazy probe table
-    // was built had no usable stored table on the wire.
-    ctx.decode.lut_rebuilds += dexes.iter().filter(|d| d.lookup_table_rebuilt()).count() as u64;
-
     let analysis = AppAnalysis {
         package: manifest.package.clone(),
         meta,
@@ -500,9 +461,7 @@ fn finish_analysis(
 /// Manifest + dex decoding over an already-decoded container. Dex decoding
 /// is zero-copy: each section's `Bytes` handle is shared with the dex's
 /// span table, so no string data is copied out of the container buffer.
-/// The context's [`VerifyPreset`] governs how much re-validation each dex
-/// gets, and its `use_lut` knob decides whether stored lookup tables are
-/// kept; both are tallied into [`AnalysisCtx::decode`].
+/// Every decode is tallied into [`AnalysisCtx::decode`].
 fn decode_rest(apk: Sapk, ctx: &mut AnalysisCtx<'_>) -> Result<(Manifest, Vec<Dex>), ApkError> {
     let manifest: Manifest = wireformat::decode(apk.manifest_bytes()?)?;
     let mut dexes: Vec<Dex> = Vec::new();
@@ -511,19 +470,8 @@ fn decode_rest(apk: Sapk, ctx: &mut AnalysisCtx<'_>) -> Result<(Manifest, Vec<De
         .iter()
         .filter(|s| s.tag == wla_apk::SectionTag::Dex)
     {
-        let mut dex = Dex::decode_bytes_with(s.data.clone(), ctx.verify_preset)?;
-        match ctx.verify_preset {
-            VerifyPreset::All => ctx.decode.full += 1,
-            VerifyPreset::ChecksumOnly => ctx.decode.checksum_only += 1,
-            VerifyPreset::None => ctx.decode.trusted += 1,
-        }
-        if !ctx.use_lut {
-            dex.discard_lookup_table();
-        }
-        if dex.has_lookup_table() {
-            ctx.decode.lut_present += 1;
-        }
-        dexes.push(dex);
+        dexes.push(Dex::decode_bytes(s.data.clone())?);
+        ctx.decode.dexes += 1;
     }
     if dexes.is_empty() {
         return Err(ApkError::MissingSection("dex"));

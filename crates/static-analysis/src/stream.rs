@@ -243,7 +243,7 @@ fn stream_shard(
     } else {
         Shard::open_buffered(path)
     };
-    let mut shard = match opened {
+    let shard = match opened {
         Ok(shard) => shard,
         Err(e) => {
             return ShardRun {
@@ -252,9 +252,6 @@ fn stream_shard(
             }
         }
     };
-    // The open just revalidated the shard's file-level checksum, so its
-    // entry windows carry whatever trust the run configured.
-    shard.set_verify_preset(config.pipeline.verify_preset);
     let mapped_bytes = if shard.is_mapped() {
         shard.file_len()
     } else {
