@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, the full test suite, and the tests of
+# the end-to-end benchmark package (crates/bench/src/bin/benchmark).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -176,6 +177,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== benchmark package tests =="
+# The end-to-end benchmark is a package with its own `[workspace]`, so
+# `cargo test --workspace` never compiles it; build and test it here so
+# the crate APIs it calls cannot drift from under it. Release mode: its
+# tests run every workload at toy size, full funnel included.
+cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 echo "== cargo build --benches (smoke) =="
 bench_start=$SECONDS

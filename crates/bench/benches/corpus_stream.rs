@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use wla_core::wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{
-    run_pipeline, run_pipeline_streamed, CorpusInput, PipelineConfig, StreamConfig, MANIFEST_SUBDIR,
+    run_pipeline, run_pipeline_streamed, PipelineConfig, StreamConfig, MANIFEST_SUBDIR,
 };
 
 fn corpus(scale: u32) -> Vec<GeneratedApp> {
@@ -45,13 +45,6 @@ fn bench(c: &mut Criterion) {
     let catalog = SdkIndex::paper();
     // ~734 apps, matching static_pipeline's corpus sweep.
     let apps = corpus(200);
-    let inputs: Vec<CorpusInput> = apps
-        .iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes.clone(),
-        })
-        .collect();
 
     let mut group = c.benchmark_group("corpus_stream");
     group.sample_size(10);
@@ -74,7 +67,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("in_memory_734", |b| {
         b.iter(|| {
             run_pipeline(
-                black_box(&inputs),
+                black_box(&apps),
                 &catalog,
                 PipelineConfig {
                     workers: 8,

@@ -6,14 +6,14 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wla_core::wla_apk::sdex::oracle;
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
-use wla_core::wla_corpus::{CorpusConfig, Generator};
+use wla_core::wla_corpus::{CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{
     aggregate, aggregate_string_oracle, analyze_app_timed_with, run_pipeline, AnalysisCtx,
-    CorpusInput, PipelineConfig,
+    AppInput, PipelineConfig,
 };
 
-fn corpus(n_apps_scale: u32) -> Vec<CorpusInput> {
+fn corpus(n_apps_scale: u32) -> Vec<GeneratedApp> {
     let catalog = SdkIndex::paper();
     let cfg = CorpusConfig {
         scale: n_apps_scale,
@@ -21,14 +21,7 @@ fn corpus(n_apps_scale: u32) -> Vec<CorpusInput> {
         corrupt_fraction: 0.0,
         ..CorpusConfig::default()
     };
-    Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect()
+    Generator::new(&catalog, cfg).generate()
 }
 
 fn bench(c: &mut Criterion) {
@@ -46,7 +39,7 @@ fn bench(c: &mut Criterion) {
         // — re-building the catalog/lexicon per app is not the steady state.
         let mut ctx = AnalysisCtx::new(&catalog);
         b.iter(|| {
-            analyze_app_timed_with(input.meta.clone(), black_box(&input.bytes), &mut ctx)
+            analyze_app_timed_with(input.meta().clone(), black_box(input.bytes()), &mut ctx)
                 .0
                 .unwrap()
         })

@@ -7,11 +7,11 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
 use wla_core::wla_callgraph::{provenance_oracle, CallGraph, CallSite};
-use wla_core::wla_corpus::{CorpusConfig, Generator};
+use wla_core::wla_corpus::{CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
-use wla_core::wla_static::{dataflow, run_pipeline, CorpusInput, DataflowCounters, PipelineConfig};
+use wla_core::wla_static::{dataflow, run_pipeline, DataflowCounters, PipelineConfig};
 
-fn corpus(scale: u32) -> Vec<CorpusInput> {
+fn corpus(scale: u32) -> Vec<GeneratedApp> {
     let catalog = SdkIndex::paper();
     let cfg = CorpusConfig {
         scale,
@@ -19,14 +19,7 @@ fn corpus(scale: u32) -> Vec<CorpusInput> {
         corrupt_fraction: 0.0,
         ..CorpusConfig::default()
     };
-    Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect()
+    Generator::new(&catalog, cfg).generate()
 }
 
 fn bench(c: &mut Criterion) {

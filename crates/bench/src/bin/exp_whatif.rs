@@ -11,7 +11,7 @@
 use wla_core::wla_corpus::{CorpusConfig, EcosystemParams, Generator};
 use wla_core::wla_report::{percent, Table};
 use wla_core::wla_sdk_index::SdkCategory;
-use wla_core::wla_static::{aggregate, run_pipeline, CorpusInput, PipelineConfig};
+use wla_core::wla_static::{aggregate, run_pipeline, PipelineConfig};
 
 fn run_scenario(study: &wla_core::Study, params: EcosystemParams) -> (f64, f64, f64) {
     let cfg = CorpusConfig {
@@ -20,15 +20,8 @@ fn run_scenario(study: &wla_core::Study, params: EcosystemParams) -> (f64, f64, 
         params,
         ..CorpusConfig::default()
     };
-    let inputs: Vec<CorpusInput> = Generator::new(&study.catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect();
-    let out = run_pipeline(&inputs, &study.catalog, PipelineConfig::default());
+    let apps = Generator::new(&study.catalog, cfg).generate();
+    let out = run_pipeline(&apps, &study.catalog, PipelineConfig::default());
     let r = aggregate(&out, &study.catalog, 1);
     let n = r.analyzed as f64;
     (

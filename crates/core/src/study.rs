@@ -8,8 +8,8 @@ use wla_dynamic::iab_study::{run_iab_study, IabStudy};
 use wla_dynamic::CrawlConfig;
 use wla_sdk_index::SdkIndex;
 use wla_static::{
-    aggregate, run_pipeline, run_pipeline_streamed, CorpusInput, PipelineConfig, PipelineStats,
-    StreamConfig, StudyResults,
+    aggregate, run_pipeline, run_pipeline_streamed, PipelineConfig, PipelineStats, StreamConfig,
+    StudyResults,
 };
 
 /// Top-level study configuration.
@@ -101,17 +101,10 @@ impl Study {
     }
 
     /// Run the §3.1 campaign: generate the corpus, run the pipeline over
-    /// raw bytes, aggregate.
+    /// its raw bytes in place, aggregate.
     pub fn run_static(&self) -> StaticRun {
         let corpus = self.corpus();
-        let inputs: Vec<CorpusInput> = corpus
-            .iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes.clone(),
-            })
-            .collect();
-        let output = run_pipeline(&inputs, &self.catalog, PipelineConfig::default());
+        let output = run_pipeline(&corpus, &self.catalog, PipelineConfig::default());
         // The catalog already encodes the paper's >100-apps popularity
         // criterion; any observed usage of a catalog SDK counts.
         let top_sdk_threshold = 1;

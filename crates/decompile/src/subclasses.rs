@@ -99,11 +99,30 @@ pub fn webview_subclasses(files: &[SourceFile]) -> HashSet<String> {
 ///
 /// Skips the lift-to-Java + re-parse round trip entirely, which is what
 /// made decompilation ~80% of per-app analysis time; the lifted route
-/// stays available as the equivalence oracle (see module docs).
+/// stays available as the equivalence oracle (see module docs). Only the
+/// returned subclasses are interned: the fixed point runs on names
+/// borrowed from the dex type tables, so a worker lexicon that outlives
+/// the app never holds the app's other class names.
 pub fn webview_subclasses_dex_interned(
     dexes: &[Dex],
     lexicon: &mut LocalInterner,
 ) -> HashSet<Symbol> {
+    dex_subclass_names(dexes)
+        .into_iter()
+        .map(|name| lexicon.intern(name))
+        .collect()
+}
+
+/// String-typed convenience wrapper over the dex-direct closure.
+pub fn webview_subclasses_dex(dexes: &[Dex]) -> HashSet<String> {
+    dex_subclass_names(dexes)
+        .into_iter()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The dex-direct closure itself, on names borrowed from `dexes`.
+fn dex_subclass_names(dexes: &[Dex]) -> HashSet<&str> {
     // O(1) seed probe through each dex's type lookup table: a subclass
     // chain can only reach WebView if some dex *references* the WebView
     // type (superclass links are type-table entries), so an app with no
@@ -115,29 +134,27 @@ pub fn webview_subclasses_dex_interned(
     {
         return HashSet::new();
     }
-    let webview = lexicon.intern(framework::WEBVIEW);
     // binary name -> superclass binary name; last definition wins, as the
     // source-map insert does in the lifted route.
-    let mut supers: HashMap<Symbol, Option<Symbol>> = HashMap::new();
+    let mut supers: HashMap<&str, Option<&str>> = HashMap::new();
     for dex in dexes {
         for c in dex.classes() {
-            let name = lexicon.intern(dex.type_name(c.ty));
-            let sup = c.superclass.map(|s| lexicon.intern(dex.type_name(s)));
-            supers.insert(name, sup);
+            let sup = c.superclass.map(|s| dex.type_name(s));
+            supers.insert(dex.type_name(c.ty), sup);
         }
     }
 
     // Fixed-point: a class is a WebView subclass if its superclass is
     // WebView or an already-known subclass.
-    let mut subclasses: HashSet<Symbol> = HashSet::new();
+    let mut subclasses: HashSet<&str> = HashSet::new();
     loop {
         let mut changed = false;
         for (&name, &sup) in &supers {
-            if subclasses.contains(&name) {
+            if subclasses.contains(name) {
                 continue;
             }
             if let Some(sup) = sup {
-                if sup == webview || subclasses.contains(&sup) {
+                if sup == framework::WEBVIEW || subclasses.contains(sup) {
                     subclasses.insert(name);
                     changed = true;
                 }
@@ -148,16 +165,6 @@ pub fn webview_subclasses_dex_interned(
         }
     }
     subclasses
-}
-
-/// String-typed convenience wrapper over
-/// [`webview_subclasses_dex_interned`].
-pub fn webview_subclasses_dex(dexes: &[Dex]) -> HashSet<String> {
-    let mut lexicon = LocalInterner::new();
-    webview_subclasses_dex_interned(dexes, &mut lexicon)
-        .into_iter()
-        .map(|s| lexicon.resolve(s).to_owned())
-        .collect()
 }
 
 #[cfg(test)]
@@ -332,6 +339,37 @@ mod tests {
             assert!(subs.contains("com/b/Child"));
             // And per-dex alone the child is invisible.
             assert!(!webview_subclasses_dex(&dexes[1..]).contains("com/b/Child"));
+        }
+
+        #[test]
+        fn interns_only_the_subclasses_it_returns() {
+            // A two-level chain split across a multi-dex app, beside
+            // unrelated classes in both dexes.
+            let mut b1 = DexBuilder::new();
+            for (name, sup) in [
+                ("com/a/Base", Some("android/webkit/WebView")),
+                ("com/x/Other", Some("android/app/Activity")),
+                ("com/x/Util", None),
+            ] {
+                b1.define_class(name, sup, ClassFlags::default(), vec![])
+                    .unwrap();
+            }
+            let mut b2 = DexBuilder::new();
+            for (name, sup) in [
+                ("com/b/Child", Some("com/a/Base")),
+                ("com/y/Helper", Some("com/x/Util")),
+            ] {
+                b2.define_class(name, sup, ClassFlags::default(), vec![])
+                    .unwrap();
+            }
+            let dexes = [b1.build(), b2.build()];
+            let mut lexicon = LocalInterner::new();
+            let subs = webview_subclasses_dex_interned(&dexes, &mut lexicon);
+            let names: HashSet<&str> = subs.iter().map(|&s| lexicon.resolve(s)).collect();
+            assert_eq!(names, HashSet::from(["com/a/Base", "com/b/Child"]));
+            // Neither the unrelated classes nor WebView itself reach the
+            // lexicon: it holds the result and nothing else.
+            assert_eq!(lexicon.len(), subs.len());
         }
 
         #[test]

@@ -503,7 +503,7 @@ pub fn aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, CorpusInput, PipelineConfig};
+    use crate::pipeline::{run_pipeline, PipelineConfig};
     use wla_corpus::{CorpusConfig, Generator};
 
     fn study(scale: u32, seed: u64) -> (StudyResults, Vec<wla_corpus::GeneratedApp>) {
@@ -514,14 +514,7 @@ mod tests {
             ..CorpusConfig::default()
         };
         let apps = Generator::new(&catalog, cfg).generate();
-        let inputs: Vec<CorpusInput> = apps
-            .iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes.clone(),
-            })
-            .collect();
-        let out = run_pipeline(&inputs, &catalog, PipelineConfig::default());
+        let out = run_pipeline(&apps, &catalog, PipelineConfig::default());
         let threshold = (100 / scale as usize).max(1);
         (aggregate(&out, &catalog, threshold), apps)
     }

@@ -360,7 +360,7 @@ pub fn aggregate_string_oracle(
 mod tests {
     use super::*;
     use crate::aggregate::aggregate;
-    use crate::pipeline::{run_pipeline, CorpusInput, PipelineConfig};
+    use crate::pipeline::{run_pipeline, PipelineConfig};
     use wla_corpus::{CorpusConfig, Generator};
 
     #[test]
@@ -372,15 +372,8 @@ mod tests {
             corrupt_fraction: 0.1,
             ..CorpusConfig::default()
         };
-        let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-            .generate()
-            .into_iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes,
-            })
-            .collect();
-        let out = run_pipeline(&inputs, &catalog, PipelineConfig::default());
+        let apps = Generator::new(&catalog, cfg).generate();
+        let out = run_pipeline(&apps, &catalog, PipelineConfig::default());
         assert_eq!(
             aggregate(&out, &catalog, 1),
             aggregate_string_oracle(&out, &catalog, 1)

@@ -37,6 +37,7 @@ use std::time::Instant;
 use wla_apk::ApkError;
 use wla_callgraph::CallGraphCounters;
 use wla_corpus::playstore::AppMeta;
+use wla_corpus::GeneratedApp;
 use wla_intern::{merge_ordered, Interner, SymbolTable};
 use wla_sdk_index::SdkIndex;
 
@@ -50,6 +51,38 @@ pub struct CorpusInput {
     pub meta: AppMeta,
     /// SAPK container bytes.
     pub bytes: Vec<u8>,
+}
+
+/// What the runners read of one corpus entry: its Play metadata and its
+/// container bytes, borrowed where the entry lies. A generated corpus is
+/// analyzed in place, so a run holds one copy of the corpus, not two.
+pub trait AppInput: Sync {
+    /// Play metadata.
+    fn meta(&self) -> &AppMeta;
+    /// SAPK container bytes.
+    fn bytes(&self) -> &[u8];
+}
+
+impl AppInput for CorpusInput {
+    fn meta(&self) -> &AppMeta {
+        &self.meta
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// Reads only `spec.meta` — the Play metadata — and the container; the
+/// rest of the spec is ground truth the analysis must never see.
+impl AppInput for GeneratedApp {
+    fn meta(&self) -> &AppMeta {
+        &self.spec.meta
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 /// Pipeline configuration.
@@ -271,13 +304,13 @@ pub(crate) fn panicked(message: String) -> Result<AppAnalysis, ApkError> {
 }
 
 /// Analyze every corpus entry, in parallel, labeling against `catalog`.
-pub fn run_pipeline(
-    inputs: &[CorpusInput],
+pub fn run_pipeline<I: AppInput>(
+    inputs: &[I],
     catalog: &SdkIndex,
     config: PipelineConfig,
 ) -> PipelineOutput {
     run_pipeline_with(inputs, catalog, config, |input, ctx| {
-        analyze_app_timed_with(input.meta.clone(), &input.bytes, ctx)
+        analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
     })
 }
 
@@ -289,15 +322,15 @@ pub fn run_pipeline(
 /// use it to isolate scheduler overhead from analysis cost. The analysis
 /// function receives the worker's [`AnalysisCtx`] and must intern every
 /// symbol its result carries into `ctx.lexicon`.
-pub fn run_pipeline_with<F>(
-    inputs: &[CorpusInput],
+pub fn run_pipeline_with<I, F>(
+    inputs: &[I],
     catalog: &SdkIndex,
     config: PipelineConfig,
     analyze: F,
 ) -> PipelineOutput
 where
-    F: Fn(&CorpusInput, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings)
-        + Sync,
+    I: AppInput,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings) + Sync,
 {
     let started = Instant::now();
     let pool = wla_pool::run(
@@ -379,64 +412,72 @@ mod tests {
     use proptest::prelude::*;
     use wla_corpus::{CorpusConfig, Generator};
 
-    fn inputs(catalog: &SdkIndex, scale: u32, seed: u64, corrupt: f64) -> Vec<CorpusInput> {
+    fn inputs(catalog: &SdkIndex, scale: u32, seed: u64, corrupt: f64) -> Vec<GeneratedApp> {
         let cfg = CorpusConfig {
             scale,
             seed,
             corrupt_fraction: corrupt,
             ..CorpusConfig::default()
         };
-        Generator::new(catalog, cfg)
-            .generate()
-            .into_iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes,
-            })
-            .collect()
+        Generator::new(catalog, cfg).generate()
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 11, 0.1);
-        let par = run_pipeline(
-            &ins,
-            &catalog,
-            PipelineConfig {
-                workers: 8,
-                ..PipelineConfig::default()
-            },
-        );
-        let ser = run_pipeline(
-            &ins,
-            &catalog,
-            PipelineConfig {
-                workers: 1,
-                ..PipelineConfig::default()
-            },
-        );
-        assert_eq!(par.results.len(), ser.results.len());
-        // The input-order remap makes global symbol ids — and therefore
-        // whole analyses — bit-identical across worker counts.
-        for (a, b) in par.results.iter().zip(&ser.results) {
-            match (a, b) {
+    fn workers(workers: usize) -> PipelineConfig {
+        PipelineConfig {
+            workers,
+            ..PipelineConfig::default()
+        }
+    }
+
+    /// Bit-identity of two runs: every result (global symbol ids
+    /// included), the failure taxonomy, and the global tables
+    /// symbol-for-symbol — the table holds exactly the symbols the
+    /// results carry, so resolving each of them covers it.
+    fn assert_same_run(a: &PipelineOutput, b: &PipelineOutput) {
+        assert_eq!(a.results.len(), b.results.len());
+        for (x, y) in a.results.iter().zip(&b.results) {
+            match (x, y) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y),
                 (Err(x), Err(y)) => assert_eq!(x, y),
                 other => panic!("mismatch {other:?}"),
             }
         }
+        assert_eq!(a.stats.failure_kinds, b.stats.failure_kinds);
+        assert_eq!(a.interner.len(), b.interner.len());
+        let (sa, sb) = (a.symbols(), b.symbols());
+        for analysis in a.analyzed() {
+            analysis.clone().remap_symbols(|s| {
+                assert_eq!(sa.resolve(s), sb.resolve(s));
+                s
+            });
+        }
+    }
+
+    #[test]
+    fn parallel_matches_serial() {
+        let catalog = SdkIndex::paper();
+        let apps = inputs(&catalog, 2_000, 11, 0.1);
+        // The input-order remap makes global symbol ids — and therefore
+        // whole analyses — bit-identical across worker counts.
+        let par = run_pipeline(&apps, &catalog, workers(8));
+        let ser = run_pipeline(&apps, &catalog, workers(1));
+        assert_same_run(&par, &ser);
         // Dataflow counters are per-app sums, so worker count and
         // scheduling cannot change them (metamorphic provenance pin).
         assert_eq!(par.stats.dataflow, ser.stats.dataflow);
         assert!(par.stats.dataflow.resolved_sites > 0);
-        // And the global tables agree symbol-for-symbol.
-        assert_eq!(par.interner.len(), ser.interner.len());
-        let (ps, ss) = (par.symbols(), ser.symbols());
-        for a in par.analyzed() {
-            for s in &a.webview_sites {
-                assert_eq!(ps.resolve(s.method), ss.resolve(s.method));
-            }
+        // Analyzing the generated corpus in place is analyzing its copy.
+        let copies: Vec<CorpusInput> = apps
+            .iter()
+            .map(|g| CorpusInput {
+                meta: g.spec.meta.clone(),
+                bytes: g.bytes.clone(),
+            })
+            .collect();
+        for n in [1, 4] {
+            let borrowed = run_pipeline(&apps, &catalog, workers(n));
+            let copied = run_pipeline(&copies, &catalog, workers(n));
+            assert_same_run(&borrowed, &copied);
         }
     }
 
@@ -453,7 +494,7 @@ mod tests {
     #[test]
     fn empty_corpus_ok() {
         let catalog = SdkIndex::paper();
-        let out = run_pipeline(&[], &catalog, PipelineConfig::default());
+        let out = run_pipeline::<CorpusInput>(&[], &catalog, PipelineConfig::default());
         assert_eq!(out.results.len(), 0);
         assert_eq!(out.broken_count(), 0);
         assert_eq!(out.stats.total, 0);
@@ -540,7 +581,7 @@ mod tests {
                 if std::ptr::eq(input, &ins[trap]) {
                     panic!("injected analysis fault");
                 }
-                analyze_app_timed_with(input.meta.clone(), &input.bytes, ctx)
+                analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
             },
         );
         assert_eq!(out.results.len(), ins.len());

@@ -144,7 +144,7 @@ pub fn grade_distribution(labels: &[PrivacyLabel]) -> Vec<(ExposureGrade, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, CorpusInput, PipelineConfig};
+    use crate::pipeline::{run_pipeline, PipelineConfig};
     use wla_corpus::{CorpusConfig, Generator};
 
     fn labels(scale: u32, seed: u64) -> Vec<PrivacyLabel> {
@@ -155,15 +155,8 @@ mod tests {
             corrupt_fraction: 0.0,
             ..CorpusConfig::default()
         };
-        let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-            .generate()
-            .into_iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes,
-            })
-            .collect();
-        let out = run_pipeline(&inputs, &catalog, PipelineConfig::default());
+        let apps = Generator::new(&catalog, cfg).generate();
+        let out = run_pipeline(&apps, &catalog, PipelineConfig::default());
         out.analyzed().map(|a| privacy_label(a, &catalog)).collect()
     }
 

@@ -10,8 +10,8 @@ use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
 use wla_sdk_index::SdkIndex;
 use wla_static::stream::MANIFEST_SUBDIR;
 use wla_static::{
-    aggregate, run_pipeline, run_pipeline_streamed, CorpusInput, PipelineConfig, PipelineOutput,
-    StreamConfig, StudyResults,
+    aggregate, run_pipeline, run_pipeline_streamed, PipelineConfig, PipelineOutput, StreamConfig,
+    StudyResults,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -36,15 +36,8 @@ fn corpus(scale: u32, seed: u64, corrupt: f64) -> Vec<GeneratedApp> {
 }
 
 fn in_memory_baseline(apps: &[GeneratedApp], catalog: &SdkIndex) -> (PipelineOutput, StudyResults) {
-    let inputs: Vec<CorpusInput> = apps
-        .iter()
-        .map(|a| CorpusInput {
-            meta: a.spec.meta.clone(),
-            bytes: a.bytes.clone(),
-        })
-        .collect();
     let output = run_pipeline(
-        &inputs,
+        apps,
         catalog,
         PipelineConfig {
             workers: 1,

@@ -12,7 +12,7 @@
 
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{
-    grade_distribution, privacy_label, run_pipeline, CorpusInput, PipelineConfig,
+    grade_distribution, privacy_label, run_pipeline, PipelineConfig,
 };
 use whatcha_lookin_at::{experiments, Study};
 
@@ -137,15 +137,7 @@ fn main() {
         }
         "labels" => {
             eprintln!("deriving privacy labels at scale 1:{} …", study.scale);
-            let inputs: Vec<CorpusInput> = study
-                .corpus()
-                .into_iter()
-                .map(|g| CorpusInput {
-                    meta: g.spec.meta,
-                    bytes: g.bytes,
-                })
-                .collect();
-            let out = run_pipeline(&inputs, &study.catalog, PipelineConfig::default());
+            let out = run_pipeline(&study.corpus(), &study.catalog, PipelineConfig::default());
             let analyses: Vec<_> = out
                 .analyzed()
                 .map(|a| privacy_label(a, &study.catalog))

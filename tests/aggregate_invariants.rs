@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
-use whatcha_lookin_at::wla_static::{aggregate, run_pipeline, CorpusInput, PipelineConfig};
+use whatcha_lookin_at::wla_static::{aggregate, run_pipeline, PipelineConfig};
 
 fn results(seed: u64) -> whatcha_lookin_at::wla_static::StudyResults {
     let catalog = SdkIndex::paper();
@@ -13,14 +13,7 @@ fn results(seed: u64) -> whatcha_lookin_at::wla_static::StudyResults {
         seed,
         ..CorpusConfig::default()
     };
-    let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect();
+    let inputs = Generator::new(&catalog, cfg).generate();
     let out = run_pipeline(&inputs, &catalog, PipelineConfig::default());
     aggregate(&out, &catalog, 1)
 }

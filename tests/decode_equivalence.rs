@@ -20,7 +20,7 @@ use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_decompile::{lift_dex, webview_subclasses, webview_subclasses_dex};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
-use whatcha_lookin_at::wla_static::{run_pipeline, CorpusInput, PipelineConfig};
+use whatcha_lookin_at::wla_static::{run_pipeline, PipelineConfig};
 
 fn meta() -> AppMeta {
     AppMeta {
@@ -128,14 +128,7 @@ fn pipeline_identical_across_worker_counts() {
         corrupt_fraction: 0.2,
         ..CorpusConfig::default()
     };
-    let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect();
+    let inputs = Generator::new(&catalog, cfg).generate();
     let baseline = run_pipeline(
         &inputs,
         &catalog,

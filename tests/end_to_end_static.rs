@@ -3,9 +3,7 @@
 
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::{SdkCategory, SdkIndex};
-use whatcha_lookin_at::wla_static::{
-    aggregate, analyze_app, run_pipeline, CorpusInput, PipelineConfig,
-};
+use whatcha_lookin_at::wla_static::{aggregate, analyze_app, run_pipeline, PipelineConfig};
 use whatcha_lookin_at::Study;
 
 #[test]
@@ -73,14 +71,7 @@ fn pipeline_is_deterministic_across_worker_counts() {
         seed: 5,
         ..CorpusConfig::default()
     };
-    let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect();
+    let inputs = Generator::new(&catalog, cfg).generate();
     let a = aggregate(
         &run_pipeline(
             &inputs,

@@ -30,16 +30,8 @@ fn scripted_driver_beats_the_monkey() {
 fn privacy_labels_cover_the_corpus_and_track_bridges() {
     let study = Study::new(500, 17);
     let run = study.run_static();
-    let inputs: Vec<whatcha_lookin_at::wla_static::CorpusInput> = run
-        .corpus
-        .iter()
-        .map(|g| whatcha_lookin_at::wla_static::CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes.clone(),
-        })
-        .collect();
     let out = whatcha_lookin_at::wla_static::run_pipeline(
-        &inputs,
+        &run.corpus,
         &study.catalog,
         whatcha_lookin_at::wla_static::PipelineConfig::default(),
     );

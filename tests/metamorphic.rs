@@ -10,7 +10,7 @@ use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{
-    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, CorpusInput, PipelineConfig,
+    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, PipelineConfig,
 };
 
 fn meta() -> AppMeta {
@@ -125,14 +125,7 @@ proptest! {
             corrupt_fraction: 0.1,
             ..CorpusConfig::default()
         };
-        let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-            .generate()
-            .into_iter()
-            .map(|g| CorpusInput {
-                meta: g.spec.meta.clone(),
-                bytes: g.bytes,
-            })
-            .collect();
+        let inputs = Generator::new(&catalog, cfg).generate();
         let out = run_pipeline(
             &inputs,
             &catalog,

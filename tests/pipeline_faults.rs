@@ -7,7 +7,7 @@ use whatcha_lookin_at::wla_apk::ApkError;
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{
-    aggregate, analyze_app_timed_with, run_pipeline_with, CorpusInput, PipelineConfig,
+    aggregate, analyze_app_timed_with, run_pipeline_with, AppInput, PipelineConfig,
 };
 
 /// Suppress the default panic-hook backtrace for the panics this test
@@ -36,14 +36,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
         corrupt_fraction: 0.1,
         ..CorpusConfig::default()
     };
-    let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-        .generate()
-        .into_iter()
-        .map(|g| CorpusInput {
-            meta: g.spec.meta.clone(),
-            bytes: g.bytes,
-        })
-        .collect();
+    let inputs = Generator::new(&catalog, cfg).generate();
 
     // Every 10th app trips a panic inside "analysis" — simulating the
     // pathological containers a 146.8K-app corpus inevitably contains.
@@ -62,7 +55,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
             if idx % 10 == 0 {
                 panic!("injected fault in app {idx}");
             }
-            analyze_app_timed_with(input.meta.clone(), &input.bytes, ctx)
+            analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
         },
     );
 

@@ -31,7 +31,7 @@ use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_intern::{LocalInterner, Symbol};
 use whatcha_lookin_at::wla_manifest::{Component, ComponentKind, Manifest};
 use whatcha_lookin_at::wla_sdk_index::{LabelCache, SdkIndex};
-use whatcha_lookin_at::wla_static::{run_pipeline, CorpusInput, PipelineConfig};
+use whatcha_lookin_at::wla_static::{run_pipeline, PipelineConfig};
 
 const NAMES: [&str; 6] = ["handle", "run", "go", "onCreate", "process", "loadUrl"];
 const DESCRIPTORS: [&str; 2] = ["()V", "(Ljava/lang/String;)V"];
@@ -326,11 +326,7 @@ proptest! {
             corrupt_fraction: 0.1,
             ..CorpusConfig::default()
         };
-        let inputs: Vec<CorpusInput> = Generator::new(&catalog, cfg)
-            .generate()
-            .into_iter()
-            .map(|g| CorpusInput { meta: g.spec.meta.clone(), bytes: g.bytes })
-            .collect();
+        let inputs = Generator::new(&catalog, cfg).generate();
         let base = run_pipeline(
             &inputs,
             &catalog,
