@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, and the tests of
-# the end-to-end benchmark package (crates/bench/src/bin/benchmark).
+# Local CI gate: formatting, lints, warning-free rustdoc, the full test
+# suite, and the tests of the end-to-end benchmark package
+# (crates/bench/src/bin/benchmark).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -174,6 +175,14 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings =="
+# Workspace crates only: the excluded packages are the vendored stand-ins
+# under vendor/. Keeps intra-doc links from dangling when an item they
+# name is renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
+    --exclude bytes --exclude criterion --exclude parking_lot --exclude proptest \
+    --exclude rand --exclude serde --exclude serde_derive
 
 echo "== cargo test =="
 cargo test --workspace -q

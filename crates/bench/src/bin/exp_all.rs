@@ -2,6 +2,7 @@
 //! EXPERIMENTS.md's measured column.
 
 use wla_core::experiments as exp;
+use wla_core::stats::{render_crawl_stats, render_pipeline_stats};
 
 fn main() {
     let opts = wla_bench::parse_args();
@@ -15,7 +16,7 @@ fn main() {
     let dynamic_run = study.run_dynamic();
     eprintln!("[4/4] crawl study (100 sites × 10 IABs + baseline) …");
     let crawl_run = study.run_crawl_parallel(None, wla_core::wla_dynamic::CrawlConfig::default());
-    eprintln!("{}", exp::crawl_stats_report(&crawl_run).render());
+    eprintln!("{}", render_crawl_stats(&crawl_run.stats));
 
     let experiments = vec![
         exp::table2(&study, &funnel),
@@ -36,7 +37,7 @@ fn main() {
     }
 
     println!("=== Static pipeline observability ===\n");
-    println!("{}", exp::pipeline_stats_report(&static_run).render());
+    println!("{}", render_pipeline_stats(&static_run.stats));
 
     println!("=== Summary ===");
     for e in &experiments {

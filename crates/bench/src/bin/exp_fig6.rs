@@ -10,8 +10,5 @@ fn main() {
         wla_core::wla_dynamic::CrawlConfig::default(),
     );
     wla_bench::print_experiment(&wla_core::experiments::fig6(&run));
-    eprintln!(
-        "{}",
-        wla_core::experiments::crawl_stats_report(&run).render()
-    );
+    eprintln!("{}", wla_core::stats::render_crawl_stats(&run.stats));
 }

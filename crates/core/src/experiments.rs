@@ -6,14 +6,12 @@
 //! EXPERIMENTS.md is generated from their output.
 
 use crate::paper;
+use crate::stats::url_origin_table;
 use crate::study::{CrawlRun, DynamicRun, FunnelRun, StaticRun, Study};
 use wla_corpus::ecosystem::named_top_apps;
 use wla_crawler::loadtime::{figure7_series, LoadContext, LoadMode};
 use wla_crawler::EndpointKind;
-use wla_report::{
-    bar_chart, heatmap, percent, thousands, Comparison, CrawlStatsReport, PipelineStatsReport,
-    Series, Table, UrlOriginReport,
-};
+use wla_report::{bar_chart, heatmap, percent, thousands, Comparison, Series, Table};
 use wla_sdk_index::SdkCategory;
 
 /// One reproduced experiment.
@@ -27,120 +25,6 @@ pub struct Experiment {
     pub comparison: Comparison,
     /// Rendered figure blocks (bar charts, heatmaps, CSV).
     pub figures: Vec<String>,
-}
-
-/// Flatten a static run's [`wla_static::PipelineStats`] into the
-/// renderer's plain-data report: counts, throughput, the per-stage timing
-/// columns `exp_table2` prints, and the failure taxonomy.
-pub fn pipeline_stats_report(run: &StaticRun) -> PipelineStatsReport {
-    let s = &run.stats;
-    let ms = |ns: u64| ns as f64 * 1e-6;
-    let stages_ms = if s.stage.total_ns() == 0 {
-        Vec::new()
-    } else {
-        vec![
-            ("decode".to_owned(), ms(s.stage.decode_ns)),
-            ("decompile".to_owned(), ms(s.stage.decompile_ns)),
-            ("callgraph".to_owned(), ms(s.stage.callgraph_ns)),
-            ("dataflow".to_owned(), ms(s.stage.dataflow_ns)),
-            ("label".to_owned(), ms(s.stage.label_ns)),
-        ]
-    };
-    PipelineStatsReport {
-        total: s.total as u64,
-        analyzed: s.analyzed as u64,
-        broken: s.broken as u64,
-        panicked: s.panicked as u64,
-        wall_ms: ms(s.wall_ns),
-        serial_tail_ms: ms(s.serial_tail_ns),
-        apps_per_second: s.apps_per_second(),
-        utilization: s.utilization(),
-        workers: s.workers.len(),
-        stages_ms,
-        failure_kinds: s
-            .failure_kinds
-            .iter()
-            .map(|(kind, count)| ((*kind).to_owned(), *count as u64))
-            .collect(),
-        interned_symbols: s.interner.global_symbols as u64,
-        interned_bytes: s.interner.global_bytes as u64,
-        intern_hit_rate: s.interner.local_hit_rate(),
-        label_hit_rate: s.interner.label_hit_rate(),
-        presize_hit_rate: s.interner.presize_hit_rate(),
-        callgraph_edges: s.callgraph.edges,
-        vtable_hit_rate: s.callgraph.vtable_hit_rate(),
-        bitset_reuses: s.callgraph.bitset_reuses,
-        edges_per_second: if s.stage.callgraph_ns > 0 {
-            s.callgraph.edges_traversed as f64 / (s.stage.callgraph_ns as f64 * 1e-9)
-        } else {
-            0.0
-        },
-        dex_decodes: s.decode.dexes,
-        dataflow_methods: s.dataflow.methods,
-        dataflow_linear_rate: if s.dataflow.methods > 0 {
-            s.dataflow.linear_methods as f64 / s.dataflow.methods as f64
-        } else {
-            0.0
-        },
-        dataflow_sites: s.dataflow.sites(),
-        dataflow_resolved_rate: s.dataflow.resolved_rate(),
-        shards_read: s.stream.shards_read as u64,
-        shards_cached: s.stream.shards_cached as u64,
-        shard_failures: s.stream.shard_failures as u64,
-        shard_failure_kinds: s
-            .stream
-            .shard_failure_kinds
-            .iter()
-            .map(|(kind, count)| ((*kind).to_owned(), *count as u64))
-            .collect(),
-        entries_streamed: s.stream.entries_streamed as u64,
-        entries_cached: s.stream.entries_cached as u64,
-        bytes_mapped: s.stream.bytes_mapped,
-        peak_mapped_bytes: s.stream.peak_mapped_bytes,
-    }
-}
-
-/// Flatten a crawl run's [`wla_dynamic::CrawlStats`] into the renderer's
-/// plain-data report.
-pub fn crawl_stats_report(run: &CrawlRun) -> CrawlStatsReport {
-    let s = &run.stats;
-    let ms = |ns: u64| ns as f64 * 1e-6;
-    CrawlStatsReport {
-        visits_total: s.visits_total as u64,
-        visits_completed: s.visits_completed as u64,
-        visits_panicked: s.visits_panicked as u64,
-        rows: s.rows as u64,
-        sites: s.sites as u64,
-        workers: s.workers.len(),
-        steps_executed: s.steps_executed,
-        requests_logged: s.requests_logged,
-        wall_ms: ms(s.total_ns),
-        prepare_ms: ms(s.prepare_ns),
-        visit_ms: ms(s.visit_ns),
-        merge_ms: ms(s.merge_ns),
-        visits_per_second: if s.total_ns > 0 {
-            s.visits_total as f64 / (s.total_ns as f64 * 1e-9)
-        } else {
-            0.0
-        },
-        utilization: s.utilization(),
-        interned_symbols: s.interner.global_symbols as u64,
-        interned_bytes: s.interner.global_bytes as u64,
-        intern_hit_rate: {
-            let total = s.interner.local_hits + s.interner.local_misses;
-            if total > 0 {
-                s.interner.local_hits as f64 / total as f64
-            } else {
-                0.0
-            }
-        },
-        classify_hit_rate: s.classify_hit_rate(),
-        failure_kinds: s
-            .failure_kinds
-            .iter()
-            .map(|(kind, count)| ((*kind).to_owned(), *count as u64))
-            .collect(),
-    }
 }
 
 /// Table 2 — dataset funnel.
@@ -483,21 +367,7 @@ pub fn table7(study: &Study, run: &StaticRun) -> Experiment {
         id: "table7",
         table: t,
         comparison: c,
-        figures: vec![url_origin_report(run).table().render()],
-    }
-}
-
-/// Flatten a static run's URL-origin census for the renderer. The site
-/// counts are raw (not rescaled): they describe what the constant
-/// propagation measured on the corpus actually analyzed.
-pub fn url_origin_report(run: &StaticRun) -> UrlOriginReport {
-    let c = &run.results.url_origin_census;
-    UrlOriginReport {
-        resolved_sites: c.resolved_sites as u64,
-        unknown_sites: c.unknown_sites as u64,
-        conflict_sites: c.conflict_sites as u64,
-        apps_fully_resolved: c.apps_fully_resolved as u64,
-        apps_with_unresolved: c.apps_with_unresolved as u64,
+        figures: vec![url_origin_table(&run.results.url_origin_census).render()],
     }
 }
 
@@ -930,79 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stats_report_flattens_the_run() {
-        let (_study, run) = small_study();
-        let report = pipeline_stats_report(&run);
-        assert_eq!(report.total, run.stats.total as u64);
-        assert_eq!(report.analyzed + report.broken, report.total);
-        assert_eq!(report.stages_ms.len(), 5);
-        assert!(report.apps_per_second > 0.0);
-        // The serial-tail and interner pre-size observability flows through.
-        assert!(report.serial_tail_ms > 0.0);
-        assert!(report.presize_hit_rate > 0.0 && report.presize_hit_rate <= 1.0);
-        assert!(report.render().contains("serial tail"));
-        // Call-graph observability flows through: edges were built, the
-        // traversal speed is derived from the callgraph stage timer, and
-        // the hit rate is a valid fraction.
-        assert_eq!(report.callgraph_edges, run.stats.callgraph.edges);
-        assert!(report.callgraph_edges > 0);
-        assert!(report.edges_per_second > 0.0);
-        assert!((0.0..=1.0).contains(&report.vtable_hit_rate));
-        let rendered = report.render();
-        assert!(rendered.contains("Pipeline run summary"));
-        assert!(rendered.contains("decode"));
-        assert!(rendered.contains("Call-graph edges (CSR)"));
-        // Dataflow observability flows through: the pass ran over every
-        // invoke (generic calls stay unresolved, so the rate is a proper
-        // fraction — the URL-only 100% lives in the census), and renders.
-        assert!(report.dataflow_methods > 0);
-        assert!((0.0..=1.0).contains(&report.dataflow_linear_rate));
-        assert!(report.dataflow_sites > 0);
-        assert!(report.dataflow_resolved_rate > 0.0 && report.dataflow_resolved_rate < 1.0);
-        assert!(rendered.contains("Invokes resolved to consts"));
-        // In-memory runs carry an all-zero stream section and render no
-        // shard-streaming table.
-        assert_eq!(report.shards_read + report.shards_cached, 0);
-        assert!(!rendered.contains("Shard streaming"));
-    }
-
-    #[test]
-    fn crawl_stats_report_flattens_the_run() {
-        let study = Study::default_experiment();
-        let run = study.run_crawl_parallel(Some(&["Kik"]), wla_dynamic::CrawlConfig { workers: 2 });
-        let report = crawl_stats_report(&run);
-        assert_eq!(report.visits_total, 200); // (baseline + Kik) x 100 sites
-        assert_eq!(report.visits_completed, report.visits_total);
-        assert_eq!(report.visits_panicked, 0);
-        assert_eq!(report.workers, 2);
-        assert!(report.visits_per_second > 0.0);
-        assert!(report.intern_hit_rate > 0.0);
-        assert!(report.classify_hit_rate > 0.0);
-        let rendered = report.render();
-        assert!(rendered.contains("Crawl run summary"));
-        assert!(rendered.contains("2 rows x 100 sites = 200"));
-        assert!(rendered.contains("Crawl phase timing"));
-        assert!(!rendered.contains("Crawl failure taxonomy"));
-    }
-
-    #[test]
-    fn streamed_stats_flow_through_the_report() {
-        let study = Study::new(4_000, 11);
-        let dir = std::env::temp_dir().join(format!("wla-exp-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let run = study
-            .run_static_streamed(&dir, wla_static::StreamConfig::default())
-            .unwrap();
-        let report = pipeline_stats_report(&run);
-        assert!(report.shards_read > 0);
-        assert_eq!(report.entries_streamed, report.total);
-        let rendered = report.render();
-        assert!(rendered.contains("Shard streaming"));
-        assert!(rendered.contains("Entries streamed"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn table3_builds() {
         let (study, run) = small_study();
         let exp = table3(&study, &run);
@@ -1020,7 +817,7 @@ mod tests {
         // generated corpus resolves fully.
         assert_eq!(exp.figures.len(), 1);
         assert!(exp.figures[0].contains("URL-origin census"));
-        let census = url_origin_report(&run);
+        let census = &run.results.url_origin_census;
         assert!(census.resolved_sites > 0);
         assert_eq!(census.unknown_sites + census.conflict_sites, 0);
         assert_eq!(census.apps_with_unresolved, 0);

@@ -20,15 +20,18 @@
 //! [`wla_decompile`] + [`wla_callgraph`] → [`wla_static`] (§3.1 pipeline);
 //! [`wla_net`] (loopback HTTP) → [`wla_web`] (DOM + interception) →
 //! [`wla_device`] (simulated Android) → [`wla_crawler`] → [`wla_dynamic`]
-//! (§3.2 pipeline); [`wla_report`] renders. See DESIGN.md for the full
-//! inventory and EXPERIMENTS.md for results.
+//! (§3.2 pipeline); [`wla_report`] renders tables and figures, and
+//! [`stats`] renders each run's counters from the structs the runners
+//! fill. See DESIGN.md for the full inventory and EXPERIMENTS.md for
+//! results.
 
 pub mod experiments;
 pub mod paper;
 pub mod service;
+pub mod stats;
 pub mod study;
 
-pub use service::{analysis_routes, server_stats_report, service_router};
+pub use service::{analysis_routes, service_router};
 pub use study::{CrawlRun, DynamicRun, FunnelRun, StaticRun, Study};
 
 // Re-export the sub-crates so downstream users need only one dependency.

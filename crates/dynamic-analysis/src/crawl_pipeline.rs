@@ -121,6 +121,17 @@ pub struct CrawlInternerCounters {
     pub classify_misses: u64,
 }
 
+impl CrawlInternerCounters {
+    /// Fraction of intern calls absorbed by worker-local tables.
+    pub fn local_hit_rate(&self) -> f64 {
+        let total = self.local_hits + self.local_misses;
+        if total == 0 {
+            return 0.0;
+        }
+        self.local_hits as f64 / total as f64
+    }
+}
+
 /// Crawl observability: what ran, what failed, where the time went.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CrawlStats {
@@ -172,6 +183,14 @@ impl CrawlStats {
             return 0.0;
         }
         self.interner.classify_hits as f64 / total as f64
+    }
+
+    /// Visit throughput over the whole run.
+    pub fn visits_per_second(&self) -> f64 {
+        if self.total_ns == 0 {
+            return 0.0;
+        }
+        self.visits_total as f64 / (self.total_ns as f64 * 1e-9)
     }
 }
 
@@ -556,4 +575,29 @@ fn figure6_interned(
         .into_iter()
         .map(|(category, visits)| figure6_row(category, &visits))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn local_hit_rate_is_zero_without_intern_calls() {
+        assert_eq!(CrawlInternerCounters::default().local_hit_rate(), 0.0);
+        let c = CrawlInternerCounters {
+            local_hits: 3,
+            local_misses: 1,
+            ..CrawlInternerCounters::default()
+        };
+        assert_eq!(c.local_hit_rate(), 0.75);
+    }
+
+    #[test]
+    fn visits_per_second_is_zero_without_wall_time() {
+        let stats = CrawlStats {
+            visits_total: 100,
+            ..CrawlStats::default()
+        };
+        assert_eq!(stats.visits_per_second(), 0.0);
+    }
 }

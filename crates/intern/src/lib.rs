@@ -257,7 +257,7 @@ struct Shard {
 /// Thread-safe sharded interner: the global table per-worker lexicons
 /// merge into at pipeline join.
 ///
-/// A global symbol encodes its shard in the low [`SHARD_BITS`] bits
+/// A global symbol encodes its shard in the low `SHARD_BITS` (4) bits
 /// (`(idx << SHARD_BITS) | shard`), so resolution never searches. Lookup
 /// is read-mostly: a read lock probes the shard map; only a genuine miss
 /// upgrades to the write lock (with a double-check, since another thread

@@ -13,7 +13,7 @@
 //! HTTP/1.1 serving stack over `std::net` TCP:
 //!
 //! * [`http`] — request/response types and a hardened codec: configurable
-//!   [`Limits`](http::Limits) (413 body / 431 header caps), strict
+//!   [`Limits`] (413 body / 431 header caps), strict
 //!   Content-Length framing, and two proptest-pinned parsers — the
 //!   blocking streaming reader and the incremental
 //!   [`parse_request`](http::parse_request) the nonblocking server feeds

@@ -23,8 +23,8 @@
 //! [`oracle`]; `tests/server_equivalence.rs` pins the two byte-identical
 //! for identical request streams. Everything behavior-relevant is shared:
 //! the codec parsers ([`parse_request`] is proptest-pinned against the
-//! streaming reader), [`error_response`], [`finalize_head`], and
-//! [`Response::write_into`].
+//! streaming reader), the crate-private `error_response` and `dispatch`,
+//! and [`Response::write_into`].
 
 use crate::http::{parse_request, HttpError, Limits, Method, Request, Response, Status};
 use crate::poll::{self, Interest};

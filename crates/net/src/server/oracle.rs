@@ -5,12 +5,12 @@
 //! shape (every response is framed `connection: close`) and is the bench
 //! baseline the nonblocking server is measured against;
 //! [`Server::start_persistent`] runs the same blocking read path in a
-//! keep-alive loop, which — because both servers share the codec,
-//! [`error_response`](super::error_response),
-//! [`dispatch`](super::dispatch), and `Response::write_into` —
-//! makes its byte stream the reference the equivalence suite pins the
-//! nonblocking server against, pipelining included (the `BufReader`
-//! naturally carries buffered follow-on requests between iterations).
+//! keep-alive loop, which — because both servers share the codec, the
+//! crate-private `error_response` and `dispatch`, and
+//! `Response::write_into` — makes its byte stream the reference the
+//! equivalence suite pins the nonblocking server against, pipelining
+//! included (the `BufReader` naturally carries buffered follow-on
+//! requests between iterations).
 
 use super::{dispatch, error_response, Handler};
 use crate::http::{HttpError, Limits, Request};

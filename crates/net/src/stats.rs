@@ -1,6 +1,7 @@
 //! Server observability: connection and request counters plus a service
 //! -time histogram, shared by the readiness-loop server's event loops and
-//! snapshotted for rendering by `wla-report`.
+//! copied out as a [`ServerStatsSnapshot`], which `wla-core::stats`
+//! renders as the server summary table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

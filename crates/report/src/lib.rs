@@ -2,20 +2,19 @@
 //!
 //! Rendering layer shared by the experiment binaries: ASCII/markdown
 //! tables shaped like the paper's, CSV series for figures, text heatmaps
-//! (Figure 4), horizontal bar charts (Figures 6/7), and comparison tables
-//! recording paper value vs measured value with relative error.
+//! (Figure 4), horizontal bar charts (Figures 6/7), a JSON emitter, and
+//! comparison tables recording paper value vs measured value with
+//! relative error. It depends on no other workspace crate: the run-stats
+//! tables are built in `wla-core::stats`, straight from the runners'
+//! counter structs, out of these pieces.
 
 pub mod compare;
 pub mod figure;
 pub mod json;
-pub mod provenance;
-pub mod stats;
 pub mod table;
 
 pub use compare::{Comparison, ComparisonRow, Verdict};
 pub use figure::{bar_chart, heatmap, Series};
-pub use provenance::UrlOriginReport;
-pub use stats::{CrawlStatsReport, PipelineStatsReport, ServerStatsReport};
 pub use table::Table;
 
 /// Format an integer with thousands separators, as the paper prints them.

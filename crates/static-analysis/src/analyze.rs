@@ -142,7 +142,7 @@ pub struct WebViewSiteSummary {
     /// Method name (`loadUrl`, …).
     pub method: Symbol,
     /// Position of the method in
-    /// [`WEBVIEW_CONTENT_METHODS`](wla_apk::names::WEBVIEW_CONTENT_METHODS);
+    /// [`WEBVIEW_CONTENT_METHODS`];
     /// Table 7 accounting indexes by this.
     pub method_idx: u8,
     /// Binary name of the calling class.

@@ -108,6 +108,14 @@ impl DataflowCounters {
         }
         self.resolved_sites as f64 / total as f64
     }
+
+    /// Fraction of analyzed methods that took the linear fast path.
+    pub fn linear_rate(&self) -> f64 {
+        if self.methods == 0 {
+            return 0.0;
+        }
+        self.linear_methods as f64 / self.methods as f64
+    }
 }
 
 /// Abstract register file with a clamped width; reads past the clamp are
@@ -177,7 +185,7 @@ fn provenance_of(v: Option<Value>, counters: &mut DataflowCounters) -> Provenanc
 /// Resolve every invoke of `code` to a [`Provenance`], in code order.
 ///
 /// `registers` is the method's declared register count; the state vector
-/// is sized from it (clamped to [`MAX_TRACKED_REGISTERS`]).
+/// is sized from it (clamped to `MAX_TRACKED_REGISTERS`, 4,096).
 pub fn method_provenance(
     code: &[Instruction],
     registers: u32,
@@ -555,5 +563,16 @@ mod tests {
         assert_eq!(a.methods, 2);
         assert_eq!(a.iterations, 6);
         assert_eq!(a.sites(), 30);
+    }
+
+    #[test]
+    fn linear_rate_is_zero_without_methods() {
+        assert_eq!(DataflowCounters::default().linear_rate(), 0.0);
+        let c = DataflowCounters {
+            methods: 4,
+            linear_methods: 3,
+            ..DataflowCounters::default()
+        };
+        assert_eq!(c.linear_rate(), 0.75);
     }
 }

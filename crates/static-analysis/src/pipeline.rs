@@ -15,8 +15,8 @@
 //!   nothing shares a mutex on the hot path.
 //! - **Observability.** [`PipelineStats`] carries per-stage timers,
 //!   per-worker counters, interner counters, throughput, and a failure
-//!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered by
-//!   `wla-report`.
+//!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered
+//!   straight from that struct by `wla-core::stats`.
 //!
 //! Interned-IR lifecycle: each worker interns into a private
 //! [`LocalInterner`](wla_intern::LocalInterner) (no synchronization while
@@ -235,6 +235,15 @@ impl PipelineStats {
             return 0.0;
         }
         self.busy_ns() as f64 / capacity as f64
+    }
+
+    /// Traversal speed: CSR edges scanned per second of callgraph-stage
+    /// time (0 when no call graph was built).
+    pub fn edges_per_second(&self) -> f64 {
+        if self.stage.callgraph_ns == 0 {
+            return 0.0;
+        }
+        self.callgraph.edges_traversed as f64 / (self.stage.callgraph_ns as f64 * 1e-9)
     }
 }
 
@@ -500,6 +509,19 @@ mod tests {
         assert_eq!(out.stats.total, 0);
         assert_eq!(out.stats.apps_per_second(), 0.0);
         assert_eq!(out.stats.interner.global_symbols, 0);
+    }
+
+    #[test]
+    fn edges_per_second_is_zero_without_callgraph_time() {
+        let stats = PipelineStats {
+            callgraph: CallGraphCounters {
+                edges_traversed: 1_000,
+                ..CallGraphCounters::default()
+            },
+            ..PipelineStats::default()
+        };
+        assert_eq!(stats.edges_per_second(), 0.0);
+        assert_eq!(PipelineStats::default().edges_per_second(), 0.0);
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! wla serve   [--port N] [--smoke]     analysis-as-a-service HTTP server
 //! ```
 
+use std::num::NonZeroU32;
+use std::str::FromStr;
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{
     grade_distribution, privacy_label, run_pipeline, PipelineConfig,
 };
-use whatcha_lookin_at::{experiments, Study};
+use whatcha_lookin_at::{experiments, stats, Study};
 
 struct Args {
     command: String,
@@ -36,36 +38,32 @@ fn parse_args() -> Args {
         smoke: false,
         rest: Vec::new(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                if let Some(v) = argv.get(i + 1).and_then(|v| v.parse().ok()) {
-                    args.scale = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = argv.get(i + 1).and_then(|v| v.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--scale" => args.scale = flag_value::<NonZeroU32>("--scale", argv.next()).get(),
+            "--seed" => args.seed = flag_value("--seed", argv.next()),
             "--json" => args.json = true,
-            "--port" => {
-                if let Some(v) = argv.get(i + 1).and_then(|v| v.parse().ok()) {
-                    args.port = v;
-                    i += 1;
-                }
-            }
+            "--port" => args.port = flag_value("--port", argv.next()),
             "--smoke" => args.smoke = true,
-            other if args.command.is_empty() => args.command = other.to_owned(),
-            other => args.rest.push(other.to_owned()),
+            _ if args.command.is_empty() => args.command = arg,
+            _ => args.rest.push(arg),
         }
-        i += 1;
     }
     args
+}
+
+/// The value following `flag`; a missing or unparsable one is a usage
+/// error, never a silent default.
+fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> T {
+    let Some(text) = value else {
+        eprintln!("wla: {flag} needs a value");
+        usage()
+    };
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("wla: invalid value `{text}` for {flag}");
+        usage()
+    })
 }
 
 fn usage() -> ! {
@@ -104,6 +102,7 @@ fn main() {
             ] {
                 print_exp(&exp);
             }
+            eprintln!("{}", stats::render_pipeline_stats(&run.stats));
         }
         "funnel" => {
             let run = study.run_static();
@@ -133,7 +132,7 @@ fn main() {
             );
             print_exp(&experiments::fig6(&run));
             print_exp(&experiments::fig7());
-            eprintln!("{}", experiments::crawl_stats_report(&run).render());
+            eprintln!("{}", stats::render_crawl_stats(&run.stats));
         }
         "labels" => {
             eprintln!("deriving privacy labels at scale 1:{} …", study.scale);
@@ -221,8 +220,7 @@ fn serve(args: &Args) {
             eprintln!("smoke healthz returned {:?}", resp.status);
             std::process::exit(1);
         }
-        let report = whatcha_lookin_at::server_stats_report(&server.stats().snapshot());
-        println!("{}", report.render());
+        println!("{}", stats::render_server_stats(&server.stats().snapshot()));
         server.shutdown();
         println!("smoke ok");
         return;
@@ -231,8 +229,7 @@ fn serve(args: &Args) {
     // Foreground service: report stats once a minute until killed.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(60));
-        let report = whatcha_lookin_at::server_stats_report(&server.stats().snapshot());
-        eprintln!("{}", report.render());
+        eprintln!("{}", stats::render_server_stats(&server.stats().snapshot()));
     }
 }
 
