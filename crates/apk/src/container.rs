@@ -145,7 +145,7 @@ impl Sapk {
     /// Parse and validate a SAPK container from a borrowed slice.
     ///
     /// Sections are copied into fresh shared storage. Callers that already
-    /// hold the container as [`Bytes`] — a shard window, an mmap view —
+    /// hold the container as [`Bytes`] — a window into a shard buffer —
     /// should use [`Sapk::decode_bytes`], which slices sections out of the
     /// caller's buffer without copying.
     pub fn decode(raw: &[u8]) -> Result<Sapk, ApkError> {

@@ -59,8 +59,8 @@ pub enum ApkError {
     },
     /// A string-pool span's offset or length does not fit the u32 wire
     /// representation. Unreachable for standalone SDEX blobs (their sizes
-    /// are bounded by the container), but mmap-backed multi-gigabyte shard
-    /// buffers can position a section past 4 GiB — truncating would
+    /// are bounded by the container), but multi-gigabyte shard buffers
+    /// can position a section past 4 GiB — truncating would
     /// silently alias another string, so the decoder refuses instead.
     SpanOverflow {
         /// Byte offset of the span within the backing buffer.

@@ -56,13 +56,14 @@
 //! assert!(wla_apk::disasm::disassemble(&back).contains("invoke-virtual"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod container;
 pub mod corrupt;
 pub mod disasm;
 pub mod error;
 pub mod names;
 pub mod sdex;
-pub mod source;
 pub mod wire;
 
 pub use container::{Sapk, SapkSection, SectionTag};
@@ -71,6 +72,3 @@ pub use sdex::{
     ClassDef, ClassFlags, Dex, DexBuilder, Instruction, InvokeKind, MethodDef, MethodId, MethodRef,
     Reg, TypeId, VerifyPreset,
 };
-pub use source::ContainerSource;
-#[cfg(unix)]
-pub use source::MmapRegion;

@@ -415,6 +415,7 @@ pub struct Dex {
 impl Dex {
     /// String-pool lookup. Panics only if `idx` escaped validation, which
     /// `decode` guarantees cannot happen for parsed files.
+    #[allow(unsafe_code)]
     pub fn string(&self, idx: u32) -> &str {
         let s = self.strings[idx as usize];
         let bytes = &self.pool[s.off as usize..s.off as usize + s.len as usize];

@@ -103,7 +103,7 @@ pub fn get_string_span(full: &[u8], buf: &mut &[u8]) -> Result<(u32, u32), ApkEr
 /// values that would silently wrap.
 ///
 /// `get_string_span` offsets are relative to the backing buffer; once that
-/// buffer is an mmap-backed multi-gigabyte shard instead of a standalone
+/// buffer is a multi-gigabyte shard instead of a standalone
 /// blob, `off as u32` would truncate and alias an unrelated string. The
 /// guard turns that corruption into [`ApkError::SpanOverflow`].
 pub fn span_u32(off: usize, len: usize) -> Result<(u32, u32), ApkError> {

@@ -1,9 +1,9 @@
-//! Sharded-corpus streaming cost (DESIGN.md §6.6): the mmap-backed
-//! shard-streaming path versus buffered reads versus the in-memory
-//! pipeline over the same apps, plus the resume-manifest fast path and
-//! the shard-write cost itself. All runs use the same 734-app corpus and
-//! 8 workers as `static_pipeline`'s corpus sweep, so the groups are
-//! directly comparable.
+//! Sharded-corpus streaming cost (DESIGN.md §6.6): the shard-streaming
+//! path (one buffered read per shard) versus the in-memory pipeline over
+//! the same apps, plus the resume-manifest fast path and the shard-write
+//! cost itself. All runs use the same 734-app corpus and 8 workers as
+//! `static_pipeline`'s corpus sweep, so the groups are directly
+//! comparable.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
@@ -30,13 +30,12 @@ fn shard_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn stream_config(mmap: bool, resume: bool) -> StreamConfig {
+fn stream_config(resume: bool) -> StreamConfig {
     StreamConfig {
         pipeline: PipelineConfig {
             workers: 8,
             ..PipelineConfig::default()
         },
-        mmap,
         resume,
     }
 }
@@ -58,11 +57,8 @@ fn bench(c: &mut Criterion) {
     let dir = shard_dir("read");
     write_sharded_corpus(&dir, &apps, 64).unwrap();
 
-    group.bench_function("stream_mmap_734", |b| {
-        b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(true, false)))
-    });
     group.bench_function("stream_buffered_734", |b| {
-        b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(false, false)))
+        b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(false)))
     });
     group.bench_function("in_memory_734", |b| {
         b.iter(|| {
@@ -79,11 +75,11 @@ fn bench(c: &mut Criterion) {
 
     // Resume fast path: warm the manifest once, then every iteration is
     // served entirely from per-shard result caches.
-    run_pipeline_streamed(&dir, &catalog, stream_config(true, true)).unwrap();
+    run_pipeline_streamed(&dir, &catalog, stream_config(true)).unwrap();
     group.bench_function("stream_resume_cached_734", |b| {
         b.iter(|| {
-            let out = run_pipeline_streamed(black_box(&dir), &catalog, stream_config(true, true))
-                .unwrap();
+            let out =
+                run_pipeline_streamed(black_box(&dir), &catalog, stream_config(true)).unwrap();
             assert_eq!(out.stats.stream.shards_read, 0);
             out
         })

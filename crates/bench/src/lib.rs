@@ -6,10 +6,17 @@
 //!
 //! Every binary accepts `--scale N` (corpus scale divisor, default 100)
 //! and `--seed N`, prints the reproduced artifact, and finishes with a
-//! paper-vs-measured comparison table.
+//! paper-vs-measured comparison table. A zero, missing or unparsable
+//! value exits 2 with a usage line.
 
+#![forbid(unsafe_code)]
+
+use std::num::NonZeroU32;
+use wla_core::cli::flag_value;
 use wla_core::experiments::Experiment;
 use wla_core::Study;
+
+const USAGE: &str = "usage: exp_* [--scale N] [--seed N]";
 
 /// CLI options shared by the experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -29,32 +36,26 @@ impl Default for Options {
     }
 }
 
-/// Parse `--scale` / `--seed` from `std::env::args`.
+/// Parse `--scale` / `--seed` from `std::env::args`; a bad value exits 2.
 pub fn parse_args() -> Options {
     let mut opts = Options::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        let parsed = match arg.as_str() {
             "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    opts.scale = v;
-                    i += 1;
-                }
+                flag_value::<NonZeroU32>("--scale", argv.next()).map(|s| opts.scale = s.get())
             }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    opts.seed = v;
-                    i += 1;
-                }
-            }
+            "--seed" => flag_value("--seed", argv.next()).map(|s| opts.seed = s),
             "--help" | "-h" => {
-                eprintln!("usage: exp_* [--scale N] [--seed N]");
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            _ => {}
+            _ => Ok(()),
+        };
+        if let Err(e) = parsed {
+            eprintln!("exp: {e}\n{USAGE}");
+            std::process::exit(2);
         }
-        i += 1;
     }
     opts
 }

@@ -26,6 +26,8 @@
 //! * [`provenance_oracle`] — the linear pending-string heuristic for URL
 //!   provenance, kept as the baseline the dataflow pass is pinned against.
 
+#![forbid(unsafe_code)]
+
 pub mod entrypoints;
 pub mod graph;
 pub mod oracle;

@@ -25,6 +25,9 @@
 //! fill. See DESIGN.md for the full inventory and EXPERIMENTS.md for
 //! results.
 
+#![forbid(unsafe_code)]
+
+pub mod cli;
 pub mod experiments;
 pub mod paper;
 pub mod service;

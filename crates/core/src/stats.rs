@@ -212,9 +212,12 @@ fn streaming_table(s: &PipelineStats) -> Option<Table> {
         thousands(stream.entries_cached as u64),
     ]);
     if stream.bytes_mapped > 0 {
-        t.row_owned(vec!["Bytes mapped".into(), mebibytes(stream.bytes_mapped)]);
         t.row_owned(vec![
-            "Peak concurrently mapped".into(),
+            "Shard bytes read".into(),
+            mebibytes(stream.bytes_mapped),
+        ]);
+        t.row_owned(vec![
+            "Peak shard bytes held".into(),
             mebibytes(stream.peak_mapped_bytes),
         ]);
     }
@@ -587,8 +590,8 @@ Shard streaming
 |   checksum-mismatch       |        1 |
 | Entries streamed          |    1,440 |
 | Entries from resume cache |   13,240 |
-| Bytes mapped              | 72.0 MiB |
-| Peak concurrently mapped  | 8.0 MiB  |
+| Shard bytes read          | 72.0 MiB |
+| Peak shard bytes held     | 8.0 MiB  |
 +---------------------------+----------+
 ";
     const CRAWL_GOLDEN: &str = "\
@@ -694,8 +697,8 @@ URL-origin census (constant propagation at URL-bearing sites)
         assert!(r.contains("Shard streaming"));
         assert!(r.contains("1,324")); // shards served from resume cache
         assert!(r.contains("checksum-mismatch"));
-        assert!(r.contains("72.0 MiB")); // bytes mapped
-        assert!(r.contains("8.0 MiB")); // peak concurrently mapped
+        assert!(r.contains("72.0 MiB")); // shard bytes read
+        assert!(r.contains("8.0 MiB")); // peak shard bytes held
     }
 
     #[test]
@@ -882,6 +885,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         let rendered = render_pipeline_stats(&run.stats);
         assert!(rendered.contains("Shard streaming"));
         assert!(rendered.contains("Entries streamed"));
+        assert!(rendered.contains("Shard bytes read"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

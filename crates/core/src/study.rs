@@ -3,7 +3,7 @@
 use wla_corpus::playstore::{FilterSpec, MetadataUniverse, UniverseConfig};
 use wla_corpus::{top_thousand, CorpusConfig, GeneratedApp, Generator, TopAppSpec};
 use wla_dynamic::classify::{classify_top_apps, ClassificationOutcome, Table6Counts};
-use wla_dynamic::crawl_study::{run_crawl_study, run_crawl_study_parallel, CrawlStudy};
+use wla_dynamic::crawl_study::{run_crawl_study_parallel, CrawlStudy};
 use wla_dynamic::iab_study::{run_iab_study, IabStudy};
 use wla_dynamic::CrawlConfig;
 use wla_sdk_index::SdkIndex;
@@ -192,13 +192,9 @@ impl Study {
         }
     }
 
-    /// Run the 100-site crawl campaign for the named apps (None = all 10).
-    pub fn run_crawl(&self, apps: Option<&[&str]>) -> CrawlRun {
-        run_crawl_study(None, apps)
-    }
-
-    /// [`Study::run_crawl`] on the parallel, fault-isolated pipeline —
-    /// bit-identical output to the serial run at any worker count.
+    /// Run the 100-site crawl campaign for the named apps (None = all 10)
+    /// on the parallel, fault-isolated pipeline — bit-identical output at
+    /// any worker count.
     pub fn run_crawl_parallel(&self, apps: Option<&[&str]>, config: CrawlConfig) -> CrawlRun {
         run_crawl_study_parallel(None, apps, config)
     }

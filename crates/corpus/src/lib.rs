@@ -25,6 +25,8 @@
 //! * [`generator`] — corpus assembly, including byte-level corruption of
 //!   the paper's broken-APK fraction.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus_io;
 pub mod distributions;
 pub mod ecosystem;

@@ -1,10 +1,11 @@
-//! Sharded on-disk corpus: many apps per file, streamed back via mmap.
+//! Sharded on-disk corpus: many apps per file, streamed back one shard
+//! buffer at a time.
 //!
 //! The per-app `apks/<package>.sapk` layout in [`corpus_io`](crate::corpus_io)
 //! mirrors a downloaded AndroZoo slice, but at paper scale (146.8K apps) it
 //! means 146.8K tiny files and one open/read/close per app. The shard format
-//! packs N apps per file so the streaming pipeline can `mmap(2)` one file
-//! and hand out zero-copy container windows straight from the page cache:
+//! packs N apps per file so the streaming pipeline reads one file into one
+//! buffer and hands out zero-copy container windows into it:
 //!
 //! ```text
 //! <dir>/shards/shard-00000.wshard
@@ -42,7 +43,7 @@ use std::fs;
 use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
-use wla_apk::{ApkError, ContainerSource};
+use wla_apk::ApkError;
 
 /// Leading magic bytes of a shard file.
 pub const SHARD_MAGIC: [u8; 4] = *b"WSHD";
@@ -57,7 +58,7 @@ const SHARD_PREFIX: usize = 10;
 /// are not a valid shard.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Filesystem-level failure (open, map, read).
+    /// Filesystem-level failure (open, read).
     Io(io::Error),
     /// The file's bytes do not parse as a shard.
     Format(ApkError),
@@ -113,30 +114,25 @@ impl ShardEntry {
     }
 }
 
-/// An open shard: parsed entry table plus the (possibly mmap-backed)
-/// byte source the container windows alias.
+/// An open shard: parsed entry table plus the one buffer holding the
+/// whole file, which every container window aliases.
 #[derive(Debug)]
 pub struct Shard {
     entries: Vec<ShardEntry>,
-    source: ContainerSource,
+    data: Bytes,
     payload_base: usize,
     checksum: u32,
 }
 
 impl Shard {
-    /// Open and fully validate a shard, memory-mapping it when the
-    /// platform allows (degrades to a buffered read elsewhere).
+    /// Read the whole shard file into one buffer and fully validate it.
+    /// Once open, the shard no longer touches the file: a later truncation
+    /// or rewrite cannot reach the windows it hands out.
     pub fn open(path: &Path) -> Result<Shard, ShardError> {
-        Shard::parse(ContainerSource::open_mmap(path)?)
+        Shard::parse(Bytes::from(fs::read(path)?))
     }
 
-    /// Open and fully validate a shard through a plain buffered read.
-    pub fn open_buffered(path: &Path) -> Result<Shard, ShardError> {
-        Shard::parse(ContainerSource::open_read(path)?)
-    }
-
-    fn parse(source: ContainerSource) -> Result<Shard, ShardError> {
-        let data = source.bytes();
+    fn parse(data: Bytes) -> Result<Shard, ShardError> {
         if data.len() < SHARD_PREFIX {
             return Err(ApkError::Truncated {
                 context: "shard header",
@@ -212,7 +208,7 @@ impl Shard {
         let payload_base = data.len() - cur.len();
         Ok(Shard {
             entries,
-            source,
+            data,
             payload_base,
             checksum: stored,
         })
@@ -239,11 +235,11 @@ impl Shard {
     }
 
     /// Container bytes of entry `i` — a zero-copy window into the shard
-    /// source (page-cache-backed when mapped).
+    /// buffer.
     pub fn entry_bytes(&self, i: usize) -> Bytes {
         let e = &self.entries[i];
-        self.source
-            .slice(self.payload_base + e.off as usize, e.len as usize)
+        let start = self.payload_base + e.off as usize;
+        self.data.slice(start..start + e.len as usize)
     }
 
     /// The shard's stored checksum (validated against the bytes on open).
@@ -253,12 +249,7 @@ impl Shard {
 
     /// Total file size in bytes.
     pub fn file_len(&self) -> u64 {
-        self.source.len() as u64
-    }
-
-    /// Whether the backing source is an mmap (false on the buffered path).
-    pub fn is_mapped(&self) -> bool {
-        self.source.is_mapped()
+        self.data.len() as u64
     }
 }
 
@@ -389,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_mmap_and_buffered_agree() {
+    fn roundtrip_preserves_every_entry_in_order() {
         let apps = small_corpus(21);
         assert!(apps.len() >= 10, "need a multi-shard corpus");
         let dir = temp_dir("roundtrip");
@@ -398,16 +389,11 @@ mod tests {
 
         let mut streamed = 0usize;
         for path in &paths {
-            let mapped = Shard::open(path).unwrap();
-            let buffered = Shard::open_buffered(path).unwrap();
-            assert!(!buffered.is_mapped());
-            assert_eq!(mapped.len(), buffered.len());
-            assert_eq!(mapped.checksum(), buffered.checksum());
-            for i in 0..mapped.len() {
+            let shard = Shard::open(path).unwrap();
+            for i in 0..shard.len() {
                 let app = &apps[streamed];
-                assert_eq!(mapped.entry_meta(i), &app.spec.meta);
-                assert_eq!(&mapped.entry_bytes(i)[..], &app.bytes[..]);
-                assert_eq!(&buffered.entry_bytes(i)[..], &app.bytes[..]);
+                assert_eq!(shard.entry_meta(i), &app.spec.meta);
+                assert_eq!(&shard.entry_bytes(i)[..], &app.bytes[..]);
                 streamed += 1;
             }
         }
@@ -416,21 +402,19 @@ mod tests {
     }
 
     #[test]
-    fn entry_windows_are_zero_copy_views_of_the_mapping() {
+    fn entry_windows_are_zero_copy_views_of_the_shard_buffer() {
         let apps = small_corpus(3);
         let dir = temp_dir("zerocopy");
         let paths = write_sharded_corpus(&dir, &apps, apps.len()).unwrap();
         let shard = Shard::open(&paths[0]).unwrap();
-        if shard.is_mapped() {
-            // Every entry window must point inside one contiguous mapping —
-            // no per-app copies.
-            let w0 = shard.entry_bytes(0);
-            let w1 = shard.entry_bytes(1);
-            let base = w0.as_ref().as_ptr() as usize;
-            let next = w1.as_ref().as_ptr() as usize;
-            assert_eq!(next, base + w0.len());
-        }
-        // Windows outlive the shard handle (refcounted mapping).
+        // Every entry window must point inside the one shard buffer — no
+        // per-app copies.
+        let w0 = shard.entry_bytes(0);
+        let w1 = shard.entry_bytes(1);
+        let base = w0.as_ref().as_ptr() as usize;
+        let next = w1.as_ref().as_ptr() as usize;
+        assert_eq!(next, base + w0.len());
+        // Windows outlive the shard handle (refcounted buffer).
         let window = shard.entry_bytes(0);
         let expect = apps[0].bytes.clone();
         drop(shard);
@@ -458,6 +442,44 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncating_the_file_after_open_leaves_its_windows_intact() {
+        let catalog = SdkIndex::paper();
+        let cfg = CorpusConfig {
+            scale: 8_000,
+            seed: 17,
+            corrupt_fraction: 0.0,
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, cfg).generate();
+        let dir = temp_dir("truncate-after-open");
+        let paths = write_sharded_corpus(&dir, &apps, apps.len()).unwrap();
+        let shard = Shard::open(&paths[0]).unwrap();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&paths[0])
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        assert_eq!(shard.len(), apps.len());
+        for (i, app) in apps.iter().enumerate() {
+            let window = shard.entry_bytes(i);
+            assert_eq!(&window[..], &app.bytes[..]);
+            wla_apk::Sapk::decode_bytes(window)
+                .unwrap_or_else(|e| panic!("{}: {e}", app.spec.meta.package));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_file_is_a_shard_io_error() {
+        let path = temp_dir("missing").join("shard-00000.wshard");
+        match Shard::open(&path) {
+            Err(e @ ShardError::Io(_)) => assert_eq!(e.kind(), "shard-io"),
+            other => panic!("expected ShardError::Io, got {other:?}"),
+        }
     }
 
     #[test]

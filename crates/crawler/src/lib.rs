@@ -17,6 +17,8 @@
 //! * [`loadtime`] — the Figure 7 page-load-time model (CT vs Chrome vs
 //!   external browser vs WebView).
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod driver;
 pub mod loadtime;

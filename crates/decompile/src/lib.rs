@@ -24,6 +24,8 @@
 //! recover exactly the class name, package, and superclass the SDEX declares
 //! — enforced by property tests against generated corpora.
 
+#![forbid(unsafe_code)]
+
 pub mod lifter;
 pub mod parser;
 pub mod subclasses;

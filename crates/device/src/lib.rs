@@ -23,6 +23,8 @@
 //! * [`browser`] — the default browser: cookie persistence and a netlog
 //!   source of its own.
 
+#![forbid(unsafe_code)]
+
 pub mod browser;
 pub mod customtabs;
 pub mod frida;

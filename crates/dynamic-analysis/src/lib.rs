@@ -13,6 +13,8 @@
 //! * [`crawl_study`] — Figures 6a/6b: the 100-top-site crawl through each
 //!   IAB with System-WebView-Shell baseline subtraction.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod crawl_pipeline;
 pub mod crawl_study;

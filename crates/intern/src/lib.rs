@@ -25,6 +25,8 @@
 //! interner that produced it; the pipeline upholds this by remapping every
 //! analysis into the global namespace before results leave the join.
 
+#![forbid(unsafe_code)]
+
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

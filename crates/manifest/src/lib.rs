@@ -14,6 +14,8 @@
 //! SAPK manifest section. Serialization reuses the SDEX wire primitives so
 //! the parsers share a hardened foundation.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod wireformat;
 

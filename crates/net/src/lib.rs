@@ -50,6 +50,8 @@
 //! assert_eq!(&resp.body[..], b"world");
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod beacon;
 pub mod client;
 pub mod http;

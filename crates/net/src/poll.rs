@@ -73,6 +73,7 @@ mod sys {
     /// Block until a source is ready or `timeout` elapses; fill in the
     /// readiness flags. Returns the number of ready sources (0 on timeout
     /// or EINTR — the caller just loops again).
+    #[allow(unsafe_code)]
     pub fn wait(sources: &mut [Interest], timeout: Duration) -> usize {
         let mut fds: Vec<PollFd> = sources
             .iter()

@@ -16,6 +16,8 @@
 //! back in index order whatever the schedule, so a caller that folds them
 //! in order is deterministic at any worker count.
 
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;

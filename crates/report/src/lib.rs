@@ -8,6 +8,8 @@
 //! tables are built in `wla-core::stats`, straight from the runners'
 //! counter structs, out of these pieces.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod figure;
 pub mod json;

@@ -29,6 +29,8 @@
 //! assert!(matches!(index.label("a.b.c"), Label::Obfuscated));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod trie;
 

@@ -322,10 +322,9 @@ pub fn analyze_app_timed_with(
 
 /// [`analyze_app_timed_with`] over a shared [`bytes::Bytes`] handle.
 ///
-/// The zero-copy streaming path: when `bytes` is a window into an
-/// mmap-backed corpus shard, the container decode and every dex string
-/// span alias the mapping directly — no per-app copy of the container is
-/// ever made. Results are identical to the slice path
+/// The zero-copy streaming path: when `bytes` is a window into a corpus
+/// shard's buffer, the container decode and every dex string span alias
+/// that buffer directly — no per-app copy of the container is ever made. Results are identical to the slice path
 /// ([`Sapk::decode_bytes`] is equivalence-pinned against [`Sapk::decode`]).
 pub fn analyze_app_bytes_timed_with(
     meta: AppMeta,

@@ -20,6 +20,8 @@
 //!
 //! [`FilterSpec`]: wla_corpus::FilterSpec
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod analyze;
 mod cache;

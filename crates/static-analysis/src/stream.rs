@@ -2,16 +2,16 @@
 //! without ever materializing it in memory.
 //!
 //! The workspace's one claim pool ([`wla_pool::run`]) runs over shards:
-//! each worker `mmap(2)`s the shards it claims (via
-//! [`wla_apk::ContainerSource`]) and analyzes their entries through the
-//! zero-copy decode path — container bytes are read straight from the page
-//! cache, so resident memory is bounded by the number of *concurrently
-//! open* shards, not the corpus size. Every entry runs the in-memory
-//! pipeline's per-app step. The pool returns shards in shard order with
-//! entries in entry order, so flattening them gives global entry order,
-//! and the in-memory pipeline's join ([`crate::pipeline`]) then
-//! makes the [`PipelineOutput`] bit-identical to loading the same corpus
-//! in memory and running [`crate::run_pipeline`], at any worker count.
+//! each worker reads a shard it claims into one buffer ([`Shard::open`])
+//! and analyzes its entries through the zero-copy decode path — every
+//! container window aliases that buffer, so resident shard memory is
+//! bounded by the number of *concurrently held* shards (one per worker),
+//! not the corpus size. Every entry runs the in-memory pipeline's per-app
+//! step. The pool returns shards in shard order with entries in entry
+//! order, so flattening them gives global entry order, and the in-memory
+//! pipeline's join ([`crate::pipeline`]) then makes the [`PipelineOutput`]
+//! bit-identical to loading the same corpus in memory and running
+//! [`crate::run_pipeline`], at any worker count.
 //!
 //! **Fault isolation.** Each entry runs under its own panic isolator, so a
 //! panicking entry fails alone as `analysis-panic`. A shard file that
@@ -24,7 +24,7 @@
 //! to the shard's stamp (header checksum + length). A rerun loads those
 //! instead of re-analyzing; any staleness or damage in a cache file is a
 //! silent miss. [`StreamCounters`] reports what was streamed, what was
-//! served from cache, shard-level failures, and mapped-memory usage.
+//! served from cache, shard-level failures, and shard bytes held.
 
 use crate::analyze::{analyze_app_bytes_timed_with, AppAnalysis};
 use crate::cache;
@@ -52,9 +52,6 @@ pub struct StreamConfig {
     /// Worker count and analysis knobs shared with the in-memory pipeline;
     /// the streaming claim unit is one shard.
     pub pipeline: PipelineConfig,
-    /// Memory-map shards (default). `false` falls back to buffered reads
-    /// — same results, one heap copy per shard.
-    pub mmap: bool,
     /// Maintain and honor the per-shard resume manifest (default). When
     /// off, nothing under [`MANIFEST_SUBDIR`] is read or written.
     pub resume: bool,
@@ -64,7 +61,6 @@ impl Default for StreamConfig {
     fn default() -> StreamConfig {
         StreamConfig {
             pipeline: PipelineConfig::default(),
-            mmap: true,
             resume: true,
         }
     }
@@ -92,12 +88,11 @@ pub struct StreamCounters {
     pub entries_streamed: usize,
     /// Entries whose results were loaded from the resume manifest.
     pub entries_cached: usize,
-    /// Total bytes of shard files opened through `mmap` this run.
+    /// Shard bytes read: the total size of the shard files read and
+    /// validated this run (cached and failed shards count nothing).
     pub bytes_mapped: u64,
-    /// High-water mark of *concurrently* mapped shard bytes — the
-    /// streaming path's address-space footprint (resident memory is
-    /// bounded above by this and typically far below it, since the
-    /// kernel pages shard data in and out on demand).
+    /// Peak shard bytes held in memory at once: the high-water mark of
+    /// the shard buffers the workers held concurrently.
     pub peak_mapped_bytes: u64,
 }
 
@@ -111,28 +106,28 @@ struct ShardRun {
     cached: bool,
     /// Shard-level failure kind; a failed shard contributes no entries.
     failure: Option<&'static str>,
-    /// Shard file bytes mapped for this claim (0 when buffered).
-    mapped_bytes: u64,
+    /// Shard file bytes read for this claim.
+    bytes_read: u64,
 }
 
-/// Counts a mapped shard in the concurrent-mapping gauge while it lives.
+/// Counts a shard buffer in the concurrently-held gauge while it lives.
 /// Released on drop, so a shard-level panic cannot leave it counted.
-struct MappedGauge<'a> {
+struct HeldGauge<'a> {
     now: &'a AtomicU64,
     bytes: u64,
 }
 
-impl<'a> MappedGauge<'a> {
-    fn hold(now: &'a AtomicU64, peak: &AtomicU64, bytes: u64) -> MappedGauge<'a> {
+impl<'a> HeldGauge<'a> {
+    fn hold(now: &'a AtomicU64, peak: &AtomicU64, bytes: u64) -> HeldGauge<'a> {
         peak.fetch_max(
             now.fetch_add(bytes, Ordering::Relaxed) + bytes,
             Ordering::Relaxed,
         );
-        MappedGauge { now, bytes }
+        HeldGauge { now, bytes }
     }
 }
 
-impl Drop for MappedGauge<'_> {
+impl Drop for HeldGauge<'_> {
     fn drop(&mut self) {
         self.now.fetch_sub(self.bytes, Ordering::Relaxed);
     }
@@ -166,8 +161,8 @@ pub fn run_pipeline_streamed(
         fs::create_dir_all(&manifest_dir)?;
     }
     let started = Instant::now();
-    let mapped_now = AtomicU64::new(0);
-    let mapped_peak = AtomicU64::new(0);
+    let held_now = AtomicU64::new(0);
+    let held_peak = AtomicU64::new(0);
     let pool = wla_pool::run(
         shards.len(),
         config.pipeline.workers,
@@ -178,8 +173,8 @@ pub fn run_pipeline_streamed(
                 &manifest_dir,
                 config,
                 worker,
-                &mapped_now,
-                &mapped_peak,
+                &held_now,
+                &held_peak,
             )
         },
     );
@@ -193,7 +188,7 @@ pub fn run_pipeline_streamed(
             failure: Some(SHARD_PANIC),
             ..ShardRun::default()
         });
-        counters.bytes_mapped += shard.mapped_bytes;
+        counters.bytes_mapped += shard.bytes_read;
         if let Some(kind) = shard.failure {
             counters.shard_failures += 1;
             *counters.shard_failure_kinds.entry(kind).or_insert(0) += 1;
@@ -206,7 +201,7 @@ pub fn run_pipeline_streamed(
         }
         results.extend(shard.entries.into_iter().map(|result| (w, result)));
     }
-    counters.peak_mapped_bytes = mapped_peak.load(Ordering::Relaxed);
+    counters.peak_mapped_bytes = held_peak.load(Ordering::Relaxed);
 
     let mut output = join(results, pool.contexts, pool.workers, started);
     output.stats.stream = counters;
@@ -214,14 +209,14 @@ pub fn run_pipeline_streamed(
 }
 
 /// Claim body for one shard: resume-cache lookup, streaming analysis,
-/// cache write-back, and mapped-bytes accounting.
+/// cache write-back, and shard-bytes accounting.
 fn stream_shard(
     path: &Path,
     manifest_dir: &Path,
     config: StreamConfig,
     worker: &mut Worker<'_>,
-    mapped_now: &AtomicU64,
-    mapped_peak: &AtomicU64,
+    held_now: &AtomicU64,
+    held_peak: &AtomicU64,
 ) -> ShardRun {
     let cache_path = cache_path_for(manifest_dir, path);
     if config.resume {
@@ -238,12 +233,7 @@ fn stream_shard(
         }
     }
 
-    let opened = if config.mmap {
-        Shard::open(path)
-    } else {
-        Shard::open_buffered(path)
-    };
-    let shard = match opened {
+    let shard = match Shard::open(path) {
         Ok(shard) => shard,
         Err(e) => {
             return ShardRun {
@@ -252,12 +242,8 @@ fn stream_shard(
             }
         }
     };
-    let mapped_bytes = if shard.is_mapped() {
-        shard.file_len()
-    } else {
-        0
-    };
-    let _gauge = MappedGauge::hold(mapped_now, mapped_peak, mapped_bytes);
+    let bytes_read = shard.file_len();
+    let _gauge = HeldGauge::hold(held_now, held_peak, bytes_read);
 
     let entries: Vec<_> = (0..shard.len())
         .map(|e| {
@@ -280,7 +266,7 @@ fn stream_shard(
     }
     ShardRun {
         entries,
-        mapped_bytes,
+        bytes_read,
         ..ShardRun::default()
     }
 }

@@ -19,6 +19,8 @@
 //!   (autofill SDK insertion, DOM tag counts, simhash, performance logging,
 //!   ad-payload probing), executed for real against the DOM session.
 
+#![forbid(unsafe_code)]
+
 //! ```
 //! use wla_web::html::parse;
 //! use wla_web::simhash::{hamming, simhash_text};

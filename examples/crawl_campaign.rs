@@ -6,13 +6,14 @@
 //! cargo run --release --example crawl_campaign
 //! ```
 
+use whatcha_lookin_at::wla_dynamic::CrawlConfig;
 use whatcha_lookin_at::wla_report::{bar_chart, Series};
 use whatcha_lookin_at::Study;
 
 fn main() {
     let study = Study::new(100, 11);
     eprintln!("crawling 100 sites × (LinkedIn, Kik, baseline) …\n");
-    let crawl = study.run_crawl(Some(&["LinkedIn", "Kik"]));
+    let crawl = study.run_crawl_parallel(Some(&["LinkedIn", "Kik"]), CrawlConfig::default());
 
     for app in ["LinkedIn", "Kik"] {
         let rows = crawl.figure_for(app).expect("crawled");

@@ -1,5 +1,5 @@
 //! Paper-scale workflow: persist a generated corpus as on-disk shards,
-//! stream it through the analysis pipeline with memory-mapped reads,
+//! stream it through the analysis pipeline one shard buffer at a time,
 //! print the run stats (including the shard-streaming table), then run
 //! again to show the resume manifest skipping every shard.
 //!

@@ -8,4 +8,6 @@
 //! and `DESIGN.md` for the architecture and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
+#![forbid(unsafe_code)]
+
 pub use wla_core::*;

@@ -10,8 +10,10 @@
 //! wla serve   [--port N] [--smoke]     analysis-as-a-service HTTP server
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroU32;
-use std::str::FromStr;
+use whatcha_lookin_at::cli::flag_value;
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{
     grade_distribution, privacy_label, run_pipeline, PipelineConfig,
@@ -28,7 +30,8 @@ struct Args {
     rest: Vec<String>,
 }
 
-fn parse_args() -> Args {
+/// Parse `std::env::args`; a missing or unparsable flag value is an error.
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
         scale: 100,
@@ -41,29 +44,16 @@ fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => args.scale = flag_value::<NonZeroU32>("--scale", argv.next()).get(),
-            "--seed" => args.seed = flag_value("--seed", argv.next()),
+            "--scale" => args.scale = flag_value::<NonZeroU32>("--scale", argv.next())?.get(),
+            "--seed" => args.seed = flag_value("--seed", argv.next())?,
             "--json" => args.json = true,
-            "--port" => args.port = flag_value("--port", argv.next()),
+            "--port" => args.port = flag_value("--port", argv.next())?,
             "--smoke" => args.smoke = true,
             _ if args.command.is_empty() => args.command = arg,
             _ => args.rest.push(arg),
         }
     }
-    args
-}
-
-/// The value following `flag`; a missing or unparsable one is a usage
-/// error, never a silent default.
-fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(text) = value else {
-        eprintln!("wla: {flag} needs a value");
-        usage()
-    };
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("wla: invalid value `{text}` for {flag}");
-        usage()
-    })
+    Ok(args)
 }
 
 fn usage() -> ! {
@@ -75,7 +65,10 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("wla: {e}");
+        usage()
+    });
     let study = Study::new(args.scale, args.seed);
     let print_exp = |exp: &experiments::Experiment| {
         if args.json {

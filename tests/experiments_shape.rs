@@ -2,6 +2,7 @@
 //! stay within its agreed band. These are the tests that would catch a
 //! calibration regression anywhere in the stack.
 
+use whatcha_lookin_at::wla_dynamic::CrawlConfig;
 use whatcha_lookin_at::{experiments, Study};
 
 #[test]
@@ -74,7 +75,7 @@ fn dynamic_experiments_are_exact() {
 #[test]
 fn crawl_and_loadtime_experiments_hold() {
     let study = Study::new(100, 0xCAFE);
-    let crawl = study.run_crawl(Some(&["LinkedIn", "Kik"]));
+    let crawl = study.run_crawl_parallel(Some(&["LinkedIn", "Kik"]), CrawlConfig::default());
     let f6 = experiments::fig6(&crawl);
     assert_eq!(
         f6.comparison.match_fraction(),
