@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, warning-free rustdoc, the full test
-# suite, and the tests of the end-to-end benchmark package
+# suite, the streamed-corpus example run twice into one directory (1:2000,
+# then the smaller 1:4000 corpus; the example asserts its streamed results
+# equal Study::run_static, so a leftover shard of the first run fails it),
+# and the tests of the end-to-end benchmark package
 # (crates/bench/src/bin/benchmark).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
@@ -186,6 +189,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== streamed corpus example (1:2000, then 1:4000, one directory) =="
+# Debug build, already compiled by `cargo test`: seconds.
+shard_dir=$(mktemp -d)
+trap 'rm -rf "$shard_dir"' EXIT
+cargo run -q --example streamed_corpus -- "$shard_dir" 2000 > /dev/null
+cargo run -q --example streamed_corpus -- "$shard_dir" 4000 > /dev/null
 
 echo "== benchmark package tests =="
 # The end-to-end benchmark is a package with its own `[workspace]`, so

@@ -144,26 +144,17 @@ impl Sapk {
 
     /// Parse and validate a SAPK container from a borrowed slice.
     ///
-    /// Sections are copied into fresh shared storage. Callers that already
-    /// hold the container as [`Bytes`] — a window into a shard buffer —
-    /// should use [`Sapk::decode_bytes`], which slices sections out of the
-    /// caller's buffer without copying.
+    /// Copies `raw` into fresh shared storage once; callers that already
+    /// hold the container as [`Bytes`] — a window into a shard buffer, an
+    /// HTTP body — should use [`Sapk::decode_bytes`], which shares it.
     pub fn decode(raw: &[u8]) -> Result<Sapk, ApkError> {
-        Sapk::decode_with_payload(raw, None)
+        Sapk::decode_bytes(Bytes::copy_from_slice(raw))
     }
 
-    /// Zero-copy [`Sapk::decode`]: sections are sub-views of `raw`, so the
-    /// payload bytes are never copied. Validation is identical to
-    /// [`Sapk::decode`] — the two are equivalence-pinned by proptest.
+    /// Parse and validate a SAPK container. Sections are sub-views of
+    /// `raw`, so the payload bytes are never copied.
     pub fn decode_bytes(raw: Bytes) -> Result<Sapk, ApkError> {
-        Sapk::decode_with_payload(&raw, Some(&raw))
-    }
-
-    /// Shared decode body: parse `raw`, building sections either by
-    /// copying out of the cursor (`shared == None`) or by slicing the
-    /// shared buffer `raw` is a view of.
-    fn decode_with_payload(raw: &[u8], shared: Option<&Bytes>) -> Result<Sapk, ApkError> {
-        let mut buf = raw;
+        let mut buf = &raw[..];
         if buf.remaining() < 4 {
             return Err(ApkError::Truncated { context: "magic" });
         }
@@ -206,13 +197,9 @@ impl Sapk {
             let len = buf.get_u32_le();
             dir.push((tag, off, len));
         }
-        let payload = match shared {
-            // `buf` is a suffix of `raw`, which is a view of the shared
-            // buffer starting at the same address — the payload is the
-            // trailing `buf.len()` bytes of that view.
-            Some(bytes) => bytes.slice(bytes.len() - buf.len()..),
-            None => Bytes::copy_from_slice(buf),
-        };
+        // `buf` is a suffix of `raw`: the payload is its trailing
+        // `buf.len()` bytes.
+        let payload = raw.slice(raw.len() - buf.len()..);
         let total = payload.len() as u32;
         let mut sections = Vec::with_capacity(n);
         for (tag, off, len) in dir {

@@ -85,7 +85,7 @@ pub fn to_source_name(binary_name: &str) -> String {
 /// to attribute to an SDK: at least two segments, each starting with a
 /// lowercase letter and containing only `[a-z0-9_]`. Obfuscated packages
 /// (`a.b.c`, single letters) pass this check too — the paper handles them as
-/// a separate "obfuscated" label, which [`looks_obfuscated`] detects.
+/// a separate "obfuscated" label, which `wla-sdk-index` assigns.
 pub fn is_conventional_package(pkg: &str) -> bool {
     let segments: Vec<&str> = pkg.split('.').collect();
     if segments.len() < 2 {
@@ -97,14 +97,6 @@ pub fn is_conventional_package(pkg: &str) -> bool {
             && s.chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
     })
-}
-
-/// Heuristic for ProGuard/R8-style obfuscated packages: every segment is at
-/// most two characters (`a.b`, `com.a.b` is *not* obfuscated because `com`
-/// is 3 chars — matching how analysts eyeball these).
-pub fn looks_obfuscated(pkg: &str) -> bool {
-    let segments: Vec<&str> = pkg.split('.').collect();
-    !segments.is_empty() && segments.iter().all(|s| !s.is_empty() && s.len() <= 2)
 }
 
 #[cfg(test)]
@@ -154,14 +146,6 @@ mod tests {
         assert!(!is_conventional_package("Com.Upper"));
         assert!(!is_conventional_package("com..empty"));
         assert!(!is_conventional_package("com.1digitfirst"));
-    }
-
-    #[test]
-    fn obfuscation_heuristic() {
-        assert!(looks_obfuscated("a.b.c"));
-        assert!(looks_obfuscated("ab.c"));
-        assert!(!looks_obfuscated("com.a.b"));
-        assert!(!looks_obfuscated("com.applovin"));
     }
 
     #[test]

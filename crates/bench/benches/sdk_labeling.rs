@@ -1,4 +1,5 @@
-//! SDK labeling ablation: prefix trie vs linear scan (DESIGN.md §6.1).
+//! SDK labeling ablation: the segment-interned prefix trie behind
+//! `SdkIndex::label_id` vs the linear scan (DESIGN.md §6, item 1).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_sdk_index::SdkIndex;
@@ -25,7 +26,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("trie", |b| {
         b.iter(|| {
             for p in &probes {
-                black_box(index.label(p));
+                black_box(index.label_id(p));
             }
         })
     });

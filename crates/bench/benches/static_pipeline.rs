@@ -3,6 +3,7 @@
 //! the interned-vs-string aggregation ablation (DESIGN.md §6,
 //! EXPERIMENTS.md).
 
+use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wla_core::wla_apk::sdex::oracle;
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
@@ -38,8 +39,10 @@ fn bench(c: &mut Criterion) {
         // Reuse one worker context across iterations, as the pipeline does
         // — re-building the catalog/lexicon per app is not the steady state.
         let mut ctx = AnalysisCtx::new(&catalog);
+        // The container copy is part of the step, as in `run_pipeline`.
         b.iter(|| {
-            analyze_app_timed_with(input.meta().clone(), black_box(input.bytes()), &mut ctx)
+            let bytes = Bytes::copy_from_slice(black_box(input.bytes()));
+            analyze_app_timed_with(input.meta().clone(), bytes, &mut ctx)
                 .0
                 .unwrap()
         })

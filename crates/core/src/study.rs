@@ -246,6 +246,25 @@ mod tests {
     }
 
     #[test]
+    fn a_smaller_streamed_run_ignores_the_larger_runs_shards() {
+        // 73 apps write two 64-app shards; 36 apps write one. The second
+        // run must not analyze (or serve from the resume manifest) the
+        // first run's leftover shard-00001.
+        let dir = std::env::temp_dir().join(format!("wla-study-rewrite-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Study::new(2_000, 7)
+            .run_static_streamed(&dir, StreamConfig::default())
+            .unwrap();
+        let study = Study::new(4_000, 7);
+        let streamed = study
+            .run_static_streamed(&dir, StreamConfig::default())
+            .unwrap();
+        assert_eq!(streamed.stats.total, 36);
+        assert_eq!(streamed.results, study.run_static().results);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn rescale_multiplies_by_scale() {
         let study = Study::new(100, 1);
         assert_eq!(study.rescale(1_468), 146_800);

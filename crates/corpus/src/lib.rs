@@ -23,11 +23,13 @@
 //! * [`lowering`] — `AppSpec` → manifest + SDEX bytecode with *reachable*
 //!   call chains from component entry points to WebView/CT call sites;
 //! * [`generator`] — corpus assembly, including byte-level corruption of
-//!   the paper's broken-APK fraction.
+//!   the paper's broken-APK fraction;
+//! * [`shard`] — the one on-disk corpus format: many apps per checksummed
+//!   `.wshard` file, written atomically and read back one buffer per
+//!   shard.
 
 #![forbid(unsafe_code)]
 
-pub mod corpus_io;
 pub mod distributions;
 pub mod ecosystem;
 pub mod generator;
@@ -35,9 +37,6 @@ pub mod lowering;
 pub mod playstore;
 pub mod shard;
 
-pub use corpus_io::{
-    read_corpus, read_corpus_counted, write_corpus, CorpusRead, DiskApp, IngestStats,
-};
 pub use ecosystem::{
     named_top_apps, top_thousand, AccessGate, AppSpec, DeepLinkSpec, Ecosystem, EcosystemParams,
     LinkBehavior, MethodSet, SdkUse, TopAppSpec, UgcSurface, METHODS,

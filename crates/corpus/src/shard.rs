@@ -1,11 +1,10 @@
-//! Sharded on-disk corpus: many apps per file, streamed back one shard
-//! buffer at a time.
+//! Sharded on-disk corpus, the one on-disk corpus format: many apps per
+//! file, streamed back one shard buffer at a time.
 //!
-//! The per-app `apks/<package>.sapk` layout in [`corpus_io`](crate::corpus_io)
-//! mirrors a downloaded AndroZoo slice, but at paper scale (146.8K apps) it
-//! means 146.8K tiny files and one open/read/close per app. The shard format
-//! packs N apps per file so the streaming pipeline reads one file into one
-//! buffer and hands out zero-copy container windows into it:
+//! At paper scale (146.8K apps) a file per app would mean 146.8K tiny files
+//! and one open/read/close per app. The shard format packs N apps per file
+//! so the streaming pipeline reads one file into one buffer and hands out
+//! zero-copy container windows into it:
 //!
 //! ```text
 //! <dir>/shards/shard-00000.wshard
@@ -31,16 +30,18 @@
 //! using the same wire primitives as SAPK/SDEX (LEB128 varints, length-
 //! prefixed UTF-8, Adler-32 over everything after the checksum field).
 //! Offsets are relative to the payload start and 64-bit on the wire, so a
-//! single shard may exceed 4 GiB. Writes are atomic (temp file + rename);
+//! single shard may exceed 4 GiB. Writes are atomic (temp file + rename),
+//! and [`write_sharded_corpus`] removes the shards an earlier, larger write
+//! left behind, so the directory holds exactly the corpus just written.
 //! [`read_shard_stamp`] reads just the 10-byte prefix so a resume manifest
 //! can cheaply check that a shard is still the one it analyzed.
 
-use crate::corpus_io::write_atomic;
 use crate::generator::GeneratedApp;
 use crate::playstore::{AppMeta, PlayCategory};
 use bytes::{Buf as _, Bytes};
+use std::collections::HashSet;
 use std::fs;
-use std::io::{self, Read as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
 use wla_apk::ApkError;
@@ -281,6 +282,21 @@ pub fn read_shard_stamp(path: &Path) -> io::Result<ShardStamp> {
     Ok(ShardStamp { checksum, file_len })
 }
 
+/// Write `bytes` to `path` atomically: write a `.tmp` sibling, then rename
+/// it into place. A crash between the two steps leaves only the temp file,
+/// never a truncated target.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)
+}
+
 /// File name of shard `index` within [`SHARD_SUBDIR`].
 pub fn shard_file_name(index: usize) -> String {
     format!("shard-{index:05}.wshard")
@@ -315,7 +331,11 @@ pub fn write_shard(path: &Path, entries: &[(&AppMeta, &[u8])]) -> io::Result<()>
 }
 
 /// Write `apps` under `dir/shards/` with `per_shard` apps per file.
-/// Returns the shard paths in order. Each shard is written atomically.
+/// Returns the shard paths in order. Each shard is written atomically;
+/// afterwards every other `.wshard` in `dir/shards/` — left by an earlier
+/// write of a larger corpus — is removed, so [`list_shards`] returns
+/// exactly the returned paths. The resume manifest is left alone: a cache
+/// file whose shard is gone is never read.
 pub fn write_sharded_corpus(
     dir: &Path,
     apps: &[GeneratedApp],
@@ -338,6 +358,12 @@ pub fn write_sharded_corpus(
         let path = shard_dir.join(shard_file_name(i));
         write_shard(&path, &entries)?;
         paths.push(path);
+    }
+    let written: HashSet<&PathBuf> = paths.iter().collect();
+    for path in list_shards(dir)? {
+        if !written.contains(&path) {
+            fs::remove_file(path)?;
+        }
     }
     Ok(paths)
 }
@@ -560,6 +586,26 @@ mod tests {
             .collect();
         write_shard(&paths[0], &entries).unwrap();
         assert_ne!(read_shard_stamp(&paths[0]).unwrap(), stamp);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_smaller_rewrite_removes_stale_shards_and_leaves_no_temp_files() {
+        let apps = small_corpus(4);
+        assert!(apps.len() >= 3, "need a 3-shard corpus");
+        let dir = temp_dir("rewrite");
+        let per_shard = apps.len().div_ceil(3);
+        assert_eq!(
+            write_sharded_corpus(&dir, &apps, per_shard).unwrap().len(),
+            3
+        );
+        let paths = write_sharded_corpus(&dir, &apps[..per_shard], per_shard).unwrap();
+        assert_eq!(paths.len(), 1);
+        assert_eq!(list_shards(&dir).unwrap(), paths);
+        for entry in fs::read_dir(dir.join(SHARD_SUBDIR)).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(!name.ends_with(".tmp"), "temp file {name} left behind");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

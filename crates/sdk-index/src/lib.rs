@@ -14,19 +14,19 @@
 //!   Tables 4 and 5 with its published app count, plus synthesized filler
 //!   SDKs so that per-category SDK *counts* match Table 3 exactly
 //!   (46 WebView advertising SDKs, 10 CT authentication SDKs, …);
-//! * [`trie::PrefixTrie`] and [`SdkIndex`] — longest-prefix package labeling,
-//!   the pipeline's hot lookup.
+//! * [`trie::InternedTrie`] and [`SdkIndex`] — longest-prefix package
+//!   labeling to a `Copy` [`LabelId`], the pipeline's hot lookup.
 //!
 //! ```
-//! use wla_sdk_index::{Label, SdkIndex};
+//! use wla_sdk_index::{LabelId, SdkIndex};
 //!
 //! let index = SdkIndex::paper();
-//! match index.label("com.applovin.adview") {
-//!     Label::Sdk(sdk) => assert_eq!(sdk.name, "AppLovin"),
+//! match index.label_id("com.applovin.adview") {
+//!     LabelId::Sdk(i) => assert_eq!(index.sdks()[i as usize].name, "AppLovin"),
 //!     other => panic!("{other:?}"),
 //! }
-//! assert!(matches!(index.label("com.google.android.gms.ads"), Label::CoreAndroid));
-//! assert!(matches!(index.label("a.b.c"), Label::Obfuscated));
+//! assert_eq!(index.label_id("com.google.android.gms.ads"), LabelId::CoreAndroid);
+//! assert_eq!(index.label_id("a.b.c"), LabelId::Obfuscated);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -162,43 +162,28 @@ impl Sdk {
     }
 }
 
-/// Result of labeling a package name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Label<'a> {
-    /// Attributed to a cataloged SDK.
-    Sdk(&'a Sdk),
-    /// Part of the core Android SDK (`com.google.android`), excluded from
-    /// SDK accounting "due to its multiple essential functions".
-    CoreAndroid,
-    /// ProGuard-style obfuscated package.
-    Obfuscated,
-    /// No catalog match.
-    Unlabeled,
-}
-
-/// [`Label`] without the borrow: a `Copy` handle suitable for storing on
-/// interned call-site summaries and for `u32`-keyed aggregation. `Sdk`
-/// carries the catalog index of the matched entry.
+/// Result of labeling a package name: a `Copy` handle suitable for
+/// storing on interned call-site summaries and for `u32`-keyed
+/// aggregation. `Sdk` carries the catalog index of the matched entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelId {
     /// Attributed to a cataloged SDK (catalog index).
     Sdk(u32),
-    /// Part of the core Android SDK.
+    /// Part of the core Android SDK (`com.google.android`), excluded from
+    /// SDK accounting "due to its multiple essential functions".
     CoreAndroid,
-    /// ProGuard-style obfuscated package (heuristic or obfuscated catalog
-    /// entry — merged, exactly as [`SdkIndex::label`] merges them).
+    /// ProGuard-style obfuscated package: the obfuscation heuristic or an
+    /// obfuscated catalog entry, merged.
     Obfuscated,
     /// No catalog match.
     Unlabeled,
 }
 
-/// The labeling index: catalog + prefix tries (string-keyed baseline and
-/// segment-interned hot path).
+/// The labeling index: catalog + segment-interned prefix trie.
 #[derive(Debug, Clone)]
 pub struct SdkIndex {
     sdks: Vec<Sdk>,
-    trie: trie::PrefixTrie,
-    interned_trie: trie::InternedTrie,
+    trie: trie::InternedTrie,
 }
 
 /// Prefix excluded from SDK attribution.
@@ -207,19 +192,13 @@ pub const CORE_ANDROID_PREFIX: &str = "com.google.android";
 impl SdkIndex {
     /// Build an index over an arbitrary catalog.
     pub fn new(sdks: Vec<Sdk>) -> Self {
-        let mut trie = trie::PrefixTrie::new();
-        let mut interned_trie = trie::InternedTrie::new();
+        let mut trie = trie::InternedTrie::new();
         for (i, sdk) in sdks.iter().enumerate() {
             for p in &sdk.prefixes {
                 trie.insert(p, i as u32);
-                interned_trie.insert(p, i as u32);
             }
         }
-        SdkIndex {
-            sdks,
-            trie,
-            interned_trie,
-        }
+        SdkIndex { sdks, trie }
     }
 
     /// The full paper catalog (Tables 3–5).
@@ -232,73 +211,42 @@ impl SdkIndex {
         &self.sdks
     }
 
-    /// Label a dotted package name. Longest-prefix match against the
-    /// catalog; `com.google.android` takes precedence; unmatched packages
-    /// fall back to the obfuscation heuristic.
-    pub fn label(&self, package: &str) -> Label<'_> {
+    /// Linear-scan labeling with identical semantics to
+    /// [`label_id`](Self::label_id) — the reference the trie is pinned
+    /// against, and the baseline of the `sdk_labeling` ablation bench.
+    pub fn label_linear(&self, package: &str) -> LabelId {
         if package == CORE_ANDROID_PREFIX || package.starts_with("com.google.android.") {
-            return Label::CoreAndroid;
+            return LabelId::CoreAndroid;
         }
-        if let Some(idx) = self.trie.longest_match(package) {
-            let sdk = &self.sdks[idx as usize];
-            if sdk.obfuscated {
-                return Label::Obfuscated;
-            }
-            return Label::Sdk(sdk);
-        }
-        if is_obfuscated_package(package) {
-            return Label::Obfuscated;
-        }
-        Label::Unlabeled
-    }
-
-    /// Like [`label`](Self::label) but also returns a match for obfuscated
-    /// catalog entries (for ground-truth bookkeeping in tests).
-    pub fn lookup_any(&self, package: &str) -> Option<&Sdk> {
-        self.trie
-            .longest_match(package)
-            .map(|idx| &self.sdks[idx as usize])
-    }
-
-    /// Linear-scan labeling with identical semantics to [`label`](Self::label)
-    /// — kept as the baseline for the `sdk_labeling` ablation bench.
-    pub fn label_linear(&self, package: &str) -> Label<'_> {
-        if package == CORE_ANDROID_PREFIX || package.starts_with("com.google.android.") {
-            return Label::CoreAndroid;
-        }
-        let mut best: Option<(usize, &Sdk)> = None;
-        for sdk in &self.sdks {
+        let mut best: Option<(usize, usize)> = None;
+        for (i, sdk) in self.sdks.iter().enumerate() {
             for p in &sdk.prefixes {
                 let matches = package == p
                     || (package.len() > p.len()
                         && package.starts_with(p.as_str())
                         && package.as_bytes()[p.len()] == b'.');
-                if matches {
-                    let len = p.len();
-                    if best.is_none_or(|(l, _)| len > l) {
-                        best = Some((len, sdk));
-                    }
+                if matches && best.is_none_or(|(l, _)| p.len() > l) {
+                    best = Some((p.len(), i));
                 }
             }
         }
         match best {
-            Some((_, sdk)) if sdk.obfuscated => Label::Obfuscated,
-            Some((_, sdk)) => Label::Sdk(sdk),
-            None if is_obfuscated_package(package) => Label::Obfuscated,
-            None => Label::Unlabeled,
+            Some((_, i)) if self.sdks[i].obfuscated => LabelId::Obfuscated,
+            Some((_, i)) => LabelId::Sdk(i as u32),
+            None if is_obfuscated_package(package) => LabelId::Obfuscated,
+            None => LabelId::Unlabeled,
         }
     }
 
-    /// [`label`](Self::label) on the segment-interned trie, returning the
-    /// `Copy` [`LabelId`] the interned pipeline stores on call sites.
-    /// Semantics are identical to `label`: `com.google.android` precedence,
-    /// longest prefix match, obfuscated catalog entries and the obfuscation
-    /// heuristic both collapse to [`LabelId::Obfuscated`].
+    /// Label a dotted package name: `com.google.android` takes precedence,
+    /// then the longest catalog prefix; obfuscated catalog entries and
+    /// unmatched packages that pass the obfuscation heuristic both
+    /// collapse to [`LabelId::Obfuscated`].
     pub fn label_id(&self, package: &str) -> LabelId {
         if package == CORE_ANDROID_PREFIX || package.starts_with("com.google.android.") {
             return LabelId::CoreAndroid;
         }
-        if let Some(idx) = self.interned_trie.longest_match(package) {
+        if let Some(idx) = self.trie.longest_match(package) {
             if self.sdks[idx as usize].obfuscated {
                 return LabelId::Obfuscated;
             }
@@ -346,8 +294,9 @@ impl LabelCache {
     }
 }
 
-/// ProGuard-style obfuscation heuristic (shared with `wla-apk::names`; kept
-/// here too so this crate stands alone for labeling).
+/// ProGuard/R8-style obfuscation heuristic: every segment is at most two
+/// characters (`a.b`; `com.a.b` is *not* obfuscated because `com` is 3
+/// chars — matching how analysts eyeball these).
 fn is_obfuscated_package(pkg: &str) -> bool {
     let segments: Vec<&str> = pkg.split('.').collect();
     !segments.is_empty() && segments.iter().all(|s| !s.is_empty() && s.len() <= 2)
@@ -356,6 +305,7 @@ fn is_obfuscated_package(pkg: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_catalog_matches_table3_counts() {
@@ -442,21 +392,24 @@ mod tests {
     #[test]
     fn labeling_basics() {
         let index = SdkIndex::paper();
-        match index.label("com.applovin.adview") {
-            Label::Sdk(sdk) => assert_eq!(sdk.name, "AppLovin"),
+        match index.label_id("com.applovin.adview") {
+            LabelId::Sdk(i) => assert_eq!(index.sdks()[i as usize].name, "AppLovin"),
             other => panic!("expected AppLovin, got {other:?}"),
         }
-        assert_eq!(index.label("com.google.android.gms"), Label::CoreAndroid);
-        assert_eq!(index.label("a.b.c"), Label::Obfuscated);
-        assert_eq!(index.label("org.nonexistent.thing"), Label::Unlabeled);
+        assert_eq!(
+            index.label_id("com.google.android.gms"),
+            LabelId::CoreAndroid
+        );
+        assert_eq!(index.label_id("a.b.c"), LabelId::Obfuscated);
+        assert_eq!(index.label_id("org.nonexistent.thing"), LabelId::Unlabeled);
     }
 
     #[test]
     fn longest_prefix_wins() {
         // NAVER corporate (auth) vs NAVER social login share the com.navercorp root.
         let index = SdkIndex::paper();
-        match index.label("com.navercorp.nid.oauth") {
-            Label::Sdk(sdk) => assert_eq!(sdk.category, SdkCategory::Social),
+        match index.label_id("com.navercorp.nid.oauth") {
+            LabelId::Sdk(i) => assert_eq!(index.sdks()[i as usize].category, SdkCategory::Social),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -465,7 +418,15 @@ mod tests {
     fn prefix_is_segment_aligned() {
         let index = SdkIndex::paper();
         // "com.applovinx" must NOT match the "com.applovin" prefix.
-        assert_eq!(index.label("com.applovinx.ads"), Label::Unlabeled);
+        assert_eq!(index.label_id("com.applovinx.ads"), LabelId::Unlabeled);
+    }
+
+    #[test]
+    fn obfuscation_heuristic() {
+        assert!(is_obfuscated_package("a.b.c"));
+        assert!(is_obfuscated_package("ab.c"));
+        assert!(!is_obfuscated_package("com.a.b"));
+        assert!(!is_obfuscated_package("com.applovin"));
     }
 
     #[test]
@@ -475,46 +436,8 @@ mod tests {
             "com.applovin.adview",
             "com.applovin",
             "com.applovinx",
-            "com.google.android.gms",
-            "com.google.firebase.auth.internal",
-            "io.flutter.plugins.webview",
-            "zendesk.support.ui",
-            "a.b",
-            "com.unknownthing.x",
-            "epic.mychart.android",
-        ];
-        for p in probes {
-            let a = format!("{:?}", index.label(p));
-            let b = format!("{:?}", index.label_linear(p));
-            assert_eq!(a, b, "mismatch for {p}");
-        }
-    }
-
-    /// Project a borrow-carrying [`Label`] onto the `Copy` [`LabelId`]
-    /// space for equality checks.
-    fn label_as_id(index: &SdkIndex, l: Label<'_>) -> LabelId {
-        match l {
-            Label::Sdk(sdk) => LabelId::Sdk(
-                index
-                    .sdks()
-                    .iter()
-                    .position(|s| std::ptr::eq(s, sdk))
-                    .expect("label borrows from the catalog") as u32,
-            ),
-            Label::CoreAndroid => LabelId::CoreAndroid,
-            Label::Obfuscated => LabelId::Obfuscated,
-            Label::Unlabeled => LabelId::Unlabeled,
-        }
-    }
-
-    #[test]
-    fn label_id_agrees_with_label_on_catalog_probes() {
-        let index = SdkIndex::paper();
-        let probes = [
-            "com.applovin.adview",
-            "com.applovin",
-            "com.applovinx",
             "com.google.android",
+            "com.google.android.gms",
             "com.google.android.gms.ads",
             "com.google.firebase.auth.internal",
             "io.flutter.plugins.webview",
@@ -526,27 +449,18 @@ mod tests {
             "com.navercorp.nid.oauth",
         ];
         for p in probes {
-            assert_eq!(
-                index.label_id(p),
-                label_as_id(&index, index.label(p)),
-                "mismatch for {p}"
-            );
+            assert_eq!(index.label_id(p), index.label_linear(p), "mismatch for {p}");
         }
     }
 
     #[test]
-    fn label_id_agrees_with_label_on_every_catalog_prefix() {
+    fn label_id_agrees_with_linear_on_every_catalog_prefix() {
         let index = SdkIndex::paper();
-        let prefixes: Vec<String> = index
-            .sdks()
-            .iter()
-            .flat_map(|s| s.prefixes.iter().cloned())
-            .collect();
-        for p in &prefixes {
+        for p in index.sdks().iter().flat_map(|s| &s.prefixes) {
             for probe in [p.clone(), format!("{p}.internal.ui"), format!("{p}x")] {
                 assert_eq!(
                     index.label_id(&probe),
-                    label_as_id(&index, index.label(&probe)),
+                    index.label_linear(&probe),
                     "mismatch for {probe}"
                 );
             }
@@ -579,6 +493,38 @@ mod tests {
                     sdk.name
                 );
             }
+        }
+    }
+
+    /// One package segment group: a whole catalog prefix, the core-Android
+    /// prefix, an obfuscation-length segment, or a random segment.
+    fn segment() -> impl Strategy<Value = String> {
+        let prefixes: Vec<String> = SdkIndex::paper()
+            .sdks()
+            .iter()
+            .flat_map(|s| s.prefixes.iter().cloned())
+            .collect();
+        prop_oneof![
+            any::<prop::sample::Index>()
+                .prop_map(move |i| prefixes[i.index(prefixes.len())].clone()),
+            Just(CORE_ANDROID_PREFIX.to_owned()),
+            "[a-z]{1,2}",
+            "[a-z0-9_]{1,8}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The one labeler equals the linear scan on packages built around
+        /// the real catalog: core-Android precedence, obfuscated catalog
+        /// entries, the obfuscation heuristic and longest-prefix match.
+        #[test]
+        fn prop_label_id_matches_linear_on_catalog_packages(
+            segments in proptest::collection::vec(segment(), 1..5)
+        ) {
+            let index = SdkIndex::paper();
+            let package = segments.join(".");
+            prop_assert_eq!(index.label_id(&package), index.label_linear(&package), "{}", package);
         }
     }
 }

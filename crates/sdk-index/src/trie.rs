@@ -8,79 +8,6 @@
 use std::collections::HashMap;
 use wla_intern::{FxBuildHasher, U32BuildHasher};
 
-#[derive(Debug, Clone, Default)]
-struct Node {
-    children: HashMap<String, Node>,
-    /// Value attached if a prefix terminates at this node.
-    value: Option<u32>,
-}
-
-/// Maps dotted package prefixes to `u32` payloads with longest-match lookup.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixTrie {
-    root: Node,
-    len: usize,
-}
-
-impl PrefixTrie {
-    /// Empty trie.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of prefixes inserted.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the trie holds no prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Insert `prefix` (dotted) with payload `value`. Re-inserting a prefix
-    /// overwrites its payload.
-    pub fn insert(&mut self, prefix: &str, value: u32) {
-        let mut node = &mut self.root;
-        for seg in prefix.split('.') {
-            // Probe before `entry`: the entry API would allocate an owned
-            // key for every segment even when the child already exists,
-            // which for a catalog of shared roots (`com.*`) is most of them.
-            node = if node.children.contains_key(seg) {
-                node.children.get_mut(seg).expect("probed above")
-            } else {
-                node.children.entry(seg.to_owned()).or_default()
-            };
-        }
-        if node.value.replace(value).is_none() {
-            self.len += 1;
-        }
-    }
-
-    /// Payload of the longest inserted prefix of `package`, if any.
-    pub fn longest_match(&self, package: &str) -> Option<u32> {
-        let mut node = &self.root;
-        let mut best = node.value;
-        for seg in package.split('.') {
-            match node.children.get(seg) {
-                Some(next) => {
-                    node = next;
-                    if node.value.is_some() {
-                        best = node.value;
-                    }
-                }
-                None => break,
-            }
-        }
-        best
-    }
-
-    /// Whether `package` has any inserted prefix.
-    pub fn contains_prefix_of(&self, package: &str) -> bool {
-        self.longest_match(package).is_some()
-    }
-}
-
 /// Arena node of [`InternedTrie`]: children keyed by interned segment id.
 #[derive(Debug, Clone, Default)]
 struct INode {
@@ -88,7 +15,8 @@ struct INode {
     value: Option<u32>,
 }
 
-/// [`PrefixTrie`] variant keyed by *interned segments*.
+/// Maps dotted package prefixes to `u32` payloads with longest-match
+/// lookup, keyed by *interned segments*.
 ///
 /// Each distinct dot-separated segment (`com`, `applovin`, …) is assigned
 /// a `u32` id in a private segment table; trie edges are then `u32 → node`
@@ -180,11 +108,6 @@ impl InternedTrie {
         }
         best
     }
-
-    /// Whether `package` has any inserted prefix.
-    pub fn contains_prefix_of(&self, package: &str) -> bool {
-        self.longest_match(package).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +117,7 @@ mod tests {
 
     #[test]
     fn exact_and_descendant_match() {
-        let mut t = PrefixTrie::new();
+        let mut t = InternedTrie::new();
         t.insert("com.applovin", 1);
         assert_eq!(t.longest_match("com.applovin"), Some(1));
         assert_eq!(t.longest_match("com.applovin.adview"), Some(1));
@@ -204,7 +127,7 @@ mod tests {
 
     #[test]
     fn longest_wins() {
-        let mut t = PrefixTrie::new();
+        let mut t = InternedTrie::new();
         t.insert("com.naver", 1);
         t.insert("com.naver.maps", 2);
         assert_eq!(t.longest_match("com.naver.maps.geo"), Some(2));
@@ -213,7 +136,7 @@ mod tests {
 
     #[test]
     fn reinsert_overwrites() {
-        let mut t = PrefixTrie::new();
+        let mut t = InternedTrie::new();
         t.insert("a.b", 1);
         t.insert("a.b", 2);
         assert_eq!(t.len(), 1);
@@ -222,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_trie() {
-        let t = PrefixTrie::new();
+        let t = InternedTrie::new();
         assert!(t.is_empty());
         assert_eq!(t.longest_match("anything.at.all"), None);
     }
@@ -232,7 +155,7 @@ mod tests {
         fn prop_inserted_prefixes_match_themselves(
             prefixes in proptest::collection::hash_set("[a-z]{1,6}(\\.[a-z]{1,6}){0,3}", 1..20)
         ) {
-            let mut t = PrefixTrie::new();
+            let mut t = InternedTrie::new();
             let v: Vec<_> = prefixes.iter().cloned().collect();
             for (i, p) in v.iter().enumerate() {
                 t.insert(p, i as u32);
@@ -251,28 +174,25 @@ mod tests {
         #[test]
         fn prop_no_false_positives(pkg in "[A-Z]{1,8}(\\.[A-Z]{1,8}){0,3}") {
             // Catalog prefixes are lowercase; uppercase packages never match.
-            let mut t = PrefixTrie::new();
+            let mut t = InternedTrie::new();
             t.insert("com.applovin", 1);
             t.insert("io.flutter", 2);
             prop_assert_eq!(t.longest_match(&pkg), None);
         }
 
-        /// The segment-interned trie, the string trie, and a linear scan
-        /// agree on arbitrary dotted prefixes and probes — the interning
-        /// refactor must not change a single label.
+        /// The segment-interned trie and a linear scan agree on arbitrary
+        /// dotted prefixes and probes.
         #[test]
-        fn prop_interned_trie_agrees_with_string_trie_and_linear_scan(
+        fn prop_interned_trie_agrees_with_linear_scan(
             prefixes in proptest::collection::hash_set("[a-z]{1,4}(\\.[a-z]{1,4}){0,3}", 1..16),
             probes in proptest::collection::vec("[a-z]{1,4}(\\.[a-z]{1,4}){0,5}", 1..32),
         ) {
             let prefixes: Vec<String> = prefixes.into_iter().collect();
-            let mut strie = PrefixTrie::new();
             let mut itrie = InternedTrie::new();
             for (i, p) in prefixes.iter().enumerate() {
-                strie.insert(p, i as u32);
                 itrie.insert(p, i as u32);
             }
-            prop_assert_eq!(itrie.len(), strie.len());
+            prop_assert_eq!(itrie.len(), prefixes.len());
             // Probe both the random packages and the prefixes themselves
             // (plus a descendant of each) for boundary coverage.
             let mut all = probes;
@@ -293,7 +213,6 @@ mod tests {
                     })
                     .max_by_key(|(_, p)| p.len())
                     .map(|(i, _)| i as u32);
-                prop_assert_eq!(strie.longest_match(probe), linear, "string trie, {}", probe);
                 prop_assert_eq!(itrie.longest_match(probe), linear, "interned trie, {}", probe);
             }
         }
@@ -311,7 +230,6 @@ mod tests {
         assert_eq!(t.longest_match("com.naver.maps.geo"), Some(2));
         assert_eq!(t.longest_match("com.naver.login"), Some(3));
         assert_eq!(t.longest_match("org.other"), None);
-        assert!(t.contains_prefix_of("com.naver.x"));
         // Reinsert overwrites without growing.
         t.insert("com.applovin", 9);
         assert_eq!(t.len(), 3);

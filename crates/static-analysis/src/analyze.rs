@@ -8,6 +8,7 @@
 //! and the Play metadata.
 
 use crate::dataflow::{self, DataflowCounters};
+use bytes::Bytes;
 use std::collections::HashSet;
 use std::time::Instant;
 use wla_apk::names::WEBVIEW_CONTENT_METHODS;
@@ -290,45 +291,24 @@ impl AppAnalysis {
 /// generator keeps behavioural chains dex-local, as R8's main-dex rules do
 /// for entry-point code in practice.
 pub fn analyze_app(meta: AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError> {
-    analyze_app_timed(meta, bytes).0
-}
-
-/// [`analyze_app`] plus per-stage wall-clock timings.
-pub fn analyze_app_timed(
-    meta: AppMeta,
-    bytes: &[u8],
-) -> (Result<AppAnalysis, ApkError>, StageTimings) {
     let catalog = SdkIndex::paper();
     let mut ctx = AnalysisCtx::new(&catalog);
-    analyze_app_timed_with(meta, bytes, &mut ctx)
+    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx).0
 }
 
-/// The per-app pipeline against a reusable worker context.
+/// The per-app pipeline against a reusable worker context, plus
+/// per-stage wall-clock timings.
 ///
-/// The timings are always returned, even when the result is an error: a
-/// broken container still spends (and reports) its decode time, which is
-/// what the pipeline's failure-taxonomy throughput accounting wants.
+/// `bytes` is shared, never copied: the container decode and every dex
+/// string span alias it, whether it is a window into a corpus shard's
+/// buffer, an HTTP request body, or a container the in-memory runner
+/// copied once. The timings are always returned, even when the result is
+/// an error: a broken container still spends (and reports) its decode
+/// time, which is what the pipeline's failure-taxonomy throughput
+/// accounting wants.
 pub fn analyze_app_timed_with(
     meta: AppMeta,
-    bytes: &[u8],
-    ctx: &mut AnalysisCtx<'_>,
-) -> (Result<AppAnalysis, ApkError>, StageTimings) {
-    let mut timings = StageTimings::default();
-    let started = Instant::now();
-    let decoded = Sapk::decode(bytes).and_then(|apk| decode_rest(apk, ctx));
-    timings.decode_ns = started.elapsed().as_nanos() as u64;
-    finish_analysis(meta, decoded, ctx, timings)
-}
-
-/// [`analyze_app_timed_with`] over a shared [`bytes::Bytes`] handle.
-///
-/// The zero-copy streaming path: when `bytes` is a window into a corpus
-/// shard's buffer, the container decode and every dex string span alias
-/// that buffer directly — no per-app copy of the container is ever made. Results are identical to the slice path
-/// ([`Sapk::decode_bytes`] is equivalence-pinned against [`Sapk::decode`]).
-pub fn analyze_app_bytes_timed_with(
-    meta: AppMeta,
-    bytes: bytes::Bytes,
+    bytes: Bytes,
     ctx: &mut AnalysisCtx<'_>,
 ) -> (Result<AppAnalysis, ApkError>, StageTimings) {
     let mut timings = StageTimings::default();
@@ -338,8 +318,7 @@ pub fn analyze_app_bytes_timed_with(
     finish_analysis(meta, decoded, ctx, timings)
 }
 
-/// Stages (3)–(5) plus summary construction, shared by the slice and
-/// shared-buffer entry points.
+/// Stages (3)–(5) plus summary construction.
 fn finish_analysis(
     meta: AppMeta,
     decoded: Result<(Manifest, Vec<Dex>), ApkError>,
@@ -552,7 +531,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
-            let analysis = analyze_app_timed_with(meta(), &bytes, &mut ctx).0.unwrap();
+            let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
                 assert_eq!(s.origin, UrlOrigin::Resolved, "seed {seed}");
                 let arg = ctx.lexicon.resolve(s.argument.expect("resolved argument"));
@@ -582,7 +561,7 @@ mod tests {
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = false;
-            let analysis = analyze_app_timed_with(meta(), &bytes, &mut ctx).0.unwrap();
+            let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
                 assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
                 assert!(s.argument.is_none());
@@ -642,7 +621,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(meta(), &bytes, &mut ctx).0.unwrap();
+        let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
         assert!(analysis.uses_webview());
         let resolved: Vec<&str> = analysis
             .custom_webview_classes
@@ -690,7 +669,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(meta(), &bytes, &mut ctx).0.unwrap();
+        let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
         let load_packages: HashSet<&str> = analysis
             .third_party_webview()
             .filter(|s| s.is_load_method)

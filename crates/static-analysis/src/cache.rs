@@ -25,9 +25,8 @@ use std::sync::Mutex;
 use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
 use wla_apk::ApkError;
 use wla_callgraph::UrlOrigin;
-use wla_corpus::corpus_io::write_atomic;
 use wla_corpus::playstore::{AppMeta, PlayCategory};
-use wla_corpus::shard::ShardStamp;
+use wla_corpus::shard::{write_atomic, ShardStamp};
 use wla_intern::{LocalInterner, PkgId, Symbol};
 use wla_sdk_index::LabelId;
 

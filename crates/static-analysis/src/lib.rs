@@ -36,8 +36,8 @@ pub use aggregate::{
     StudyResults, UrlOriginCensus,
 };
 pub use analyze::{
-    analyze_app, analyze_app_bytes_timed_with, analyze_app_timed, analyze_app_timed_with,
-    AnalysisCtx, AppAnalysis, CtSiteSummary, DecodeCounters, StageTimings, WebViewSiteSummary,
+    analyze_app, analyze_app_timed_with, AnalysisCtx, AppAnalysis, CtSiteSummary, DecodeCounters,
+    StageTimings, WebViewSiteSummary,
 };
 pub use dataflow::{method_provenance, DataflowCounters};
 pub use oracle::aggregate_string_oracle;

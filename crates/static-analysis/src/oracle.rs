@@ -2,9 +2,9 @@
 //!
 //! A faithful copy of the *pre-interning* aggregation: every site's method
 //! is resolved to text and matched against [`METHODS`] by string compare,
-//! every caller package is resolved and re-labeled through the catalog's
-//! string trie per site (no memo), and per-SDK accounting goes through
-//! keyed maps. It exists for two jobs:
+//! every caller package is resolved to text and re-labeled through
+//! [`SdkIndex::label_id`] per site (no memo), and per-SDK accounting goes
+//! through keyed maps. It exists for two jobs:
 //!
 //! 1. the metamorphic suite proves `aggregate` (interned path) produces
 //!    *identical* [`StudyResults`] on randomized corpora, and
@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
 use wla_corpus::METHODS;
-use wla_sdk_index::{Label, SdkCategory, SdkIndex};
+use wla_sdk_index::{LabelId, SdkCategory, SdkIndex};
 
 /// [`crate::aggregate::aggregate`] re-implemented over resolved strings.
 pub fn aggregate_string_oracle(
@@ -35,15 +35,9 @@ pub fn aggregate_string_oracle(
     let symbols = output.symbols();
     let analyses: Vec<&AppAnalysis> = output.analyzed().collect();
 
-    // Per-SDK app sets (by catalog index), via pointer-position projection.
+    // Per-SDK app counts, keyed by catalog index.
     let mut sdk_wv_apps: HashMap<usize, usize> = HashMap::new();
     let mut sdk_ct_apps: HashMap<usize, usize> = HashMap::new();
-    let sdk_position: HashMap<*const wla_sdk_index::Sdk, usize> = catalog
-        .sdks()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s as *const _, i))
-        .collect();
 
     let mut webview_apps = 0usize;
     let mut ct_apps = 0usize;
@@ -109,19 +103,19 @@ pub fn aggregate_string_oracle(
             methods[mi] = true;
             let label = site
                 .caller_package
-                .map(|p| catalog.label(symbols.resolve(p.symbol())))
-                .unwrap_or(Label::Unlabeled);
+                .map(|p| catalog.label_id(symbols.resolve(p.symbol())))
+                .unwrap_or(LabelId::Unlabeled);
             match label {
-                Label::Sdk(sdk) => {
+                LabelId::Sdk(idx) => {
                     methods_sdk[mi] = true;
-                    methods_by_cat.entry(sdk.category).or_default()[mi] = true;
+                    let category = catalog.sdks()[idx as usize].category;
+                    methods_by_cat.entry(category).or_default()[mi] = true;
                     if site.is_load_method {
-                        let idx = sdk_position[&(sdk as *const _)];
-                        app_wv_sdks.insert(idx);
+                        app_wv_sdks.insert(idx as usize);
                     }
                 }
-                Label::Obfuscated if site.is_load_method => app_obfuscated = true,
-                Label::Unlabeled if site.is_load_method => app_unlabeled = true,
+                LabelId::Obfuscated if site.is_load_method => app_obfuscated = true,
+                LabelId::Unlabeled if site.is_load_method => app_unlabeled = true,
                 _ => {}
             }
         }
@@ -131,11 +125,10 @@ pub fn aggregate_string_oracle(
             }
             let label = site
                 .caller_package
-                .map(|p| catalog.label(symbols.resolve(p.symbol())))
-                .unwrap_or(Label::Unlabeled);
-            if let Label::Sdk(sdk) = label {
-                let idx = sdk_position[&(sdk as *const _)];
-                app_ct_sdks.insert(idx);
+                .map(|p| catalog.label_id(symbols.resolve(p.symbol())))
+                .unwrap_or(LabelId::Unlabeled);
+            if let LabelId::Sdk(idx) = label {
+                app_ct_sdks.insert(idx as usize);
             }
         }
 

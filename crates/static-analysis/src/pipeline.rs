@@ -32,6 +32,7 @@ use crate::analyze::{
 };
 use crate::dataflow::DataflowCounters;
 use crate::stream::StreamCounters;
+use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use wla_apk::ApkError;
@@ -319,7 +320,10 @@ pub fn run_pipeline<I: AppInput>(
     config: PipelineConfig,
 ) -> PipelineOutput {
     run_pipeline_with(inputs, catalog, config, |input, ctx| {
-        analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
+        // The one copy of the container this run makes: the decode and
+        // every dex string span share it.
+        let bytes = Bytes::copy_from_slice(input.bytes());
+        analyze_app_timed_with(input.meta().clone(), bytes, ctx)
     })
 }
 
@@ -603,7 +607,8 @@ mod tests {
                 if std::ptr::eq(input, &ins[trap]) {
                     panic!("injected analysis fault");
                 }
-                analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
+                let bytes = Bytes::copy_from_slice(input.bytes());
+                analyze_app_timed_with(input.meta().clone(), bytes, ctx)
             },
         );
         assert_eq!(out.results.len(), ins.len());

@@ -26,7 +26,7 @@
 //! silent miss. [`StreamCounters`] reports what was streamed, what was
 //! served from cache, shard-level failures, and shard bytes held.
 
-use crate::analyze::{analyze_app_bytes_timed_with, AppAnalysis};
+use crate::analyze::{analyze_app_timed_with, AppAnalysis};
 use crate::cache;
 use crate::pipeline::{join, panicked, PipelineConfig, PipelineOutput, Worker};
 use std::collections::BTreeMap;
@@ -248,10 +248,8 @@ fn stream_shard(
     let entries: Vec<_> = (0..shard.len())
         .map(|e| {
             let (meta, bytes) = (shard.entry_meta(e).clone(), shard.entry_bytes(e));
-            wla_pool::isolate(|| {
-                worker.analyze(|ctx| analyze_app_bytes_timed_with(meta, bytes, ctx))
-            })
-            .unwrap_or_else(panicked)
+            wla_pool::isolate(|| worker.analyze(|ctx| analyze_app_timed_with(meta, bytes, ctx)))
+                .unwrap_or_else(panicked)
         })
         .collect();
 

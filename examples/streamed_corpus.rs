@@ -1,11 +1,15 @@
 //! Paper-scale workflow: persist a generated corpus as on-disk shards,
 //! stream it through the analysis pipeline one shard buffer at a time,
-//! print the run stats (including the shard-streaming table), then run
-//! again to show the resume manifest skipping every shard.
+//! check the results against the in-memory `Study::run_static`, print the
+//! run stats (including the shard-streaming table), then run again to
+//! show the resume manifest skipping every shard.
 //!
 //! ```sh
 //! cargo run --release --example streamed_corpus -- /tmp/wla-shards 500
 //! ```
+//!
+//! Reusing a directory is safe at any scale: a smaller corpus written
+//! over a larger one removes the larger one's extra shards.
 
 use whatcha_lookin_at::stats::render_pipeline_stats;
 use whatcha_lookin_at::wla_static::StreamConfig;
@@ -27,6 +31,9 @@ fn main() {
         .run_static_streamed(&dir, StreamConfig::default())
         .expect("streamed run");
     println!("{}", render_pipeline_stats(&run.stats));
+    let in_memory = study.run_static();
+    assert_eq!(run.stats.total, in_memory.stats.total);
+    assert_eq!(run.results, in_memory.results);
     println!(
         "\napps using WebViews: {} — identical to Study::run_static at any worker count",
         run.results.webview_apps

@@ -14,6 +14,7 @@
 
 use std::num::NonZeroU32;
 use whatcha_lookin_at::cli::flag_value;
+use whatcha_lookin_at::wla_device::iab::all_profiles;
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{
     grade_distribution, privacy_label, run_pipeline, PipelineConfig,
@@ -118,6 +119,10 @@ fn main() {
             } else {
                 args.rest.iter().map(String::as_str).collect()
             };
+            check_crawl_apps(&apps).unwrap_or_else(|e| {
+                eprintln!("wla: {e}");
+                usage()
+            });
             eprintln!("crawling 100 sites through {apps:?} + baseline …");
             let run = study.run_crawl_parallel(
                 Some(&apps),
@@ -177,6 +182,16 @@ fn main() {
         }
         "serve" => serve(&args),
         _ => usage(),
+    }
+}
+
+/// Every crawl app must be one of Table 8's ten IABs: an unknown name
+/// would crawl only the baseline row and print an empty figure.
+fn check_crawl_apps(apps: &[&str]) -> Result<(), String> {
+    let known: Vec<&'static str> = all_profiles().iter().map(|p| p.app_name).collect();
+    match apps.iter().find(|app| !known.contains(app)) {
+        Some(app) => Err(format!("unknown app {app:?} (known: {})", known.join(", "))),
+        None => Ok(()),
     }
 }
 

@@ -33,6 +33,12 @@ fn unparsable_or_missing_flag_values_are_usage_errors() {
 }
 
 #[test]
+fn unknown_crawl_app_is_a_usage_error() {
+    assert_usage_error(&["crawl", "linkedin"]);
+    assert_usage_error(&["crawl", "Kik", "NoSuchApp"]);
+}
+
+#[test]
 fn static_prints_pipeline_stats_to_stderr_only() {
     let out = wla(&["static", "--scale", "4000"]);
     assert!(out.status.success(), "{out:?}");

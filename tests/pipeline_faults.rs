@@ -3,6 +3,7 @@
 //! converted to `ApkError::AnalysisPanic` and visible in the stats — and
 //! the aggregation layer must count those apps as broken, not vanish them.
 
+use bytes::Bytes;
 use whatcha_lookin_at::wla_apk::ApkError;
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
@@ -55,7 +56,8 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
             if idx % 10 == 0 {
                 panic!("injected fault in app {idx}");
             }
-            analyze_app_timed_with(input.meta().clone(), input.bytes(), ctx)
+            let bytes = Bytes::copy_from_slice(input.bytes());
+            analyze_app_timed_with(input.meta().clone(), bytes, ctx)
         },
     );
 

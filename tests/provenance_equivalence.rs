@@ -13,6 +13,7 @@
 //!    diamonds around every URL call; there the dataflow pass resolves
 //!    every site the heuristic loses.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,7 +101,8 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
         for ablate in [false, true] {
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = !ablate;
-            let analysis = analyze_app_timed_with(g.spec.meta.clone(), &g.bytes, &mut ctx)
+            let bytes = Bytes::copy_from_slice(&g.bytes);
+            let analysis = analyze_app_timed_with(g.spec.meta.clone(), bytes, &mut ctx)
                 .0
                 .expect("clean container analyzes");
             let origins = analysis
