@@ -3,8 +3,11 @@
 # suite, the streamed-corpus example run twice into one directory (1:2000,
 # then the smaller 1:4000 corpus; the example asserts its streamed results
 # equal Study::run_static, so a leftover shard of the first run fails it),
-# and the tests of the end-to-end benchmark package
-# (crates/bench/src/bin/benchmark).
+# the tests of the end-to-end benchmark package
+# (crates/bench/src/bin/benchmark), and the paper-scale streamed run (the
+# ignored `stream_equivalence` test in release: 73,400 apps at 1/2/4/8
+# workers plus a full resume pass, ~10 s once built — the one test that
+# takes the pipeline join and the resume cache through a 50K+ corpus).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -203,6 +206,9 @@ echo "== benchmark package tests =="
 # the crate APIs it calls cannot drift from under it. Release mode: its
 # tests run every workload at toy size, full funnel included.
 cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
+echo "== paper-scale streamed run (73,400 apps, release) =="
+cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
 echo "== cargo build --benches (smoke) =="
 bench_start=$SECONDS

@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
         // The container copy is part of the step, as in `run_pipeline`.
         b.iter(|| {
             let bytes = Bytes::copy_from_slice(black_box(input.bytes()));
-            analyze_app_timed_with(input.meta().clone(), bytes, &mut ctx)
+            analyze_app_timed_with(input.meta(), bytes, &mut ctx)
                 .0
                 .unwrap()
         })

@@ -43,11 +43,11 @@ pub fn analysis_routes(router: Router, catalog: Arc<SdkIndex>) -> Router {
         .route(Method::Post, "/analyze", move |req: &Request| {
             let meta = meta_from_query(req.query());
             let mut ctx = AnalysisCtx::new(&catalog);
-            let (result, _timings) = analyze_app_timed_with(meta, req.body.clone(), &mut ctx);
+            let (result, _timings) = analyze_app_timed_with(&meta, req.body.clone(), &mut ctx);
             match result {
                 Ok(analysis) => Response::ok(
                     "application/json",
-                    analysis_json(&analysis, &ctx).into_bytes(),
+                    analysis_json(&analysis, &meta, &ctx).into_bytes(),
                 ),
                 Err(e) => {
                     let mut resp =
@@ -148,10 +148,10 @@ fn ct_site_json(s: &CtSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
     )
 }
 
-/// Render one [`AppAnalysis`] as the service's JSON document. Symbols are
-/// resolved against the producing context's lexicon; every collection is
-/// emitted in a deterministic order.
-pub fn analysis_json(analysis: &AppAnalysis, ctx: &AnalysisCtx<'_>) -> String {
+/// Render one [`AppAnalysis`] of the app `meta` describes as the service's
+/// JSON document. Symbols are resolved against the producing context's
+/// lexicon; every collection is emitted in a deterministic order.
+pub fn analysis_json(analysis: &AppAnalysis, meta: &AppMeta, ctx: &AnalysisCtx<'_>) -> String {
     let mut methods: Vec<&'static str> = analysis.methods_used().into_iter().collect();
     methods.sort_unstable();
     let methods: Vec<String> = methods
@@ -179,8 +179,8 @@ pub fn analysis_json(analysis: &AppAnalysis, ctx: &AnalysisCtx<'_>) -> String {
          \"custom_webview_classes\":[{}],\"unreachable_webview_sites\":{},\
          \"webview_sites\":[{}],\"ct_sites\":[{}]}}",
         escape(&analysis.package),
-        escape(analysis.meta.category.label()),
-        number(analysis.meta.downloads as f64),
+        escape(analysis.category.label()),
+        number(meta.downloads as f64),
         analysis.uses_webview(),
         analysis.uses_custom_tabs(),
         methods.join(","),
@@ -218,7 +218,7 @@ mod tests {
         let app = apps
             .into_iter()
             .find(|a| {
-                wla_static::analyze::analyze_app(a.spec.meta.clone(), &a.bytes)
+                wla_static::analyze::analyze_app(&a.spec.meta, &a.bytes)
                     .map(|r| r.uses_webview())
                     .unwrap_or(false)
             })

@@ -92,12 +92,6 @@ fn pipeline_summary_table(s: &PipelineStats) -> Table {
             "Label cache hit rate".into(),
             percent(interner.label_hit_rate()),
         ]);
-        if interner.presize_hit_rate() > 0.0 {
-            t.row_owned(vec![
-                "Interner pre-size hit rate".into(),
-                percent(interner.presize_hit_rate()),
-            ]);
-        }
     }
     let callgraph = &s.callgraph;
     if callgraph.edges > 0 {
@@ -446,7 +440,6 @@ mod tests {
                 local_misses: 58,
                 label_hits: 87,
                 label_misses: 13,
-                presized_symbols: 33_574,
                 ..Default::default()
             },
             callgraph: CallGraphCounters {
@@ -550,7 +543,6 @@ Pipeline run summary
 | Interned symbols           | 20,480 (512 KiB) |
 | Intern cache hit rate      |            42.0% |
 | Label cache hit rate       |            87.0% |
-| Interner pre-size hit rate |            61.0% |
 | Call-graph edges (CSR)     |          123,456 |
 | Vtable cache hit rate      |            75.0% |
 | Bitset scratch reuses      |            1,460 |
@@ -686,7 +678,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         assert!(r.contains("87.0%")); // label cache hit rate
         assert!(r.contains("serial tail"));
         assert!(r.contains("4.2 ms"));
-        assert!(r.contains("61.0%")); // interner pre-size hit rate
+        assert!(!r.contains("pre-size"));
         assert!(r.contains("123,456")); // CSR edges
         assert!(r.contains("75.0%")); // vtable hit rate
         assert!(r.contains("1,460")); // bitset reuses
@@ -820,10 +812,8 @@ URL-origin census (constant propagation at URL-bearing sites)
         let s = &run.stats;
         assert_eq!(s.analyzed + s.broken, s.total);
         assert!(s.apps_per_second() > 0.0);
-        // The serial-tail and interner pre-size observability is measured.
+        // The serial tail is measured.
         assert!(s.serial_tail_ns > 0);
-        let presize = s.interner.presize_hit_rate();
-        assert!(presize > 0.0 && presize <= 1.0);
         // Call-graph observability: edges were built, the traversal speed
         // is derived from the callgraph stage timer, and the hit rate is a
         // valid fraction.

@@ -7,9 +7,9 @@
 //! becomes a [`CrawlFailure`], never a dead run — and each worker records
 //! endpoints as worker-local [`wla_intern::Symbol`]s with a per-host
 //! classification memo. The serial join tail translates local symbols into
-//! one global table with [`wla_intern::merge_ordered`] (the static
-//! pipeline's input-order merge) and folds Figure 6 through the crawler
-//! crate's own row averaging.
+//! one fresh [`SymbolTable`] with [`wla_intern::merge_ordered`] (the static
+//! pipeline's input-order merge), which the [`CrawlOutput`] owns, and folds
+//! Figure 6 through the crawler crate's own row averaging.
 //!
 //! Determinism contract: for a given `(sites, apps)` input the output is
 //! bit-identical at any worker count — records, figures, failure list, and
@@ -100,7 +100,7 @@ impl VisitRecord {
     }
 }
 
-/// Interner and classification-memo counters, folded across workers.
+/// Symbol-table and classification-memo counters, folded across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrawlInternerCounters {
     /// Summed per-worker lexicon sizes (pre-dedup).
@@ -161,7 +161,7 @@ pub struct CrawlStats {
     pub merge_ns: u64,
     /// End-to-end wall clock.
     pub total_ns: u64,
-    /// Interner / classification-memo counters.
+    /// Symbol-table / classification-memo counters.
     pub interner: CrawlInternerCounters,
 }
 
@@ -209,7 +209,7 @@ pub struct CrawlOutput {
     pub figures: BTreeMap<String, Vec<Figure6Row>>,
     /// Failed visits, in matrix order.
     pub failures: Vec<CrawlFailure>,
-    /// Symbol snapshot for display-time host resolution.
+    /// The merged symbol table, for display-time host resolution.
     pub symbols: SymbolTable,
     /// Observability counters.
     pub stats: CrawlStats,
@@ -486,13 +486,13 @@ fn join_crawl(
             (w, result)
         })
         .collect();
-    let (outcomes, interner) = merge_ordered(outcomes, &lexicons, |outcome, f| {
+    let (outcomes, symbols) = merge_ordered(outcomes, &lexicons, |outcome, f| {
         if let Ok(record) = outcome {
             record.remap_symbols(f);
         }
     });
-    stats.interner.global_symbols = interner.len();
-    stats.interner.global_bytes = interner.bytes();
+    stats.interner.global_symbols = symbols.len();
+    stats.interner.global_bytes = symbols.bytes();
 
     // Split the matrix back into rows. `cells[r][s]` is the (possibly
     // failed) visit of site `s` through row `r`.
@@ -538,7 +538,7 @@ fn join_crawl(
         per_app,
         figures,
         failures,
-        symbols: interner.snapshot(),
+        symbols,
         stats,
     }
 }

@@ -354,7 +354,7 @@ pub fn aggregate(
 
         // Figure 3.
         if app_cats.iter().any(|&u| u) {
-            let row = play_wv.entry(a.meta.category).or_insert([0; NCAT]);
+            let row = play_wv.entry(a.category).or_insert([0; NCAT]);
             for (t3, &used) in app_cats.iter().enumerate() {
                 if used {
                     row[t3] += 1;
@@ -366,7 +366,7 @@ pub fn aggregate(
             ct_cats[catalog.sdks()[idx as usize].category.table3_index()] = true;
         }
         if ct_cats.iter().any(|&u| u) {
-            let row = play_ct.entry(a.meta.category).or_insert([0; NCAT]);
+            let row = play_ct.entry(a.category).or_insert([0; NCAT]);
             for (t3, &used) in ct_cats.iter().enumerate() {
                 if used {
                     row[t3] += 1;

@@ -4,8 +4,8 @@
 //! Everything downstream of decoding speaks the interned IR: site
 //! summaries carry [`Symbol`]/[`PkgId`] handles resolved against the
 //! worker's [`LocalInterner`], and package labels are baked in at record
-//! time. The only strings an [`AppAnalysis`] owns are the manifest package
-//! and the Play metadata.
+//! time. The only string an [`AppAnalysis`] owns is the manifest package;
+//! every record is sized exactly once the app is done.
 
 use crate::dataflow::{self, DataflowCounters};
 use bytes::Bytes;
@@ -17,7 +17,7 @@ use wla_callgraph::{
     entry_points, provenance_oracle, record_web_calls_with, CallGraph, CallGraphCounters,
     ReachScratch, UrlOrigin, WebCallRecord,
 };
-use wla_corpus::playstore::AppMeta;
+use wla_corpus::playstore::{AppMeta, PlayCategory};
 use wla_decompile::webview_subclasses_dex_interned;
 use wla_intern::{LocalInterner, PkgId, Symbol};
 use wla_manifest::{wireformat, Manifest};
@@ -189,17 +189,18 @@ pub struct CtSiteSummary {
 /// The full static-analysis result for one app.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppAnalysis {
-    /// Play metadata carried through for per-category aggregation.
-    pub meta: AppMeta,
+    /// Play category, the one piece of the app's Play metadata that
+    /// per-category aggregation reads.
+    pub category: PlayCategory,
     /// Manifest package name.
     pub package: String,
     /// Reachable WebView call sites (deep-link ones included but flagged).
-    pub webview_sites: Vec<WebViewSiteSummary>,
+    pub webview_sites: Box<[WebViewSiteSummary]>,
     /// Reachable CT call sites.
-    pub ct_sites: Vec<CtSiteSummary>,
+    pub ct_sites: Box<[CtSiteSummary]>,
     /// `extends WebView` classes found by decompilation, sorted by
     /// resolved binary name.
-    pub custom_webview_classes: Vec<Symbol>,
+    pub custom_webview_classes: Box<[Symbol]>,
     /// Unreachable WebView call sites that were discarded (kept as a count
     /// for the traversal ablation).
     pub unreachable_webview_sites: usize,
@@ -250,7 +251,7 @@ impl AppAnalysis {
     /// Rewrite every symbol through `f` — used by the pipeline to translate
     /// worker-local symbols into the global table at join time.
     pub fn remap_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
-        for s in &mut self.webview_sites {
+        for s in self.webview_sites.iter_mut() {
             s.method = f(s.method);
             s.caller_class = f(s.caller_class);
             if let Some(p) = &mut s.caller_package {
@@ -260,7 +261,7 @@ impl AppAnalysis {
                 *a = f(*a);
             }
         }
-        for s in &mut self.ct_sites {
+        for s in self.ct_sites.iter_mut() {
             s.method = f(s.method);
             s.caller_class = f(s.caller_class);
             if let Some(p) = &mut s.caller_package {
@@ -270,7 +271,7 @@ impl AppAnalysis {
                 *a = f(*a);
             }
         }
-        for c in &mut self.custom_webview_classes {
+        for c in self.custom_webview_classes.iter_mut() {
             *c = f(*c);
         }
     }
@@ -290,7 +291,7 @@ impl AppAnalysis {
 /// (external) targets — sound for reachability *within* each dex, and the
 /// generator keeps behavioural chains dex-local, as R8's main-dex rules do
 /// for entry-point code in practice.
-pub fn analyze_app(meta: AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError> {
+pub fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError> {
     let catalog = SdkIndex::paper();
     let mut ctx = AnalysisCtx::new(&catalog);
     analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx).0
@@ -299,7 +300,8 @@ pub fn analyze_app(meta: AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError>
 /// The per-app pipeline against a reusable worker context, plus
 /// per-stage wall-clock timings.
 ///
-/// `bytes` is shared, never copied: the container decode and every dex
+/// `meta` is borrowed: the analysis keeps only its Play category. `bytes`
+/// is shared, never copied: the container decode and every dex
 /// string span alias it, whether it is a window into a corpus shard's
 /// buffer, an HTTP request body, or a container the in-memory runner
 /// copied once. The timings are always returned, even when the result is
@@ -307,7 +309,7 @@ pub fn analyze_app(meta: AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError>
 /// time, which is what the pipeline's failure-taxonomy throughput
 /// accounting wants.
 pub fn analyze_app_timed_with(
-    meta: AppMeta,
+    meta: &AppMeta,
     bytes: Bytes,
     ctx: &mut AnalysisCtx<'_>,
 ) -> (Result<AppAnalysis, ApkError>, StageTimings) {
@@ -315,12 +317,12 @@ pub fn analyze_app_timed_with(
     let started = Instant::now();
     let decoded = Sapk::decode_bytes(bytes).and_then(|apk| decode_rest(apk, ctx));
     timings.decode_ns = started.elapsed().as_nanos() as u64;
-    finish_analysis(meta, decoded, ctx, timings)
+    finish_analysis(meta.category, decoded, ctx, timings)
 }
 
 /// Stages (3)–(5) plus summary construction.
 fn finish_analysis(
-    meta: AppMeta,
+    category: PlayCategory,
     decoded: Result<(Manifest, Vec<Dex>), ApkError>,
     ctx: &mut AnalysisCtx<'_>,
     mut timings: StageTimings,
@@ -426,11 +428,11 @@ fn finish_analysis(
     timings.label_ns = started.elapsed().as_nanos() as u64;
 
     let analysis = AppAnalysis {
-        package: manifest.package.clone(),
-        meta,
-        webview_sites,
-        ct_sites,
-        custom_webview_classes,
+        category,
+        package: manifest.package,
+        webview_sites: webview_sites.into(),
+        ct_sites: ct_sites.into(),
+        custom_webview_classes: custom_webview_classes.into(),
         unreachable_webview_sites,
     };
     (Ok(analysis), timings)
@@ -493,7 +495,7 @@ mod tests {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
-            let analysis = analyze_app(meta(), &bytes).expect("analyzes");
+            let analysis = analyze_app(&meta(), &bytes).expect("analyzes");
             assert_eq!(
                 analysis.uses_webview(),
                 spec.uses_webview(&catalog),
@@ -513,7 +515,7 @@ mod tests {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
-            let analysis = analyze_app(meta(), &bytes).unwrap();
+            let analysis = analyze_app(&meta(), &bytes).unwrap();
             let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();
             let measured = analysis.methods_used();
             assert_eq!(measured, truth, "seed {seed}");
@@ -531,7 +533,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
-            let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
+            let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
                 assert_eq!(s.origin, UrlOrigin::Resolved, "seed {seed}");
                 let arg = ctx.lexicon.resolve(s.argument.expect("resolved argument"));
@@ -561,7 +563,7 @@ mod tests {
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = false;
-            let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
+            let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
                 assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
                 assert!(s.argument.is_none());
@@ -583,7 +585,7 @@ mod tests {
         spec.dead_code_webview = true;
         let mut rng = StdRng::seed_from_u64(1);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
-        let analysis = analyze_app(meta(), &bytes).unwrap();
+        let analysis = analyze_app(&meta(), &bytes).unwrap();
         assert!(!analysis.uses_webview());
         assert_eq!(analysis.unreachable_webview_sites, 1);
     }
@@ -602,7 +604,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(2);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
-        let analysis = analyze_app(meta(), &bytes).unwrap();
+        let analysis = analyze_app(&meta(), &bytes).unwrap();
         // The loadUrl call exists and is reachable, but it's first-party.
         assert_eq!(analysis.webview_sites.len(), 1);
         assert!(analysis.webview_sites[0].in_deep_link_activity);
@@ -621,7 +623,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
+        let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
         assert!(analysis.uses_webview());
         let resolved: Vec<&str> = analysis
             .custom_webview_classes
@@ -629,6 +631,18 @@ mod tests {
             .map(|s| ctx.lexicon.resolve(*s))
             .collect();
         assert_eq!(resolved, vec!["com/testapp/example/web/AppWebView"]);
+    }
+
+    #[test]
+    fn records_have_exact_layouts() {
+        use std::mem::size_of;
+        assert!(size_of::<AppAnalysis>() <= 88);
+        assert_eq!(
+            size_of::<Result<AppAnalysis, ApkError>>(),
+            size_of::<AppAnalysis>()
+        );
+        assert!(size_of::<WebViewSiteSummary>() <= 28);
+        assert!(size_of::<CtSiteSummary>() <= 28);
     }
 
     #[test]
@@ -640,7 +654,7 @@ mod tests {
             &bytes,
             wla_apk::corrupt::CorruptionKind::Truncate { keep_num: 100 },
         );
-        assert!(analyze_app(meta(), &bad).is_err());
+        assert!(analyze_app(&meta(), &bad).is_err());
     }
 
     #[test]
@@ -669,7 +683,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(meta(), bytes, &mut ctx).0.unwrap();
+        let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
         let load_packages: HashSet<&str> = analysis
             .third_party_webview()
             .filter(|s| s.is_load_method)
@@ -737,7 +751,7 @@ mod multidex_tests {
     #[test]
     fn multidex_analysis_matches_ground_truth() {
         let (catalog, spec, bytes) = multidex_app();
-        let analysis = analyze_app(meta(), &bytes).unwrap();
+        let analysis = analyze_app(&meta(), &bytes).unwrap();
         assert_eq!(analysis.uses_webview(), spec.uses_webview(&catalog));
         assert_eq!(analysis.uses_custom_tabs(), spec.uses_custom_tabs());
         let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();
@@ -754,6 +768,6 @@ mod multidex_tests {
         let mut bad = bytes.clone();
         let i = bad.len() - 40;
         bad[i] ^= 0x20;
-        assert!(analyze_app(meta(), &bad).is_err());
+        assert!(analyze_app(&meta(), &bad).is_err());
     }
 }

@@ -25,15 +25,17 @@ use std::sync::Mutex;
 use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
 use wla_apk::ApkError;
 use wla_callgraph::UrlOrigin;
-use wla_corpus::playstore::{AppMeta, PlayCategory};
+use wla_corpus::playstore::PlayCategory;
 use wla_corpus::shard::{write_atomic, ShardStamp};
 use wla_intern::{LocalInterner, PkgId, Symbol};
 use wla_sdk_index::LabelId;
 
 /// Leading magic bytes of a result-cache file.
 const CACHE_MAGIC: [u8; 4] = *b"WRES";
-/// Current cache format version.
-const CACHE_VERSION: u16 = 1;
+/// Current cache format version. Version 2 stores each analysis's Play
+/// category label where version 1 stored its whole Play metadata; a file
+/// of any other version is a miss.
+const CACHE_VERSION: u16 = 2;
 /// magic + version + stamp (checksum u32 + file_len u64) + body checksum.
 const CACHE_PREFIX: usize = 4 + 2 + 4 + 8 + 4;
 
@@ -74,14 +76,6 @@ fn put_label(buf: &mut Vec<u8>, label: LabelId) {
             put_uvarint(buf, u64::from(i));
         }
     }
-}
-
-fn put_meta(buf: &mut Vec<u8>, meta: &AppMeta) {
-    put_string(buf, &meta.package);
-    buf.push(meta.on_play_store as u8);
-    put_uvarint(buf, meta.downloads);
-    put_string(buf, meta.category.label());
-    put_uvarint(buf, u64::from(meta.last_update_day));
 }
 
 fn put_error(buf: &mut Vec<u8>, e: &ApkError) {
@@ -147,10 +141,10 @@ fn put_error(buf: &mut Vec<u8>, e: &ApkError) {
 }
 
 fn put_analysis(buf: &mut Vec<u8>, a: &AppAnalysis, lex: &LocalInterner) {
-    put_meta(buf, &a.meta);
+    put_string(buf, a.category.label());
     put_string(buf, &a.package);
     put_uvarint(buf, a.webview_sites.len() as u64);
-    for s in &a.webview_sites {
+    for s in a.webview_sites.iter() {
         put_string(buf, lex.resolve(s.method));
         buf.push(s.method_idx);
         put_string(buf, lex.resolve(s.caller_class));
@@ -162,7 +156,7 @@ fn put_analysis(buf: &mut Vec<u8>, a: &AppAnalysis, lex: &LocalInterner) {
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.ct_sites.len() as u64);
-    for s in &a.ct_sites {
+    for s in a.ct_sites.iter() {
         put_string(buf, lex.resolve(s.method));
         buf.push(s.is_launch as u8);
         put_string(buf, lex.resolve(s.caller_class));
@@ -173,7 +167,7 @@ fn put_analysis(buf: &mut Vec<u8>, a: &AppAnalysis, lex: &LocalInterner) {
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.custom_webview_classes.len() as u64);
-    for c in &a.custom_webview_classes {
+    for c in a.custom_webview_classes.iter() {
         put_string(buf, lex.resolve(*c));
     }
     put_uvarint(buf, a.unreachable_webview_sites as u64);
@@ -258,21 +252,8 @@ fn get_origin(cur: &mut &[u8]) -> Result<UrlOrigin, ApkError> {
     })
 }
 
-fn get_meta(cur: &mut &[u8]) -> Result<AppMeta, ApkError> {
-    let package = get_string(cur)?;
-    let on_play_store = get_bool(cur)?;
-    let downloads = get_uvarint(cur)?;
-    let category = PlayCategory::from_label(&get_string(cur)?)
-        .ok_or(ApkError::Invalid("cache category label"))?;
-    let last_update_day =
-        u32::try_from(get_uvarint(cur)?).map_err(|_| ApkError::Invalid("cache update day"))?;
-    Ok(AppMeta {
-        package,
-        on_play_store,
-        downloads,
-        category,
-        last_update_day,
-    })
+fn get_category(cur: &mut &[u8]) -> Result<PlayCategory, ApkError> {
+    PlayCategory::from_label(&get_string(cur)?).ok_or(ApkError::Invalid("cache category label"))
 }
 
 fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
@@ -328,7 +309,7 @@ fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
 }
 
 fn get_analysis(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<AppAnalysis, ApkError> {
-    let meta = get_meta(cur)?;
+    let category = get_category(cur)?;
     let package = get_string(cur)?;
     let n_wv = get_uvarint(cur)? as usize;
     if n_wv > cur.len() {
@@ -392,11 +373,11 @@ fn get_analysis(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<AppAnalysis,
     }
     let unreachable_webview_sites = get_uvarint(cur)? as usize;
     Ok(AppAnalysis {
-        meta,
+        category,
         package,
-        webview_sites,
-        ct_sites,
-        custom_webview_classes,
+        webview_sites: webview_sites.into(),
+        ct_sites: ct_sites.into(),
+        custom_webview_classes: custom_webview_classes.into(),
         unreachable_webview_sites,
     })
 }
@@ -467,15 +448,9 @@ mod tests {
 
     fn sample_results(lex: &mut LocalInterner) -> Vec<Result<AppAnalysis, ApkError>> {
         let analysis = AppAnalysis {
-            meta: AppMeta {
-                package: "com.cached.app".into(),
-                on_play_store: true,
-                downloads: 5_000_000,
-                category: PlayCategory::Social,
-                last_update_day: 901,
-            },
+            category: PlayCategory::Social,
             package: "com.cached.app".into(),
-            webview_sites: vec![WebViewSiteSummary {
+            webview_sites: Box::new([WebViewSiteSummary {
                 method: lex.intern("loadUrl"),
                 method_idx: 0,
                 caller_class: lex.intern("com/sdk/ads/Banner"),
@@ -485,8 +460,8 @@ mod tests {
                 is_load_method: true,
                 argument: Some(lex.intern("https://ads.example/")),
                 origin: UrlOrigin::Resolved,
-            }],
-            ct_sites: vec![CtSiteSummary {
+            }]),
+            ct_sites: Box::new([CtSiteSummary {
                 method: lex.intern("launchUrl"),
                 is_launch: true,
                 caller_class: lex.intern("com/app/Main"),
@@ -495,8 +470,8 @@ mod tests {
                 in_deep_link_activity: true,
                 argument: None,
                 origin: UrlOrigin::Unknown,
-            }],
-            custom_webview_classes: vec![lex.intern("com/app/MyWebView")],
+            }]),
+            custom_webview_classes: Box::new([lex.intern("com/app/MyWebView")]),
             unreachable_webview_sites: 2,
         };
         vec![
@@ -542,7 +517,7 @@ mod tests {
         assert_eq!(back.len(), results.len());
         match (&results[0], &back[0]) {
             (Ok(orig), Ok(loaded)) => {
-                assert_eq!(orig.meta, loaded.meta);
+                assert_eq!(orig.category, loaded.category);
                 assert_eq!(orig.package, loaded.package);
                 assert_eq!(
                     orig.unreachable_webview_sites,
@@ -561,6 +536,20 @@ mod tests {
             assert_eq!(results[i], back[i], "error {i} did not roundtrip");
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_category_label_roundtrips() {
+        for category in PlayCategory::ALL {
+            let mut buf = Vec::new();
+            put_string(&mut buf, category.label());
+            let mut cur = &buf[..];
+            assert_eq!(get_category(&mut cur).unwrap(), category);
+            assert!(cur.is_empty());
+        }
+        let mut buf = Vec::new();
+        put_string(&mut buf, "Not A Category");
+        assert!(get_category(&mut &buf[..]).is_err());
     }
 
     #[test]

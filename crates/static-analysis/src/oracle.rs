@@ -32,7 +32,7 @@ pub fn aggregate_string_oracle(
     catalog: &SdkIndex,
     top_sdk_threshold: usize,
 ) -> StudyResults {
-    let symbols = output.symbols();
+    let symbols = &output.symbols;
     let analyses: Vec<&AppAnalysis> = output.analyzed().collect();
 
     // Per-SDK app counts, keyed by catalog index.
@@ -213,7 +213,7 @@ pub fn aggregate_string_oracle(
 
         for cat in &app_cats {
             *play_wv
-                .entry(a.meta.category)
+                .entry(a.category)
                 .or_default()
                 .entry(*cat)
                 .or_default() += 1;
@@ -224,7 +224,7 @@ pub fn aggregate_string_oracle(
             .collect();
         for cat in &ct_cats {
             *play_ct
-                .entry(a.meta.category)
+                .entry(a.category)
                 .or_default()
                 .entry(*cat)
                 .or_default() += 1;

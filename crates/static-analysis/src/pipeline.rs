@@ -22,9 +22,10 @@
 //! [`LocalInterner`](wla_intern::LocalInterner) (no synchronization while
 //! analyzing); the serial join tail (timed as
 //! [`PipelineStats::serial_tail_ns`]) translates every symbol into one
-//! global [`Interner`] with [`wla_intern::merge_ordered`]. Its ids depend
-//! only on the input order — never on worker count or scheduling — which
-//! keeps parallel and serial runs bit-identical. The shard-streaming
+//! fresh [`SymbolTable`] with [`wla_intern::merge_ordered`], which the
+//! [`PipelineOutput`] owns. Its ids depend only on the input order — never
+//! on worker count or scheduling — which keeps parallel and serial runs
+//! bit-identical. The shard-streaming
 //! runner in [`crate::stream`] shares the per-app step and the join.
 
 use crate::analyze::{
@@ -39,7 +40,7 @@ use wla_apk::ApkError;
 use wla_callgraph::CallGraphCounters;
 use wla_corpus::playstore::AppMeta;
 use wla_corpus::GeneratedApp;
-use wla_intern::{merge_ordered, Interner, SymbolTable};
+use wla_intern::{merge_ordered, SymbolTable};
 use wla_sdk_index::SdkIndex;
 
 pub use wla_pool::WorkerStats;
@@ -140,9 +141,6 @@ pub struct InternerCounters {
     pub label_hits: u64,
     /// Package labels that walked the catalog trie.
     pub label_misses: u64,
-    /// Capacity the global table was pre-sized for at join time (the
-    /// summed sizes of the worker lexicons).
-    pub presized_symbols: usize,
 }
 
 impl InternerCounters {
@@ -153,16 +151,6 @@ impl InternerCounters {
             return 0.0;
         }
         self.local_hits as f64 / total as f64
-    }
-
-    /// Fraction of the pre-sized global capacity actually used
-    /// (`global_symbols / presized_symbols`): how closely the summed
-    /// local-lexicon upper bound predicted the merged table.
-    pub fn presize_hit_rate(&self) -> f64 {
-        if self.presized_symbols == 0 {
-            return 0.0;
-        }
-        self.global_symbols as f64 / self.presized_symbols as f64
     }
 
     /// Fraction of package-label lookups served from the memo.
@@ -249,8 +237,7 @@ impl PipelineStats {
 }
 
 /// Pipeline output: per-app results in input order, run statistics, and
-/// the global symbol table every surviving [`AppAnalysis`] resolves
-/// against.
+/// the symbol table every surviving [`AppAnalysis`] resolves against.
 #[derive(Debug)]
 pub struct PipelineOutput {
     /// Per-app analysis or decode error, in input order. Symbols are
@@ -258,8 +245,9 @@ pub struct PipelineOutput {
     pub results: Vec<Result<AppAnalysis, ApkError>>,
     /// Observability counters for the run.
     pub stats: PipelineStats,
-    /// Merged global interner.
-    pub interner: Interner,
+    /// The merged symbol table — the report boundary's only way to turn a
+    /// [`wla_intern::Symbol`] back into text.
+    pub symbols: SymbolTable,
 }
 
 impl PipelineOutput {
@@ -276,12 +264,6 @@ impl PipelineOutput {
     /// Number of broken containers (Table 2's 242).
     pub fn broken_count(&self) -> usize {
         self.results.iter().filter(|r| r.is_err()).count()
-    }
-
-    /// Display-time symbol snapshot — the report boundary's only way to
-    /// turn a [`wla_intern::Symbol`] back into text.
-    pub fn symbols(&self) -> SymbolTable {
-        self.interner.snapshot()
     }
 }
 
@@ -323,7 +305,7 @@ pub fn run_pipeline<I: AppInput>(
         // The one copy of the container this run makes: the decode and
         // every dex string span share it.
         let bytes = Bytes::copy_from_slice(input.bytes());
-        analyze_app_timed_with(input.meta().clone(), bytes, ctx)
+        analyze_app_timed_with(input.meta(), bytes, ctx)
     })
 }
 
@@ -401,21 +383,19 @@ pub(crate) fn join(
         stats.decode.merge(&ctx.decode);
         lexicons.push(ctx.lexicon);
     }
-    // `merge_ordered` pre-sizes the global table from the summed lexicons.
-    stats.interner.presized_symbols = stats.interner.local_symbols;
-    let (results, interner) = merge_ordered(results, &lexicons, |result, f| {
+    let (results, symbols) = merge_ordered(results, &lexicons, |result, f| {
         if let Ok(analysis) = result {
             analysis.remap_symbols(f);
         }
     });
-    stats.interner.global_symbols = interner.len();
-    stats.interner.global_bytes = interner.bytes();
+    stats.interner.global_symbols = symbols.len();
+    stats.interner.global_bytes = symbols.bytes();
     stats.serial_tail_ns = tail_started.elapsed().as_nanos() as u64;
     stats.wall_ns = started.elapsed().as_nanos() as u64;
     PipelineOutput {
         results,
         stats,
-        interner,
+        symbols,
     }
 }
 
@@ -456,8 +436,8 @@ mod tests {
             }
         }
         assert_eq!(a.stats.failure_kinds, b.stats.failure_kinds);
-        assert_eq!(a.interner.len(), b.interner.len());
-        let (sa, sb) = (a.symbols(), b.symbols());
+        assert_eq!(a.symbols.len(), b.symbols.len());
+        let (sa, sb) = (&a.symbols, &b.symbols);
         for analysis in a.analyzed() {
             analysis.clone().remap_symbols(|s| {
                 assert_eq!(sa.resolve(s), sb.resolve(s));
@@ -542,7 +522,7 @@ mod tests {
         );
         let c = &out.stats.interner;
         assert!(c.global_symbols > 0);
-        assert_eq!(c.global_symbols, out.interner.len());
+        assert_eq!(c.global_symbols, out.symbols.len());
         assert!(c.global_bytes > 0);
         // Workers re-discover shared strings, so local ≥ global.
         assert!(c.local_symbols >= c.global_symbols);
@@ -554,15 +534,11 @@ mod tests {
         // Package labels are memoized per worker, so repeats hit the cache.
         assert!(c.label_hits > 0);
         assert!(c.label_hit_rate() > 0.0);
-        // The join pre-sizes the global table from the summed lexicons, so
-        // the hit rate is global/local and can never exceed 1.
-        assert_eq!(c.presized_symbols, c.local_symbols);
-        assert!(c.presize_hit_rate() > 0.0 && c.presize_hit_rate() <= 1.0);
         // The serial tail was timed.
         assert!(out.stats.serial_tail_ns > 0);
         assert!(out.stats.serial_tail_ns <= out.stats.wall_ns);
-        // Snapshot covers exactly the global table.
-        assert_eq!(out.symbols().len(), c.global_symbols);
+        // The output's table is exactly the merged one.
+        assert_eq!(out.symbols.bytes(), c.global_bytes);
     }
 
     /// Keep deliberate test panics out of stderr while still letting any
@@ -608,7 +584,7 @@ mod tests {
                     panic!("injected analysis fault");
                 }
                 let bytes = Bytes::copy_from_slice(input.bytes());
-                analyze_app_timed_with(input.meta().clone(), bytes, ctx)
+                analyze_app_timed_with(input.meta(), bytes, ctx)
             },
         );
         assert_eq!(out.results.len(), ins.len());
@@ -656,15 +632,13 @@ mod tests {
                 s.total
             );
             prop_assert!(s.workers.len() <= workers);
-            // Interner invariants: the local tables cover the global one.
+            // Symbol-table invariants: the local tables cover the merged one.
             prop_assert!(s.interner.local_symbols >= s.interner.global_symbols);
-            prop_assert_eq!(s.interner.global_symbols, out.interner.len());
+            prop_assert_eq!(s.interner.global_symbols, out.symbols.len());
             prop_assert_eq!(
                 s.interner.local_misses,
                 s.interner.local_symbols as u64
             );
-            prop_assert_eq!(s.interner.presized_symbols, s.interner.local_symbols);
-            prop_assert!(s.interner.presize_hit_rate() <= 1.0);
             prop_assert!(s.serial_tail_ns <= s.wall_ns);
             // Call-graph counters: one graph (and one traversal) per dex,
             // so graphs ≥ analyzed apps and every traversal either reused

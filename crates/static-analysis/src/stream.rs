@@ -247,7 +247,7 @@ fn stream_shard(
 
     let entries: Vec<_> = (0..shard.len())
         .map(|e| {
-            let (meta, bytes) = (shard.entry_meta(e).clone(), shard.entry_bytes(e));
+            let (meta, bytes) = (shard.entry_meta(e), shard.entry_bytes(e));
             wla_pool::isolate(|| worker.analyze(|ctx| analyze_app_timed_with(meta, bytes, ctx)))
                 .unwrap_or_else(panicked)
         })

@@ -59,8 +59,8 @@ fn assert_outputs_identical(streamed: &PipelineOutput, baseline: &PipelineOutput
             other => panic!("ok/err mismatch at input {i}: {other:?}"),
         }
     }
-    assert_eq!(streamed.interner.len(), baseline.interner.len());
-    let (ss, bs) = (streamed.symbols(), baseline.symbols());
+    assert_eq!(streamed.symbols.len(), baseline.symbols.len());
+    let (ss, bs) = (&streamed.symbols, &baseline.symbols);
     for a in streamed.analyzed() {
         for site in &a.webview_sites {
             assert_eq!(ss.resolve(site.method), bs.resolve(site.method));
@@ -148,6 +148,53 @@ fn resume_after_partial_run_is_bit_identical() {
     assert_outputs_identical(&resumed, &baseline);
     assert_eq!(resumed.stats.stream.shards_read, 0);
     assert_eq!(resumed.stats.stream.entries_cached, apps.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cache_from_an_older_format_is_a_clean_miss() {
+    let catalog = SdkIndex::paper();
+    let apps = corpus(2_000, 67, 0.1);
+    let (baseline, baseline_study) = in_memory_baseline(&apps, &catalog);
+    let dir = temp_dir("old-format");
+    let paths = write_sharded_corpus(&dir, &apps, 8).unwrap();
+    assert!(paths.len() >= 3);
+    let config = StreamConfig {
+        pipeline: PipelineConfig {
+            workers: 2,
+            ..PipelineConfig::default()
+        },
+        ..StreamConfig::default()
+    };
+    let first = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+    assert_outputs_identical(&first, &baseline);
+    assert_eq!(first.stats.stream.shards_read, paths.len());
+
+    // Make shard 1's cache look written by an older build: bytes 4..6 of a
+    // `.done` file are its little-endian format version, outside the body
+    // checksum, and version 1 is the format before the current one.
+    let stem = paths[1].file_stem().unwrap().to_str().unwrap();
+    let done = dir.join(MANIFEST_SUBDIR).join(format!("{stem}.done"));
+    let mut raw = std::fs::read(&done).unwrap();
+    raw[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&done, &raw).unwrap();
+    let shard1_entries = wla_corpus::Shard::open(&paths[1]).unwrap().len();
+
+    // That shard alone is re-analyzed; every other entry comes from cache.
+    let second = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+    assert_eq!(second.stats.stream.shards_read, 1);
+    assert_eq!(
+        second.stats.stream.entries_cached,
+        apps.len() - shard1_entries
+    );
+    assert_outputs_identical(&second, &baseline);
+    assert_eq!(aggregate(&second, &catalog, 1), baseline_study);
+
+    // The re-analysis rewrote the cache in the current format.
+    let third = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+    assert_eq!(third.stats.stream.shards_read, 0);
+    assert_eq!(third.stats.stream.entries_cached, apps.len());
+    assert_outputs_identical(&third, &baseline);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,9 +7,13 @@
 //! with an `allow` header). Every case is exercised against the
 //! readiness-loop server *and* the blocking oracle, and the status, body,
 //! and headers must agree.
+//!
+//! The server comparisons run one build on both sides, so they cannot see
+//! a change in the JSON itself; [`ANALYZE_DIGEST`] pins the response bytes.
 
 use std::sync::Arc;
-use wla_core::analysis_routes;
+use wla_core::{analysis_routes, Study};
+use wla_net::http::form_encode;
 use wla_net::server::oracle;
 use wla_net::{fetch, Handler, Limits, Request, Response, Server, ServerConfig, Status};
 use wla_sdk_index::SdkIndex;
@@ -31,6 +35,52 @@ fn on_both(request: Request) -> Response {
     assert_eq!(from_oracle.headers, from_nb.headers);
     oracle_server.shutdown();
     from_nb
+}
+
+/// FNV-1a-64 over every `(status, body)` that `/analyze` returns, in
+/// corpus order, for the 1:2000 default-seed corpus dispatched in-process
+/// with each app's Play metadata in the query string, followed by one
+/// truncated container's 422.
+const ANALYZE_DIGEST: u64 = 0xf19b_5043_0bc0_4f16;
+
+#[test]
+fn analyze_responses_match_their_pinned_digest() {
+    let study = Study::new(2_000, 0xDA7A_5EED);
+    let router = analysis_routes(wla_net::Router::new(), Arc::new(SdkIndex::paper()));
+    let corpus = study.corpus();
+    let mut requests: Vec<Request> = corpus
+        .iter()
+        .map(|g| {
+            let meta = &g.spec.meta;
+            let target = format!(
+                "/analyze?package={}&category={}&downloads={}",
+                form_encode(&meta.package),
+                form_encode(meta.category.label()),
+                meta.downloads
+            );
+            Request::post(target, g.bytes.clone())
+        })
+        .collect();
+    let truncated = corpus[0].bytes[..corpus[0].bytes.len() / 2].to_vec();
+    requests.push(Request::post("/analyze", truncated));
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut ok = 0;
+    let mut last = Status::Ok;
+    for req in &requests {
+        let resp = router.dispatch(req);
+        fold(&resp.status.code().to_le_bytes());
+        fold(&resp.body);
+        ok += usize::from(resp.status == Status::Ok);
+        last = resp.status;
+    }
+    assert_eq!(last, Status::UnprocessableEntity);
+    assert!(ok > requests.len() / 2);
+    assert_eq!(digest, ANALYZE_DIGEST, "digest {digest:016x}");
 }
 
 #[test]

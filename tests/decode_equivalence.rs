@@ -158,6 +158,6 @@ fn pipeline_identical_across_worker_counts() {
                 other => panic!("app {i}, workers {workers}: outcome mismatch {other:?}"),
             }
         }
-        assert_eq!(run.interner.len(), baseline.interner.len());
+        assert_eq!(run.symbols.len(), baseline.symbols.len());
     }
 }

@@ -17,7 +17,7 @@ fn pipeline_recovers_planted_ground_truth_exactly() {
     let corpus = Generator::new(&catalog, cfg).generate();
 
     for g in &corpus {
-        let result = analyze_app(g.spec.meta.clone(), &g.bytes);
+        let result = analyze_app(&g.spec.meta, &g.bytes);
         if g.corrupted {
             assert!(
                 result.is_err(),

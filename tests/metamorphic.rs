@@ -40,10 +40,10 @@ proptest! {
     fn noise_classes_are_inert(seed in 0u64..1_000, noise in 0u8..12) {
         let (catalog, mut s) = spec(seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let base = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         s.noise_classes = noise;
         let mut rng = StdRng::seed_from_u64(seed);
-        let changed = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let changed = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         prop_assert_eq!(base.uses_webview(), changed.uses_webview());
         prop_assert_eq!(base.uses_custom_tabs(), changed.uses_custom_tabs());
         prop_assert_eq!(base.methods_used(), changed.methods_used());
@@ -55,10 +55,10 @@ proptest! {
         let (catalog, mut s) = spec(seed);
         s.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(seed);
-        let without = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let without = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         s.dead_code_webview = true;
         let mut rng = StdRng::seed_from_u64(seed);
-        let with = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let with = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         prop_assert_eq!(without.uses_webview(), with.uses_webview());
         prop_assert_eq!(without.methods_used(), with.methods_used());
         prop_assert_eq!(with.unreachable_webview_sites, without.unreachable_webview_sites + 1);
@@ -71,13 +71,13 @@ proptest! {
         let (catalog, mut s) = spec(seed);
         s.deep_link = None;
         let mut rng = StdRng::seed_from_u64(seed);
-        let without = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let without = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         s.deep_link = Some(whatcha_lookin_at::wla_corpus::DeepLinkSpec {
             host: "first.party.example".into(),
             uses_webview: true,
         });
         let mut rng = StdRng::seed_from_u64(seed);
-        let with = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let with = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         prop_assert_eq!(without.uses_webview(), with.uses_webview());
         prop_assert_eq!(without.methods_used(), with.methods_used());
         // The flagged site exists, though.
@@ -99,7 +99,7 @@ proptest! {
         s.deep_link = None;
         s.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(seed);
-        let analysis = analyze_app(meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let analysis = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
         prop_assert!(!analysis.uses_webview());
         prop_assert!(!analysis.uses_custom_tabs());
         prop_assert!(analysis.webview_sites.is_empty());

@@ -57,7 +57,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
                 panic!("injected fault in app {idx}");
             }
             let bytes = Bytes::copy_from_slice(input.bytes());
-            analyze_app_timed_with(input.meta().clone(), bytes, ctx)
+            analyze_app_timed_with(input.meta(), bytes, ctx)
         },
     );
 

@@ -102,7 +102,7 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = !ablate;
             let bytes = Bytes::copy_from_slice(&g.bytes);
-            let analysis = analyze_app_timed_with(g.spec.meta.clone(), bytes, &mut ctx)
+            let analysis = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
                 .0
                 .expect("clean container analyzes");
             let origins = analysis

@@ -39,7 +39,7 @@ proptest! {
     /// Arbitrary byte noise never panics the full analyzer.
     #[test]
     fn analyzer_never_panics_on_noise(raw in proptest::collection::vec(any::<u8>(), 0..600)) {
-        let _ = analyze_app(meta(), &raw);
+        let _ = analyze_app(&meta(), &raw);
     }
 
     /// Every corruption of a valid container is rejected, never mis-parsed.
@@ -55,9 +55,9 @@ proptest! {
         ],
     ) {
         let good = app_bytes(seed);
-        prop_assert!(analyze_app(meta(), &good).is_ok());
+        prop_assert!(analyze_app(&meta(), &good).is_ok());
         let bad = corrupt(&good, kind);
-        prop_assert!(analyze_app(meta(), &bad).is_err(), "corruption {kind:?} accepted");
+        prop_assert!(analyze_app(&meta(), &bad).is_err(), "corruption {kind:?} accepted");
     }
 
     /// Decompile→parse round-trips class name, package, and superclass for
