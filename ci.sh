@@ -21,7 +21,9 @@
 #                        pipeline vs parallel pool) and the simhash kernel.
 # Quick-mode numbers are noisier than a full `cargo bench` run — use them
 # for order-of-magnitude regression spotting, and EXPERIMENTS.md for the
-# measured full-mode ablations.
+# measured full-mode ablations. Each snapshot opens with a `"_host"` entry:
+# core count (`nproc`), CPU model, `rustc --version` and the cargo profile
+# the benches build with (`bench`).
 #
 # `ci.sh bench-check` re-runs the same quick snapshots into temp files and
 # fails, with a printed diff, if any bench present in a committed snapshot
@@ -29,7 +31,11 @@
 # the end-to-end crawl runs (whole-pipeline wall times swing more with
 # host load, and the seed-vs-parallel sides of the speedup ratio swing
 # together). Real regressions — an accidental re-allocation in the decode
-# path, a per-visit parse sneaking back in — clear both bars.
+# path, a per-visit parse sneaking back in — clear both bars. A snapshot
+# whose `_host` is missing or names another host is not compared at all:
+# the check exits 1 with "snapshot from <host>, this host is <host>", since
+# timings from another machine say nothing about this one. Re-snapshot
+# on the host that will run the check.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -56,15 +62,27 @@ run_quick_benches() {
     rm -f "$tsv.raw"
 }
 
+host_id() {
+    # What a bench number depends on besides the code: core count, CPU
+    # model, compiler, and the cargo profile `cargo bench` builds with.
+    # Quotes and backslashes are dropped so the line is a plain JSON string.
+    local cpu
+    cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+    printf '%s cores, %s, %s, bench profile' \
+        "$(nproc)" "${cpu:-unknown CPU}" "$(rustc --version)" | tr -d '"\\'
+}
+
+snapshot_host() {
+    # The `_host` entry of snapshot $1; empty when it has none.
+    sed -n 's/^  "_host": "\(.*\)",*$/\1/p' "$1"
+}
+
 tsv_to_json() {
-    awk -F'\t' '
-        BEGIN { print "{" }
-        { lines[NR] = sprintf("  \"%s\": %s", $1, $2) }
-        END {
-            for (i = 1; i <= NR; i++)
-                print lines[i] (i < NR ? "," : "")
-            print "}"
-        }' "$1"
+    # `_host` first, then one `"id": median_ns` row per TSV line.
+    awk -F'\t' -v host="$(host_id)" '
+        BEGIN { printf "{\n  \"_host\": \"%s\"", host }
+        { printf ",\n  \"%s\": %s", $1, $2 }
+        END { print "\n}" }' "$1"
 }
 
 snapshot_one() {
@@ -75,8 +93,8 @@ snapshot_one() {
     tsv=$(mktemp)
     run_quick_benches "$tsv" "$@"
     tsv_to_json "$tsv" > "$json"
+    echo "wrote $json ($(wc -l < "$tsv") benches on $(host_id))"
     rm -f "$tsv"
-    echo "wrote $json ($(grep -c '":' "$json") benches)"
 }
 
 bench_snapshot() {
@@ -93,6 +111,13 @@ check_one() {
     local json=$1 limit=$2
     shift 2
     [[ -f "$json" ]] || { echo "bench-check: no committed $json"; exit 1; }
+    local host snap
+    host=$(host_id)
+    snap=$(snapshot_host "$json")
+    if [[ "$snap" != "$host" ]]; then
+        echo "bench-check: $json: snapshot from ${snap:-an unrecorded host}, this host is $host"
+        exit 1
+    fi
     local tsv
     tsv=$(mktemp)
     run_quick_benches "$tsv" "$@"
@@ -105,6 +130,7 @@ check_one() {
             gsub(/^[ ]*"|",?$/, "", line)
             split(line, kv, /": /)
             id = kv[1]; old = kv[2] + 0
+            if (id == "_host") next
             if (!(id in fresh)) { printf "  retired   %-40s (baseline %.0f ns)\n", id, old; next }
             new = fresh[id] + 0
             ratio = (old > 0) ? new / old : 1
@@ -188,7 +214,7 @@ echo "== cargo doc -D warnings =="
 # name is renamed or deleted.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
     --exclude bytes --exclude criterion --exclude parking_lot --exclude proptest \
-    --exclude rand --exclude serde --exclude serde_derive
+    --exclude rand
 
 echo "== cargo test =="
 cargo test --workspace -q

@@ -222,11 +222,6 @@ impl Sapk {
         }
         Ok(Sapk { sections })
     }
-
-    /// Total encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        10 + 1 + self.sections.len() * 9 + self.sections.iter().map(|s| s.data.len()).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +240,6 @@ mod tests {
     fn roundtrip() {
         let apk = sample();
         let bytes = apk.encode();
-        assert_eq!(bytes.len(), apk.encoded_len());
         let back = Sapk::decode(&bytes).unwrap();
         assert_eq!(apk, back);
     }

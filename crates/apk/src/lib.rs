@@ -53,14 +53,12 @@
 //! let bytes = dex.encode();
 //! let back = Dex::decode(&bytes).unwrap();
 //! assert_eq!(back.classes().len(), 1);
-//! assert!(wla_apk::disasm::disassemble(&back).contains("invoke-virtual"));
 //! ```
 
 #![deny(unsafe_code)]
 
 pub mod container;
 pub mod corrupt;
-pub mod disasm;
 pub mod error;
 pub mod names;
 pub mod sdex;

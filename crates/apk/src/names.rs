@@ -81,24 +81,6 @@ pub fn to_source_name(binary_name: &str) -> String {
     binary_name.replace(['/', '$'], ".")
 }
 
-/// Whether a dotted package name follows Java naming conventions well enough
-/// to attribute to an SDK: at least two segments, each starting with a
-/// lowercase letter and containing only `[a-z0-9_]`. Obfuscated packages
-/// (`a.b.c`, single letters) pass this check too — the paper handles them as
-/// a separate "obfuscated" label, which `wla-sdk-index` assigns.
-pub fn is_conventional_package(pkg: &str) -> bool {
-    let segments: Vec<&str> = pkg.split('.').collect();
-    if segments.len() < 2 {
-        return false;
-    }
-    segments.iter().all(|s| {
-        !s.is_empty()
-            && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-            && s.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,16 +118,6 @@ mod tests {
     #[test]
     fn source_names() {
         assert_eq!(to_source_name("com/foo/Baz$Inner"), "com.foo.Baz.Inner");
-    }
-
-    #[test]
-    fn conventional_packages() {
-        assert!(is_conventional_package("com.applovin.adview"));
-        assert!(is_conventional_package("a.b.c"));
-        assert!(!is_conventional_package("single"));
-        assert!(!is_conventional_package("Com.Upper"));
-        assert!(!is_conventional_package("com..empty"));
-        assert!(!is_conventional_package("com.1digitfirst"));
     }
 
     #[test]

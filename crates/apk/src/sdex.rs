@@ -456,11 +456,6 @@ impl Dex {
         self.string(self.methods[id.0 as usize].name)
     }
 
-    /// Method descriptor for `id`.
-    pub fn method_descriptor(&self, id: MethodId) -> &str {
-        self.string(self.methods[id.0 as usize].descriptor)
-    }
-
     /// Number of entries in the method table.
     pub fn method_count(&self) -> usize {
         self.methods.len()

@@ -13,7 +13,6 @@ use wla_core::wla_callgraph::oracle::{
 use wla_core::wla_callgraph::reach::{
     reachable_methods, record_web_calls, record_web_calls_with, ReachScratch,
 };
-use wla_core::wla_callgraph::scc::strongly_connected_components;
 use wla_core::wla_callgraph::{entry_points, CallGraph};
 use wla_core::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use wla_core::wla_corpus::lowering::lower;
@@ -199,9 +198,6 @@ fn bench(c: &mut Criterion) {
                 &mut labels,
             )
         })
-    });
-    group.bench_function("scc_tarjan", |b| {
-        b.iter(|| strongly_connected_components(black_box(&graph)))
     });
     group.bench_function("record_whole_graph_scan", |b| {
         let mut lexicon = LocalInterner::new();

@@ -33,7 +33,6 @@ pub mod graph;
 pub mod oracle;
 pub mod provenance_oracle;
 pub mod reach;
-pub mod scc;
 
 pub use entrypoints::entry_points;
 pub use graph::{annotate_provenance, BuildStats, CallGraph, CallSite, Provenance, UrlOrigin};
@@ -42,4 +41,3 @@ pub use reach::{
     record_web_calls, record_web_calls_with, CallGraphCounters, CtSite, ReachScratch,
     WebCallRecord, WebViewSite,
 };
-pub use scc::{graph_shape, strongly_connected_components, GraphShape};

@@ -1,18 +1,22 @@
-//! Per-experiment builders: one function per table/figure of the paper.
+//! Per-experiment builders: one function per table/figure of the paper,
+//! plus the two methodology studies ([`ablation`], [`whatif`]).
 //!
 //! Each returns an [`Experiment`]: the reproduced artifact (table and/or
 //! rendered figure blocks) plus a paper-vs-measured [`Comparison`]. The
-//! `exp_*` binaries in `wla-bench` are thin wrappers over these, and
-//! EXPERIMENTS.md is generated from their output.
+//! `wla` binary prints them (`wla static`, `funnel`, `dynamic`, `crawl`,
+//! `ablation`, `whatif`, `all`), and EXPERIMENTS.md is generated from its
+//! output.
 
 use crate::paper;
 use crate::stats::url_origin_table;
 use crate::study::{CrawlRun, DynamicRun, FunnelRun, StaticRun, Study};
 use wla_corpus::ecosystem::named_top_apps;
+use wla_corpus::{CorpusConfig, EcosystemParams, Generator};
 use wla_crawler::loadtime::{figure7_series, LoadContext, LoadMode};
 use wla_crawler::EndpointKind;
 use wla_report::{bar_chart, heatmap, percent, thousands, Comparison, Series, Table};
 use wla_sdk_index::SdkCategory;
+use wla_static::{aggregate, run_pipeline, PipelineConfig};
 
 /// One reproduced experiment.
 #[derive(Debug)]
@@ -786,6 +790,120 @@ pub fn fig7() -> Experiment {
         table: t,
         comparison: c,
         figures: vec![chart],
+    }
+}
+
+/// Methodology ablation: what the two §3.1.3 filters buy. Compares the
+/// proper pipeline against a variant that does not exclude deep-link
+/// (first-party) activities and one that counts every call site without
+/// entry-point reachability. The paper reports neither variant, so the
+/// comparison is empty.
+pub fn ablation(study: &Study, run: &StaticRun) -> Experiment {
+    let r = &run.results;
+    let mut t = Table::new(
+        "Ablation: WebView-app count under weakened pipelines (rescaled)",
+        &["Pipeline variant", "Apps using WebViews", "Inflation"],
+    );
+    let base = r.webview_apps;
+    let rows = [
+        ("Full pipeline (paper's method)", base),
+        (
+            "No deep-link (first-party) exclusion",
+            r.webview_apps_without_deeplink_exclusion,
+        ),
+        (
+            "No entry-point reachability (whole-graph scan)",
+            r.webview_apps_without_reachability,
+        ),
+    ];
+    for (name, n) in rows {
+        let inflation = if base > 0 {
+            format!("{:+.1}%", (n as f64 / base as f64 - 1.0) * 100.0)
+        } else {
+            "n/a".into()
+        };
+        t.row_owned(vec![
+            name.to_owned(),
+            thousands(study.rescale(n)),
+            inflation,
+        ]);
+    }
+    let dead_code = format!(
+        "dead-code call sites the traversal discarded: {} (×{} ≈ {})",
+        r.unreachable_sites_discarded,
+        study.scale,
+        thousands(study.rescale(r.unreachable_sites_discarded))
+    );
+    Experiment {
+        id: "ablation",
+        table: t,
+        comparison: Comparison::new("ablation"),
+        figures: vec![dead_code],
+    }
+}
+
+/// Recommendation-impact what-if (§5): how the ecosystem's WebView/CT
+/// shares move if the SDK classes the paper calls out migrate to Custom
+/// Tabs. Generates and analyzes four corpora at the study's scale and
+/// seed: the baseline; sensitive flows (Payments + Authentication +
+/// Social, the paper's explicit recommendation) migrated; ad SDKs
+/// migrated (the Partial-CT future-work direction); and both. The paper
+/// measures none of these, so the comparison is empty.
+pub fn whatif(study: &Study) -> Experiment {
+    use SdkCategory::{Advertising, Authentication, Payments, Social};
+    let migrated = |categories: &[SdkCategory]| {
+        EcosystemParams::default().simulate_ct_migration(categories, 1.0)
+    };
+    let scenarios = [
+        (
+            "Baseline (paper's 2023 ecosystem)",
+            EcosystemParams::default(),
+        ),
+        (
+            "Payments+Auth+Social migrate (the paper's recommendation)",
+            migrated(&[Payments, Authentication, Social]),
+        ),
+        (
+            "Ad SDKs migrate (Partial-CT future work)",
+            migrated(&[Advertising]),
+        ),
+        (
+            "Both migrations",
+            migrated(&[Payments, Authentication, Social, Advertising]),
+        ),
+    ];
+
+    let mut t = Table::new(
+        "What-if: ecosystem shares after CT migrations",
+        &["Scenario", "WebView apps", "CT apps", "Both"],
+    );
+    for (name, params) in scenarios {
+        let cfg = CorpusConfig {
+            scale: study.scale,
+            seed: study.seed,
+            params,
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&study.catalog, cfg).generate();
+        let out = run_pipeline(&apps, &study.catalog, PipelineConfig::default());
+        let r = aggregate(&out, &study.catalog, 1);
+        let share = |apps: usize| percent(apps as f64 / r.analyzed as f64);
+        t.row_owned(vec![
+            name.to_owned(),
+            share(r.webview_apps),
+            share(r.ct_apps),
+            share(r.both_apps),
+        ]);
+    }
+    let note = "baseline reference (paper): WebView 55.7%, CT ~20%, both ~15%.\n\
+                WebView share that remains after all migrations is the legitimate\n\
+                residue the paper identifies: engagement measurement, dev tools,\n\
+                user support, hybrid apps, and first-party content.";
+    Experiment {
+        id: "whatif",
+        table: t,
+        comparison: Comparison::new("whatif"),
+        figures: vec![note.to_owned()],
     }
 }
 

@@ -27,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cli;
 pub mod experiments;
 pub mod paper;
 pub mod service;

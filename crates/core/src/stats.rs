@@ -1,5 +1,5 @@
-//! Run-stats rendering: the tables `wla` and the `exp_*` binaries print
-//! after a run, drawn straight from the counters the runners fill —
+//! Run-stats rendering: the tables `wla` prints beside the paper's
+//! artifacts, drawn straight from the counters the runners fill —
 //! [`PipelineStats`], [`CrawlStats`], [`ServerStatsSnapshot`] and
 //! [`UrlOriginCensus`]. A new counter needs its field on the runner struct
 //! and one row here; the benchmark reads the same structs, so the rendered

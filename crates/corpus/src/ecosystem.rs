@@ -20,11 +20,11 @@
 //! * **Direct (non-SDK) usage** adds first-party WebView/CT code with
 //!   probabilities chosen so Table 7's totals (81,720 WebView apps, 29,130
 //!   CT apps) emerge after the union with SDK-driven usage.
-//! * **Method profiles**: each SDK has a fixed set of WebView API methods
-//!   its bytecode calls (hand-assigned for the SDKs the paper names,
-//!   deterministically sampled per SDK category otherwise — Figure 4's
-//!   conditional pattern), and direct users sample methods from Table 7's
-//!   residual marginals.
+//! * **Method profiles**: each app draws one WebView method set per SDK
+//!   category it uses, from [`category_method_probs`] (SDKs ship modular
+//!   artifacts, so which methods are reachable varies per integrating
+//!   app — Figure 4's conditional pattern), and direct users sample
+//!   methods from Table 7's residual marginals.
 //! * **App-category effects** (Figure 3): per-Play-category multipliers on
 //!   pool adoption (education: fewer ads, more payments; games: more
 //!   CT-social; finance: more payments).
@@ -33,7 +33,6 @@ use crate::distributions::{coin, weighted_index};
 use crate::playstore::{AppMeta, PlayCategory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use wla_sdk_index::{Sdk, SdkCategory, SdkIndex};
 
 /// The seven WebView content methods of Table 7, in table order.
@@ -65,7 +64,7 @@ pub const M_LOAD_DATA: usize = 5;
 pub const M_POST_URL: usize = 6;
 
 /// A set of WebView content methods, one bit per [`METHODS`] index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MethodSet(pub u8);
 
 impl MethodSet {
@@ -118,7 +117,7 @@ impl MethodSet {
 /// only one of the code paths (SDKs ship modular artifacts and release
 /// builds shrink unused code), which is how the paper can observe NAVER's
 /// WebView path in 406 apps but its CT path in only 157.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdkUse {
     /// Index into the [`SdkIndex`] catalog.
     pub sdk_idx: usize,
@@ -131,7 +130,7 @@ pub struct SdkUse {
 /// First-party deep-link hosting: the app has an exported BROWSABLE
 /// activity for `host`; if `uses_webview`, that activity renders the
 /// content in a WebView — *first-party* usage the pipeline must exclude.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeepLinkSpec {
     /// Verified web host.
     pub host: String,
@@ -141,7 +140,7 @@ pub struct DeepLinkSpec {
 
 /// Ground truth for one generated app. The static pipeline never sees this
 /// struct — it is retained so tests can check what the pipeline recovers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Play metadata.
     pub meta: AppMeta,
@@ -255,7 +254,7 @@ pub fn sample_category_methods<R: Rng + ?Sized>(rng: &mut R, category: SdkCatego
 
 /// UGC surfaces where a user can encounter a link (Table 8's "WebView Via"
 /// column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UgcSurface {
     /// Feed post.
     Post,
@@ -270,7 +269,7 @@ pub enum UgcSurface {
 }
 
 /// What happens when a user taps an external link (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkBehavior {
     /// A Web URI intent reaches the default browser — Android's default.
     OpensBrowser,
@@ -281,7 +280,7 @@ pub enum LinkBehavior {
 }
 
 /// Why an app could not be classified during the manual top-1K analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessGate {
     /// Registration demanded a phone number (24 apps).
     PhoneNumber,
@@ -292,7 +291,7 @@ pub enum AccessGate {
 }
 
 /// Ground truth for one top-1K app in the dynamic study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopAppSpec {
     /// Display name ("Facebook", or a generated one).
     pub name: String,
@@ -314,7 +313,7 @@ pub struct TopAppSpec {
 
 /// All calibration constants. Defaults encode the paper's numbers; fields
 /// are public so experiments can perturb them (sensitivity analyses).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcosystemParams {
     /// Analyzed-corpus size the probabilities are normalized by.
     pub population: u64,
@@ -436,90 +435,6 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// The WebView API methods an SDK's bytecode calls.
-///
-/// Hand-assigned for SDKs the paper names or characterizes (e.g. all user
-/// support SDKs call `loadDataWithBaseURL`; ad mediation SDKs expose JS
-/// bridges); other SDKs get a deterministic per-category draw so Figure 4's
-/// conditional method pattern emerges from the population.
-pub fn sdk_wv_methods(sdk: &Sdk) -> MethodSet {
-    if !sdk.mechanism.uses_webview() {
-        return MethodSet::EMPTY;
-    }
-    let mut set = MethodSet::EMPTY;
-    let named: Option<&[usize]> = match sdk.name.as_str() {
-        "AppLovin" => Some(&[
-            M_LOAD_URL,
-            M_ADD_JS_IFACE,
-            M_LOAD_DATA_BASE,
-            M_EVAL_JS,
-            M_REMOVE_JS_IFACE,
-        ]),
-        "ironSource" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_LOAD_DATA_BASE, M_EVAL_JS]),
-        "ByteDance" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_EVAL_JS, M_REMOVE_JS_IFACE]),
-        "InMobi" => Some(&[M_LOAD_URL, M_LOAD_DATA_BASE, M_ADD_JS_IFACE]),
-        "Digital Turbine" => Some(&[M_LOAD_URL, M_LOAD_DATA_BASE]),
-        "AdColony" => Some(&[M_LOAD_URL, M_LOAD_DATA_BASE, M_EVAL_JS]),
-        "Open Measurement" => Some(&[M_EVAL_JS, M_ADD_JS_IFACE, M_LOAD_DATA_BASE]),
-        "SafeDK" => Some(&[M_LOAD_URL, M_EVAL_JS]),
-        "Flutter" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_EVAL_JS]),
-        "InAppWebView" => Some(&[
-            M_LOAD_URL,
-            M_ADD_JS_IFACE,
-            M_EVAL_JS,
-            M_LOAD_DATA_BASE,
-            M_LOAD_DATA,
-            M_POST_URL,
-        ]),
-        // §4.1.5: every user-support SDK loads local data; fewer loadUrl.
-        "Zendesk" | "Freshchat" => Some(&[M_LOAD_DATA_BASE, M_LOAD_URL, M_ADD_JS_IFACE]),
-        "LicensesDialog" | "Intercom" => Some(&[M_LOAD_DATA_BASE]),
-        // §4.1.4: payment checkouts; ~48.5% expose a bridge.
-        "Stripe" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_EVAL_JS, M_POST_URL]),
-        "RazorPay" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_POST_URL]),
-        "PayTM" => Some(&[M_LOAD_URL, M_POST_URL]),
-        "VK" | "Kakao" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE]),
-        "NAVER" => Some(&[M_LOAD_URL]),
-        "Gigya" => Some(&[M_LOAD_URL, M_ADD_JS_IFACE, M_EVAL_JS]),
-        _ => None,
-    };
-    if let Some(idx) = named {
-        for &i in idx {
-            set.insert(i);
-        }
-        return set;
-    }
-
-    // Per-category method probabilities (Figure 4's row patterns).
-    let p: [f64; 7] = match sdk.category {
-        SdkCategory::Advertising => [0.95, 0.45, 0.50, 0.35, 0.25, 0.02, 0.05],
-        SdkCategory::Engagement => [0.30, 0.60, 0.30, 0.70, 0.30, 0.02, 0.00],
-        SdkCategory::DevelopmentTools => [0.95, 0.60, 0.40, 0.50, 0.20, 0.10, 0.05],
-        SdkCategory::Payments => [0.90, 0.485, 0.30, 0.30, 0.15, 0.05, 0.30],
-        SdkCategory::UserSupport => [0.459, 0.30, 1.00, 0.25, 0.10, 0.05, 0.00],
-        SdkCategory::Social => [0.95, 0.40, 0.20, 0.30, 0.15, 0.02, 0.02],
-        SdkCategory::Utility => [0.90, 0.40, 0.40, 0.30, 0.10, 0.10, 0.02],
-        SdkCategory::Authentication => [0.95, 0.35, 0.15, 0.30, 0.10, 0.02, 0.05],
-        SdkCategory::HybridFunctionality => [0.95, 0.80, 0.60, 0.60, 0.30, 0.20, 0.05],
-        SdkCategory::Unknown => [0.80, 0.40, 0.35, 0.30, 0.15, 0.10, 0.05],
-    };
-    let mut rng = StdRng::seed_from_u64(fnv1a(&sdk.name) ^ 0xD06F_00D5);
-    for (i, &pi) in p.iter().enumerate() {
-        if coin(&mut rng, pi) {
-            set.insert(i);
-        }
-    }
-    // removeJavascriptInterface implies addJavascriptInterface.
-    if set.contains(M_REMOVE_JS_IFACE) {
-        set.insert(M_ADD_JS_IFACE);
-    }
-    // An SDK with a WebView path must call at least one content method.
-    if set.is_empty() {
-        set.insert(M_LOAD_URL);
-    }
-    set
 }
 
 /// Whether an SDK's WebView path goes through its own `extends WebView`
@@ -1082,33 +997,14 @@ mod tests {
     }
 
     #[test]
-    fn sdk_methods_deterministic() {
-        let cat = catalog();
-        for sdk in cat.sdks() {
-            assert_eq!(sdk_wv_methods(sdk), sdk_wv_methods(sdk), "{}", sdk.name);
-            if sdk.mechanism.uses_webview() {
-                assert!(!sdk_wv_methods(sdk).is_empty(), "{}", sdk.name);
-            } else {
-                assert!(sdk_wv_methods(sdk).is_empty(), "{}", sdk.name);
-            }
-        }
-    }
-
-    #[test]
-    fn user_support_sdks_all_load_local_data() {
+    fn user_support_apps_all_load_local_data() {
         // §4.1.5: "all apps using WebViews for user support load local data
-        // into the WebView using the loadDataWithBaseURL method".
-        let cat = catalog();
-        for sdk in cat
-            .sdks()
-            .iter()
-            .filter(|s| s.category == SdkCategory::UserSupport)
-        {
-            assert!(
-                sdk_wv_methods(sdk).contains(M_LOAD_DATA_BASE),
-                "{}",
-                sdk.name
-            );
+        // into the WebView using the loadDataWithBaseURL method". The
+        // generator draws every app's user-support method set here.
+        let mut rng = StdRng::seed_from_u64(7);
+        for draw in 0..2_000 {
+            let set = sample_category_methods(&mut rng, SdkCategory::UserSupport);
+            assert!(set.contains(M_LOAD_DATA_BASE), "draw {draw}: {set:?}");
         }
     }
 

@@ -7,12 +7,11 @@ use crate::lowering::lower;
 use crate::playstore::{AppMeta, PlayCategory, CUTOFF_2021, SNAPSHOT_DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use wla_apk::corrupt::{corrupt, CorruptionKind};
 use wla_sdk_index::SdkIndex;
 
 /// Configuration for corpus generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Scale divisor: the corpus holds `146,800 / scale` apps. `scale = 1`
     /// is the paper's full corpus; tests use 1000, experiments 100.

@@ -9,7 +9,6 @@
 use crate::distributions::{coin, log10_downloads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Days between 2020-01-01 (our epoch) and the AndroZoo snapshot date
 /// (2023-01-13).
@@ -19,7 +18,7 @@ pub const CUTOFF_2021: u32 = 366;
 
 /// Google Play app categories (the subset that covers the paper's Figure 3
 /// top-10 charts plus the long tail).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum PlayCategory {
     Education,
@@ -166,7 +165,7 @@ impl PlayCategory {
 }
 
 /// Metadata for one app, as scraped from the Play Store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppMeta {
     /// Application package name.
     pub package: String,
@@ -182,7 +181,7 @@ pub struct AppMeta {
 }
 
 /// The §3.1.1 selection filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterSpec {
     /// Minimum download count (paper: 100K).
     pub min_downloads: u64,
@@ -212,7 +211,7 @@ impl FilterSpec {
 }
 
 /// Calibration for the metadata universe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniverseConfig {
     /// Total AndroZoo Play apps to generate.
     pub total_apps: u64,

@@ -108,13 +108,6 @@ pub struct ShardEntry {
     len: u64,
 }
 
-impl ShardEntry {
-    /// Container size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.len
-    }
-}
-
 /// An open shard: parsed entry table plus the one buffer holding the
 /// whole file, which every container window aliases.
 #[derive(Debug)]

@@ -6,13 +6,12 @@
 //! calls the *site itself* makes and (b) how much IAB-injected machinery
 //! activates (Figure 6's x-axis effect).
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wla_device::webview::{PageSource, PreparedPage};
 use wla_web::Document;
 
 /// Site categories (Sitereview-style; the x-axis of Figures 6a/6b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SiteCategory {
     /// News sites — richest pages.
     News,
@@ -93,7 +92,7 @@ impl SiteCategory {
 }
 
 /// One crawled site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopSite {
     /// CrUX-style rank (1-based).
     pub rank: u32,

@@ -58,16 +58,6 @@ impl Logcat {
         self.lines.lock().clone()
     }
 
-    /// Lines whose tag matches.
-    pub fn lines_for(&self, tag: &str) -> Vec<LogLine> {
-        self.lines
-            .lock()
-            .iter()
-            .filter(|l| l.tag == tag)
-            .cloned()
-            .collect()
-    }
-
     /// Does any line mention `needle`? (The manual workflow greps logs for
     /// intent launches.)
     pub fn contains(&self, needle: &str) -> bool {
@@ -93,7 +83,6 @@ mod tests {
         );
         log.log(Priority::Warn, "WebView", "loading without safe browsing");
         assert_eq!(log.lines().len(), 2);
-        assert_eq!(log.lines_for("WebView").len(), 1);
         assert!(log.contains("android.intent.action.VIEW"));
         assert!(!log.contains("missing"));
     }

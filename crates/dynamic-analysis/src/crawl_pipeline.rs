@@ -220,15 +220,6 @@ impl CrawlOutput {
     pub fn figure_for(&self, app_name: &str) -> Option<&Vec<Figure6Row>> {
         self.figures.get(app_name)
     }
-
-    /// Resolve one record's hosts to strings (display/test helper).
-    pub fn resolve_hosts(&self, record: &VisitRecord) -> Vec<&str> {
-        record
-            .hosts
-            .iter()
-            .map(|&h| self.symbols.resolve(h))
-            .collect()
-    }
 }
 
 /// One crawl worker's private state: its lexicon plus the memos that keep

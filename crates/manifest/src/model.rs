@@ -2,11 +2,10 @@
 //! the pipeline performs on it.
 
 use crate::{ACTION_VIEW, CATEGORY_BROWSABLE};
-use serde::{Deserialize, Serialize};
 
 /// The four Android component kinds — any of them "can serve as the initial
 /// point of interaction or entry point" (§3.1.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// UI screen with lifecycle callbacks (`onCreate` …).
     Activity,
@@ -42,7 +41,7 @@ impl ComponentKind {
 
 /// An `<intent-filter>`: the actions, categories, and data specs a component
 /// declares it can handle.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IntentFilter {
     /// `<action android:name=…>` values.
     pub actions: Vec<String>,
@@ -75,7 +74,7 @@ impl IntentFilter {
 }
 
 /// One declared component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Component kind.
     pub kind: ComponentKind,
@@ -111,7 +110,7 @@ impl Component {
 }
 
 /// A parsed application manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Manifest {
     /// Application package (`com.example.app`).
     pub package: String,

@@ -147,19 +147,6 @@ impl NetLog {
             .collect()
     }
 
-    /// Visit the host of every `RequestSent` event for one source, in
-    /// capture order, without materializing an owned host set — the
-    /// allocation-free path the interned crawl pipeline consumes.
-    pub fn for_each_request_host(&self, source_id: u32, mut f: impl FnMut(&str)) {
-        for e in self.inner.lock().events.iter() {
-            if e.source_id == source_id && e.phase == NetLogPhase::RequestSent {
-                if let Some(host) = host_of(&e.url) {
-                    f(host);
-                }
-            }
-        }
-    }
-
     /// Visit the shared URL of every `RequestSent` event for one source,
     /// in capture order. Prepared-page and endpoint-rule URLs are one
     /// `Arc` shared across every visit that fetches them, so callers can
@@ -293,15 +280,15 @@ mod tests {
     }
 
     #[test]
-    fn for_each_request_host_sees_sent_only() {
+    fn for_each_request_url_sees_sent_only() {
         let log = NetLog::new();
         log.record(1, "https://a.x.com/1", NetLogPhase::RequestSent);
         log.record(1, "https://a.x.com/2", NetLogPhase::ResponseReceived);
         log.record(2, "https://other.com/", NetLogPhase::RequestSent);
         log.record(1, "https://b.x.com/", NetLogPhase::RequestSent);
         let mut seen = Vec::new();
-        log.for_each_request_host(1, |h| seen.push(h.to_owned()));
-        assert_eq!(seen, vec!["a.x.com".to_owned(), "b.x.com".to_owned()]);
+        log.for_each_request_url(1, |u| seen.push(u.to_string()));
+        assert_eq!(seen, ["https://a.x.com/1", "https://b.x.com/"]);
     }
 
     #[test]

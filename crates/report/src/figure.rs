@@ -1,4 +1,4 @@
-//! Figure rendering: series → CSV, ASCII bar charts, and text heatmaps.
+//! Figure rendering: ASCII bar charts and text heatmaps.
 
 /// A named series of (label, value) points.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,30 +28,6 @@ impl Series {
     pub fn max(&self) -> f64 {
         self.points.iter().map(|(_, v)| *v).fold(0.0, f64::max)
     }
-}
-
-/// Render several series (sharing labels) as CSV: `label,series1,series2…`.
-pub fn series_csv(series: &[Series]) -> String {
-    let mut out = String::from("label");
-    for s in series {
-        out.push(',');
-        out.push_str(&s.name);
-    }
-    out.push('\n');
-    let labels: Vec<&String> = series
-        .first()
-        .map(|s| s.points.iter().map(|(l, _)| l).collect())
-        .unwrap_or_default();
-    for (i, label) in labels.iter().enumerate() {
-        out.push_str(label);
-        for s in series {
-            out.push(',');
-            let v = s.points.get(i).map(|(_, v)| *v).unwrap_or(f64::NAN);
-            out.push_str(&format!("{v:.3}"));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Horizontal ASCII bar chart for one series.
@@ -125,23 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_output() {
-        let csv = series_csv(&[series()]);
-        assert!(csv.starts_with("label,endpoints\n"));
-        assert!(csv.contains("News,7.000"));
-        assert!(csv.contains("Search,2.000"));
-    }
-
-    #[test]
-    fn csv_multi_series() {
-        let mut s2 = Series::new("trackers");
-        s2.point("News", 2.5).point("Search", 0.5);
-        let csv = series_csv(&[series(), s2]);
-        assert!(csv.contains("label,endpoints,trackers"));
-        assert!(csv.contains("News,7.000,2.500"));
-    }
-
-    #[test]
     fn bar_chart_scales() {
         let chart = bar_chart(&series(), 20);
         let news_line = chart.lines().find(|l| l.contains("News")).unwrap();
@@ -169,6 +128,5 @@ mod tests {
         let s = Series::new("empty");
         assert_eq!(s.max(), 0.0);
         let _ = bar_chart(&s, 10);
-        let _ = series_csv(&[s]);
     }
 }

@@ -1,12 +1,10 @@
-//! Minimal JSON emission for downstream plotting.
+//! Minimal JSON emission for `wla --json` result snapshots.
 //!
-//! The approved crate set has `serde` but not `serde_json`, and the only
-//! need is *writing* result snapshots, so this is a small hand-rolled
-//! emitter: correct string escaping, stable field order, no parsing.
+//! The only need is *writing* comparisons, so this is a small hand-rolled
+//! emitter with no dependency: correct string escaping, stable field
+//! order, no parsing.
 
 use crate::compare::Comparison;
-use crate::figure::Series;
-use crate::table::Table;
 use std::fmt::Write as _;
 
 /// Escape a string for a JSON string literal (without the quotes).
@@ -42,31 +40,6 @@ pub fn number(v: f64) -> String {
     }
 }
 
-/// A [`Series`] list as `[{name, points: [{label, value}]}]`.
-pub fn series_json(series: &[Series]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"name\":\"{}\",\"points\":[", escape(&s.name));
-        for (j, (label, value)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":\"{}\",\"value\":{}}}",
-                escape(label),
-                number(*value)
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
-}
-
 /// A [`Comparison`] as `{experiment, tolerance, rows: [...]}`.
 pub fn comparison_json(c: &Comparison) -> String {
     let mut out = format!(
@@ -90,21 +63,6 @@ pub fn comparison_json(c: &Comparison) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// A [`Table`] as `{title, headers, rows}`.
-pub fn table_json(t: &Table) -> String {
-    let string_array = |items: &[String]| {
-        let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", escape(c))).collect();
-        format!("[{}]", cells.join(","))
-    };
-    let rows: Vec<String> = t.rows.iter().map(|r| string_array(r)).collect();
-    format!(
-        "{{\"title\":\"{}\",\"headers\":{},\"rows\":[{}]}}",
-        escape(&t.title),
-        string_array(&t.headers),
-        rows.join(",")
-    )
 }
 
 #[cfg(test)]
@@ -154,17 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn series_emission() {
-        let mut s = Series::new("endpoints \"rich\"");
-        s.point("News", 7.0).point("Search", 2.5);
-        let json = series_json(&[s]);
-        assert!(balanced(&json), "{json}");
-        assert!(json.contains("\"name\":\"endpoints \\\"rich\\\"\""));
-        assert!(json.contains("{\"label\":\"News\",\"value\":7}"));
-        assert!(json.contains("{\"label\":\"Search\",\"value\":2.5}"));
-    }
-
-    #[test]
     fn comparison_emission() {
         let mut c = Comparison::new("table7");
         c.add("Apps using WebViews", 81_720.0, 81_950.0);
@@ -176,19 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn table_emission() {
-        let mut t = Table::new("T, with comma", &["a", "b"]);
-        t.row(&["x", "line\nbreak"]);
-        let json = table_json(&t);
-        assert!(balanced(&json), "{json}");
-        assert!(json.contains("line\\nbreak"));
-    }
-
-    #[test]
     fn empty_structures() {
-        assert_eq!(series_json(&[]), "[]");
-        let t = Table::new("t", &[]);
-        assert!(balanced(&table_json(&t)));
         let c = Comparison::new("e");
         assert!(balanced(&comparison_json(&c)));
     }

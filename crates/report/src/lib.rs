@@ -1,12 +1,12 @@
 //! # wla-report — tables, figures, and paper-vs-measured comparisons
 //!
-//! Rendering layer shared by the experiment binaries: ASCII/markdown
-//! tables shaped like the paper's, CSV series for figures, text heatmaps
-//! (Figure 4), horizontal bar charts (Figures 6/7), a JSON emitter, and
-//! comparison tables recording paper value vs measured value with
-//! relative error. It depends on no other workspace crate: the run-stats
-//! tables are built in `wla-core::stats`, straight from the runners'
-//! counter structs, out of these pieces.
+//! Rendering layer behind every `wla` command: ASCII tables shaped like
+//! the paper's, text heatmaps (Figure 4), horizontal bar charts
+//! (Figures 6/7), the JSON emitter behind `wla --json`, and comparison
+//! tables recording paper value vs measured value with relative error.
+//! It depends on no other crate: the run-stats tables are built in
+//! `wla-core::stats`, straight from the runners' counter structs, out of
+//! these pieces.
 
 #![forbid(unsafe_code)]
 

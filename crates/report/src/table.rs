@@ -1,4 +1,4 @@
-//! ASCII / markdown table rendering.
+//! ASCII table rendering.
 
 /// A rectangular table with a title.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,50 +108,6 @@ impl Table {
         out.push('\n');
         out
     }
-
-    /// Render as GitHub-flavored markdown.
-    pub fn render_markdown(&self) -> String {
-        let cols = self.column_count();
-        let mut out = format!("**{}**\n\n", self.title);
-        let headers: Vec<&str> = (0..cols)
-            .map(|i| self.headers.get(i).map(String::as_str).unwrap_or(""))
-            .collect();
-        out.push_str(&format!("| {} |\n", headers.join(" | ")));
-        out.push_str(&format!("|{}\n", " --- |".repeat(cols)));
-        for row in &self.rows {
-            let cells: Vec<&str> = (0..cols)
-                .map(|i| row.get(i).map(String::as_str).unwrap_or(""))
-                .collect();
-            out.push_str(&format!("| {} |\n", cells.join(" | ")));
-        }
-        out
-    }
-
-    /// Render as CSV.
-    pub fn render_csv(&self) -> String {
-        let escape = |cell: &str| {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -177,30 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn markdown_render() {
-        let md = sample().render_markdown();
-        assert!(md.starts_with("**Table 2: Dataset**"));
-        assert!(md.contains("| Dataset | No. of apps |"));
-        assert!(md.contains("| --- | --- |"));
-    }
-
-    #[test]
-    fn csv_render_escapes() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row(&["has,comma", "has \"quote\""]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has \"\"quote\"\"\""));
-    }
-
-    #[test]
     fn ragged_rows_padded() {
         let mut t = Table::new("t", &["a", "b", "c"]);
         t.row(&["only-one"]);
         let r = t.render();
-        assert!(r.contains("only-one"));
-        let md = t.render_markdown();
-        assert!(md.contains("| only-one |  |  |"));
+        assert!(r.contains("| only-one |   |   |"), "{r}");
     }
 
     #[test]

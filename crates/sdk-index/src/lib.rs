@@ -34,11 +34,10 @@
 pub mod catalog;
 pub mod trie;
 
-use serde::{Deserialize, Serialize};
 use wla_intern::PkgId;
 
 /// SDK functional categories — exactly the rows of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SdkCategory {
     /// In-app ad networks and mediation.
     Advertising,
@@ -112,7 +111,7 @@ impl SdkCategory {
 }
 
 /// Which web-content mechanism an SDK embeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WebMechanism {
     /// Uses `android.webkit.WebView` only.
     WebView,
@@ -135,7 +134,7 @@ impl WebMechanism {
 }
 
 /// One SDK catalog entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sdk {
     /// Display name ("AppLovin", "Google Firebase", …).
     pub name: String,

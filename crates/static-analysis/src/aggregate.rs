@@ -580,15 +580,14 @@ mod tests {
     #[test]
     fn heatmap_user_support_loads_local_data() {
         let (results, _) = study(200, 5);
-        if let Some(row) = results
+        let row = results
             .heatmap
             .iter()
             .find(|r| r.category == SdkCategory::UserSupport)
-        {
-            // Figure 4 / §4.1.5: all user-support apps call
-            // loadDataWithBaseURL (index 2).
-            assert!(row.method_fraction[2] > 0.99, "{:?}", row.method_fraction);
-        }
+            .expect("the 1:200 corpus has user-support apps");
+        // Figure 4 / §4.1.5: all user-support apps call
+        // loadDataWithBaseURL (index 2).
+        assert!(row.method_fraction[2] > 0.99, "{:?}", row.method_fraction);
     }
 
     #[test]

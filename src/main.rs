@@ -6,14 +6,18 @@
 //! wla dynamic                          run the §3.2 dynamic campaign
 //! wla crawl   [APP ...]                run the 100-site crawl (default: LinkedIn Kik)
 //! wla labels  [--scale N]              emit privacy nutrition labels
-//! wla all     [--scale N]              everything, with comparisons
+//! wla ablation [--scale N] [--seed N]  what the §3.1.3 filters remove
+//! wla whatif  [--scale N] [--seed N]   shares after §5's CT migrations
+//! wla all     [--scale N]              every paper artifact, with comparisons
 //! wla serve   [--port N] [--smoke]     analysis-as-a-service HTTP server
 //! ```
+//!
+//! Tables go to stdout; progress lines and run stats go to stderr.
 
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroU32;
-use whatcha_lookin_at::cli::flag_value;
+use std::str::FromStr;
 use whatcha_lookin_at::wla_device::iab::all_profiles;
 use whatcha_lookin_at::wla_report::thousands;
 use whatcha_lookin_at::wla_static::{
@@ -31,7 +35,12 @@ struct Args {
     rest: Vec<String>,
 }
 
-/// Parse `std::env::args`; a missing or unparsable flag value is an error.
+const USAGE: &str = "usage: wla <static|funnel|dynamic|crawl|labels|ablation|whatif|all|serve> \
+                     [--scale N] [--seed N] [--json] [--port N] [--smoke] [args…]";
+
+/// Parse `std::env::args`. A missing or unparsable flag value, an unknown
+/// flag, and a positional argument after any command but `crawl` are
+/// errors; `--help` prints the usage line to stdout and exits 0.
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
@@ -50,18 +59,29 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--port" => args.port = flag_value("--port", argv.next())?,
             "--smoke" => args.smoke = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            _ if arg.starts_with('-') => return Err(format!("unknown argument {arg:?}")),
             _ if args.command.is_empty() => args.command = arg,
-            _ => args.rest.push(arg),
+            _ if args.command == "crawl" => args.rest.push(arg),
+            _ => return Err(format!("unknown argument {arg:?}")),
         }
     }
     Ok(args)
 }
 
+/// The value following `flag`. A missing or unparsable value is an error
+/// naming the flag, never a silent default.
+fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let text = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("invalid value `{text}` for {flag}"))
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: wla <static|funnel|dynamic|crawl|labels|all|serve> \
-         [--scale N] [--seed N] [--json] [--port N] [--smoke] [args…]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -102,6 +122,7 @@ fn main() {
             let run = study.run_static();
             let funnel = study.run_funnel(&run);
             print_exp(&experiments::table2(&study, &funnel));
+            eprintln!("{}", stats::render_pipeline_stats(&run.stats));
         }
         "dynamic" => {
             let run = study.run_dynamic();
@@ -157,13 +178,22 @@ fn main() {
                 println!("{}", label.render());
             }
         }
+        "ablation" => {
+            eprintln!("running static pipeline at scale 1:{} …", study.scale);
+            let run = study.run_static();
+            print_exp(&experiments::ablation(&study, &run));
+        }
+        "whatif" => {
+            eprintln!("running four scenarios at scale 1:{} …", study.scale);
+            print_exp(&experiments::whatif(&study));
+        }
         "all" => {
             let static_run = study.run_static();
             let funnel = study.run_funnel(&static_run);
             let dynamic_run = study.run_dynamic();
             let crawl_run = study
                 .run_crawl_parallel(None, whatcha_lookin_at::wla_dynamic::CrawlConfig::default());
-            for exp in [
+            let all = [
                 experiments::table2(&study, &funnel),
                 experiments::table3(&study, &static_run),
                 experiments::table4(&study, &static_run),
@@ -176,8 +206,20 @@ fn main() {
                 experiments::fig4(&study, &static_run),
                 experiments::fig6(&crawl_run),
                 experiments::fig7(),
-            ] {
-                print_exp(&exp);
+            ];
+            for exp in &all {
+                print_exp(exp);
+            }
+            eprintln!("{}", stats::render_pipeline_stats(&static_run.stats));
+            eprintln!("{}", stats::render_crawl_stats(&crawl_run.stats));
+            eprintln!("=== Summary ===");
+            for exp in &all {
+                eprintln!(
+                    "{:8} {:>4.0}% of {:2} metrics within tolerance",
+                    exp.id,
+                    exp.comparison.match_fraction() * 100.0,
+                    exp.comparison.rows.len()
+                );
             }
         }
         "serve" => serve(&args),

@@ -1,5 +1,6 @@
 //! The `wla` binary from the outside: argument validation and what each
-//! command writes to which stream.
+//! command writes to which stream. `wla` is the one front end for every
+//! paper artifact, so these pin its whole surface.
 
 use std::process::{Command, Output};
 
@@ -10,26 +11,95 @@ fn wla(args: &[&str]) -> Output {
         .expect("spawn wla")
 }
 
-fn assert_usage_error(args: &[&str]) {
+/// Assert `wla args` is a usage error; returns its stderr.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = wla(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    stderr
 }
 
 #[test]
 fn zero_scale_is_a_usage_error() {
-    assert_usage_error(&["static", "--scale", "0"]);
-    assert_usage_error(&["all", "--scale", "0"]);
+    for command in ["static", "all", "ablation", "whatif"] {
+        assert_usage_error(&[command, "--scale", "0"]);
+    }
 }
 
 #[test]
 fn unparsable_or_missing_flag_values_are_usage_errors() {
-    assert_usage_error(&["static", "--scale", "abc"]);
-    assert_usage_error(&["static", "--scale"]);
-    assert_usage_error(&["static", "--seed", "abc"]);
+    for command in ["static", "ablation", "whatif"] {
+        assert_usage_error(&[command, "--scale", "abc"]);
+        assert_usage_error(&[command, "--scale"]);
+        assert_usage_error(&[command, "--seed", "abc"]);
+    }
     assert_usage_error(&["serve", "--port", "abc"]);
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_are_usage_errors() {
+    for (args, bad) in [
+        (&["static", "--scal", "4000"][..], "--scal"),
+        (&["static", "extra"], "extra"),
+        (&["all", "--scale", "4000", "-x"], "-x"),
+        (&["serve", "--smoke", "now"], "now"),
+        (&["crawl", "Kik", "--fast"], "--fast"),
+    ] {
+        let stderr = assert_usage_error(args);
+        assert!(
+            stderr.contains(&format!("wla: unknown argument \"{bad}\"")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = wla(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: wla "), "{flag}: {stdout}");
+        assert!(stdout.contains("|ablation|whatif|"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+    }
+}
+
+#[test]
+fn ablation_and_whatif_print_their_rows() {
+    for (command, rows) in [
+        (
+            "ablation",
+            &[
+                "| Full pipeline (paper's method) ",
+                "| No deep-link (first-party) exclusion ",
+                "| No entry-point reachability (whole-graph scan) ",
+                "\ndead-code call sites the traversal discarded: ",
+            ][..],
+        ),
+        (
+            "whatif",
+            &[
+                "| Baseline (paper's 2023 ecosystem) ",
+                "| Payments+Auth+Social migrate (the paper's recommendation) ",
+                "| Ad SDKs migrate (Partial-CT future work) ",
+                "| Both migrations ",
+            ],
+        ),
+    ] {
+        let out = wla(&[command, "--scale", "4000"]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("=== {command} ===\n")),
+            "{stdout}"
+        );
+        for row in rows {
+            assert!(stdout.contains(row), "{row}: {stdout}");
+        }
+    }
 }
 
 #[test]
@@ -48,4 +118,34 @@ fn static_prints_pipeline_stats_to_stderr_only() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("=== table3 ==="), "{stdout}");
     assert!(!stdout.contains("Pipeline run summary"), "{stdout}");
+}
+
+#[test]
+fn funnel_prints_pipeline_stats_to_stderr_only() {
+    let out = wla(&["funnel", "--scale", "4000"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("=== table2 ==="), "{stdout}");
+    assert!(!stdout.contains("Pipeline run summary"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("Pipeline run summary"), "{stderr}");
+}
+
+#[test]
+fn all_prints_run_stats_and_tolerance_summary_to_stderr_only() {
+    let out = wla(&["all", "--scale", "4000"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stdout.contains("=== table2 ==="), "{stdout}");
+    assert!(stdout.contains("=== fig7 ==="), "{stdout}");
+    for block in [
+        "Pipeline run summary",
+        "Crawl run summary",
+        "=== Summary ===",
+        "metrics within tolerance",
+    ] {
+        assert!(stderr.contains(block), "{block}: {stderr}");
+        assert!(!stdout.contains(block), "{block}: {stdout}");
+    }
 }
