@@ -6,8 +6,10 @@
 # the tests of the end-to-end benchmark package
 # (crates/bench/src/bin/benchmark), and the paper-scale streamed run (the
 # ignored `stream_equivalence` test in release: 73,400 apps at 1/2/4/8
-# workers plus a full resume pass, ~10 s once built — the one test that
-# takes the pipeline join and the resume cache through a 50K+ corpus).
+# workers plus a full resume pass, where at each worker count the in-memory
+# aggregate and the fold's (`run_pipeline_tallied`) must equal the streamed
+# one, ~22 s once built — the one test that takes the pipeline join, the
+# tally merge and the resume cache through a 50K+ corpus).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -233,7 +235,7 @@ echo "== benchmark package tests =="
 # tests run every workload at toy size, full funnel included.
 cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
-echo "== paper-scale streamed run (73,400 apps, release) =="
+echo "== paper-scale streamed, in-memory and folded runs (73,400 apps, release) =="
 cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
 echo "== cargo build --benches (smoke) =="

@@ -16,7 +16,7 @@ use wla_crawler::loadtime::{figure7_series, LoadContext, LoadMode};
 use wla_crawler::EndpointKind;
 use wla_report::{bar_chart, heatmap, percent, thousands, Comparison, Series, Table};
 use wla_sdk_index::SdkCategory;
-use wla_static::{aggregate, run_pipeline, PipelineConfig};
+use wla_static::{run_pipeline_tallied, PipelineConfig};
 
 /// One reproduced experiment.
 #[derive(Debug)]
@@ -885,8 +885,7 @@ pub fn whatif(study: &Study) -> Experiment {
             ..CorpusConfig::default()
         };
         let apps = Generator::new(&study.catalog, cfg).generate();
-        let out = run_pipeline(&apps, &study.catalog, PipelineConfig::default());
-        let r = aggregate(&out, &study.catalog, 1);
+        let (r, _) = run_pipeline_tallied(&apps, &study.catalog, PipelineConfig::default(), 1);
         let share = |apps: usize| percent(apps as f64 / r.analyzed as f64);
         t.row_owned(vec![
             name.to_owned(),

@@ -75,6 +75,8 @@ fn pipeline_summary_table(s: &PipelineStats) -> Table {
     t.row_owned(vec!["Worker threads".into(), s.workers.len().to_string()]);
     t.row_owned(vec!["Pool utilization".into(), percent(s.utilization())]);
     let interner = &s.interner;
+    // Only a run that merges a symbol table has a global count; a folded
+    // run still fills the worker-local counters.
     if interner.global_symbols > 0 {
         t.row_owned(vec![
             "Interned symbols".into(),
@@ -84,10 +86,14 @@ fn pipeline_summary_table(s: &PipelineStats) -> Table {
                 interner.global_bytes / 1024
             ),
         ]);
+    }
+    if interner.local_hits + interner.local_misses > 0 {
         t.row_owned(vec![
             "Intern cache hit rate".into(),
             percent(interner.local_hit_rate()),
         ]);
+    }
+    if interner.label_hits + interner.label_misses > 0 {
         t.row_owned(vec![
             "Label cache hit rate".into(),
             percent(interner.label_hit_rate()),
@@ -697,6 +703,8 @@ URL-origin census (constant propagation at URL-bearing sites)
     fn interner_rows_are_optional() {
         let r = render_pipeline_stats(&PipelineStats::default());
         assert!(!r.contains("Interned symbols"));
+        assert!(!r.contains("Intern cache hit rate"));
+        assert!(!r.contains("Label cache hit rate"));
         assert!(!r.contains("Call-graph edges"));
         assert!(!r.contains("serial tail"));
         assert!(!r.contains("pre-size"));
@@ -831,6 +839,14 @@ URL-origin census (constant propagation at URL-bearing sites)
         let rendered = render_pipeline_stats(s);
         assert!(rendered.contains("Pipeline run summary"));
         assert!(rendered.contains("serial tail"));
+        // The run folds each app into a tally and merges no symbol table,
+        // yet its worker-local intern and label memos still report.
+        assert_eq!(s.interner.global_symbols, 0);
+        assert!(!rendered.contains("Interned symbols"));
+        assert!(s.interner.local_hit_rate() > 0.0);
+        assert!(s.interner.label_hit_rate() > 0.0);
+        assert!(rendered.contains("Intern cache hit rate"));
+        assert!(rendered.contains("Label cache hit rate"));
         assert!(rendered.contains("Per-stage analysis time"));
         for stage in ["decode", "decompile", "callgraph", "dataflow", "label"] {
             assert!(rendered.contains(stage), "{stage}");

@@ -8,8 +8,8 @@ use wla_dynamic::iab_study::{run_iab_study, IabStudy};
 use wla_dynamic::CrawlConfig;
 use wla_sdk_index::SdkIndex;
 use wla_static::{
-    aggregate, run_pipeline, run_pipeline_streamed, PipelineConfig, PipelineStats, StreamConfig,
-    StudyResults,
+    aggregate, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig, PipelineStats,
+    StreamConfig, StudyResults,
 };
 
 /// Top-level study configuration.
@@ -100,19 +100,24 @@ impl Study {
         Generator::new(&self.catalog, cfg).generate()
     }
 
-    /// Run the §3.1 campaign: generate the corpus, run the pipeline over
-    /// its raw bytes in place, aggregate.
+    /// Run the §3.1 campaign: generate the corpus, then analyze its raw
+    /// bytes in place, folding each app into the aggregates as it is
+    /// analyzed ([`run_pipeline_tallied`]; no per-app result is kept).
     pub fn run_static(&self) -> StaticRun {
         let corpus = self.corpus();
-        let output = run_pipeline(&corpus, &self.catalog, PipelineConfig::default());
         // The catalog already encodes the paper's >100-apps popularity
         // criterion; any observed usage of a catalog SDK counts.
         let top_sdk_threshold = 1;
-        let results = aggregate(&output, &self.catalog, top_sdk_threshold);
+        let (results, stats) = run_pipeline_tallied(
+            &corpus,
+            &self.catalog,
+            PipelineConfig::default(),
+            top_sdk_threshold,
+        );
         StaticRun {
             corpus,
             results,
-            stats: output.stats,
+            stats,
             top_sdk_threshold,
         }
     }

@@ -1,7 +1,10 @@
 //! Corpus-level aggregation: everything Tables 3/4/5/7 and Figures 3/4
 //! report, computed from per-app analyses plus the SDK index.
 //!
-//! The hot loop runs entirely on the interned IR: methods are counted by
+//! The sums live in a [`Tally`]: one per pool worker on the folded path
+//! ([`run_pipeline_tallied`](crate::run_pipeline_tallied)), one per
+//! [`PipelineOutput`] in [`aggregate`]. [`Tally::add`] runs entirely on
+//! the interned IR: methods are counted by
 //! their record-time [`WEBVIEW_CONTENT_METHODS`] index, packages by their
 //! record-time [`LabelId`], and SDKs by catalog index into flat arrays.
 //! No symbol is resolved and no `String` is hashed anywhere in here —
@@ -13,6 +16,7 @@
 use crate::analyze::AppAnalysis;
 use crate::pipeline::PipelineOutput;
 use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
 use wla_corpus::METHODS;
@@ -177,67 +181,118 @@ pub fn aggregate(
     catalog: &SdkIndex,
     top_sdk_threshold: usize,
 ) -> StudyResults {
-    let analyses: Vec<&AppAnalysis> = output.analyzed().collect();
-    let n_sdks = catalog.sdks().len();
+    let mut tally = Tally::new(catalog);
+    for result in &output.results {
+        match result {
+            Ok(analysis) => tally.add(analysis),
+            Err(_) => tally.add_broken(),
+        }
+    }
+    tally.finish(top_sdk_threshold)
+}
 
+/// Everything [`StudyResults`] reports, kept as running sums over apps:
+/// counters, flat arrays indexed by method, SDK category and catalog
+/// position, and a per-Play-category map. Each is a plain sum, so the
+/// tallies of any split of a corpus [`merge`](Tally::merge) into exactly
+/// the tally of the whole, in any order. [`aggregate`] folds a
+/// [`PipelineOutput`] through one tally;
+/// [`run_pipeline_tallied`](crate::run_pipeline_tallied) gives each pool
+/// worker its own and keeps no per-app result.
+pub struct Tally<'c> {
+    catalog: &'c SdkIndex,
+    sums: Sums,
+    // Per-app scratch, reused across apps (cleared, not realloc'd).
+    app_wv_sdks: HashSet<u32, U32BuildHasher>,
+    app_ct_sdks: HashSet<u32, U32BuildHasher>,
+}
+
+/// The sums a [`Tally`] keeps; its scratch sets are no part of them.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Sums {
+    analyzed: usize,
+    broken: usize,
+    webview_apps: usize,
+    ct_apps: usize,
+    both_apps: usize,
+    wv_via: usize,
+    ct_via: usize,
+    both_via: usize,
+    obfuscated_caller_apps: usize,
+    unlabeled_caller_apps: usize,
+    custom_webview_classes: usize,
+    unreachable: usize,
+    // Ablation counters: what naive pipelines would have reported.
+    wv_no_deeplink_excl: usize,
+    wv_no_reach: usize,
+    method_apps: [usize; 7],
+    method_via: [usize; 7],
     // Per-SDK app counts, indexed by catalog position.
-    let mut sdk_wv_apps: Vec<usize> = vec![0; n_sdks];
-    let mut sdk_ct_apps: Vec<usize> = vec![0; n_sdks];
+    sdk_wv_apps: Vec<usize>,
+    sdk_ct_apps: Vec<usize>,
+    // Figure 4, indexed by `SdkCategory::table3_index`: per SDK category,
+    // apps using it (wv) and per method, apps where that category's SDK
+    // code calls the method.
+    cat_apps: [usize; NCAT],
+    cat_method_apps: [[usize; 7]; NCAT],
+    // Figure 3: Play category → per-SDK-category app counts.
+    play_wv: BTreeMap<PlayCategory, [usize; NCAT]>,
+    play_ct: BTreeMap<PlayCategory, [usize; NCAT]>,
+    census: UrlOriginCensus,
+}
 
-    let mut webview_apps = 0usize;
-    let mut ct_apps = 0usize;
-    let mut both_apps = 0usize;
-    let mut wv_via = 0usize;
-    let mut ct_via = 0usize;
-    let mut both_via = 0usize;
-    let mut obfuscated_caller_apps = 0usize;
-    let mut unlabeled_caller_apps = 0usize;
-    let mut custom_webview_classes = 0usize;
-    let mut unreachable = 0usize;
+/// Add `more` into `sum`, element by element.
+fn add_into(sum: &mut [usize], more: &[usize]) {
+    debug_assert_eq!(sum.len(), more.len());
+    for (s, m) in sum.iter_mut().zip(more) {
+        *s += m;
+    }
+}
 
-    let mut method_apps = [0usize; 7];
-    let mut method_via = [0usize; 7];
+impl<'c> Tally<'c> {
+    /// An empty tally that labels SDK hits against `catalog`.
+    pub fn new(catalog: &'c SdkIndex) -> Tally<'c> {
+        let n_sdks = catalog.sdks().len();
+        Tally {
+            catalog,
+            sums: Sums {
+                sdk_wv_apps: vec![0; n_sdks],
+                sdk_ct_apps: vec![0; n_sdks],
+                ..Sums::default()
+            },
+            app_wv_sdks: HashSet::default(),
+            app_ct_sdks: HashSet::default(),
+        }
+    }
 
-    // Figure 4 accumulators, indexed by `SdkCategory::table3_index`:
-    // per SDK category, apps using it (wv) and per method, apps where
-    // that category's SDK code calls the method.
-    let mut cat_apps = [0usize; NCAT];
-    let mut cat_method_apps = [[0usize; 7]; NCAT];
-
-    // Figure 3 accumulators: Play category → per-SDK-category app counts.
-    let mut play_wv: BTreeMap<PlayCategory, [usize; NCAT]> = BTreeMap::new();
-    let mut play_ct: BTreeMap<PlayCategory, [usize; NCAT]> = BTreeMap::new();
-
-    // Per-app scratch, reused across the corpus (cleared, not realloc'd).
-    let mut app_wv_sdks: HashSet<u32, U32BuildHasher> = HashSet::default();
-    let mut app_ct_sdks: HashSet<u32, U32BuildHasher> = HashSet::default();
-
-    let mut wv_no_deeplink_excl = 0usize;
-    let mut wv_no_reach = 0usize;
-    let mut census = UrlOriginCensus::default();
-    for a in &analyses {
-        custom_webview_classes += a.custom_webview_classes.len();
-        unreachable += a.unreachable_webview_sites;
-        // Ablation counters: what naive pipelines would have reported.
+    /// Fold in one analyzed app.
+    pub fn add(&mut self, a: &AppAnalysis) {
+        let sdks = self.catalog.sdks();
+        let s = &mut self.sums;
+        s.analyzed += 1;
+        s.custom_webview_classes += a.custom_webview_classes.len();
+        s.unreachable += a.unreachable_webview_sites;
         if !a.webview_sites.is_empty() {
-            wv_no_deeplink_excl += 1;
+            s.wv_no_deeplink_excl += 1;
         }
         if !a.webview_sites.is_empty() || a.unreachable_webview_sites > 0 {
-            wv_no_reach += 1;
+            s.wv_no_reach += 1;
         }
         let uses_wv = a.uses_webview();
         let uses_ct = a.uses_custom_tabs();
         if uses_wv {
-            webview_apps += 1;
+            s.webview_apps += 1;
         }
         if uses_ct {
-            ct_apps += 1;
+            s.ct_apps += 1;
         }
         if uses_wv && uses_ct {
-            both_apps += 1;
+            s.both_apps += 1;
         }
 
         // Record-time labels: no trie walks, no package strings here.
+        let app_wv_sdks = &mut self.app_wv_sdks;
+        let app_ct_sdks = &mut self.app_ct_sdks;
         app_wv_sdks.clear();
         app_ct_sdks.clear();
         let mut app_obfuscated = false;
@@ -269,12 +324,12 @@ pub fn aggregate(
             let mi = site.method_idx as usize;
             methods[mi] = true;
             if site.is_load_method {
-                tally_origin(&mut census, site.origin);
+                tally_origin(&mut s.census, site.origin);
             }
             match site.label {
                 LabelId::Sdk(idx) => {
                     methods_sdk[mi] = true;
-                    let cat = catalog.sdks()[idx as usize].category;
+                    let cat = sdks[idx as usize].category;
                     methods_by_cat[cat.table3_index()][mi] = true;
                     if site.is_load_method {
                         app_wv_sdks.insert(idx);
@@ -289,72 +344,72 @@ pub fn aggregate(
             if !site.is_launch {
                 continue;
             }
-            tally_origin(&mut census, site.origin);
+            tally_origin(&mut s.census, site.origin);
             if let LabelId::Sdk(idx) = site.label {
                 app_ct_sdks.insert(idx);
             }
         }
         if app_url_sites > 0 {
             if app_unresolved == 0 {
-                census.apps_fully_resolved += 1;
+                s.census.apps_fully_resolved += 1;
             } else {
-                census.apps_with_unresolved += 1;
+                s.census.apps_with_unresolved += 1;
             }
         }
 
         for (i, &m) in methods.iter().enumerate() {
             if m {
-                method_apps[i] += 1;
+                s.method_apps[i] += 1;
             }
             if methods_sdk[i] {
-                method_via[i] += 1;
+                s.method_via[i] += 1;
             }
         }
-        for &idx in &app_wv_sdks {
-            sdk_wv_apps[idx as usize] += 1;
+        for &idx in app_wv_sdks.iter() {
+            s.sdk_wv_apps[idx as usize] += 1;
         }
-        for &idx in &app_ct_sdks {
-            sdk_ct_apps[idx as usize] += 1;
+        for &idx in app_ct_sdks.iter() {
+            s.sdk_ct_apps[idx as usize] += 1;
         }
         if app_obfuscated {
-            obfuscated_caller_apps += 1;
+            s.obfuscated_caller_apps += 1;
         }
         if app_unlabeled {
-            unlabeled_caller_apps += 1;
+            s.unlabeled_caller_apps += 1;
         }
 
         let wv_sdk = !app_wv_sdks.is_empty();
         let ct_sdk = !app_ct_sdks.is_empty();
         if uses_wv && wv_sdk {
-            wv_via += 1;
+            s.wv_via += 1;
         }
         if uses_ct && ct_sdk {
-            ct_via += 1;
+            s.ct_via += 1;
         }
         if uses_wv && uses_ct && wv_sdk && ct_sdk {
-            both_via += 1;
+            s.both_via += 1;
         }
 
         // Figure 4: categories of this app's load-method SDK callers.
         let mut app_cats = [false; NCAT];
-        for &idx in &app_wv_sdks {
-            app_cats[catalog.sdks()[idx as usize].category.table3_index()] = true;
+        for &idx in app_wv_sdks.iter() {
+            app_cats[sdks[idx as usize].category.table3_index()] = true;
         }
         for (t3, &used) in app_cats.iter().enumerate() {
             if !used {
                 continue;
             }
-            cat_apps[t3] += 1;
+            s.cat_apps[t3] += 1;
             for (i, &hit) in methods_by_cat[t3].iter().enumerate() {
                 if hit {
-                    cat_method_apps[t3][i] += 1;
+                    s.cat_method_apps[t3][i] += 1;
                 }
             }
         }
 
         // Figure 3.
         if app_cats.iter().any(|&u| u) {
-            let row = play_wv.entry(a.category).or_insert([0; NCAT]);
+            let row = s.play_wv.entry(a.category).or_insert([0; NCAT]);
             for (t3, &used) in app_cats.iter().enumerate() {
                 if used {
                     row[t3] += 1;
@@ -362,11 +417,11 @@ pub fn aggregate(
             }
         }
         let mut ct_cats = [false; NCAT];
-        for &idx in &app_ct_sdks {
-            ct_cats[catalog.sdks()[idx as usize].category.table3_index()] = true;
+        for &idx in app_ct_sdks.iter() {
+            ct_cats[sdks[idx as usize].category.table3_index()] = true;
         }
         if ct_cats.iter().any(|&u| u) {
-            let row = play_ct.entry(a.category).or_insert([0; NCAT]);
+            let row = s.play_ct.entry(a.category).or_insert([0; NCAT]);
             for (t3, &used) in ct_cats.iter().enumerate() {
                 if used {
                     row[t3] += 1;
@@ -375,133 +430,224 @@ pub fn aggregate(
         }
     }
 
-    // Per-SDK usage rows above the popularity threshold. Display names are
-    // copied here, at the report boundary.
-    let mut sdk_usage: Vec<SdkUsageRow> = catalog
-        .sdks()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, sdk)| {
-            let wv = sdk_wv_apps[i];
-            let ct = sdk_ct_apps[i];
-            if wv.max(ct) >= top_sdk_threshold.max(1) && !sdk.obfuscated {
-                Some(SdkUsageRow {
-                    name: sdk.name.clone(),
-                    category: sdk.category,
-                    wv_apps: wv,
-                    ct_apps: ct,
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
-    sdk_usage.sort_by_key(|r| std::cmp::Reverse(r.wv_apps + r.ct_apps));
+    /// Count one app whose container failed to decode or whose analysis
+    /// failed (Table 2's broken row).
+    pub fn add_broken(&mut self) {
+        self.sums.broken += 1;
+    }
 
-    // Table 3 counts.
-    let sdk_type_counts = SdkCategory::ALL
-        .iter()
-        .map(|&category| {
-            let of_cat: Vec<&SdkUsageRow> = sdk_usage
-                .iter()
-                .filter(|r| r.category == category)
-                .collect();
-            SdkTypeCount {
-                category,
-                webview: of_cat
-                    .iter()
-                    .filter(|r| r.wv_apps >= top_sdk_threshold)
-                    .count(),
-                custom_tabs: of_cat
-                    .iter()
-                    .filter(|r| r.ct_apps >= top_sdk_threshold)
-                    .count(),
-                both: of_cat
-                    .iter()
-                    .filter(|r| r.wv_apps >= top_sdk_threshold && r.ct_apps >= top_sdk_threshold)
-                    .count(),
-            }
-        })
-        .collect();
+    /// Add `other`'s sums to this tally's. Both must label against the
+    /// same catalog.
+    pub fn merge(&mut self, other: &Tally<'_>) {
+        // Destructured, so a sum added to `Sums` cannot be left unmerged.
+        let Sums {
+            analyzed,
+            broken,
+            webview_apps,
+            ct_apps,
+            both_apps,
+            wv_via,
+            ct_via,
+            both_via,
+            obfuscated_caller_apps,
+            unlabeled_caller_apps,
+            custom_webview_classes,
+            unreachable,
+            wv_no_deeplink_excl,
+            wv_no_reach,
+            method_apps,
+            method_via,
+            sdk_wv_apps,
+            sdk_ct_apps,
+            cat_apps,
+            cat_method_apps,
+            play_wv,
+            play_ct,
+            census,
+        } = &other.sums;
+        let s = &mut self.sums;
+        s.analyzed += analyzed;
+        s.broken += broken;
+        s.webview_apps += webview_apps;
+        s.ct_apps += ct_apps;
+        s.both_apps += both_apps;
+        s.wv_via += wv_via;
+        s.ct_via += ct_via;
+        s.both_via += both_via;
+        s.obfuscated_caller_apps += obfuscated_caller_apps;
+        s.unlabeled_caller_apps += unlabeled_caller_apps;
+        s.custom_webview_classes += custom_webview_classes;
+        s.unreachable += unreachable;
+        s.wv_no_deeplink_excl += wv_no_deeplink_excl;
+        s.wv_no_reach += wv_no_reach;
+        add_into(&mut s.method_apps, method_apps);
+        add_into(&mut s.method_via, method_via);
+        add_into(&mut s.sdk_wv_apps, sdk_wv_apps);
+        add_into(&mut s.sdk_ct_apps, sdk_ct_apps);
+        add_into(&mut s.cat_apps, cat_apps);
+        for (sum, more) in s.cat_method_apps.iter_mut().zip(cat_method_apps) {
+            add_into(sum, more);
+        }
+        for (&key, row) in play_wv {
+            add_into(s.play_wv.entry(key).or_insert([0; NCAT]), row);
+        }
+        for (&key, row) in play_ct {
+            add_into(s.play_ct.entry(key).or_insert([0; NCAT]), row);
+        }
+        s.census.resolved_sites += census.resolved_sites;
+        s.census.unknown_sites += census.unknown_sites;
+        s.census.conflict_sites += census.conflict_sites;
+        s.census.apps_fully_resolved += census.apps_fully_resolved;
+        s.census.apps_with_unresolved += census.apps_with_unresolved;
+    }
 
-    // Figure 4 rows, in `SdkCategory` order (the order keyed maps used to
-    // produce) — only categories with observed apps appear.
-    let mut heatmap: Vec<HeatmapRow> = SdkCategory::ALL
-        .iter()
-        .filter(|c| cat_apps[c.table3_index()] > 0)
-        .map(|&category| {
-            let t3 = category.table3_index();
-            let apps = cat_apps[t3];
-            let mut frac = [0f64; 7];
-            for i in 0..7 {
-                frac[i] = cat_method_apps[t3][i] as f64 / apps as f64;
-            }
-            HeatmapRow {
-                category,
-                apps,
-                method_fraction: frac,
-            }
-        })
-        .collect();
-    heatmap.sort_by_key(|r| r.category);
+    /// The tables: per-SDK usage rows of SDKs seen in at least
+    /// `top_sdk_threshold` apps (see [`aggregate`]), Table 3 counts, the
+    /// Figure 4 heatmap, the Figure 3 top-10 panels and Table 7's census.
+    pub fn finish(self, top_sdk_threshold: usize) -> StudyResults {
+        let s = self.sums;
 
-    // Figure 3 top-10 panels.
-    let top10 = |map: BTreeMap<PlayCategory, [usize; NCAT]>| {
-        let mut rows: Vec<CategoryBreakdown> = map
-            .into_iter()
-            .map(|(play_category, by)| {
-                let mut by_sdk_category: Vec<(SdkCategory, usize)> = SdkCategory::ALL
-                    .iter()
-                    .filter_map(|&c| {
-                        let count = by[c.table3_index()];
-                        (count > 0).then_some((c, count))
+        // Per-SDK usage rows above the popularity threshold. Display names
+        // are copied here, at the report boundary.
+        let mut sdk_usage: Vec<SdkUsageRow> = self
+            .catalog
+            .sdks()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, sdk)| {
+                let wv = s.sdk_wv_apps[i];
+                let ct = s.sdk_ct_apps[i];
+                if wv.max(ct) >= top_sdk_threshold.max(1) && !sdk.obfuscated {
+                    Some(SdkUsageRow {
+                        name: sdk.name.clone(),
+                        category: sdk.category,
+                        wv_apps: wv,
+                        ct_apps: ct,
                     })
-                    .collect();
-                by_sdk_category.sort_by_key(|&(c, _)| c);
-                CategoryBreakdown {
-                    play_category,
-                    total: by_sdk_category.iter().map(|&(_, n)| n).sum(),
-                    by_sdk_category,
+                } else {
+                    None
                 }
             })
             .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.total));
-        rows.truncate(10);
-        rows
-    };
+        sdk_usage.sort_by_key(|r| std::cmp::Reverse(r.wv_apps + r.ct_apps));
 
-    let method_census = METHODS
-        .iter()
-        .enumerate()
-        .map(|(i, m)| MethodCensusRow {
-            method: (*m).to_owned(),
-            apps: method_apps[i],
-            apps_via_top_sdks: method_via[i],
-        })
-        .collect();
+        // Table 3 counts.
+        let sdk_type_counts = SdkCategory::ALL
+            .iter()
+            .map(|&category| {
+                let of_cat: Vec<&SdkUsageRow> = sdk_usage
+                    .iter()
+                    .filter(|r| r.category == category)
+                    .collect();
+                SdkTypeCount {
+                    category,
+                    webview: of_cat
+                        .iter()
+                        .filter(|r| r.wv_apps >= top_sdk_threshold)
+                        .count(),
+                    custom_tabs: of_cat
+                        .iter()
+                        .filter(|r| r.ct_apps >= top_sdk_threshold)
+                        .count(),
+                    both: of_cat
+                        .iter()
+                        .filter(|r| {
+                            r.wv_apps >= top_sdk_threshold && r.ct_apps >= top_sdk_threshold
+                        })
+                        .count(),
+                }
+            })
+            .collect();
 
-    StudyResults {
-        analyzed: analyses.len(),
-        broken: output.broken_count(),
-        webview_apps,
-        ct_apps,
-        both_apps,
-        webview_apps_via_top_sdks: wv_via,
-        ct_apps_via_top_sdks: ct_via,
-        both_apps_via_top_sdks: both_via,
-        method_census,
-        sdk_usage,
-        sdk_type_counts,
-        heatmap,
-        category_webview: top10(play_wv),
-        category_ct: top10(play_ct),
-        obfuscated_caller_apps,
-        unlabeled_caller_apps,
-        custom_webview_classes,
-        unreachable_sites_discarded: unreachable,
-        webview_apps_without_deeplink_exclusion: wv_no_deeplink_excl,
-        webview_apps_without_reachability: wv_no_reach,
-        url_origin_census: census,
+        // Figure 4 rows, in `SdkCategory` order (the order keyed maps used
+        // to produce) — only categories with observed apps appear.
+        let mut heatmap: Vec<HeatmapRow> = SdkCategory::ALL
+            .iter()
+            .filter(|c| s.cat_apps[c.table3_index()] > 0)
+            .map(|&category| {
+                let t3 = category.table3_index();
+                let apps = s.cat_apps[t3];
+                HeatmapRow {
+                    category,
+                    apps,
+                    method_fraction: s.cat_method_apps[t3].map(|hits| hits as f64 / apps as f64),
+                }
+            })
+            .collect();
+        heatmap.sort_by_key(|r| r.category);
+
+        // Figure 3 top-10 panels.
+        let top10 = |map: BTreeMap<PlayCategory, [usize; NCAT]>| {
+            let mut rows: Vec<CategoryBreakdown> = map
+                .into_iter()
+                .map(|(play_category, by)| {
+                    let mut by_sdk_category: Vec<(SdkCategory, usize)> = SdkCategory::ALL
+                        .iter()
+                        .filter_map(|&c| {
+                            let count = by[c.table3_index()];
+                            (count > 0).then_some((c, count))
+                        })
+                        .collect();
+                    by_sdk_category.sort_by_key(|&(c, _)| c);
+                    CategoryBreakdown {
+                        play_category,
+                        total: by_sdk_category.iter().map(|&(_, n)| n).sum(),
+                        by_sdk_category,
+                    }
+                })
+                .collect();
+            rows.sort_by_key(|r| std::cmp::Reverse(r.total));
+            rows.truncate(10);
+            rows
+        };
+
+        let method_census = METHODS
+            .iter()
+            .enumerate()
+            .map(|(i, m)| MethodCensusRow {
+                method: (*m).to_owned(),
+                apps: s.method_apps[i],
+                apps_via_top_sdks: s.method_via[i],
+            })
+            .collect();
+
+        StudyResults {
+            analyzed: s.analyzed,
+            broken: s.broken,
+            webview_apps: s.webview_apps,
+            ct_apps: s.ct_apps,
+            both_apps: s.both_apps,
+            webview_apps_via_top_sdks: s.wv_via,
+            ct_apps_via_top_sdks: s.ct_via,
+            both_apps_via_top_sdks: s.both_via,
+            method_census,
+            sdk_usage,
+            sdk_type_counts,
+            heatmap,
+            category_webview: top10(s.play_wv),
+            category_ct: top10(s.play_ct),
+            obfuscated_caller_apps: s.obfuscated_caller_apps,
+            unlabeled_caller_apps: s.unlabeled_caller_apps,
+            custom_webview_classes: s.custom_webview_classes,
+            unreachable_sites_discarded: s.unreachable,
+            webview_apps_without_deeplink_exclusion: s.wv_no_deeplink_excl,
+            webview_apps_without_reachability: s.wv_no_reach,
+            url_origin_census: s.census,
+        }
+    }
+}
+
+/// Two tallies are equal when their sums are; the catalog and the
+/// per-app scratch do not count.
+impl PartialEq for Tally<'_> {
+    fn eq(&self, other: &Tally<'_>) -> bool {
+        self.sums == other.sums
+    }
+}
+
+impl fmt::Debug for Tally<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Tally").field(&self.sums).finish()
     }
 }
 

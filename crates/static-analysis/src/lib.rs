@@ -33,7 +33,7 @@ pub mod stream;
 
 pub use aggregate::{
     aggregate, CategoryBreakdown, HeatmapRow, MethodCensusRow, SdkTypeCount, SdkUsageRow,
-    StudyResults, UrlOriginCensus,
+    StudyResults, Tally, UrlOriginCensus,
 };
 pub use analyze::{
     analyze_app, analyze_app_timed_with, AnalysisCtx, AppAnalysis, CtSiteSummary, DecodeCounters,
@@ -42,8 +42,8 @@ pub use analyze::{
 pub use dataflow::{method_provenance, DataflowCounters};
 pub use oracle::aggregate_string_oracle;
 pub use pipeline::{
-    run_pipeline, run_pipeline_with, AppInput, CorpusInput, InternerCounters, PipelineConfig,
-    PipelineOutput, PipelineStats, WorkerStats,
+    run_pipeline, run_pipeline_tallied, run_pipeline_with, AppInput, CorpusInput, InternerCounters,
+    PipelineConfig, PipelineOutput, PipelineStats, WorkerStats,
 };
 pub use privacy::{grade_distribution, privacy_label, ExposureGrade, PrivacyLabel};
 pub use stream::{run_pipeline_streamed, StreamConfig, StreamCounters, MANIFEST_SUBDIR};

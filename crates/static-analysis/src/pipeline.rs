@@ -19,7 +19,7 @@
 //!   straight from that struct by `wla-core::stats`.
 //!
 //! Interned-IR lifecycle: each worker interns into a private
-//! [`LocalInterner`](wla_intern::LocalInterner) (no synchronization while
+//! [`LocalInterner`] (no synchronization while
 //! analyzing); the serial join tail (timed as
 //! [`PipelineStats::serial_tail_ns`]) translates every symbol into one
 //! fresh [`SymbolTable`] with [`wla_intern::merge_ordered`], which the
@@ -27,7 +27,16 @@
 //! on worker count or scheduling — which keeps parallel and serial runs
 //! bit-identical. The shard-streaming
 //! runner in [`crate::stream`] shares the per-app step and the join.
+//!
+//! A caller that reads only the corpus aggregates skips all of that:
+//! [`run_pipeline_tallied`] folds each app into its worker's [`Tally`] as
+//! soon as it is analyzed and drops it, so no per-app result outlives its
+//! claim, and the tail merges tallies instead of symbols. [`aggregate`]
+//! reads no symbol, so the fold needs no symbol table.
+//!
+//! [`aggregate`]: crate::aggregate::aggregate
 
+use crate::aggregate::{StudyResults, Tally};
 use crate::analyze::{
     analyze_app_timed_with, AnalysisCtx, AppAnalysis, DecodeCounters, StageTimings,
 };
@@ -40,7 +49,7 @@ use wla_apk::ApkError;
 use wla_callgraph::CallGraphCounters;
 use wla_corpus::playstore::AppMeta;
 use wla_corpus::GeneratedApp;
-use wla_intern::{merge_ordered, SymbolTable};
+use wla_intern::{merge_ordered, LocalInterner, SymbolTable};
 use wla_sdk_index::SdkIndex;
 
 pub use wla_pool::WorkerStats;
@@ -124,9 +133,10 @@ impl PipelineConfig {
 /// generated and how well the worker-local memos absorbed it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternerCounters {
-    /// Distinct symbols in the merged global table.
+    /// Distinct symbols in the merged global table (0 for a folded run,
+    /// which merges no table).
     pub global_symbols: usize,
-    /// Bytes of distinct strings in the global table.
+    /// Bytes of distinct strings in the global table (0 for a folded run).
     pub global_bytes: usize,
     /// Distinct symbols summed over worker-local interners (≥ global:
     /// workers re-discover shared names independently).
@@ -165,6 +175,11 @@ impl InternerCounters {
 
 /// Run-level observability: totals, failure taxonomy, per-stage timers,
 /// per-worker counters, and throughput.
+///
+/// A folded run ([`run_pipeline_tallied`]) fills every counter except
+/// `interner.global_symbols` and `interner.global_bytes`, which stay 0:
+/// it merges no symbol table. Its `serial_tail_ns` is the counter fold
+/// and the tally merge.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Corpus size (`analyzed + broken`).
@@ -182,7 +197,8 @@ pub struct PipelineStats {
     /// End-to-end wall-clock time of the run.
     pub wall_ns: u64,
     /// Time spent in the serial join tail after the worker pool finished:
-    /// stats fold and the local→global symbol remap.
+    /// stats fold and the local→global symbol remap (a folded run: stats
+    /// fold and tally merge).
     pub serial_tail_ns: u64,
     /// The pool's per-worker counters, in spawn order.
     pub workers: Vec<WorkerStats>,
@@ -203,6 +219,44 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// A run over `total` apps, each counted as analyzed until
+    /// [`count_failure`](Self::count_failure) moves it to broken.
+    fn new(total: usize, workers: Vec<WorkerStats>) -> PipelineStats {
+        PipelineStats {
+            total,
+            analyzed: total,
+            workers,
+            ..PipelineStats::default()
+        }
+    }
+
+    /// Move one app from analyzed to broken, counting its failure kind
+    /// (and a panic).
+    fn count_failure(&mut self, e: &ApkError) {
+        self.analyzed -= 1;
+        self.broken += 1;
+        if matches!(e, ApkError::AnalysisPanic { .. }) {
+            self.panicked += 1;
+        }
+        *self.failure_kinds.entry(e.kind()).or_insert(0) += 1;
+    }
+
+    /// Fold one finished worker's counters into the run's, handing back
+    /// its lexicon.
+    fn fold_worker(&mut self, Worker { ctx, stage }: Worker<'_>) -> LocalInterner {
+        self.stage.accumulate(&stage);
+        self.interner.local_symbols += ctx.lexicon.len();
+        self.interner.local_bytes += ctx.lexicon.bytes();
+        self.interner.local_hits += ctx.lexicon.hits();
+        self.interner.local_misses += ctx.lexicon.misses();
+        self.interner.label_hits += ctx.labels.hits;
+        self.interner.label_misses += ctx.labels.misses;
+        self.callgraph.merge(&ctx.callgraph_counters());
+        self.dataflow.merge(&ctx.dataflow);
+        self.decode.merge(&ctx.decode);
+        ctx.lexicon
+    }
+
     /// Corpus throughput over the whole run.
     pub fn apps_per_second(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -275,9 +329,9 @@ pub(crate) struct Worker<'c> {
 }
 
 impl<'c> Worker<'c> {
-    /// The per-app step both runners share: run `analyze` on this worker's
-    /// context and sum its stage timers. Callers run it under
-    /// [`wla_pool::isolate`] — the in-memory runner through the pool, the
+    /// The per-app step every runner shares: run `analyze` on this
+    /// worker's context and sum its stage timers. Callers run it under
+    /// [`wla_pool::isolate`] — the in-memory runners through the pool, the
     /// streamed runner once per shard entry — and turn a panic into
     /// [`panicked`].
     pub(crate) fn analyze(
@@ -291,8 +345,19 @@ impl<'c> Worker<'c> {
 }
 
 /// A panic's text as the per-app error Table 2's broken row counts.
-pub(crate) fn panicked(message: String) -> Result<AppAnalysis, ApkError> {
+pub(crate) fn panicked<T>(message: String) -> Result<T, ApkError> {
     Err(ApkError::AnalysisPanic { message })
+}
+
+/// The per-app analysis both in-memory runners run by default.
+fn analyze_input<I: AppInput>(
+    input: &I,
+    ctx: &mut AnalysisCtx<'_>,
+) -> (Result<AppAnalysis, ApkError>, StageTimings) {
+    // The one copy of the container this run makes: the decode and
+    // every dex string span share it.
+    let bytes = Bytes::copy_from_slice(input.bytes());
+    analyze_app_timed_with(input.meta(), bytes, ctx)
 }
 
 /// Analyze every corpus entry, in parallel, labeling against `catalog`.
@@ -301,12 +366,74 @@ pub fn run_pipeline<I: AppInput>(
     catalog: &SdkIndex,
     config: PipelineConfig,
 ) -> PipelineOutput {
-    run_pipeline_with(inputs, catalog, config, |input, ctx| {
-        // The one copy of the container this run makes: the decode and
-        // every dex string span share it.
-        let bytes = Bytes::copy_from_slice(input.bytes());
-        analyze_app_timed_with(input.meta(), bytes, ctx)
-    })
+    run_pipeline_with(inputs, catalog, config, analyze_input)
+}
+
+/// Analyze every corpus entry, in parallel, and aggregate as it goes:
+/// the [`StudyResults`] that [`aggregate`](crate::aggregate::aggregate)
+/// makes of [`run_pipeline`]'s output, and the same run stats, without
+/// building a [`PipelineOutput`].
+///
+/// Each worker folds an app into its own [`Tally`] once the analysis
+/// returns, then drops it; the tail merges the tallies. A panicking
+/// analysis never reaches the fold, so it costs only its own app, counted
+/// as broken. No symbol table is merged (see [`PipelineStats`]).
+pub fn run_pipeline_tallied<I: AppInput>(
+    inputs: &[I],
+    catalog: &SdkIndex,
+    config: PipelineConfig,
+    top_sdk_threshold: usize,
+) -> (StudyResults, PipelineStats) {
+    tally_with(inputs, catalog, config, top_sdk_threshold, analyze_input)
+}
+
+/// [`run_pipeline_tallied`] with a caller-supplied analysis function, as
+/// [`run_pipeline_with`] is to [`run_pipeline`].
+pub(crate) fn tally_with<I, F>(
+    inputs: &[I],
+    catalog: &SdkIndex,
+    config: PipelineConfig,
+    top_sdk_threshold: usize,
+    analyze: F,
+) -> (StudyResults, PipelineStats)
+where
+    I: AppInput,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings) + Sync,
+{
+    let started = Instant::now();
+    // Each worker keeps its tally and its apps' errors; an item hands
+    // back nothing, so the pool's per-item results stay at their smallest.
+    let pool = wla_pool::run(
+        inputs.len(),
+        config.workers,
+        || (config.worker(catalog), Tally::new(catalog), Vec::new()),
+        |(worker, tally, failed), i| match worker.analyze(|ctx| analyze(&inputs[i], ctx)) {
+            Ok(analysis) => tally.add(&analysis),
+            Err(e) => failed.push(e),
+        },
+    );
+    // The serial tail: fold the workers' counters and tallies, then count
+    // every failure, a panicked analysis included.
+    let tail_started = Instant::now();
+    let mut stats = PipelineStats::new(inputs.len(), pool.workers);
+    let mut tally = Tally::new(catalog);
+    let mut failures = Vec::new();
+    for (worker, worker_tally, failed) in pool.contexts {
+        stats.fold_worker(worker);
+        tally.merge(&worker_tally);
+        failures.extend(failed);
+    }
+    let panics = pool
+        .results
+        .into_iter()
+        .filter_map(|(_, outcome)| outcome.or_else(panicked).err());
+    for e in failures.into_iter().chain(panics) {
+        stats.count_failure(&e);
+        tally.add_broken();
+    }
+    stats.serial_tail_ns = tail_started.elapsed().as_nanos() as u64;
+    stats.wall_ns = started.elapsed().as_nanos() as u64;
+    (tally.finish(top_sdk_threshold), stats)
 }
 
 /// [`run_pipeline`] with a caller-supplied analysis function.
@@ -354,35 +481,16 @@ pub(crate) fn join(
     // Everything from here to return runs on one thread after the pool
     // joins — the serial tail `stats.serial_tail_ns` exposes.
     let tail_started = Instant::now();
-    let mut stats = PipelineStats {
-        total: results.len(),
-        workers: worker_stats,
-        ..PipelineStats::default()
-    };
+    let mut stats = PipelineStats::new(results.len(), worker_stats);
     for (_, result) in &results {
         if let Err(e) = result {
-            stats.broken += 1;
-            if matches!(e, ApkError::AnalysisPanic { .. }) {
-                stats.panicked += 1;
-            }
-            *stats.failure_kinds.entry(e.kind()).or_insert(0) += 1;
+            stats.count_failure(e);
         }
     }
-    stats.analyzed = stats.total - stats.broken;
-    let mut lexicons = Vec::with_capacity(workers.len());
-    for Worker { ctx, stage } in workers {
-        stats.stage.accumulate(&stage);
-        stats.interner.local_symbols += ctx.lexicon.len();
-        stats.interner.local_bytes += ctx.lexicon.bytes();
-        stats.interner.local_hits += ctx.lexicon.hits();
-        stats.interner.local_misses += ctx.lexicon.misses();
-        stats.interner.label_hits += ctx.labels.hits;
-        stats.interner.label_misses += ctx.labels.misses;
-        stats.callgraph.merge(&ctx.callgraph_counters());
-        stats.dataflow.merge(&ctx.dataflow);
-        stats.decode.merge(&ctx.decode);
-        lexicons.push(ctx.lexicon);
-    }
+    let lexicons: Vec<LocalInterner> = workers
+        .into_iter()
+        .map(|worker| stats.fold_worker(worker))
+        .collect();
     let (results, symbols) = merge_ordered(results, &lexicons, |result, f| {
         if let Ok(analysis) = result {
             analysis.remap_symbols(f);
@@ -402,8 +510,10 @@ pub(crate) fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::aggregate;
     use proptest::prelude::*;
-    use wla_corpus::{CorpusConfig, Generator};
+    use wla_corpus::{CorpusConfig, EcosystemParams, Generator};
+    use wla_sdk_index::SdkCategory;
 
     fn inputs(catalog: &SdkIndex, scale: u32, seed: u64, corrupt: f64) -> Vec<GeneratedApp> {
         let cfg = CorpusConfig {
@@ -474,6 +584,30 @@ mod tests {
         }
     }
 
+    /// The fold and the materialized path agree at 1, 2 and 8 workers:
+    /// the same `StudyResults` as `aggregate(&run_pipeline(..))`, and the
+    /// same totals, failure taxonomy and per-app counter sums.
+    fn assert_fold_matches_materialized<I: AppInput>(apps: &[I], catalog: &SdkIndex) {
+        for n in [1, 2, 8] {
+            let out = run_pipeline(apps, catalog, workers(n));
+            let (results, stats) = run_pipeline_tallied(apps, catalog, workers(n), 1);
+            assert_eq!(results, aggregate(&out, catalog, 1), "{n} workers");
+            let want = &out.stats;
+            assert_eq!(stats.total, want.total, "{n} workers");
+            assert_eq!(stats.analyzed, want.analyzed, "{n} workers");
+            assert_eq!(stats.broken, want.broken, "{n} workers");
+            assert_eq!(stats.panicked, want.panicked, "{n} workers");
+            assert_eq!(stats.failure_kinds, want.failure_kinds, "{n} workers");
+            assert_eq!(stats.dataflow, want.dataflow, "{n} workers");
+            assert_eq!(stats.decode, want.decode, "{n} workers");
+            assert_eq!(stats.workers.len(), want.workers.len(), "{n} workers");
+            // The fold merges no symbol table.
+            assert_eq!(stats.interner.global_symbols, 0);
+            assert_eq!(stats.interner.global_bytes, 0);
+            assert!(stats.serial_tail_ns <= stats.wall_ns);
+        }
+    }
+
     #[test]
     fn broken_fraction_counted() {
         let catalog = SdkIndex::paper();
@@ -482,6 +616,26 @@ mod tests {
         assert_eq!(out.results.len(), ins.len());
         assert!(out.broken_count() > 0);
         assert_eq!(out.analyzed_count() + out.broken_count(), ins.len());
+        assert_fold_matches_materialized(&ins, &catalog);
+    }
+
+    #[test]
+    fn fold_matches_materialized_on_a_ct_migration_corpus() {
+        // `wla whatif`'s input: the ecosystem after every migration it
+        // simulates, which moves WebView adoption to Custom Tabs.
+        use SdkCategory::{Advertising, Authentication, Payments, Social};
+        let catalog = SdkIndex::paper();
+        let cfg = CorpusConfig {
+            scale: 1_500,
+            seed: 17,
+            params: EcosystemParams::default()
+                .simulate_ct_migration(&[Payments, Authentication, Social, Advertising], 1.0),
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, cfg).generate();
+        let (results, _) = run_pipeline_tallied(&apps, &catalog, workers(2), 1);
+        assert!(results.ct_apps > 0 && results.webview_apps > 0);
+        assert_fold_matches_materialized(&apps, &catalog);
     }
 
     #[test]
@@ -572,21 +726,13 @@ mod tests {
         let catalog = SdkIndex::paper();
         let ins = inputs(&catalog, 2_000, 7, 0.0);
         let trap = ins.len() / 2;
-        let out = run_pipeline_with(
-            &ins,
-            &catalog,
-            PipelineConfig {
-                workers: 4,
-                ..PipelineConfig::default()
-            },
-            |input, ctx| {
-                if std::ptr::eq(input, &ins[trap]) {
-                    panic!("injected analysis fault");
-                }
-                let bytes = Bytes::copy_from_slice(input.bytes());
-                analyze_app_timed_with(input.meta(), bytes, ctx)
-            },
-        );
+        let trapped = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
+            if std::ptr::eq(input, &ins[trap]) {
+                panic!("injected analysis fault");
+            }
+            analyze_input(input, ctx)
+        };
+        let out = run_pipeline_with(&ins, &catalog, workers(4), trapped);
         assert_eq!(out.results.len(), ins.len());
         assert_eq!(out.stats.panicked, 1);
         match &out.results[trap] {
@@ -597,6 +743,22 @@ mod tests {
         }
         assert_eq!(out.analyzed_count() + out.broken_count(), ins.len());
         assert_eq!(out.stats.failure_kinds.get("analysis-panic"), Some(&1));
+
+        // The fold: the trapped app never reaches its worker's tally, so
+        // it is counted once as broken, once as panicked and once under
+        // `analysis-panic`, and every other app exactly as without it.
+        let (clean, _) = run_pipeline_tallied(&ins, &catalog, workers(2), 1);
+        let want = aggregate(&out, &catalog, 1);
+        for n in [1, 2, 8] {
+            let (results, stats) = tally_with(&ins, &catalog, workers(n), 1, trapped);
+            assert_eq!(results, want, "{n} workers");
+            assert_eq!(results.analyzed, clean.analyzed - 1, "{n} workers");
+            assert_eq!(results.broken, clean.broken + 1, "{n} workers");
+            assert_eq!(stats.total, ins.len());
+            assert_eq!(stats.broken, results.broken);
+            assert_eq!(stats.panicked, 1);
+            assert_eq!(stats.failure_kinds, out.stats.failure_kinds);
+        }
     }
 
     proptest! {

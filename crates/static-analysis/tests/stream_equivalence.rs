@@ -10,8 +10,8 @@ use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
 use wla_sdk_index::SdkIndex;
 use wla_static::stream::MANIFEST_SUBDIR;
 use wla_static::{
-    aggregate, run_pipeline, run_pipeline_streamed, PipelineConfig, PipelineOutput, StreamConfig,
-    StudyResults,
+    aggregate, run_pipeline, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig,
+    PipelineOutput, StreamConfig, StudyResults,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -331,6 +331,8 @@ proptest! {
 
 /// Paper-scale acceptance: ≥50K apps streamed from disk shards with
 /// results identical at several worker counts, plus a full resume pass.
+/// At each worker count the in-memory aggregate and the fold's
+/// (`run_pipeline_tallied`) must equal the streamed one.
 /// Ignored in tier-1 (debug-mode) runs — execute with
 /// `cargo test --release -p wla-static --test stream_equivalence -- --ignored`.
 #[test]
@@ -362,6 +364,20 @@ fn paper_scale_stream_50k() {
         .unwrap()
     };
 
+    // The in-memory aggregate and the fold, at `workers`, must both
+    // reproduce the streamed study.
+    let in_memory_and_folded = |workers: usize, study: &StudyResults| {
+        let config = PipelineConfig {
+            workers,
+            ..PipelineConfig::default()
+        };
+        let in_memory = aggregate(&run_pipeline(&apps, &catalog, config), &catalog, 1);
+        assert_eq!(in_memory, *study, "in-memory at {workers} workers");
+        let (folded, stats) = run_pipeline_tallied(&apps, &catalog, config, 1);
+        assert_eq!(folded, *study, "fold at {workers} workers");
+        assert_eq!(stats.total, apps.len());
+    };
+
     let first = run(1, false);
     let study = aggregate(&first, &catalog, 1);
     eprintln!(
@@ -371,6 +387,7 @@ fn paper_scale_stream_50k() {
         first.stats.stream.bytes_mapped as f64 / (1024.0 * 1024.0),
         first.stats.stream.peak_mapped_bytes as f64 / (1024.0 * 1024.0),
     );
+    in_memory_and_folded(1, &study);
     for workers in [2usize, 4, 8] {
         let out = run(workers, false);
         assert_eq!(out.results.len(), first.results.len());
@@ -378,6 +395,7 @@ fn paper_scale_stream_50k() {
             assert_eq!(a, b, "diverged at {i} with {workers} workers");
         }
         assert_eq!(aggregate(&out, &catalog, 1), study);
+        in_memory_and_folded(workers, &study);
     }
 
     // Resume: populate the manifest, then a second pass must skip every

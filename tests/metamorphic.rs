@@ -4,13 +4,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use whatcha_lookin_at::wla_apk::ApkError;
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams, MethodSet};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{
-    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, PipelineConfig,
+    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, AppAnalysis, PipelineConfig,
+    Tally,
 };
 
 fn meta() -> AppMeta {
@@ -112,11 +114,14 @@ proptest! {
 
     /// The interned aggregation path (u32 keys end to end) produces
     /// *identical* `StudyResults` to the string-path oracle on randomized
-    /// corpora — including broken containers and any worker count.
+    /// corpora — including broken containers and any worker count. The
+    /// tallies of any split of the corpus, merged in reverse order, equal
+    /// the single-pass tally, and finish to the oracle's results too.
     #[test]
     fn interned_aggregate_matches_string_oracle(
         seed in 0u64..10_000,
         workers in 1usize..8,
+        cuts in proptest::collection::vec(0usize..10_000, 0..6),
     ) {
         let catalog = SdkIndex::paper();
         let cfg = CorpusConfig {
@@ -134,9 +139,37 @@ proptest! {
                 ..PipelineConfig::default()
             },
         );
-        prop_assert_eq!(
-            aggregate(&out, &catalog, 1),
-            aggregate_string_oracle(&out, &catalog, 1)
-        );
+        let oracle = aggregate_string_oracle(&out, &catalog, 1);
+        prop_assert_eq!(aggregate(&out, &catalog, 1), oracle.clone());
+
+        let results = &out.results;
+        let whole = tally(&catalog, results);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (results.len() + 1)).collect();
+        bounds.sort_unstable();
+        bounds.push(results.len());
+        let mut parts = Vec::new();
+        let mut from = 0;
+        for to in bounds {
+            parts.push(tally(&catalog, &results[from..to]));
+            from = to;
+        }
+        let mut merged = Tally::new(&catalog);
+        for part in parts.iter().rev() {
+            merged.merge(part);
+        }
+        prop_assert_eq!(&merged, &whole);
+        prop_assert_eq!(merged.finish(1), oracle);
     }
+}
+
+/// One tally over `results`, in order.
+fn tally<'c>(catalog: &'c SdkIndex, results: &[Result<AppAnalysis, ApkError>]) -> Tally<'c> {
+    let mut tally = Tally::new(catalog);
+    for result in results {
+        match result {
+            Ok(analysis) => tally.add(analysis),
+            Err(_) => tally.add_broken(),
+        }
+    }
+    tally
 }
