@@ -247,6 +247,10 @@ fn crawl_summary_table(s: &CrawlStats) -> Table {
         ),
     ]);
     t.row_owned(vec![
+        "Prepared pages".into(),
+        format!("{} ({} KiB)", s.sites, s.prepared_bytes / 1024),
+    ]);
+    t.row_owned(vec![
         "Visits completed".into(),
         thousands(s.visits_completed as u64),
     ]);
@@ -489,6 +493,7 @@ mod tests {
             failure_kinds: [("visit-panic", 1)].into_iter().collect(),
             workers: vec![WorkerStats::default(); 8],
             prepare_ns: 800_000,
+            prepared_bytes: 286_374,
             visit_ns: 11_000_000,
             merge_ns: 600_000,
             total_ns: 12_500_000,
@@ -598,6 +603,7 @@ Crawl run summary
 | Metric                 | Value                       |
 +------------------------+-----------------------------+
 | Visit matrix           | 11 rows x 100 sites = 1,100 |
+| Prepared pages         | 100 (279 KiB)               |
 | Visits completed       |                       1,099 |
 |   of which panicked    |                           1 |
 | Script steps executed  |                      10,990 |
@@ -728,6 +734,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         let r = render_crawl_stats(&crawl_sample());
         assert!(r.contains("Crawl run summary"));
         assert!(r.contains("11 rows x 100 sites = 1,100"));
+        assert!(r.contains("100 (279 KiB)")); // prepared pages
         assert!(r.contains("1,099"));
         assert!(r.contains("10,990")); // script steps
         assert!(r.contains("54,321")); // netlog events
@@ -871,9 +878,11 @@ URL-origin census (constant propagation at URL-bearing sites)
         assert!(s.visits_per_second() > 0.0);
         assert!(s.interner.local_hit_rate() > 0.0);
         assert!(s.classify_hit_rate() > 0.0);
+        assert!(s.prepared_bytes > 0);
         let rendered = render_crawl_stats(s);
         assert!(rendered.contains("Crawl run summary"));
         assert!(rendered.contains("2 rows x 100 sites = 200"));
+        assert!(rendered.contains(&format!("100 ({} KiB)", s.prepared_bytes / 1024)));
         assert!(rendered.contains("Crawl phase timing"));
         assert!(!rendered.contains("Crawl failure taxonomy"));
     }

@@ -207,6 +207,10 @@ pub fn site_page(site: &TopSite) -> PreparedPage {
         sub_urls.push("https://beacons.site-metrics.net/v1/collect".into());
     }
 
+    // Freeze the page at exact capacity: it is shared, read-only, by every
+    // visit to the site.
+    doc.shrink_to_fit();
+    sub_urls.shrink_to_fit();
     PreparedPage {
         url: site.url().into(),
         doc: Arc::new(doc),

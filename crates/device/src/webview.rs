@@ -113,20 +113,38 @@ impl PreparedPage {
     }
 
     /// Wrap an already-built document (a corpus generator emitting DOM
-    /// directly) and precompute the full fetch list.
-    pub fn from_document(url: &str, doc: Document, extra_requests: &[String]) -> PreparedPage {
+    /// directly) and precompute the full fetch list. The document and the
+    /// list are frozen at exact capacity.
+    pub fn from_document(url: &str, mut doc: Document, extra_requests: &[String]) -> PreparedPage {
         let page_host = host_of(url).unwrap_or("localhost");
         let mut sub_urls: Vec<Arc<str>> = collect_subresource_urls(&doc, page_host)
             .into_iter()
             .map(Arc::from)
             .collect();
         sub_urls.extend(extra_requests.iter().map(|u| Arc::from(u.as_str())));
+        sub_urls.shrink_to_fit();
+        doc.shrink_to_fit();
         PreparedPage {
             url: Arc::from(url),
             doc: Arc::new(doc),
             sub_urls,
             readonly: ReadOnlyCache::default(),
         }
+    }
+
+    /// Heap bytes the page holds: the shared document (its node,
+    /// attribute and string tables), the page URL and the fetch list.
+    /// Counted as the allocator is asked for them.
+    pub fn heap_bytes(&self) -> usize {
+        // An `Arc` allocation: two reference counts, then the value,
+        // padded to the counts' alignment.
+        let arc =
+            |value: usize| (2 * size_of::<usize>() + value).next_multiple_of(align_of::<usize>());
+        arc(size_of::<Document>())
+            + self.doc.heap_bytes()
+            + arc(self.url.len())
+            + self.sub_urls.capacity() * size_of::<Arc<str>>()
+            + self.sub_urls.iter().map(|u| arc(u.len())).sum::<usize>()
     }
 
     /// Run a read-only effect against the shared prototype, caching the

@@ -155,6 +155,10 @@ pub struct CrawlStats {
     pub workers: Vec<WorkerStats>,
     /// Nanoseconds preparing per-site pages (serial, before the pool).
     pub prepare_ns: u64,
+    /// Heap bytes the prepared pages hold for the whole run: each page's
+    /// node, attribute and string tables, URL and fetch list
+    /// ([`PreparedPage::heap_bytes`]).
+    pub prepared_bytes: usize,
     /// Summed worker busy nanoseconds.
     pub visit_ns: u64,
     /// Serial join tail: merge + symbol remap + figure fold.
@@ -435,6 +439,7 @@ fn join_crawl(
         rows: matrix.rows.len(),
         sites: n_sites,
         prepare_ns,
+        prepared_bytes: matrix.pages.iter().map(|p| p.heap_bytes()).sum(),
         visit_ns: pool.workers.iter().map(|w| w.busy_ns).sum(),
         workers: pool.workers,
         ..CrawlStats::default()
@@ -581,6 +586,20 @@ mod tests {
             ..CrawlInternerCounters::default()
         };
         assert_eq!(c.local_hit_rate(), 0.75);
+    }
+
+    #[test]
+    fn prepared_pages_for_the_top_100_hold_at_most_320_kib() {
+        // Nothing is allocated per DOM node: the 100 landing pages' node,
+        // attribute and string tables plus their fetch lists fit in
+        // 320 KiB (one owned enum per node held about 1.1 MiB).
+        let sites = wla_crawler::sites::top_100_sites();
+        let out = run_crawl_pipeline(&sites, Some(&[]), CrawlConfig { workers: 1 });
+        let bytes = out.stats.prepared_bytes;
+        assert!(bytes > 0);
+        assert!(bytes <= 320 * 1024, "prepared pages hold {bytes} bytes");
+        let summed: usize = sites.iter().map(|s| site_page(s).heap_bytes()).sum();
+        assert_eq!(bytes, summed);
     }
 
     #[test]

@@ -14,21 +14,49 @@ const VOID_ELEMENTS: [&str; 8] = ["img", "br", "hr", "input", "meta", "link", "s
 /// Parse `html` into a [`Document`]. Top-level content is placed under
 /// `<body>` unless the input carries its own `html/head/body` skeleton, in
 /// which case head/body children are merged into the skeleton.
+///
+/// The parser keeps its open elements on a heap stack, so nesting depth is
+/// bounded by memory, not by the thread's stack.
 pub fn parse(html: &str) -> Document {
     let mut doc = Document::new();
     let body = doc.body().expect("skeleton");
+    let head = doc.head().expect("skeleton");
     let mut parser = Parser {
         src: html.as_bytes(),
         pos: 0,
     };
-    let head = doc.head().expect("skeleton");
-    parser.parse_children(&mut doc, body, head, None);
+    parser.parse_into(&mut doc, body, head);
     doc
 }
 
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+}
+
+/// An open element on the parser's stack: content parsed while it is on
+/// top goes to `parent`, and the closing tag it names pops it.
+struct Open {
+    parent: NodeId,
+    closed_by: ClosedBy,
+}
+
+enum ClosedBy {
+    /// The element's own tag.
+    Own,
+    /// A merged skeleton tag: `html`, `head` or `body`.
+    Skeleton(&'static str),
+}
+
+impl Open {
+    fn is_closed_by(&self, name: &str, doc: &Document) -> bool {
+        match self.closed_by {
+            ClosedBy::Own => doc
+                .tag(self.parent)
+                .is_some_and(|tag| name.eq_ignore_ascii_case(tag)),
+            ClosedBy::Skeleton(tag) => name.eq_ignore_ascii_case(tag),
+        }
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -44,36 +72,23 @@ impl<'a> Parser<'a> {
         self.rest().starts_with(s.as_bytes())
     }
 
-    /// Parse a run of children into `parent` until EOF or a closing tag for
-    /// `until` (exclusive). `head` receives head-ish elements (meta, title,
-    /// link) found at skeleton positions.
-    fn parse_children(
-        &mut self,
-        doc: &mut Document,
-        parent: NodeId,
-        head: NodeId,
-        until: Option<&str>,
-    ) {
-        loop {
-            if self.eof() {
-                return;
-            }
+    /// Parse the whole input. Content outside any open element goes to
+    /// `body`; `head` receives the content of a `<head>` tag.
+    fn parse_into(&mut self, doc: &mut Document, body: NodeId, head: NodeId) {
+        let mut open: Vec<Open> = Vec::new();
+        while !self.eof() {
+            let parent = open.last().map_or(body, |o| o.parent);
             if self.starts_with("</") {
-                // Closing tag: consume; if it matches `until`, stop.
-                let save = self.pos;
+                // A closing tag pops open elements up to and including the
+                // innermost one it closes. One that closes no open element
+                // pops them all, and at top level it is dropped.
                 self.pos += 2;
                 let name = self.read_name();
                 self.skip_to(b'>');
-                if let Some(u) = until {
-                    if name.eq_ignore_ascii_case(u) {
-                        return;
+                while let Some(top) = open.pop() {
+                    if top.is_closed_by(&name, doc) {
+                        break;
                     }
-                }
-                // Stray closing tag for something else: if we're nested,
-                // bubble it up so outer levels can match it.
-                if until.is_some() {
-                    self.pos = save;
-                    return;
                 }
                 continue;
             }
@@ -101,65 +116,79 @@ impl<'a> Parser<'a> {
                 let (attrs, self_closed) = self.read_attrs();
                 // Skeleton merging: html/head/body tags re-target instead of
                 // nesting duplicates.
-                match tag.as_str() {
-                    "html" => {
-                        self.parse_children(doc, parent, head, Some("html"));
-                        continue;
-                    }
-                    "head" => {
-                        self.parse_children(doc, head, head, Some("head"));
-                        continue;
-                    }
+                let (parent, closed_by) = match tag.as_str() {
+                    "html" => (parent, ClosedBy::Skeleton("html")),
+                    "head" => (head, ClosedBy::Skeleton("head")),
                     "body" => {
                         for (k, v) in attrs {
                             doc.set_attr(parent, &k, &v);
                         }
-                        self.parse_children(doc, parent, head, Some("body"));
-                        continue;
+                        (parent, ClosedBy::Skeleton("body"))
                     }
-                    _ => {}
-                }
-                let el = doc.alloc_element(&tag);
-                for (k, v) in attrs {
-                    doc.set_attr(el, &k, &v);
-                }
-                doc.append_child(parent, el);
-                if self_closed || VOID_ELEMENTS.contains(&tag.as_str()) {
-                    continue;
-                }
-                if tag == "script" || tag == "style" {
-                    // Raw text until the matching close tag.
-                    let close = format!("</{tag}");
-                    let content = match find_ci(self.rest(), close.as_bytes()) {
-                        Some(i) => {
-                            let text = String::from_utf8_lossy(&self.rest()[..i]).into_owned();
-                            self.pos += i;
-                            self.skip_to(b'>');
-                            text
-                        }
-                        None => {
-                            let text = String::from_utf8_lossy(self.rest()).into_owned();
-                            self.pos = self.src.len();
-                            text
-                        }
-                    };
-                    if !content.trim().is_empty() {
-                        let t = doc.alloc_text(&content);
-                        doc.append_child(el, t);
-                    }
-                    continue;
-                }
-                self.parse_children(doc, el, head, Some(&tag));
+                    _ => match self.element(doc, parent, &tag, attrs, self_closed) {
+                        Some(el) => (el, ClosedBy::Own),
+                        None => continue,
+                    },
+                };
+                open.push(Open { parent, closed_by });
                 continue;
             }
-            // Text run until the next '<'.
-            let end = find(self.rest(), b"<").unwrap_or(self.rest().len());
-            let text = String::from_utf8_lossy(&self.rest()[..end]).into_owned();
-            self.pos += end;
-            if !text.trim().is_empty() {
-                let t = doc.alloc_text(text.trim());
-                doc.append_child(parent, t);
+            self.text(doc, parent);
+        }
+    }
+
+    /// Append element `tag` to `parent`. Returns it when it stays open:
+    /// not void, self-closed or raw text (`<script>`/`<style>`, whose
+    /// content is read here up to the matching close tag).
+    fn element(
+        &mut self,
+        doc: &mut Document,
+        parent: NodeId,
+        tag: &str,
+        attrs: Vec<(String, String)>,
+        self_closed: bool,
+    ) -> Option<NodeId> {
+        let el = doc.alloc_element(tag);
+        for (k, v) in attrs {
+            doc.set_attr(el, &k, &v);
+        }
+        doc.append_child(parent, el);
+        if self_closed || VOID_ELEMENTS.contains(&tag) {
+            return None;
+        }
+        if tag == "script" || tag == "style" {
+            // Raw text until the matching close tag.
+            let close = format!("</{tag}");
+            let content = match find_ci(self.rest(), close.as_bytes()) {
+                Some(i) => {
+                    let text = String::from_utf8_lossy(&self.rest()[..i]).into_owned();
+                    self.pos += i;
+                    self.skip_to(b'>');
+                    text
+                }
+                None => {
+                    let text = String::from_utf8_lossy(self.rest()).into_owned();
+                    self.pos = self.src.len();
+                    text
+                }
+            };
+            if !content.trim().is_empty() {
+                let t = doc.alloc_text(&content);
+                doc.append_child(el, t);
             }
+            return None;
+        }
+        Some(el)
+    }
+
+    /// A text run up to the next '<', appended to `parent` unless blank.
+    fn text(&mut self, doc: &mut Document, parent: NodeId) {
+        let end = find(self.rest(), b"<").unwrap_or(self.rest().len());
+        let text = String::from_utf8_lossy(&self.rest()[..end]).into_owned();
+        self.pos += end;
+        if !text.trim().is_empty() {
+            let t = doc.alloc_text(text.trim());
+            doc.append_child(parent, t);
         }
     }
 
@@ -267,6 +296,135 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The recursive parser the stack-based one replaced — one call per
+    /// open element — kept as the reference the proptests compare against.
+    fn parse_recursive(html: &str) -> Document {
+        let mut doc = Document::new();
+        let body = doc.body().expect("skeleton");
+        let head = doc.head().expect("skeleton");
+        let mut parser = Parser {
+            src: html.as_bytes(),
+            pos: 0,
+        };
+        parser.parse_children(&mut doc, body, head, None);
+        doc
+    }
+
+    impl Parser<'_> {
+        /// Parse a run of children into `parent` until EOF or a closing tag
+        /// for `until` (exclusive). `head` receives head-ish elements found
+        /// at skeleton positions.
+        fn parse_children(
+            &mut self,
+            doc: &mut Document,
+            parent: NodeId,
+            head: NodeId,
+            until: Option<&str>,
+        ) {
+            loop {
+                if self.eof() {
+                    return;
+                }
+                if self.starts_with("</") {
+                    // Closing tag: consume; if it matches `until`, stop.
+                    let save = self.pos;
+                    self.pos += 2;
+                    let name = self.read_name();
+                    self.skip_to(b'>');
+                    if let Some(u) = until {
+                        if name.eq_ignore_ascii_case(u) {
+                            return;
+                        }
+                    }
+                    // Stray closing tag for something else: if we're nested,
+                    // bubble it up so outer levels can match it.
+                    if until.is_some() {
+                        self.pos = save;
+                        return;
+                    }
+                    continue;
+                }
+                if self.starts_with("<!--") {
+                    match find(self.rest(), b"-->") {
+                        Some(i) => self.pos += i + 3,
+                        None => self.pos = self.src.len(),
+                    }
+                    continue;
+                }
+                if self.starts_with("<!") {
+                    self.skip_to(b'>');
+                    continue;
+                }
+                if self.starts_with("<") {
+                    self.pos += 1;
+                    let tag = self.read_name().to_ascii_lowercase();
+                    if tag.is_empty() {
+                        let t = doc.alloc_text("<");
+                        doc.append_child(parent, t);
+                        continue;
+                    }
+                    let (attrs, self_closed) = self.read_attrs();
+                    match tag.as_str() {
+                        "html" => {
+                            self.parse_children(doc, parent, head, Some("html"));
+                            continue;
+                        }
+                        "head" => {
+                            self.parse_children(doc, head, head, Some("head"));
+                            continue;
+                        }
+                        "body" => {
+                            for (k, v) in attrs {
+                                doc.set_attr(parent, &k, &v);
+                            }
+                            self.parse_children(doc, parent, head, Some("body"));
+                            continue;
+                        }
+                        _ => {}
+                    }
+                    let el = doc.alloc_element(&tag);
+                    for (k, v) in attrs {
+                        doc.set_attr(el, &k, &v);
+                    }
+                    doc.append_child(parent, el);
+                    if self_closed || VOID_ELEMENTS.contains(&tag.as_str()) {
+                        continue;
+                    }
+                    if tag == "script" || tag == "style" {
+                        let close = format!("</{tag}");
+                        let content = match find_ci(self.rest(), close.as_bytes()) {
+                            Some(i) => {
+                                let text = String::from_utf8_lossy(&self.rest()[..i]).into_owned();
+                                self.pos += i;
+                                self.skip_to(b'>');
+                                text
+                            }
+                            None => {
+                                let text = String::from_utf8_lossy(self.rest()).into_owned();
+                                self.pos = self.src.len();
+                                text
+                            }
+                        };
+                        if !content.trim().is_empty() {
+                            let t = doc.alloc_text(&content);
+                            doc.append_child(el, t);
+                        }
+                        continue;
+                    }
+                    self.parse_children(doc, el, head, Some(&tag));
+                    continue;
+                }
+                let end = find(self.rest(), b"<").unwrap_or(self.rest().len());
+                let text = String::from_utf8_lossy(&self.rest()[..end]).into_owned();
+                self.pos += end;
+                if !text.trim().is_empty() {
+                    let t = doc.alloc_text(text.trim());
+                    doc.append_child(parent, t);
+                }
+            }
+        }
+    }
+
     #[test]
     fn parses_nested_structure() {
         let doc = parse(r#"<div id="a"><p class="x">hi <b>there</b></p></div>"#);
@@ -288,10 +446,7 @@ mod tests {
         assert_eq!(doc.get_elements_by_tag_name("head").len(), 1);
         assert_eq!(doc.get_elements_by_tag_name("body").len(), 1);
         let head = doc.head().unwrap();
-        assert!(doc
-            .children(head)
-            .iter()
-            .any(|&c| doc.tag(c) == Some("meta")));
+        assert!(doc.children(head).any(|c| doc.tag(c) == Some("meta")));
         let body = doc.body().unwrap();
         assert_eq!(doc.get_attr(body, "class"), Some("home"));
     }
@@ -335,6 +490,95 @@ mod tests {
         assert!(doc.text_content().contains("two"));
     }
 
+    #[test]
+    fn stray_close_tag_closes_every_open_element() {
+        let doc = parse("<div><p>one</span>two");
+        let body = doc.body().unwrap();
+        let text = doc.children(body).next_back().unwrap();
+        assert_eq!(doc.tag(text), None);
+        assert_eq!(doc.text_content(), "one two");
+        assert_eq!(doc, parse_recursive("<div><p>one</span>two"));
+    }
+
+    #[test]
+    fn deep_nesting_parses_on_a_small_stack() {
+        // 200,000 open elements: one stack frame per element would need
+        // tens of MiB of stack; the parser runs in 256 KiB.
+        const DEPTH: usize = 200_000;
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let doc = parse(&"<div>".repeat(DEPTH));
+                let last = NodeId(doc.len() - 1);
+                let ancestors = std::iter::successors(doc.parent(last), |&n| doc.parent(n));
+                (
+                    doc.len(),
+                    doc.tag(last).map(str::to_owned),
+                    ancestors.count(),
+                )
+            })
+            .expect("spawn the parser thread");
+        let (nodes, tag, depth) = worker.join().expect("the parser thread finishes");
+        // html, head and body, then the divs.
+        assert_eq!(nodes, 3 + DEPTH);
+        assert_eq!(tag.as_deref(), Some("div"));
+        // The last div sits under every other div, body and html.
+        assert_eq!(depth, DEPTH - 1 + 2);
+    }
+
+    const SOUP_TAGS: [&str; 10] = [
+        "div", "P", "span", "b", "Li", "ul", "a", "section", "em", "table",
+    ];
+    const SOUP_VOIDS: [&str; 4] = ["img", "BR", "input", "meta"];
+    const SOUP_ATTRS: [&str; 7] = [
+        "",
+        " id=\"main\"",
+        " class='a b'",
+        " data-x=1",
+        " HREF=\"/x\" id=y",
+        " hidden",
+        " src=\"//cdn.x/y.js\" /",
+    ];
+    const SOUP_TEXTS: [&str; 6] = ["hello", "  ", "a < b", "x&y", "two words", ">"];
+
+    /// Render one tag-soup token. `opens` counts the element tags left to
+    /// emit, which bounds nesting depth at 64.
+    fn soup_token(kind: usize, pick: usize, attrs: usize, opens: &mut usize) -> String {
+        let tag = SOUP_TAGS[pick % SOUP_TAGS.len()];
+        let attrs = SOUP_ATTRS[attrs % SOUP_ATTRS.len()];
+        match kind {
+            0..=3 if *opens > 0 => {
+                *opens -= 1;
+                format!("<{tag}{attrs}>")
+            }
+            0..=5 => format!("</{tag}>"),
+            6 => format!("<{}{attrs}>", SOUP_VOIDS[pick % SOUP_VOIDS.len()]),
+            7 => format!("<{tag}{attrs}/>"),
+            8 => format!("<!-- <{tag}> -->"),
+            9 => format!("<script{attrs}>if (a < b) {{ x(\"</{tag}>\"); }}</SCRIPT>"),
+            10 => "<style>p { color: red }</style>".to_owned(),
+            11 => [
+                "<html>",
+                "<head>",
+                "<body class=k>",
+                "</head>",
+                "</body>",
+                "</html>",
+            ][pick % 6]
+                .to_owned(),
+            12 => ["<!DOCTYPE html>", "< p", "</", "<!-- open", "<script>x"][pick % 5].to_owned(),
+            _ => SOUP_TEXTS[pick % SOUP_TEXTS.len()].to_owned(),
+        }
+    }
+
+    fn soup(tokens: &[(usize, usize, usize)]) -> String {
+        let mut opens = 64;
+        tokens
+            .iter()
+            .map(|&(kind, pick, attrs)| soup_token(kind, pick, attrs, &mut opens))
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn prop_parse_never_panics(html in ".{0,300}") {
@@ -352,6 +596,26 @@ mod tests {
             let html = format!("{}{}", "<div>".repeat(n), "</div>".repeat(n));
             let doc = parse(&html);
             prop_assert_eq!(doc.get_elements_by_tag_name("div").len(), n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_tag_soup_matches_the_recursive_parser(
+            tokens in proptest::collection::vec((0usize..16, 0usize..64, 0usize..16), 0..160),
+            depth in 0usize..=64,
+        ) {
+            // A run of opening tags first reaches depth 64; the soup after
+            // it closes, reopens and breaks them.
+            let html = format!("{}{}", "<div><em>".repeat(depth / 2), soup(&tokens));
+            prop_assert_eq!(parse(&html), parse_recursive(&html), "{}", html);
+        }
+
+        #[test]
+        fn prop_noise_matches_the_recursive_parser(html in ".{0,300}") {
+            prop_assert_eq!(parse(&html), parse_recursive(&html));
         }
     }
 }

@@ -43,7 +43,7 @@ pub mod testpage;
 pub mod webapi;
 pub mod website;
 
-pub use dom::{Document, Node, NodeId};
+pub use dom::{Document, NodeId};
 pub use script::{ScriptEffect, ScriptOutcome};
 pub use simhash::{hamming, simhash64, simhash64_scalar};
 pub use webapi::{ApiCall, DomSession};

@@ -136,9 +136,7 @@ pub fn execute_readonly(effect: &ScriptEffect, doc: &crate::Document) -> Option<
                         }
                     }
                 }
-                for &c in doc.children(id).iter().rev() {
-                    stack.push(c);
-                }
+                stack.extend(doc.children(id).rev());
             }
             let text = doc.text_content();
             Some(ScriptOutcome::SimHashes {
@@ -203,7 +201,7 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
                 }
                 None => {
                     let body = session.doc.body().expect("body exists");
-                    let first = session.doc.children(body).first().copied();
+                    let first = session.doc.children(body).next();
                     match first {
                         Some(first) => session.insert_before(body, js, first),
                         None => session.doc.append_child(body, js),
@@ -279,7 +277,7 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
             let marker = session.create_element("span");
             session.doc.set_attr(marker, "id", "wla-perf-marker");
             let body = session.doc.body().expect("body exists");
-            if let Some(&first) = session.doc.children(body).first() {
+            if let Some(first) = session.doc.children(body).next() {
                 session.insert_before(body, marker, first);
             } else {
                 session.doc.append_child(body, marker);
@@ -311,7 +309,7 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
                     .doc
                     .set_attr(ad, "src", &format!("https://{}/ad", payload.source_host));
                 let slot = slots[0];
-                let children = session.doc.children(slot).first().copied();
+                let children = session.doc.children(slot).next();
                 match children {
                     Some(first) => session.insert_before(slot, ad, first),
                     None => session.doc.append_child(slot, ad),

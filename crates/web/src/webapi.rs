@@ -191,9 +191,7 @@ impl DomSession {
                     }
                 }
             }
-            for &c in self.doc.children(id).iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(self.doc.children(id).rev());
         }
         out
     }
@@ -231,7 +229,7 @@ mod tests {
         s.get_element_by_id("main");
         let el = s.create_element("script");
         let body = s.doc.body().unwrap();
-        let first = s.doc.children(body)[0];
+        let first = s.doc.children(body).next().unwrap();
         s.insert_before(body, el, first);
         let calls = s.calls();
         assert_eq!(calls[0].interface, "Document");
