@@ -35,9 +35,16 @@
 # together). Real regressions — an accidental re-allocation in the decode
 # path, a per-visit parse sneaking back in — clear both bars. A snapshot
 # whose `_host` is missing or names another host is not compared at all:
-# the check exits 1 with "snapshot from <host>, this host is <host>", since
+# that stage fails with "snapshot from <host>, this host is <host>", since
 # timings from another machine say nothing about this one. Re-snapshot
-# on the host that will run the check.
+# on the host that will run the check. Every stage runs — the static
+# check, the saturation and lookup-table floor gates, the dynamic check —
+# and prints its verdict; the check exits 1 at the end, naming the stages
+# that failed, if any did, so one failing stage never hides the others.
+# The two floor gates read the committed static snapshot, which stands for
+# this build only when the fresh static run is within its allowance of
+# it; after a failed static check they are reported as not evaluated and
+# counted as failed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,15 +59,17 @@ run_quick_benches() {
     local tsv=$1
     shift
     rm -f "$tsv.raw"
+    # Failures return explicitly: bench-check runs this where `set -e`
+    # does not apply.
     local pass
     for pass in 1 2; do
         WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$tsv.raw" \
-            cargo bench -q -p wla-bench "$@"
+            cargo bench -q -p wla-bench "$@" || return 1
     done
     awk -F'\t' '
         !($1 in best) || $2 + 0 < best[$1] + 0 { best[$1] = $2 }
         END { for (id in best) printf "%s\t%s\n", id, best[id] }
-    ' "$tsv.raw" | LC_ALL=C sort > "$tsv"
+    ' "$tsv.raw" | LC_ALL=C sort > "$tsv" || return 1
     rm -f "$tsv.raw"
 }
 
@@ -109,20 +118,24 @@ bench_snapshot() {
 
 check_one() {
     # $1 = committed snapshot; $2 = regression allowance (e.g. 1.25);
-    # the rest are the bench flags for its suite.
+    # the rest are the bench flags for its suite. Returns 1 on a failure.
     local json=$1 limit=$2
     shift 2
-    [[ -f "$json" ]] || { echo "bench-check: no committed $json"; exit 1; }
+    [[ -f "$json" ]] || { echo "bench-check: no committed $json"; return 1; }
     local host snap
     host=$(host_id)
     snap=$(snapshot_host "$json")
     if [[ "$snap" != "$host" ]]; then
         echo "bench-check: $json: snapshot from ${snap:-an unrecorded host}, this host is $host"
-        exit 1
+        return 1
     fi
     local tsv
     tsv=$(mktemp)
-    run_quick_benches "$tsv" "$@"
+    run_quick_benches "$tsv" "$@" || {
+        rm -f "$tsv"
+        echo "bench-check: FAILED (benches of $json did not run)"
+        return 1
+    }
     # Compare every committed entry against the fresh run; entries only on
     # one side (added or retired benches) are reported but never fail.
     awk -F'\t' -v limit="$limit" '
@@ -144,7 +157,7 @@ check_one() {
         END {
             for (id in fresh) if (!(id in seen)) printf "  new       %-40s %12.0f ns\n", id, fresh[id] + 0
             exit bad > 0 ? 1 : 0
-        }' "$tsv" "$json" || { rm -f "$tsv"; echo "bench-check: FAILED (regression above allowance in $json)"; exit 1; }
+        }' "$tsv" "$json" || { rm -f "$tsv"; echo "bench-check: FAILED (regression above allowance in $json)"; return 1; }
     rm -f "$tsv"
     echo "bench-check: $json within its allowance"
 }
@@ -162,7 +175,8 @@ lookup_table_gate() {
             }
             printf "  lookup-table  linear_scan / type_by_name_lut = %.1fx (floor 3x)\n", scan / lut
             exit scan / lut < 3 ? 1 : 0
-        }' BENCH_static.json || { echo "bench-check: FAILED (type lookup table below its floor)"; exit 1; }
+        }' BENCH_static.json || { echo "bench-check: FAILED (type lookup table below its floor)"; return 1; }
+    echo "bench-check: lookup-table gate above its floor"
 }
 
 saturation_gate() {
@@ -180,17 +194,34 @@ saturation_gate() {
             ratio = oracle / nb
             printf "  saturation   oracle_close_64 / nb_pipelined_64 = %.1fx (floor 5x)\n", ratio
             exit ratio >= 5 ? 0 : 1
-        }' BENCH_static.json || { echo "bench-check: FAILED (nonblocking server below 5x oracle saturation)"; exit 1; }
+        }' BENCH_static.json || { echo "bench-check: FAILED (nonblocking server below 5x oracle saturation)"; return 1; }
+    echo "bench-check: saturation gate above its floor"
 }
 
 bench_check() {
+    # Every stage runs and prints its verdict; a failed stage is named at
+    # the end, and fails the check, without skipping the stages after it.
     echo "== bench check (quick mode regression gate) =="
+    local failed=()
+    # The floor gates read the committed static snapshot, which speaks for
+    # this build only once the fresh run is within its allowance of it.
     # shellcheck disable=SC2086
-    check_one BENCH_static.json 1.25 $STATIC_BENCHES
-    saturation_gate
-    lookup_table_gate
+    if check_one BENCH_static.json 1.25 $STATIC_BENCHES; then
+        saturation_gate || failed+=("saturation gate")
+        lookup_table_gate || failed+=("lookup-table gate")
+    else
+        failed+=("static check" "saturation gate (not evaluated)" "lookup-table gate (not evaluated)")
+        echo "bench-check: saturation and lookup-table gates not evaluated (static check failed)"
+    fi
     # shellcheck disable=SC2086
-    check_one BENCH_dynamic.json 1.50 $DYNAMIC_BENCHES
+    check_one BENCH_dynamic.json 1.50 $DYNAMIC_BENCHES || failed+=("dynamic check")
+    if ((${#failed[@]} > 0)); then
+        local list
+        list=$(printf ', %s' "${failed[@]}")
+        echo "bench-check: FAILED stages: ${list:2}"
+        return 1
+    fi
+    echo "bench-check: every stage passed"
 }
 
 case "${1:-}" in
@@ -199,7 +230,7 @@ bench-snapshot)
     exit 0
     ;;
 bench-check)
-    bench_check
+    bench_check || exit 1
     exit 0
     ;;
 esac

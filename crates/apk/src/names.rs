@@ -41,6 +41,35 @@ pub const WEBVIEW_CONTENT_METHODS: [&str; 7] = [
 /// extracted at call sites of these (plus `launchUrl` for CTs) in §3.1.4.
 pub const WEBVIEW_LOAD_METHODS: [&str; 3] = ["loadUrl", "loadData", "loadDataWithBaseURL"];
 
+/// [`WEBVIEW_LOAD_METHODS`] as a bit set over [`WEBVIEW_CONTENT_METHODS`]:
+/// bit `i` is set when `WEBVIEW_CONTENT_METHODS[i]` populates content, so a
+/// call site that keeps its method's index tests the flag without a
+/// string compare.
+pub const WEBVIEW_LOAD_METHOD_MASK: u8 = {
+    const fn same(a: &[u8], b: &[u8]) -> bool {
+        match (a, b) {
+            ([], []) => true,
+            ([x, a @ ..], [y, b @ ..]) => *x == *y && same(a, b),
+            _ => false,
+        }
+    }
+    let (mut mask, mut i) = (0, 0);
+    while i < WEBVIEW_CONTENT_METHODS.len() {
+        let mut j = 0;
+        while j < WEBVIEW_LOAD_METHODS.len() {
+            if same(
+                WEBVIEW_CONTENT_METHODS[i].as_bytes(),
+                WEBVIEW_LOAD_METHODS[j].as_bytes(),
+            ) {
+                mask |= 1 << i;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    mask
+};
+
 /// The CT method that populates content.
 pub const CT_LAUNCH_METHOD: &str = "launchUrl";
 
@@ -126,5 +155,10 @@ mod tests {
         for m in WEBVIEW_LOAD_METHODS {
             assert!(WEBVIEW_CONTENT_METHODS.contains(&m));
         }
+        for (i, m) in WEBVIEW_CONTENT_METHODS.iter().enumerate() {
+            let in_mask = WEBVIEW_LOAD_METHOD_MASK & (1 << i) != 0;
+            assert_eq!(in_mask, WEBVIEW_LOAD_METHODS.contains(m), "{m}");
+        }
+        assert_eq!(WEBVIEW_LOAD_METHOD_MASK.count_ones(), 3);
     }
 }

@@ -39,12 +39,15 @@ fn bench(c: &mut Criterion) {
         // Reuse one worker context across iterations, as the pipeline does
         // — re-building the catalog/lexicon per app is not the steady state.
         let mut ctx = AnalysisCtx::new(&catalog);
-        // The container copy is part of the step, as in `run_pipeline`.
+        // The container copy is part of the step, as in `run_pipeline`; the
+        // row is cleared after each app, as the fold does.
         b.iter(|| {
             let bytes = Bytes::copy_from_slice(black_box(input.bytes()));
-            analyze_app_timed_with(input.meta(), bytes, &mut ctx)
+            let row = analyze_app_timed_with(input.meta(), bytes, &mut ctx)
                 .0
-                .unwrap()
+                .unwrap();
+            ctx.results.clear();
+            row
         })
     });
     // Worker-count sweep. The ids keep their `stats_on` label so

@@ -16,9 +16,7 @@
 
 use crate::graph::{BuildStats, CallGraph, CallSite, UrlOrigin};
 use std::collections::{HashMap, HashSet};
-use wla_apk::names::{
-    framework, package_of_into, CT_LAUNCH_METHOD, WEBVIEW_CONTENT_METHODS, WEBVIEW_LOAD_METHODS,
-};
+use wla_apk::names::{framework, package_of_into, CT_LAUNCH_METHOD, WEBVIEW_CONTENT_METHODS};
 use wla_apk::sdex::{Dex, MethodId};
 use wla_intern::{LocalInterner, PkgId, Symbol, U32BuildHasher};
 use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
@@ -32,8 +30,6 @@ pub struct WebViewSite {
     /// Position of the method in [`WEBVIEW_CONTENT_METHODS`] — Table 7
     /// accounting indexes by this instead of comparing names.
     pub method_idx: u8,
-    /// Whether the method *populates* content ([`WEBVIEW_LOAD_METHODS`]).
-    pub is_load_method: bool,
     /// Binary name of the class containing the call.
     pub caller_class: Symbol,
     /// Binary name of the static receiver type (WebView itself or a
@@ -367,7 +363,6 @@ pub(crate) fn record_sites(
             record.webview.push(WebViewSite {
                 method: lexicon.intern(name),
                 method_idx: idx as u8,
-                is_load_method: WEBVIEW_LOAD_METHODS.contains(&name),
                 caller_class,
                 receiver_class: lexicon.intern(receiver),
                 caller_package,
@@ -411,6 +406,7 @@ mod tests {
     use super::*;
     use crate::entrypoints::entry_points;
     use crate::provenance_oracle;
+    use wla_apk::names::WEBVIEW_LOAD_METHOD_MASK;
     use wla_apk::sdex::{ClassFlags, DexBuilder, Instruction, InvokeKind, MethodDef, Reg};
     use wla_manifest::{Component, ComponentKind, Manifest};
 
@@ -559,7 +555,7 @@ mod tests {
         );
 
         // Subclass receiver recorded as WebView usage, with the Table 7
-        // index and load-method flag computed at record time.
+        // index (which fixes the load-method flag) computed at record time.
         assert!(rec
             .webview
             .iter()
@@ -567,7 +563,7 @@ mod tests {
         for s in &rec.webview {
             assert_eq!(lexicon.resolve(s.method), "loadUrl");
             assert_eq!(s.method_idx, 0);
-            assert!(s.is_load_method);
+            assert!(WEBVIEW_LOAD_METHOD_MASK & (1 << s.method_idx) != 0);
         }
 
         // CT launch recorded and reachable.

@@ -25,7 +25,7 @@ use wla_net::netlog::{netlog_routes, NetLog};
 use wla_net::Router;
 use wla_report::json::{escape, number};
 use wla_sdk_index::{LabelId, SdkIndex};
-use wla_static::analyze::{analyze_app_timed_with, AnalysisCtx, AppAnalysis};
+use wla_static::analyze::{analyze_app_timed_with, AnalysisCtx, AppView};
 use wla_static::{CtSiteSummary, WebViewSiteSummary};
 
 /// Mount `POST /analyze` and `GET /healthz` onto a router.
@@ -44,14 +44,14 @@ pub fn analysis_routes(router: Router, catalog: Arc<SdkIndex>) -> Router {
             let meta = meta_from_query(req.query());
             let mut ctx = AnalysisCtx::new(&catalog);
             let (result, _timings) = analyze_app_timed_with(&meta, req.body.clone(), &mut ctx);
-            match result {
-                Ok(analysis) => Response::ok(
+            match result.as_ref().map(|&row| ctx.results.get(row)) {
+                Ok(Ok(analysis)) => Response::ok(
                     "application/json",
-                    analysis_json(&analysis, &meta, &ctx).into_bytes(),
+                    analysis_json(analysis, &meta, &ctx).into_bytes(),
                 ),
-                Err(e) => {
+                Ok(Err(e)) | Err(e) => {
                     let mut resp =
-                        Response::error(Status::UnprocessableEntity, &analysis_error_json(&e));
+                        Response::error(Status::UnprocessableEntity, &analysis_error_json(e));
                     // error() defaults to text/plain; the taxonomy body is JSON.
                     resp.headers[0].1 = "application/json".into();
                     resp
@@ -122,12 +122,12 @@ fn webview_site_json(s: &WebViewSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
     format!(
         "{{\"method\":\"{}\",\"caller_class\":\"{}\",\"caller_package\":{},\"label\":\"{}\",\
          \"deep_link\":{},\"load_method\":{},\"argument\":{},\"origin\":\"{}\"}}",
-        escape(ctx.lexicon.resolve(s.method)),
+        escape(s.method()),
         escape(ctx.lexicon.resolve(s.caller_class)),
         opt_sym_json(s.caller_package.map(|p| p.symbol()), ctx),
         escape(&label_str(s.label, ctx.catalog)),
         s.in_deep_link_activity,
-        s.is_load_method,
+        s.is_load_method(),
         opt_sym_json(s.argument, ctx),
         origin_str(s.origin),
     )
@@ -148,10 +148,10 @@ fn ct_site_json(s: &CtSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
     )
 }
 
-/// Render one [`AppAnalysis`] of the app `meta` describes as the service's
+/// Render one [`AppView`] of the app `meta` describes as the service's
 /// JSON document. Symbols are resolved against the producing context's
 /// lexicon; every collection is emitted in a deterministic order.
-pub fn analysis_json(analysis: &AppAnalysis, meta: &AppMeta, ctx: &AnalysisCtx<'_>) -> String {
+pub fn analysis_json(analysis: AppView<'_>, meta: &AppMeta, ctx: &AnalysisCtx<'_>) -> String {
     let mut methods: Vec<&'static str> = analysis.methods_used().into_iter().collect();
     methods.sort_unstable();
     let methods: Vec<String> = methods
@@ -178,7 +178,7 @@ pub fn analysis_json(analysis: &AppAnalysis, meta: &AppMeta, ctx: &AnalysisCtx<'
          \"uses_webview\":{},\"uses_custom_tabs\":{},\"methods_used\":[{}],\
          \"custom_webview_classes\":[{}],\"unreachable_webview_sites\":{},\
          \"webview_sites\":[{}],\"ct_sites\":[{}]}}",
-        escape(&analysis.package),
+        escape(analysis.package),
         escape(analysis.category.label()),
         number(meta.downloads as f64),
         analysis.uses_webview(),
@@ -219,8 +219,7 @@ mod tests {
             .into_iter()
             .find(|a| {
                 wla_static::analyze::analyze_app(&a.spec.meta, &a.bytes)
-                    .map(|r| r.uses_webview())
-                    .unwrap_or(false)
+                    .is_ok_and(|table| table.get(0).is_ok_and(|r| r.uses_webview()))
             })
             .expect("corpus contains a webview app");
         (app.spec.meta, app.bytes)

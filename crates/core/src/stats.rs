@@ -87,6 +87,14 @@ fn pipeline_summary_table(s: &PipelineStats) -> Table {
             ),
         ]);
     }
+    // Only a run that builds an output holds result tables; a folded run
+    // keeps no per-app result.
+    if s.result_bytes > 0 {
+        t.row_owned(vec![
+            "Result tables".into(),
+            format!("{} KiB", thousands(s.result_bytes as u64 / 1024)),
+        ]);
+    }
     if interner.local_hits + interner.local_misses > 0 {
         t.row_owned(vec![
             "Intern cache hit rate".into(),
@@ -478,6 +486,7 @@ mod tests {
                 bytes_mapped: 75_497_472,
                 peak_mapped_bytes: 8_388_608,
             },
+            result_bytes: 3_145_728,
         }
     }
 
@@ -552,6 +561,7 @@ Pipeline run summary
 | Worker threads             |                8 |
 | Pool utilization           |            93.0% |
 | Interned symbols           | 20,480 (512 KiB) |
+| Result tables              | 3,072 KiB        |
 | Intern cache hit rate      |            42.0% |
 | Label cache hit rate       |            87.0% |
 | Call-graph edges (CSR)     |          123,456 |
@@ -687,6 +697,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         assert!(r.contains("Failure taxonomy"));
         assert!(r.contains("analysis-panic"));
         assert!(r.contains("20,480 (512 KiB)"));
+        assert!(r.contains("3,072 KiB")); // result tables
         assert!(r.contains("87.0%")); // label cache hit rate
         assert!(r.contains("serial tail"));
         assert!(r.contains("4.2 ms"));
@@ -709,6 +720,7 @@ URL-origin census (constant propagation at URL-bearing sites)
     fn interner_rows_are_optional() {
         let r = render_pipeline_stats(&PipelineStats::default());
         assert!(!r.contains("Interned symbols"));
+        assert!(!r.contains("Result tables"));
         assert!(!r.contains("Intern cache hit rate"));
         assert!(!r.contains("Label cache hit rate"));
         assert!(!r.contains("Call-graph edges"));
@@ -850,6 +862,8 @@ URL-origin census (constant propagation at URL-bearing sites)
         // yet its worker-local intern and label memos still report.
         assert_eq!(s.interner.global_symbols, 0);
         assert!(!rendered.contains("Interned symbols"));
+        assert_eq!(s.result_bytes, 0);
+        assert!(!rendered.contains("Result tables"));
         assert!(s.interner.local_hit_rate() > 0.0);
         assert!(s.interner.label_hit_rate() > 0.0);
         assert!(rendered.contains("Intern cache hit rate"));

@@ -455,7 +455,7 @@ fn join_crawl(
         lexicons.push(worker.lexicon);
     }
 
-    let outcomes: Vec<(usize, Result<VisitRecord, CrawlFailure>)> = pool
+    let mut outcomes: Vec<(usize, Result<VisitRecord, CrawlFailure>)> = pool
         .results
         .into_iter()
         .enumerate()
@@ -482,11 +482,16 @@ fn join_crawl(
             (w, result)
         })
         .collect();
-    let (outcomes, symbols) = merge_ordered(outcomes, &lexicons, |outcome, f| {
-        if let Ok(record) = outcome {
-            record.remap_symbols(f);
-        }
-    });
+    let symbols = merge_ordered(
+        &mut outcomes,
+        &lexicons,
+        |&(w, _)| w,
+        |(_, outcome), f| {
+            if let Ok(record) = outcome {
+                record.remap_symbols(f);
+            }
+        },
+    );
     stats.interner.global_symbols = symbols.len();
     stats.interner.global_bytes = symbols.bytes();
 
@@ -498,7 +503,7 @@ fn join_crawl(
         .map(|_| (0..n_sites).map(|_| None).collect())
         .collect();
     let mut failures = Vec::new();
-    for (t, outcome) in outcomes.into_iter().enumerate() {
+    for (t, (_, outcome)) in outcomes.into_iter().enumerate() {
         match outcome {
             Ok(record) => cells[t / n_sites][t % n_sites] = Some(record),
             Err(failure) => {

@@ -13,8 +13,9 @@
 //! * [`SymbolTable`] — the frozen form of that table (arena plus span
 //!   ends), owned by each run's output for display-time resolution;
 //! * [`merge_ordered`] — the join-time merge that rewrites worker-local
-//!   symbols into one fresh table in input order, so global symbol ids are
-//!   deterministic regardless of worker count or scheduling;
+//!   symbols, where they are stored, into one fresh table in input order,
+//!   so global symbol ids are deterministic regardless of worker count or
+//!   scheduling;
 //! * [`FxBuildHasher`] / [`U32BuildHasher`] — the multiplicative hashers
 //!   the hot maps use (strings hashed once at intern time, `u32` keys
 //!   everywhere after).
@@ -349,6 +350,11 @@ impl SymbolTable {
     pub fn bytes(&self) -> usize {
         self.text.len()
     }
+
+    /// Heap bytes the table holds: its arena and its span ends.
+    pub fn heap_bytes(&self) -> usize {
+        self.text.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -356,12 +362,15 @@ impl SymbolTable {
 // ---------------------------------------------------------------------------
 
 /// Translate the worker-local symbols of `items` into one fresh
-/// [`SymbolTable`], with ids that depend only on the order of `items`.
+/// [`SymbolTable`], in place, with ids that depend only on the order of
+/// `items`.
 ///
-/// `items` holds `(worker, item)` pairs in input order; the symbols of an
-/// item from worker `w` resolve against `lexicons[w]`. `visit` must pass
-/// every symbol an item carries through the given function and store what
-/// it returns (the shape of `AppAnalysis::remap_symbols`). Three phases:
+/// `items` is in input order, and the symbols of an item resolve against
+/// `lexicons[worker(item)]`. `visit` must pass every symbol an item
+/// stands for through the given function and store what it returns. An
+/// item may be the record itself or a handle to a record stored elsewhere
+/// (a row of a worker's result table): either way the symbols are
+/// rewritten where they live, and nothing is copied. Three phases:
 ///
 /// * (A) one visit per item, in input order, ranks each worker's first
 ///   occurrences;
@@ -369,24 +378,26 @@ impl SymbolTable {
 ///   table whose arena is reserved up front for their summed length, so
 ///   equal strings from different workers share the first one's id and a
 ///   global id is the string's first-occurrence rank;
-/// * (C) a second visit rewrites every symbol to its global id; the items
-///   come back in an exact-size vector and the table is frozen.
+/// * (C) a second visit rewrites every symbol to its global id, and the
+///   table is frozen.
 ///
 /// Global ids — and so every merged item — are therefore the same at any
 /// worker count and under any schedule that produced the lexicons, which
 /// is what keeps parallel runs bit-identical to serial ones.
 pub fn merge_ordered<T>(
-    mut items: Vec<(usize, T)>,
+    items: &mut [T],
     lexicons: &[LocalInterner],
+    worker: impl Fn(&T) -> usize,
     mut visit: impl FnMut(&mut T, &mut dyn FnMut(Symbol) -> Symbol),
-) -> (Vec<T>, SymbolTable) {
+) -> SymbolTable {
     const UNSEEN: u32 = u32::MAX;
     // `table[w][local]`: the first-occurrence rank after (A), the global
     // id after (B).
     let mut table: Vec<Vec<u32>> = lexicons.iter().map(|l| vec![UNSEEN; l.len()]).collect();
     let mut order: Vec<(usize, Symbol)> = Vec::new();
-    for (w, item) in &mut items {
-        let (w, slots) = (*w, &mut table[*w]);
+    for item in items.iter_mut() {
+        let w = worker(item);
+        let slots = &mut table[w];
         visit(item, &mut |sym| {
             let slot = &mut slots[sym.raw() as usize];
             if *slot == UNSEEN {
@@ -405,22 +416,15 @@ pub fn merge_ordered<T>(
     for &(w, sym) in &order {
         table[w][sym.raw() as usize] = global.intern(lexicons[w].resolve(sym)).raw();
     }
-    let mut items: Vec<T> = items
-        .into_iter()
-        .map(|(w, mut item)| {
-            let slots = &table[w];
-            visit(&mut item, &mut |sym| {
-                let global = slots[sym.raw() as usize];
-                debug_assert_ne!(global, UNSEEN, "phase A visited every symbol");
-                Symbol::new(global)
-            });
-            item
-        })
-        .collect();
-    // The collect reuses the buffer of the larger `(worker, item)` pairs;
-    // hand back exactly `items.len()` slots.
-    items.shrink_to_fit();
-    (items, global.freeze())
+    for item in items.iter_mut() {
+        let slots = &table[worker(item)];
+        visit(item, &mut |sym| {
+            let global = slots[sym.raw() as usize];
+            debug_assert_ne!(global, UNSEEN, "phase A visited every symbol");
+            Symbol::new(global)
+        });
+    }
+    global.freeze()
 }
 
 #[cfg(test)]
@@ -468,6 +472,7 @@ mod tests {
         let (len, bytes) = (lex.len(), lex.bytes());
         let table = lex.freeze();
         assert_eq!((table.len(), table.bytes()), (len, bytes));
+        assert_eq!(table.heap_bytes(), bytes + 4 * len);
         for (sym, s) in syms {
             assert_eq!(table.resolve(sym), s);
         }
@@ -493,7 +498,7 @@ mod tests {
         assign: impl Fn(usize) -> usize,
     ) -> (Vec<Vec<Symbol>>, SymbolTable) {
         let mut lexicons: Vec<LocalInterner> = (0..workers).map(|_| LocalInterner::new()).collect();
-        let local: Vec<(usize, Vec<Symbol>)> = items
+        let mut local: Vec<(usize, Vec<Symbol>)> = items
             .iter()
             .enumerate()
             .map(|(i, item)| {
@@ -501,11 +506,17 @@ mod tests {
                 (w, item.iter().map(|s| lexicons[w].intern(s)).collect())
             })
             .collect();
-        merge_ordered(local, &lexicons, |syms, f| {
-            for sym in syms.iter_mut() {
-                *sym = f(*sym);
-            }
-        })
+        let table = merge_ordered(
+            &mut local,
+            &lexicons,
+            |&(w, _)| w,
+            |(_, syms), f| {
+                for sym in syms.iter_mut() {
+                    *sym = f(*sym);
+                }
+            },
+        );
+        (local.into_iter().map(|(_, syms)| syms).collect(), table)
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! [`WEBVIEW_CONTENT_METHODS`]: wla_apk::names::WEBVIEW_CONTENT_METHODS
 
-use crate::analyze::AppAnalysis;
+use crate::analyze::AppView;
 use crate::pipeline::PipelineOutput;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -182,7 +182,7 @@ pub fn aggregate(
     top_sdk_threshold: usize,
 ) -> StudyResults {
     let mut tally = Tally::new(catalog);
-    for result in &output.results {
+    for result in output.results() {
         match result {
             Ok(analysis) => tally.add(analysis),
             Err(_) => tally.add_broken(),
@@ -266,7 +266,7 @@ impl<'c> Tally<'c> {
     }
 
     /// Fold in one analyzed app.
-    pub fn add(&mut self, a: &AppAnalysis) {
+    pub fn add(&mut self, a: AppView<'_>) {
         let sdks = self.catalog.sdks();
         let s = &mut self.sums;
         s.analyzed += 1;
@@ -323,7 +323,8 @@ impl<'c> Tally<'c> {
         for site in a.third_party_webview() {
             let mi = site.method_idx as usize;
             methods[mi] = true;
-            if site.is_load_method {
+            let is_load_method = site.is_load_method();
+            if is_load_method {
                 tally_origin(&mut s.census, site.origin);
             }
             match site.label {
@@ -331,12 +332,12 @@ impl<'c> Tally<'c> {
                     methods_sdk[mi] = true;
                     let cat = sdks[idx as usize].category;
                     methods_by_cat[cat.table3_index()][mi] = true;
-                    if site.is_load_method {
+                    if is_load_method {
                         app_wv_sdks.insert(idx);
                     }
                 }
-                LabelId::Obfuscated if site.is_load_method => app_obfuscated = true,
-                LabelId::Unlabeled if site.is_load_method => app_unlabeled = true,
+                LabelId::Obfuscated if is_load_method => app_obfuscated = true,
+                LabelId::Unlabeled if is_load_method => app_unlabeled = true,
                 _ => {}
             }
         }

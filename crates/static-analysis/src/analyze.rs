@@ -4,14 +4,19 @@
 //! Everything downstream of decoding speaks the interned IR: site
 //! summaries carry [`Symbol`]/[`PkgId`] handles resolved against the
 //! worker's [`LocalInterner`], and package labels are baked in at record
-//! time. The only string an [`AppAnalysis`] owns is the manifest package;
-//! every record is sized exactly once the app is done.
+//! time. Results go straight into the worker's [`ResultTable`]: the
+//! app's WebView-site, Custom-Tabs-site and custom-class records, then
+//! one fixed-size row (Play category, record ends, package text,
+//! unreachable-site count) committed when the app is done. A failed
+//! decode commits nothing; the caller records the error. Readers see an
+//! app as an [`AppView`] of slices into the table.
 
 use crate::dataflow::{self, DataflowCounters};
+use crate::table::ResultTable;
 use bytes::Bytes;
 use std::collections::HashSet;
 use std::time::Instant;
-use wla_apk::names::WEBVIEW_CONTENT_METHODS;
+use wla_apk::names::{WEBVIEW_CONTENT_METHODS, WEBVIEW_LOAD_METHOD_MASK};
 use wla_apk::{ApkError, Dex, Sapk};
 use wla_callgraph::{
     entry_points, provenance_oracle, record_web_calls_with, CallGraph, CallGraphCounters,
@@ -79,9 +84,10 @@ impl DecodeCounters {
 }
 
 /// Per-worker analysis state threaded through [`analyze_app_timed_with`]:
-/// the shared catalog plus the worker-local string lexicon and package-label
-/// memo. One context serves many apps; its lexicon is merged into the
-/// global interner when the pipeline joins.
+/// the shared catalog plus the worker-local string lexicon, package-label
+/// memo and result table. One context serves many apps; when the pipeline
+/// joins, its table stays where it is and its lexicon is merged into the
+/// run's symbol table.
 #[derive(Debug)]
 pub struct AnalysisCtx<'c> {
     /// SDK catalog used for record-time package labeling.
@@ -109,6 +115,9 @@ pub struct AnalysisCtx<'c> {
     pub dataflow: DataflowCounters,
     /// Decode counters accumulated across this worker's apps.
     pub decode: DecodeCounters,
+    /// Every result this worker's analyses committed; symbols resolve
+    /// against `lexicon`.
+    pub results: ResultTable,
 }
 
 impl<'c> AnalysisCtx<'c> {
@@ -123,6 +132,7 @@ impl<'c> AnalysisCtx<'c> {
             use_dataflow: true,
             dataflow: DataflowCounters::default(),
             decode: DecodeCounters::default(),
+            results: ResultTable::new(),
         }
     }
 
@@ -137,11 +147,10 @@ impl<'c> AnalysisCtx<'c> {
 
 /// One reachable WebView content-method call, summarized for aggregation.
 /// Names are symbols in the producing [`AnalysisCtx`]'s lexicon (or the
-/// global table after the pipeline remap).
+/// run's symbol table after the join). The method is its index alone:
+/// its name and whether it loads content both follow from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WebViewSiteSummary {
-    /// Method name (`loadUrl`, …).
-    pub method: Symbol,
     /// Position of the method in
     /// [`WEBVIEW_CONTENT_METHODS`];
     /// Table 7 accounting indexes by this.
@@ -155,14 +164,24 @@ pub struct WebViewSiteSummary {
     /// The call sits inside a deep-link (first-party) activity and is
     /// excluded from third-party accounting.
     pub in_deep_link_activity: bool,
-    /// Whether this is one of the three *content-populating* load methods
-    /// whose caller package the paper labels (§3.1.4).
-    pub is_load_method: bool,
     /// URL argument of the call, when constant propagation resolved it to
     /// a single string constant.
     pub argument: Option<Symbol>,
     /// How the URL argument resolved (constant / unknown / conflicting).
     pub origin: UrlOrigin,
+}
+
+impl WebViewSiteSummary {
+    /// Method name (`loadUrl`, …).
+    pub fn method(&self) -> &'static str {
+        WEBVIEW_CONTENT_METHODS[self.method_idx as usize]
+    }
+
+    /// Whether this is one of the three *content-populating* load methods
+    /// whose caller package the paper labels (§3.1.4).
+    pub fn is_load_method(&self) -> bool {
+        WEBVIEW_LOAD_METHOD_MASK & (1 << self.method_idx) != 0
+    }
 }
 
 /// One reachable Custom-Tabs interaction.
@@ -186,59 +205,60 @@ pub struct CtSiteSummary {
     pub origin: UrlOrigin,
 }
 
-/// The full static-analysis result for one app.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppAnalysis {
+/// The full static-analysis result for one app: a view into the
+/// [`ResultTable`] row that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AppView<'a> {
     /// Play category, the one piece of the app's Play metadata that
     /// per-category aggregation reads.
     pub category: PlayCategory,
     /// Manifest package name.
-    pub package: String,
+    pub package: &'a str,
     /// Reachable WebView call sites (deep-link ones included but flagged).
-    pub webview_sites: Box<[WebViewSiteSummary]>,
+    pub webview_sites: &'a [WebViewSiteSummary],
     /// Reachable CT call sites.
-    pub ct_sites: Box<[CtSiteSummary]>,
+    pub ct_sites: &'a [CtSiteSummary],
     /// `extends WebView` classes found by decompilation, sorted by
     /// resolved binary name.
-    pub custom_webview_classes: Box<[Symbol]>,
+    pub custom_webview_classes: &'a [Symbol],
     /// Unreachable WebView call sites that were discarded (kept as a count
     /// for the traversal ablation).
     pub unreachable_webview_sites: usize,
 }
 
-impl AppAnalysis {
+impl<'a> AppView<'a> {
     /// Third-party WebView sites (reachable, outside deep-link activities).
-    pub fn third_party_webview(&self) -> impl Iterator<Item = &WebViewSiteSummary> {
+    pub fn third_party_webview(self) -> impl Iterator<Item = &'a WebViewSiteSummary> {
         self.webview_sites
             .iter()
             .filter(|s| !s.in_deep_link_activity)
     }
 
     /// Third-party CT sites.
-    pub fn third_party_ct(&self) -> impl Iterator<Item = &CtSiteSummary> {
+    pub fn third_party_ct(self) -> impl Iterator<Item = &'a CtSiteSummary> {
         self.ct_sites.iter().filter(|s| !s.in_deep_link_activity)
     }
 
     /// Does the app use WebViews for third-party-capable content?
-    pub fn uses_webview(&self) -> bool {
+    pub fn uses_webview(self) -> bool {
         self.third_party_webview().next().is_some()
     }
 
     /// Does the app use Custom Tabs?
-    pub fn uses_custom_tabs(&self) -> bool {
+    pub fn uses_custom_tabs(self) -> bool {
         self.third_party_ct().next().is_some()
     }
 
     /// Bitmask over `WEBVIEW_CONTENT_METHODS` of distinct methods called
     /// (third-party sites only) — bit `i` set iff method `i` is used.
-    pub fn method_mask(&self) -> u8 {
+    pub fn method_mask(self) -> u8 {
         self.third_party_webview()
             .fold(0u8, |m, s| m | (1 << s.method_idx))
     }
 
     /// Distinct method names called (third-party sites only), recovered
     /// from the mask — no symbol resolution involved.
-    pub fn methods_used(&self) -> HashSet<&'static str> {
+    pub fn methods_used(self) -> HashSet<&'static str> {
         let mask = self.method_mask();
         WEBVIEW_CONTENT_METHODS
             .iter()
@@ -248,38 +268,30 @@ impl AppAnalysis {
             .collect()
     }
 
-    /// Rewrite every symbol through `f` — used by the pipeline to translate
-    /// worker-local symbols into the global table at join time.
-    pub fn remap_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
-        for s in self.webview_sites.iter_mut() {
-            s.method = f(s.method);
-            s.caller_class = f(s.caller_class);
-            if let Some(p) = &mut s.caller_package {
-                *p = PkgId(f(p.symbol()));
-            }
-            if let Some(a) = &mut s.argument {
-                *a = f(*a);
-            }
+    /// Every symbol the app's records carry, in the order the join ranks
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn symbols(self) -> Vec<Symbol> {
+        let mut out = Vec::new();
+        for s in self.webview_sites {
+            out.push(s.caller_class);
+            out.extend(s.caller_package.map(PkgId::symbol));
+            out.extend(s.argument);
         }
-        for s in self.ct_sites.iter_mut() {
-            s.method = f(s.method);
-            s.caller_class = f(s.caller_class);
-            if let Some(p) = &mut s.caller_package {
-                *p = PkgId(f(p.symbol()));
-            }
-            if let Some(a) = &mut s.argument {
-                *a = f(*a);
-            }
+        for s in self.ct_sites {
+            out.extend([s.method, s.caller_class]);
+            out.extend(s.caller_package.map(PkgId::symbol));
+            out.extend(s.argument);
         }
-        for c in self.custom_webview_classes.iter_mut() {
-            *c = f(*c);
-        }
+        out.extend(self.custom_webview_classes);
+        out
     }
 }
 
 /// Run the full per-app pipeline on raw container bytes, with a private
-/// single-use context over the paper catalog. Convenience for one-off
-/// callers; batch callers should reuse an [`AnalysisCtx`] via
+/// single-use context over the paper catalog, and hand back its one-row
+/// [`ResultTable`] (row 0 is the app). Convenience for one-off callers;
+/// batch callers should reuse an [`AnalysisCtx`] via
 /// [`analyze_app_timed_with`] (symbols are only meaningful against the
 /// context that produced them).
 ///
@@ -291,14 +303,17 @@ impl AppAnalysis {
 /// (external) targets — sound for reachability *within* each dex, and the
 /// generator keeps behavioural chains dex-local, as R8's main-dex rules do
 /// for entry-point code in practice.
-pub fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<AppAnalysis, ApkError> {
+pub fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<ResultTable, ApkError> {
     let catalog = SdkIndex::paper();
     let mut ctx = AnalysisCtx::new(&catalog);
-    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx).0
+    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx).0?;
+    Ok(ctx.results)
 }
 
 /// The per-app pipeline against a reusable worker context, plus
-/// per-stage wall-clock timings.
+/// per-stage wall-clock timings. On success the app's row is committed to
+/// `ctx.results` and its row number returned; on failure nothing is
+/// committed.
 ///
 /// `meta` is borrowed: the analysis keeps only its Play category. `bytes`
 /// is shared, never copied: the container decode and every dex
@@ -312,7 +327,7 @@ pub fn analyze_app_timed_with(
     meta: &AppMeta,
     bytes: Bytes,
     ctx: &mut AnalysisCtx<'_>,
-) -> (Result<AppAnalysis, ApkError>, StageTimings) {
+) -> (Result<usize, ApkError>, StageTimings) {
     let mut timings = StageTimings::default();
     let started = Instant::now();
     let decoded = Sapk::decode_bytes(bytes).and_then(|apk| decode_rest(apk, ctx));
@@ -320,13 +335,13 @@ pub fn analyze_app_timed_with(
     finish_analysis(meta.category, decoded, ctx, timings)
 }
 
-/// Stages (3)–(5) plus summary construction.
+/// Stages (3)–(5) plus the app's row in `ctx.results`.
 fn finish_analysis(
     category: PlayCategory,
     decoded: Result<(Manifest, Vec<Dex>), ApkError>,
     ctx: &mut AnalysisCtx<'_>,
     mut timings: StageTimings,
-) -> (Result<AppAnalysis, ApkError>, StageTimings) {
+) -> (Result<usize, ApkError>, StageTimings) {
     let (manifest, dexes) = match decoded {
         Ok(v) => v,
         Err(e) => return (Err(e), timings),
@@ -387,55 +402,43 @@ fn finish_analysis(
         .filter_map(|c| ctx.lexicon.get(&c.class_name))
         .collect();
 
-    let mut webview_sites = Vec::new();
-    let mut ct_sites = Vec::new();
+    let mut row = ctx.results.row();
     let mut unreachable_webview_sites = 0usize;
     for record in &records {
         unreachable_webview_sites += record.webview.iter().filter(|s| !s.reachable).count();
-        webview_sites.extend(record.webview.iter().filter(|s| s.reachable).map(|s| {
-            WebViewSiteSummary {
-                method: s.method,
+        for s in record.webview.iter().filter(|s| s.reachable) {
+            row.push_webview(WebViewSiteSummary {
                 method_idx: s.method_idx,
                 caller_class: s.caller_class,
                 caller_package: s.caller_package,
                 label: s.label,
                 in_deep_link_activity: deep_link_classes.contains(&s.caller_class),
-                is_load_method: s.is_load_method,
                 argument: s.argument,
                 origin: s.origin,
-            }
-        }));
-        ct_sites.extend(
-            record
-                .custom_tabs
-                .iter()
-                .filter(|s| s.reachable)
-                .map(|s| CtSiteSummary {
-                    method: s.method,
-                    is_launch: s.is_launch,
-                    caller_class: s.caller_class,
-                    caller_package: s.caller_package,
-                    label: s.label,
-                    in_deep_link_activity: deep_link_classes.contains(&s.caller_class),
-                    argument: s.argument,
-                    origin: s.origin,
-                }),
-        );
+            });
+        }
+        for s in record.custom_tabs.iter().filter(|s| s.reachable) {
+            row.push_ct(CtSiteSummary {
+                method: s.method,
+                is_launch: s.is_launch,
+                caller_class: s.caller_class,
+                caller_package: s.caller_package,
+                label: s.label,
+                in_deep_link_activity: deep_link_classes.contains(&s.caller_class),
+                argument: s.argument,
+                origin: s.origin,
+            });
+        }
     }
 
-    let mut custom_webview_classes: Vec<Symbol> = subclasses.into_iter().collect();
-    custom_webview_classes.sort_by(|a, b| ctx.lexicon.resolve(*a).cmp(ctx.lexicon.resolve(*b)));
+    for class in subclasses {
+        row.push_class(class);
+    }
+    row.classes_mut()
+        .sort_by(|a, b| ctx.lexicon.resolve(*a).cmp(ctx.lexicon.resolve(*b)));
+    let row = row.commit(category, &manifest.package, unreachable_webview_sites);
     timings.label_ns = started.elapsed().as_nanos() as u64;
-
-    let analysis = AppAnalysis {
-        category,
-        package: manifest.package,
-        webview_sites: webview_sites.into(),
-        ct_sites: ct_sites.into(),
-        custom_webview_classes: custom_webview_classes.into(),
-        unreachable_webview_sites,
-    };
-    (Ok(analysis), timings)
+    (Ok(row), timings)
 }
 
 /// Manifest + dex decoding over an already-decoded container. Dex decoding
@@ -495,7 +498,8 @@ mod tests {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
-            let analysis = analyze_app(&meta(), &bytes).expect("analyzes");
+            let table = analyze_app(&meta(), &bytes).expect("analyzes");
+            let analysis = table.get(0).unwrap();
             assert_eq!(
                 analysis.uses_webview(),
                 spec.uses_webview(&catalog),
@@ -515,7 +519,8 @@ mod tests {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
-            let analysis = analyze_app(&meta(), &bytes).unwrap();
+            let table = analyze_app(&meta(), &bytes).unwrap();
+            let analysis = table.get(0).unwrap();
             let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();
             let measured = analysis.methods_used();
             assert_eq!(measured, truth, "seed {seed}");
@@ -533,8 +538,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
-            let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
-            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
+            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+            let analysis = ctx.results.get(row).unwrap();
+            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method()) {
                 assert_eq!(s.origin, UrlOrigin::Resolved, "seed {seed}");
                 let arg = ctx.lexicon.resolve(s.argument.expect("resolved argument"));
                 assert!(!arg.is_empty(), "seed {seed}");
@@ -563,8 +569,9 @@ mod tests {
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = false;
-            let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
-            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method) {
+            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+            let analysis = ctx.results.get(row).unwrap();
+            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method()) {
                 assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
                 assert!(s.argument.is_none());
                 sites_seen += 1;
@@ -585,7 +592,8 @@ mod tests {
         spec.dead_code_webview = true;
         let mut rng = StdRng::seed_from_u64(1);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
-        let analysis = analyze_app(&meta(), &bytes).unwrap();
+        let table = analyze_app(&meta(), &bytes).unwrap();
+        let analysis = table.get(0).unwrap();
         assert!(!analysis.uses_webview());
         assert_eq!(analysis.unreachable_webview_sites, 1);
     }
@@ -604,7 +612,8 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(2);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
-        let analysis = analyze_app(&meta(), &bytes).unwrap();
+        let table = analyze_app(&meta(), &bytes).unwrap();
+        let analysis = table.get(0).unwrap();
         // The loadUrl call exists and is reachable, but it's first-party.
         assert_eq!(analysis.webview_sites.len(), 1);
         assert!(analysis.webview_sites[0].in_deep_link_activity);
@@ -623,7 +632,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let analysis = ctx.results.get(row).unwrap();
         assert!(analysis.uses_webview());
         let resolved: Vec<&str> = analysis
             .custom_webview_classes
@@ -636,13 +646,27 @@ mod tests {
     #[test]
     fn records_have_exact_layouts() {
         use std::mem::size_of;
-        assert!(size_of::<AppAnalysis>() <= 88);
-        assert_eq!(
-            size_of::<Result<AppAnalysis, ApkError>>(),
-            size_of::<AppAnalysis>()
-        );
-        assert!(size_of::<WebViewSiteSummary>() <= 28);
+        assert!(size_of::<WebViewSiteSummary>() <= 24);
         assert!(size_of::<CtSiteSummary>() <= 28);
+        assert!(size_of::<crate::table::AppRow>() <= 28);
+    }
+
+    #[test]
+    fn a_site_method_index_is_its_name_and_load_flag() {
+        use wla_apk::names::WEBVIEW_LOAD_METHODS;
+        for (i, name) in WEBVIEW_CONTENT_METHODS.iter().enumerate() {
+            let site = WebViewSiteSummary {
+                method_idx: i as u8,
+                caller_class: LocalInterner::new().intern("C"),
+                caller_package: None,
+                label: LabelId::Unlabeled,
+                in_deep_link_activity: false,
+                argument: None,
+                origin: UrlOrigin::Unknown,
+            };
+            assert_eq!(site.method(), *name);
+            assert_eq!(site.is_load_method(), WEBVIEW_LOAD_METHODS.contains(name));
+        }
     }
 
     #[test]
@@ -683,10 +707,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let bytes = lower(&spec, &catalog, &mut rng).encode();
         let mut ctx = AnalysisCtx::new(&catalog);
-        let analysis = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let analysis = ctx.results.get(row).unwrap();
         let load_packages: HashSet<&str> = analysis
             .third_party_webview()
-            .filter(|s| s.is_load_method)
+            .filter(|s| s.is_load_method())
             .filter_map(|s| s.caller_package)
             .map(|p| ctx.lexicon.resolve(p.symbol()))
             .collect();
@@ -698,7 +723,7 @@ mod tests {
         // Record-time labels agree: every AppLovin caller is Sdk-labeled.
         assert!(analysis
             .third_party_webview()
-            .filter(|s| s.is_load_method)
+            .filter(|s| s.is_load_method())
             .all(|s| matches!(s.label, LabelId::Sdk(i) if i as usize == applovin)));
     }
 }
@@ -751,7 +776,8 @@ mod multidex_tests {
     #[test]
     fn multidex_analysis_matches_ground_truth() {
         let (catalog, spec, bytes) = multidex_app();
-        let analysis = analyze_app(&meta(), &bytes).unwrap();
+        let table = analyze_app(&meta(), &bytes).unwrap();
+        let analysis = table.get(0).unwrap();
         assert_eq!(analysis.uses_webview(), spec.uses_webview(&catalog));
         assert_eq!(analysis.uses_custom_tabs(), spec.uses_custom_tabs());
         let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();

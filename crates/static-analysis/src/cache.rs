@@ -3,26 +3,37 @@
 //! it already finished.
 //!
 //! A cache file (`manifest/<shard stem>.done`) stores the shard's
-//! [`ShardStamp`] (header checksum + file length) followed by every
-//! per-entry `Result<AppAnalysis, ApkError>` with **symbols resolved to
-//! strings** against the writing worker's lexicon. Loading re-interns the
-//! strings into the loading worker's lexicon; because the pipeline's
-//! join-time symbol remap assigns global ids purely by first-occurrence
-//! input order of the *strings*, a resumed run produces bit-identical
-//! results to a fresh one.
+//! [`ShardStamp`] (header checksum + file length) followed by every entry's
+//! row of the writing worker's [`ResultTable`] — its analysis or its
+//! `ApkError` — with **symbols resolved to strings** against the writing
+//! worker's lexicon. The format is version 2, and it does not depend on
+//! how rows are stored: a WebView site is written with its method name
+//! and load flag, both derived from its method index, and
+//! `resume_cache_bytes_are_pinned` (`tests/stream_equivalence.rs`) pins
+//! the bytes, since a writer that drifted would turn every existing cache
+//! into a miss. Loading parses each entry straight into the
+//! loading worker's table, re-interning the strings into its lexicon;
+//! because the pipeline's join-time symbol merge assigns global ids purely
+//! by first-occurrence input order of the *strings*, a resumed run
+//! produces bit-identical results to a fresh one.
 //!
 //! The loader is strictly best-effort: a missing file, stale stamp, bad
-//! checksum, unknown version, or any parse failure is a cache miss
-//! (`None`) — the shard is simply re-analyzed. Nothing here can corrupt a
-//! run, only fail to accelerate it.
+//! checksum, unknown version, or any parse failure — a WebView site whose
+//! method name or load flag disagrees with its method index included — is
+//! a cache miss, and the table is left exactly as it was: rows committed
+//! before the failure are dropped. The shard is simply re-analyzed.
+//! Nothing here can corrupt a run, only fail to accelerate it.
 
-use crate::analyze::{AppAnalysis, CtSiteSummary, WebViewSiteSummary};
+use crate::analyze::{AppView, CtSiteSummary, WebViewSiteSummary};
+use crate::table::ResultTable;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
-use wla_apk::wire::{adler32, get_string, get_uvarint, put_string, put_uvarint};
+use wla_apk::names::WEBVIEW_CONTENT_METHODS;
+use wla_apk::wire::{adler32, get_uvarint, put_string, put_uvarint};
 use wla_apk::ApkError;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
@@ -140,23 +151,23 @@ fn put_error(buf: &mut Vec<u8>, e: &ApkError) {
     }
 }
 
-fn put_analysis(buf: &mut Vec<u8>, a: &AppAnalysis, lex: &LocalInterner) {
+fn put_analysis(buf: &mut Vec<u8>, a: AppView<'_>, lex: &LocalInterner) {
     put_string(buf, a.category.label());
-    put_string(buf, &a.package);
+    put_string(buf, a.package);
     put_uvarint(buf, a.webview_sites.len() as u64);
-    for s in a.webview_sites.iter() {
-        put_string(buf, lex.resolve(s.method));
+    for s in a.webview_sites {
+        put_string(buf, s.method());
         buf.push(s.method_idx);
         put_string(buf, lex.resolve(s.caller_class));
         put_opt_symbol(buf, s.caller_package.map(|p| p.symbol()), lex);
         put_label(buf, s.label);
         buf.push(s.in_deep_link_activity as u8);
-        buf.push(s.is_load_method as u8);
+        buf.push(s.is_load_method() as u8);
         put_opt_symbol(buf, s.argument, lex);
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.ct_sites.len() as u64);
-    for s in a.ct_sites.iter() {
+    for s in a.ct_sites {
         put_string(buf, lex.resolve(s.method));
         buf.push(s.is_launch as u8);
         put_string(buf, lex.resolve(s.caller_class));
@@ -167,18 +178,19 @@ fn put_analysis(buf: &mut Vec<u8>, a: &AppAnalysis, lex: &LocalInterner) {
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.custom_webview_classes.len() as u64);
-    for c in a.custom_webview_classes.iter() {
+    for c in a.custom_webview_classes {
         put_string(buf, lex.resolve(*c));
     }
     put_uvarint(buf, a.unreachable_webview_sites as u64);
 }
 
-/// Serialize `results` (one shard's worth, in entry order) to `path`,
-/// atomically, keyed to `stamp`. Symbols resolve against `lex`.
+/// Serialize rows `rows` of `table` (one shard's worth, in entry order) to
+/// `path`, atomically, keyed to `stamp`. Symbols resolve against `lex`.
 pub(crate) fn write_result_cache(
     path: &Path,
     stamp: ShardStamp,
-    results: &[Result<AppAnalysis, ApkError>],
+    table: &ResultTable,
+    rows: Range<usize>,
     lex: &LocalInterner,
 ) -> io::Result<()> {
     let mut file = Vec::new();
@@ -187,9 +199,9 @@ pub(crate) fn write_result_cache(
     file.extend_from_slice(&stamp.checksum.to_le_bytes());
     file.extend_from_slice(&stamp.file_len.to_le_bytes());
     file.extend_from_slice(&[0u8; 4]); // body checksum, patched below
-    put_uvarint(&mut file, results.len() as u64);
-    for result in results {
-        match result {
+    put_uvarint(&mut file, rows.len() as u64);
+    for row in rows {
+        match table.get(row) {
             Ok(a) => {
                 file.push(0);
                 put_analysis(&mut file, a, lex);
@@ -221,9 +233,24 @@ fn get_bool(cur: &mut &[u8]) -> Result<bool, ApkError> {
     }
 }
 
+/// A varint-length-prefixed UTF-8 string, borrowed from the cache file.
+fn get_str<'a>(cur: &mut &'a [u8]) -> Result<&'a str, ApkError> {
+    let len = usize::try_from(get_uvarint(cur)?).map_err(|_| ApkError::BadVarint)?;
+    if cur.len() < len {
+        return Err(ApkError::Truncated { context: "string" });
+    }
+    let (raw, rest) = cur.split_at(len);
+    *cur = rest;
+    std::str::from_utf8(raw).map_err(|_| ApkError::BadUtf8)
+}
+
+fn get_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Symbol, ApkError> {
+    Ok(lex.intern(get_str(cur)?))
+}
+
 fn get_opt_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Option<Symbol>, ApkError> {
     if get_bool(cur)? {
-        Ok(Some(lex.intern(&get_string(cur)?)))
+        Ok(Some(get_symbol(cur, lex)?))
     } else {
         Ok(None)
     }
@@ -253,13 +280,13 @@ fn get_origin(cur: &mut &[u8]) -> Result<UrlOrigin, ApkError> {
 }
 
 fn get_category(cur: &mut &[u8]) -> Result<PlayCategory, ApkError> {
-    PlayCategory::from_label(&get_string(cur)?).ok_or(ApkError::Invalid("cache category label"))
+    PlayCategory::from_label(get_str(cur)?).ok_or(ApkError::Invalid("cache category label"))
 }
 
 fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
     Ok(match get_u8(cur)? {
         0 => {
-            let expected = leak_static(&get_string(cur)?);
+            let expected = leak_static(get_str(cur)?);
             let mut found = [0u8; 4];
             for b in &mut found {
                 *b = get_u8(cur)?;
@@ -270,7 +297,7 @@ fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
             u16::try_from(get_uvarint(cur)?).map_err(|_| ApkError::Invalid("cache version"))?,
         ),
         2 => ApkError::Truncated {
-            context: leak_static(&get_string(cur)?),
+            context: leak_static(get_str(cur)?),
         },
         3 => ApkError::ChecksumMismatch {
             stored: u32::try_from(get_uvarint(cur)?)
@@ -279,7 +306,7 @@ fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
                 .map_err(|_| ApkError::Invalid("cache checksum"))?,
         },
         4 => ApkError::IndexOutOfRange {
-            table: leak_static(&get_string(cur)?),
+            table: leak_static(get_str(cur)?),
             index: u32::try_from(get_uvarint(cur)?)
                 .map_err(|_| ApkError::Invalid("cache index"))?,
             len: u32::try_from(get_uvarint(cur)?).map_err(|_| ApkError::Invalid("cache index"))?,
@@ -299,60 +326,71 @@ fn get_error(cur: &mut &[u8]) -> Result<ApkError, ApkError> {
             offset: get_uvarint(cur)?,
             len: get_uvarint(cur)?,
         },
-        11 => ApkError::MissingSection(leak_static(&get_string(cur)?)),
-        12 => ApkError::Invalid(leak_static(&get_string(cur)?)),
+        11 => ApkError::MissingSection(leak_static(get_str(cur)?)),
+        12 => ApkError::Invalid(leak_static(get_str(cur)?)),
         13 => ApkError::AnalysisPanic {
-            message: get_string(cur)?,
+            message: get_str(cur)?.to_owned(),
         },
         _ => return Err(ApkError::Invalid("cache error tag")),
     })
 }
 
-fn get_analysis(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<AppAnalysis, ApkError> {
-    let category = get_category(cur)?;
-    let package = get_string(cur)?;
-    let n_wv = get_uvarint(cur)? as usize;
-    if n_wv > cur.len() {
-        return Err(ApkError::Invalid("cache site count"));
+/// A count that cannot exceed the bytes left, each item taking at least
+/// one.
+fn get_count(cur: &mut &[u8], what: &'static str) -> Result<usize, ApkError> {
+    let n = get_uvarint(cur)?;
+    if n > cur.len() as u64 {
+        return Err(ApkError::Invalid(what));
     }
-    let mut webview_sites = Vec::with_capacity(n_wv);
-    for _ in 0..n_wv {
-        let method = lex.intern(&get_string(cur)?);
+    Ok(n as usize)
+}
+
+/// Parse one analysis and commit it as the next row of `table`.
+fn get_analysis(
+    cur: &mut &[u8],
+    lex: &mut LocalInterner,
+    table: &mut ResultTable,
+) -> Result<(), ApkError> {
+    let category = get_category(cur)?;
+    let package = get_str(cur)?;
+    let mut row = table.row();
+    for _ in 0..get_count(cur, "cache site count")? {
+        let method = get_str(cur)?;
         let method_idx = get_u8(cur)?;
-        let caller_class = lex.intern(&get_string(cur)?);
+        if WEBVIEW_CONTENT_METHODS.get(method_idx as usize) != Some(&method) {
+            return Err(ApkError::Invalid("cache method name"));
+        }
+        let caller_class = get_symbol(cur, lex)?;
         let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
         let label = get_label(cur)?;
         let in_deep_link_activity = get_bool(cur)?;
         let is_load_method = get_bool(cur)?;
         let argument = get_opt_symbol(cur, lex)?;
         let origin = get_origin(cur)?;
-        webview_sites.push(WebViewSiteSummary {
-            method,
+        let site = WebViewSiteSummary {
             method_idx,
             caller_class,
             caller_package,
             label,
             in_deep_link_activity,
-            is_load_method,
             argument,
             origin,
-        });
+        };
+        if site.is_load_method() != is_load_method {
+            return Err(ApkError::Invalid("cache load flag"));
+        }
+        row.push_webview(site);
     }
-    let n_ct = get_uvarint(cur)? as usize;
-    if n_ct > cur.len() {
-        return Err(ApkError::Invalid("cache site count"));
-    }
-    let mut ct_sites = Vec::with_capacity(n_ct);
-    for _ in 0..n_ct {
-        let method = lex.intern(&get_string(cur)?);
+    for _ in 0..get_count(cur, "cache site count")? {
+        let method = get_symbol(cur, lex)?;
         let is_launch = get_bool(cur)?;
-        let caller_class = lex.intern(&get_string(cur)?);
+        let caller_class = get_symbol(cur, lex)?;
         let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
         let label = get_label(cur)?;
         let in_deep_link_activity = get_bool(cur)?;
         let argument = get_opt_symbol(cur, lex)?;
         let origin = get_origin(cur)?;
-        ct_sites.push(CtSiteSummary {
+        row.push_ct(CtSiteSummary {
             method,
             is_launch,
             caller_class,
@@ -363,76 +401,75 @@ fn get_analysis(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<AppAnalysis,
             origin,
         });
     }
-    let n_classes = get_uvarint(cur)? as usize;
-    if n_classes > cur.len() {
-        return Err(ApkError::Invalid("cache class count"));
+    for _ in 0..get_count(cur, "cache class count")? {
+        row.push_class(get_symbol(cur, lex)?);
     }
-    let mut custom_webview_classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        custom_webview_classes.push(lex.intern(&get_string(cur)?));
-    }
-    let unreachable_webview_sites = get_uvarint(cur)? as usize;
-    Ok(AppAnalysis {
-        category,
-        package,
-        webview_sites: webview_sites.into(),
-        ct_sites: ct_sites.into(),
-        custom_webview_classes: custom_webview_classes.into(),
-        unreachable_webview_sites,
-    })
+    let unreachable = u32::try_from(get_uvarint(cur)?)
+        .map_err(|_| ApkError::Invalid("cache unreachable count"))?;
+    row.commit(category, package, unreachable as usize);
+    Ok(())
 }
 
+/// Parse a cache body, committing each entry as the next row of `table`.
 fn parse_body(
     mut cur: &[u8],
     lex: &mut LocalInterner,
-) -> Result<Vec<Result<AppAnalysis, ApkError>>, ApkError> {
-    let n = get_uvarint(&mut cur)? as usize;
-    if n > cur.len() {
-        return Err(ApkError::Invalid("cache result count"));
-    }
-    let mut results = Vec::with_capacity(n);
-    for _ in 0..n {
-        results.push(match get_u8(&mut cur)? {
-            0 => Ok(get_analysis(&mut cur, lex)?),
-            1 => Err(get_error(&mut cur)?),
+    table: &mut ResultTable,
+) -> Result<(), ApkError> {
+    for _ in 0..get_count(&mut cur, "cache result count")? {
+        match get_u8(&mut cur)? {
+            0 => get_analysis(&mut cur, lex, table)?,
+            1 => {
+                table.commit_error(get_error(&mut cur)?);
+            }
             _ => return Err(ApkError::Invalid("cache result tag")),
-        });
+        }
     }
     if !cur.is_empty() {
         return Err(ApkError::Invalid("cache trailing bytes"));
     }
-    Ok(results)
+    Ok(())
 }
 
-/// Load a shard's cached results, re-interning symbols into `lex`.
+/// Load a shard's cached results as rows of `table`, re-interning symbols
+/// into `lex`. Returns whether it did.
 ///
-/// Returns `None` — a cache miss — when the file is absent, keyed to a
-/// different [`ShardStamp`] than the shard currently on disk, or damaged
-/// in any way. Never returns partial results.
+/// A miss — the file is absent, keyed to a different [`ShardStamp`] than
+/// the shard currently on disk, or damaged in any way — leaves `table`
+/// exactly as it was: a parse failure drops the rows it had committed.
+/// It never loads part of a shard.
 pub(crate) fn load_result_cache(
     path: &Path,
     stamp: ShardStamp,
     lex: &mut LocalInterner,
-) -> Option<Vec<Result<AppAnalysis, ApkError>>> {
-    let raw = fs::read(path).ok()?;
+    table: &mut ResultTable,
+) -> bool {
+    let Ok(raw) = fs::read(path) else {
+        return false;
+    };
     if raw.len() < CACHE_PREFIX || raw[..4] != CACHE_MAGIC {
-        return None;
+        return false;
     }
     if u16::from_le_bytes([raw[4], raw[5]]) != CACHE_VERSION {
-        return None;
+        return false;
     }
     let stored_stamp = ShardStamp {
         checksum: u32::from_le_bytes([raw[6], raw[7], raw[8], raw[9]]),
         file_len: u64::from_le_bytes(raw[10..18].try_into().unwrap()),
     };
     if stored_stamp != stamp {
-        return None;
+        return false;
     }
     let body_checksum = u32::from_le_bytes(raw[18..22].try_into().unwrap());
     if adler32(&raw[CACHE_PREFIX..]) != body_checksum {
-        return None;
+        return false;
     }
-    parse_body(&raw[CACHE_PREFIX..], lex).ok()
+    let mark = table.len();
+    let parsed = parse_body(&raw[CACHE_PREFIX..], lex, table);
+    if parsed.is_err() {
+        table.truncate(mark);
+    }
+    parsed.is_ok()
 }
 
 #[cfg(test)]
@@ -446,76 +483,81 @@ mod tests {
         }
     }
 
-    fn sample_results(lex: &mut LocalInterner) -> Vec<Result<AppAnalysis, ApkError>> {
-        let analysis = AppAnalysis {
-            category: PlayCategory::Social,
-            package: "com.cached.app".into(),
-            webview_sites: Box::new([WebViewSiteSummary {
-                method: lex.intern("loadUrl"),
-                method_idx: 0,
-                caller_class: lex.intern("com/sdk/ads/Banner"),
-                caller_package: Some(PkgId(lex.intern("com.sdk.ads"))),
-                label: LabelId::Sdk(3),
-                in_deep_link_activity: false,
-                is_load_method: true,
-                argument: Some(lex.intern("https://ads.example/")),
-                origin: UrlOrigin::Resolved,
-            }]),
-            ct_sites: Box::new([CtSiteSummary {
-                method: lex.intern("launchUrl"),
-                is_launch: true,
-                caller_class: lex.intern("com/app/Main"),
-                caller_package: None,
-                label: LabelId::Unlabeled,
-                in_deep_link_activity: true,
-                argument: None,
-                origin: UrlOrigin::Unknown,
-            }]),
-            custom_webview_classes: Box::new([lex.intern("com/app/MyWebView")]),
-            unreachable_webview_sites: 2,
-        };
-        vec![
-            Ok(analysis),
-            Err(ApkError::ChecksumMismatch {
-                stored: 1,
-                computed: 2,
-            }),
-            Err(ApkError::Truncated { context: "varint" }),
-            Err(ApkError::AnalysisPanic {
-                message: "injected".into(),
-            }),
-        ]
+    /// One analysis, then three errors.
+    fn sample_table(lex: &mut LocalInterner) -> ResultTable {
+        let mut table = ResultTable::new();
+        let mut row = table.row();
+        row.push_webview(WebViewSiteSummary {
+            method_idx: 0,
+            caller_class: lex.intern("com/sdk/ads/Banner"),
+            caller_package: Some(PkgId(lex.intern("com.sdk.ads"))),
+            label: LabelId::Sdk(3),
+            in_deep_link_activity: false,
+            argument: Some(lex.intern("https://ads.example/")),
+            origin: UrlOrigin::Resolved,
+        });
+        row.push_ct(CtSiteSummary {
+            method: lex.intern("launchUrl"),
+            is_launch: true,
+            caller_class: lex.intern("com/app/Main"),
+            caller_package: None,
+            label: LabelId::Unlabeled,
+            in_deep_link_activity: true,
+            argument: None,
+            origin: UrlOrigin::Unknown,
+        });
+        row.push_class(lex.intern("com/app/MyWebView"));
+        row.commit(PlayCategory::Social, "com.cached.app", 2);
+        table.commit_error(ApkError::ChecksumMismatch {
+            stored: 1,
+            computed: 2,
+        });
+        table.commit_error(ApkError::Truncated { context: "varint" });
+        table.commit_error(ApkError::AnalysisPanic {
+            message: "injected".into(),
+        });
+        table
     }
 
-    fn resolve_all(a: &AppAnalysis, lex: &LocalInterner) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut a = a.clone();
-        a.remap_symbols(&mut |s| {
-            out.push(lex.resolve(s).to_owned());
-            s
-        });
-        out
+    fn resolve_all(a: AppView<'_>, lex: &LocalInterner) -> Vec<String> {
+        a.symbols()
+            .into_iter()
+            .map(|s| lex.resolve(s).to_owned())
+            .collect()
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("wla-cache-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn roundtrip_preserves_results_across_lexicons() {
-        let dir = std::env::temp_dir().join(format!("wla-cache-rt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("rt");
         let path = dir.join("shard-00000.done");
 
         let mut writer_lex = LocalInterner::new();
-        let results = sample_results(&mut writer_lex);
-        write_result_cache(&path, stamp(), &results, &writer_lex).unwrap();
+        let results = sample_table(&mut writer_lex);
+        write_result_cache(&path, stamp(), &results, 0..results.len(), &writer_lex).unwrap();
 
         // Load into a *different* lexicon that already holds other strings
-        // (so symbol ids cannot accidentally line up).
+        // (so symbol ids cannot accidentally line up), after a row of its
+        // own.
         let mut reader_lex = LocalInterner::new();
         reader_lex.intern("unrelated");
         reader_lex.intern("strings");
-        let back = load_result_cache(&path, stamp(), &mut reader_lex).unwrap();
-        assert_eq!(back.len(), results.len());
-        match (&results[0], &back[0]) {
+        let mut back = ResultTable::new();
+        back.commit_error(ApkError::BadVarint);
+        assert!(load_result_cache(
+            &path,
+            stamp(),
+            &mut reader_lex,
+            &mut back
+        ));
+        assert_eq!(back.len(), 1 + results.len());
+        match (results.get(0), back.get(1)) {
             (Ok(orig), Ok(loaded)) => {
                 assert_eq!(orig.category, loaded.category);
                 assert_eq!(orig.package, loaded.package);
@@ -524,16 +566,30 @@ mod tests {
                     loaded.unreachable_webview_sites
                 );
                 // Symbol ids differ; resolved strings must agree, in the
-                // same remap traversal order (what join-time ids key on).
+                // order the join ranks them (what join-time ids key on).
                 assert_eq!(
                     resolve_all(orig, &writer_lex),
                     resolve_all(loaded, &reader_lex)
+                );
+                let (o, l) = (orig.webview_sites[0], loaded.webview_sites[0]);
+                assert_eq!(
+                    (o.method_idx, o.label, o.in_deep_link_activity, o.origin),
+                    (l.method_idx, l.label, l.in_deep_link_activity, l.origin)
+                );
+                let (o, l) = (orig.ct_sites[0], loaded.ct_sites[0]);
+                assert_eq!(
+                    (o.is_launch, o.label, o.in_deep_link_activity, o.origin),
+                    (l.is_launch, l.label, l.in_deep_link_activity, l.origin)
                 );
             }
             other => panic!("expected Ok/Ok, got {other:?}"),
         }
         for i in 1..results.len() {
-            assert_eq!(results[i], back[i], "error {i} did not roundtrip");
+            assert_eq!(
+                results.get(i),
+                back.get(1 + i),
+                "error {i} did not roundtrip"
+            );
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -554,60 +610,142 @@ mod tests {
 
     #[test]
     fn stale_stamp_is_a_miss() {
-        let dir = std::env::temp_dir().join(format!("wla-cache-stale-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("stale");
         let path = dir.join("s.done");
         let lex = LocalInterner::new();
-        write_result_cache(&path, stamp(), &[], &lex).unwrap();
+        write_result_cache(&path, stamp(), &ResultTable::new(), 0..0, &lex).unwrap();
         let mut rl = LocalInterner::new();
-        assert!(load_result_cache(&path, stamp(), &mut rl).is_some());
+        let mut table = ResultTable::new();
+        assert!(load_result_cache(&path, stamp(), &mut rl, &mut table));
         let other = ShardStamp {
             checksum: stamp().checksum ^ 1,
             ..stamp()
         };
-        assert!(load_result_cache(&path, other, &mut rl).is_none());
+        assert!(!load_result_cache(&path, other, &mut rl, &mut table));
         let other = ShardStamp {
             file_len: stamp().file_len + 1,
             ..stamp()
         };
-        assert!(load_result_cache(&path, other, &mut rl).is_none());
+        assert!(!load_result_cache(&path, other, &mut rl, &mut table));
+        assert!(table.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn damage_is_a_miss_never_partial() {
-        let dir = std::env::temp_dir().join(format!("wla-cache-damage-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("damage");
         let path = dir.join("s.done");
         let mut lex = LocalInterner::new();
-        let results = sample_results(&mut lex);
-        write_result_cache(&path, stamp(), &results, &lex).unwrap();
+        let results = sample_table(&mut lex);
+        write_result_cache(&path, stamp(), &results, 0..results.len(), &lex).unwrap();
         let pristine = fs::read(&path).unwrap();
         // Truncations and bit flips anywhere must miss, not half-load.
         for cut in (0..pristine.len()).step_by(pristine.len() / 17 + 1) {
             fs::write(&path, &pristine[..cut]).unwrap();
             let mut rl = LocalInterner::new();
+            let mut table = ResultTable::new();
             assert!(
-                load_result_cache(&path, stamp(), &mut rl).is_none(),
+                !load_result_cache(&path, stamp(), &mut rl, &mut table),
                 "cut {cut}"
             );
+            assert!(table.is_empty(), "cut {cut}");
         }
         for pos in [0usize, 5, 12, 20, pristine.len() / 2, pristine.len() - 1] {
             let mut bad = pristine.clone();
             bad[pos] ^= 0x10;
             fs::write(&path, &bad).unwrap();
             let mut rl = LocalInterner::new();
+            let mut table = ResultTable::new();
             assert!(
-                load_result_cache(&path, stamp(), &mut rl).is_none(),
+                !load_result_cache(&path, stamp(), &mut rl, &mut table),
                 "flip {pos}"
             );
+            assert!(table.is_empty(), "flip {pos}");
         }
         // Missing file: miss.
         fs::remove_file(&path).unwrap();
         let mut rl = LocalInterner::new();
-        assert!(load_result_cache(&path, stamp(), &mut rl).is_none());
+        assert!(!load_result_cache(
+            &path,
+            stamp(),
+            &mut rl,
+            &mut ResultTable::new()
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Damage the checksum does not catch: each body is re-stamped with a
+    /// valid Adler-32, parses part of the way (rows are committed before
+    /// the damage is reached), and must still be a miss that leaves the
+    /// loading table exactly as it was.
+    #[test]
+    fn restamped_damage_is_a_miss_that_keeps_the_table() {
+        let dir = temp_dir("restamped");
+        let path = dir.join("s.done");
+        let mut lex = LocalInterner::new();
+        let results = sample_table(&mut lex);
+        write_result_cache(&path, stamp(), &results, 0..results.len() - 1, &lex).unwrap();
+        let last_tag = fs::read(&path).unwrap().len();
+        write_result_cache(&path, stamp(), &results, 0..results.len(), &lex).unwrap();
+        let pristine = fs::read(&path).unwrap();
+        let find = |needle: &[u8]| {
+            pristine
+                .windows(needle.len())
+                .position(|w| w == needle)
+                .expect("needle in the cache file")
+        };
+        // The WebView site: `loadUrl` (index 0), …, package `com.sdk.ads`,
+        // label `Sdk(3)`, deep-link flag, load flag.
+        let method_idx = find(b"\x07loadUrl") + 8;
+        let load_flag = find(b"\x0bcom.sdk.ads") + 12 + 2 + 1;
+        assert_eq!((pristine[method_idx], pristine[load_flag]), (0, 1));
+
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut file = pristine.clone();
+            edit(&mut file);
+            file
+        };
+        let damaged = [
+            (
+                "out-of-range tag of the last entry",
+                edited(&|f| f[last_tag] = 7),
+            ),
+            // `loadData` is a load method too: only the name disagrees.
+            (
+                "method name of another index",
+                edited(&|f| f[method_idx] = 5),
+            ),
+            ("load flag off", edited(&|f| f[load_flag] = 0)),
+            ("trailing byte", edited(&|f| f.push(0))),
+        ];
+        for (what, mut bad) in damaged {
+            let checksum = adler32(&bad[CACHE_PREFIX..]);
+            bad[CACHE_PREFIX - 4..CACHE_PREFIX].copy_from_slice(&checksum.to_le_bytes());
+            fs::write(&path, &bad).unwrap();
+
+            let mut rl = LocalInterner::new();
+            let mut table = ResultTable::new();
+            table.commit_error(ApkError::BadUtf8);
+            let mut row = table.row();
+            row.push_class(rl.intern("com/app/Kept"));
+            row.commit(PlayCategory::Tools, "com.kept", 0);
+            let before = table.clone();
+            assert!(
+                !load_result_cache(&path, stamp(), &mut rl, &mut table),
+                "{what}"
+            );
+            assert_eq!(table, before, "{what}");
+        }
+        // Undamaged, the same file loads.
+        fs::write(&path, &pristine).unwrap();
+        let mut table = ResultTable::new();
+        assert!(load_result_cache(
+            &path,
+            stamp(),
+            &mut LocalInterner::new(),
+            &mut table
+        ));
+        assert_eq!(table.len(), results.len());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,13 +30,14 @@ pub mod oracle;
 pub mod pipeline;
 pub mod privacy;
 pub mod stream;
+pub mod table;
 
 pub use aggregate::{
     aggregate, CategoryBreakdown, HeatmapRow, MethodCensusRow, SdkTypeCount, SdkUsageRow,
     StudyResults, Tally, UrlOriginCensus,
 };
 pub use analyze::{
-    analyze_app, analyze_app_timed_with, AnalysisCtx, AppAnalysis, CtSiteSummary, DecodeCounters,
+    analyze_app, analyze_app_timed_with, AnalysisCtx, AppView, CtSiteSummary, DecodeCounters,
     StageTimings, WebViewSiteSummary,
 };
 pub use dataflow::{method_provenance, DataflowCounters};
@@ -47,3 +48,4 @@ pub use pipeline::{
 };
 pub use privacy::{grade_distribution, privacy_label, ExposureGrade, PrivacyLabel};
 pub use stream::{run_pipeline_streamed, StreamConfig, StreamCounters, MANIFEST_SUBDIR};
+pub use table::{ResultTable, RowWriter};

@@ -1,7 +1,8 @@
 //! String-path aggregation oracle.
 //!
 //! A faithful copy of the *pre-interning* aggregation: every site's method
-//! is resolved to text and matched against [`METHODS`] by string compare,
+//! is taken as text (a WebView site's name by its index, a Custom-Tabs
+//! site's resolved) and matched by string compare,
 //! every caller package is resolved to text and re-labeled through
 //! [`SdkIndex::label_id`] per site (no memo), and per-SDK accounting goes
 //! through keyed maps. It exists for two jobs:
@@ -18,7 +19,7 @@ use crate::aggregate::{
     CategoryBreakdown, HeatmapRow, MethodCensusRow, SdkTypeCount, SdkUsageRow, StudyResults,
     UrlOriginCensus,
 };
-use crate::analyze::AppAnalysis;
+use crate::analyze::AppView;
 use crate::pipeline::PipelineOutput;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use wla_callgraph::UrlOrigin;
@@ -33,7 +34,7 @@ pub fn aggregate_string_oracle(
     top_sdk_threshold: usize,
 ) -> StudyResults {
     let symbols = &output.symbols;
-    let analyses: Vec<&AppAnalysis> = output.analyzed().collect();
+    let analyses: Vec<AppView<'_>> = output.analyzed().collect();
 
     // Per-SDK app counts, keyed by catalog index.
     let mut sdk_wv_apps: HashMap<usize, usize> = HashMap::new();
@@ -95,7 +96,7 @@ pub fn aggregate_string_oracle(
         let mut methods_by_cat: HashMap<SdkCategory, [bool; 7]> = HashMap::new();
 
         for site in a.third_party_webview() {
-            let method = symbols.resolve(site.method);
+            let method = site.method();
             let mi = METHODS
                 .iter()
                 .position(|m| *m == method)
@@ -110,12 +111,12 @@ pub fn aggregate_string_oracle(
                     methods_sdk[mi] = true;
                     let category = catalog.sdks()[idx as usize].category;
                     methods_by_cat.entry(category).or_default()[mi] = true;
-                    if site.is_load_method {
+                    if site.is_load_method() {
                         app_wv_sdks.insert(idx as usize);
                     }
                 }
-                LabelId::Obfuscated if site.is_load_method => app_obfuscated = true,
-                LabelId::Unlabeled if site.is_load_method => app_unlabeled = true,
+                LabelId::Obfuscated if site.is_load_method() => app_obfuscated = true,
+                LabelId::Unlabeled if site.is_load_method() => app_unlabeled = true,
                 _ => {}
             }
         }
@@ -137,7 +138,7 @@ pub fn aggregate_string_oracle(
         // loop above) and tally them in separate passes.
         let origins: Vec<UrlOrigin> = a
             .third_party_webview()
-            .filter(|s| s.is_load_method)
+            .filter(|s| s.is_load_method())
             .map(|s| s.origin)
             .chain(
                 a.third_party_ct()

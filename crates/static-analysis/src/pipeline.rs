@@ -10,40 +10,44 @@
 //!   [`wla_pool::isolate`]; a panicking container becomes an
 //!   [`ApkError::AnalysisPanic`] result feeding the broken-apps row
 //!   instead of aborting the whole corpus run.
-//! - **Contention-free output.** Each worker owns its [`AnalysisCtx`] and
-//!   stage timers, and the pool hands results back in input order;
-//!   nothing shares a mutex on the hot path.
+//! - **Contention-free output.** Each worker owns its [`AnalysisCtx`],
+//!   stage timers and [`ResultTable`]; nothing shares a mutex on the hot
+//!   path.
 //! - **Observability.** [`PipelineStats`] carries per-stage timers,
 //!   per-worker counters, interner counters, throughput, and a failure
 //!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered
 //!   straight from that struct by `wla-core::stats`.
 //!
-//! Interned-IR lifecycle: each worker interns into a private
-//! [`LocalInterner`] (no synchronization while
-//! analyzing); the serial join tail (timed as
-//! [`PipelineStats::serial_tail_ns`]) translates every symbol into one
-//! fresh [`SymbolTable`] with [`wla_intern::merge_ordered`], which the
-//! [`PipelineOutput`] owns. Its ids depend only on the input order — never
-//! on worker count or scheduling — which keeps parallel and serial runs
-//! bit-identical. The shard-streaming
+//! Results stay where the worker wrote them. Each app's records and its
+//! row go into its worker's table, the row committed when the app is
+//! done (a failed app's row holds its error); every 64 rows a worker
+//! freezes its open rows into one exact-size segment. The serial
+//! join tail (timed as [`PipelineStats::serial_tail_ns`]) keeps the
+//! tables, lists `(table, row)` pairs in input order as the output's
+//! index, and has [`wla_intern::merge_ordered`] rewrite every row's
+//! worker-local symbols in place into one fresh [`SymbolTable`], which
+//! the [`PipelineOutput`] owns. Its ids depend only on the input order —
+//! never on worker count or scheduling — which keeps parallel and serial
+//! runs bit-identical. Nothing is copied per app. The shard-streaming
 //! runner in [`crate::stream`] shares the per-app step and the join.
 //!
 //! A caller that reads only the corpus aggregates skips all of that:
 //! [`run_pipeline_tallied`] folds each app into its worker's [`Tally`] as
-//! soon as it is analyzed and drops it, so no per-app result outlives its
-//! claim, and the tail merges tallies instead of symbols. [`aggregate`]
-//! reads no symbol, so the fold needs no symbol table.
+//! soon as it is analyzed and clears the table it was written to, so no
+//! per-app result outlives its claim and none allocates, and the tail
+//! merges tallies instead of symbols. [`aggregate`] reads no symbol, so
+//! the fold needs no symbol table.
 //!
 //! [`aggregate`]: crate::aggregate::aggregate
 
 use crate::aggregate::{StudyResults, Tally};
-use crate::analyze::{
-    analyze_app_timed_with, AnalysisCtx, AppAnalysis, DecodeCounters, StageTimings,
-};
+use crate::analyze::{analyze_app_timed_with, AnalysisCtx, AppView, DecodeCounters, StageTimings};
 use crate::dataflow::DataflowCounters;
 use crate::stream::StreamCounters;
+use crate::table::ResultTable;
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 use std::time::Instant;
 use wla_apk::ApkError;
 use wla_callgraph::CallGraphCounters;
@@ -53,6 +57,11 @@ use wla_intern::{merge_ordered, LocalInterner, SymbolTable};
 use wla_sdk_index::SdkIndex;
 
 pub use wla_pool::WorkerStats;
+
+/// Rows an in-memory worker commits before freezing them into one
+/// exact-size segment of its table: as many as one 64-app shard, the
+/// unit the streamed runner freezes.
+const BATCH_ROWS: usize = 64;
 
 /// One corpus entry: the metadata the Play Store provides plus the raw
 /// container bytes fetched from the archive.
@@ -216,6 +225,10 @@ pub struct PipelineStats {
     pub decode: DecodeCounters,
     /// Shard-streaming counters; all-zero for the in-memory path.
     pub stream: StreamCounters,
+    /// Heap bytes the output's result tables, index and symbol table hold
+    /// ([`PipelineOutput::heap_bytes`]), set by the join; 0 for a folded
+    /// run, which builds no output.
+    pub result_bytes: usize,
 }
 
 impl PipelineStats {
@@ -242,8 +255,8 @@ impl PipelineStats {
     }
 
     /// Fold one finished worker's counters into the run's, handing back
-    /// its lexicon.
-    fn fold_worker(&mut self, Worker { ctx, stage }: Worker<'_>) -> LocalInterner {
+    /// its lexicon and its result table.
+    fn fold_worker(&mut self, Worker { ctx, stage }: Worker<'_>) -> (LocalInterner, ResultTable) {
         self.stage.accumulate(&stage);
         self.interner.local_symbols += ctx.lexicon.len();
         self.interner.local_bytes += ctx.lexicon.bytes();
@@ -254,7 +267,7 @@ impl PipelineStats {
         self.callgraph.merge(&ctx.callgraph_counters());
         self.dataflow.merge(&ctx.dataflow);
         self.decode.merge(&ctx.decode);
-        ctx.lexicon
+        (ctx.lexicon, ctx.results)
     }
 
     /// Corpus throughput over the whole run.
@@ -290,13 +303,16 @@ impl PipelineStats {
     }
 }
 
-/// Pipeline output: per-app results in input order, run statistics, and
-/// the symbol table every surviving [`AppAnalysis`] resolves against.
+/// Pipeline output: the workers' result tables with an index of every
+/// app's row in input order, run statistics, and the symbol table every
+/// row resolves against.
 #[derive(Debug)]
 pub struct PipelineOutput {
-    /// Per-app analysis or decode error, in input order. Symbols are
-    /// global (already remapped).
-    pub results: Vec<Result<AppAnalysis, ApkError>>,
+    /// The workers' tables, as they wrote them; symbols are global
+    /// (rewritten in place by the join).
+    tables: Vec<ResultTable>,
+    /// `(table, row)` of every app, in input order.
+    index: Vec<(u32, u32)>,
     /// Observability counters for the run.
     pub stats: PipelineStats,
     /// The merged symbol table — the report boundary's only way to turn a
@@ -305,19 +321,42 @@ pub struct PipelineOutput {
 }
 
 impl PipelineOutput {
+    /// Every app's analysis or decode error, in input order.
+    pub fn results(&self) -> impl ExactSizeIterator<Item = Result<AppView<'_>, &ApkError>> {
+        // Each table's rows come in row order: one lookup hint per table.
+        let mut hints = vec![0; self.tables.len()];
+        self.index.iter().map(move |&(table, row)| {
+            let table = table as usize;
+            self.tables[table].get_near(row as usize, &mut hints[table])
+        })
+    }
+
     /// Successfully analyzed apps.
-    pub fn analyzed(&self) -> impl Iterator<Item = &AppAnalysis> {
-        self.results.iter().filter_map(|r| r.as_ref().ok())
+    pub fn analyzed(&self) -> impl Iterator<Item = AppView<'_>> {
+        self.results().filter_map(Result::ok)
     }
 
     /// Number of successfully analyzed apps.
     pub fn analyzed_count(&self) -> usize {
-        self.analyzed().count()
+        self.results().len() - self.broken_count()
     }
 
     /// Number of broken containers (Table 2's 242).
     pub fn broken_count(&self) -> usize {
-        self.results.iter().filter(|r| r.is_err()).count()
+        self.results().filter(Result::is_err).count()
+    }
+
+    /// Heap bytes held by the result tables, the index and the symbol
+    /// table.
+    pub fn heap_bytes(&self) -> usize {
+        self.tables.capacity() * size_of::<ResultTable>()
+            + self
+                .tables
+                .iter()
+                .map(ResultTable::heap_bytes)
+                .sum::<usize>()
+            + self.index.capacity() * size_of::<(u32, u32)>()
+            + self.symbols.heap_bytes()
     }
 }
 
@@ -328,32 +367,42 @@ pub(crate) struct Worker<'c> {
     pub(crate) stage: StageTimings,
 }
 
+/// The analysis a runner runs per app: commit the app's row to
+/// `ctx.results` and return its number, or return the app's error.
+pub(crate) type Outcome = (Result<usize, ApkError>, StageTimings);
+
 impl<'c> Worker<'c> {
     /// The per-app step every runner shares: run `analyze` on this
     /// worker's context and sum its stage timers. Callers run it under
     /// [`wla_pool::isolate`] — the in-memory runners through the pool, the
-    /// streamed runner once per shard entry — and turn a panic into
-    /// [`panicked`].
+    /// streamed runner once per shard entry.
     pub(crate) fn analyze(
         &mut self,
-        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> (Result<AppAnalysis, ApkError>, StageTimings),
-    ) -> Result<AppAnalysis, ApkError> {
+        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> Outcome,
+    ) -> Result<usize, ApkError> {
         let (result, timings) = analyze(&mut self.ctx);
         self.stage.accumulate(&timings);
         result
     }
+
+    /// [`analyze`](Self::analyze), committing a failure as the app's
+    /// error row: the app's row number either way.
+    pub(crate) fn analyze_row(
+        &mut self,
+        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> Outcome,
+    ) -> usize {
+        self.analyze(analyze)
+            .unwrap_or_else(|e| self.ctx.results.commit_error(e))
+    }
 }
 
 /// A panic's text as the per-app error Table 2's broken row counts.
-pub(crate) fn panicked<T>(message: String) -> Result<T, ApkError> {
-    Err(ApkError::AnalysisPanic { message })
+pub(crate) fn panicked(message: String) -> ApkError {
+    ApkError::AnalysisPanic { message }
 }
 
 /// The per-app analysis both in-memory runners run by default.
-fn analyze_input<I: AppInput>(
-    input: &I,
-    ctx: &mut AnalysisCtx<'_>,
-) -> (Result<AppAnalysis, ApkError>, StageTimings) {
+fn analyze_input<I: AppInput>(input: &I, ctx: &mut AnalysisCtx<'_>) -> Outcome {
     // The one copy of the container this run makes: the decode and
     // every dex string span share it.
     let bytes = Bytes::copy_from_slice(input.bytes());
@@ -375,7 +424,8 @@ pub fn run_pipeline<I: AppInput>(
 /// building a [`PipelineOutput`].
 ///
 /// Each worker folds an app into its own [`Tally`] once the analysis
-/// returns, then drops it; the tail merges the tallies. A panicking
+/// returns, then clears the table it was written to, which keeps its
+/// capacity for the next app; the tail merges the tallies. A panicking
 /// analysis never reaches the fold, so it costs only its own app, counted
 /// as broken. No symbol table is merged (see [`PipelineStats`]).
 pub fn run_pipeline_tallied<I: AppInput>(
@@ -398,7 +448,7 @@ pub(crate) fn tally_with<I, F>(
 ) -> (StudyResults, PipelineStats)
 where
     I: AppInput,
-    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings) + Sync,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> Outcome + Sync,
 {
     let started = Instant::now();
     // Each worker keeps its tally and its apps' errors; an item hands
@@ -407,9 +457,15 @@ where
         inputs.len(),
         config.workers,
         || (config.worker(catalog), Tally::new(catalog), Vec::new()),
-        |(worker, tally, failed), i| match worker.analyze(|ctx| analyze(&inputs[i], ctx)) {
-            Ok(analysis) => tally.add(&analysis),
-            Err(e) => failed.push(e),
+        |(worker, tally, failed), i| {
+            match worker.analyze(|ctx| analyze(&inputs[i], ctx)) {
+                Ok(row) => match worker.ctx.results.get(row) {
+                    Ok(app) => tally.add(app),
+                    Err(e) => failed.push(e.clone()),
+                },
+                Err(e) => failed.push(e),
+            }
+            worker.ctx.results.clear();
         },
     );
     // The serial tail: fold the workers' counters and tallies, then count
@@ -426,7 +482,7 @@ where
     let panics = pool
         .results
         .into_iter()
-        .filter_map(|(_, outcome)| outcome.or_else(panicked).err());
+        .filter_map(|(_, outcome)| outcome.err().map(panicked));
     for e in failures.into_iter().chain(panics) {
         stats.count_failure(&e);
         tally.add_broken();
@@ -442,8 +498,10 @@ where
 /// are identical to [`run_pipeline`]; only the per-app work differs. Tests
 /// use this to inject deliberately panicking analyses; ablation benches
 /// use it to isolate scheduler overhead from analysis cost. The analysis
-/// function receives the worker's [`AnalysisCtx`] and must intern every
-/// symbol its result carries into `ctx.lexicon`.
+/// function receives the worker's [`AnalysisCtx`]. It must intern every
+/// symbol it records into `ctx.lexicon`, and either commit the app's row
+/// to `ctx.results` and return its number (as [`analyze_app_timed_with`]
+/// does) or return the app's error, which the runner commits.
 pub fn run_pipeline_with<I, F>(
     inputs: &[I],
     catalog: &SdkIndex,
@@ -452,28 +510,45 @@ pub fn run_pipeline_with<I, F>(
 ) -> PipelineOutput
 where
     I: AppInput,
-    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<AppAnalysis, ApkError>, StageTimings) + Sync,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<usize, ApkError>, StageTimings) + Sync,
 {
     let started = Instant::now();
     let pool = wla_pool::run(
         inputs.len(),
         config.workers,
         || config.worker(catalog),
-        |worker, i| worker.analyze(|ctx| analyze(&inputs[i], ctx)),
+        |worker, i| {
+            let row = worker.analyze_row(|ctx| analyze(&inputs[i], ctx));
+            if worker.ctx.results.open_rows() >= BATCH_ROWS {
+                worker.ctx.results.freeze();
+            }
+            row
+        },
     );
-    let results = pool
-        .results
-        .into_iter()
-        .map(|(w, result)| (w, result.unwrap_or_else(panicked)))
-        .collect();
-    join(results, pool.contexts, pool.workers, started)
+    let mut workers = pool.contexts;
+    let mut index = Vec::with_capacity(pool.results.len());
+    for (w, outcome) in pool.results {
+        // A panicking analysis committed nothing; its error row goes
+        // after the worker's last.
+        let row = outcome
+            .unwrap_or_else(|message| workers[w].ctx.results.commit_error(panicked(message)));
+        index.push(row_ref(w, row));
+    }
+    join(index, workers, pool.workers, started)
+}
+
+/// The output index entry of row `row` of worker `w`'s table.
+pub(crate) fn row_ref(w: usize, row: usize) -> (u32, u32) {
+    let narrow = |n: usize| u32::try_from(n).expect("table and row numbers fit u32");
+    (narrow(w), narrow(row))
 }
 
 /// The serial join tail both runners share: fold the per-worker counters,
-/// count failures, and translate worker-local symbols into one global
-/// table. `results` holds `(worker, result)` pairs in input order.
+/// close each worker's table, count failures, and rewrite every row's
+/// worker-local symbols in place into one global table. `index` holds the
+/// [`row_ref`] of every app, in input order.
 pub(crate) fn join(
-    results: Vec<(usize, Result<AppAnalysis, ApkError>)>,
+    mut index: Vec<(u32, u32)>,
     workers: Vec<Worker<'_>>,
     worker_stats: Vec<WorkerStats>,
     started: Instant,
@@ -481,36 +556,50 @@ pub(crate) fn join(
     // Everything from here to return runs on one thread after the pool
     // joins — the serial tail `stats.serial_tail_ns` exposes.
     let tail_started = Instant::now();
-    let mut stats = PipelineStats::new(results.len(), worker_stats);
-    for (_, result) in &results {
-        if let Err(e) = result {
+    let mut stats = PipelineStats::new(index.len(), worker_stats);
+    let (lexicons, mut tables): (Vec<LocalInterner>, Vec<ResultTable>) = workers
+        .into_iter()
+        .map(|worker| stats.fold_worker(worker))
+        .unzip();
+    for table in &mut tables {
+        table.close();
+    }
+    // Each table's rows come in row order: one lookup hint per table.
+    let mut hints = vec![0; tables.len()];
+    for &(table, row) in &index {
+        let table = table as usize;
+        if let Err(e) = tables[table].get_near(row as usize, &mut hints[table]) {
             stats.count_failure(e);
         }
     }
-    let lexicons: Vec<LocalInterner> = workers
-        .into_iter()
-        .map(|worker| stats.fold_worker(worker))
-        .collect();
-    let (results, symbols) = merge_ordered(results, &lexicons, |result, f| {
-        if let Ok(analysis) = result {
-            analysis.remap_symbols(f);
-        }
-    });
+    let symbols = merge_ordered(
+        &mut index,
+        &lexicons,
+        |&(table, _)| table as usize,
+        |&mut (table, row), f| {
+            let table = table as usize;
+            tables[table].remap_row(row as usize, &mut hints[table], f)
+        },
+    );
     stats.interner.global_symbols = symbols.len();
     stats.interner.global_bytes = symbols.bytes();
-    stats.serial_tail_ns = tail_started.elapsed().as_nanos() as u64;
-    stats.wall_ns = started.elapsed().as_nanos() as u64;
-    PipelineOutput {
-        results,
+    let mut output = PipelineOutput {
+        tables,
+        index,
         stats,
         symbols,
-    }
+    };
+    output.stats.result_bytes = output.heap_bytes();
+    output.stats.serial_tail_ns = tail_started.elapsed().as_nanos() as u64;
+    output.stats.wall_ns = started.elapsed().as_nanos() as u64;
+    output
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::aggregate::aggregate;
+    use crate::analyze::WebViewSiteSummary;
     use proptest::prelude::*;
     use wla_corpus::{CorpusConfig, EcosystemParams, Generator};
     use wla_sdk_index::SdkCategory;
@@ -536,9 +625,9 @@ mod tests {
     /// included), the failure taxonomy, and the global tables
     /// symbol-for-symbol — the table holds exactly the symbols the
     /// results carry, so resolving each of them covers it.
-    fn assert_same_run(a: &PipelineOutput, b: &PipelineOutput) {
-        assert_eq!(a.results.len(), b.results.len());
-        for (x, y) in a.results.iter().zip(&b.results) {
+    pub(crate) fn assert_same_run(a: &PipelineOutput, b: &PipelineOutput) {
+        assert_eq!(a.results().len(), b.results().len());
+        for (x, y) in a.results().zip(b.results()) {
             match (x, y) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y),
                 (Err(x), Err(y)) => assert_eq!(x, y),
@@ -549,10 +638,9 @@ mod tests {
         assert_eq!(a.symbols.len(), b.symbols.len());
         let (sa, sb) = (&a.symbols, &b.symbols);
         for analysis in a.analyzed() {
-            analysis.clone().remap_symbols(|s| {
+            for s in analysis.symbols() {
                 assert_eq!(sa.resolve(s), sb.resolve(s));
-                s
-            });
+            }
         }
     }
 
@@ -613,7 +701,7 @@ mod tests {
         let catalog = SdkIndex::paper();
         let ins = inputs(&catalog, 2_000, 3, 0.25);
         let out = run_pipeline(&ins, &catalog, PipelineConfig::default());
-        assert_eq!(out.results.len(), ins.len());
+        assert_eq!(out.results().len(), ins.len());
         assert!(out.broken_count() > 0);
         assert_eq!(out.analyzed_count() + out.broken_count(), ins.len());
         assert_fold_matches_materialized(&ins, &catalog);
@@ -642,7 +730,7 @@ mod tests {
     fn empty_corpus_ok() {
         let catalog = SdkIndex::paper();
         let out = run_pipeline::<CorpusInput>(&[], &catalog, PipelineConfig::default());
-        assert_eq!(out.results.len(), 0);
+        assert_eq!(out.results().len(), 0);
         assert_eq!(out.broken_count(), 0);
         assert_eq!(out.stats.total, 0);
         assert_eq!(out.stats.apps_per_second(), 0.0);
@@ -697,7 +785,7 @@ mod tests {
 
     /// Keep deliberate test panics out of stderr while still letting any
     /// unexpected panic report normally. Process-global, so installed once.
-    fn quiet_injected_panics() {
+    pub(crate) fn quiet_injected_panics() {
         use std::sync::Once;
         static ONCE: Once = Once::new();
         ONCE.call_once(|| {
@@ -733,9 +821,9 @@ mod tests {
             analyze_input(input, ctx)
         };
         let out = run_pipeline_with(&ins, &catalog, workers(4), trapped);
-        assert_eq!(out.results.len(), ins.len());
+        assert_eq!(out.results().len(), ins.len());
         assert_eq!(out.stats.panicked, 1);
-        match &out.results[trap] {
+        match out.results().nth(trap).unwrap() {
             Err(ApkError::AnalysisPanic { message }) => {
                 assert!(message.contains("injected analysis fault"), "{message}");
             }
@@ -761,6 +849,85 @@ mod tests {
         }
     }
 
+    /// Every row the output's tables hold is an app of its index, and
+    /// every record they hold belongs to one of those rows: no record of
+    /// an unfinished row was kept.
+    pub(crate) fn assert_holds_only_its_rows(out: &PipelineOutput) {
+        let rows: usize = out.tables.iter().map(ResultTable::len).sum();
+        assert_eq!(rows, out.results().len());
+        let records: usize = out.tables.iter().map(ResultTable::records).sum();
+        let of_rows: usize = out
+            .analyzed()
+            .map(|a| a.webview_sites.len() + a.ct_sites.len() + a.custom_webview_classes.len())
+            .sum();
+        assert_eq!(records, of_rows);
+    }
+
+    /// Start a row in `ctx`'s table, write records into it, and panic
+    /// before committing it: what a fault mid-analysis leaves behind.
+    pub(crate) fn write_then_panic(ctx: &mut AnalysisCtx<'_>, message: &str) -> ! {
+        let class = ctx.lexicon.intern("com/orphan/NeverCommitted");
+        let mut row = ctx.results.row();
+        row.push_webview(WebViewSiteSummary {
+            method_idx: 0,
+            caller_class: class,
+            caller_package: None,
+            label: wla_sdk_index::LabelId::Unlabeled,
+            in_deep_link_activity: false,
+            argument: Some(class),
+            origin: wla_callgraph::UrlOrigin::Resolved,
+        });
+        row.push_class(class);
+        panic!("{message}");
+    }
+
+    /// An analysis that writes records and then panics leaves no orphan
+    /// row: the output, and the fold's results, equal a fault-free run in
+    /// which those apps fail as `analysis-panic`.
+    #[test]
+    fn a_panic_mid_write_leaves_no_orphan_rows() {
+        quiet_injected_panics();
+        let catalog = SdkIndex::paper();
+        let ins = inputs(&catalog, 2_000, 19, 0.1);
+        let traps = [0, ins.len() / 2, ins.len() - 1];
+        let message = "injected fault mid-write";
+        let is_trap = |input: &GeneratedApp| traps.iter().any(|&t| std::ptr::eq(input, &ins[t]));
+        let panicking = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
+            if is_trap(input) {
+                write_then_panic(ctx, message);
+            }
+            analyze_input(input, ctx)
+        };
+        let failing = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
+            if is_trap(input) {
+                return (Err(panicked(message.to_owned())), StageTimings::default());
+            }
+            analyze_input(input, ctx)
+        };
+        for n in [1, 2, 8] {
+            let out = run_pipeline_with(&ins, &catalog, workers(n), panicking);
+            let want = run_pipeline_with(&ins, &catalog, workers(n), failing);
+            assert_same_run(&out, &want);
+            assert_eq!(out.stats.panicked, traps.len(), "{n} workers");
+            for &t in &traps {
+                assert_eq!(
+                    out.results().nth(t),
+                    Some(Err(&panicked(message.to_owned())))
+                );
+            }
+            assert_holds_only_its_rows(&out);
+            assert_eq!(out.stats.result_bytes, out.heap_bytes());
+
+            let (folded, stats) = tally_with(&ins, &catalog, workers(n), 1, panicking);
+            let (want_folded, want_stats) = tally_with(&ins, &catalog, workers(n), 1, failing);
+            assert_eq!(folded, want_folded, "{n} workers");
+            assert_eq!(folded, aggregate(&want, &catalog, 1), "{n} workers");
+            assert_eq!(stats.failure_kinds, want_stats.failure_kinds);
+            assert_eq!(stats.panicked, traps.len());
+            assert_eq!(stats.result_bytes, 0, "a fold builds no output");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
         #[test]
@@ -780,7 +947,7 @@ mod tests {
                 },
             );
             let s = &out.stats;
-            prop_assert_eq!(s.total, out.results.len());
+            prop_assert_eq!(s.total, out.results().len());
             prop_assert_eq!(s.analyzed, out.analyzed_count());
             prop_assert_eq!(s.broken, out.broken_count());
             prop_assert_eq!(s.analyzed + s.broken, s.total);

@@ -3,16 +3,16 @@
 //! third-party content as a metric in the 'privacy nutrition labels' as
 //! displayed on the app store."
 //!
-//! [`privacy_label`] derives a per-app label from an [`AppAnalysis`]:
+//! [`privacy_label`] derives a per-app label from an [`AppView`]:
 //! which mechanisms the app uses, which third-party SDK categories drive
 //! its web content, whether a JS bridge is exposed to web content, and an
 //! overall exposure grade.
 
-use crate::analyze::AppAnalysis;
+use crate::analyze::AppView;
 use std::collections::BTreeSet;
 use wla_sdk_index::{LabelId, SdkCategory, SdkIndex};
 
-/// Bit of `addJavascriptInterface` in [`AppAnalysis::method_mask`]
+/// Bit of `addJavascriptInterface` in [`AppView::method_mask`]
 /// (position in `WEBVIEW_CONTENT_METHODS`).
 const M_ADD_JS_IFACE: u8 = 1 << 1;
 /// Bit of `evaluateJavascript`.
@@ -90,7 +90,7 @@ impl PrivacyLabel {
 /// Derive the label for one analyzed app. Pure interned-IR consumer: the
 /// method mask and record-time [`LabelId`]s carry everything it needs, so
 /// no symbol is ever resolved here.
-pub fn privacy_label(analysis: &AppAnalysis, catalog: &SdkIndex) -> PrivacyLabel {
+pub fn privacy_label(analysis: AppView<'_>, catalog: &SdkIndex) -> PrivacyLabel {
     let uses_webview = analysis.uses_webview();
     let uses_custom_tabs = analysis.uses_custom_tabs();
     let mask = analysis.method_mask();
@@ -117,7 +117,7 @@ pub fn privacy_label(analysis: &AppAnalysis, catalog: &SdkIndex) -> PrivacyLabel
     };
 
     PrivacyLabel {
-        package: analysis.package.clone(),
+        package: analysis.package.to_owned(),
         uses_webview,
         uses_custom_tabs,
         js_bridge_exposed,

@@ -7,35 +7,48 @@
 //! container window aliases that buffer, so resident shard memory is
 //! bounded by the number of *concurrently held* shards (one per worker),
 //! not the corpus size. Every entry runs the in-memory pipeline's per-app
-//! step. The pool returns shards in shard order with entries in entry
-//! order, so flattening them gives global entry order, and the in-memory
+//! step. The pool returns shards in shard order with their rows in entry
+//! order, so listing them gives global entry order, and the in-memory
 //! pipeline's join ([`crate::pipeline`]) then makes the [`PipelineOutput`]
 //! bit-identical to loading the same corpus in memory and running
 //! [`crate::run_pipeline`], at any worker count.
 //!
+//! **Result rows.** Each entry's row goes into the claiming worker's
+//! [`ResultTable`](crate::ResultTable), committed when the entry is done
+//! (a failed or panicked entry's row holds its error). When the shard is
+//! done its rows are frozen into one exact-size segment, and the join
+//! indexes them where they are, so a streamed run copies no per-app
+//! result either.
+//!
 //! **Fault isolation.** Each entry runs under its own panic isolator, so a
-//! panicking entry fails alone as `analysis-panic`. A shard file that
-//! fails to open or validate costs its own entries and is counted by kind
-//! in [`StreamCounters`]; so is a panic in shard-level code (cache load,
-//! open, entry index, cache write), under the `shard-panic` kind.
+//! panicking entry fails alone as `analysis-panic`, and the records it
+//! wrote before panicking are never committed. A shard file that fails to
+//! open or validate costs its own entries and is counted by kind in
+//! [`StreamCounters`]; so is a panic in shard-level code (cache load,
+//! open, entry index, cache write), under the `shard-panic` kind, and the
+//! rows the shard had committed are dropped.
 //!
 //! **Resumability.** With [`StreamConfig::resume`] on, each finished
-//! shard's results are serialized to `<dir>/manifest/<shard>.done` keyed
-//! to the shard's stamp (header checksum + length). A rerun loads those
-//! instead of re-analyzing; any staleness or damage in a cache file is a
-//! silent miss. [`StreamCounters`] reports what was streamed, what was
-//! served from cache, shard-level failures, and shard bytes held.
+//! shard's rows are serialized to `<dir>/manifest/<shard>.done` keyed to
+//! the shard's stamp (header checksum + length), in cache format 2. A
+//! rerun parses those straight into the
+//! worker's table instead of re-analyzing; any staleness or damage in a
+//! cache file is a silent miss that leaves the table as it was.
+//! [`StreamCounters`] reports what was streamed, what was served from
+//! cache, shard-level failures, and shard bytes held.
 
-use crate::analyze::{analyze_app_timed_with, AppAnalysis};
+use crate::analyze::{analyze_app_timed_with, AnalysisCtx};
 use crate::cache;
-use crate::pipeline::{join, panicked, PipelineConfig, PipelineOutput, Worker};
+use crate::pipeline::{join, panicked, row_ref, Outcome, PipelineConfig, PipelineOutput, Worker};
+use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use wla_apk::ApkError;
+use wla_corpus::playstore::AppMeta;
 use wla_corpus::shard::{list_shards, read_shard_stamp, Shard, ShardStamp};
 use wla_sdk_index::SdkIndex;
 
@@ -99,9 +112,9 @@ pub struct StreamCounters {
 /// What one claimed shard produced.
 #[derive(Default)]
 struct ShardRun {
-    /// Entry results in entry order; symbols are local to the claiming
-    /// worker's lexicon.
-    entries: Vec<Result<AppAnalysis, ApkError>>,
+    /// The rows of the claiming worker's table that hold the entries'
+    /// results, in entry order; symbols are local to its lexicon.
+    rows: Range<usize>,
     /// Served from the resume manifest.
     cached: bool,
     /// Shard-level failure kind; a failed shard contributes no entries.
@@ -155,6 +168,21 @@ pub fn run_pipeline_streamed(
     catalog: &SdkIndex,
     config: StreamConfig,
 ) -> io::Result<PipelineOutput> {
+    stream_with(dir, catalog, config, analyze_app_timed_with)
+}
+
+/// [`run_pipeline_streamed`] with a caller-supplied per-entry analysis,
+/// as [`run_pipeline_with`](crate::run_pipeline_with) is to
+/// [`run_pipeline`](crate::run_pipeline).
+pub(crate) fn stream_with<F>(
+    dir: &Path,
+    catalog: &SdkIndex,
+    config: StreamConfig,
+    analyze: F,
+) -> io::Result<PipelineOutput>
+where
+    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Outcome + Sync,
+{
     let shards = list_shards(dir)?;
     let manifest_dir = dir.join(MANIFEST_SUBDIR);
     if config.resume {
@@ -168,64 +196,81 @@ pub fn run_pipeline_streamed(
         config.pipeline.workers,
         || config.pipeline.worker(catalog),
         |worker, s| {
-            stream_shard(
-                &shards[s],
-                &manifest_dir,
-                config,
-                worker,
-                &held_now,
-                &held_peak,
-            )
+            let mark = worker.ctx.results.len();
+            let held = (&held_now, &held_peak);
+            let shard = &shards[s];
+            let run = wla_pool::isolate(|| {
+                stream_shard(shard, &manifest_dir, config, worker, &analyze, held)
+            });
+            if run.is_err() {
+                // A panic in shard-level code costs the shard the rows it
+                // had committed.
+                worker.ctx.results.truncate(mark);
+            }
+            run
         },
     );
 
-    // Shards come back in shard order and entries in entry order, so the
-    // flattened list is already in global entry order.
+    // Shards come back in shard order and rows in entry order, so the
+    // index is already in global entry order.
     let mut counters = StreamCounters::default();
-    let mut results = Vec::new();
+    let rows: usize = pool
+        .results
+        .iter()
+        .flat_map(|(_, o)| o.iter().flatten())
+        .map(|s| s.rows.len())
+        .sum();
+    let mut index = Vec::with_capacity(rows);
     for (w, outcome) in pool.results {
-        let shard = outcome.unwrap_or_else(|_| ShardRun {
+        // The claim's own isolator or the pool's: either way a shard panic.
+        let shard = outcome.and_then(|run| run).unwrap_or_else(|_| ShardRun {
             failure: Some(SHARD_PANIC),
             ..ShardRun::default()
         });
         counters.bytes_mapped += shard.bytes_read;
+        let entries = shard.rows.len();
         if let Some(kind) = shard.failure {
             counters.shard_failures += 1;
             *counters.shard_failure_kinds.entry(kind).or_insert(0) += 1;
         } else if shard.cached {
             counters.shards_cached += 1;
-            counters.entries_cached += shard.entries.len();
+            counters.entries_cached += entries;
         } else {
             counters.shards_read += 1;
-            counters.entries_streamed += shard.entries.len();
+            counters.entries_streamed += entries;
         }
-        results.extend(shard.entries.into_iter().map(|result| (w, result)));
+        index.extend(shard.rows.map(|row| row_ref(w, row)));
     }
     counters.peak_mapped_bytes = held_peak.load(Ordering::Relaxed);
 
-    let mut output = join(results, pool.contexts, pool.workers, started);
+    let mut output = join(index, pool.contexts, pool.workers, started);
     output.stats.stream = counters;
     Ok(output)
 }
 
 /// Claim body for one shard: resume-cache lookup, streaming analysis,
-/// cache write-back, and shard-bytes accounting.
-fn stream_shard(
+/// cache write-back, shard-bytes accounting, and the freeze of the
+/// shard's rows. `held` is the concurrently-held gauge and its peak.
+fn stream_shard<F>(
     path: &Path,
     manifest_dir: &Path,
     config: StreamConfig,
     worker: &mut Worker<'_>,
-    held_now: &AtomicU64,
-    held_peak: &AtomicU64,
-) -> ShardRun {
+    analyze: &F,
+    (held_now, held_peak): (&AtomicU64, &AtomicU64),
+) -> ShardRun
+where
+    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Outcome,
+{
     let cache_path = cache_path_for(manifest_dir, path);
+    let first = worker.ctx.results.len();
     if config.resume {
         if let Ok(stamp) = read_shard_stamp(path) {
-            if let Some(entries) =
-                cache::load_result_cache(&cache_path, stamp, &mut worker.ctx.lexicon)
-            {
+            let ctx = &mut worker.ctx;
+            if cache::load_result_cache(&cache_path, stamp, &mut ctx.lexicon, &mut ctx.results) {
+                ctx.results.freeze();
                 return ShardRun {
-                    entries,
+                    rows: first..ctx.results.len(),
                     cached: true,
                     ..ShardRun::default()
                 };
@@ -245,13 +290,13 @@ fn stream_shard(
     let bytes_read = shard.file_len();
     let _gauge = HeldGauge::hold(held_now, held_peak, bytes_read);
 
-    let entries: Vec<_> = (0..shard.len())
-        .map(|e| {
-            let (meta, bytes) = (shard.entry_meta(e), shard.entry_bytes(e));
-            wla_pool::isolate(|| worker.analyze(|ctx| analyze_app_timed_with(meta, bytes, ctx)))
-                .unwrap_or_else(panicked)
-        })
-        .collect();
+    for e in 0..shard.len() {
+        let (meta, bytes) = (shard.entry_meta(e), shard.entry_bytes(e));
+        let row = wla_pool::isolate(|| worker.analyze_row(|ctx| analyze(meta, bytes, ctx)))
+            .unwrap_or_else(|message| worker.ctx.results.commit_error(panicked(message)));
+        debug_assert_eq!(row, first + e, "each entry commits one row");
+    }
+    let rows = first..worker.ctx.results.len();
 
     if config.resume {
         // Keyed to the exact bytes just analyzed (the open-time checksum),
@@ -260,11 +305,91 @@ fn stream_shard(
             checksum: shard.checksum(),
             file_len: shard.file_len(),
         };
-        let _ = cache::write_result_cache(&cache_path, stamp, &entries, &worker.ctx.lexicon);
+        let ctx = &worker.ctx;
+        let _ =
+            cache::write_result_cache(&cache_path, stamp, &ctx.results, rows.clone(), &ctx.lexicon);
     }
+    worker.ctx.results.freeze();
     ShardRun {
-        entries,
+        rows,
         bytes_read,
         ..ShardRun::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::tests::{
+        assert_holds_only_its_rows, assert_same_run, quiet_injected_panics, write_then_panic,
+    };
+    use crate::StageTimings;
+    use wla_corpus::{write_sharded_corpus, CorpusConfig, Generator};
+
+    /// A streamed entry whose analysis writes records and then panics
+    /// leaves no orphan row, in the output or in the resume cache: both
+    /// equal a fault-free run in which that entry is an `analysis-panic`.
+    #[test]
+    fn a_panic_mid_write_in_a_streamed_entry_leaves_no_orphan_rows() {
+        quiet_injected_panics();
+        let catalog = SdkIndex::paper();
+        let config = CorpusConfig {
+            scale: 2_000,
+            seed: 31,
+            corrupt_fraction: 0.1,
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, config).generate();
+        let traps: Vec<String> = [1, apps.len() / 2, apps.len() - 1]
+            .iter()
+            .map(|&i| apps[i].spec.meta.package.clone())
+            .collect();
+        let message = "injected fault in a streamed entry";
+        let is_trap = |meta: &AppMeta| traps.contains(&meta.package);
+        let panicking = |meta: &AppMeta, bytes: Bytes, ctx: &mut AnalysisCtx<'_>| {
+            if is_trap(meta) {
+                write_then_panic(ctx, message);
+            }
+            analyze_app_timed_with(meta, bytes, ctx)
+        };
+        let failing = |meta: &AppMeta, bytes: Bytes, ctx: &mut AnalysisCtx<'_>| {
+            if is_trap(meta) {
+                return (Err(panicked(message.to_owned())), StageTimings::default());
+            }
+            analyze_app_timed_with(meta, bytes, ctx)
+        };
+        let root = std::env::temp_dir().join(format!("wla-stream-orphan-{}", std::process::id()));
+        for workers in [1usize, 2, 8] {
+            let config = StreamConfig {
+                pipeline: PipelineConfig {
+                    workers,
+                    ..PipelineConfig::default()
+                },
+                resume: true,
+            };
+            let dirs = ["panicking", "failing"].map(|tag| root.join(format!("{tag}-{workers}")));
+            for dir in &dirs {
+                let _ = fs::remove_dir_all(dir);
+                write_sharded_corpus(dir, &apps, 8).unwrap();
+            }
+            let out = stream_with(&dirs[0], &catalog, config, panicking).unwrap();
+            let want = stream_with(&dirs[1], &catalog, config, failing).unwrap();
+            assert_same_run(&out, &want);
+            assert_holds_only_its_rows(&out);
+            assert_eq!(out.stats.panicked, traps.len(), "{workers} workers");
+            assert_eq!(out.broken_count(), want.broken_count());
+            // The resume caches hold the same rows, byte for byte.
+            for entry in fs::read_dir(dirs[1].join(MANIFEST_SUBDIR)).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap();
+                let written = fs::read(dirs[0].join(MANIFEST_SUBDIR).join(name)).unwrap();
+                assert_eq!(written, fs::read(&path).unwrap(), "{name:?}");
+            }
+            // And a warm run reads them back as the same output.
+            let warm = run_pipeline_streamed(&dirs[0], &catalog, config).unwrap();
+            assert_eq!(warm.stats.stream.entries_cached, apps.len());
+            assert_same_run(&warm, &want);
+        }
+        fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
+use wla_intern::SymbolTable;
 use wla_sdk_index::SdkIndex;
 use wla_static::stream::MANIFEST_SUBDIR;
 use wla_static::{
@@ -51,8 +52,8 @@ fn in_memory_baseline(apps: &[GeneratedApp], catalog: &SdkIndex) -> (PipelineOut
 /// Full bit-identity check: per-app results (values and global symbol
 /// ids), interner contents, and aggregated study results.
 fn assert_outputs_identical(streamed: &PipelineOutput, baseline: &PipelineOutput) {
-    assert_eq!(streamed.results.len(), baseline.results.len());
-    for (i, (s, b)) in streamed.results.iter().zip(&baseline.results).enumerate() {
+    assert_eq!(streamed.results().len(), baseline.results().len());
+    for (i, (s, b)) in streamed.results().zip(baseline.results()).enumerate() {
         match (s, b) {
             (Ok(x), Ok(y)) => assert_eq!(x, y, "analysis diverged at input {i}"),
             (Err(x), Err(y)) => assert_eq!(x, y, "error diverged at input {i}"),
@@ -62,9 +63,16 @@ fn assert_outputs_identical(streamed: &PipelineOutput, baseline: &PipelineOutput
     assert_eq!(streamed.symbols.len(), baseline.symbols.len());
     let (ss, bs) = (&streamed.symbols, &baseline.symbols);
     for a in streamed.analyzed() {
-        for site in &a.webview_sites {
-            assert_eq!(ss.resolve(site.method), bs.resolve(site.method));
+        for site in a.webview_sites {
+            let package = |s: &SymbolTable| {
+                site.caller_package
+                    .map(|p| s.resolve(p.symbol()).to_owned())
+            };
+            assert_eq!(package(ss), package(bs));
             assert_eq!(ss.resolve(site.caller_class), bs.resolve(site.caller_class));
+        }
+        for site in a.ct_sites {
+            assert_eq!(ss.resolve(site.method), bs.resolve(site.method));
         }
     }
 }
@@ -223,7 +231,7 @@ fn rewritten_shard_invalidates_its_cache() {
     // untouched shards come back from cache.
     assert_eq!(second.stats.stream.shards_read, 1);
     assert_eq!(second.stats.stream.shards_cached, paths.len() - 1);
-    assert_eq!(second.results.len(), first.results.len() - 1);
+    assert_eq!(second.results().len(), first.results().len() - 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -273,6 +281,107 @@ fn corrupt_shard_file_is_counted_and_skipped() {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The resume cache's bytes are a format: a writer that drifted would
+/// turn every existing cache into a miss. The 1:2000 corpus at seed 7,
+/// written as 64-app shards, must produce exactly the `.done` files the
+/// boxed per-app records wrote (length and FNV-1a-64 recorded then), with
+/// the default broken share and with one app in ten broken.
+#[test]
+fn resume_cache_bytes_are_pinned() {
+    let catalog = SdkIndex::paper();
+    /// A cache file's name, length and digest.
+    type Pinned = (&'static str, usize, u64);
+    let pinned: [(f64, [Pinned; 2]); 2] = [
+        (
+            CorpusConfig::default().corrupt_fraction,
+            [
+                ("shard-00000.done", 39_893, 0xc08c_57d5_9b7d_d0cf),
+                ("shard-00001.done", 6_570, 0xf5a8_482a_2eab_db01),
+            ],
+        ),
+        (
+            0.1,
+            [
+                ("shard-00000.done", 32_674, 0xe534_626d_b465_be79),
+                ("shard-00001.done", 5_308, 0x6bf4_5ece_88fc_3285),
+            ],
+        ),
+    ];
+    for (corrupt, files) in pinned {
+        let apps = corpus(2_000, 7, corrupt);
+        let dir = temp_dir(&format!("pinned-{}", files[0].1));
+        write_sharded_corpus(&dir, &apps, 64).unwrap();
+        let out = run_pipeline_streamed(&dir, &catalog, StreamConfig::default()).unwrap();
+        assert_eq!(out.stats.stream.entries_streamed, apps.len());
+        let mut written: Vec<_> = std::fs::read_dir(dir.join(MANIFEST_SUBDIR))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        written.sort();
+        assert_eq!(written.len(), files.len());
+        for (path, (name, len, digest)) in written.iter().zip(files) {
+            let raw = std::fs::read(path).unwrap();
+            assert_eq!(path.file_name().unwrap().to_str(), Some(name));
+            assert_eq!(raw.len(), len, "{name} at corrupt fraction {corrupt}");
+            assert_eq!(
+                fnv1a64(&raw),
+                digest,
+                "{name} at corrupt fraction {corrupt}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn restamped_cache_damage_is_a_miss_and_the_shard_is_reanalyzed() {
+    let catalog = SdkIndex::paper();
+    let apps = corpus(2_000, 83, 0.1);
+    let (baseline, baseline_study) = in_memory_baseline(&apps, &catalog);
+    let dir = temp_dir("restamped");
+    let paths = write_sharded_corpus(&dir, &apps, 16).unwrap();
+    assert!(paths.len() >= 3);
+    let config = StreamConfig {
+        pipeline: PipelineConfig {
+            workers: 2,
+            ..PipelineConfig::default()
+        },
+        ..StreamConfig::default()
+    };
+    let cold = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+    assert_outputs_identical(&cold, &baseline);
+
+    // Append a byte to shard 1's cache body and re-stamp its Adler-32: the
+    // checksum passes, every entry parses, and the trailing byte is found
+    // only after all of the shard's rows were committed.
+    let stem = paths[1].file_stem().unwrap().to_str().unwrap();
+    let done = dir.join(MANIFEST_SUBDIR).join(format!("{stem}.done"));
+    let mut raw = std::fs::read(&done).unwrap();
+    raw.push(0);
+    let checksum = wla_apk::wire::adler32(&raw[22..]);
+    raw[18..22].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&done, &raw).unwrap();
+    let shard1_entries = wla_corpus::Shard::open(&paths[1]).unwrap().len();
+
+    let warm = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+    assert_eq!(warm.stats.stream.shards_read, 1);
+    assert_eq!(warm.stats.stream.entries_streamed, shard1_entries);
+    assert_eq!(
+        warm.stats.stream.entries_cached,
+        apps.len() - shard1_entries
+    );
+    assert_outputs_identical(&warm, &cold);
+    assert_eq!(aggregate(&warm, &catalog, 1), baseline_study);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
@@ -293,8 +402,8 @@ proptest! {
             resume,
         };
         let out = run_pipeline_streamed(&dir, &catalog, config).unwrap();
-        prop_assert_eq!(out.results.len(), baseline.results.len());
-        for (s, b) in out.results.iter().zip(&baseline.results) {
+        prop_assert_eq!(out.results().len(), baseline.results().len());
+        for (s, b) in out.results().zip(baseline.results()) {
             match (s, b) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
                 (Err(x), Err(y)) => prop_assert_eq!(x, y),
@@ -317,7 +426,7 @@ proptest! {
             prop_assert_eq!(again.stats.stream.entries_cached, apps.len());
             prop_assert_eq!(again.stats.stream.shards_read, 0);
             prop_assert_eq!(aggregate(&again, &catalog, 1), baseline_study);
-            for (s, b) in again.results.iter().zip(&baseline.results) {
+            for (s, b) in again.results().zip(baseline.results()) {
                 match (s, b) {
                     (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
                     (Err(x), Err(y)) => prop_assert_eq!(x, y),
@@ -381,17 +490,20 @@ fn paper_scale_stream_50k() {
     let first = run(1, false);
     let study = aggregate(&first, &catalog, 1);
     eprintln!(
-        "paper-scale: {} apps, {} shards, {:.1} MiB of shards read, {:.1} MiB peak held",
+        "paper-scale: {} apps, {} shards, {:.1} MiB of shards read, {:.1} MiB peak held, \
+         output {:.2} MiB",
         apps.len(),
         first.stats.stream.shards_read,
         first.stats.stream.bytes_mapped as f64 / (1024.0 * 1024.0),
         first.stats.stream.peak_mapped_bytes as f64 / (1024.0 * 1024.0),
+        first.stats.result_bytes as f64 / (1024.0 * 1024.0),
     );
+    assert_eq!(first.stats.result_bytes, first.heap_bytes());
     in_memory_and_folded(1, &study);
     for workers in [2usize, 4, 8] {
         let out = run(workers, false);
-        assert_eq!(out.results.len(), first.results.len());
-        for (i, (a, b)) in out.results.iter().zip(&first.results).enumerate() {
+        assert_eq!(out.results().len(), first.results().len());
+        for (i, (a, b)) in out.results().zip(first.results()).enumerate() {
             assert_eq!(a, b, "diverged at {i} with {workers} workers");
         }
         assert_eq!(aggregate(&out, &catalog, 1), study);

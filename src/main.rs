@@ -177,6 +177,7 @@ fn main() {
             for label in analyses.iter().take(3) {
                 println!("{}", label.render());
             }
+            eprintln!("{}", stats::render_pipeline_stats(&out.stats));
         }
         "ablation" => {
             eprintln!("running static pipeline at scale 1:{} …", study.scale);

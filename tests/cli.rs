@@ -121,6 +121,25 @@ fn static_prints_pipeline_stats_to_stderr_only() {
 }
 
 #[test]
+fn labels_prints_pipeline_stats_to_stderr_only() {
+    let out = wla(&["labels", "--scale", "4000"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("privacy-label grade distribution"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("Pipeline run summary"), "{stdout}");
+    assert!(!stdout.contains("Result tables"), "{stdout}");
+    // `labels` builds a `PipelineOutput`, so its summary has the rows a
+    // folded run hides: the merged symbols and the result tables.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("Pipeline run summary"), "{stderr}");
+    assert!(stderr.contains("Interned symbols"), "{stderr}");
+    assert!(stderr.contains("Result tables"), "{stderr}");
+}
+
+#[test]
 fn funnel_prints_pipeline_stats_to_stderr_only() {
     let out = wla(&["funnel", "--scale", "4000"]);
     assert!(out.status.success(), "{out:?}");

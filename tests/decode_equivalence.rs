@@ -150,8 +150,8 @@ fn pipeline_identical_across_worker_counts() {
                 ..PipelineConfig::default()
             },
         );
-        assert_eq!(run.results.len(), baseline.results.len());
-        for (i, (a, b)) in run.results.iter().zip(&baseline.results).enumerate() {
+        assert_eq!(run.results().len(), baseline.results().len());
+        for (i, (a, b)) in run.results().zip(baseline.results()).enumerate() {
             match (a, b) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y, "app {i}, workers {workers}"),
                 (Err(x), Err(y)) => assert_eq!(x, y, "app {i}, workers {workers}"),

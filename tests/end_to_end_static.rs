@@ -26,7 +26,8 @@ fn pipeline_recovers_planted_ground_truth_exactly() {
             );
             continue;
         }
-        let analysis = result.expect("clean container analyzes");
+        let table = result.expect("clean container analyzes");
+        let analysis = table.get(0).expect("an analyzed row");
         assert_eq!(
             analysis.uses_webview(),
             g.spec.uses_webview(&catalog),

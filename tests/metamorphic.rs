@@ -11,8 +11,7 @@ use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{
-    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, AppAnalysis, PipelineConfig,
-    Tally,
+    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, AppView, PipelineConfig, Tally,
 };
 
 fn meta() -> AppMeta {
@@ -46,6 +45,7 @@ proptest! {
         s.noise_classes = noise;
         let mut rng = StdRng::seed_from_u64(seed);
         let changed = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let (base, changed) = (base.get(0).unwrap(), changed.get(0).unwrap());
         prop_assert_eq!(base.uses_webview(), changed.uses_webview());
         prop_assert_eq!(base.uses_custom_tabs(), changed.uses_custom_tabs());
         prop_assert_eq!(base.methods_used(), changed.methods_used());
@@ -61,6 +61,7 @@ proptest! {
         s.dead_code_webview = true;
         let mut rng = StdRng::seed_from_u64(seed);
         let with = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let (without, with) = (without.get(0).unwrap(), with.get(0).unwrap());
         prop_assert_eq!(without.uses_webview(), with.uses_webview());
         prop_assert_eq!(without.methods_used(), with.methods_used());
         prop_assert_eq!(with.unreachable_webview_sites, without.unreachable_webview_sites + 1);
@@ -80,6 +81,7 @@ proptest! {
         });
         let mut rng = StdRng::seed_from_u64(seed);
         let with = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let (without, with) = (without.get(0).unwrap(), with.get(0).unwrap());
         prop_assert_eq!(without.uses_webview(), with.uses_webview());
         prop_assert_eq!(without.methods_used(), with.methods_used());
         // The flagged site exists, though.
@@ -102,6 +104,7 @@ proptest! {
         s.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(seed);
         let analysis = analyze_app(&meta(), &lower(&s, &catalog, &mut rng).encode()).unwrap();
+        let analysis = analysis.get(0).unwrap();
         prop_assert!(!analysis.uses_webview());
         prop_assert!(!analysis.uses_custom_tabs());
         prop_assert!(analysis.webview_sites.is_empty());
@@ -142,8 +145,8 @@ proptest! {
         let oracle = aggregate_string_oracle(&out, &catalog, 1);
         prop_assert_eq!(aggregate(&out, &catalog, 1), oracle.clone());
 
-        let results = &out.results;
-        let whole = tally(&catalog, results);
+        let results: Vec<Result<AppView<'_>, &ApkError>> = out.results().collect();
+        let whole = tally(&catalog, &results);
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (results.len() + 1)).collect();
         bounds.sort_unstable();
         bounds.push(results.len());
@@ -163,11 +166,11 @@ proptest! {
 }
 
 /// One tally over `results`, in order.
-fn tally<'c>(catalog: &'c SdkIndex, results: &[Result<AppAnalysis, ApkError>]) -> Tally<'c> {
+fn tally<'c>(catalog: &'c SdkIndex, results: &[Result<AppView<'_>, &ApkError>]) -> Tally<'c> {
     let mut tally = Tally::new(catalog);
     for result in results {
         match result {
-            Ok(analysis) => tally.add(analysis),
+            Ok(analysis) => tally.add(*analysis),
             Err(_) => tally.add_broken(),
         }
     }

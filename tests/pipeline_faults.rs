@@ -62,7 +62,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
     );
 
     let expected_panics = inputs.len().div_ceil(10);
-    assert_eq!(output.results.len(), inputs.len());
+    assert_eq!(output.results().len(), inputs.len());
     assert_eq!(
         output.analyzed_count() + output.broken_count(),
         inputs.len(),
@@ -73,7 +73,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
         output.stats.failure_kinds.get("analysis-panic"),
         Some(&expected_panics)
     );
-    for (idx, result) in output.results.iter().enumerate() {
+    for (idx, result) in output.results().enumerate() {
         if idx % 10 == 0 {
             match result {
                 Err(ApkError::AnalysisPanic { message }) => {

@@ -102,13 +102,14 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = !ablate;
             let bytes = Bytes::copy_from_slice(&g.bytes);
-            let analysis = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
+            let row = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
                 .0
                 .expect("clean container analyzes");
+            let analysis = ctx.results.get(row).expect("an analyzed row");
             let origins = analysis
                 .webview_sites
                 .iter()
-                .filter(|s| s.is_load_method)
+                .filter(|s| s.is_load_method())
                 .map(|s| s.origin)
                 .chain(
                     analysis

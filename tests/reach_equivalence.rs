@@ -337,8 +337,8 @@ proptest! {
             &catalog,
             PipelineConfig { workers, ..PipelineConfig::default() },
         );
-        prop_assert_eq!(out.results.len(), base.results.len());
-        for (a, b) in out.results.iter().zip(&base.results) {
+        prop_assert_eq!(out.results().len(), base.results().len());
+        for (a, b) in out.results().zip(base.results()) {
             match (a, b) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
                 (Err(x), Err(y)) => prop_assert_eq!(x, y),
