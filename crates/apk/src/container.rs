@@ -17,12 +17,14 @@
 
 use crate::error::ApkError;
 use crate::wire::adler32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Magic bytes at the start of every SAPK container.
 pub const SAPK_MAGIC: [u8; 4] = *b"SAPK";
 /// Current SAPK format version.
 pub const SAPK_VERSION: u16 = 1;
+/// Magic, version and checksum: the bytes before the checksummed part.
+const HEADER_LEN: usize = 10;
 
 /// Kinds of section a SAPK container may carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,37 +111,35 @@ impl Sapk {
             .ok_or(ApkError::MissingSection("dex"))
     }
 
-    /// Serialize to the SAPK wire format.
-    pub fn encode(&self) -> Bytes {
+    /// Serialize to the SAPK wire format, in one buffer of exactly the
+    /// container's length: the header, the directory and the payload are
+    /// written in place, and the checksum last, over what follows it.
+    pub fn encode(&self) -> Vec<u8> {
         assert!(
             self.sections.len() <= u8::MAX as usize,
             "SAPK supports at most 255 sections"
         );
-        let mut payload = BytesMut::new();
-        let mut dir = Vec::with_capacity(self.sections.len());
-        for s in &self.sections {
-            let off = payload.len() as u32;
-            payload.put_slice(&s.data);
-            dir.push((s.tag, off, s.data.len() as u32));
-        }
-
-        // Checksum covers the directory and the payload so a damaged
-        // directory is also caught.
-        let mut covered = BytesMut::new();
-        covered.put_u8(self.sections.len() as u8);
-        for &(tag, off, len) in &dir {
-            covered.put_u8(tag.to_byte());
-            covered.put_u32_le(off);
-            covered.put_u32_le(len);
-        }
-        covered.put_slice(&payload);
-
-        let mut out = BytesMut::with_capacity(covered.len() + 10);
+        let payload: usize = self.sections.iter().map(|s| s.data.len()).sum();
+        let mut out = Vec::with_capacity(HEADER_LEN + 1 + 9 * self.sections.len() + payload);
         out.put_slice(&SAPK_MAGIC);
         out.put_u16_le(SAPK_VERSION);
-        out.put_u32_le(adler32(&covered));
-        out.put_slice(&covered);
-        out.freeze()
+        out.put_u32_le(0);
+        // The checksum covers the directory and the payload, so a damaged
+        // directory is also caught.
+        out.put_u8(self.sections.len() as u8);
+        let mut off = 0u32;
+        for s in &self.sections {
+            out.put_u8(s.tag.to_byte());
+            out.put_u32_le(off);
+            out.put_u32_le(s.data.len() as u32);
+            off += s.data.len() as u32;
+        }
+        for s in &self.sections {
+            out.put_slice(&s.data);
+        }
+        let checksum = adler32(&out[HEADER_LEN..]);
+        out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        out
     }
 
     /// Parse and validate a SAPK container from a borrowed slice.
@@ -240,6 +240,7 @@ mod tests {
     fn roundtrip() {
         let apk = sample();
         let bytes = apk.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "one exact-size buffer");
         let back = Sapk::decode(&bytes).unwrap();
         assert_eq!(apk, back);
     }
@@ -284,7 +285,7 @@ mod tests {
 
     #[test]
     fn bitflip_rejected_everywhere() {
-        let bytes = sample().encode().to_vec();
+        let bytes = sample().encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x01;
@@ -318,7 +319,7 @@ mod tests {
     #[test]
     fn decode_bytes_matches_decode_and_is_zero_copy() {
         let apk = sample();
-        let blob = apk.encode();
+        let blob = Bytes::from(apk.encode());
         let owned = Sapk::decode(&blob).unwrap();
         let shared = Sapk::decode_bytes(blob.clone()).unwrap();
         assert_eq!(owned, shared);
@@ -336,7 +337,7 @@ mod tests {
 
     #[test]
     fn decode_bytes_rejects_what_decode_rejects() {
-        let blob = sample().encode().to_vec();
+        let blob = sample().encode();
         for cut in 0..blob.len() {
             let a = Sapk::decode(&blob[..cut]).unwrap_err();
             let b = Sapk::decode_bytes(Bytes::copy_from_slice(&blob[..cut])).unwrap_err();

@@ -156,7 +156,7 @@ fn clobber_register(bytes: &[u8], site_num: u8) -> Option<Vec<u8>> {
         }
         rebuilt.push(s.tag, s.data.clone());
     }
-    done.then(|| rebuilt.encode().to_vec())
+    done.then(|| rebuilt.encode())
 }
 
 /// Decode `bytes` (bare SDEX, or SAPK with dex sections), overwrite one
@@ -183,7 +183,7 @@ fn clobber_lut(bytes: &[u8], slot_num: u8) -> Option<Vec<u8>> {
         }
         rebuilt.push(s.tag, s.data.clone());
     }
-    done.then(|| rebuilt.encode().to_vec())
+    done.then(|| rebuilt.encode())
 }
 
 fn clobber_lut_in_dex(dex: &mut Dex, slot_num: u8) -> Option<()> {
@@ -265,7 +265,7 @@ mod tests {
         let mut apk = Sapk::new();
         apk.push(SectionTag::Manifest, vec![7u8; 100]);
         apk.push(SectionTag::Dex, vec![9u8; 400]);
-        apk.encode().to_vec()
+        apk.encode()
     }
 
     #[test]

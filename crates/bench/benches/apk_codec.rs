@@ -21,7 +21,7 @@ fn representative_container() -> Vec<u8> {
         last_update_day: 900,
     };
     let spec = eco.sample_app(&mut rng, meta);
-    lower(&spec, &catalog, &mut rng).encode().to_vec()
+    lower(&spec, &catalog, &mut rng).encode()
 }
 
 fn bench(c: &mut Criterion) {

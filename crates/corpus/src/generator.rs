@@ -103,7 +103,7 @@ impl<'a> Generator<'a> {
             let meta = Self::sample_filtered_meta(&mut rng, i);
             let spec = eco.sample_app(&mut rng, meta);
             let apk = lower(&spec, self.catalog, &mut rng);
-            let clean = apk.encode().to_vec();
+            let clean = apk.encode();
             let corrupted = rng.gen::<f64>() < self.config.corrupt_fraction;
             let bytes = if corrupted {
                 let kind = match rng.gen_range(0..4u8) {
@@ -186,6 +186,27 @@ mod tests {
             });
             assert_eq!(ok, !a.corrupted, "decode ok={ok} corrupted={}", a.corrupted);
         }
+    }
+
+    /// The bytes of the 1:100 corpus at `wla`'s default seed, pinned by
+    /// plain FNV-1a-64 (offset basis `0xcbf2_9ce4_8422_2325`, prime
+    /// `0x100_0000_01b3`, one byte at a time) over every app's
+    /// `GeneratedApp::bytes` concatenated in corpus order: a change to
+    /// the generator, the lowering or the container encoding that moves
+    /// one byte fails it.
+    #[test]
+    fn scale_100_corpus_bytes_are_pinned() {
+        let apps = small_corpus(100, 0xDA7A_5EED);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut len = 0;
+        for app in &apps {
+            len += app.bytes.len();
+            for &byte in &app.bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!((apps.len(), len), (1_468, 2_434_849));
+        assert_eq!(format!("{hash:016x}"), "d9abe1feba2eb802");
     }
 
     #[test]

@@ -311,6 +311,16 @@ impl LocalInterner {
         self.misses
     }
 
+    /// Forget every string interned so far, keeping the arena's and the
+    /// index's capacity and the hit and miss counters: symbols handed out
+    /// before no longer resolve, and ids start again from 0. For a worker
+    /// whose symbols outlive no batch of its apps.
+    pub fn forget(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+        self.index.fill(EMPTY);
+    }
+
     /// The read-only table of everything interned so far, at exact size:
     /// the index and any spare capacity are dropped.
     fn freeze(self) -> SymbolTable {
@@ -449,6 +459,32 @@ mod tests {
         assert_eq!(lex.get("loadUrl"), Some(a));
         assert_eq!(lex.get("never-seen"), None);
         assert_eq!(LocalInterner::new().get(""), None);
+    }
+
+    #[test]
+    fn forget_keeps_capacity_and_counters() {
+        let mut lex = LocalInterner::new();
+        for i in 0..100 {
+            lex.intern(&format!("com.example.seg{i}"));
+        }
+        lex.intern("com.example.seg0");
+        let (text, ends, slots) = (lex.text.capacity(), lex.ends.capacity(), lex.index.len());
+        lex.forget();
+        assert!(lex.is_empty());
+        assert_eq!((lex.len(), lex.bytes()), (0, 0));
+        assert_eq!(lex.get("com.example.seg0"), None);
+        assert_eq!((lex.hits(), lex.misses()), (1, 100));
+        // Ids start again from 0, and re-interning allocates nothing.
+        for i in 0..100 {
+            let s = format!("com.example.seg{}", 99 - i);
+            assert_eq!(lex.intern(&s), Symbol::new(i));
+        }
+        assert_eq!(lex.resolve(Symbol::new(0)), "com.example.seg99");
+        assert_eq!((lex.hits(), lex.misses()), (1, 200));
+        assert_eq!(
+            (lex.text.capacity(), lex.ends.capacity(), lex.index.len()),
+            (text, ends, slots)
+        );
     }
 
     #[test]

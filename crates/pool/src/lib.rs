@@ -5,16 +5,23 @@
 //! broken, and they belong in Table 2's broken row rather than in a
 //! stopped run) and the §3.2.2 crawl over `(app, site)` visits (Figure 6).
 //! Every parallel runner in the workspace is [`run`] over its item count —
-//! apps, shards, or visits — and every per-unit fault boundary is
-//! [`isolate`].
+//! 64-app batches, 64-app shards, or visits — and every per-unit fault
+//! boundary is [`isolate`].
 //!
 //! The scheduling rule is the simplest one that measured as fast as the
 //! alternatives: scoped threads that each claim **one index per relaxed
-//! `fetch_add`** from a shared counter. The smallest unit scheduled, a
-//! crawl visit, costs ~10 µs — far above a contended increment — and
-//! per-index claiming benched level with auto-sized batches. Results come
-//! back in index order whatever the schedule, so a caller that folds them
-//! in order is deterministic at any worker count.
+//! `fetch_add`** from a shared counter. What an index stands for is the
+//! caller's choice. The static runners claim a 64-app batch (in memory)
+//! or a 64-app shard (streamed) per index and run each app inside the
+//! claim under its own [`isolate`], so the pool keeps one outcome per
+//! batch, not per app; the crawl claims one visit, ~10 µs, far above a
+//! contended increment. Batch and per-app claiming of the static pass
+//! bench level on 2 cores. [`run`] starts no more workers than there are
+//! claims, and a worker can finish up to one batch after the rest; what
+//! that costs above 2 cores (a 1:1000 corpus is 3 batches) is not
+//! measured. Results come back in index order whatever the schedule, so
+//! a caller that folds them in order is deterministic at any worker
+//! count.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +32,8 @@ use std::time::Instant;
 /// Per-worker scheduling counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Items this worker ran.
+    /// Items this worker ran. A caller whose item is a batch may recount
+    /// it in the batch's units (the static runners count apps).
     pub items: usize,
     /// Wall-clock nanoseconds of this worker's claim loop, from one clock
     /// pair around the loop rather than one per item.

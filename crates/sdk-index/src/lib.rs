@@ -291,6 +291,13 @@ impl LabelCache {
         self.map.insert(pkg.symbol().raw(), l);
         l
     }
+
+    /// Forget every memoized label, keeping the map's capacity and the
+    /// hit and miss counters: for a worker that forgets the lexicon the
+    /// memo's keys resolve against.
+    pub fn forget(&mut self) {
+        self.map.clear();
+    }
 }
 
 /// ProGuard/R8-style obfuscation heuristic: every segment is at most two
@@ -478,6 +485,10 @@ mod tests {
         assert_eq!(first, second);
         assert!(matches!(first, LabelId::Sdk(_)));
         assert_eq!((cache.hits, cache.misses), (1, 1));
+        // Forgotten, the same key walks the trie again; the counters stay.
+        cache.forget();
+        assert_eq!(cache.label(&index, pkg, "com.applovin.adview"), first);
+        assert_eq!((cache.hits, cache.misses), (1, 2));
     }
 
     #[test]

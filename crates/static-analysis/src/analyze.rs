@@ -536,7 +536,7 @@ mod tests {
         for seed in 0..20 {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let bytes = lower(&spec, &catalog, &mut rng).encode();
+            let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
             let mut ctx = AnalysisCtx::new(&catalog);
             let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
             let analysis = ctx.results.get(row).unwrap();
@@ -566,7 +566,7 @@ mod tests {
         for seed in 0..20 {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
-            let bytes = lower(&spec, &catalog, &mut rng).encode();
+            let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = false;
             let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
@@ -630,7 +630,7 @@ mod tests {
         spec.deep_link = None;
         spec.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(3);
-        let bytes = lower(&spec, &catalog, &mut rng).encode();
+        let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
         let mut ctx = AnalysisCtx::new(&catalog);
         let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
         let analysis = ctx.results.get(row).unwrap();
@@ -705,7 +705,7 @@ mod tests {
         spec.deep_link = None;
         spec.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(5);
-        let bytes = lower(&spec, &catalog, &mut rng).encode();
+        let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
         let mut ctx = AnalysisCtx::new(&catalog);
         let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
         let analysis = ctx.results.get(row).unwrap();

@@ -1,15 +1,16 @@
 //! Fault-isolated, instrumented parallel corpus runner.
 //!
 //! Static analysis is CPU-bound, so the runner is the workspace's one
-//! claim pool ([`wla_pool::run`]) over app indices — scoped threads, no
-//! async runtime, per the project's networking guides ("use threads for
+//! claim pool ([`wla_pool::run`]) over 64-app batches of the corpus, the
+//! size of the streamed runner's shards — scoped threads, no async
+//! runtime, per the project's networking guides ("use threads for
 //! CPU-bound work"). Three properties the paper's scale (146.8K apps,
 //! Table 2) demands of it:
 //!
-//! - **Fault isolation.** Each per-app analysis runs under
-//!   [`wla_pool::isolate`]; a panicking container becomes an
-//!   [`ApkError::AnalysisPanic`] result feeding the broken-apps row
-//!   instead of aborting the whole corpus run.
+//! - **Fault isolation.** Each app of a claimed batch runs under its own
+//!   [`wla_pool::isolate`], in one per-entry loop every static runner
+//!   shares; a panicking container becomes an [`ApkError::AnalysisPanic`]
+//!   result feeding the broken-apps row, and the rest of the batch runs.
 //! - **Contention-free output.** Each worker owns its [`AnalysisCtx`],
 //!   stage timers and [`ResultTable`]; nothing shares a mutex on the hot
 //!   path.
@@ -20,23 +21,26 @@
 //!
 //! Results stay where the worker wrote them. Each app's records and its
 //! row go into its worker's table, the row committed when the app is
-//! done (a failed app's row holds its error); every 64 rows a worker
-//! freezes its open rows into one exact-size segment. The serial
-//! join tail (timed as [`PipelineStats::serial_tail_ns`]) keeps the
-//! tables, lists `(table, row)` pairs in input order as the output's
-//! index, and has [`wla_intern::merge_ordered`] rewrite every row's
-//! worker-local symbols in place into one fresh [`SymbolTable`], which
-//! the [`PipelineOutput`] owns. Its ids depend only on the input order —
-//! never on worker count or scheduling — which keeps parallel and serial
-//! runs bit-identical. Nothing is copied per app. The shard-streaming
-//! runner in [`crate::stream`] shares the per-app step and the join.
+//! done (a failed app's row holds its error); at the end of each batch a
+//! worker freezes the batch's rows into one exact-size segment, and the
+//! pool hands back one row range per batch. The serial join tail (timed
+//! as [`PipelineStats::serial_tail_ns`]) keeps the tables, lists the
+//! batches' `(table, row)` pairs in batch order — input order — as the
+//! output's index, and has [`wla_intern::merge_ordered`] rewrite every
+//! row's worker-local symbols in place into one fresh [`SymbolTable`],
+//! which the [`PipelineOutput`] owns. Its ids depend only on the input
+//! order — never on worker count or scheduling — which keeps parallel and
+//! serial runs bit-identical. Nothing is copied per app. The
+//! shard-streaming runner in [`crate::stream`] differs only in where a
+//! claim's entries come from: it shares the per-entry loop and the join.
 //!
 //! A caller that reads only the corpus aggregates skips all of that:
 //! [`run_pipeline_tallied`] folds each app into its worker's [`Tally`] as
-//! soon as it is analyzed and clears the table it was written to, so no
-//! per-app result outlives its claim and none allocates, and the tail
-//! merges tallies instead of symbols. [`aggregate`] reads no symbol, so
-//! the fold needs no symbol table.
+//! soon as it is analyzed and reuses the table it was written to, so no
+//! per-app result outlives its app, and the tail merges tallies instead
+//! of symbols. [`aggregate`] reads no symbol, so the fold needs no symbol
+//! table, and a folding worker forgets its lexicon and label memo after
+//! every batch: its symbols live one batch.
 //!
 //! [`aggregate`]: crate::aggregate::aggregate
 
@@ -48,6 +52,7 @@ use crate::table::ResultTable;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::mem::size_of;
+use std::ops::Range;
 use std::time::Instant;
 use wla_apk::ApkError;
 use wla_callgraph::CallGraphCounters;
@@ -58,9 +63,10 @@ use wla_sdk_index::SdkIndex;
 
 pub use wla_pool::WorkerStats;
 
-/// Rows an in-memory worker commits before freezing them into one
-/// exact-size segment of its table: as many as one 64-app shard, the
-/// unit the streamed runner freezes.
+/// Apps an in-memory runner's claim covers: as many as one 64-app shard,
+/// the streamed runner's claim. A keep-output worker freezes each batch's
+/// rows into one exact-size segment of its table, as the streamed runner
+/// does each shard's.
 const BATCH_ROWS: usize = 64;
 
 /// One corpus entry: the metadata the Play Store provides plus the raw
@@ -134,6 +140,7 @@ impl PipelineConfig {
         Worker {
             ctx,
             stage: StageTimings::default(),
+            forgotten: (0, 0),
         }
     }
 }
@@ -148,9 +155,12 @@ pub struct InternerCounters {
     /// Bytes of distinct strings in the global table (0 for a folded run).
     pub global_bytes: usize,
     /// Distinct symbols summed over worker-local interners (≥ global:
-    /// workers re-discover shared names independently).
+    /// workers re-discover shared names independently). A folded run
+    /// forgets its symbols after every batch and sums each batch's, so
+    /// `local_misses == local_symbols` holds for every runner.
     pub local_symbols: usize,
-    /// Bytes summed over worker-local interners.
+    /// Bytes summed over worker-local interners (a folded run: over its
+    /// batches).
     pub local_bytes: usize,
     /// Worker-local intern calls that found the string already present.
     pub local_hits: u64,
@@ -188,7 +198,9 @@ impl InternerCounters {
 /// A folded run ([`run_pipeline_tallied`]) fills every counter except
 /// `interner.global_symbols` and `interner.global_bytes`, which stay 0:
 /// it merges no symbol table. Its `serial_tail_ns` is the counter fold
-/// and the tally merge.
+/// and the tally merge. Every static runner claims apps a batch or a shard
+/// at a time, and each worker's [`WorkerStats::items`] counts the apps of
+/// its claims, so they sum to `total`.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Corpus size (`analyzed + broken`).
@@ -209,7 +221,9 @@ pub struct PipelineStats {
     /// stats fold and the local→global symbol remap (a folded run: stats
     /// fold and tally merge).
     pub serial_tail_ns: u64,
-    /// The pool's per-worker counters, in spawn order.
+    /// The pool's per-worker counters, in spawn order; `items` counts
+    /// apps (a streamed run: the entries of the worker's shards, cached
+    /// ones included), not claims.
     pub workers: Vec<WorkerStats>,
     /// Failure counts keyed by [`ApkError::kind`] label.
     pub failure_kinds: BTreeMap<&'static str, usize>,
@@ -256,10 +270,11 @@ impl PipelineStats {
 
     /// Fold one finished worker's counters into the run's, handing back
     /// its lexicon and its result table.
-    fn fold_worker(&mut self, Worker { ctx, stage }: Worker<'_>) -> (LocalInterner, ResultTable) {
-        self.stage.accumulate(&stage);
-        self.interner.local_symbols += ctx.lexicon.len();
-        self.interner.local_bytes += ctx.lexicon.bytes();
+    fn fold_worker(&mut self, worker: Worker<'_>) -> (LocalInterner, ResultTable) {
+        let (ctx, forgotten) = (worker.ctx, worker.forgotten);
+        self.stage.accumulate(&worker.stage);
+        self.interner.local_symbols += forgotten.0 + ctx.lexicon.len();
+        self.interner.local_bytes += forgotten.1 + ctx.lexicon.bytes();
         self.interner.local_hits += ctx.lexicon.hits();
         self.interner.local_misses += ctx.lexicon.misses();
         self.interner.label_hits += ctx.labels.hits;
@@ -365,18 +380,44 @@ impl PipelineOutput {
 pub(crate) struct Worker<'c> {
     pub(crate) ctx: AnalysisCtx<'c>,
     pub(crate) stage: StageTimings,
+    /// Symbols, and their bytes, that `ctx.lexicon` held when the worker
+    /// [forgot](Self::forget_batch) them, summed over its batches.
+    forgotten: (usize, usize),
 }
 
-/// The analysis a runner runs per app: commit the app's row to
+/// The analysis a runner runs per app: commit the app's one row to
 /// `ctx.results` and return its number, or return the app's error.
+/// [`Worker::analyze_rows`] holds an analysis to that: a row committed
+/// before an error is dropped, and an `Ok` that did not commit exactly the
+/// row it names fails the app as `analysis-panic`.
 pub(crate) type Outcome = (Result<usize, ApkError>, StageTimings);
 
+/// A panic's text as the per-app error Table 2's broken row counts.
+pub(crate) fn panicked(message: String) -> ApkError {
+    ApkError::AnalysisPanic { message }
+}
+
+/// The per-entry loop every static runner shares: run `step` on each entry
+/// of a claim in turn, each under [`wla_pool::isolate`], so a panic costs
+/// that entry alone and the rest of the claim still runs. An entry's
+/// error, a panic's included, goes to `failed`.
+pub(crate) fn each_isolated<S, E>(
+    state: &mut S,
+    entries: impl IntoIterator<Item = E>,
+    step: impl Fn(&mut S, E) -> Result<(), ApkError>,
+    failed: impl Fn(&mut S, ApkError),
+) {
+    for entry in entries {
+        let outcome = wla_pool::isolate(|| step(state, entry));
+        if let Err(e) = outcome.unwrap_or_else(|message| Err(panicked(message))) {
+            failed(state, e);
+        }
+    }
+}
+
 impl<'c> Worker<'c> {
-    /// The per-app step every runner shares: run `analyze` on this
-    /// worker's context and sum its stage timers. Callers run it under
-    /// [`wla_pool::isolate`] — the in-memory runners through the pool, the
-    /// streamed runner once per shard entry.
-    pub(crate) fn analyze(
+    /// Run `analyze` on this worker's context and sum its stage timers.
+    fn analyze(
         &mut self,
         analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> Outcome,
     ) -> Result<usize, ApkError> {
@@ -385,20 +426,51 @@ impl<'c> Worker<'c> {
         result
     }
 
-    /// [`analyze`](Self::analyze), committing a failure as the app's
-    /// error row: the app's row number either way.
-    pub(crate) fn analyze_row(
+    /// Analyze `entries` through [`each_isolated`], committing exactly one
+    /// row per entry: its result, or its error (a panic's, or a broken
+    /// [`Outcome`] contract's, as `analysis-panic`) in place of any row it
+    /// committed. Returns the rows, consecutive in this worker's table and
+    /// in entry order.
+    pub(crate) fn analyze_rows<E>(
         &mut self,
-        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> Outcome,
-    ) -> usize {
-        self.analyze(analyze)
-            .unwrap_or_else(|e| self.ctx.results.commit_error(e))
+        entries: impl IntoIterator<Item = E>,
+        analyze: impl Fn(E, &mut AnalysisCtx<'c>) -> Outcome,
+    ) -> Range<usize> {
+        let first = self.ctx.results.len();
+        // The worker and the row its current entry must commit.
+        let mut next = (self, first);
+        each_isolated(
+            &mut next,
+            entries,
+            |(worker, row), entry| {
+                let committed = worker.analyze(|ctx| analyze(entry, ctx))?;
+                assert!(
+                    committed == *row && worker.ctx.results.len() == *row + 1,
+                    "an analysis must commit exactly the one row it returns"
+                );
+                *row += 1;
+                Ok(())
+            },
+            |(worker, row), e| {
+                worker.ctx.results.truncate(*row);
+                worker.ctx.results.commit_error(e);
+                *row += 1;
+            },
+        );
+        first..next.1
     }
-}
 
-/// A panic's text as the per-app error Table 2's broken row counts.
-pub(crate) fn panicked(message: String) -> ApkError {
-    ApkError::AnalysisPanic { message }
+    /// Forget the batch's symbols — the lexicon and the label memo keyed
+    /// by them — keeping their capacity and counters, after counting the
+    /// lexicon's symbols for the run's stats. For the fold, whose results
+    /// hold no symbol past their app.
+    fn forget_batch(&mut self) {
+        let ctx = &mut self.ctx;
+        self.forgotten.0 += ctx.lexicon.len();
+        self.forgotten.1 += ctx.lexicon.bytes();
+        ctx.lexicon.forget();
+        ctx.labels.forget();
+    }
 }
 
 /// The per-app analysis both in-memory runners run by default.
@@ -424,10 +496,12 @@ pub fn run_pipeline<I: AppInput>(
 /// building a [`PipelineOutput`].
 ///
 /// Each worker folds an app into its own [`Tally`] once the analysis
-/// returns, then clears the table it was written to, which keeps its
-/// capacity for the next app; the tail merges the tallies. A panicking
-/// analysis never reaches the fold, so it costs only its own app, counted
-/// as broken. No symbol table is merged (see [`PipelineStats`]).
+/// returns, reusing its table's capacity for the next app, and forgets its
+/// lexicon and label memo after every batch: nothing a tally keeps is a
+/// symbol. The tail merges the tallies. An app's analysis and its fold run
+/// under one isolator, so a panic in either is caught at that app, which
+/// is counted as broken, and the rest of the batch runs. No symbol table
+/// is merged (see [`PipelineStats`]).
 pub fn run_pipeline_tallied<I: AppInput>(
     inputs: &[I],
     catalog: &SdkIndex,
@@ -435,6 +509,25 @@ pub fn run_pipeline_tallied<I: AppInput>(
     top_sdk_threshold: usize,
 ) -> (StudyResults, PipelineStats) {
     tally_with(inputs, catalog, config, top_sdk_threshold, analyze_input)
+}
+
+/// Why a batch claim cannot panic: its apps run under [`each_isolated`].
+const ISOLATED: &str = "every app of a batch runs under its own isolator";
+
+/// The apps of batch `b` of an `n`-app corpus.
+fn batch(b: usize, n: usize) -> Range<usize> {
+    b * BATCH_ROWS..n.min((b + 1) * BATCH_ROWS)
+}
+
+/// Set each worker's `items` to the apps of the claims it ran — one
+/// `(worker, apps)` per claim — where the pool counted claims.
+fn count_apps(workers: &mut [WorkerStats], claims: impl IntoIterator<Item = (usize, usize)>) {
+    for stats in workers.iter_mut() {
+        stats.items = 0;
+    }
+    for (w, apps) in claims {
+        workers[w].items += apps;
+    }
 }
 
 /// [`run_pipeline_tallied`] with a caller-supplied analysis function, as
@@ -451,27 +544,39 @@ where
     F: Fn(&I, &mut AnalysisCtx<'_>) -> Outcome + Sync,
 {
     let started = Instant::now();
-    // Each worker keeps its tally and its apps' errors; an item hands
-    // back nothing, so the pool's per-item results stay at their smallest.
+    let n = inputs.len();
+    // Each worker keeps its tally and its apps' errors; a batch hands
+    // back nothing.
     let pool = wla_pool::run(
-        inputs.len(),
+        n.div_ceil(BATCH_ROWS),
         config.workers,
         || (config.worker(catalog), Tally::new(catalog), Vec::new()),
-        |(worker, tally, failed), i| {
-            match worker.analyze(|ctx| analyze(&inputs[i], ctx)) {
-                Ok(row) => match worker.ctx.results.get(row) {
-                    Ok(app) => tally.add(app),
-                    Err(e) => failed.push(e.clone()),
+        |fold, b| {
+            each_isolated(
+                fold,
+                batch(b, n),
+                |(worker, tally, _), i| {
+                    worker.ctx.results.clear();
+                    let row = worker.analyze(|ctx| analyze(&inputs[i], ctx))?;
+                    tally.add(worker.ctx.results.get(row).map_err(Clone::clone)?);
+                    Ok(())
                 },
-                Err(e) => failed.push(e),
-            }
-            worker.ctx.results.clear();
+                |(_, _, failed), e| failed.push(e),
+            );
+            fold.0.forget_batch();
         },
     );
     // The serial tail: fold the workers' counters and tallies, then count
     // every failure, a panicked analysis included.
     let tail_started = Instant::now();
-    let mut stats = PipelineStats::new(inputs.len(), pool.workers);
+    let mut stats = PipelineStats::new(n, pool.workers);
+    count_apps(
+        &mut stats.workers,
+        pool.results.iter().enumerate().map(|(b, (w, outcome))| {
+            outcome.as_ref().expect(ISOLATED);
+            (*w, batch(b, n).len())
+        }),
+    );
     let mut tally = Tally::new(catalog);
     let mut failures = Vec::new();
     for (worker, worker_tally, failed) in pool.contexts {
@@ -479,11 +584,7 @@ where
         tally.merge(&worker_tally);
         failures.extend(failed);
     }
-    let panics = pool
-        .results
-        .into_iter()
-        .filter_map(|(_, outcome)| outcome.err().map(panicked));
-    for e in failures.into_iter().chain(panics) {
+    for e in failures {
         stats.count_failure(&e);
         tally.add_broken();
     }
@@ -513,49 +614,48 @@ where
     F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<usize, ApkError>, StageTimings) + Sync,
 {
     let started = Instant::now();
+    let n = inputs.len();
     let pool = wla_pool::run(
-        inputs.len(),
+        n.div_ceil(BATCH_ROWS),
         config.workers,
         || config.worker(catalog),
-        |worker, i| {
-            let row = worker.analyze_row(|ctx| analyze(&inputs[i], ctx));
-            if worker.ctx.results.open_rows() >= BATCH_ROWS {
-                worker.ctx.results.freeze();
-            }
-            row
+        |worker, b| {
+            let rows = worker.analyze_rows(batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
+            worker.ctx.results.freeze();
+            rows
         },
     );
-    let mut workers = pool.contexts;
-    let mut index = Vec::with_capacity(pool.results.len());
-    for (w, outcome) in pool.results {
-        // A panicking analysis committed nothing; its error row goes
-        // after the worker's last.
-        let row = outcome
-            .unwrap_or_else(|message| workers[w].ctx.results.commit_error(panicked(message)));
-        index.push(row_ref(w, row));
-    }
-    join(index, workers, pool.workers, started)
+    let claims = pool
+        .results
+        .into_iter()
+        .map(|(w, rows)| (w, rows.expect(ISOLATED)))
+        .collect();
+    join(claims, pool.contexts, pool.workers, started)
 }
 
-/// The output index entry of row `row` of worker `w`'s table.
-pub(crate) fn row_ref(w: usize, row: usize) -> (u32, u32) {
-    let narrow = |n: usize| u32::try_from(n).expect("table and row numbers fit u32");
-    (narrow(w), narrow(row))
-}
-
-/// The serial join tail both runners share: fold the per-worker counters,
-/// close each worker's table, count failures, and rewrite every row's
-/// worker-local symbols in place into one global table. `index` holds the
-/// [`row_ref`] of every app, in input order.
+/// The serial join tail both keep-output runners share: index every
+/// claim's rows, fold the per-worker counters, close each worker's table,
+/// count failures, and rewrite every row's worker-local symbols in place
+/// into one global table. `claims` holds `(worker, rows)` for every claim
+/// in claim order, which is input order.
 pub(crate) fn join(
-    mut index: Vec<(u32, u32)>,
+    claims: Vec<(usize, Range<usize>)>,
     workers: Vec<Worker<'_>>,
-    worker_stats: Vec<WorkerStats>,
+    mut worker_stats: Vec<WorkerStats>,
     started: Instant,
 ) -> PipelineOutput {
     // Everything from here to return runs on one thread after the pool
     // joins — the serial tail `stats.serial_tail_ns` exposes.
     let tail_started = Instant::now();
+    let narrow = |n: usize| u32::try_from(n).expect("table and row numbers fit u32");
+    let mut index = Vec::with_capacity(claims.iter().map(|(_, rows)| rows.len()).sum());
+    for (w, rows) in &claims {
+        index.extend(rows.clone().map(|row| (narrow(*w), narrow(row))));
+    }
+    count_apps(
+        &mut worker_stats,
+        claims.iter().map(|(w, rows)| (*w, rows.len())),
+    );
     let mut stats = PipelineStats::new(index.len(), worker_stats);
     let (lexicons, mut tables): (Vec<LocalInterner>, Vec<ResultTable>) = workers
         .into_iter()
@@ -604,6 +704,10 @@ pub(crate) mod tests {
     use wla_corpus::{CorpusConfig, EcosystemParams, Generator};
     use wla_sdk_index::SdkCategory;
 
+    /// A corpus scale with claims enough for every worker count the tests
+    /// use: 1:250 is 587 apps, ten 64-app batches.
+    const TEN_BATCHES: u32 = 250;
+
     fn inputs(catalog: &SdkIndex, scale: u32, seed: u64, corrupt: f64) -> Vec<GeneratedApp> {
         let cfg = CorpusConfig {
             scale,
@@ -647,11 +751,12 @@ pub(crate) mod tests {
     #[test]
     fn parallel_matches_serial() {
         let catalog = SdkIndex::paper();
-        let apps = inputs(&catalog, 2_000, 11, 0.1);
+        let apps = inputs(&catalog, TEN_BATCHES, 11, 0.1);
         // The input-order remap makes global symbol ids — and therefore
         // whole analyses — bit-identical across worker counts.
         let par = run_pipeline(&apps, &catalog, workers(8));
         let ser = run_pipeline(&apps, &catalog, workers(1));
+        assert_eq!(par.stats.workers.len(), 8);
         assert_same_run(&par, &ser);
         // Dataflow counters are per-app sums, so worker count and
         // scheduling cannot change them (metamorphic provenance pin).
@@ -681,6 +786,7 @@ pub(crate) mod tests {
             let (results, stats) = run_pipeline_tallied(apps, catalog, workers(n), 1);
             assert_eq!(results, aggregate(&out, catalog, 1), "{n} workers");
             let want = &out.stats;
+            assert_eq!(want.workers.len(), n, "a claim for every worker");
             assert_eq!(stats.total, want.total, "{n} workers");
             assert_eq!(stats.analyzed, want.analyzed, "{n} workers");
             assert_eq!(stats.broken, want.broken, "{n} workers");
@@ -699,7 +805,7 @@ pub(crate) mod tests {
     #[test]
     fn broken_fraction_counted() {
         let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 3, 0.25);
+        let ins = inputs(&catalog, TEN_BATCHES, 3, 0.25);
         let out = run_pipeline(&ins, &catalog, PipelineConfig::default());
         assert_eq!(out.results().len(), ins.len());
         assert!(out.broken_count() > 0);
@@ -714,7 +820,7 @@ pub(crate) mod tests {
         use SdkCategory::{Advertising, Authentication, Payments, Social};
         let catalog = SdkIndex::paper();
         let cfg = CorpusConfig {
-            scale: 1_500,
+            scale: TEN_BATCHES,
             seed: 17,
             params: EcosystemParams::default()
                 .simulate_ct_migration(&[Payments, Authentication, Social, Advertising], 1.0),
@@ -753,7 +859,7 @@ pub(crate) mod tests {
     #[test]
     fn interner_counters_populated() {
         let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 23, 0.0);
+        let ins = inputs(&catalog, TEN_BATCHES, 23, 0.0);
         let out = run_pipeline(
             &ins,
             &catalog,
@@ -762,6 +868,7 @@ pub(crate) mod tests {
                 ..PipelineConfig::default()
             },
         );
+        assert_eq!(out.stats.workers.len(), 4);
         let c = &out.stats.interner;
         assert!(c.global_symbols > 0);
         assert_eq!(c.global_symbols, out.symbols.len());
@@ -781,6 +888,24 @@ pub(crate) mod tests {
         assert!(out.stats.serial_tail_ns <= out.stats.wall_ns);
         // The output's table is exactly the merged one.
         assert_eq!(out.symbols.bytes(), c.global_bytes);
+
+        // The fold forgets its symbols after every batch but counts each
+        // batch's first, so every local symbol still missed exactly once;
+        // batches re-discover what a worker's earlier batches interned,
+        // and what each batch interns depends on no schedule.
+        let (_, folded) = run_pipeline_tallied(&ins, &catalog, workers(4), 1);
+        assert_eq!(folded.workers.len(), 4);
+        let f = &folded.interner;
+        assert_eq!(f.local_misses, f.local_symbols as u64);
+        assert!(f.local_symbols >= c.local_symbols);
+        assert!(f.local_bytes >= c.local_bytes);
+        assert!(f.label_misses >= c.label_misses);
+        let (_, serial) = run_pipeline_tallied(&ins, &catalog, workers(1), 1);
+        assert_eq!(serial.interner, folded.interner);
+        for stats in [&out.stats, &folded, &serial] {
+            let items: usize = stats.workers.iter().map(|w| w.items).sum();
+            assert_eq!(items, ins.len(), "items count apps, not batches");
+        }
     }
 
     /// Keep deliberate test panics out of stderr while still letting any
@@ -812,7 +937,7 @@ pub(crate) mod tests {
     fn panicking_analysis_is_isolated() {
         quiet_injected_panics();
         let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 7, 0.0);
+        let ins = inputs(&catalog, TEN_BATCHES, 7, 0.0);
         let trap = ins.len() / 2;
         let trapped = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
             if std::ptr::eq(input, &ins[trap]) {
@@ -821,6 +946,7 @@ pub(crate) mod tests {
             analyze_input(input, ctx)
         };
         let out = run_pipeline_with(&ins, &catalog, workers(4), trapped);
+        assert_eq!(out.stats.workers.len(), 4);
         assert_eq!(out.results().len(), ins.len());
         assert_eq!(out.stats.panicked, 1);
         match out.results().nth(trap).unwrap() {
@@ -839,6 +965,7 @@ pub(crate) mod tests {
         let want = aggregate(&out, &catalog, 1);
         for n in [1, 2, 8] {
             let (results, stats) = tally_with(&ins, &catalog, workers(n), 1, trapped);
+            assert_eq!(stats.workers.len(), n);
             assert_eq!(results, want, "{n} workers");
             assert_eq!(results.analyzed, clean.analyzed - 1, "{n} workers");
             assert_eq!(results.broken, clean.broken + 1, "{n} workers");
@@ -888,7 +1015,7 @@ pub(crate) mod tests {
     fn a_panic_mid_write_leaves_no_orphan_rows() {
         quiet_injected_panics();
         let catalog = SdkIndex::paper();
-        let ins = inputs(&catalog, 2_000, 19, 0.1);
+        let ins = inputs(&catalog, TEN_BATCHES, 19, 0.1);
         let traps = [0, ins.len() / 2, ins.len() - 1];
         let message = "injected fault mid-write";
         let is_trap = |input: &GeneratedApp| traps.iter().any(|&t| std::ptr::eq(input, &ins[t]));
@@ -907,6 +1034,7 @@ pub(crate) mod tests {
         for n in [1, 2, 8] {
             let out = run_pipeline_with(&ins, &catalog, workers(n), panicking);
             let want = run_pipeline_with(&ins, &catalog, workers(n), failing);
+            assert_eq!(out.stats.workers.len(), n);
             assert_same_run(&out, &want);
             assert_eq!(out.stats.panicked, traps.len(), "{n} workers");
             for &t in &traps {
@@ -920,11 +1048,55 @@ pub(crate) mod tests {
 
             let (folded, stats) = tally_with(&ins, &catalog, workers(n), 1, panicking);
             let (want_folded, want_stats) = tally_with(&ins, &catalog, workers(n), 1, failing);
+            assert_eq!(stats.workers.len(), n);
             assert_eq!(folded, want_folded, "{n} workers");
             assert_eq!(folded, aggregate(&want, &catalog, 1), "{n} workers");
             assert_eq!(stats.failure_kinds, want_stats.failure_kinds);
             assert_eq!(stats.panicked, traps.len());
             assert_eq!(stats.result_bytes, 0, "a fold builds no output");
+        }
+    }
+
+    /// An analysis that breaks the one-row contract of [`Outcome`] costs
+    /// its own app alone, and the index stays aligned: a row committed
+    /// before an error gives way to the error, and an `Ok` that committed
+    /// two rows, or none, fails the app as `analysis-panic`.
+    #[test]
+    fn a_broken_row_contract_costs_only_its_app() {
+        let catalog = SdkIndex::paper();
+        let ins = inputs(&catalog, TEN_BATCHES, 29, 0.0);
+        let (twice, then_err, none) = (3, ins.len() / 2, ins.len() - 2);
+        let is = |input: &GeneratedApp, i: usize| std::ptr::eq(input, &ins[i]);
+        let contract = "an analysis must commit exactly the one row it returns";
+        let sloppy = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
+            if is(input, none) {
+                return (Ok(ctx.results.len()), StageTimings::default());
+            }
+            let outcome = analyze_input(input, ctx);
+            if is(input, twice) {
+                return analyze_input(input, ctx);
+            }
+            if is(input, then_err) {
+                return (Err(ApkError::BadVarint), outcome.1);
+            }
+            outcome
+        };
+        let failing = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
+            if is(input, then_err) {
+                return (Err(ApkError::BadVarint), StageTimings::default());
+            }
+            if is(input, twice) || is(input, none) {
+                return (Err(panicked(contract.to_owned())), StageTimings::default());
+            }
+            analyze_input(input, ctx)
+        };
+        for n in [1, 2, 8] {
+            let out = run_pipeline_with(&ins, &catalog, workers(n), sloppy);
+            let want = run_pipeline_with(&ins, &catalog, workers(n), failing);
+            assert_eq!(out.stats.workers.len(), n);
+            assert_same_run(&out, &want);
+            assert_eq!(out.stats.panicked, 2, "{n} workers");
+            assert_holds_only_its_rows(&out);
         }
     }
 
@@ -937,7 +1109,7 @@ pub(crate) mod tests {
             corrupt in prop_oneof![Just(0.0f64), Just(0.2f64)],
         ) {
             let catalog = SdkIndex::paper();
-            let ins = inputs(&catalog, 4_000, seed, corrupt);
+            let ins = inputs(&catalog, TEN_BATCHES, seed, corrupt);
             let out = run_pipeline(
                 &ins,
                 &catalog,
@@ -960,7 +1132,7 @@ pub(crate) mod tests {
                 s.workers.iter().map(|w| w.items).sum::<usize>(),
                 s.total
             );
-            prop_assert!(s.workers.len() <= workers);
+            prop_assert_eq!(s.workers.len(), workers);
             // Symbol-table invariants: the local tables cover the merged one.
             prop_assert!(s.interner.local_symbols >= s.interner.global_symbols);
             prop_assert_eq!(s.interner.global_symbols, out.symbols.len());

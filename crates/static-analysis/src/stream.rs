@@ -6,8 +6,9 @@
 //! and analyzes its entries through the zero-copy decode path — every
 //! container window aliases that buffer, so resident shard memory is
 //! bounded by the number of *concurrently held* shards (one per worker),
-//! not the corpus size. Every entry runs the in-memory pipeline's per-app
-//! step. The pool returns shards in shard order with their rows in entry
+//! not the corpus size. A shard is to this runner what a 64-app batch is
+//! to the in-memory one: its entries run through the same per-entry loop.
+//! The pool returns shards in shard order with their rows in entry
 //! order, so listing them gives global entry order, and the in-memory
 //! pipeline's join ([`crate::pipeline`]) then makes the [`PipelineOutput`]
 //! bit-identical to loading the same corpus in memory and running
@@ -39,7 +40,7 @@
 
 use crate::analyze::{analyze_app_timed_with, AnalysisCtx};
 use crate::cache;
-use crate::pipeline::{join, panicked, row_ref, Outcome, PipelineConfig, PipelineOutput, Worker};
+use crate::pipeline::{join, Outcome, PipelineConfig, PipelineOutput, Worker};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fs;
@@ -211,16 +212,10 @@ where
         },
     );
 
-    // Shards come back in shard order and rows in entry order, so the
-    // index is already in global entry order.
+    // Shards come back in shard order and rows in entry order, so listing
+    // the claims' rows gives global entry order.
     let mut counters = StreamCounters::default();
-    let rows: usize = pool
-        .results
-        .iter()
-        .flat_map(|(_, o)| o.iter().flatten())
-        .map(|s| s.rows.len())
-        .sum();
-    let mut index = Vec::with_capacity(rows);
+    let mut claims = Vec::with_capacity(pool.results.len());
     for (w, outcome) in pool.results {
         // The claim's own isolator or the pool's: either way a shard panic.
         let shard = outcome.and_then(|run| run).unwrap_or_else(|_| ShardRun {
@@ -239,11 +234,11 @@ where
             counters.shards_read += 1;
             counters.entries_streamed += entries;
         }
-        index.extend(shard.rows.map(|row| row_ref(w, row)));
+        claims.push((w, shard.rows));
     }
     counters.peak_mapped_bytes = held_peak.load(Ordering::Relaxed);
 
-    let mut output = join(index, pool.contexts, pool.workers, started);
+    let mut output = join(claims, pool.contexts, pool.workers, started);
     output.stats.stream = counters;
     Ok(output)
 }
@@ -290,13 +285,9 @@ where
     let bytes_read = shard.file_len();
     let _gauge = HeldGauge::hold(held_now, held_peak, bytes_read);
 
-    for e in 0..shard.len() {
-        let (meta, bytes) = (shard.entry_meta(e), shard.entry_bytes(e));
-        let row = wla_pool::isolate(|| worker.analyze_row(|ctx| analyze(meta, bytes, ctx)))
-            .unwrap_or_else(|message| worker.ctx.results.commit_error(panicked(message)));
-        debug_assert_eq!(row, first + e, "each entry commits one row");
-    }
-    let rows = first..worker.ctx.results.len();
+    let rows = worker.analyze_rows(0..shard.len(), |e, ctx| {
+        analyze(shard.entry_meta(e), shard.entry_bytes(e), ctx)
+    });
 
     if config.resume {
         // Keyed to the exact bytes just analyzed (the open-time checksum),
@@ -320,6 +311,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::panicked;
     use crate::pipeline::tests::{
         assert_holds_only_its_rows, assert_same_run, quiet_injected_panics, write_then_panic,
     };

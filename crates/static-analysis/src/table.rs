@@ -13,9 +13,10 @@
 //! row.
 //!
 //! Committed rows gather in one open segment of reused `Vec`s. A runner
-//! freezes them into an exact-size segment at each shard (streamed) or
-//! batch of claims (in-memory); a frozen segment's columns never move or
-//! grow, and the open segment keeps its capacity for the next batch. Rows are read
+//! freezes them into an exact-size segment at the end of each claim, a
+//! shard (streamed) or a 64-app batch (in-memory); a frozen segment's
+//! columns never move or grow, and the open segment keeps its capacity
+//! for the next claim. Rows are read
 //! as [`AppView`]s of slices, or as their [`ApkError`], where they were
 //! written, and the join rewrites their symbols in place.
 
@@ -287,11 +288,6 @@ impl ResultTable {
         self.frozen.iter().map(|(_, s)| records(s)).sum::<usize>() + records(&self.open)
     }
 
-    /// Committed rows of the open segment.
-    pub(crate) fn open_rows(&self) -> usize {
-        self.open.rows.len()
-    }
-
     /// Freeze the open segment's committed rows into one exact-size
     /// segment; the open segment keeps its capacity.
     pub(crate) fn freeze(&mut self) {
@@ -429,7 +425,7 @@ mod tests {
         table.freeze();
         assert_eq!(commit(&mut table, &mut lex, "c", 3), 3);
         assert_eq!(table.len(), 4);
-        assert_eq!(table.open_rows(), 1);
+        assert_eq!(table.open.rows.len(), 1);
         let a = table.get(0).unwrap();
         assert_eq!((a.package, a.webview_sites.len()), ("a", 2));
         assert_eq!(lex.resolve(a.webview_sites[1].caller_class), "a/C1");
@@ -445,7 +441,7 @@ mod tests {
         for row in 0..4 {
             assert_eq!(table.get(row), before.get(row));
         }
-        assert_eq!(table.open_rows(), 0);
+        assert!(table.open.rows.is_empty());
     }
 
     #[test]

@@ -1,30 +1,41 @@
-//! What a `run_pipeline` output holds on the heap, counted by a global
-//! allocator that tallies live bytes and blocks.
+//! What the static runners hold on the heap, counted by a global
+//! allocator that tallies live bytes and blocks and the peak of live
+//! bytes.
 //!
-//! The output is measured as the difference between the live heap with
-//! the output alive and after dropping it, so nothing else the run left
-//! behind is counted. The measurements hold one lock, and the pool's
-//! workers have joined before `run_pipeline` returns, so no other thread
+//! A `run_pipeline` output is measured as the difference between the live
+//! heap with the output alive and after dropping it, so nothing else the
+//! run left behind is counted. A `run_pipeline_tallied` fold is measured
+//! as the most it adds, at any moment of its run, above the live heap
+//! that holds its inputs. The measurements hold one lock, and the pool's
+//! workers have joined before a runner returns, so no other thread
 //! allocates in between.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Mutex;
-use wla_corpus::{CorpusConfig, Generator};
+use std::sync::{Mutex, MutexGuard};
+use wla_corpus::{CorpusConfig, GeneratedApp, Generator};
 use wla_sdk_index::SdkIndex;
-use wla_static::{run_pipeline, PipelineConfig};
+use wla_static::{run_pipeline, run_pipeline_tallied, PipelineConfig};
 
-/// The system allocator, counting live bytes and blocks.
+/// The system allocator, counting live bytes and blocks and the peak of
+/// live bytes.
 struct Counting;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+/// Add `by` to the live bytes and raise the peak to the new total.
+fn grow(by: isize) {
+    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters
 // only observe the layouts.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        grow(layout.size() as isize);
         LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
@@ -36,10 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
+        grow(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,6 +62,30 @@ fn live() -> (isize, isize) {
     )
 }
 
+/// One measurement at a time: the counters see every thread.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The `scale` corpus at `wla`'s default seed.
+fn corpus(catalog: &SdkIndex, scale: u32) -> Vec<GeneratedApp> {
+    let config = CorpusConfig {
+        scale,
+        seed: 0xDA7A_5EED,
+        ..CorpusConfig::default()
+    };
+    Generator::new(catalog, config).generate()
+}
+
+/// Two workers: the bounds below were measured at two.
+fn two_workers() -> PipelineConfig {
+    PipelineConfig {
+        workers: 2,
+        ..PipelineConfig::default()
+    }
+}
+
 /// Bytes and heap blocks the `run_pipeline` output of the `scale`
 /// corpus at `wla`'s default seed holds, run on two workers.
 ///
@@ -62,23 +94,10 @@ fn live() -> (isize, isize) {
 /// output holds a few blocks more per worker whatever the host's core
 /// count. The bounds below were measured at two workers.
 fn output_footprint(scale: u32) -> (usize, usize) {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = one_at_a_time();
     let catalog = SdkIndex::paper();
-    let apps = Generator::new(
-        &catalog,
-        CorpusConfig {
-            scale,
-            seed: 0xDA7A_5EED,
-            ..CorpusConfig::default()
-        },
-    )
-    .generate();
-    let config = PipelineConfig {
-        workers: 2,
-        ..PipelineConfig::default()
-    };
-    let out = run_pipeline(&apps, &catalog, config);
+    let apps = corpus(&catalog, scale);
+    let out = run_pipeline(&apps, &catalog, two_workers());
     let (bytes, blocks) = live();
     drop(out);
     let (bytes_after, blocks_after) = live();
@@ -115,4 +134,56 @@ fn scale_10_output_footprint() {
     let (bytes, blocks) = output_footprint(10);
     assert!(bytes <= 3_355_443, "output holds {bytes} bytes");
     assert!(blocks <= 3_200, "output holds {blocks} heap blocks");
+}
+
+/// The most live heap a two-worker `run_pipeline_tallied` over the `scale`
+/// corpus at `wla`'s default seed adds, at any moment of its run, above
+/// the heap that holds the corpus and the catalog.
+///
+/// What a fold needs is per worker: its context, its tally, and one app
+/// in flight. A `Vec` or a lexicon that keeps something per app, or per
+/// distinct name the corpus holds, grows with the corpus instead.
+fn fold_peak(scale: u32) -> usize {
+    let _serial = one_at_a_time();
+    let catalog = SdkIndex::paper();
+    let apps = corpus(&catalog, scale);
+    let (inputs, _) = live();
+    PEAK_BYTES.store(inputs, Ordering::Relaxed);
+    let results = run_pipeline_tallied(&apps, &catalog, two_workers(), 1);
+    let peak = (PEAK_BYTES.load(Ordering::Relaxed) - inputs) as usize;
+    drop(results);
+    eprintln!(
+        "1:{scale}: {} apps, the fold peaks {} bytes ({:.1} KiB) above its inputs",
+        apps.len(),
+        peak,
+        peak as f64 / 1024.0
+    );
+    peak
+}
+
+/// At 1:100 (1,468 apps) the fold peaks at most 160 KiB above its
+/// inputs (~107 KiB now), and at most 64 KiB higher than at 1:1000 (146
+/// apps): ten times the apps hold no more. Which apps the two workers
+/// have in flight together sets most of the peak, so the 1:1000 run,
+/// with three batches to schedule, spreads 72–88 KiB; the 1:100 one,
+/// 101–107 KiB. Keeping 50 bytes or more per app fails it.
+#[test]
+fn fold_peak_does_not_grow_with_the_corpus() {
+    let small = fold_peak(1_000);
+    let large = fold_peak(100);
+    assert!(large <= 160 * 1024, "the 1:100 fold peaks {large} bytes");
+    assert!(
+        large <= small + 64 * 1024,
+        "the fold peaks {small} bytes at 1:1000 and {large} at 1:100"
+    );
+}
+
+/// The scale-10 bound (14,680 apps): the fold peaks at most 160 KiB
+/// above its inputs (~130 KiB now). Ignored in debug runs; run with
+/// `cargo test --release -p wla-static --test output_footprint -- --ignored`.
+#[test]
+#[ignore = "scale 10: run in release mode"]
+fn scale_10_fold_peak() {
+    let peak = fold_peak(10);
+    assert!(peak <= 160 * 1024, "the scale-10 fold peaks {peak} bytes");
 }

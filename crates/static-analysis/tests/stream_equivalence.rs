@@ -101,6 +101,9 @@ fn streamed_matches_in_memory_across_workers_and_shard_sizes() {
             assert_outputs_identical(&out, &baseline);
             assert_eq!(aggregate(&out, &catalog, 1), baseline_study);
             assert_eq!(out.stats.stream.entries_streamed, apps.len());
+            // Each worker counts the apps of its shards, not the shards.
+            let items: usize = out.stats.workers.iter().map(|w| w.items).sum();
+            assert_eq!(items, apps.len());
             assert_eq!(out.stats.stream.shards_cached, 0);
             assert_eq!(out.stats.stream.shard_failures, 0);
             // Every shard read counts toward both gauges; the peak held can
@@ -148,6 +151,9 @@ fn resume_after_partial_run_is_bit_identical() {
     assert_outputs_identical(&partial, &baseline);
     assert_eq!(aggregate(&partial, &catalog, 1), baseline_study);
     assert_eq!(partial.stats.stream.shards_read, dropped);
+    // Entries served from the cache count as their worker's apps too.
+    let items: usize = partial.stats.workers.iter().map(|w| w.items).sum();
+    assert_eq!(items, apps.len());
     assert!(partial.stats.stream.shards_cached > 0);
     assert!(partial.stats.stream.entries_cached > 0);
 

@@ -118,12 +118,13 @@ fn dex_direct_subclasses_match_lift_parse_oracle() {
 
 /// Pipeline results — analyses, errors, and global symbol ids — are a
 /// pure function of the corpus, independent of worker count, on corpora
-/// that include corrupted containers.
+/// that include corrupted containers. 1:250 is 587 apps, ten 64-app
+/// claims: enough for every worker count here to run.
 #[test]
 fn pipeline_identical_across_worker_counts() {
     let catalog = SdkIndex::paper();
     let cfg = CorpusConfig {
-        scale: 3_000,
+        scale: 250,
         seed: 41,
         corrupt_fraction: 0.2,
         ..CorpusConfig::default()
@@ -150,6 +151,7 @@ fn pipeline_identical_across_worker_counts() {
                 ..PipelineConfig::default()
             },
         );
+        assert_eq!(run.stats.workers.len(), workers);
         assert_eq!(run.results().len(), baseline.results().len());
         for (i, (a, b)) in run.results().zip(baseline.results()).enumerate() {
             match (a, b) {

@@ -64,40 +64,29 @@ fn study_shares_match_paper_at_scale() {
     assert!(run.results.method_census[0].apps >= run.results.method_census[1].apps);
 }
 
+/// 1:250 is 587 apps in ten 64-app claims, so all 7 workers run.
 #[test]
 fn pipeline_is_deterministic_across_worker_counts() {
     let catalog = SdkIndex::paper();
     let cfg = CorpusConfig {
-        scale: 1_000,
+        scale: 250,
         seed: 5,
         ..CorpusConfig::default()
     };
     let inputs = Generator::new(&catalog, cfg).generate();
-    let a = aggregate(
-        &run_pipeline(
+    let run = |workers| {
+        run_pipeline(
             &inputs,
             &catalog,
             PipelineConfig {
-                workers: 1,
+                workers,
                 ..PipelineConfig::default()
             },
-        ),
-        &catalog,
-        1,
-    );
-    let b = aggregate(
-        &run_pipeline(
-            &inputs,
-            &catalog,
-            PipelineConfig {
-                workers: 7,
-                ..PipelineConfig::default()
-            },
-        ),
-        &catalog,
-        1,
-    );
-    assert_eq!(a, b);
+        )
+    };
+    let (one, seven) = (run(1), run(7));
+    assert_eq!(seven.stats.workers.len(), 7);
+    assert_eq!(aggregate(&one, &catalog, 1), aggregate(&seven, &catalog, 1));
 }
 
 #[test]

@@ -120,6 +120,7 @@ proptest! {
     /// corpora — including broken containers and any worker count. The
     /// tallies of any split of the corpus, merged in reverse order, equal
     /// the single-pass tally, and finish to the oracle's results too.
+    /// 1:250 is 587 apps in ten 64-app claims, so every worker count runs.
     #[test]
     fn interned_aggregate_matches_string_oracle(
         seed in 0u64..10_000,
@@ -128,7 +129,7 @@ proptest! {
     ) {
         let catalog = SdkIndex::paper();
         let cfg = CorpusConfig {
-            scale: 1_500,
+            scale: 250,
             seed,
             corrupt_fraction: 0.1,
             ..CorpusConfig::default()
@@ -142,6 +143,7 @@ proptest! {
                 ..PipelineConfig::default()
             },
         );
+        prop_assert_eq!(out.stats.workers.len(), workers);
         let oracle = aggregate_string_oracle(&out, &catalog, 1);
         prop_assert_eq!(aggregate(&out, &catalog, 1), oracle.clone());
 

@@ -30,7 +30,7 @@ fn app_bytes(seed: u64) -> Vec<u8> {
     let eco = Ecosystem::new(&catalog, EcosystemParams::default());
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = eco.sample_app(&mut rng, meta());
-    lower(&spec, &catalog, &mut rng).encode().to_vec()
+    lower(&spec, &catalog, &mut rng).encode()
 }
 
 proptest! {
