@@ -9,7 +9,11 @@
 # workers plus a full resume pass, where at each worker count the in-memory
 # aggregate and the fold's (`run_pipeline_tallied`) must equal the streamed
 # one, ~22 s once built — the one test that takes the pipeline join, the
-# tally merge and the resume cache through a 50K+ corpus).
+# tally merge and the resume cache through a 50K+ corpus), and the
+# scale-10 footprint bounds (the ignored `output_footprint` tests in
+# release: what a 14,680-app `run_pipeline` output holds, and the most a
+# `run_pipeline_tallied` fold adds above its inputs, counted by a global
+# allocator; ~3 s once built).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -275,6 +279,9 @@ cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.tom
 
 echo "== paper-scale streamed, in-memory and folded runs (73,400 apps, release) =="
 cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
+
+echo "== scale-10 output and fold footprints (14,680 apps, release) =="
+cargo test --release -q -p wla-static --test output_footprint -- --ignored
 
 echo "== cargo build --benches (smoke) =="
 bench_start=$SECONDS

@@ -9,7 +9,7 @@ use wla_dynamic::CrawlConfig;
 use wla_sdk_index::SdkIndex;
 use wla_static::{
     aggregate, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig, PipelineStats,
-    StreamConfig, StudyResults,
+    StreamConfig, StudyResults, CLAIM_APPS,
 };
 
 /// Top-level study configuration.
@@ -123,9 +123,9 @@ impl Study {
     }
 
     /// Run the §3.1 campaign through the sharded on-disk streaming path:
-    /// generate the corpus, persist it as shards under `dir`, and analyze
-    /// it with [`run_pipeline_streamed`] — results are bit-identical to
-    /// [`Study::run_static`] at any worker count.
+    /// generate the corpus, persist it as shards of [`CLAIM_APPS`] apps
+    /// under `dir`, and analyze it with [`run_pipeline_streamed`] — results
+    /// are bit-identical to [`Study::run_static`] at any worker count.
     ///
     /// The generator is deterministic, so re-persisting writes the exact
     /// same shard bytes (same checksums): a rerun over the same `dir`
@@ -137,7 +137,7 @@ impl Study {
         config: StreamConfig,
     ) -> std::io::Result<StaticRun> {
         let corpus = self.corpus();
-        wla_corpus::write_sharded_corpus(dir, &corpus, 64)?;
+        wla_corpus::write_sharded_corpus(dir, &corpus, CLAIM_APPS)?;
         let output = run_pipeline_streamed(dir, &self.catalog, config)?;
         let top_sdk_threshold = 1;
         let results = aggregate(&output, &self.catalog, top_sdk_threshold);

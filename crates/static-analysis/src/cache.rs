@@ -3,8 +3,8 @@
 //! it already finished.
 //!
 //! A cache file (`manifest/<shard stem>.done`) stores the shard's
-//! [`ShardStamp`] (header checksum + file length) followed by every entry's
-//! row of the writing worker's [`ResultTable`] — its analysis or its
+//! [`ShardStamp`] (header checksum + file length) followed by every row of
+//! the shard's [`ResultTable`] — one per entry, its analysis or its
 //! `ApkError` — with **symbols resolved to strings** against the writing
 //! worker's lexicon. The format is version 2, and it does not depend on
 //! how rows are stored: a WebView site is written with its method name
@@ -29,7 +29,6 @@ use crate::table::ResultTable;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
 use wla_apk::names::WEBVIEW_CONTENT_METHODS;
@@ -184,13 +183,12 @@ fn put_analysis(buf: &mut Vec<u8>, a: AppView<'_>, lex: &LocalInterner) {
     put_uvarint(buf, a.unreachable_webview_sites as u64);
 }
 
-/// Serialize rows `rows` of `table` (one shard's worth, in entry order) to
+/// Serialize every row of `table` (one shard's, in entry order) to
 /// `path`, atomically, keyed to `stamp`. Symbols resolve against `lex`.
 pub(crate) fn write_result_cache(
     path: &Path,
     stamp: ShardStamp,
     table: &ResultTable,
-    rows: Range<usize>,
     lex: &LocalInterner,
 ) -> io::Result<()> {
     let mut file = Vec::new();
@@ -199,9 +197,9 @@ pub(crate) fn write_result_cache(
     file.extend_from_slice(&stamp.checksum.to_le_bytes());
     file.extend_from_slice(&stamp.file_len.to_le_bytes());
     file.extend_from_slice(&[0u8; 4]); // body checksum, patched below
-    put_uvarint(&mut file, rows.len() as u64);
-    for row in rows {
-        match table.get(row) {
+    put_uvarint(&mut file, table.len() as u64);
+    for row in table.iter() {
+        match row {
             Ok(a) => {
                 file.push(0);
                 put_analysis(&mut file, a, lex);
@@ -540,7 +538,7 @@ mod tests {
 
         let mut writer_lex = LocalInterner::new();
         let results = sample_table(&mut writer_lex);
-        write_result_cache(&path, stamp(), &results, 0..results.len(), &writer_lex).unwrap();
+        write_result_cache(&path, stamp(), &results, &writer_lex).unwrap();
 
         // Load into a *different* lexicon that already holds other strings
         // (so symbol ids cannot accidentally line up), after a row of its
@@ -613,7 +611,7 @@ mod tests {
         let dir = temp_dir("stale");
         let path = dir.join("s.done");
         let lex = LocalInterner::new();
-        write_result_cache(&path, stamp(), &ResultTable::new(), 0..0, &lex).unwrap();
+        write_result_cache(&path, stamp(), &ResultTable::new(), &lex).unwrap();
         let mut rl = LocalInterner::new();
         let mut table = ResultTable::new();
         assert!(load_result_cache(&path, stamp(), &mut rl, &mut table));
@@ -637,7 +635,7 @@ mod tests {
         let path = dir.join("s.done");
         let mut lex = LocalInterner::new();
         let results = sample_table(&mut lex);
-        write_result_cache(&path, stamp(), &results, 0..results.len(), &lex).unwrap();
+        write_result_cache(&path, stamp(), &results, &lex).unwrap();
         let pristine = fs::read(&path).unwrap();
         // Truncations and bit flips anywhere must miss, not half-load.
         for cut in (0..pristine.len()).step_by(pristine.len() / 17 + 1) {
@@ -684,9 +682,11 @@ mod tests {
         let path = dir.join("s.done");
         let mut lex = LocalInterner::new();
         let results = sample_table(&mut lex);
-        write_result_cache(&path, stamp(), &results, 0..results.len() - 1, &lex).unwrap();
+        let mut head = results.clone();
+        head.truncate(results.len() - 1);
+        write_result_cache(&path, stamp(), &head, &lex).unwrap();
         let last_tag = fs::read(&path).unwrap().len();
-        write_result_cache(&path, stamp(), &results, 0..results.len(), &lex).unwrap();
+        write_result_cache(&path, stamp(), &results, &lex).unwrap();
         let pristine = fs::read(&path).unwrap();
         let find = |needle: &[u8]| {
             pristine

@@ -44,7 +44,7 @@ pub use dataflow::{method_provenance, DataflowCounters};
 pub use oracle::aggregate_string_oracle;
 pub use pipeline::{
     run_pipeline, run_pipeline_tallied, run_pipeline_with, AppInput, CorpusInput, InternerCounters,
-    PipelineConfig, PipelineOutput, PipelineStats, WorkerStats,
+    PipelineConfig, PipelineOutput, PipelineStats, WorkerStats, CLAIM_APPS,
 };
 pub use privacy::{grade_distribution, privacy_label, ExposureGrade, PrivacyLabel};
 pub use stream::{run_pipeline_streamed, StreamConfig, StreamCounters, MANIFEST_SUBDIR};

@@ -21,18 +21,19 @@
 //!
 //! Results stay where the worker wrote them. Each app's records and its
 //! row go into its worker's table, the row committed when the app is
-//! done (a failed app's row holds its error); at the end of each batch a
-//! worker freezes the batch's rows into one exact-size segment, and the
-//! pool hands back one row range per batch. The serial join tail (timed
-//! as [`PipelineStats::serial_tail_ns`]) keeps the tables, lists the
-//! batches' `(table, row)` pairs in batch order — input order — as the
-//! output's index, and has [`wla_intern::merge_ordered`] rewrite every
-//! row's worker-local symbols in place into one fresh [`SymbolTable`],
-//! which the [`PipelineOutput`] owns. Its ids depend only on the input
-//! order — never on worker count or scheduling — which keeps parallel and
-//! serial runs bit-identical. Nothing is copied per app. The
-//! shard-streaming runner in [`crate::stream`] differs only in where a
-//! claim's entries come from: it shares the per-entry loop and the join.
+//! done (a failed app's row holds its error); at the end of each batch
+//! the worker freezes the batch's rows into one exact-size
+//! [`ResultTable`], the batch's outcome in the pool, and the pool hands
+//! the batches back in input order. The serial join tail (timed as
+//! [`PipelineStats::serial_tail_ns`]) keeps those tables, in that order,
+//! as the [`PipelineOutput`], and has [`wla_intern::merge_ordered`]
+//! rewrite every row's worker-local symbols in place into one fresh
+//! [`SymbolTable`], which the output owns. Its ids depend only on the
+//! input order — never on worker count or scheduling — which keeps
+//! parallel and serial runs bit-identical, and so does the output's size.
+//! Nothing is copied per app. The shard-streaming runner in
+//! [`crate::stream`] differs only in where a claim's entries come from: it
+//! shares the per-entry loop and the join.
 //!
 //! A caller that reads only the corpus aggregates skips all of that:
 //! [`run_pipeline_tallied`] folds each app into its worker's [`Tally`] as
@@ -63,11 +64,12 @@ use wla_sdk_index::SdkIndex;
 
 pub use wla_pool::WorkerStats;
 
-/// Apps an in-memory runner's claim covers: as many as one 64-app shard,
-/// the streamed runner's claim. A keep-output worker freezes each batch's
-/// rows into one exact-size segment of its table, as the streamed runner
-/// does each shard's.
-const BATCH_ROWS: usize = 64;
+/// Apps one static claim covers: an in-memory runner's batch, and a shard
+/// of the corpus `wla-core`'s `Study::run_static_streamed` writes, so a
+/// run claims the same 64 apps at a time in memory and streamed. A
+/// keep-output worker freezes each claim's rows into one exact-size
+/// [`ResultTable`].
+pub const CLAIM_APPS: usize = 64;
 
 /// One corpus entry: the metadata the Play Store provides plus the raw
 /// container bytes fetched from the archive.
@@ -239,7 +241,7 @@ pub struct PipelineStats {
     pub decode: DecodeCounters,
     /// Shard-streaming counters; all-zero for the in-memory path.
     pub stream: StreamCounters,
-    /// Heap bytes the output's result tables, index and symbol table hold
+    /// Heap bytes the output's result tables and symbol table hold
     /// ([`PipelineOutput::heap_bytes`]), set by the join; 0 for a folded
     /// run, which builds no output.
     pub result_bytes: usize,
@@ -269,8 +271,8 @@ impl PipelineStats {
     }
 
     /// Fold one finished worker's counters into the run's, handing back
-    /// its lexicon and its result table.
-    fn fold_worker(&mut self, worker: Worker<'_>) -> (LocalInterner, ResultTable) {
+    /// its lexicon.
+    fn fold_worker(&mut self, worker: Worker<'_>) -> LocalInterner {
         let (ctx, forgotten) = (worker.ctx, worker.forgotten);
         self.stage.accumulate(&worker.stage);
         self.interner.local_symbols += forgotten.0 + ctx.lexicon.len();
@@ -282,7 +284,7 @@ impl PipelineStats {
         self.callgraph.merge(&ctx.callgraph_counters());
         self.dataflow.merge(&ctx.dataflow);
         self.decode.merge(&ctx.decode);
-        (ctx.lexicon, ctx.results)
+        ctx.lexicon
     }
 
     /// Corpus throughput over the whole run.
@@ -318,16 +320,13 @@ impl PipelineStats {
     }
 }
 
-/// Pipeline output: the workers' result tables with an index of every
-/// app's row in input order, run statistics, and the symbol table every
-/// row resolves against.
+/// Pipeline output: one result table per claim, in input order, run
+/// statistics, and the symbol table every row resolves against.
 #[derive(Debug)]
 pub struct PipelineOutput {
-    /// The workers' tables, as they wrote them; symbols are global
+    /// The claims' tables, as their workers wrote them; symbols are global
     /// (rewritten in place by the join).
-    tables: Vec<ResultTable>,
-    /// `(table, row)` of every app, in input order.
-    index: Vec<(u32, u32)>,
+    tables: Box<[ResultTable]>,
     /// Observability counters for the run.
     pub stats: PipelineStats,
     /// The merged symbol table — the report boundary's only way to turn a
@@ -338,12 +337,10 @@ pub struct PipelineOutput {
 impl PipelineOutput {
     /// Every app's analysis or decode error, in input order.
     pub fn results(&self) -> impl ExactSizeIterator<Item = Result<AppView<'_>, &ApkError>> {
-        // Each table's rows come in row order: one lookup hint per table.
-        let mut hints = vec![0; self.tables.len()];
-        self.index.iter().map(move |&(table, row)| {
-            let table = table as usize;
-            self.tables[table].get_near(row as usize, &mut hints[table])
-        })
+        Counted {
+            left: self.tables.iter().map(ResultTable::len).sum(),
+            items: self.tables.iter().flat_map(ResultTable::iter),
+        }
     }
 
     /// Successfully analyzed apps.
@@ -361,19 +358,40 @@ impl PipelineOutput {
         self.results().filter(Result::is_err).count()
     }
 
-    /// Heap bytes held by the result tables, the index and the symbol
-    /// table.
+    /// Heap bytes held by the result tables and the symbol table.
     pub fn heap_bytes(&self) -> usize {
-        self.tables.capacity() * size_of::<ResultTable>()
+        self.tables.len() * size_of::<ResultTable>()
             + self
                 .tables
                 .iter()
                 .map(ResultTable::heap_bytes)
                 .sum::<usize>()
-            + self.index.capacity() * size_of::<(u32, u32)>()
             + self.symbols.heap_bytes()
     }
 }
+
+/// `items`, known to hold `left` more: how [`PipelineOutput::results`]
+/// walks its tables one after another as one exact-size iterator.
+struct Counted<I> {
+    items: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.items.next()?;
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
 
 /// One pool worker's state: its analysis context plus the stage timers
 /// summed over the apps it analyzed.
@@ -427,18 +445,17 @@ impl<'c> Worker<'c> {
     }
 
     /// Analyze `entries` through [`each_isolated`], committing exactly one
-    /// row per entry: its result, or its error (a panic's, or a broken
-    /// [`Outcome`] contract's, as `analysis-panic`) in place of any row it
-    /// committed. Returns the rows, consecutive in this worker's table and
-    /// in entry order.
+    /// row per entry to this worker's table, in entry order: its result, or
+    /// its error (a panic's, or a broken [`Outcome`] contract's, as
+    /// `analysis-panic`) in place of any row it committed.
     pub(crate) fn analyze_rows<E>(
         &mut self,
         entries: impl IntoIterator<Item = E>,
         analyze: impl Fn(E, &mut AnalysisCtx<'c>) -> Outcome,
-    ) -> Range<usize> {
-        let first = self.ctx.results.len();
+    ) {
         // The worker and the row its current entry must commit.
-        let mut next = (self, first);
+        let row = self.ctx.results.len();
+        let mut next = (self, row);
         each_isolated(
             &mut next,
             entries,
@@ -457,7 +474,6 @@ impl<'c> Worker<'c> {
                 *row += 1;
             },
         );
-        first..next.1
     }
 
     /// Forget the batch's symbols — the lexicon and the label memo keyed
@@ -516,7 +532,7 @@ const ISOLATED: &str = "every app of a batch runs under its own isolator";
 
 /// The apps of batch `b` of an `n`-app corpus.
 fn batch(b: usize, n: usize) -> Range<usize> {
-    b * BATCH_ROWS..n.min((b + 1) * BATCH_ROWS)
+    b * CLAIM_APPS..n.min((b + 1) * CLAIM_APPS)
 }
 
 /// Set each worker's `items` to the apps of the claims it ran — one
@@ -548,7 +564,7 @@ where
     // Each worker keeps its tally and its apps' errors; a batch hands
     // back nothing.
     let pool = wla_pool::run(
-        n.div_ceil(BATCH_ROWS),
+        n.div_ceil(CLAIM_APPS),
         config.workers,
         || (config.worker(catalog), Tally::new(catalog), Vec::new()),
         |fold, b| {
@@ -597,8 +613,8 @@ where
 ///
 /// The scheduler, fault isolation, interner merge, and stats collection
 /// are identical to [`run_pipeline`]; only the per-app work differs. Tests
-/// use this to inject deliberately panicking analyses; ablation benches
-/// use it to isolate scheduler overhead from analysis cost. The analysis
+/// use this to inject deliberately panicking or contract-breaking
+/// analyses (this module's and `tests/pipeline_faults.rs`). The analysis
 /// function receives the worker's [`AnalysisCtx`]. It must intern every
 /// symbol it records into `ctx.lexicon`, and either commit the app's row
 /// to `ctx.results` and return its number (as [`analyze_app_timed_with`]
@@ -616,30 +632,28 @@ where
     let started = Instant::now();
     let n = inputs.len();
     let pool = wla_pool::run(
-        n.div_ceil(BATCH_ROWS),
+        n.div_ceil(CLAIM_APPS),
         config.workers,
         || config.worker(catalog),
         |worker, b| {
-            let rows = worker.analyze_rows(batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
-            worker.ctx.results.freeze();
-            rows
+            worker.analyze_rows(batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
+            worker.ctx.results.freeze()
         },
     );
     let claims = pool
         .results
         .into_iter()
-        .map(|(w, rows)| (w, rows.expect(ISOLATED)))
+        .map(|(w, table)| (w, table.expect(ISOLATED)))
         .collect();
     join(claims, pool.contexts, pool.workers, started)
 }
 
-/// The serial join tail both keep-output runners share: index every
-/// claim's rows, fold the per-worker counters, close each worker's table,
-/// count failures, and rewrite every row's worker-local symbols in place
-/// into one global table. `claims` holds `(worker, rows)` for every claim
-/// in claim order, which is input order.
+/// The serial join tail both keep-output runners share: fold the
+/// per-worker counters, count failures, and rewrite every row's
+/// worker-local symbols in place into one global table. `claims` holds
+/// `(worker, table)` for every claim in claim order, which is input order.
 pub(crate) fn join(
-    claims: Vec<(usize, Range<usize>)>,
+    mut claims: Vec<(usize, ResultTable)>,
     workers: Vec<Worker<'_>>,
     mut worker_stats: Vec<WorkerStats>,
     started: Instant,
@@ -647,45 +661,35 @@ pub(crate) fn join(
     // Everything from here to return runs on one thread after the pool
     // joins — the serial tail `stats.serial_tail_ns` exposes.
     let tail_started = Instant::now();
-    let narrow = |n: usize| u32::try_from(n).expect("table and row numbers fit u32");
-    let mut index = Vec::with_capacity(claims.iter().map(|(_, rows)| rows.len()).sum());
-    for (w, rows) in &claims {
-        index.extend(rows.clone().map(|row| (narrow(*w), narrow(row))));
-    }
     count_apps(
         &mut worker_stats,
-        claims.iter().map(|(w, rows)| (*w, rows.len())),
+        claims.iter().map(|(w, table)| (*w, table.len())),
     );
-    let mut stats = PipelineStats::new(index.len(), worker_stats);
-    let (lexicons, mut tables): (Vec<LocalInterner>, Vec<ResultTable>) = workers
+    let total = claims.iter().map(|(_, table)| table.len()).sum();
+    let mut stats = PipelineStats::new(total, worker_stats);
+    let lexicons: Vec<LocalInterner> = workers
         .into_iter()
         .map(|worker| stats.fold_worker(worker))
-        .unzip();
-    for table in &mut tables {
-        table.close();
+        .collect();
+    for e in claims
+        .iter()
+        .flat_map(|(_, table)| table.iter())
+        .filter_map(Result::err)
+    {
+        stats.count_failure(e);
     }
-    // Each table's rows come in row order: one lookup hint per table.
-    let mut hints = vec![0; tables.len()];
-    for &(table, row) in &index {
-        let table = table as usize;
-        if let Err(e) = tables[table].get_near(row as usize, &mut hints[table]) {
-            stats.count_failure(e);
-        }
-    }
+    // A claim's worker is each of its rows' worker, and `remap` visits
+    // the rows in row order: the merge ranks symbols in input order.
     let symbols = merge_ordered(
-        &mut index,
+        &mut claims,
         &lexicons,
-        |&(table, _)| table as usize,
-        |&mut (table, row), f| {
-            let table = table as usize;
-            tables[table].remap_row(row as usize, &mut hints[table], f)
-        },
+        |&(w, _)| w,
+        |(_, table), f| table.remap(f),
     );
     stats.interner.global_symbols = symbols.len();
     stats.interner.global_bytes = symbols.bytes();
     let mut output = PipelineOutput {
-        tables,
-        index,
+        tables: claims.into_iter().map(|(_, table)| table).collect(),
         stats,
         symbols,
     };
@@ -976,7 +980,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every row the output's tables hold is an app of its index, and
+    /// Every row the output's tables hold is one of its results, and
     /// every record they hold belongs to one of those rows: no record of
     /// an unfinished row was kept.
     pub(crate) fn assert_holds_only_its_rows(out: &PipelineOutput) {
@@ -1058,9 +1062,9 @@ pub(crate) mod tests {
     }
 
     /// An analysis that breaks the one-row contract of [`Outcome`] costs
-    /// its own app alone, and the index stays aligned: a row committed
-    /// before an error gives way to the error, and an `Ok` that committed
-    /// two rows, or none, fails the app as `analysis-panic`.
+    /// its own app alone, and every other row stays in place: a row
+    /// committed before an error gives way to the error, and an `Ok` that
+    /// committed two rows, or none, fails the app as `analysis-panic`.
     #[test]
     fn a_broken_row_contract_costs_only_its_app() {
         let catalog = SdkIndex::paper();

@@ -8,18 +8,17 @@
 //! bounded by the number of *concurrently held* shards (one per worker),
 //! not the corpus size. A shard is to this runner what a 64-app batch is
 //! to the in-memory one: its entries run through the same per-entry loop.
-//! The pool returns shards in shard order with their rows in entry
-//! order, so listing them gives global entry order, and the in-memory
-//! pipeline's join ([`crate::pipeline`]) then makes the [`PipelineOutput`]
-//! bit-identical to loading the same corpus in memory and running
-//! [`crate::run_pipeline`], at any worker count.
+//! The pool returns shards in shard order, each with its rows in entry
+//! order, so the shards' tables in that order are in global entry order,
+//! and the in-memory pipeline's join ([`crate::pipeline`]) then makes the
+//! [`PipelineOutput`] bit-identical to loading the same corpus in memory
+//! and running [`crate::run_pipeline`], at any worker count.
 //!
 //! **Result rows.** Each entry's row goes into the claiming worker's
-//! [`ResultTable`](crate::ResultTable), committed when the entry is done
-//! (a failed or panicked entry's row holds its error). When the shard is
-//! done its rows are frozen into one exact-size segment, and the join
-//! indexes them where they are, so a streamed run copies no per-app
-//! result either.
+//! [`ResultTable`], committed when the entry is done (a failed or
+//! panicked entry's row holds its error). When the shard is done its rows
+//! are frozen into one exact-size table, the shard's, which the join
+//! keeps as it is, so a streamed run copies no per-app result either.
 //!
 //! **Fault isolation.** Each entry runs under its own panic isolator, so a
 //! panicking entry fails alone as `analysis-panic`, and the records it
@@ -27,25 +26,25 @@
 //! open or validate costs its own entries and is counted by kind in
 //! [`StreamCounters`]; so is a panic in shard-level code (cache load,
 //! open, entry index, cache write), under the `shard-panic` kind, and the
-//! rows the shard had committed are dropped.
+//! worker's table is cleared of the rows the shard had committed.
 //!
 //! **Resumability.** With [`StreamConfig::resume`] on, each finished
-//! shard's rows are serialized to `<dir>/manifest/<shard>.done` keyed to
+//! shard's table is serialized to `<dir>/manifest/<shard>.done` keyed to
 //! the shard's stamp (header checksum + length), in cache format 2. A
-//! rerun parses those straight into the
-//! worker's table instead of re-analyzing; any staleness or damage in a
-//! cache file is a silent miss that leaves the table as it was.
+//! rerun parses those straight into the worker's table instead of
+//! re-analyzing; any staleness or damage in a cache file is a silent miss
+//! that leaves the table as it was.
 //! [`StreamCounters`] reports what was streamed, what was served from
 //! cache, shard-level failures, and shard bytes held.
 
 use crate::analyze::{analyze_app_timed_with, AnalysisCtx};
 use crate::cache;
 use crate::pipeline::{join, Outcome, PipelineConfig, PipelineOutput, Worker};
+use crate::table::ResultTable;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -113,9 +112,9 @@ pub struct StreamCounters {
 /// What one claimed shard produced.
 #[derive(Default)]
 struct ShardRun {
-    /// The rows of the claiming worker's table that hold the entries'
-    /// results, in entry order; symbols are local to its lexicon.
-    rows: Range<usize>,
+    /// The entries' results, one row each in entry order; symbols are
+    /// local to the claiming worker's lexicon.
+    table: ResultTable,
     /// Served from the resume manifest.
     cached: bool,
     /// Shard-level failure kind; a failed shard contributes no entries.
@@ -197,23 +196,22 @@ where
         config.pipeline.workers,
         || config.pipeline.worker(catalog),
         |worker, s| {
-            let mark = worker.ctx.results.len();
             let held = (&held_now, &held_peak);
             let shard = &shards[s];
             let run = wla_pool::isolate(|| {
                 stream_shard(shard, &manifest_dir, config, worker, &analyze, held)
             });
             if run.is_err() {
-                // A panic in shard-level code costs the shard the rows it
+                // A panic in shard-level code costs the shard every row it
                 // had committed.
-                worker.ctx.results.truncate(mark);
+                worker.ctx.results.clear();
             }
             run
         },
     );
 
-    // Shards come back in shard order and rows in entry order, so listing
-    // the claims' rows gives global entry order.
+    // Shards come back in shard order and rows in entry order, so the
+    // claims' tables in order hold global entry order.
     let mut counters = StreamCounters::default();
     let mut claims = Vec::with_capacity(pool.results.len());
     for (w, outcome) in pool.results {
@@ -223,7 +221,7 @@ where
             ..ShardRun::default()
         });
         counters.bytes_mapped += shard.bytes_read;
-        let entries = shard.rows.len();
+        let entries = shard.table.len();
         if let Some(kind) = shard.failure {
             counters.shard_failures += 1;
             *counters.shard_failure_kinds.entry(kind).or_insert(0) += 1;
@@ -234,7 +232,7 @@ where
             counters.shards_read += 1;
             counters.entries_streamed += entries;
         }
-        claims.push((w, shard.rows));
+        claims.push((w, shard.table));
     }
     counters.peak_mapped_bytes = held_peak.load(Ordering::Relaxed);
 
@@ -245,7 +243,8 @@ where
 
 /// Claim body for one shard: resume-cache lookup, streaming analysis,
 /// cache write-back, shard-bytes accounting, and the freeze of the
-/// shard's rows. `held` is the concurrently-held gauge and its peak.
+/// shard's rows into its table. `held` is the concurrently-held gauge and
+/// its peak.
 fn stream_shard<F>(
     path: &Path,
     manifest_dir: &Path,
@@ -258,14 +257,12 @@ where
     F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Outcome,
 {
     let cache_path = cache_path_for(manifest_dir, path);
-    let first = worker.ctx.results.len();
     if config.resume {
         if let Ok(stamp) = read_shard_stamp(path) {
             let ctx = &mut worker.ctx;
             if cache::load_result_cache(&cache_path, stamp, &mut ctx.lexicon, &mut ctx.results) {
-                ctx.results.freeze();
                 return ShardRun {
-                    rows: first..ctx.results.len(),
+                    table: ctx.results.freeze(),
                     cached: true,
                     ..ShardRun::default()
                 };
@@ -285,7 +282,7 @@ where
     let bytes_read = shard.file_len();
     let _gauge = HeldGauge::hold(held_now, held_peak, bytes_read);
 
-    let rows = worker.analyze_rows(0..shard.len(), |e, ctx| {
+    worker.analyze_rows(0..shard.len(), |e, ctx| {
         analyze(shard.entry_meta(e), shard.entry_bytes(e), ctx)
     });
 
@@ -297,12 +294,10 @@ where
             file_len: shard.file_len(),
         };
         let ctx = &worker.ctx;
-        let _ =
-            cache::write_result_cache(&cache_path, stamp, &ctx.results, rows.clone(), &ctx.lexicon);
+        let _ = cache::write_result_cache(&cache_path, stamp, &ctx.results, &ctx.lexicon);
     }
-    worker.ctx.results.freeze();
     ShardRun {
-        rows,
+        table: worker.ctx.results.freeze(),
         bytes_read,
         ..ShardRun::default()
     }
@@ -315,8 +310,9 @@ mod tests {
     use crate::pipeline::tests::{
         assert_holds_only_its_rows, assert_same_run, quiet_injected_panics, write_then_panic,
     };
-    use crate::StageTimings;
-    use wla_corpus::{write_sharded_corpus, CorpusConfig, Generator};
+    use crate::{run_pipeline, StageTimings};
+    use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
+    use wla_intern::LocalInterner;
 
     /// A streamed entry whose analysis writes records and then panics
     /// leaves no orphan row, in the output or in the resume cache: both
@@ -381,6 +377,82 @@ mod tests {
             let warm = run_pipeline_streamed(&dirs[0], &catalog, config).unwrap();
             assert_eq!(warm.stats.stream.entries_cached, apps.len());
             assert_same_run(&warm, &want);
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A panic in shard-level code — here the resume-cache write, outside
+    /// every entry's isolator — costs its shard alone: the shard is one
+    /// `shard-panic` that leaves no row in the output and no `.done` file,
+    /// the worker's next claim starts clean, and a rerun analyzes exactly
+    /// that shard.
+    #[test]
+    fn a_shard_level_panic_costs_only_its_shard() {
+        let catalog = SdkIndex::paper();
+        let config = CorpusConfig {
+            scale: 2_000,
+            seed: 37,
+            corrupt_fraction: 0.1,
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, config).generate();
+        let (shard, per_shard) = (2, 8);
+        // One entry of the shard commits a row whose class its worker's
+        // lexicon does not hold, so resolving it for the cache panics.
+        let poisoned = &apps[shard * per_shard + 3].spec.meta.package;
+        let mut scratch = LocalInterner::new();
+        let stranger = (0..=100_000)
+            .map(|i| scratch.intern(&i.to_string()))
+            .last()
+            .unwrap();
+        let poisoning = |meta: &AppMeta, bytes: Bytes, ctx: &mut AnalysisCtx<'_>| {
+            if meta.package != *poisoned {
+                return analyze_app_timed_with(meta, bytes, ctx);
+            }
+            let mut row = ctx.results.row();
+            row.push_class(stranger);
+            let row = row.commit(meta.category, &meta.package, 0);
+            (Ok(row), StageTimings::default())
+        };
+        let others: Vec<GeneratedApp> = apps[..shard * per_shard]
+            .iter()
+            .chain(&apps[(shard + 1) * per_shard..])
+            .cloned()
+            .collect();
+        let root = std::env::temp_dir().join(format!("wla-shard-panic-{}", std::process::id()));
+        for workers in [1usize, 2, 8] {
+            let config = StreamConfig {
+                pipeline: PipelineConfig {
+                    workers,
+                    ..PipelineConfig::default()
+                },
+                resume: true,
+            };
+            let dir = root.join(workers.to_string());
+            let _ = fs::remove_dir_all(&dir);
+            let paths = write_sharded_corpus(&dir, &apps, per_shard).unwrap();
+            let out = stream_with(&dir, &catalog, config, poisoning).unwrap();
+            let stream = &out.stats.stream;
+            assert_eq!(stream.shard_failures, 1, "{workers} workers");
+            assert_eq!(stream.shard_failure_kinds.get(SHARD_PANIC), Some(&1));
+            assert_eq!(out.stats.total, apps.len() - per_shard, "{workers} workers");
+            assert_eq!(out.stats.workers.len(), workers);
+            assert_holds_only_its_rows(&out);
+            assert_same_run(&out, &run_pipeline(&others, &catalog, config.pipeline));
+            let manifest = dir.join(MANIFEST_SUBDIR);
+            for (i, path) in paths.iter().enumerate() {
+                let done = cache_path_for(&manifest, path).exists();
+                assert_eq!(done, i != shard, "shard {i}, {workers} workers");
+            }
+            // With the normal analysis, a rerun reads that shard alone and
+            // equals the full in-memory run.
+            let rerun = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+            let stream = &rerun.stats.stream;
+            assert_eq!(
+                (stream.shards_read, stream.entries_streamed),
+                (1, per_shard)
+            );
+            assert_same_run(&rerun, &run_pipeline(&apps, &catalog, config.pipeline));
         }
         fs::remove_dir_all(&root).unwrap();
     }

@@ -78,26 +78,37 @@ fn corpus(catalog: &SdkIndex, scale: u32) -> Vec<GeneratedApp> {
     Generator::new(catalog, config).generate()
 }
 
-/// Two workers: the bounds below were measured at two.
-fn two_workers() -> PipelineConfig {
+fn workers(workers: usize) -> PipelineConfig {
     PipelineConfig {
-        workers: 2,
+        workers,
         ..PipelineConfig::default()
     }
 }
 
+/// Two workers: the bounds below were measured at two.
+fn two_workers() -> PipelineConfig {
+    workers(2)
+}
+
 /// Bytes and heap blocks the `run_pipeline` output of the `scale`
-/// corpus at `wla`'s default seed holds, run on two workers.
+/// corpus at `wla`'s default seed holds, run on `config.workers` workers,
+/// and the bytes its `stats.result_bytes` reports.
 ///
-/// The worker count is pinned because it shows in the footprint: each
-/// worker's table ends with one partial segment of a few blocks, so an
-/// output holds a few blocks more per worker whatever the host's core
-/// count. The bounds below were measured at two workers.
-fn output_footprint(scale: u32) -> (usize, usize) {
+/// The output holds one exact-size table per 64-app claim, so what it
+/// holds does not depend on the worker count
+/// (`output_footprint_does_not_depend_on_the_worker_count`); the bounds
+/// below were measured at two workers.
+fn output_footprint(scale: u32, config: PipelineConfig) -> (usize, usize, usize) {
     let _serial = one_at_a_time();
     let catalog = SdkIndex::paper();
     let apps = corpus(&catalog, scale);
-    let out = run_pipeline(&apps, &catalog, two_workers());
+    let out = run_pipeline(&apps, &catalog, config);
+    assert_eq!(
+        out.stats.workers.len(),
+        config.workers,
+        "a claim per worker"
+    );
+    let reported = out.stats.result_bytes;
     let (bytes, blocks) = live();
     drop(out);
     let (bytes_after, blocks_after) = live();
@@ -106,13 +117,15 @@ fn output_footprint(scale: u32) -> (usize, usize) {
         (blocks - blocks_after) as usize,
     );
     eprintln!(
-        "1:{scale}: {} apps, output holds {} bytes ({:.1} KiB) in {} heap blocks",
+        "1:{scale}, {} workers: {} apps, output holds {} bytes ({:.1} KiB) in {} heap blocks \
+         ({reported} bytes reported)",
+        config.workers,
         apps.len(),
         held.0,
         held.0 as f64 / 1024.0,
         held.1
     );
-    held
+    (held.0, held.1, reported)
 }
 
 /// At 1:100 the output holds at most 360 KiB in at most 315 heap blocks.
@@ -120,9 +133,26 @@ fn output_footprint(scale: u32) -> (usize, usize) {
 /// past the block bound at once: the corpus has 1,468 apps.
 #[test]
 fn output_holds_no_per_app_allocation() {
-    let (bytes, blocks) = output_footprint(100);
+    let (bytes, blocks, _) = output_footprint(100, two_workers());
     assert!(bytes <= 360 * 1024, "output holds {bytes} bytes");
     assert!(blocks <= 315, "output holds {blocks} heap blocks");
+}
+
+/// What the output holds is what the run computed, not how it was
+/// scheduled: at 1:100 (1,468 apps, 23 batches) the bytes its
+/// `stats.result_bytes` reports and the heap blocks it holds are the same
+/// at 1, 2 and 8 workers. (The counted bytes also hold the run stats'
+/// per-worker counters, 16 bytes a worker.)
+#[test]
+fn output_footprint_does_not_depend_on_the_worker_count() {
+    let footprint = |n| {
+        let (_, blocks, reported) = output_footprint(100, workers(n));
+        (reported, blocks)
+    };
+    let one = footprint(1);
+    for n in [2, 8] {
+        assert_eq!(footprint(n), one, "{n} workers");
+    }
 }
 
 /// The scale-10 bound (14,680 apps): at most 3.2 MiB in at most 3,200
@@ -131,7 +161,7 @@ fn output_holds_no_per_app_allocation() {
 #[test]
 #[ignore = "scale 10: run in release mode"]
 fn scale_10_output_footprint() {
-    let (bytes, blocks) = output_footprint(10);
+    let (bytes, blocks, _) = output_footprint(10, two_workers());
     assert!(bytes <= 3_355_443, "output holds {bytes} bytes");
     assert!(blocks <= 3_200, "output holds {blocks} heap blocks");
 }
