@@ -13,7 +13,10 @@
 # scale-10 footprint bounds (the ignored `output_footprint` tests in
 # release: what a 14,680-app `run_pipeline` output holds, and the most a
 # `run_pipeline_tallied` fold adds above its inputs, counted by a global
-# allocator; ~3 s once built).
+# allocator; ~3 s once built), and the full-universe funnel count (the
+# ignored `wla-corpus` unit test in release: `count_funnel` must equal
+# folding all 6,507,222 `MetadataUniverse` records at three seeds, and
+# read Table 2's rows at the default one; ~8 s once built).
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -282,6 +285,9 @@ cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
 echo "== scale-10 output and fold footprints (14,680 apps, release) =="
 cargo test --release -q -p wla-static --test output_footprint -- --ignored
+
+echo "== full-universe funnel count (6,507,222 records at three seeds, release) =="
+cargo test --release -q -p wla-corpus --lib -- --ignored
 
 echo "== cargo build --benches (smoke) =="
 bench_start=$SECONDS

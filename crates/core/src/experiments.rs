@@ -182,7 +182,7 @@ fn sdk_table(
                 } else {
                     String::new()
                 },
-                r.name.clone(),
+                r.name.to_owned(),
                 thousands(study.rescale(count_of(r))),
             ]);
         }

@@ -102,12 +102,12 @@ fn origin_str(origin: UrlOrigin) -> &'static str {
     }
 }
 
-fn label_str(label: LabelId, catalog: &SdkIndex) -> String {
+fn label_str(label: LabelId, catalog: &SdkIndex) -> &'static str {
     match label {
-        LabelId::Sdk(idx) => catalog.sdks()[idx as usize].name.clone(),
-        LabelId::CoreAndroid => "core-android".to_owned(),
-        LabelId::Obfuscated => "obfuscated".to_owned(),
-        LabelId::Unlabeled => "unlabeled".to_owned(),
+        LabelId::Sdk(idx) => catalog.sdks()[idx as usize].name,
+        LabelId::CoreAndroid => "core-android",
+        LabelId::Obfuscated => "obfuscated",
+        LabelId::Unlabeled => "unlabeled",
     }
 }
 
@@ -125,7 +125,7 @@ fn webview_site_json(s: &WebViewSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
         escape(s.method()),
         escape(ctx.lexicon.resolve(s.caller_class)),
         opt_sym_json(s.caller_package.map(|p| p.symbol()), ctx),
-        escape(&label_str(s.label, ctx.catalog)),
+        escape(label_str(s.label, ctx.catalog)),
         s.in_deep_link_activity,
         s.is_load_method(),
         opt_sym_json(s.argument, ctx),
@@ -140,7 +140,7 @@ fn ct_site_json(s: &CtSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
         escape(ctx.lexicon.resolve(s.method)),
         escape(ctx.lexicon.resolve(s.caller_class)),
         opt_sym_json(s.caller_package.map(|p| p.symbol()), ctx),
-        escape(&label_str(s.label, ctx.catalog)),
+        escape(label_str(s.label, ctx.catalog)),
         s.in_deep_link_activity,
         s.is_launch,
         opt_sym_json(s.argument, ctx),

@@ -1,6 +1,6 @@
 //! Study orchestration: configure once, run each campaign.
 
-use wla_corpus::playstore::{FilterSpec, MetadataUniverse, UniverseConfig};
+use wla_corpus::playstore::{count_funnel, FilterSpec, FunnelCounts, UniverseConfig};
 use wla_corpus::{top_thousand, CorpusConfig, GeneratedApp, Generator, TopAppSpec};
 use wla_dynamic::classify::{classify_top_apps, ClassificationOutcome, Table6Counts};
 use wla_dynamic::crawl_study::{run_crawl_study_parallel, CrawlStudy};
@@ -149,31 +149,20 @@ impl Study {
         })
     }
 
-    /// Run the Table 2 funnel: the metadata universe always runs at full
-    /// scale (metadata is cheap); the analyzed row comes from the scaled
-    /// byte-level corpus via `static_run`.
+    /// Run the Table 2 funnel: the metadata universe is always counted at
+    /// full scale ([`count_funnel`] builds no record); the analyzed row
+    /// comes from the scaled byte-level corpus via `static_run`.
     pub fn run_funnel(&self, static_run: &StaticRun) -> FunnelRun {
         let cfg = UniverseConfig {
             seed: self.seed ^ 0xFA11_FA11,
             ..UniverseConfig::default()
         };
-        let filter = FilterSpec::default();
-        let mut total = 0u64;
-        let mut found = 0u64;
-        let mut popular = 0u64;
-        let mut maintained = 0u64;
-        for meta in MetadataUniverse::new(cfg) {
-            total += 1;
-            if meta.on_play_store {
-                found += 1;
-            }
-            if filter.is_popular(&meta) {
-                popular += 1;
-            }
-            if filter.accepts(&meta) {
-                maintained += 1;
-            }
-        }
+        let FunnelCounts {
+            total,
+            found,
+            popular,
+            maintained,
+        } = count_funnel(&cfg, &FilterSpec::default());
         FunnelRun {
             total,
             found,

@@ -440,10 +440,10 @@ fn fnv1a(s: &str) -> u64 {
 /// Whether an SDK's WebView path goes through its own `extends WebView`
 /// subclass (≈40% of SDKs; ad SDKs customize heavily). Deterministic.
 pub fn sdk_uses_subclass(sdk: &Sdk) -> bool {
-    match sdk.name.as_str() {
+    match sdk.name {
         "AppLovin" | "ironSource" | "InMobi" | "InAppWebView" | "AdvancedWebView" => true,
         "Zendesk" | "Flutter" => false,
-        _ => fnv1a(&sdk.name) % 100 < 40,
+        _ => fnv1a(sdk.name) % 100 < 40,
     }
 }
 

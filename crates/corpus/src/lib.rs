@@ -42,7 +42,9 @@ pub use ecosystem::{
     LinkBehavior, MethodSet, SdkUse, TopAppSpec, UgcSurface, METHODS,
 };
 pub use generator::{CorpusConfig, GeneratedApp, Generator};
-pub use playstore::{AppMeta, FilterSpec, MetadataUniverse, PlayCategory, UniverseConfig};
+pub use playstore::{
+    count_funnel, AppMeta, FilterSpec, FunnelCounts, MetadataUniverse, PlayCategory, UniverseConfig,
+};
 pub use shard::{
     list_shards, read_shard_stamp, write_shard, write_sharded_corpus, Shard, ShardEntry,
     ShardError, ShardStamp,

@@ -5,10 +5,12 @@
 //! ≥100K downloads updated after 2021-01-01. This module generates a
 //! metadata universe whose marginals are calibrated so that *running the
 //! filter code* reproduces the funnel — the rows are measured, not copied.
+//! [`count_funnel`] measures them on the universe's RNG stream without
+//! building its records; tests pin it to the records, word for word.
 
 use crate::distributions::{coin, log10_downloads};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Days between 2020-01-01 (our epoch) and the AndroZoo snapshot date
 /// (2023-01-13).
@@ -259,8 +261,81 @@ pub fn maintained_probability(cfg: &UniverseConfig, downloads: u64) -> f64 {
     (cfg.maintenance_base + cfg.maintenance_slope * logd).clamp(0.02, 0.98)
 }
 
+/// The `last_update_day` of a record with `downloads` installs: the
+/// maintenance coin, then a day on the side of the cutoff it picked. Two
+/// words.
+fn update_day(rng: &mut StdRng, cfg: &UniverseConfig, downloads: u64) -> u32 {
+    if coin(rng, maintained_probability(cfg, downloads)) {
+        rng.gen_range(CUTOFF_2021..=SNAPSHOT_DAY)
+    } else {
+        rng.gen_range(0..CUTOFF_2021)
+    }
+}
+
+/// Words of the RNG stream every record takes, whatever it holds: the
+/// on-Play coin, two for the download normal, two for [`update_day`] and
+/// the category pick.
+const WORDS_PER_RECORD: usize = 6;
+
+/// Advance `rng` by `words` words.
+fn skip(rng: &mut StdRng, words: usize) {
+    for _ in 0..words {
+        rng.next_u64();
+    }
+}
+
+/// Table 2's funnel counts over a metadata universe.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FunnelCounts {
+    /// Records generated.
+    pub total: u64,
+    /// Records still on the Play Store.
+    pub found: u64,
+    /// Records [`FilterSpec::is_popular`] keeps.
+    pub popular: u64,
+    /// Records [`FilterSpec::accepts`] keeps.
+    pub maintained: u64,
+}
+
+/// What [`MetadataUniverse::new`]`(cfg)` would yield, counted through
+/// `filter` without building a record: the same stream, read only as far
+/// as each record's verdict needs. An off-Play record skips its last five
+/// words and a found one under `min_downloads` its last three; only a
+/// popular record draws its update day.
+pub fn count_funnel(cfg: &UniverseConfig, filter: &FilterSpec) -> FunnelCounts {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut counts = FunnelCounts {
+        total: cfg.total_apps,
+        ..FunnelCounts::default()
+    };
+    for _ in 0..cfg.total_apps {
+        if !coin(&mut rng, cfg.on_play_probability) {
+            skip(&mut rng, WORDS_PER_RECORD - 1);
+            continue;
+        }
+        counts.found += 1;
+        let downloads = log10_downloads(
+            &mut rng,
+            cfg.log_downloads_mu,
+            cfg.log_downloads_sigma,
+            cfg.log_downloads_cap,
+        );
+        if downloads < filter.min_downloads {
+            skip(&mut rng, WORDS_PER_RECORD - 3);
+            continue;
+        }
+        counts.popular += 1;
+        if update_day(&mut rng, cfg, downloads) >= filter.updated_after_day {
+            counts.maintained += 1;
+        }
+        skip(&mut rng, WORDS_PER_RECORD - 5);
+    }
+    counts
+}
+
 /// Streaming generator for the metadata universe. Generating 6.5M records
-/// allocates only per-record strings; memory stays flat.
+/// allocates only per-record strings; memory stays flat. The funnel counts
+/// the same stream with [`count_funnel`] instead.
 #[derive(Debug)]
 pub struct MetadataUniverse {
     cfg: UniverseConfig,
@@ -308,12 +383,7 @@ impl Iterator for MetadataUniverse {
             self.cfg.log_downloads_sigma,
             self.cfg.log_downloads_cap,
         );
-        let maintained = coin(rng, maintained_probability(&self.cfg, downloads));
-        let last_update_day = if maintained {
-            rng.gen_range(CUTOFF_2021..=SNAPSHOT_DAY)
-        } else {
-            rng.gen_range(0..CUTOFF_2021)
-        };
+        let last_update_day = update_day(rng, &self.cfg, downloads);
         let cat_idx = crate::distributions::weighted_index(rng, &self.category_weights);
 
         Some(AppMeta {
@@ -373,6 +443,98 @@ mod tests {
             (maintained_ratio - 0.7402).abs() < 0.03,
             "maintained {maintained_ratio}"
         );
+    }
+
+    #[test]
+    fn every_record_takes_six_words() {
+        let cfg = UniverseConfig {
+            total_apps: 20_000,
+            ..UniverseConfig::default()
+        };
+        let mut universe = MetadataUniverse::new(cfg);
+        let mut reference = StdRng::seed_from_u64(cfg.seed);
+        while universe.next().is_some() {
+            skip(&mut reference, WORDS_PER_RECORD);
+            assert_eq!(
+                universe.rng, reference,
+                "after record {}",
+                universe.produced
+            );
+        }
+        assert_eq!(universe.produced, cfg.total_apps);
+    }
+
+    /// The funnel as the records count it.
+    fn fold_funnel(cfg: UniverseConfig, filter: &FilterSpec) -> FunnelCounts {
+        MetadataUniverse::new(cfg).fold(FunnelCounts::default(), |mut c, meta| {
+            c.total += 1;
+            c.found += u64::from(meta.on_play_store);
+            c.popular += u64::from(filter.is_popular(&meta));
+            c.maintained += u64::from(filter.accepts(&meta));
+            c
+        })
+    }
+
+    #[test]
+    fn counting_equals_folding_the_records() {
+        for (seed, total_apps) in [(0x5EED_AB00, 50_000), (1, 30_000), (0xDA7A_5EED, 30_000)] {
+            let cfg = UniverseConfig {
+                total_apps,
+                seed,
+                ..UniverseConfig::default()
+            };
+            for filter in [
+                FilterSpec::default(),
+                FilterSpec {
+                    min_downloads: 1_000,
+                    updated_after_day: 700,
+                },
+            ] {
+                let counted = count_funnel(&cfg, &filter);
+                assert_eq!(
+                    counted,
+                    fold_funnel(cfg, &filter),
+                    "seed {seed:#x}, {filter:?}"
+                );
+                assert!(
+                    counted.maintained > 0,
+                    "seed {seed:#x}: an empty funnel proves little"
+                );
+            }
+        }
+    }
+
+    /// Over the full 6,507,222-record universe, at the seed `wla`'s
+    /// default `--seed` gives the funnel (`0xDA7A_5EED ^ 0xFA11_FA11`,
+    /// where it must read Table 2's rows), at `--seed 424242`'s, and at the
+    /// universe's own default. Seconds in release, minutes in debug:
+    /// `cargo test --release -q -p wla-corpus --lib -- --ignored`.
+    #[test]
+    #[ignore = "6.5M records three times; run in release"]
+    fn counting_equals_folding_the_full_universe() {
+        let filter = FilterSpec::default();
+        let study_default = 0xDA7A_5EED ^ 0xFA11_FA11;
+        for seed in [
+            study_default,
+            424_242 ^ 0xFA11_FA11,
+            UniverseConfig::default().seed,
+        ] {
+            let cfg = UniverseConfig {
+                seed,
+                ..UniverseConfig::default()
+            };
+            let counted = count_funnel(&cfg, &filter);
+            assert_eq!(counted, fold_funnel(cfg, &filter), "seed {seed:#x}");
+            if seed == study_default {
+                let table2 = FunnelCounts {
+                    total: 6_507_222,
+                    found: 2_455_175,
+                    popular: 198_717,
+                    maintained: 146_292,
+                };
+                assert_eq!(counted, table2);
+            }
+        }
     }
 
     #[test]

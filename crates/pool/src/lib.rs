@@ -69,8 +69,9 @@ fn worker_count(requested: usize, n: usize) -> usize {
 /// parallelism (1 when unknown) — capped at `n` and at least 1. Each
 /// worker builds its context once with `init`, then claims one index at a
 /// time and runs `work(&mut context, index)` under [`isolate`], so a
-/// panicking item costs its own result and nothing else. A single worker
-/// runs inline on the calling thread; more run on scoped threads.
+/// panicking item costs its own result and nothing else. Worker 0 runs on
+/// the calling thread and the others on scoped threads, so a run of `w`
+/// workers spawns `w − 1`.
 pub fn run<C, T, I, W>(n: usize, workers: usize, init: I, work: W) -> PoolOutput<C, T>
 where
     C: Send,
@@ -99,20 +100,16 @@ where
         };
         (ctx, out, stats)
     };
-    let finished: Vec<_> = if workers == 1 {
-        vec![worker()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("worker loops cannot panic: items run under isolate")
-                })
-                .collect()
-        })
-    };
+    let finished: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let first = worker();
+        std::iter::once(first)
+            .chain(spawned.into_iter().map(|h| {
+                h.join()
+                    .expect("worker loops cannot panic: items run under isolate")
+            }))
+            .collect()
+    });
 
     let mut merged = Vec::with_capacity(n);
     let mut contexts = Vec::with_capacity(workers);
@@ -244,16 +241,18 @@ mod tests {
     #[test]
     fn one_worker_runs_on_the_calling_thread() {
         let caller = thread::current().id();
-        let inline = run(10, 1, || (), |_, _| thread::current().id());
-        assert!(inline
-            .results
-            .iter()
-            .all(|(w, r)| *w == 0 && r.as_ref() == Ok(&caller)));
-        let spawned = run(10, 2, || (), |_, _| thread::current().id());
-        assert!(spawned
-            .results
-            .iter()
-            .all(|(_, r)| r.as_ref() != Ok(&caller)));
+        for workers in [1, 2, 3, 8] {
+            let out = run(200, workers, || (), |_, _| thread::current().id());
+            assert_eq!(out.workers.len(), workers);
+            for (w, r) in &out.results {
+                // Worker 0 is the caller; every other worker is not.
+                assert_eq!(
+                    r.as_ref() == Ok(&caller),
+                    *w == 0,
+                    "worker {w} of {workers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,20 +27,22 @@
 //! by more than 100 apps.
 
 use crate::{Sdk, SdkCategory, WebMechanism};
+use SdkCategory::*;
+use WebMechanism::{Both, CustomTabs as Ct, WebView as Wv};
 
-/// Shorthand constructor used by the tables below.
-fn sdk(
-    name: &str,
+/// A categorized entry.
+const fn sdk(
+    name: &'static str,
     category: SdkCategory,
     mechanism: WebMechanism,
-    prefixes: &[&str],
+    prefixes: &'static [&'static str],
     wv_apps: u32,
     ct_apps: u32,
 ) -> Sdk {
     Sdk {
-        name: name.to_owned(),
+        name,
         category,
-        prefixes: prefixes.iter().map(|p| (*p).to_owned()).collect(),
+        prefixes,
         mechanism,
         wv_apps,
         ct_apps,
@@ -48,562 +50,222 @@ fn sdk(
     }
 }
 
-/// Build the full catalog (140 entries: 136 categorized + 10 unknown-category
-/// already included + 4 obfuscated).
-pub fn paper_catalog() -> Vec<Sdk> {
-    use SdkCategory::*;
-    use WebMechanism::{Both, CustomTabs as Ct, WebView as Wv};
+/// One of the four obfuscated packages: WebView only, outside Table 3's
+/// categories.
+const fn obfuscated(name: &'static str, prefixes: &'static [&'static str], wv_apps: u32) -> Sdk {
+    Sdk {
+        obfuscated: true,
+        ..sdk(name, Unknown, Wv, prefixes, wv_apps, 0)
+    }
+}
 
-    let mut v: Vec<Sdk> = Vec::with_capacity(140);
-
+/// Tables 3–5 as data, in catalog-index order: one entry per line.
+#[rustfmt::skip]
+static PAPER_CATALOG: [Sdk; 140] = [
     // ---------------- Advertising: 46 WV / 3 CT / 3 both ----------------
     // Table 4 names the top five; §4.1.2 names AdColony and Ogury; §4.1.1
     // says the three CT ad SDKs all also use WebViews.
-    v.push(sdk(
-        "AppLovin",
-        Advertising,
-        Wv,
-        &["com.applovin"],
-        27_397,
-        0,
-    ));
-    v.push(sdk(
-        "ironSource",
-        Advertising,
-        Wv,
-        &["com.ironsource"],
-        16_326,
-        0,
-    ));
-    v.push(sdk(
-        "ByteDance",
-        Advertising,
-        Wv,
-        &["com.bytedance"],
-        13_080,
-        0,
-    ));
-    v.push(sdk("InMobi", Advertising, Wv, &["com.inmobi"], 10_066, 0));
-    v.push(sdk(
-        "Digital Turbine",
-        Advertising,
-        Wv,
-        &["com.fyber", "com.digitalturbine"],
-        8_654,
-        0,
-    ));
-    v.push(sdk(
-        "HyprMX",
-        Advertising,
-        Both,
-        &["com.hyprmx"],
-        1_257,
-        1_257,
-    ));
-    v.push(sdk(
-        "Linkvertise",
-        Advertising,
-        Both,
-        &["com.linkvertise"],
-        383,
-        383,
-    ));
-    v.push(sdk(
-        "Taboola",
-        Advertising,
-        Both,
-        &["com.taboola"],
-        317,
-        317,
-    ));
+    sdk("AppLovin", Advertising, Wv, &["com.applovin"], 27_397, 0),
+    sdk("ironSource", Advertising, Wv, &["com.ironsource"], 16_326, 0),
+    sdk("ByteDance", Advertising, Wv, &["com.bytedance"], 13_080, 0),
+    sdk("InMobi", Advertising, Wv, &["com.inmobi"], 10_066, 0),
+    sdk("Digital Turbine", Advertising, Wv, &["com.fyber", "com.digitalturbine"], 8_654, 0),
+    sdk("HyprMX", Advertising, Both, &["com.hyprmx"], 1_257, 1_257),
+    sdk("Linkvertise", Advertising, Both, &["com.linkvertise"], 383, 383),
+    sdk("Taboola", Advertising, Both, &["com.taboola"], 317, 317),
     // Unnamed members of the 46 (real ad networks, synthesized counts).
-    let ad_fillers: &[(&str, &str, u32)] = &[
-        ("AdColony", "com.adcolony", 10_600),
-        ("Unity Ads", "com.unity3d.ads", 8_900),
-        ("Vungle", "com.vungle", 7_200),
-        ("Chartboost", "com.chartboost", 5_100),
-        ("Mintegral", "com.mintegral", 4_800),
-        ("Tapjoy", "com.tapjoy", 3_900),
-        ("Start.io", "com.startapp", 3_400),
-        ("Smaato", "com.smaato", 2_900),
-        ("Appodeal", "com.appodeal", 2_600),
-        ("Criteo", "com.criteo", 2_300),
-        ("Amazon Ads", "com.amazon.device.ads", 2_100),
-        ("Yandex Ads", "com.yandex.mobile.ads", 1_900),
-        ("myTarget", "com.my.target", 1_700),
-        ("MoPub", "com.mopub", 1_600),
-        ("Ogury", "io.presage", 1_400),
-        ("Adfurikun", "jp.tjkapp.adfurikun", 1_200),
-        ("Five Ads", "com.five_corp", 1_100),
-        ("Nend", "net.nend", 950),
-        ("Maio", "jp.maio", 900),
-        ("Zucks", "net.zucks", 850),
-        ("Kakao AdFit", "com.kakao.adfit", 800),
-        ("GreedyGame", "com.greedygame", 700),
-        ("AdGeneration", "com.socdm.d.adgeneration", 650),
-        ("i-mobile", "jp.co.imobile", 600),
-        ("AdStir", "com.ad_stir", 550),
-        ("Fluct", "jp.fluct", 500),
-        ("AppNext", "com.appnext", 480),
-        ("Adivery", "ir.adivery", 450),
-        ("Tapsell", "ir.tapsell", 420),
-        ("Verve", "net.pubnative", 400),
-        ("BidMachine", "io.bidmachine", 380),
-        ("Leadbolt", "com.apptracker", 350),
-        ("Airpush", "com.airpush", 330),
-        ("Madvertise", "de.madvertise", 310),
-        ("AppBrain", "com.appbrain", 290),
-        ("AdinCube", "com.adincube", 270),
-        ("MobFox", "com.mobfox", 250),
-        ("LoopMe", "com.loopme", 230),
-    ];
-    for &(name, prefix, n) in ad_fillers {
-        v.push(sdk(name, Advertising, Wv, &[prefix], n, 0));
-    }
+    sdk("AdColony", Advertising, Wv, &["com.adcolony"], 10_600, 0),
+    sdk("Unity Ads", Advertising, Wv, &["com.unity3d.ads"], 8_900, 0),
+    sdk("Vungle", Advertising, Wv, &["com.vungle"], 7_200, 0),
+    sdk("Chartboost", Advertising, Wv, &["com.chartboost"], 5_100, 0),
+    sdk("Mintegral", Advertising, Wv, &["com.mintegral"], 4_800, 0),
+    sdk("Tapjoy", Advertising, Wv, &["com.tapjoy"], 3_900, 0),
+    sdk("Start.io", Advertising, Wv, &["com.startapp"], 3_400, 0),
+    sdk("Smaato", Advertising, Wv, &["com.smaato"], 2_900, 0),
+    sdk("Appodeal", Advertising, Wv, &["com.appodeal"], 2_600, 0),
+    sdk("Criteo", Advertising, Wv, &["com.criteo"], 2_300, 0),
+    sdk("Amazon Ads", Advertising, Wv, &["com.amazon.device.ads"], 2_100, 0),
+    sdk("Yandex Ads", Advertising, Wv, &["com.yandex.mobile.ads"], 1_900, 0),
+    sdk("myTarget", Advertising, Wv, &["com.my.target"], 1_700, 0),
+    sdk("MoPub", Advertising, Wv, &["com.mopub"], 1_600, 0),
+    sdk("Ogury", Advertising, Wv, &["io.presage"], 1_400, 0),
+    sdk("Adfurikun", Advertising, Wv, &["jp.tjkapp.adfurikun"], 1_200, 0),
+    sdk("Five Ads", Advertising, Wv, &["com.five_corp"], 1_100, 0),
+    sdk("Nend", Advertising, Wv, &["net.nend"], 950, 0),
+    sdk("Maio", Advertising, Wv, &["jp.maio"], 900, 0),
+    sdk("Zucks", Advertising, Wv, &["net.zucks"], 850, 0),
+    sdk("Kakao AdFit", Advertising, Wv, &["com.kakao.adfit"], 800, 0),
+    sdk("GreedyGame", Advertising, Wv, &["com.greedygame"], 700, 0),
+    sdk("AdGeneration", Advertising, Wv, &["com.socdm.d.adgeneration"], 650, 0),
+    sdk("i-mobile", Advertising, Wv, &["jp.co.imobile"], 600, 0),
+    sdk("AdStir", Advertising, Wv, &["com.ad_stir"], 550, 0),
+    sdk("Fluct", Advertising, Wv, &["jp.fluct"], 500, 0),
+    sdk("AppNext", Advertising, Wv, &["com.appnext"], 480, 0),
+    sdk("Adivery", Advertising, Wv, &["ir.adivery"], 450, 0),
+    sdk("Tapsell", Advertising, Wv, &["ir.tapsell"], 420, 0),
+    sdk("Verve", Advertising, Wv, &["net.pubnative"], 400, 0),
+    sdk("BidMachine", Advertising, Wv, &["io.bidmachine"], 380, 0),
+    sdk("Leadbolt", Advertising, Wv, &["com.apptracker"], 350, 0),
+    sdk("Airpush", Advertising, Wv, &["com.airpush"], 330, 0),
+    sdk("Madvertise", Advertising, Wv, &["de.madvertise"], 310, 0),
+    sdk("AppBrain", Advertising, Wv, &["com.appbrain"], 290, 0),
+    sdk("AdinCube", Advertising, Wv, &["com.adincube"], 270, 0),
+    sdk("MobFox", Advertising, Wv, &["com.mobfox"], 250, 0),
+    sdk("LoopMe", Advertising, Wv, &["com.loopme"], 230, 0),
 
     // ---------------- Engagement: 12 WV / 0 CT / 0 both -----------------
-    v.push(sdk(
-        "Open Measurement",
-        Engagement,
-        Wv,
-        &["com.iab.omid"],
-        11_333,
-        0,
-    ));
-    v.push(sdk("SafeDK", Engagement, Wv, &["com.safedk"], 7_427, 0));
-    v.push(sdk(
-        "Airship",
-        Engagement,
-        Wv,
-        &["com.urbanairship"],
-        652,
-        0,
-    ));
-    v.push(sdk("Branch", Engagement, Wv, &["io.branch"], 514, 0));
-    let eng_fillers: &[(&str, &str, u32)] = &[
-        ("Adjust", "com.adjust", 2_400),
-        ("AppsFlyer", "com.appsflyer", 2_100),
-        ("CleverTap", "com.clevertap", 900),
-        ("MoEngage", "com.moengage", 700),
-        ("Kochava", "com.kochava", 500),
-        ("Singular", "com.singular", 400),
-        ("Mixpanel", "com.mixpanel", 300),
-        ("Amplitude", "com.amplitude", 200),
-    ];
-    for &(name, prefix, n) in eng_fillers {
-        v.push(sdk(name, Engagement, Wv, &[prefix], n, 0));
-    }
+    sdk("Open Measurement", Engagement, Wv, &["com.iab.omid"], 11_333, 0),
+    sdk("SafeDK", Engagement, Wv, &["com.safedk"], 7_427, 0),
+    sdk("Airship", Engagement, Wv, &["com.urbanairship"], 652, 0),
+    sdk("Branch", Engagement, Wv, &["io.branch"], 514, 0),
+    sdk("Adjust", Engagement, Wv, &["com.adjust"], 2_400, 0),
+    sdk("AppsFlyer", Engagement, Wv, &["com.appsflyer"], 2_100, 0),
+    sdk("CleverTap", Engagement, Wv, &["com.clevertap"], 900, 0),
+    sdk("MoEngage", Engagement, Wv, &["com.moengage"], 700, 0),
+    sdk("Kochava", Engagement, Wv, &["com.kochava"], 500, 0),
+    sdk("Singular", Engagement, Wv, &["com.singular"], 400, 0),
+    sdk("Mixpanel", Engagement, Wv, &["com.mixpanel"], 300, 0),
+    sdk("Amplitude", Engagement, Wv, &["com.amplitude"], 200, 0),
 
     // ------------- Development Tools: 11 WV / 7 CT / 5 both -------------
-    v.push(sdk(
-        "Flutter",
-        DevelopmentTools,
-        Wv,
-        &["io.flutter"],
-        5_568,
-        0,
-    ));
-    v.push(sdk(
-        "InAppWebView",
-        DevelopmentTools,
-        Wv,
-        &["com.pichillilorenzo"],
-        1_868,
-        0,
-    ));
-    v.push(sdk(
-        "Corona",
-        DevelopmentTools,
-        Wv,
-        &["com.ansca.corona"],
-        449,
-        0,
-    ));
-    v.push(sdk(
-        "AdvancedWebView",
-        DevelopmentTools,
-        Wv,
-        &["im.delight.android.webview"],
-        386,
-        0,
-    ));
-    v.push(sdk(
-        "Cordova",
-        DevelopmentTools,
-        Wv,
-        &["org.apache.cordova"],
-        900,
-        0,
-    ));
-    v.push(sdk(
-        "React Native WebView",
-        DevelopmentTools,
-        Wv,
-        &["com.reactnativecommunity.webview"],
-        750,
-        0,
-    ));
-    v.push(sdk(
-        "GoodBarber",
-        DevelopmentTools,
-        Both,
-        &["com.goodbarber"],
-        30,
-        48,
-    ));
-    v.push(sdk(
-        "Mobiroller",
-        DevelopmentTools,
-        Both,
-        &["com.mobiroller"],
-        20,
-        27,
-    ));
-    v.push(sdk("Ionic", DevelopmentTools, Both, &["io.ionic"], 40, 15));
-    v.push(sdk(
-        "Median",
-        DevelopmentTools,
-        Both,
-        &["co.median"],
-        15,
-        10,
-    ));
-    v.push(sdk(
-        "Thunkable",
-        DevelopmentTools,
-        Both,
-        &["com.thunkable"],
-        12,
-        8,
-    ));
-    v.push(sdk(
-        "android-customtabs",
-        DevelopmentTools,
-        Ct,
-        &["saschpe.android.customtabs"],
-        0,
-        53,
-    ));
-    v.push(sdk(
-        "Capacitor Browser",
-        DevelopmentTools,
-        Ct,
-        &["com.capacitorjs.browser"],
-        0,
-        11,
-    ));
+    sdk("Flutter", DevelopmentTools, Wv, &["io.flutter"], 5_568, 0),
+    sdk("InAppWebView", DevelopmentTools, Wv, &["com.pichillilorenzo"], 1_868, 0),
+    sdk("Corona", DevelopmentTools, Wv, &["com.ansca.corona"], 449, 0),
+    sdk("AdvancedWebView", DevelopmentTools, Wv, &["im.delight.android.webview"], 386, 0),
+    sdk("Cordova", DevelopmentTools, Wv, &["org.apache.cordova"], 900, 0),
+    sdk("React Native WebView", DevelopmentTools, Wv, &["com.reactnativecommunity.webview"], 750, 0),
+    sdk("GoodBarber", DevelopmentTools, Both, &["com.goodbarber"], 30, 48),
+    sdk("Mobiroller", DevelopmentTools, Both, &["com.mobiroller"], 20, 27),
+    sdk("Ionic", DevelopmentTools, Both, &["io.ionic"], 40, 15),
+    sdk("Median", DevelopmentTools, Both, &["co.median"], 15, 10),
+    sdk("Thunkable", DevelopmentTools, Both, &["com.thunkable"], 12, 8),
+    sdk("android-customtabs", DevelopmentTools, Ct, &["saschpe.android.customtabs"], 0, 53),
+    sdk("Capacitor Browser", DevelopmentTools, Ct, &["com.capacitorjs.browser"], 0, 11),
 
     // ------------------ Payments: 15 WV / 6 CT / 5 both -----------------
-    v.push(sdk("Stripe", Payments, Wv, &["com.stripe"], 1_171, 0));
-    v.push(sdk("RazorPay", Payments, Wv, &["com.razorpay"], 484, 0));
-    v.push(sdk("PayTM", Payments, Wv, &["net.one97.paytm"], 400, 0));
-    v.push(sdk(
-        "Braintree",
-        Payments,
-        Wv,
-        &["com.braintreepayments"],
-        350,
-        0,
-    ));
-    v.push(sdk("Square", Payments, Wv, &["com.squareup.sdk"], 300, 0));
-    v.push(sdk(
-        "MercadoPago",
-        Payments,
-        Wv,
-        &["com.mercadopago"],
-        280,
-        0,
-    ));
-    v.push(sdk("Paystack", Payments, Wv, &["co.paystack"], 180, 0));
-    v.push(sdk(
-        "Flutterwave",
-        Payments,
-        Wv,
-        &["com.flutterwave"],
-        150,
-        0,
-    ));
-    v.push(sdk("CCAvenue", Payments, Wv, &["com.ccavenue"], 130, 0));
-    v.push(sdk("Mollie", Payments, Wv, &["com.mollie"], 110, 0));
-    v.push(sdk(
-        "Ticketmaster Checkout",
-        Payments,
-        Both,
-        &["com.ticketmaster.purchase"],
-        30,
-        47,
-    ));
-    v.push(sdk("Checkout", Payments, Both, &["com.checkout"], 25, 47));
-    v.push(sdk("PayPal", Payments, Both, &["com.paypal"], 200, 40));
-    v.push(sdk("PayU", Payments, Both, &["com.payu"], 160, 30));
-    v.push(sdk("Midtrans", Payments, Both, &["com.midtrans"], 90, 20));
-    v.push(sdk("Juspay", Payments, Ct, &["in.juspay"], 0, 77));
+    sdk("Stripe", Payments, Wv, &["com.stripe"], 1_171, 0),
+    sdk("RazorPay", Payments, Wv, &["com.razorpay"], 484, 0),
+    sdk("PayTM", Payments, Wv, &["net.one97.paytm"], 400, 0),
+    sdk("Braintree", Payments, Wv, &["com.braintreepayments"], 350, 0),
+    sdk("Square", Payments, Wv, &["com.squareup.sdk"], 300, 0),
+    sdk("MercadoPago", Payments, Wv, &["com.mercadopago"], 280, 0),
+    sdk("Paystack", Payments, Wv, &["co.paystack"], 180, 0),
+    sdk("Flutterwave", Payments, Wv, &["com.flutterwave"], 150, 0),
+    sdk("CCAvenue", Payments, Wv, &["com.ccavenue"], 130, 0),
+    sdk("Mollie", Payments, Wv, &["com.mollie"], 110, 0),
+    sdk("Ticketmaster Checkout", Payments, Both, &["com.ticketmaster.purchase"], 30, 47),
+    sdk("Checkout", Payments, Both, &["com.checkout"], 25, 47),
+    sdk("PayPal", Payments, Both, &["com.paypal"], 200, 40),
+    sdk("PayU", Payments, Both, &["com.payu"], 160, 30),
+    sdk("Midtrans", Payments, Both, &["com.midtrans"], 90, 20),
+    sdk("Juspay", Payments, Ct, &["in.juspay"], 0, 77),
 
     // ---------------- User Support: 4 WV / 0 CT / 0 both ----------------
-    v.push(sdk(
-        "Zendesk",
-        UserSupport,
-        Wv,
-        &["zendesk", "com.zendesk"],
-        1_000,
-        0,
-    ));
-    v.push(sdk(
-        "Freshchat",
-        UserSupport,
-        Wv,
-        &["com.freshchat"],
-        438,
-        0,
-    ));
-    v.push(sdk(
-        "LicensesDialog",
-        UserSupport,
-        Wv,
-        &["de.psdev.licensesdialog"],
-        129,
-        0,
-    ));
-    v.push(sdk("Intercom", UserSupport, Wv, &["io.intercom"], 125, 0));
+    sdk("Zendesk", UserSupport, Wv, &["zendesk", "com.zendesk"], 1_000, 0),
+    sdk("Freshchat", UserSupport, Wv, &["com.freshchat"], 438, 0),
+    sdk("LicensesDialog", UserSupport, Wv, &["de.psdev.licensesdialog"], 129, 0),
+    sdk("Intercom", UserSupport, Wv, &["io.intercom"], 125, 0),
 
     // ------------------- Social: 10 WV / 6 CT / 4 both ------------------
     // Facebook deprecated WebView login in 2021 — CT only (§4.1.6).
-    v.push(sdk("Facebook", Social, Ct, &["com.facebook"], 0, 23_234));
-    v.push(sdk("VK", Social, Wv, &["com.vk"], 456, 0));
-    v.push(sdk("NAVER", Social, Both, &["com.navercorp.nid"], 406, 157));
-    v.push(sdk("Kakao", Social, Both, &["com.kakao"], 347, 54));
-    v.push(sdk("LINE", Social, Both, &["jp.naver.line"], 130, 60));
-    v.push(sdk("Weibo", Social, Both, &["com.sina.weibo"], 120, 40));
-    v.push(sdk("Twitter", Social, Ct, &["com.twitter.sdk"], 0, 262));
-    v.push(sdk("Odnoklassniki", Social, Wv, &["ru.ok"], 180, 0));
-    v.push(sdk("Zalo", Social, Wv, &["com.zing.zalo"], 160, 0));
-    v.push(sdk(
-        "Tencent QQ",
-        Social,
-        Wv,
-        &["com.tencent.tauth"],
-        150,
-        0,
-    ));
-    v.push(sdk(
-        "WeChat",
-        Social,
-        Wv,
-        &["com.tencent.mm.opensdk"],
-        140,
-        0,
-    ));
-    v.push(sdk("Tumblr", Social, Wv, &["com.tumblr"], 110, 0));
+    sdk("Facebook", Social, Ct, &["com.facebook"], 0, 23_234),
+    sdk("VK", Social, Wv, &["com.vk"], 456, 0),
+    sdk("NAVER", Social, Both, &["com.navercorp.nid"], 406, 157),
+    sdk("Kakao", Social, Both, &["com.kakao"], 347, 54),
+    sdk("LINE", Social, Both, &["jp.naver.line"], 130, 60),
+    sdk("Weibo", Social, Both, &["com.sina.weibo"], 120, 40),
+    sdk("Twitter", Social, Ct, &["com.twitter.sdk"], 0, 262),
+    sdk("Odnoklassniki", Social, Wv, &["ru.ok"], 180, 0),
+    sdk("Zalo", Social, Wv, &["com.zing.zalo"], 160, 0),
+    sdk("Tencent QQ", Social, Wv, &["com.tencent.tauth"], 150, 0),
+    sdk("WeChat", Social, Wv, &["com.tencent.mm.opensdk"], 140, 0),
+    sdk("Tumblr", Social, Wv, &["com.tumblr"], 110, 0),
 
     // -------------------- Utility: 4 WV / 2 CT / 2 both -----------------
-    v.push(sdk("NAVER Maps", Utility, Wv, &["com.naver.maps"], 130, 0));
-    v.push(sdk(
-        "Barcode Scanner",
-        Utility,
-        Wv,
-        &["com.google.zxing"],
-        129,
-        0,
-    ));
-    v.push(sdk(
-        "Ticketmaster",
-        Utility,
-        Both,
-        &["com.ticketmaster.tickets"],
-        64,
-        55,
-    ));
-    v.push(sdk("MyChart", Utility, Both, &["epic.mychart"], 39, 16));
+    sdk("NAVER Maps", Utility, Wv, &["com.naver.maps"], 130, 0),
+    sdk("Barcode Scanner", Utility, Wv, &["com.google.zxing"], 129, 0),
+    sdk("Ticketmaster", Utility, Both, &["com.ticketmaster.tickets"], 64, 55),
+    sdk("MyChart", Utility, Both, &["epic.mychart"], 39, 16),
 
     // ---------------- Authentication: 7 WV / 10 CT / 6 both -------------
-    v.push(sdk(
-        "Google Firebase",
-        Authentication,
-        Ct,
-        &["com.google.firebase"],
-        0,
-        7_565,
-    ));
-    v.push(sdk("Gigya", Authentication, Wv, &["com.gigya"], 120, 0));
-    v.push(sdk(
-        "NAVER Identity",
-        Authentication,
-        Both,
-        &["com.navercorp.identity"],
-        90,
-        81,
-    ));
-    v.push(sdk(
-        "Amazon Identity",
-        Authentication,
-        Both,
-        &["com.amazon.identity"],
-        37,
-        20,
-    ));
-    v.push(sdk(
-        "AdobePass",
-        Authentication,
-        Ct,
-        &["com.adobe.adobepass"],
-        0,
-        55,
-    ));
-    v.push(sdk("Auth0", Authentication, Both, &["com.auth0"], 60, 95));
-    v.push(sdk("Okta", Authentication, Both, &["com.okta"], 45, 50));
-    v.push(sdk(
-        "OneLogin",
-        Authentication,
-        Both,
-        &["com.onelogin"],
-        25,
-        25,
-    ));
-    v.push(sdk(
-        "Ping Identity",
-        Authentication,
-        Both,
-        &["com.pingidentity"],
-        20,
-        15,
-    ));
-    v.push(sdk("Clerk", Authentication, Ct, &["com.clerk"], 0, 30));
-    v.push(sdk(
-        "LoginRadius",
-        Authentication,
-        Ct,
-        &["com.loginradius"],
-        0,
-        25,
-    ));
+    sdk("Google Firebase", Authentication, Ct, &["com.google.firebase"], 0, 7_565),
+    sdk("Gigya", Authentication, Wv, &["com.gigya"], 120, 0),
+    sdk("NAVER Identity", Authentication, Both, &["com.navercorp.identity"], 90, 81),
+    sdk("Amazon Identity", Authentication, Both, &["com.amazon.identity"], 37, 20),
+    sdk("AdobePass", Authentication, Ct, &["com.adobe.adobepass"], 0, 55),
+    sdk("Auth0", Authentication, Both, &["com.auth0"], 60, 95),
+    sdk("Okta", Authentication, Both, &["com.okta"], 45, 50),
+    sdk("OneLogin", Authentication, Both, &["com.onelogin"], 25, 25),
+    sdk("Ping Identity", Authentication, Both, &["com.pingidentity"], 20, 15),
+    sdk("Clerk", Authentication, Ct, &["com.clerk"], 0, 30),
+    sdk("LoginRadius", Authentication, Ct, &["com.loginradius"], 0, 25),
 
     // ----------- Hybrid Functionality: 6 WV / 7 CT / 5 both -------------
-    v.push(sdk(
-        "Baby Panda World",
-        HybridFunctionality,
-        Wv,
-        &["com.sinyee.babybus"],
-        194,
-        0,
-    ));
-    v.push(sdk(
-        "SoftCraft",
-        HybridFunctionality,
-        Both,
-        &["com.softcraft"],
-        15,
-        8,
-    ));
-    v.push(sdk(
-        "Cube Storm",
-        HybridFunctionality,
-        Both,
-        &["com.cubestorm"],
-        14,
-        14,
-    ));
-    v.push(sdk(
-        "WebMobi",
-        HybridFunctionality,
-        Both,
-        &["com.webmobi"],
-        12,
-        12,
-    ));
-    v.push(sdk(
-        "Appy Pie",
-        HybridFunctionality,
-        Both,
-        &["com.appypie"],
-        11,
-        10,
-    ));
-    v.push(sdk(
-        "SiberianCMS",
-        HybridFunctionality,
-        Both,
-        &["com.siberiancms"],
-        10,
-        9,
-    ));
-    v.push(sdk(
-        "Scripps News",
-        HybridFunctionality,
-        Ct,
-        &["com.scripps.newsapps"],
-        0,
-        13,
-    ));
-    v.push(sdk(
-        "GoNative",
-        HybridFunctionality,
-        Ct,
-        &["io.gonative"],
-        0,
-        21,
-    ));
+    sdk("Baby Panda World", HybridFunctionality, Wv, &["com.sinyee.babybus"], 194, 0),
+    sdk("SoftCraft", HybridFunctionality, Both, &["com.softcraft"], 15, 8),
+    sdk("Cube Storm", HybridFunctionality, Both, &["com.cubestorm"], 14, 14),
+    sdk("WebMobi", HybridFunctionality, Both, &["com.webmobi"], 12, 12),
+    sdk("Appy Pie", HybridFunctionality, Both, &["com.appypie"], 11, 10),
+    sdk("SiberianCMS", HybridFunctionality, Both, &["com.siberiancms"], 10, 9),
+    sdk("Scripps News", HybridFunctionality, Ct, &["com.scripps.newsapps"], 0, 13),
+    sdk("GoNative", HybridFunctionality, Ct, &["io.gonative"], 0, 21),
 
     // ------------------- Unknown: 10 WV / 4 CT / 4 both -----------------
     // Conventional package names the paper "could not associate with any
     // known SDK".
-    let unknown_wv: &[(&str, u32)] = &[
-        ("com.dotc.sdk", 290),
-        ("com.polestar.core", 260),
-        ("net.appcloudbox", 230),
-        ("com.ihandysoft.core", 200),
-        ("mobi.oneway", 170),
-        ("com.cootek.business", 140),
-    ];
-    for (i, &(prefix, n)) in unknown_wv.iter().enumerate() {
-        v.push(sdk(
-            &format!("Unknown #{} ({prefix})", i + 1),
-            Unknown,
-            Wv,
-            &[prefix],
-            n,
-            0,
-        ));
-    }
-    let unknown_both: &[(&str, u32, u32)] = &[
-        ("com.tachikoma.core", 200, 110),
-        ("org.hapjs.webviewapp", 180, 105),
-        ("com.quickgame.web", 160, 100),
-        ("io.dcloud.feature", 140, 102),
-    ];
-    for (i, &(prefix, wv, ct)) in unknown_both.iter().enumerate() {
-        v.push(sdk(
-            &format!("Unknown #{} ({prefix})", i + 7),
-            Unknown,
-            Both,
-            &[prefix],
-            wv,
-            ct,
-        ));
-    }
+    sdk("Unknown #1 (com.dotc.sdk)", Unknown, Wv, &["com.dotc.sdk"], 290, 0),
+    sdk("Unknown #2 (com.polestar.core)", Unknown, Wv, &["com.polestar.core"], 260, 0),
+    sdk("Unknown #3 (net.appcloudbox)", Unknown, Wv, &["net.appcloudbox"], 230, 0),
+    sdk("Unknown #4 (com.ihandysoft.core)", Unknown, Wv, &["com.ihandysoft.core"], 200, 0),
+    sdk("Unknown #5 (mobi.oneway)", Unknown, Wv, &["mobi.oneway"], 170, 0),
+    sdk("Unknown #6 (com.cootek.business)", Unknown, Wv, &["com.cootek.business"], 140, 0),
+    sdk("Unknown #7 (com.tachikoma.core)", Unknown, Both, &["com.tachikoma.core"], 200, 110),
+    sdk("Unknown #8 (org.hapjs.webviewapp)", Unknown, Both, &["org.hapjs.webviewapp"], 180, 105),
+    sdk("Unknown #9 (com.quickgame.web)", Unknown, Both, &["com.quickgame.web"], 160, 100),
+    sdk("Unknown #10 (io.dcloud.feature)", Unknown, Both, &["io.dcloud.feature"], 140, 102),
 
     // -------------------- Obfuscated packages (4) -----------------------
-    for (i, &(prefix, n)) in [("a.a", 400), ("b.bb", 300), ("c.ab", 220), ("d.e", 150)]
-        .iter()
-        .enumerate()
-    {
-        let mut s = sdk(
-            &format!("Obfuscated #{}", i + 1),
-            Unknown,
-            Wv,
-            &[prefix],
-            n,
-            0,
-        );
-        s.obfuscated = true;
-        v.push(s);
-    }
+    obfuscated("Obfuscated #1", &["a.a"], 400),
+    obfuscated("Obfuscated #2", &["b.bb"], 300),
+    obfuscated("Obfuscated #3", &["c.ab"], 220),
+    obfuscated("Obfuscated #4", &["d.e"], 150),
+];
 
-    v
+/// The full catalog: 140 entries, 136 categorized (the 10 unknown-category
+/// ones among them) plus 4 obfuscated. The entries are static data, so
+/// this allocates only the returned `Vec`.
+pub fn paper_catalog() -> Vec<Sdk> {
+    PAPER_CATALOG.to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a-64 over every entry, in order: name, category, mechanism,
+    /// prefixes, both calibration targets and the obfuscation flag. A
+    /// dropped, reordered or retyped entry moves it.
+    #[test]
+    fn catalog_entries_are_pinned() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for s in paper_catalog() {
+            let line = format!(
+                "{}|{:?}|{:?}|{}|{}|{}|{}\n",
+                s.name,
+                s.category,
+                s.mechanism,
+                s.prefixes.join(","),
+                s.wv_apps,
+                s.ct_apps,
+                s.obfuscated
+            );
+            for b in line.bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x0027_65ce_691d_e9fc);
+    }
 
     #[test]
     fn catalog_size() {
@@ -644,7 +306,7 @@ mod tests {
     fn every_sdk_has_a_prefix() {
         for s in paper_catalog() {
             assert!(!s.prefixes.is_empty(), "{} has no prefixes", s.name);
-            for p in &s.prefixes {
+            for p in s.prefixes {
                 assert!(!p.is_empty());
                 assert!(!p.starts_with('.') && !p.ends_with('.'));
             }

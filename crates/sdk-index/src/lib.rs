@@ -133,15 +133,16 @@ impl WebMechanism {
     }
 }
 
-/// One SDK catalog entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One SDK catalog entry. Every field is static data, so copying an entry
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sdk {
     /// Display name ("AppLovin", "Google Firebase", …).
-    pub name: String,
+    pub name: &'static str,
     /// Functional category.
     pub category: SdkCategory,
     /// Dotted package prefixes attributable to this SDK.
-    pub prefixes: Vec<String>,
+    pub prefixes: &'static [&'static str],
     /// Which mechanism(s) the SDK's code contains.
     pub mechanism: WebMechanism,
     /// Paper-scale calibration target: apps observed using this SDK's
@@ -156,8 +157,8 @@ pub struct Sdk {
 
 impl Sdk {
     /// Primary (first) package prefix.
-    pub fn primary_prefix(&self) -> &str {
-        &self.prefixes[0]
+    pub fn primary_prefix(&self) -> &'static str {
+        self.prefixes[0]
     }
 }
 
@@ -182,25 +183,32 @@ pub enum LabelId {
 #[derive(Debug, Clone)]
 pub struct SdkIndex {
     sdks: Vec<Sdk>,
-    trie: trie::InternedTrie,
+    trie: trie::InternedTrie<'static>,
 }
 
 /// Prefix excluded from SDK attribution.
 pub const CORE_ANDROID_PREFIX: &str = "com.google.android";
 
 impl SdkIndex {
-    /// Build an index over an arbitrary catalog.
+    /// Build an index over an arbitrary catalog. The trie borrows the
+    /// catalog's static prefixes and is sized once from their segment
+    /// count, so this allocates its three tables and nothing else.
     pub fn new(sdks: Vec<Sdk>) -> Self {
-        let mut trie = trie::InternedTrie::new();
+        let segments = sdks
+            .iter()
+            .flat_map(|sdk| sdk.prefixes)
+            .map(|p| p.split('.').count())
+            .sum();
+        let mut trie = trie::InternedTrie::with_capacity(segments);
         for (i, sdk) in sdks.iter().enumerate() {
-            for p in &sdk.prefixes {
+            for p in sdk.prefixes {
                 trie.insert(p, i as u32);
             }
         }
         SdkIndex { sdks, trie }
     }
 
-    /// The full paper catalog (Tables 3–5).
+    /// The full paper catalog (Tables 3–5), built afresh on every call.
     pub fn paper() -> Self {
         SdkIndex::new(catalog::paper_catalog())
     }
@@ -219,10 +227,10 @@ impl SdkIndex {
         }
         let mut best: Option<(usize, usize)> = None;
         for (i, sdk) in self.sdks.iter().enumerate() {
-            for p in &sdk.prefixes {
+            for &p in sdk.prefixes {
                 let matches = package == p
                     || (package.len() > p.len()
-                        && package.starts_with(p.as_str())
+                        && package.starts_with(p)
                         && package.as_bytes()[p.len()] == b'.');
                 if matches && best.is_none_or(|(l, _)| p.len() > l) {
                     best = Some((p.len(), i));
@@ -304,8 +312,7 @@ impl LabelCache {
 /// characters (`a.b`; `com.a.b` is *not* obfuscated because `com` is 3
 /// chars — matching how analysts eyeball these).
 fn is_obfuscated_package(pkg: &str) -> bool {
-    let segments: Vec<&str> = pkg.split('.').collect();
-    !segments.is_empty() && segments.iter().all(|s| !s.is_empty() && s.len() <= 2)
+    pkg.split('.').all(|s| !s.is_empty() && s.len() <= 2)
 }
 
 #[cfg(test)]
@@ -462,8 +469,8 @@ mod tests {
     #[test]
     fn label_id_agrees_with_linear_on_every_catalog_prefix() {
         let index = SdkIndex::paper();
-        for p in index.sdks().iter().flat_map(|s| &s.prefixes) {
-            for probe in [p.clone(), format!("{p}.internal.ui"), format!("{p}x")] {
+        for p in index.sdks().iter().flat_map(|s| s.prefixes) {
+            for probe in [p.to_string(), format!("{p}.internal.ui"), format!("{p}x")] {
                 assert_eq!(
                     index.label_id(&probe),
                     index.label_linear(&probe),
@@ -496,12 +503,8 @@ mod tests {
         let index = SdkIndex::paper();
         let mut seen = std::collections::HashSet::new();
         for sdk in index.sdks() {
-            for p in &sdk.prefixes {
-                assert!(
-                    seen.insert(p.clone()),
-                    "duplicate prefix {p} ({})",
-                    sdk.name
-                );
+            for p in sdk.prefixes {
+                assert!(seen.insert(p), "duplicate prefix {p} ({})", sdk.name);
             }
         }
     }
@@ -509,14 +512,15 @@ mod tests {
     /// One package segment group: a whole catalog prefix, the core-Android
     /// prefix, an obfuscation-length segment, or a random segment.
     fn segment() -> impl Strategy<Value = String> {
-        let prefixes: Vec<String> = SdkIndex::paper()
+        let prefixes: Vec<&str> = SdkIndex::paper()
             .sdks()
             .iter()
-            .flat_map(|s| s.prefixes.iter().cloned())
+            .flat_map(|s| s.prefixes)
+            .copied()
             .collect();
         prop_oneof![
             any::<prop::sample::Index>()
-                .prop_map(move |i| prefixes[i.index(prefixes.len())].clone()),
+                .prop_map(move |i| prefixes[i.index(prefixes.len())].to_owned()),
             Just(CORE_ANDROID_PREFIX.to_owned()),
             "[a-z]{1,2}",
             "[a-z0-9_]{1,8}",

@@ -6,48 +6,61 @@
 //! compares this against a linear scan of all prefixes.
 
 use std::collections::HashMap;
-use wla_intern::{FxBuildHasher, U32BuildHasher};
-
-/// Arena node of [`InternedTrie`]: children keyed by interned segment id.
-#[derive(Debug, Clone, Default)]
-struct INode {
-    children: HashMap<u32, u32, U32BuildHasher>,
-    value: Option<u32>,
-}
+use wla_intern::FxBuildHasher;
 
 /// Maps dotted package prefixes to `u32` payloads with longest-match
 /// lookup, keyed by *interned segments*.
 ///
-/// Each distinct dot-separated segment (`com`, `applovin`, …) is assigned
-/// a `u32` id in a private segment table; trie edges are then `u32 → node`
-/// maps hashed with a single multiply. A lookup hashes each segment string
-/// exactly once (the segment-table probe) and walks the rest of the trie
-/// on integer keys; a segment never seen in any inserted prefix terminates
-/// the walk immediately, without per-node string hashing. Nodes live in a
-/// flat arena (`Vec`), so descent is index chasing, not pointer chasing.
+/// Each distinct dot-separated segment (`com`, `applovin`, …) gets a
+/// `u32` id in a segment table that borrows the inserted prefixes; an
+/// edge is one `(node, segment id) → child` entry of a single edge table,
+/// and each node's payload is a slot of a flat `Vec`. Three tables in
+/// all, however many nodes: a lookup hashes each segment string once (the
+/// segment-table probe) and walks the rest on integer keys, and a segment
+/// never seen in any inserted prefix ends the walk at once.
+/// [`with_capacity`](Self::with_capacity) sizes all three up front, so
+/// building a trie of known size allocates three times.
 #[derive(Debug, Clone)]
-pub struct InternedTrie {
+pub struct InternedTrie<'a> {
     /// Segment string → segment id.
-    segments: HashMap<Box<str>, u32, FxBuildHasher>,
-    /// Node arena; index 0 is the root.
-    nodes: Vec<INode>,
+    segments: HashMap<&'a str, u32, FxBuildHasher>,
+    /// [`edge`]`(node, segment id)` → child node.
+    children: HashMap<u64, u32, FxBuildHasher>,
+    /// Node → payload of the prefix that ends there; node 0 is the root.
+    values: Vec<Option<u32>>,
     len: usize,
 }
 
-impl Default for InternedTrie {
+/// The edge-table key of `node`'s child along segment `sid`. The segment
+/// id takes the low half, which the hash's bucket index depends on:
+/// sibling edges differ there, and a segment rarely hangs off two nodes.
+fn edge(node: u32, sid: u32) -> u64 {
+    (u64::from(node) << 32) | u64::from(sid)
+}
+
+impl Default for InternedTrie<'_> {
     fn default() -> Self {
-        InternedTrie {
-            segments: HashMap::default(),
-            nodes: vec![INode::default()],
-            len: 0,
-        }
+        Self::with_capacity(0)
     }
 }
 
-impl InternedTrie {
+impl<'a> InternedTrie<'a> {
     /// Empty trie.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty trie with room for prefixes of `segments` segments in all
+    /// (`"com.applovin"` is two): inserting them never grows a table.
+    pub fn with_capacity(segments: usize) -> Self {
+        let mut values = Vec::with_capacity(segments + 1);
+        values.push(None);
+        InternedTrie {
+            segments: HashMap::with_capacity_and_hasher(segments, FxBuildHasher::default()),
+            children: HashMap::with_capacity_and_hasher(segments, FxBuildHasher::default()),
+            values,
+            len: 0,
+        }
     }
 
     /// Number of prefixes inserted.
@@ -60,50 +73,38 @@ impl InternedTrie {
         self.len == 0
     }
 
-    fn segment_id(&mut self, seg: &str) -> u32 {
-        if let Some(&id) = self.segments.get(seg) {
-            return id;
-        }
-        let id = self.segments.len() as u32;
-        self.segments.insert(Box::from(seg), id);
-        id
-    }
-
     /// Insert `prefix` (dotted) with payload `value`. Re-inserting a prefix
     /// overwrites its payload.
-    pub fn insert(&mut self, prefix: &str, value: u32) {
-        let mut node = 0usize;
+    pub fn insert(&mut self, prefix: &'a str, value: u32) {
+        let mut node = 0u32;
         for seg in prefix.split('.') {
-            let sid = self.segment_id(seg);
-            node = match self.nodes[node].children.get(&sid) {
-                Some(&child) => child as usize,
-                None => {
-                    let child = self.nodes.len();
-                    self.nodes.push(INode::default());
-                    self.nodes[node].children.insert(sid, child as u32);
-                    child
-                }
-            };
+            let next_sid = self.segments.len() as u32;
+            let sid = *self.segments.entry(seg).or_insert(next_sid);
+            let next_node = self.values.len() as u32;
+            node = *self.children.entry(edge(node, sid)).or_insert(next_node);
+            if node == next_node {
+                self.values.push(None);
+            }
         }
-        if self.nodes[node].value.replace(value).is_none() {
+        if self.values[node as usize].replace(value).is_none() {
             self.len += 1;
         }
     }
 
     /// Payload of the longest inserted prefix of `package`, if any.
     pub fn longest_match(&self, package: &str) -> Option<u32> {
-        let mut node = &self.nodes[0];
-        let mut best = node.value;
+        let mut node = 0u32;
+        let mut best = self.values[0];
         for seg in package.split('.') {
             let Some(&sid) = self.segments.get(seg) else {
                 break;
             };
-            let Some(&child) = node.children.get(&sid) else {
+            let Some(&child) = self.children.get(&edge(node, sid)) else {
                 break;
             };
-            node = &self.nodes[child as usize];
-            if node.value.is_some() {
-                best = node.value;
+            node = child;
+            if let Some(v) = self.values[node as usize] {
+                best = Some(v);
             }
         }
         best

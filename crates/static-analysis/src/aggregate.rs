@@ -29,8 +29,8 @@ const NCAT: usize = SdkCategory::ALL.len();
 /// Per-SDK usage counts (Tables 4 and 5 rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdkUsageRow {
-    /// SDK display name.
-    pub name: String,
+    /// SDK display name, borrowed from the static catalog.
+    pub name: &'static str,
     /// SDK category.
     pub category: SdkCategory,
     /// Apps observed calling a WebView load method from this SDK's package.
@@ -508,8 +508,7 @@ impl<'c> Tally<'c> {
     pub fn finish(self, top_sdk_threshold: usize) -> StudyResults {
         let s = self.sums;
 
-        // Per-SDK usage rows above the popularity threshold. Display names
-        // are copied here, at the report boundary.
+        // Per-SDK usage rows above the popularity threshold.
         let mut sdk_usage: Vec<SdkUsageRow> = self
             .catalog
             .sdks()
@@ -520,7 +519,7 @@ impl<'c> Tally<'c> {
                 let ct = s.sdk_ct_apps[i];
                 if wv.max(ct) >= top_sdk_threshold.max(1) && !sdk.obfuscated {
                     Some(SdkUsageRow {
-                        name: sdk.name.clone(),
+                        name: sdk.name,
                         category: sdk.category,
                         wv_apps: wv,
                         ct_apps: ct,

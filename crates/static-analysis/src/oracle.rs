@@ -241,7 +241,7 @@ pub fn aggregate_string_oracle(
             let ct = sdk_ct_apps.get(&i).copied().unwrap_or(0);
             if wv.max(ct) >= top_sdk_threshold.max(1) && !sdk.obfuscated {
                 Some(SdkUsageRow {
-                    name: sdk.name.clone(),
+                    name: sdk.name,
                     category: sdk.category,
                     wv_apps: wv,
                     ct_apps: ct,
