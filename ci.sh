@@ -22,6 +22,13 @@
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
 # the proptest suites catch mechanically — run this before every push.
 #
+# `ci.sh loc` prints the production Rust line count every CHANGES entry
+# reports: every line of `src/**/*.rs` and `crates/*/src/**/*.rs`,
+# `crates/bench` left out, and every `#[cfg(test)]`-gated item left out
+# wherever it sits in its file (a test module, or a test-only method
+# inside an `impl`), with the attributes, comments and blank lines
+# between the attribute and its item. One row per crate, then the total.
+#
 # `ci.sh bench-snapshot` refreshes the committed bench snapshots in quick
 # mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes):
 #   BENCH_static.json  — callgraph, static-pipeline, url-provenance, and
@@ -238,6 +245,49 @@ bench_check() {
     echo "bench-check: every stage passed"
 }
 
+loc() {
+    # A gated item ends at its first `;` when no `{` came before it (a
+    # `use`, a `mod x;`), or where its braces balance. Braces inside string
+    # and char literals and after `//` are not counted.
+    local files
+    files=$(find src crates/*/src -name '*.rs' -not -path 'crates/bench/*' | LC_ALL=C sort)
+    # shellcheck disable=SC2086
+    awk '
+        function braces(s,   t) {
+            t = s
+            gsub(/"([^"\\]|\\.)*"/, "", t)
+            gsub(/\047([^\047\\]|\\.)\047/, "", t)
+            gsub(/\/\/.*$/, "", t)
+            opens += gsub(/\{/, "{", t)
+            closes += gsub(/\}/, "}", t)
+            return index(t, ";") > 0
+        }
+        FNR == 1 { gated = 0 }
+        {
+            line = $0
+            sub(/^[ \t]+/, "", line)
+            if (!gated && line ~ /^#\[cfg\(test\)\]/) {
+                gated = 1; opens = 0; closes = 0
+                next
+            }
+            if (gated) {
+                if (line ~ /^#\[/ || line ~ /^\/\// || line == "") next
+                if (braces(line) && opens == 0) gated = 0
+                else if (opens > 0 && opens == closes) gated = 0
+                next
+            }
+            split(FILENAME, part, "/")
+            crate = part[1] == "crates" ? "crates/" part[2] : part[1]
+            lines[crate]++
+            total++
+        }
+        END {
+            for (c in lines) printf "%-24s %7d\n", c, lines[c] | "LC_ALL=C sort"
+            close("LC_ALL=C sort")
+            printf "%-24s %7d\n", "total", total
+        }' $files
+}
+
 case "${1:-}" in
 bench-snapshot)
     bench_snapshot
@@ -245,6 +295,10 @@ bench-snapshot)
     ;;
 bench-check)
     bench_check || exit 1
+    exit 0
+    ;;
+loc)
+    loc
     exit 0
     ;;
 esac

@@ -43,9 +43,7 @@ fn bench(c: &mut Criterion) {
         // row is cleared after each app, as the fold does.
         b.iter(|| {
             let bytes = Bytes::copy_from_slice(black_box(input.bytes()));
-            let row = analyze_app_timed_with(input.meta(), bytes, &mut ctx)
-                .0
-                .unwrap();
+            let row = analyze_app_timed_with(input.meta(), bytes, &mut ctx).unwrap();
             ctx.results.clear();
             row
         })

@@ -43,7 +43,7 @@ pub fn analysis_routes(router: Router, catalog: Arc<SdkIndex>) -> Router {
         .route(Method::Post, "/analyze", move |req: &Request| {
             let meta = meta_from_query(req.query());
             let mut ctx = AnalysisCtx::new(&catalog);
-            let (result, _timings) = analyze_app_timed_with(&meta, req.body.clone(), &mut ctx);
+            let result = analyze_app_timed_with(&meta, req.body.clone(), &mut ctx);
             match result.as_ref().map(|&row| ctx.results.get(row)) {
                 Ok(Ok(analysis)) => Response::ok(
                     "application/json",

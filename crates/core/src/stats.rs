@@ -458,7 +458,6 @@ mod tests {
                 local_misses: 58,
                 label_hits: 87,
                 label_misses: 13,
-                ..Default::default()
             },
             callgraph: CallGraphCounters {
                 edges: 123_456,
@@ -513,7 +512,6 @@ mod tests {
                 local_misses: 3,
                 classify_hits: 93,
                 classify_misses: 7,
-                ..Default::default()
             },
         }
     }

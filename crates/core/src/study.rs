@@ -2,10 +2,10 @@
 
 use wla_corpus::playstore::{count_funnel, FilterSpec, FunnelCounts, UniverseConfig};
 use wla_corpus::{top_thousand, CorpusConfig, GeneratedApp, Generator, TopAppSpec};
+use wla_crawler::sites::top_100_sites;
 use wla_dynamic::classify::{classify_top_apps, ClassificationOutcome, Table6Counts};
-use wla_dynamic::crawl_study::{run_crawl_study_parallel, CrawlStudy};
 use wla_dynamic::iab_study::{run_iab_study, IabStudy};
-use wla_dynamic::CrawlConfig;
+use wla_dynamic::{run_crawl_pipeline, CrawlConfig, CrawlOutput};
 use wla_sdk_index::SdkIndex;
 use wla_static::{
     aggregate, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig, PipelineStats,
@@ -68,7 +68,7 @@ pub struct DynamicRun {
 }
 
 /// Output of the crawl campaign (Figures 6a/6b).
-pub type CrawlRun = CrawlStudy;
+pub type CrawlRun = CrawlOutput;
 
 impl Study {
     /// New study at `scale` with `seed`.
@@ -190,7 +190,7 @@ impl Study {
     /// on the parallel, fault-isolated pipeline — bit-identical output at
     /// any worker count.
     pub fn run_crawl_parallel(&self, apps: Option<&[&str]>, config: CrawlConfig) -> CrawlRun {
-        run_crawl_study_parallel(None, apps, config)
+        run_crawl_pipeline(&top_100_sites(), apps, config)
     }
 }
 

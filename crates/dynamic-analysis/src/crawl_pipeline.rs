@@ -103,13 +103,10 @@ impl VisitRecord {
 /// Symbol-table and classification-memo counters, folded across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrawlInternerCounters {
-    /// Summed per-worker lexicon sizes (pre-dedup).
-    pub local_symbols: usize,
-    /// Summed per-worker lexicon bytes.
-    pub local_bytes: usize,
     /// Worker-local intern hits.
     pub local_hits: u64,
-    /// Worker-local intern misses.
+    /// Worker-local intern misses: the summed per-worker lexicon sizes
+    /// (pre-dedup).
     pub local_misses: u64,
     /// Distinct symbols in the merged global table.
     pub global_symbols: usize,
@@ -446,8 +443,6 @@ fn join_crawl(
     };
     let mut lexicons = Vec::with_capacity(pool.contexts.len());
     for worker in pool.contexts {
-        stats.interner.local_symbols += worker.lexicon.len();
-        stats.interner.local_bytes += worker.lexicon.bytes();
         stats.interner.local_hits += worker.lexicon.hits();
         stats.interner.local_misses += worker.lexicon.misses();
         stats.interner.classify_hits += worker.classify_hits;
@@ -581,6 +576,81 @@ fn figure6_interned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wla_crawler::sites::top_100_sites;
+
+    /// The crawl of `sites` through `apps`, on one worker.
+    fn crawl(sites: &[TopSite], apps: &[&str]) -> CrawlOutput {
+        run_crawl_pipeline(sites, Some(apps), CrawlConfig { workers: 1 })
+    }
+
+    #[test]
+    fn linkedin_and_kik_figures_present() {
+        let study = crawl(&top_100_sites(), &["LinkedIn", "Kik"]);
+        assert_eq!(study.figures.len(), 2);
+        let li = study.figures.get("LinkedIn").unwrap();
+        let kik = study.figures.get("Kik").unwrap();
+        assert_eq!(li.len(), 10); // one row per site category
+        assert_eq!(kik.len(), 10);
+        // Every visit completed and was observed.
+        assert_eq!(study.stats.visits_total, 3 * 100);
+        assert_eq!(study.stats.visits_completed, 3 * 100);
+        assert_eq!(study.stats.visits_panicked, 0);
+        assert!(study.failures.is_empty());
+    }
+
+    #[test]
+    fn endpoints_isolated_to_the_iab() {
+        // "These endpoints were specific to LinkedIn's IAB and were not
+        // contacted by any other app's IAB" (§4.2.2).
+        let study = crawl(&top_100_sites(), &["LinkedIn", "Kik", "Snapchat"]);
+        let hosts_of = |app: &str| -> std::collections::BTreeSet<&str> {
+            study.per_app[app]
+                .iter()
+                .flat_map(|r| r.hosts.iter())
+                .map(|&h| study.symbols.resolve(h))
+                .collect()
+        };
+        let li_hosts = hosts_of("LinkedIn");
+        let kik_hosts = hosts_of("Kik");
+        assert!(li_hosts.iter().any(|h| h.contains("cedexis")));
+        assert!(!kik_hosts.iter().any(|h| h.contains("cedexis")));
+        assert!(kik_hosts.iter().any(|h| h.contains("mopub")));
+        assert!(!li_hosts.iter().any(|h| h.contains("mopub")));
+    }
+
+    #[test]
+    fn rich_categories_dominate_poor_ones() {
+        let study = crawl(&top_100_sites(), &["Kik"]);
+        let rows = study.figures.get("Kik").unwrap();
+        let by_cat: BTreeMap<SiteCategory, f64> =
+            rows.iter().map(|r| (r.category, r.avg_endpoints)).collect();
+        assert!(by_cat[&SiteCategory::News] > by_cat[&SiteCategory::Technology]);
+        assert!(by_cat[&SiteCategory::Shopping] > by_cat[&SiteCategory::Search]);
+    }
+
+    #[test]
+    fn stats_account_for_the_whole_matrix() {
+        let sites: Vec<TopSite> = top_100_sites().into_iter().take(20).collect();
+        let study = crawl(&sites, &["Kik"]);
+        assert_eq!(study.stats.rows, 2);
+        assert_eq!(study.stats.sites, 20);
+        assert_eq!(study.stats.visits_total, 40);
+        // 10 script steps per visit.
+        assert_eq!(study.stats.steps_executed, 40 * 10);
+        assert!(study.stats.requests_logged > 0);
+        assert_eq!(study.stats.workers.len(), 1);
+        assert_eq!(study.stats.workers[0].items, 40);
+        // Each app/site/host string is interned once per worker but seen
+        // many times — the memo and interner must be doing their job.
+        assert!(study.stats.interner.local_hits > study.stats.interner.local_misses);
+        assert!(study.stats.classify_hit_rate() > 0.5, "{:?}", study.stats);
+        // One worker: its lexicon, every string it missed once, is the
+        // merged table.
+        assert_eq!(
+            study.stats.interner.global_symbols as u64,
+            study.stats.interner.local_misses
+        );
+    }
 
     #[test]
     fn local_hit_rate_is_zero_without_intern_calls() {
@@ -598,7 +668,7 @@ mod tests {
         // Nothing is allocated per DOM node: the 100 landing pages' node,
         // attribute and string tables plus their fetch lists fit in
         // 320 KiB (one owned enum per node held about 1.1 MiB).
-        let sites = wla_crawler::sites::top_100_sites();
+        let sites = top_100_sites();
         let out = run_crawl_pipeline(&sites, Some(&[]), CrawlConfig { workers: 1 });
         let bytes = out.stats.prepared_bytes;
         assert!(bytes > 0);

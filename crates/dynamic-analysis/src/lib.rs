@@ -10,14 +10,14 @@
 //!   visit to the controlled page served over real loopback HTTP with all
 //!   WebView methods hooked; collect injections, bridges, redirectors,
 //!   Web-API beacons, and infer the intent of each injection;
-//! * [`crawl_study`] — Figures 6a/6b: the 100-top-site crawl through each
-//!   IAB with System-WebView-Shell baseline subtraction.
+//! * [`crawl_pipeline`] — Figures 6a/6b: the 100-top-site crawl through
+//!   each IAB with System-WebView-Shell baseline subtraction, on the
+//!   workspace's claim pool ([`run_crawl_pipeline`]).
 
 #![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod crawl_pipeline;
-pub mod crawl_study;
 pub mod iab_study;
 
 pub use classify::{
@@ -28,5 +28,4 @@ pub use crawl_pipeline::{
     run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailure, CrawlFailureKind,
     CrawlOutput, CrawlStats, VisitRecord,
 };
-pub use crawl_study::{run_crawl_study, run_crawl_study_parallel, CrawlStudy};
 pub use iab_study::{run_iab_study, IabAppReport, IabStudy};

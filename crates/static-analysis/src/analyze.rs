@@ -10,6 +10,10 @@
 //! unreachable-site count) committed when the app is done. A failed
 //! decode commits nothing; the caller records the error. Readers see an
 //! app as an [`AppView`] of slices into the table.
+//!
+//! The worker's [`AnalysisCtx`] is the one piece of state an analysis
+//! reads and writes besides its input: lexicon, label memo, result table,
+//! counters, and the [`StageTimings`] each stage adds its wall time to.
 
 use crate::dataflow::{self, DataflowCounters};
 use crate::table::ResultTable;
@@ -34,8 +38,9 @@ use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
 /// (source lifting + WebView-subclass closure), *callgraph* (build,
 /// entry points, traversal + recording), *dataflow* (URL-argument
 /// provenance over each graph's call sites), and *label* (summary
-/// building, package extraction, deep-link exclusion). On a decode
-/// failure only `decode_ns` is populated — the later stages never ran.
+/// building, package extraction, deep-link exclusion). Summed over a
+/// worker's apps in [`AnalysisCtx::stage`]; a failed decode adds to
+/// `decode_ns` alone, since the later stages never ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Container + dex decoding.
@@ -58,7 +63,7 @@ impl StageTimings {
         self.decode_ns + self.decompile_ns + self.callgraph_ns + self.dataflow_ns + self.label_ns
     }
 
-    /// Accumulate another app's timings into this one.
+    /// Add another worker's timings to this one.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.decode_ns += other.decode_ns;
         self.decompile_ns += other.decompile_ns;
@@ -85,9 +90,10 @@ impl DecodeCounters {
 
 /// Per-worker analysis state threaded through [`analyze_app_timed_with`]:
 /// the shared catalog plus the worker-local string lexicon, package-label
-/// memo and result table. One context serves many apps; when the pipeline
-/// joins, its table stays where it is and its lexicon is merged into the
-/// run's symbol table.
+/// memo, result table and stage timers. It is all a pool worker of the
+/// static runners holds: one context serves many apps, and when the
+/// pipeline joins, its table stays where it is, its counters fold into the
+/// run's stats and its lexicon is merged into the run's symbol table.
 #[derive(Debug)]
 pub struct AnalysisCtx<'c> {
     /// SDK catalog used for record-time package labeling.
@@ -118,6 +124,9 @@ pub struct AnalysisCtx<'c> {
     /// Every result this worker's analyses committed; symbols resolve
     /// against `lexicon`.
     pub results: ResultTable,
+    /// Per-stage wall-clock time summed over this worker's apps, a failed
+    /// app's decode time included.
+    pub stage: StageTimings,
 }
 
 impl<'c> AnalysisCtx<'c> {
@@ -133,6 +142,7 @@ impl<'c> AnalysisCtx<'c> {
             dataflow: DataflowCounters::default(),
             decode: DecodeCounters::default(),
             results: ResultTable::new(),
+            stage: StageTimings::default(),
         }
     }
 
@@ -306,54 +316,48 @@ impl<'a> AppView<'a> {
 pub fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<ResultTable, ApkError> {
     let catalog = SdkIndex::paper();
     let mut ctx = AnalysisCtx::new(&catalog);
-    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx).0?;
+    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx)?;
     Ok(ctx.results)
 }
 
-/// The per-app pipeline against a reusable worker context, plus
-/// per-stage wall-clock timings. On success the app's row is committed to
-/// `ctx.results` and its row number returned; on failure nothing is
-/// committed.
+/// The per-app pipeline against a reusable worker context. On success the
+/// app's row is committed to `ctx.results` and its row number returned; on
+/// failure nothing is committed. Either way the app's per-stage wall-clock
+/// times are added to `ctx.stage`: a broken container still spends (and
+/// reports) its decode time, which is what the pipeline's
+/// failure-taxonomy throughput accounting wants.
 ///
 /// `meta` is borrowed: the analysis keeps only its Play category. `bytes`
 /// is shared, never copied: the container decode and every dex
 /// string span alias it, whether it is a window into a corpus shard's
 /// buffer, an HTTP request body, or a container the in-memory runner
-/// copied once. The timings are always returned, even when the result is
-/// an error: a broken container still spends (and reports) its decode
-/// time, which is what the pipeline's failure-taxonomy throughput
-/// accounting wants.
+/// copied once.
 pub fn analyze_app_timed_with(
     meta: &AppMeta,
     bytes: Bytes,
     ctx: &mut AnalysisCtx<'_>,
-) -> (Result<usize, ApkError>, StageTimings) {
-    let mut timings = StageTimings::default();
+) -> Result<usize, ApkError> {
     let started = Instant::now();
     let decoded = Sapk::decode_bytes(bytes).and_then(|apk| decode_rest(apk, ctx));
-    timings.decode_ns = started.elapsed().as_nanos() as u64;
-    finish_analysis(meta.category, decoded, ctx, timings)
+    ctx.stage.decode_ns += started.elapsed().as_nanos() as u64;
+    let (manifest, dexes) = decoded?;
+    Ok(finish_analysis(meta.category, manifest, dexes, ctx))
 }
 
-/// Stages (3)–(5) plus the app's row in `ctx.results`.
+/// Stages (3)–(5) plus the app's row in `ctx.results`; returns its number.
 fn finish_analysis(
     category: PlayCategory,
-    decoded: Result<(Manifest, Vec<Dex>), ApkError>,
+    manifest: Manifest,
+    dexes: Vec<Dex>,
     ctx: &mut AnalysisCtx<'_>,
-    mut timings: StageTimings,
-) -> (Result<usize, ApkError>, StageTimings) {
-    let (manifest, dexes) = match decoded {
-        Ok(v) => v,
-        Err(e) => return (Err(e), timings),
-    };
-
+) -> usize {
     // (3) custom WebView classes across all dexes. The closure runs
     // directly on the pooled dex superclass links; the paper-faithful
     // lift-to-Java + re-parse route (`webview_subclasses_interned`) is the
     // oracle it is equivalence-pinned against — see `wla-decompile`.
     let started = Instant::now();
     let subclasses = webview_subclasses_dex_interned(&dexes, &mut ctx.lexicon);
-    timings.decompile_ns = started.elapsed().as_nanos() as u64;
+    ctx.stage.decompile_ns += started.elapsed().as_nanos() as u64;
 
     // (4) call graph; (5) traversal + recording — per dex. Recording
     // interns every retained name and labels caller packages in one pass.
@@ -389,8 +393,8 @@ fn finish_analysis(
             )
         })
         .collect();
-    timings.dataflow_ns = dataflow_ns;
-    timings.callgraph_ns = (started.elapsed().as_nanos() as u64).saturating_sub(dataflow_ns);
+    ctx.stage.dataflow_ns += dataflow_ns;
+    ctx.stage.callgraph_ns += (started.elapsed().as_nanos() as u64).saturating_sub(dataflow_ns);
 
     // §3.1.3–3.1.4: deep-link exclusion. Non-inserting lookups: a
     // deep-link class no site referenced was never interned and can't
@@ -437,8 +441,8 @@ fn finish_analysis(
     row.classes_mut()
         .sort_by(|a, b| ctx.lexicon.resolve(*a).cmp(ctx.lexicon.resolve(*b)));
     let row = row.commit(category, &manifest.package, unreachable_webview_sites);
-    timings.label_ns = started.elapsed().as_nanos() as u64;
-    (Ok(row), timings)
+    ctx.stage.label_ns += started.elapsed().as_nanos() as u64;
+    row
 }
 
 /// Manifest + dex decoding over an already-decoded container. Dex decoding
@@ -538,7 +542,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
             let mut ctx = AnalysisCtx::new(&catalog);
-            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
             let analysis = ctx.results.get(row).unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method()) {
                 assert_eq!(s.origin, UrlOrigin::Resolved, "seed {seed}");
@@ -569,7 +573,7 @@ mod tests {
             let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
             let mut ctx = AnalysisCtx::new(&catalog);
             ctx.use_dataflow = false;
-            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
             let analysis = ctx.results.get(row).unwrap();
             for s in analysis.webview_sites.iter().filter(|s| s.is_load_method()) {
                 assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
@@ -632,7 +636,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
         let mut ctx = AnalysisCtx::new(&catalog);
-        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
         let analysis = ctx.results.get(row).unwrap();
         assert!(analysis.uses_webview());
         let resolved: Vec<&str> = analysis
@@ -707,7 +711,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
         let mut ctx = AnalysisCtx::new(&catalog);
-        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).0.unwrap();
+        let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
         let analysis = ctx.results.get(row).unwrap();
         let load_packages: HashSet<&str> = analysis
             .third_party_webview()

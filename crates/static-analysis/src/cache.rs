@@ -18,13 +18,15 @@
 //! produces bit-identical results to a fresh one.
 //!
 //! The loader is strictly best-effort: a missing file, stale stamp, bad
-//! checksum, unknown version, or any parse failure — a WebView site whose
-//! method name or load flag disagrees with its method index included — is
-//! a cache miss, and the table is left exactly as it was: rows committed
-//! before the failure are dropped. The shard is simply re-analyzed.
-//! Nothing here can corrupt a run, only fail to accelerate it.
+//! checksum, unknown version, or any parse failure is a cache miss, and
+//! the table is left exactly as it was: rows committed before the failure
+//! are dropped. The shard is simply re-analyzed. A parse failure includes
+//! a WebView site whose method name or load flag disagrees with its method
+//! index, and an SDK label at or past the loading worker's catalog, which
+//! aggregation would index out of bounds. Nothing here can corrupt a run,
+//! only fail to accelerate it.
 
-use crate::analyze::{AppView, CtSiteSummary, WebViewSiteSummary};
+use crate::analyze::{AnalysisCtx, AppView, CtSiteSummary, WebViewSiteSummary};
 use crate::table::ResultTable;
 use std::collections::BTreeSet;
 use std::fs;
@@ -254,16 +256,16 @@ fn get_opt_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Option<Sym
     }
 }
 
-fn get_label(cur: &mut &[u8]) -> Result<LabelId, ApkError> {
+/// A label; an SDK's index must be one of the catalog's `sdks`.
+fn get_label(cur: &mut &[u8], sdks: usize) -> Result<LabelId, ApkError> {
     Ok(match get_u8(cur)? {
         0 => LabelId::CoreAndroid,
         1 => LabelId::Obfuscated,
         2 => LabelId::Unlabeled,
-        3 => {
-            let i = u32::try_from(get_uvarint(cur)?)
-                .map_err(|_| ApkError::Invalid("cache sdk index"))?;
-            LabelId::Sdk(i)
-        }
+        3 => match u32::try_from(get_uvarint(cur)?) {
+            Ok(i) if (i as usize) < sdks => LabelId::Sdk(i),
+            _ => return Err(ApkError::Invalid("cache sdk index")),
+        },
         _ => return Err(ApkError::Invalid("cache label tag")),
     })
 }
@@ -343,15 +345,13 @@ fn get_count(cur: &mut &[u8], what: &'static str) -> Result<usize, ApkError> {
     Ok(n as usize)
 }
 
-/// Parse one analysis and commit it as the next row of `table`.
-fn get_analysis(
-    cur: &mut &[u8],
-    lex: &mut LocalInterner,
-    table: &mut ResultTable,
-) -> Result<(), ApkError> {
+/// Parse one analysis and commit it as the next row of `ctx.results`.
+fn get_analysis(cur: &mut &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkError> {
+    let sdks = ctx.catalog.sdks().len();
+    let lex = &mut ctx.lexicon;
     let category = get_category(cur)?;
     let package = get_str(cur)?;
-    let mut row = table.row();
+    let mut row = ctx.results.row();
     for _ in 0..get_count(cur, "cache site count")? {
         let method = get_str(cur)?;
         let method_idx = get_u8(cur)?;
@@ -360,7 +360,7 @@ fn get_analysis(
         }
         let caller_class = get_symbol(cur, lex)?;
         let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
-        let label = get_label(cur)?;
+        let label = get_label(cur, sdks)?;
         let in_deep_link_activity = get_bool(cur)?;
         let is_load_method = get_bool(cur)?;
         let argument = get_opt_symbol(cur, lex)?;
@@ -384,7 +384,7 @@ fn get_analysis(
         let is_launch = get_bool(cur)?;
         let caller_class = get_symbol(cur, lex)?;
         let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
-        let label = get_label(cur)?;
+        let label = get_label(cur, sdks)?;
         let in_deep_link_activity = get_bool(cur)?;
         let argument = get_opt_symbol(cur, lex)?;
         let origin = get_origin(cur)?;
@@ -408,17 +408,14 @@ fn get_analysis(
     Ok(())
 }
 
-/// Parse a cache body, committing each entry as the next row of `table`.
-fn parse_body(
-    mut cur: &[u8],
-    lex: &mut LocalInterner,
-    table: &mut ResultTable,
-) -> Result<(), ApkError> {
+/// Parse a cache body, committing each entry as the next row of
+/// `ctx.results`.
+fn parse_body(mut cur: &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkError> {
     for _ in 0..get_count(&mut cur, "cache result count")? {
         match get_u8(&mut cur)? {
-            0 => get_analysis(&mut cur, lex, table)?,
+            0 => get_analysis(&mut cur, ctx)?,
             1 => {
-                table.commit_error(get_error(&mut cur)?);
+                ctx.results.commit_error(get_error(&mut cur)?);
             }
             _ => return Err(ApkError::Invalid("cache result tag")),
         }
@@ -429,19 +426,15 @@ fn parse_body(
     Ok(())
 }
 
-/// Load a shard's cached results as rows of `table`, re-interning symbols
-/// into `lex`. Returns whether it did.
+/// Load a shard's cached results as rows of the worker's table,
+/// re-interning symbols into its lexicon and checking SDK labels against
+/// its catalog. Returns whether it did.
 ///
 /// A miss — the file is absent, keyed to a different [`ShardStamp`] than
-/// the shard currently on disk, or damaged in any way — leaves `table`
+/// the shard currently on disk, or damaged in any way — leaves the table
 /// exactly as it was: a parse failure drops the rows it had committed.
 /// It never loads part of a shard.
-pub(crate) fn load_result_cache(
-    path: &Path,
-    stamp: ShardStamp,
-    lex: &mut LocalInterner,
-    table: &mut ResultTable,
-) -> bool {
+pub(crate) fn load_result_cache(path: &Path, stamp: ShardStamp, ctx: &mut AnalysisCtx<'_>) -> bool {
     let Ok(raw) = fs::read(path) else {
         return false;
     };
@@ -462,10 +455,10 @@ pub(crate) fn load_result_cache(
     if adler32(&raw[CACHE_PREFIX..]) != body_checksum {
         return false;
     }
-    let mark = table.len();
-    let parsed = parse_body(&raw[CACHE_PREFIX..], lex, table);
+    let mark = ctx.results.len();
+    let parsed = parse_body(&raw[CACHE_PREFIX..], ctx);
     if parsed.is_err() {
-        table.truncate(mark);
+        ctx.results.truncate(mark);
     }
     parsed.is_ok()
 }
@@ -473,6 +466,7 @@ pub(crate) fn load_result_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wla_sdk_index::SdkIndex;
 
     fn stamp() -> ShardStamp {
         ShardStamp {
@@ -543,17 +537,13 @@ mod tests {
         // Load into a *different* lexicon that already holds other strings
         // (so symbol ids cannot accidentally line up), after a row of its
         // own.
-        let mut reader_lex = LocalInterner::new();
-        reader_lex.intern("unrelated");
-        reader_lex.intern("strings");
-        let mut back = ResultTable::new();
-        back.commit_error(ApkError::BadVarint);
-        assert!(load_result_cache(
-            &path,
-            stamp(),
-            &mut reader_lex,
-            &mut back
-        ));
+        let catalog = SdkIndex::paper();
+        let mut reader = AnalysisCtx::new(&catalog);
+        reader.lexicon.intern("unrelated");
+        reader.lexicon.intern("strings");
+        reader.results.commit_error(ApkError::BadVarint);
+        assert!(load_result_cache(&path, stamp(), &mut reader));
+        let (back, reader_lex) = (&reader.results, &reader.lexicon);
         assert_eq!(back.len(), 1 + results.len());
         match (results.get(0), back.get(1)) {
             (Ok(orig), Ok(loaded)) => {
@@ -567,7 +557,7 @@ mod tests {
                 // order the join ranks them (what join-time ids key on).
                 assert_eq!(
                     resolve_all(orig, &writer_lex),
-                    resolve_all(loaded, &reader_lex)
+                    resolve_all(loaded, reader_lex)
                 );
                 let (o, l) = (orig.webview_sites[0], loaded.webview_sites[0]);
                 assert_eq!(
@@ -612,20 +602,20 @@ mod tests {
         let path = dir.join("s.done");
         let lex = LocalInterner::new();
         write_result_cache(&path, stamp(), &ResultTable::new(), &lex).unwrap();
-        let mut rl = LocalInterner::new();
-        let mut table = ResultTable::new();
-        assert!(load_result_cache(&path, stamp(), &mut rl, &mut table));
+        let catalog = SdkIndex::paper();
+        let mut ctx = AnalysisCtx::new(&catalog);
+        assert!(load_result_cache(&path, stamp(), &mut ctx));
         let other = ShardStamp {
             checksum: stamp().checksum ^ 1,
             ..stamp()
         };
-        assert!(!load_result_cache(&path, other, &mut rl, &mut table));
+        assert!(!load_result_cache(&path, other, &mut ctx));
         let other = ShardStamp {
             file_len: stamp().file_len + 1,
             ..stamp()
         };
-        assert!(!load_result_cache(&path, other, &mut rl, &mut table));
-        assert!(table.is_empty());
+        assert!(!load_result_cache(&path, other, &mut ctx));
+        assert!(ctx.results.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -637,38 +627,26 @@ mod tests {
         let results = sample_table(&mut lex);
         write_result_cache(&path, stamp(), &results, &lex).unwrap();
         let pristine = fs::read(&path).unwrap();
+        let catalog = SdkIndex::paper();
         // Truncations and bit flips anywhere must miss, not half-load.
         for cut in (0..pristine.len()).step_by(pristine.len() / 17 + 1) {
             fs::write(&path, &pristine[..cut]).unwrap();
-            let mut rl = LocalInterner::new();
-            let mut table = ResultTable::new();
-            assert!(
-                !load_result_cache(&path, stamp(), &mut rl, &mut table),
-                "cut {cut}"
-            );
-            assert!(table.is_empty(), "cut {cut}");
+            let mut ctx = AnalysisCtx::new(&catalog);
+            assert!(!load_result_cache(&path, stamp(), &mut ctx), "cut {cut}");
+            assert!(ctx.results.is_empty(), "cut {cut}");
         }
         for pos in [0usize, 5, 12, 20, pristine.len() / 2, pristine.len() - 1] {
             let mut bad = pristine.clone();
             bad[pos] ^= 0x10;
             fs::write(&path, &bad).unwrap();
-            let mut rl = LocalInterner::new();
-            let mut table = ResultTable::new();
-            assert!(
-                !load_result_cache(&path, stamp(), &mut rl, &mut table),
-                "flip {pos}"
-            );
-            assert!(table.is_empty(), "flip {pos}");
+            let mut ctx = AnalysisCtx::new(&catalog);
+            assert!(!load_result_cache(&path, stamp(), &mut ctx), "flip {pos}");
+            assert!(ctx.results.is_empty(), "flip {pos}");
         }
         // Missing file: miss.
         fs::remove_file(&path).unwrap();
-        let mut rl = LocalInterner::new();
-        assert!(!load_result_cache(
-            &path,
-            stamp(),
-            &mut rl,
-            &mut ResultTable::new()
-        ));
+        let mut ctx = AnalysisCtx::new(&catalog);
+        assert!(!load_result_cache(&path, stamp(), &mut ctx));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -718,34 +696,86 @@ mod tests {
             ("load flag off", edited(&|f| f[load_flag] = 0)),
             ("trailing byte", edited(&|f| f.push(0))),
         ];
+        let catalog = SdkIndex::paper();
         for (what, mut bad) in damaged {
             let checksum = adler32(&bad[CACHE_PREFIX..]);
             bad[CACHE_PREFIX - 4..CACHE_PREFIX].copy_from_slice(&checksum.to_le_bytes());
             fs::write(&path, &bad).unwrap();
-
-            let mut rl = LocalInterner::new();
-            let mut table = ResultTable::new();
-            table.commit_error(ApkError::BadUtf8);
-            let mut row = table.row();
-            row.push_class(rl.intern("com/app/Kept"));
-            row.commit(PlayCategory::Tools, "com.kept", 0);
-            let before = table.clone();
-            assert!(
-                !load_result_cache(&path, stamp(), &mut rl, &mut table),
-                "{what}"
-            );
-            assert_eq!(table, before, "{what}");
+            let mut ctx = kept_rows(&catalog);
+            let before = ctx.results.clone();
+            assert!(!load_result_cache(&path, stamp(), &mut ctx), "{what}");
+            assert_eq!(ctx.results, before, "{what}");
         }
         // Undamaged, the same file loads.
         fs::write(&path, &pristine).unwrap();
-        let mut table = ResultTable::new();
-        assert!(load_result_cache(
-            &path,
-            stamp(),
-            &mut LocalInterner::new(),
-            &mut table
-        ));
-        assert_eq!(table.len(), results.len());
+        let mut ctx = AnalysisCtx::new(&catalog);
+        assert!(load_result_cache(&path, stamp(), &mut ctx));
+        assert_eq!(ctx.results.len(), results.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A loading worker whose table already holds two rows.
+    fn kept_rows(catalog: &SdkIndex) -> AnalysisCtx<'_> {
+        let mut ctx = AnalysisCtx::new(catalog);
+        ctx.results.commit_error(ApkError::BadUtf8);
+        let mut row = ctx.results.row();
+        row.push_class(ctx.lexicon.intern("com/app/Kept"));
+        row.commit(PlayCategory::Tools, "com.kept", 0);
+        ctx
+    }
+
+    /// An SDK label indexes the loading worker's catalog when the shard is
+    /// aggregated, so a WebView or Custom-Tabs site labelled at or past the
+    /// catalog's end makes the file a miss that keeps the table, while the
+    /// catalog's last SDK still loads.
+    #[test]
+    fn an_sdk_label_past_the_catalog_is_a_miss() {
+        let dir = temp_dir("sdk-label");
+        let path = dir.join("s.done");
+        let catalog = SdkIndex::paper();
+        let sdks = catalog.sdks().len() as u32;
+        for (sdk, loads) in [(sdks - 1, true), (sdks, false), (10_000, false)] {
+            for on_ct in [false, true] {
+                let mut lex = LocalInterner::new();
+                let mut table = ResultTable::new();
+                let mut row = table.row();
+                let caller_class = lex.intern("com/sdk/Caller");
+                if on_ct {
+                    row.push_ct(CtSiteSummary {
+                        method: lex.intern("launchUrl"),
+                        is_launch: true,
+                        caller_class,
+                        caller_package: None,
+                        label: LabelId::Sdk(sdk),
+                        in_deep_link_activity: false,
+                        argument: None,
+                        origin: UrlOrigin::Unknown,
+                    });
+                } else {
+                    row.push_webview(WebViewSiteSummary {
+                        method_idx: 0,
+                        caller_class,
+                        caller_package: None,
+                        label: LabelId::Sdk(sdk),
+                        in_deep_link_activity: false,
+                        argument: None,
+                        origin: UrlOrigin::Unknown,
+                    });
+                }
+                row.commit(PlayCategory::Tools, "com.labelled", 0);
+                write_result_cache(&path, stamp(), &table, &lex).unwrap();
+
+                let mut ctx = kept_rows(&catalog);
+                let before = ctx.results.clone();
+                let what = format!("Sdk({sdk}) on a {} site", ["WebView", "CT"][on_ct as usize]);
+                assert_eq!(load_result_cache(&path, stamp(), &mut ctx), loads, "{what}");
+                if loads {
+                    assert_eq!(ctx.results.len(), before.len() + 1, "{what}");
+                } else {
+                    assert_eq!(ctx.results, before, "{what}");
+                }
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

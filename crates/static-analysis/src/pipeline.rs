@@ -9,11 +9,13 @@
 //!
 //! - **Fault isolation.** Each app of a claimed batch runs under its own
 //!   [`wla_pool::isolate`], in one per-entry loop every static runner
-//!   shares; a panicking container becomes an [`ApkError::AnalysisPanic`]
-//!   result feeding the broken-apps row, and the rest of the batch runs.
-//! - **Contention-free output.** Each worker owns its [`AnalysisCtx`],
-//!   stage timers and [`ResultTable`]; nothing shares a mutex on the hot
-//!   path.
+//!   shares, which also holds each analysis to committing exactly one
+//!   row; a panicking container, or one whose analysis broke that rule,
+//!   becomes an [`ApkError::AnalysisPanic`] result feeding the broken-apps
+//!   row, and the rest of the batch runs.
+//! - **Contention-free output.** A pool worker is its [`AnalysisCtx`]:
+//!   lexicon, label memo, counters, stage timers and [`ResultTable`];
+//!   nothing shares a mutex on the hot path.
 //! - **Observability.** [`PipelineStats`] carries per-stage timers,
 //!   per-worker counters, interner counters, throughput, and a failure
 //!   taxonomy, surfaced through [`PipelineOutput::stats`] and rendered
@@ -36,12 +38,13 @@
 //! shares the per-entry loop and the join.
 //!
 //! A caller that reads only the corpus aggregates skips all of that:
-//! [`run_pipeline_tallied`] folds each app into its worker's [`Tally`] as
-//! soon as it is analyzed and reuses the table it was written to, so no
-//! per-app result outlives its app, and the tail merges tallies instead
-//! of symbols. [`aggregate`] reads no symbol, so the fold needs no symbol
-//! table, and a folding worker forgets its lexicon and label memo after
-//! every batch: its symbols live one batch.
+//! [`run_pipeline_tallied`] runs each app through the same per-entry loop
+//! on its own, folds the row into its worker's [`Tally`] and reuses the
+//! table it was written to, so no per-app result outlives its app, and
+//! the tail merges tallies instead of symbols. [`aggregate`] reads no
+//! symbol, so the fold needs no symbol table, and a folding worker
+//! forgets its lexicon and label memo after every batch: its symbols live
+//! one batch.
 //!
 //! [`aggregate`]: crate::aggregate::aggregate
 
@@ -135,14 +138,12 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A fresh pool worker whose context carries this run's analysis knobs.
-    pub(crate) fn worker<'c>(&self, catalog: &'c SdkIndex) -> Worker<'c> {
-        let mut ctx = AnalysisCtx::new(catalog);
-        ctx.use_dataflow = self.use_dataflow;
-        Worker {
-            ctx,
-            stage: StageTimings::default(),
-            forgotten: (0, 0),
+    /// A fresh pool worker: a context that carries this run's analysis
+    /// knobs.
+    pub(crate) fn worker<'c>(&self, catalog: &'c SdkIndex) -> AnalysisCtx<'c> {
+        AnalysisCtx {
+            use_dataflow: self.use_dataflow,
+            ..AnalysisCtx::new(catalog)
         }
     }
 }
@@ -156,17 +157,12 @@ pub struct InternerCounters {
     pub global_symbols: usize,
     /// Bytes of distinct strings in the global table (0 for a folded run).
     pub global_bytes: usize,
-    /// Distinct symbols summed over worker-local interners (≥ global:
-    /// workers re-discover shared names independently). A folded run
-    /// forgets its symbols after every batch and sums each batch's, so
-    /// `local_misses == local_symbols` holds for every runner.
-    pub local_symbols: usize,
-    /// Bytes summed over worker-local interners (a folded run: over its
-    /// batches).
-    pub local_bytes: usize,
     /// Worker-local intern calls that found the string already present.
     pub local_hits: u64,
-    /// Worker-local intern calls that inserted a new string.
+    /// Worker-local intern calls that inserted a new string: the distinct
+    /// symbols summed over worker-local interners (≥ global: workers
+    /// re-discover shared names independently; a folded run's batches
+    /// re-discover what its earlier batches forgot).
     pub local_misses: u64,
     /// Package labels served from the per-worker memo.
     pub label_hits: u64,
@@ -272,11 +268,8 @@ impl PipelineStats {
 
     /// Fold one finished worker's counters into the run's, handing back
     /// its lexicon.
-    fn fold_worker(&mut self, worker: Worker<'_>) -> LocalInterner {
-        let (ctx, forgotten) = (worker.ctx, worker.forgotten);
-        self.stage.accumulate(&worker.stage);
-        self.interner.local_symbols += forgotten.0 + ctx.lexicon.len();
-        self.interner.local_bytes += forgotten.1 + ctx.lexicon.bytes();
+    fn fold_worker(&mut self, ctx: AnalysisCtx<'_>) -> LocalInterner {
+        self.stage.accumulate(&ctx.stage);
         self.interner.local_hits += ctx.lexicon.hits();
         self.interner.local_misses += ctx.lexicon.misses();
         self.interner.label_hits += ctx.labels.hits;
@@ -393,104 +386,45 @@ impl<I: Iterator> Iterator for Counted<I> {
 
 impl<I: Iterator> ExactSizeIterator for Counted<I> {}
 
-/// One pool worker's state: its analysis context plus the stage timers
-/// summed over the apps it analyzed.
-pub(crate) struct Worker<'c> {
-    pub(crate) ctx: AnalysisCtx<'c>,
-    pub(crate) stage: StageTimings,
-    /// Symbols, and their bytes, that `ctx.lexicon` held when the worker
-    /// [forgot](Self::forget_batch) them, summed over its batches.
-    forgotten: (usize, usize),
-}
-
-/// The analysis a runner runs per app: commit the app's one row to
-/// `ctx.results` and return its number, or return the app's error.
-/// [`Worker::analyze_rows`] holds an analysis to that: a row committed
-/// before an error is dropped, and an `Ok` that did not commit exactly the
-/// row it names fails the app as `analysis-panic`.
-pub(crate) type Outcome = (Result<usize, ApkError>, StageTimings);
-
 /// A panic's text as the per-app error Table 2's broken row counts.
 pub(crate) fn panicked(message: String) -> ApkError {
     ApkError::AnalysisPanic { message }
 }
 
-/// The per-entry loop every static runner shares: run `step` on each entry
-/// of a claim in turn, each under [`wla_pool::isolate`], so a panic costs
-/// that entry alone and the rest of the claim still runs. An entry's
-/// error, a panic's included, goes to `failed`.
-pub(crate) fn each_isolated<S, E>(
-    state: &mut S,
+/// The per-entry loop every static runner shares. It runs `analyze` on
+/// each entry of a claim in turn, each under [`wla_pool::isolate`], so a
+/// panic costs that entry alone and the rest of the claim still runs, and
+/// commits exactly one row per entry to `ctx.results`, in entry order.
+///
+/// `analyze` must commit the entry's one row and return its number, or
+/// return the entry's error. The loop holds it to that: an error, a
+/// panic's included, takes the place of any row the entry committed, and
+/// an `Ok` that did not commit exactly the row it names fails the entry as
+/// `analysis-panic`.
+pub(crate) fn analyze_rows<'c, E>(
+    ctx: &mut AnalysisCtx<'c>,
     entries: impl IntoIterator<Item = E>,
-    step: impl Fn(&mut S, E) -> Result<(), ApkError>,
-    failed: impl Fn(&mut S, ApkError),
+    analyze: impl Fn(E, &mut AnalysisCtx<'c>) -> Result<usize, ApkError>,
 ) {
     for entry in entries {
-        let outcome = wla_pool::isolate(|| step(state, entry));
+        let row = ctx.results.len();
+        let outcome = wla_pool::isolate(|| {
+            let committed = analyze(entry, ctx)?;
+            assert!(
+                committed == row && ctx.results.len() == row + 1,
+                "an analysis must commit exactly the one row it returns"
+            );
+            Ok(())
+        });
         if let Err(e) = outcome.unwrap_or_else(|message| Err(panicked(message))) {
-            failed(state, e);
+            ctx.results.truncate(row);
+            ctx.results.commit_error(e);
         }
     }
 }
 
-impl<'c> Worker<'c> {
-    /// Run `analyze` on this worker's context and sum its stage timers.
-    fn analyze(
-        &mut self,
-        analyze: impl FnOnce(&mut AnalysisCtx<'c>) -> Outcome,
-    ) -> Result<usize, ApkError> {
-        let (result, timings) = analyze(&mut self.ctx);
-        self.stage.accumulate(&timings);
-        result
-    }
-
-    /// Analyze `entries` through [`each_isolated`], committing exactly one
-    /// row per entry to this worker's table, in entry order: its result, or
-    /// its error (a panic's, or a broken [`Outcome`] contract's, as
-    /// `analysis-panic`) in place of any row it committed.
-    pub(crate) fn analyze_rows<E>(
-        &mut self,
-        entries: impl IntoIterator<Item = E>,
-        analyze: impl Fn(E, &mut AnalysisCtx<'c>) -> Outcome,
-    ) {
-        // The worker and the row its current entry must commit.
-        let row = self.ctx.results.len();
-        let mut next = (self, row);
-        each_isolated(
-            &mut next,
-            entries,
-            |(worker, row), entry| {
-                let committed = worker.analyze(|ctx| analyze(entry, ctx))?;
-                assert!(
-                    committed == *row && worker.ctx.results.len() == *row + 1,
-                    "an analysis must commit exactly the one row it returns"
-                );
-                *row += 1;
-                Ok(())
-            },
-            |(worker, row), e| {
-                worker.ctx.results.truncate(*row);
-                worker.ctx.results.commit_error(e);
-                *row += 1;
-            },
-        );
-    }
-
-    /// Forget the batch's symbols — the lexicon and the label memo keyed
-    /// by them — keeping their capacity and counters, after counting the
-    /// lexicon's symbols for the run's stats. For the fold, whose results
-    /// hold no symbol past their app.
-    fn forget_batch(&mut self) {
-        let ctx = &mut self.ctx;
-        self.forgotten.0 += ctx.lexicon.len();
-        self.forgotten.1 += ctx.lexicon.bytes();
-        ctx.lexicon.forget();
-        ctx.labels.forget();
-    }
-}
-
 /// The per-app analysis both in-memory runners run by default.
-fn analyze_input<I: AppInput>(input: &I, ctx: &mut AnalysisCtx<'_>) -> Outcome {
+fn analyze_input<I: AppInput>(input: &I, ctx: &mut AnalysisCtx<'_>) -> Result<usize, ApkError> {
     // The one copy of the container this run makes: the decode and
     // every dex string span share it.
     let bytes = Bytes::copy_from_slice(input.bytes());
@@ -511,13 +445,15 @@ pub fn run_pipeline<I: AppInput>(
 /// makes of [`run_pipeline`]'s output, and the same run stats, without
 /// building a [`PipelineOutput`].
 ///
-/// Each worker folds an app into its own [`Tally`] once the analysis
-/// returns, reusing its table's capacity for the next app, and forgets its
-/// lexicon and label memo after every batch: nothing a tally keeps is a
-/// symbol. The tail merges the tallies. An app's analysis and its fold run
-/// under one isolator, so a panic in either is caught at that app, which
-/// is counted as broken, and the rest of the batch runs. No symbol table
-/// is merged (see [`PipelineStats`]).
+/// Each worker runs one app at a time through the per-entry loop the
+/// keep-output runners share, so its row is held to the same one-row
+/// contract, then folds that row into its own [`Tally`], reusing its
+/// table's capacity for the next app, and forgets its lexicon and label
+/// memo after every batch: nothing a tally keeps is a symbol. The tail
+/// merges the tallies. The fold runs under an isolator of its own, so a
+/// panic in the analysis or in the fold is caught at that app, which is
+/// counted as broken, and the rest of the batch runs. No symbol table is
+/// merged (see [`PipelineStats`]).
 pub fn run_pipeline_tallied<I: AppInput>(
     inputs: &[I],
     catalog: &SdkIndex,
@@ -527,7 +463,7 @@ pub fn run_pipeline_tallied<I: AppInput>(
     tally_with(inputs, catalog, config, top_sdk_threshold, analyze_input)
 }
 
-/// Why a batch claim cannot panic: its apps run under [`each_isolated`].
+/// Why a batch claim cannot panic: its apps run under [`analyze_rows`].
 const ISOLATED: &str = "every app of a batch runs under its own isolator";
 
 /// The apps of batch `b` of an `n`-app corpus.
@@ -557,7 +493,7 @@ pub(crate) fn tally_with<I, F>(
 ) -> (StudyResults, PipelineStats)
 where
     I: AppInput,
-    F: Fn(&I, &mut AnalysisCtx<'_>) -> Outcome + Sync,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> Result<usize, ApkError> + Sync,
 {
     let started = Instant::now();
     let n = inputs.len();
@@ -567,19 +503,23 @@ where
         n.div_ceil(CLAIM_APPS),
         config.workers,
         || (config.worker(catalog), Tally::new(catalog), Vec::new()),
-        |fold, b| {
-            each_isolated(
-                fold,
-                batch(b, n),
-                |(worker, tally, _), i| {
-                    worker.ctx.results.clear();
-                    let row = worker.analyze(|ctx| analyze(&inputs[i], ctx))?;
-                    tally.add(worker.ctx.results.get(row).map_err(Clone::clone)?);
+        |(ctx, tally, failed), b| {
+            for i in batch(b, n) {
+                // One app in flight: its row is the table's only one.
+                ctx.results.clear();
+                analyze_rows(ctx, [&inputs[i]], &analyze);
+                let folded = wla_pool::isolate(|| {
+                    tally.add(ctx.results.get(0).map_err(Clone::clone)?);
                     Ok(())
-                },
-                |(_, _, failed), e| failed.push(e),
-            );
-            fold.0.forget_batch();
+                });
+                if let Err(e) = folded.unwrap_or_else(|message| Err(panicked(message))) {
+                    failed.push(e);
+                }
+            }
+            // Nothing the tally keeps is a symbol: forget the batch's,
+            // keeping the memos' capacity and counters.
+            ctx.lexicon.forget();
+            ctx.labels.forget();
         },
     );
     // The serial tail: fold the workers' counters and tallies, then count
@@ -595,8 +535,8 @@ where
     );
     let mut tally = Tally::new(catalog);
     let mut failures = Vec::new();
-    for (worker, worker_tally, failed) in pool.contexts {
-        stats.fold_worker(worker);
+    for (ctx, worker_tally, failed) in pool.contexts {
+        stats.fold_worker(ctx);
         tally.merge(&worker_tally);
         failures.extend(failed);
     }
@@ -618,7 +558,8 @@ where
 /// function receives the worker's [`AnalysisCtx`]. It must intern every
 /// symbol it records into `ctx.lexicon`, and either commit the app's row
 /// to `ctx.results` and return its number (as [`analyze_app_timed_with`]
-/// does) or return the app's error, which the runner commits.
+/// does, adding its stage times to `ctx.stage`) or return the app's
+/// error, which the runner commits.
 pub fn run_pipeline_with<I, F>(
     inputs: &[I],
     catalog: &SdkIndex,
@@ -627,7 +568,7 @@ pub fn run_pipeline_with<I, F>(
 ) -> PipelineOutput
 where
     I: AppInput,
-    F: Fn(&I, &mut AnalysisCtx<'_>) -> (Result<usize, ApkError>, StageTimings) + Sync,
+    F: Fn(&I, &mut AnalysisCtx<'_>) -> Result<usize, ApkError> + Sync,
 {
     let started = Instant::now();
     let n = inputs.len();
@@ -635,9 +576,9 @@ where
         n.div_ceil(CLAIM_APPS),
         config.workers,
         || config.worker(catalog),
-        |worker, b| {
-            worker.analyze_rows(batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
-            worker.ctx.results.freeze()
+        |ctx, b| {
+            analyze_rows(ctx, batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
+            ctx.results.freeze()
         },
     );
     let claims = pool
@@ -654,7 +595,7 @@ where
 /// `(worker, table)` for every claim in claim order, which is input order.
 pub(crate) fn join(
     mut claims: Vec<(usize, ResultTable)>,
-    workers: Vec<Worker<'_>>,
+    workers: Vec<AnalysisCtx<'_>>,
     mut worker_stats: Vec<WorkerStats>,
     started: Instant,
 ) -> PipelineOutput {
@@ -669,7 +610,7 @@ pub(crate) fn join(
     let mut stats = PipelineStats::new(total, worker_stats);
     let lexicons: Vec<LocalInterner> = workers
         .into_iter()
-        .map(|worker| stats.fold_worker(worker))
+        .map(|ctx| stats.fold_worker(ctx))
         .collect();
     for e in claims
         .iter()
@@ -877,12 +818,10 @@ pub(crate) mod tests {
         assert!(c.global_symbols > 0);
         assert_eq!(c.global_symbols, out.symbols.len());
         assert!(c.global_bytes > 0);
-        // Workers re-discover shared strings, so local ≥ global.
-        assert!(c.local_symbols >= c.global_symbols);
-        assert!(c.local_bytes >= c.global_bytes);
-        // Every unique local string misses exactly once; repeats (method
-        // names, shared packages) land as hits.
-        assert_eq!(c.local_misses, c.local_symbols as u64);
+        // Every unique local string misses exactly once, and workers
+        // re-discover shared strings, so local misses ≥ global symbols;
+        // repeats (method names, shared packages) land as hits.
+        assert!(c.local_misses >= c.global_symbols as u64);
         assert!(c.local_hits > 0);
         // Package labels are memoized per worker, so repeats hit the cache.
         assert!(c.label_hits > 0);
@@ -893,16 +832,13 @@ pub(crate) mod tests {
         // The output's table is exactly the merged one.
         assert_eq!(out.symbols.bytes(), c.global_bytes);
 
-        // The fold forgets its symbols after every batch but counts each
-        // batch's first, so every local symbol still missed exactly once;
-        // batches re-discover what a worker's earlier batches interned,
-        // and what each batch interns depends on no schedule.
+        // The fold forgets its symbols after every batch: batches
+        // re-discover what a worker's earlier batches interned, and what
+        // each batch interns depends on no schedule.
         let (_, folded) = run_pipeline_tallied(&ins, &catalog, workers(4), 1);
         assert_eq!(folded.workers.len(), 4);
         let f = &folded.interner;
-        assert_eq!(f.local_misses, f.local_symbols as u64);
-        assert!(f.local_symbols >= c.local_symbols);
-        assert!(f.local_bytes >= c.local_bytes);
+        assert!(f.local_misses >= c.local_misses);
         assert!(f.label_misses >= c.label_misses);
         let (_, serial) = run_pipeline_tallied(&ins, &catalog, workers(1), 1);
         assert_eq!(serial.interner, folded.interner);
@@ -1031,7 +967,7 @@ pub(crate) mod tests {
         };
         let failing = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
             if is_trap(input) {
-                return (Err(panicked(message.to_owned())), StageTimings::default());
+                return Err(panicked(message.to_owned()));
             }
             analyze_input(input, ctx)
         };
@@ -1061,10 +997,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// An analysis that breaks the one-row contract of [`Outcome`] costs
-    /// its own app alone, and every other row stays in place: a row
-    /// committed before an error gives way to the error, and an `Ok` that
-    /// committed two rows, or none, fails the app as `analysis-panic`.
+    /// An analysis that breaks the one-row contract of [`analyze_rows`]
+    /// costs its own app alone, on the keep path and in the fold alike,
+    /// and every other row stays in place: a row committed before an
+    /// error gives way to the error, and an `Ok` that committed two rows,
+    /// or none, fails the app as `analysis-panic`.
     #[test]
     fn a_broken_row_contract_costs_only_its_app() {
         let catalog = SdkIndex::paper();
@@ -1074,23 +1011,23 @@ pub(crate) mod tests {
         let contract = "an analysis must commit exactly the one row it returns";
         let sloppy = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
             if is(input, none) {
-                return (Ok(ctx.results.len()), StageTimings::default());
+                return Ok(ctx.results.len());
             }
             let outcome = analyze_input(input, ctx);
             if is(input, twice) {
                 return analyze_input(input, ctx);
             }
             if is(input, then_err) {
-                return (Err(ApkError::BadVarint), outcome.1);
+                return Err(ApkError::BadVarint);
             }
             outcome
         };
         let failing = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
             if is(input, then_err) {
-                return (Err(ApkError::BadVarint), StageTimings::default());
+                return Err(ApkError::BadVarint);
             }
             if is(input, twice) || is(input, none) {
-                return (Err(panicked(contract.to_owned())), StageTimings::default());
+                return Err(panicked(contract.to_owned()));
             }
             analyze_input(input, ctx)
         };
@@ -1101,6 +1038,14 @@ pub(crate) mod tests {
             assert_same_run(&out, &want);
             assert_eq!(out.stats.panicked, 2, "{n} workers");
             assert_holds_only_its_rows(&out);
+
+            let (folded, stats) = tally_with(&ins, &catalog, workers(n), 1, sloppy);
+            let (want_folded, want_stats) = tally_with(&ins, &catalog, workers(n), 1, failing);
+            assert_eq!(stats.workers.len(), n);
+            assert_eq!(folded, want_folded, "{n} workers");
+            assert_eq!(folded, aggregate(&want, &catalog, 1), "{n} workers");
+            assert_eq!(stats.failure_kinds, want_stats.failure_kinds, "{n} workers");
+            assert_eq!(stats.panicked, want_stats.panicked, "{n} workers");
         }
     }
 
@@ -1138,12 +1083,8 @@ pub(crate) mod tests {
             );
             prop_assert_eq!(s.workers.len(), workers);
             // Symbol-table invariants: the local tables cover the merged one.
-            prop_assert!(s.interner.local_symbols >= s.interner.global_symbols);
+            prop_assert!(s.interner.local_misses >= s.interner.global_symbols as u64);
             prop_assert_eq!(s.interner.global_symbols, out.symbols.len());
-            prop_assert_eq!(
-                s.interner.local_misses,
-                s.interner.local_symbols as u64
-            );
             prop_assert!(s.serial_tail_ns <= s.wall_ns);
             // Call-graph counters: one graph (and one traversal) per dex,
             // so graphs ≥ analyzed apps and every traversal either reused

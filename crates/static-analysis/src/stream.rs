@@ -7,7 +7,9 @@
 //! container window aliases that buffer, so resident shard memory is
 //! bounded by the number of *concurrently held* shards (one per worker),
 //! not the corpus size. A shard is to this runner what a 64-app batch is
-//! to the in-memory one: its entries run through the same per-entry loop.
+//! to the in-memory one: its entries run through the same per-entry loop,
+//! on the claiming worker's [`AnalysisCtx`], under the same one-row
+//! contract.
 //! The pool returns shards in shard order, each with its rows in entry
 //! order, so the shards' tables in that order are in global entry order,
 //! and the in-memory pipeline's join ([`crate::pipeline`]) then makes the
@@ -32,14 +34,15 @@
 //! shard's table is serialized to `<dir>/manifest/<shard>.done` keyed to
 //! the shard's stamp (header checksum + length), in cache format 2. A
 //! rerun parses those straight into the worker's table instead of
-//! re-analyzing; any staleness or damage in a cache file is a silent miss
-//! that leaves the table as it was.
+//! re-analyzing; any staleness or damage in a cache file — an SDK label
+//! past the worker's catalog included — is a silent miss that leaves the
+//! table as it was.
 //! [`StreamCounters`] reports what was streamed, what was served from
 //! cache, shard-level failures, and shard bytes held.
 
 use crate::analyze::{analyze_app_timed_with, AnalysisCtx};
 use crate::cache;
-use crate::pipeline::{join, Outcome, PipelineConfig, PipelineOutput, Worker};
+use crate::pipeline::{analyze_rows, join, PipelineConfig, PipelineOutput};
 use crate::table::ResultTable;
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -48,6 +51,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use wla_apk::ApkError;
 use wla_corpus::playstore::AppMeta;
 use wla_corpus::shard::{list_shards, read_shard_stamp, Shard, ShardStamp};
 use wla_sdk_index::SdkIndex;
@@ -181,7 +185,7 @@ pub(crate) fn stream_with<F>(
     analyze: F,
 ) -> io::Result<PipelineOutput>
 where
-    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Outcome + Sync,
+    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Result<usize, ApkError> + Sync,
 {
     let shards = list_shards(dir)?;
     let manifest_dir = dir.join(MANIFEST_SUBDIR);
@@ -195,16 +199,16 @@ where
         shards.len(),
         config.pipeline.workers,
         || config.pipeline.worker(catalog),
-        |worker, s| {
+        |ctx, s| {
             let held = (&held_now, &held_peak);
             let shard = &shards[s];
             let run = wla_pool::isolate(|| {
-                stream_shard(shard, &manifest_dir, config, worker, &analyze, held)
+                stream_shard(shard, &manifest_dir, config, ctx, &analyze, held)
             });
             if run.is_err() {
                 // A panic in shard-level code costs the shard every row it
                 // had committed.
-                worker.ctx.results.clear();
+                ctx.results.clear();
             }
             run
         },
@@ -249,18 +253,17 @@ fn stream_shard<F>(
     path: &Path,
     manifest_dir: &Path,
     config: StreamConfig,
-    worker: &mut Worker<'_>,
+    ctx: &mut AnalysisCtx<'_>,
     analyze: &F,
     (held_now, held_peak): (&AtomicU64, &AtomicU64),
 ) -> ShardRun
 where
-    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Outcome,
+    F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Result<usize, ApkError>,
 {
     let cache_path = cache_path_for(manifest_dir, path);
     if config.resume {
         if let Ok(stamp) = read_shard_stamp(path) {
-            let ctx = &mut worker.ctx;
-            if cache::load_result_cache(&cache_path, stamp, &mut ctx.lexicon, &mut ctx.results) {
+            if cache::load_result_cache(&cache_path, stamp, ctx) {
                 return ShardRun {
                     table: ctx.results.freeze(),
                     cached: true,
@@ -282,7 +285,7 @@ where
     let bytes_read = shard.file_len();
     let _gauge = HeldGauge::hold(held_now, held_peak, bytes_read);
 
-    worker.analyze_rows(0..shard.len(), |e, ctx| {
+    analyze_rows(ctx, 0..shard.len(), |e, ctx| {
         analyze(shard.entry_meta(e), shard.entry_bytes(e), ctx)
     });
 
@@ -293,11 +296,10 @@ where
             checksum: shard.checksum(),
             file_len: shard.file_len(),
         };
-        let ctx = &worker.ctx;
         let _ = cache::write_result_cache(&cache_path, stamp, &ctx.results, &ctx.lexicon);
     }
     ShardRun {
-        table: worker.ctx.results.freeze(),
+        table: ctx.results.freeze(),
         bytes_read,
         ..ShardRun::default()
     }
@@ -310,7 +312,7 @@ mod tests {
     use crate::pipeline::tests::{
         assert_holds_only_its_rows, assert_same_run, quiet_injected_panics, write_then_panic,
     };
-    use crate::{run_pipeline, StageTimings};
+    use crate::run_pipeline;
     use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
     use wla_intern::LocalInterner;
 
@@ -342,7 +344,7 @@ mod tests {
         };
         let failing = |meta: &AppMeta, bytes: Bytes, ctx: &mut AnalysisCtx<'_>| {
             if is_trap(meta) {
-                return (Err(panicked(message.to_owned())), StageTimings::default());
+                return Err(panicked(message.to_owned()));
             }
             analyze_app_timed_with(meta, bytes, ctx)
         };
@@ -411,8 +413,7 @@ mod tests {
             }
             let mut row = ctx.results.row();
             row.push_class(stranger);
-            let row = row.commit(meta.category, &meta.package, 0);
-            (Ok(row), StageTimings::default())
+            Ok(row.commit(meta.category, &meta.package, 0))
         };
         let others: Vec<GeneratedApp> = apps[..shard * per_shard]
             .iter()

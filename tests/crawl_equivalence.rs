@@ -1,7 +1,7 @@
 //! The crawl pipeline's determinism and fault-isolation contracts.
 //!
-//! * parallel == serial: `run_crawl_study_parallel` is bit-identical to
-//!   the one-worker oracle at every worker count and over site subsets —
+//! * parallel == serial: `run_crawl_pipeline` is bit-identical to its
+//!   one-worker run at every worker count and over site subsets —
 //!   records, figures, failure list, and visit counts;
 //! * interned == string oracle: resolving the interned records and folding
 //!   the interned figures reproduces exactly what the string-path
@@ -13,8 +13,9 @@ use std::collections::BTreeSet;
 use wla_crawler::driver::{crawl_app, crawl_baseline, figure6, run_visit_prepared};
 use wla_crawler::sites::{top_100_sites, TopSite};
 use wla_device::iab::all_profiles;
-use wla_dynamic::crawl_study::{run_crawl_study, run_crawl_study_parallel};
-use wla_dynamic::{run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlStudy};
+use wla_dynamic::{
+    run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlOutput,
+};
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
 
@@ -25,7 +26,7 @@ fn subset(n: usize, step: usize) -> Vec<TopSite> {
 /// Structural bit-identity between two study outputs: every record,
 /// figure, failure, and the visit counters. Symbol tables are compared
 /// through the records they resolve.
-fn assert_identical(a: &CrawlStudy, b: &CrawlStudy) {
+fn assert_identical(a: &CrawlOutput, b: &CrawlOutput) {
     assert_eq!(a.baseline, b.baseline);
     assert_eq!(a.per_app, b.per_app);
     assert_eq!(a.figures, b.figures);
@@ -48,12 +49,10 @@ fn assert_identical(a: &CrawlStudy, b: &CrawlStudy) {
 #[test]
 fn parallel_matches_serial_at_every_worker_count() {
     let sites = subset(12, 7);
-    let serial =
-        run_crawl_study_parallel(Some(sites.clone()), Some(APPS), CrawlConfig { workers: 1 });
+    let serial = run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers: 1 });
     assert_eq!(serial.stats.visits_total, 4 * 12);
     for workers in 2..=8 {
-        let parallel =
-            run_crawl_study_parallel(Some(sites.clone()), Some(APPS), CrawlConfig { workers });
+        let parallel = run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers });
         // Explicit worker counts are honoured, so the pool is exactly as
         // requested — real threads even past the host's cores.
         assert_eq!(parallel.stats.workers.len(), workers);
@@ -65,9 +64,8 @@ fn parallel_matches_serial_at_every_worker_count() {
 fn site_subsets_preserve_equivalence() {
     for (n, step) in [(1, 1), (5, 19), (20, 5)] {
         let sites = subset(n, step);
-        let serial = run_crawl_study(Some(sites.clone()), Some(&["LinkedIn"]));
-        let parallel =
-            run_crawl_study_parallel(Some(sites), Some(&["LinkedIn"]), CrawlConfig { workers: 4 });
+        let serial = run_crawl_pipeline(&sites, Some(&["LinkedIn"]), CrawlConfig { workers: 1 });
+        let parallel = run_crawl_pipeline(&sites, Some(&["LinkedIn"]), CrawlConfig { workers: 4 });
         assert_identical(&serial, &parallel);
     }
 }
@@ -75,7 +73,7 @@ fn site_subsets_preserve_equivalence() {
 #[test]
 fn interned_study_matches_string_oracle() {
     let sites = subset(15, 6);
-    let study = run_crawl_study(Some(sites.clone()), Some(APPS));
+    let study = run_crawl_pipeline(&sites, Some(APPS), CrawlConfig { workers: 1 });
     let baseline = crawl_baseline(&sites);
 
     // Baseline host sets resolve to exactly the oracle's.

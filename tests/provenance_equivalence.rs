@@ -103,7 +103,6 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
             ctx.use_dataflow = !ablate;
             let bytes = Bytes::copy_from_slice(&g.bytes);
             let row = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
-                .0
                 .expect("clean container analyzes");
             let analysis = ctx.results.get(row).expect("an analyzed row");
             let origins = analysis
