@@ -22,6 +22,10 @@
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
 # the proptest suites catch mechanically — run this before every push.
 #
+# With no argument `ci.sh` runs the whole gate; its subcommands are `loc`,
+# `bench-snapshot` and `bench-check`, and any other argument prints them
+# and exits 2 without starting cargo.
+#
 # `ci.sh loc` prints the production Rust line count every CHANGES entry
 # reports: every line of `src/**/*.rs` and `crates/*/src/**/*.rs`,
 # `crates/bench` left out, and every `#[cfg(test)]`-gated item left out
@@ -300,6 +304,11 @@ bench-check)
 loc)
     loc
     exit 0
+    ;;
+"") ;;
+*)
+    echo "usage: ./ci.sh [bench-snapshot | bench-check | loc]  (no argument: the full gate)" >&2
+    exit 2
     ;;
 esac
 

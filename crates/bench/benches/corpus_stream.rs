@@ -3,15 +3,15 @@
 //! the same apps, plus the resume-manifest fast path and the shard-write
 //! cost itself. All runs use the same 734-app corpus and 8 workers as
 //! `static_pipeline`'s corpus sweep, so the groups are directly
-//! comparable.
+//! comparable. The cold streamed row writes no cache: a plain file sits
+//! where the manifest directory would be, so every iteration streams
+//! every shard and every cache write fails.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use wla_core::wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
-use wla_core::wla_static::{
-    run_pipeline, run_pipeline_streamed, PipelineConfig, StreamConfig, MANIFEST_SUBDIR,
-};
+use wla_core::wla_static::{run_pipeline, run_pipeline_streamed, PipelineConfig, MANIFEST_SUBDIR};
 
 fn corpus(scale: u32) -> Vec<GeneratedApp> {
     let catalog = SdkIndex::paper();
@@ -30,15 +30,7 @@ fn shard_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn stream_config(resume: bool) -> StreamConfig {
-    StreamConfig {
-        pipeline: PipelineConfig {
-            workers: 8,
-            ..PipelineConfig::default()
-        },
-        resume,
-    }
-}
+const EIGHT: PipelineConfig = PipelineConfig { workers: 8 };
 
 fn bench(c: &mut Criterion) {
     let catalog = SdkIndex::paper();
@@ -57,35 +49,31 @@ fn bench(c: &mut Criterion) {
     let dir = shard_dir("read");
     write_sharded_corpus(&dir, &apps, 64).unwrap();
 
+    let manifest = dir.join(MANIFEST_SUBDIR);
+    std::fs::write(&manifest, b"no cache").unwrap();
     group.bench_function("stream_buffered_734", |b| {
-        b.iter(|| run_pipeline_streamed(black_box(&dir), &catalog, stream_config(false)))
-    });
-    group.bench_function("in_memory_734", |b| {
         b.iter(|| {
-            run_pipeline(
-                black_box(&apps),
-                &catalog,
-                PipelineConfig {
-                    workers: 8,
-                    ..PipelineConfig::default()
-                },
-            )
+            let out = run_pipeline_streamed(black_box(&dir), &catalog, EIGHT).unwrap();
+            assert_eq!(out.stats.stream.shards_cached, 0);
+            out
         })
+    });
+    std::fs::remove_file(&manifest).unwrap();
+    group.bench_function("in_memory_734", |b| {
+        b.iter(|| run_pipeline(black_box(&apps), &catalog, EIGHT))
     });
 
     // Resume fast path: warm the manifest once, then every iteration is
     // served entirely from per-shard result caches.
-    run_pipeline_streamed(&dir, &catalog, stream_config(true)).unwrap();
+    run_pipeline_streamed(&dir, &catalog, EIGHT).unwrap();
     group.bench_function("stream_resume_cached_734", |b| {
         b.iter(|| {
-            let out =
-                run_pipeline_streamed(black_box(&dir), &catalog, stream_config(true)).unwrap();
+            let out = run_pipeline_streamed(black_box(&dir), &catalog, EIGHT).unwrap();
             assert_eq!(out.stats.stream.shards_read, 0);
             out
         })
     });
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(dir.join(MANIFEST_SUBDIR));
 
     group.finish();
 }

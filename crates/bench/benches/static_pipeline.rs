@@ -56,16 +56,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("corpus_734_apps_stats_on", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| {
-                    run_pipeline(
-                        black_box(&inputs),
-                        &catalog,
-                        PipelineConfig {
-                            workers,
-                            ..PipelineConfig::default()
-                        },
-                    )
-                })
+                b.iter(|| run_pipeline(black_box(&inputs), &catalog, PipelineConfig { workers }))
             },
         );
     }

@@ -1,8 +1,7 @@
 //! URL-provenance resolution cost: the intra-procedural constant
 //! propagation pass versus the linear pending-string heuristic it
-//! replaced (DESIGN.md §6.5), at both the per-graph annotation layer and
-//! the end-to-end pipeline (the `use_dataflow` ablation knob behind
-//! EXPERIMENTS.md's provenance table).
+//! replaced (DESIGN.md §6.5), over identical graphs, plus the end-to-end
+//! pipeline the pass runs in.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
@@ -68,26 +67,10 @@ fn bench(c: &mut Criterion) {
             }
         })
     });
-    // End-to-end cost of the pass: full pipeline with the knob on vs off.
-    for use_dataflow in [true, false] {
-        let label = if use_dataflow {
-            "pipeline_dataflow"
-        } else {
-            "pipeline_ablated"
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                run_pipeline(
-                    black_box(&inputs),
-                    &catalog,
-                    PipelineConfig {
-                        workers: 4,
-                        use_dataflow,
-                    },
-                )
-            })
-        });
-    }
+    // The full pipeline, whose dataflow stage is the pass.
+    group.bench_function("pipeline_dataflow", |b| {
+        b.iter(|| run_pipeline(black_box(&inputs), &catalog, PipelineConfig { workers: 4 }))
+    });
     group.finish();
 }
 

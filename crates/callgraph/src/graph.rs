@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use wla_apk::sdex::{Dex, Instruction, InvokeKind, MethodDef, MethodId, TypeId};
 
 /// What is known about the string argument of a call site after provenance
-/// analysis. Produced by an annotator ([`crate::provenance_oracle`] or the
-/// dataflow pass in `wla-static`), never by graph construction itself —
+/// analysis. Produced by the `wla-static` dataflow pass (or, in tests, by
+/// [`crate::provenance_oracle`]), never by graph construction itself —
 /// freshly built graphs carry [`Provenance::Unknown`] everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {

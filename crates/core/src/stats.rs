@@ -905,7 +905,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         let dir = std::env::temp_dir().join(format!("wla-stats-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let run = study
-            .run_static_streamed(&dir, wla_static::StreamConfig::default())
+            .run_static_streamed(&dir, wla_static::PipelineConfig::default())
             .unwrap();
         assert!(run.stats.stream.shards_read > 0);
         assert_eq!(run.stats.stream.entries_streamed, run.stats.total);

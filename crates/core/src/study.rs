@@ -9,7 +9,7 @@ use wla_dynamic::{run_crawl_pipeline, CrawlConfig, CrawlOutput};
 use wla_sdk_index::SdkIndex;
 use wla_static::{
     aggregate, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig, PipelineStats,
-    StreamConfig, StudyResults, CLAIM_APPS,
+    StudyResults, CLAIM_APPS,
 };
 
 /// Top-level study configuration.
@@ -134,7 +134,7 @@ impl Study {
     pub fn run_static_streamed(
         &self,
         dir: &std::path::Path,
-        config: StreamConfig,
+        config: PipelineConfig,
     ) -> std::io::Result<StaticRun> {
         let corpus = self.corpus();
         wla_corpus::write_sharded_corpus(dir, &corpus, CLAIM_APPS)?;
@@ -220,7 +220,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         let streamed = study
-            .run_static_streamed(&dir, StreamConfig::default())
+            .run_static_streamed(&dir, PipelineConfig::default())
             .unwrap();
         assert_eq!(streamed.results, baseline.results);
         assert_eq!(streamed.stats.total, baseline.stats.total);
@@ -231,7 +231,7 @@ mod tests {
         // identical shard bytes, so the second run is served from the
         // resume manifest — and is still identical.
         let resumed = study
-            .run_static_streamed(&dir, StreamConfig::default())
+            .run_static_streamed(&dir, PipelineConfig::default())
             .unwrap();
         assert_eq!(resumed.results, baseline.results);
         assert_eq!(resumed.stats.stream.shards_read, 0);
@@ -247,11 +247,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wla-study-rewrite-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Study::new(2_000, 7)
-            .run_static_streamed(&dir, StreamConfig::default())
+            .run_static_streamed(&dir, PipelineConfig::default())
             .unwrap();
         let study = Study::new(4_000, 7);
         let streamed = study
-            .run_static_streamed(&dir, StreamConfig::default())
+            .run_static_streamed(&dir, PipelineConfig::default())
             .unwrap();
         assert_eq!(streamed.stats.total, 36);
         assert_eq!(streamed.results, study.run_static().results);

@@ -23,8 +23,8 @@ use std::time::Instant;
 use wla_apk::names::{WEBVIEW_CONTENT_METHODS, WEBVIEW_LOAD_METHOD_MASK};
 use wla_apk::{ApkError, Dex, Sapk};
 use wla_callgraph::{
-    entry_points, provenance_oracle, record_web_calls_with, CallGraph, CallGraphCounters,
-    ReachScratch, UrlOrigin, WebCallRecord,
+    entry_points, record_web_calls_with, CallGraph, CallGraphCounters, ReachScratch, UrlOrigin,
+    WebCallRecord,
 };
 use wla_corpus::playstore::{AppMeta, PlayCategory};
 use wla_decompile::webview_subclasses_dex_interned;
@@ -93,7 +93,9 @@ impl DecodeCounters {
 /// memo, result table and stage timers. It is all a pool worker of the
 /// static runners holds: one context serves many apps, and when the
 /// pipeline joins, its table stays where it is, its counters fold into the
-/// run's stats and its lexicon is merged into the run's symbol table.
+/// run's stats and its lexicon is merged into the run's symbol table. It
+/// holds no setting: every runner builds it with [`AnalysisCtx::new`], and
+/// every analysis resolves URL provenance with the one [`dataflow`] pass.
 #[derive(Debug)]
 pub struct AnalysisCtx<'c> {
     /// SDK catalog used for record-time package labeling.
@@ -110,11 +112,6 @@ pub struct AnalysisCtx<'c> {
     /// accumulated across this worker's apps; traversal counters stay on
     /// `reach` until [`AnalysisCtx::callgraph_counters`] folds them in.
     pub graph_counters: CallGraphCounters,
-    /// Resolve URL-argument provenance with the register dataflow pass
-    /// (default). When `false`, the legacy single-pending-string oracle
-    /// ([`wla_callgraph::provenance_oracle`]) annotates sites instead —
-    /// the ablation the `url_provenance` bench measures.
-    pub use_dataflow: bool,
     /// Constant-propagation counters (blocks, fixpoint iterations,
     /// resolved/unknown/conflict sites) accumulated across this worker's
     /// apps.
@@ -138,7 +135,6 @@ impl<'c> AnalysisCtx<'c> {
             labels: LabelCache::new(),
             reach: ReachScratch::new(),
             graph_counters: CallGraphCounters::default(),
-            use_dataflow: true,
             dataflow: DataflowCounters::default(),
             decode: DecodeCounters::default(),
             results: ResultTable::new(),
@@ -372,14 +368,9 @@ fn finish_analysis(
             ctx.graph_counters
                 .absorb_build(&graph.build_stats(), graph.edge_count());
             // URL-argument provenance rides on the site stream before
-            // recording: the dataflow pass by default, the legacy
-            // pending-string oracle under ablation.
+            // recording.
             let annotate = Instant::now();
-            if ctx.use_dataflow {
-                dataflow::annotate(dex, graph.sites_mut(), &mut ctx.dataflow);
-            } else {
-                provenance_oracle::annotate(dex, graph.sites_mut());
-            }
+            dataflow::annotate(dex, graph.sites_mut(), &mut ctx.dataflow);
             dataflow_ns += annotate.elapsed().as_nanos() as u64;
             let roots = entry_points(&graph, &manifest);
             record_web_calls_with(
@@ -563,24 +554,41 @@ mod tests {
 
     #[test]
     fn ablated_pending_string_oracle_resolves_nothing_shuffled() {
-        // Under ablation (the legacy single-pending-string heuristic) the
-        // register shuffle defeats every site: the move chain between the
-        // const-string and the invoke always clears the pending string.
+        // The legacy single-pending-string heuristic, annotating the same
+        // graphs the pass does: the register shuffle defeats every site,
+        // since the move chain between the const-string and the invoke
+        // always clears the pending string.
         let mut sites_seen = 0usize;
         for seed in 0..20 {
             let (catalog, spec) = sample_spec(seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
             let mut ctx = AnalysisCtx::new(&catalog);
-            ctx.use_dataflow = false;
-            let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
-            let analysis = ctx.results.get(row).unwrap();
-            for s in analysis.webview_sites.iter().filter(|s| s.is_load_method()) {
-                assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
-                assert!(s.argument.is_none());
-                sites_seen += 1;
+            let apk = Sapk::decode_bytes(bytes).unwrap();
+            let (manifest, dexes) = decode_rest(apk, &mut ctx).unwrap();
+            let subclasses = webview_subclasses_dex_interned(&dexes, &mut ctx.lexicon);
+            for dex in &dexes {
+                let mut graph = CallGraph::build(dex);
+                wla_callgraph::provenance_oracle::annotate(dex, graph.sites_mut());
+                let roots = entry_points(&graph, &manifest);
+                let record = record_web_calls_with(
+                    &graph,
+                    &roots,
+                    &subclasses,
+                    &catalog,
+                    &mut ctx.lexicon,
+                    &mut ctx.labels,
+                    &mut ctx.reach,
+                );
+                let load = |s: &&wla_callgraph::WebViewSite| {
+                    s.reachable && WEBVIEW_LOAD_METHOD_MASK & (1 << s.method_idx) != 0
+                };
+                for s in record.webview.iter().filter(load) {
+                    assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
+                    assert!(s.argument.is_none());
+                    sites_seen += 1;
+                }
             }
-            assert_eq!(ctx.dataflow.methods, 0, "ablation must skip the pass");
         }
         assert!(sites_seen > 0);
     }

@@ -63,7 +63,7 @@ use wla_callgraph::CallGraphCounters;
 use wla_corpus::playstore::AppMeta;
 use wla_corpus::GeneratedApp;
 use wla_intern::{merge_ordered, LocalInterner, SymbolTable};
-use wla_sdk_index::SdkIndex;
+use wla_sdk_index::{LabelId, SdkIndex};
 
 pub use wla_pool::WorkerStats;
 
@@ -116,36 +116,16 @@ impl AppInput for GeneratedApp {
     }
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, Copy)]
+/// What a static run takes: its worker count, and nothing else. Every run
+/// resolves URL provenance with the one constant-propagation pass, and a
+/// streamed run ([`run_pipeline_streamed`](crate::run_pipeline_streamed))
+/// always keeps its resume manifest, as far as the corpus directory lets
+/// it.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineConfig {
     /// Worker thread count (0 ⇒ available parallelism). Explicit counts
     /// are honoured, capped at the number of items.
     pub workers: usize,
-    /// Resolve URL provenance with the constant-propagation pass
-    /// (default). `false` ablates to the linear pending-string heuristic
-    /// — the bench knob behind EXPERIMENTS.md's provenance table.
-    pub use_dataflow: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> PipelineConfig {
-        PipelineConfig {
-            workers: 0,
-            use_dataflow: true,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A fresh pool worker: a context that carries this run's analysis
-    /// knobs.
-    pub(crate) fn worker<'c>(&self, catalog: &'c SdkIndex) -> AnalysisCtx<'c> {
-        AnalysisCtx {
-            use_dataflow: self.use_dataflow,
-            ..AnalysisCtx::new(catalog)
-        }
-    }
 }
 
 /// Interning observability for one run: how much string work the corpus
@@ -399,13 +379,17 @@ pub(crate) fn panicked(message: String) -> ApkError {
 /// `analyze` must commit the entry's one row and return its number, or
 /// return the entry's error. The loop holds it to that: an error, a
 /// panic's included, takes the place of any row the entry committed, and
-/// an `Ok` that did not commit exactly the row it names fails the entry as
-/// `analysis-panic`.
+/// an `Ok` that did not commit exactly the row it names, or whose row
+/// labels a site with an SDK past `ctx.catalog`, fails the entry as
+/// `analysis-panic`. So no runner hands [`Tally::add`] a row it cannot
+/// fold.
 pub(crate) fn analyze_rows<'c, E>(
     ctx: &mut AnalysisCtx<'c>,
     entries: impl IntoIterator<Item = E>,
     analyze: impl Fn(E, &mut AnalysisCtx<'c>) -> Result<usize, ApkError>,
 ) {
+    let sdks = ctx.catalog.sdks().len();
+    let in_catalog = |label: LabelId| !matches!(label, LabelId::Sdk(i) if i as usize >= sdks);
     for entry in entries {
         let row = ctx.results.len();
         let outcome = wla_pool::isolate(|| {
@@ -414,6 +398,14 @@ pub(crate) fn analyze_rows<'c, E>(
                 committed == row && ctx.results.len() == row + 1,
                 "an analysis must commit exactly the one row it returns"
             );
+            if let Ok(app) = ctx.results.get(row) {
+                let ct = app.ct_sites.iter().map(|s| s.label);
+                let mut labels = app.webview_sites.iter().map(|s| s.label).chain(ct);
+                assert!(
+                    labels.all(in_catalog),
+                    "an analysis must label sites against its catalog"
+                );
+            }
             Ok(())
         });
         if let Err(e) = outcome.unwrap_or_else(|message| Err(panicked(message))) {
@@ -502,7 +494,7 @@ where
     let pool = wla_pool::run(
         n.div_ceil(CLAIM_APPS),
         config.workers,
-        || (config.worker(catalog), Tally::new(catalog), Vec::new()),
+        || (AnalysisCtx::new(catalog), Tally::new(catalog), Vec::new()),
         |(ctx, tally, failed), b| {
             for i in batch(b, n) {
                 // One app in flight: its row is the table's only one.
@@ -575,7 +567,7 @@ where
     let pool = wla_pool::run(
         n.div_ceil(CLAIM_APPS),
         config.workers,
-        || config.worker(catalog),
+        || AnalysisCtx::new(catalog),
         |ctx, b| {
             analyze_rows(ctx, batch(b, n), |i, ctx| analyze(&inputs[i], ctx));
             ctx.results.freeze()
@@ -664,10 +656,7 @@ pub(crate) mod tests {
     }
 
     fn workers(workers: usize) -> PipelineConfig {
-        PipelineConfig {
-            workers,
-            ..PipelineConfig::default()
-        }
+        PipelineConfig { workers }
     }
 
     /// Bit-identity of two runs: every result (global symbol ids
@@ -805,14 +794,7 @@ pub(crate) mod tests {
     fn interner_counters_populated() {
         let catalog = SdkIndex::paper();
         let ins = inputs(&catalog, TEN_BATCHES, 23, 0.0);
-        let out = run_pipeline(
-            &ins,
-            &catalog,
-            PipelineConfig {
-                workers: 4,
-                ..PipelineConfig::default()
-            },
-        );
+        let out = run_pipeline(&ins, &catalog, PipelineConfig { workers: 4 });
         assert_eq!(out.stats.workers.len(), 4);
         let c = &out.stats.interner;
         assert!(c.global_symbols > 0);
@@ -1001,17 +983,53 @@ pub(crate) mod tests {
     /// costs its own app alone, on the keep path and in the fold alike,
     /// and every other row stays in place: a row committed before an
     /// error gives way to the error, and an `Ok` that committed two rows,
-    /// or none, fails the app as `analysis-panic`.
+    /// or none, or a row with a site labelled past the catalog, fails the
+    /// app as `analysis-panic`.
     #[test]
     fn a_broken_row_contract_costs_only_its_app() {
+        use crate::analyze::CtSiteSummary;
         let catalog = SdkIndex::paper();
         let ins = inputs(&catalog, TEN_BATCHES, 29, 0.0);
         let (twice, then_err, none) = (3, ins.len() / 2, ins.len() - 2);
+        let (past, ct_past) = (ins.len() / 4, ins.len() / 3);
         let is = |input: &GeneratedApp, i: usize| std::ptr::eq(input, &ins[i]);
         let contract = "an analysis must commit exactly the one row it returns";
+        let labels = "an analysis must label sites against its catalog";
+        /// Commit a row with a CT site labelled just past the catalog,
+        /// after a WebView site labelled far past it if `webview`.
+        fn mislabel(meta: &AppMeta, ctx: &mut AnalysisCtx<'_>, webview: bool) -> usize {
+            let class = ctx.lexicon.intern("com/past/Catalog");
+            let past = ctx.catalog.sdks().len() as u32;
+            let mut row = ctx.results.row();
+            if webview {
+                row.push_webview(WebViewSiteSummary {
+                    method_idx: 0,
+                    caller_class: class,
+                    caller_package: None,
+                    label: LabelId::Sdk(10_000),
+                    in_deep_link_activity: false,
+                    argument: None,
+                    origin: wla_callgraph::UrlOrigin::Unknown,
+                });
+            }
+            row.push_ct(CtSiteSummary {
+                method: class,
+                is_launch: true,
+                caller_class: class,
+                caller_package: None,
+                label: LabelId::Sdk(past),
+                in_deep_link_activity: false,
+                argument: None,
+                origin: wla_callgraph::UrlOrigin::Unknown,
+            });
+            row.commit(meta.category, &meta.package, 0)
+        }
         let sloppy = |input: &GeneratedApp, ctx: &mut AnalysisCtx<'_>| {
             if is(input, none) {
                 return Ok(ctx.results.len());
+            }
+            if is(input, past) || is(input, ct_past) {
+                return Ok(mislabel(input.meta(), ctx, is(input, past)));
             }
             let outcome = analyze_input(input, ctx);
             if is(input, twice) {
@@ -1029,6 +1047,9 @@ pub(crate) mod tests {
             if is(input, twice) || is(input, none) {
                 return Err(panicked(contract.to_owned()));
             }
+            if is(input, past) || is(input, ct_past) {
+                return Err(panicked(labels.to_owned()));
+            }
             analyze_input(input, ctx)
         };
         for n in [1, 2, 8] {
@@ -1036,16 +1057,19 @@ pub(crate) mod tests {
             let want = run_pipeline_with(&ins, &catalog, workers(n), failing);
             assert_eq!(out.stats.workers.len(), n);
             assert_same_run(&out, &want);
-            assert_eq!(out.stats.panicked, 2, "{n} workers");
+            assert_eq!(out.stats.panicked, 4, "{n} workers");
             assert_holds_only_its_rows(&out);
+            let want_results = aggregate(&want, &catalog, 1);
+            assert_eq!(aggregate(&out, &catalog, 1), want_results, "{n} workers");
 
             let (folded, stats) = tally_with(&ins, &catalog, workers(n), 1, sloppy);
             let (want_folded, want_stats) = tally_with(&ins, &catalog, workers(n), 1, failing);
             assert_eq!(stats.workers.len(), n);
             assert_eq!(folded, want_folded, "{n} workers");
-            assert_eq!(folded, aggregate(&want, &catalog, 1), "{n} workers");
+            assert_eq!(folded, want_results, "{n} workers");
             assert_eq!(stats.failure_kinds, want_stats.failure_kinds, "{n} workers");
             assert_eq!(stats.panicked, want_stats.panicked, "{n} workers");
+            assert_eq!(stats.analyzed + stats.broken, ins.len(), "{n} workers");
         }
     }
 
@@ -1062,10 +1086,7 @@ pub(crate) mod tests {
             let out = run_pipeline(
                 &ins,
                 &catalog,
-                PipelineConfig {
-                    workers,
-                    ..PipelineConfig::default()
-                },
+                PipelineConfig { workers },
             );
             let s = &out.stats;
             prop_assert_eq!(s.total, out.results().len());

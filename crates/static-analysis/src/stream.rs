@@ -30,13 +30,15 @@
 //! open, entry index, cache write), under the `shard-panic` kind, and the
 //! worker's table is cleared of the rows the shard had committed.
 //!
-//! **Resumability.** With [`StreamConfig::resume`] on, each finished
+//! **Resumability.** Every run keeps the resume manifest: each finished
 //! shard's table is serialized to `<dir>/manifest/<shard>.done` keyed to
 //! the shard's stamp (header checksum + length), in cache format 2. A
 //! rerun parses those straight into the worker's table instead of
 //! re-analyzing; any staleness or damage in a cache file — an SDK label
 //! past the worker's catalog included — is a silent miss that leaves the
-//! table as it was.
+//! table as it was. The cache is never worth a run: where the manifest
+//! directory cannot be made (say, a plain file sits at its path), every
+//! load misses and every write fails, and the run streams every shard.
 //! [`StreamCounters`] reports what was streamed, what was served from
 //! cache, shard-level failures, and shard bytes held.
 
@@ -63,25 +65,10 @@ pub const MANIFEST_SUBDIR: &str = "manifest";
 /// entry's analysis fails that entry alone, as `analysis-panic`.
 const SHARD_PANIC: &str = "shard-panic";
 
-/// Streaming-run configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Worker count and analysis knobs shared with the in-memory pipeline;
-    /// the streaming claim unit is one shard.
-    pub pipeline: PipelineConfig,
-    /// Maintain and honor the per-shard resume manifest (default). When
-    /// off, nothing under [`MANIFEST_SUBDIR`] is read or written.
-    pub resume: bool,
-}
-
-impl Default for StreamConfig {
-    fn default() -> StreamConfig {
-        StreamConfig {
-            pipeline: PipelineConfig::default(),
-            resume: true,
-        }
-    }
-}
+/// The streamed runner's older name for [`PipelineConfig`], kept for
+/// callers that still name it: a streamed run takes the worker count
+/// alone, and its claim unit is one shard.
+pub type StreamConfig = PipelineConfig;
 
 /// Counters specific to the shard-streaming path, carried on
 /// [`PipelineStats::stream`](crate::PipelineStats) (all-zero for
@@ -170,7 +157,7 @@ fn cache_path_for(manifest_dir: &Path, shard_path: &Path) -> PathBuf {
 pub fn run_pipeline_streamed(
     dir: &Path,
     catalog: &SdkIndex,
-    config: StreamConfig,
+    config: PipelineConfig,
 ) -> io::Result<PipelineOutput> {
     stream_with(dir, catalog, config, analyze_app_timed_with)
 }
@@ -181,7 +168,7 @@ pub fn run_pipeline_streamed(
 pub(crate) fn stream_with<F>(
     dir: &Path,
     catalog: &SdkIndex,
-    config: StreamConfig,
+    config: PipelineConfig,
     analyze: F,
 ) -> io::Result<PipelineOutput>
 where
@@ -189,22 +176,20 @@ where
 {
     let shards = list_shards(dir)?;
     let manifest_dir = dir.join(MANIFEST_SUBDIR);
-    if config.resume {
-        fs::create_dir_all(&manifest_dir)?;
-    }
+    // A manifest that cannot be made costs only the cache: its loads miss
+    // and its writes fail.
+    let _ = fs::create_dir_all(&manifest_dir);
     let started = Instant::now();
     let held_now = AtomicU64::new(0);
     let held_peak = AtomicU64::new(0);
     let pool = wla_pool::run(
         shards.len(),
-        config.pipeline.workers,
-        || config.pipeline.worker(catalog),
+        config.workers,
+        || AnalysisCtx::new(catalog),
         |ctx, s| {
             let held = (&held_now, &held_peak);
             let shard = &shards[s];
-            let run = wla_pool::isolate(|| {
-                stream_shard(shard, &manifest_dir, config, ctx, &analyze, held)
-            });
+            let run = wla_pool::isolate(|| stream_shard(shard, &manifest_dir, ctx, &analyze, held));
             if run.is_err() {
                 // A panic in shard-level code costs the shard every row it
                 // had committed.
@@ -252,7 +237,6 @@ where
 fn stream_shard<F>(
     path: &Path,
     manifest_dir: &Path,
-    config: StreamConfig,
     ctx: &mut AnalysisCtx<'_>,
     analyze: &F,
     (held_now, held_peak): (&AtomicU64, &AtomicU64),
@@ -261,15 +245,13 @@ where
     F: Fn(&AppMeta, Bytes, &mut AnalysisCtx<'_>) -> Result<usize, ApkError>,
 {
     let cache_path = cache_path_for(manifest_dir, path);
-    if config.resume {
-        if let Ok(stamp) = read_shard_stamp(path) {
-            if cache::load_result_cache(&cache_path, stamp, ctx) {
-                return ShardRun {
-                    table: ctx.results.freeze(),
-                    cached: true,
-                    ..ShardRun::default()
-                };
-            }
+    if let Ok(stamp) = read_shard_stamp(path) {
+        if cache::load_result_cache(&cache_path, stamp, ctx) {
+            return ShardRun {
+                table: ctx.results.freeze(),
+                cached: true,
+                ..ShardRun::default()
+            };
         }
     }
 
@@ -289,15 +271,13 @@ where
         analyze(shard.entry_meta(e), shard.entry_bytes(e), ctx)
     });
 
-    if config.resume {
-        // Keyed to the exact bytes just analyzed (the open-time checksum),
-        // written atomically; failure to cache is not failure to analyze.
-        let stamp = ShardStamp {
-            checksum: shard.checksum(),
-            file_len: shard.file_len(),
-        };
-        let _ = cache::write_result_cache(&cache_path, stamp, &ctx.results, &ctx.lexicon);
-    }
+    // Keyed to the exact bytes just analyzed (the open-time checksum),
+    // written atomically; failure to cache is not failure to analyze.
+    let stamp = ShardStamp {
+        checksum: shard.checksum(),
+        file_len: shard.file_len(),
+    };
+    let _ = cache::write_result_cache(&cache_path, stamp, &ctx.results, &ctx.lexicon);
     ShardRun {
         table: ctx.results.freeze(),
         bytes_read,
@@ -350,13 +330,7 @@ mod tests {
         };
         let root = std::env::temp_dir().join(format!("wla-stream-orphan-{}", std::process::id()));
         for workers in [1usize, 2, 8] {
-            let config = StreamConfig {
-                pipeline: PipelineConfig {
-                    workers,
-                    ..PipelineConfig::default()
-                },
-                resume: true,
-            };
+            let config = PipelineConfig { workers };
             let dirs = ["panicking", "failing"].map(|tag| root.join(format!("{tag}-{workers}")));
             for dir in &dirs {
                 let _ = fs::remove_dir_all(dir);
@@ -422,13 +396,7 @@ mod tests {
             .collect();
         let root = std::env::temp_dir().join(format!("wla-shard-panic-{}", std::process::id()));
         for workers in [1usize, 2, 8] {
-            let config = StreamConfig {
-                pipeline: PipelineConfig {
-                    workers,
-                    ..PipelineConfig::default()
-                },
-                resume: true,
-            };
+            let config = PipelineConfig { workers };
             let dir = root.join(workers.to_string());
             let _ = fs::remove_dir_all(&dir);
             let paths = write_sharded_corpus(&dir, &apps, per_shard).unwrap();
@@ -439,7 +407,7 @@ mod tests {
             assert_eq!(out.stats.total, apps.len() - per_shard, "{workers} workers");
             assert_eq!(out.stats.workers.len(), workers);
             assert_holds_only_its_rows(&out);
-            assert_same_run(&out, &run_pipeline(&others, &catalog, config.pipeline));
+            assert_same_run(&out, &run_pipeline(&others, &catalog, config));
             let manifest = dir.join(MANIFEST_SUBDIR);
             for (i, path) in paths.iter().enumerate() {
                 let done = cache_path_for(&manifest, path).exists();
@@ -453,8 +421,45 @@ mod tests {
                 (stream.shards_read, stream.entries_streamed),
                 (1, per_shard)
             );
-            assert_same_run(&rerun, &run_pipeline(&apps, &catalog, config.pipeline));
+            assert_same_run(&rerun, &run_pipeline(&apps, &catalog, config));
         }
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A corpus directory whose manifest cannot be made — a plain file
+    /// sits at its path — still streams: every load misses, every write
+    /// fails, and each run at any worker count analyzes every entry and
+    /// equals the in-memory run.
+    #[test]
+    fn a_manifest_that_cannot_be_made_costs_only_the_cache() {
+        let catalog = SdkIndex::paper();
+        let config = CorpusConfig {
+            scale: 2_000,
+            seed: 43,
+            corrupt_fraction: 0.1,
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, config).generate();
+        let dir = std::env::temp_dir().join(format!("wla-no-manifest-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let paths = write_sharded_corpus(&dir, &apps, 8).unwrap();
+        assert!(paths.len() >= 8);
+        let blocker = dir.join(MANIFEST_SUBDIR);
+        fs::write(&blocker, b"not a directory").unwrap();
+        let want = run_pipeline(&apps, &catalog, PipelineConfig { workers: 1 });
+        for workers in [1usize, 2, 8] {
+            let out = run_pipeline_streamed(&dir, &catalog, PipelineConfig { workers }).unwrap();
+            let stream = &out.stats.stream;
+            assert_eq!(stream.entries_streamed, apps.len(), "{workers} workers");
+            assert_eq!(
+                (stream.shards_read, stream.shard_failures),
+                (paths.len(), 0)
+            );
+            assert_eq!((stream.shards_cached, stream.entries_cached), (0, 0));
+            assert_eq!(out.stats.workers.len(), workers);
+            assert_same_run(&out, &want);
+        }
+        assert_eq!(fs::read(&blocker).unwrap(), b"not a directory");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -79,10 +79,7 @@ fn corpus(catalog: &SdkIndex, scale: u32) -> Vec<GeneratedApp> {
 }
 
 fn workers(workers: usize) -> PipelineConfig {
-    PipelineConfig {
-        workers,
-        ..PipelineConfig::default()
-    }
+    PipelineConfig { workers }
 }
 
 /// Two workers: the bounds below were measured at two.

@@ -37,14 +37,7 @@ fn corpus(scale: u32, seed: u64, corrupt: f64) -> Vec<GeneratedApp> {
 }
 
 fn in_memory_baseline(apps: &[GeneratedApp], catalog: &SdkIndex) -> (PipelineOutput, StudyResults) {
-    let output = run_pipeline(
-        apps,
-        catalog,
-        PipelineConfig {
-            workers: 1,
-            ..PipelineConfig::default()
-        },
-    );
+    let output = run_pipeline(apps, catalog, PipelineConfig { workers: 1 });
     let results = aggregate(&output, catalog, 1);
     (output, results)
 }
@@ -86,18 +79,9 @@ fn streamed_matches_in_memory_across_workers_and_shard_sizes() {
         let dir = temp_dir(&format!("wk-{per_shard}"));
         write_sharded_corpus(&dir, &apps, per_shard).unwrap();
         for workers in [1usize, 2, 4, 8] {
-            let out = run_pipeline_streamed(
-                &dir,
-                &catalog,
-                StreamConfig {
-                    pipeline: PipelineConfig {
-                        workers,
-                        ..PipelineConfig::default()
-                    },
-                    resume: false,
-                },
-            )
-            .unwrap();
+            // A cold run: the previous run's resume manifest goes first.
+            let _ = std::fs::remove_dir_all(dir.join(MANIFEST_SUBDIR));
+            let out = run_pipeline_streamed(&dir, &catalog, PipelineConfig { workers }).unwrap();
             assert_outputs_identical(&out, &baseline);
             assert_eq!(aggregate(&out, &catalog, 1), baseline_study);
             assert_eq!(out.stats.stream.entries_streamed, apps.len());
@@ -124,13 +108,7 @@ fn resume_after_partial_run_is_bit_identical() {
     let (baseline, baseline_study) = in_memory_baseline(&apps, &catalog);
     let dir = temp_dir("resume");
     write_sharded_corpus(&dir, &apps, 5).unwrap();
-    let config = StreamConfig {
-        pipeline: PipelineConfig {
-            workers: 3,
-            ..PipelineConfig::default()
-        },
-        ..StreamConfig::default()
-    };
+    let config = PipelineConfig { workers: 3 };
 
     // First full run populates the manifest.
     let first = run_pipeline_streamed(&dir, &catalog, config).unwrap();
@@ -173,13 +151,7 @@ fn cache_from_an_older_format_is_a_clean_miss() {
     let dir = temp_dir("old-format");
     let paths = write_sharded_corpus(&dir, &apps, 8).unwrap();
     assert!(paths.len() >= 3);
-    let config = StreamConfig {
-        pipeline: PipelineConfig {
-            workers: 2,
-            ..PipelineConfig::default()
-        },
-        ..StreamConfig::default()
-    };
+    let config = PipelineConfig { workers: 2 };
     let first = run_pipeline_streamed(&dir, &catalog, config).unwrap();
     assert_outputs_identical(&first, &baseline);
     assert_eq!(first.stats.stream.shards_read, paths.len());
@@ -218,7 +190,7 @@ fn rewritten_shard_invalidates_its_cache() {
     let apps = corpus(3_000, 53, 0.0);
     let dir = temp_dir("invalidate");
     let paths = write_sharded_corpus(&dir, &apps, 4).unwrap();
-    let config = StreamConfig::default();
+    let config = PipelineConfig::default();
     let first = run_pipeline_streamed(&dir, &catalog, config).unwrap();
     assert_eq!(first.stats.stream.shards_cached, 0);
 
@@ -263,15 +235,7 @@ fn corrupt_shard_file_is_counted_and_skipped() {
         }
         std::fs::write(&paths[1], &raw).unwrap();
 
-        let out = run_pipeline_streamed(
-            &dir,
-            &catalog,
-            StreamConfig {
-                resume: false,
-                ..StreamConfig::default()
-            },
-        )
-        .unwrap();
+        let out = run_pipeline_streamed(&dir, &catalog, PipelineConfig::default()).unwrap();
         assert_eq!(out.stats.stream.shard_failures, 1, "{tag}");
         assert_eq!(
             out.stats
@@ -354,13 +318,7 @@ fn restamped_cache_damage_is_a_miss_and_the_shard_is_reanalyzed() {
     let dir = temp_dir("restamped");
     let paths = write_sharded_corpus(&dir, &apps, 16).unwrap();
     assert!(paths.len() >= 3);
-    let config = StreamConfig {
-        pipeline: PipelineConfig {
-            workers: 2,
-            ..PipelineConfig::default()
-        },
-        ..StreamConfig::default()
-    };
+    let config = PipelineConfig { workers: 2 };
     let cold = run_pipeline_streamed(&dir, &catalog, config).unwrap();
     assert_outputs_identical(&cold, &baseline);
 
@@ -396,17 +354,13 @@ proptest! {
         workers in 1usize..9,
         per_shard in 1usize..20,
         corrupt in prop_oneof![Just(0.0f64), Just(0.2f64)],
-        resume in any::<bool>(),
     ) {
         let catalog = SdkIndex::paper();
         let apps = corpus(4_000, seed, corrupt);
         let (baseline, baseline_study) = in_memory_baseline(&apps, &catalog);
-        let dir = temp_dir(&format!("prop-{seed}-{workers}-{per_shard}-{resume}"));
+        let dir = temp_dir(&format!("prop-{seed}-{workers}-{per_shard}"));
         write_sharded_corpus(&dir, &apps, per_shard).unwrap();
-        let config = StreamConfig {
-            pipeline: PipelineConfig { workers, ..PipelineConfig::default() },
-            resume,
-        };
+        let config = PipelineConfig { workers };
         let out = run_pipeline_streamed(&dir, &catalog, config).unwrap();
         prop_assert_eq!(out.results().len(), baseline.results().len());
         for (s, b) in out.results().zip(baseline.results()) {
@@ -426,18 +380,16 @@ proptest! {
             s.stream.entries_streamed + s.stream.entries_cached,
             apps.len()
         );
-        if resume {
-            // A second run serves everything from the manifest, identically.
-            let again = run_pipeline_streamed(&dir, &catalog, config).unwrap();
-            prop_assert_eq!(again.stats.stream.entries_cached, apps.len());
-            prop_assert_eq!(again.stats.stream.shards_read, 0);
-            prop_assert_eq!(aggregate(&again, &catalog, 1), baseline_study);
-            for (s, b) in again.results().zip(baseline.results()) {
-                match (s, b) {
-                    (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
-                    (Err(x), Err(y)) => prop_assert_eq!(x, y),
-                    other => prop_assert!(false, "resume mismatch: {other:?}"),
-                }
+        // A second run serves everything from the manifest, identically.
+        let again = run_pipeline_streamed(&dir, &catalog, config).unwrap();
+        prop_assert_eq!(again.stats.stream.entries_cached, apps.len());
+        prop_assert_eq!(again.stats.stream.shards_read, 0);
+        prop_assert_eq!(aggregate(&again, &catalog, 1), baseline_study);
+        for (s, b) in again.results().zip(baseline.results()) {
+            match (s, b) {
+                (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+                (Err(x), Err(y)) => prop_assert_eq!(x, y),
+                other => prop_assert!(false, "resume mismatch: {other:?}"),
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -464,28 +416,24 @@ fn paper_scale_stream_50k() {
     let dir = temp_dir("50k");
     write_sharded_corpus(&dir, &apps, 512).unwrap();
 
-    let run = |workers: usize, resume: bool| {
-        run_pipeline_streamed(
-            &dir,
-            &catalog,
-            StreamConfig {
-                pipeline: PipelineConfig {
-                    workers,
-                    ..PipelineConfig::default()
-                },
-                resume,
-            },
-        )
-        .unwrap()
+    // A cold run: the previous run's resume manifest goes first, so every
+    // shard is analyzed.
+    let cold = |workers: usize| {
+        let _ = std::fs::remove_dir_all(dir.join(MANIFEST_SUBDIR));
+        let out = run_pipeline_streamed(&dir, &catalog, PipelineConfig { workers }).unwrap();
+        assert_eq!(
+            out.stats.stream.entries_streamed,
+            apps.len(),
+            "{workers} workers"
+        );
+        assert_eq!(out.stats.stream.shards_cached, 0, "{workers} workers");
+        out
     };
 
     // The in-memory aggregate and the fold, at `workers`, must both
     // reproduce the streamed study.
     let in_memory_and_folded = |workers: usize, study: &StudyResults| {
-        let config = PipelineConfig {
-            workers,
-            ..PipelineConfig::default()
-        };
+        let config = PipelineConfig { workers };
         let in_memory = aggregate(&run_pipeline(&apps, &catalog, config), &catalog, 1);
         assert_eq!(in_memory, *study, "in-memory at {workers} workers");
         let (folded, stats) = run_pipeline_tallied(&apps, &catalog, config, 1);
@@ -493,7 +441,7 @@ fn paper_scale_stream_50k() {
         assert_eq!(stats.total, apps.len());
     };
 
-    let first = run(1, false);
+    let first = cold(1);
     let study = aggregate(&first, &catalog, 1);
     eprintln!(
         "paper-scale: {} apps, {} shards, {:.1} MiB of shards read, {:.1} MiB peak held, \
@@ -507,7 +455,7 @@ fn paper_scale_stream_50k() {
     assert_eq!(first.stats.result_bytes, first.heap_bytes());
     in_memory_and_folded(1, &study);
     for workers in [2usize, 4, 8] {
-        let out = run(workers, false);
+        let out = cold(workers);
         assert_eq!(out.results().len(), first.results().len());
         for (i, (a, b)) in out.results().zip(first.results()).enumerate() {
             assert_eq!(a, b, "diverged at {i} with {workers} workers");
@@ -518,13 +466,13 @@ fn paper_scale_stream_50k() {
 
     // Resume: populate the manifest, then a second pass must skip every
     // shard and reproduce the study bit-for-bit.
-    let warm = run(8, true);
+    let warm = cold(8);
     eprintln!(
         "paper-scale @8 workers: {:.1} MiB peak shard bytes held",
         warm.stats.stream.peak_mapped_bytes as f64 / (1024.0 * 1024.0),
     );
     assert_eq!(aggregate(&warm, &catalog, 1), study);
-    let resumed = run(8, true);
+    let resumed = run_pipeline_streamed(&dir, &catalog, PipelineConfig { workers: 8 }).unwrap();
     assert_eq!(resumed.stats.stream.shards_read, 0);
     assert_eq!(resumed.stats.stream.entries_cached, apps.len());
     assert_eq!(aggregate(&resumed, &catalog, 1), study);

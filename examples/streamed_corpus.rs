@@ -12,7 +12,7 @@
 //! over a larger one removes the larger one's extra shards.
 
 use whatcha_lookin_at::stats::render_pipeline_stats;
-use whatcha_lookin_at::wla_static::StreamConfig;
+use whatcha_lookin_at::wla_static::PipelineConfig;
 use whatcha_lookin_at::Study;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     );
 
     let run = study
-        .run_static_streamed(&dir, StreamConfig::default())
+        .run_static_streamed(&dir, PipelineConfig::default())
         .expect("streamed run");
     println!("{}", render_pipeline_stats(&run.stats));
     let in_memory = study.run_static();
@@ -42,7 +42,7 @@ fn main() {
     // Same dir, same seed: the deterministic generator re-persists
     // byte-identical shards, so this run is served from the manifest.
     let resumed = study
-        .run_static_streamed(&dir, StreamConfig::default())
+        .run_static_streamed(&dir, PipelineConfig::default())
         .expect("resumed run");
     println!(
         "\nrerun: {} shards re-analyzed, {} entries served from the resume manifest",

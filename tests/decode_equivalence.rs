@@ -130,27 +130,13 @@ fn pipeline_identical_across_worker_counts() {
         ..CorpusConfig::default()
     };
     let inputs = Generator::new(&catalog, cfg).generate();
-    let baseline = run_pipeline(
-        &inputs,
-        &catalog,
-        PipelineConfig {
-            workers: 1,
-            ..PipelineConfig::default()
-        },
-    );
+    let baseline = run_pipeline(&inputs, &catalog, PipelineConfig { workers: 1 });
     assert!(
         baseline.stats.broken > 0,
         "corpus should include broken apps"
     );
     for workers in [2usize, 4] {
-        let run = run_pipeline(
-            &inputs,
-            &catalog,
-            PipelineConfig {
-                workers,
-                ..PipelineConfig::default()
-            },
-        );
+        let run = run_pipeline(&inputs, &catalog, PipelineConfig { workers });
         assert_eq!(run.stats.workers.len(), workers);
         assert_eq!(run.results().len(), baseline.results().len());
         for (i, (a, b)) in run.results().zip(baseline.results()).enumerate() {

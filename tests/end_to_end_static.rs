@@ -74,16 +74,7 @@ fn pipeline_is_deterministic_across_worker_counts() {
         ..CorpusConfig::default()
     };
     let inputs = Generator::new(&catalog, cfg).generate();
-    let run = |workers| {
-        run_pipeline(
-            &inputs,
-            &catalog,
-            PipelineConfig {
-                workers,
-                ..PipelineConfig::default()
-            },
-        )
-    };
+    let run = |workers| run_pipeline(&inputs, &catalog, PipelineConfig { workers });
     let (one, seven) = (run(1), run(7));
     assert_eq!(seven.stats.workers.len(), 7);
     assert_eq!(aggregate(&one, &catalog, 1), aggregate(&seven, &catalog, 1));

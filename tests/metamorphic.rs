@@ -138,10 +138,7 @@ proptest! {
         let out = run_pipeline(
             &inputs,
             &catalog,
-            PipelineConfig {
-                workers,
-                ..PipelineConfig::default()
-            },
+            PipelineConfig { workers },
         );
         prop_assert_eq!(out.stats.workers.len(), workers);
         let oracle = aggregate_string_oracle(&out, &catalog, 1);

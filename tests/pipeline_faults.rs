@@ -44,10 +44,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
     let output = run_pipeline_with(
         &inputs,
         &catalog,
-        PipelineConfig {
-            workers: 4,
-            ..PipelineConfig::default()
-        },
+        PipelineConfig { workers: 4 },
         |input, ctx| {
             let idx = inputs
                 .iter()

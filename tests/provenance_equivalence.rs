@@ -17,11 +17,18 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use whatcha_lookin_at::wla_apk::names::WEBVIEW_LOAD_METHOD_MASK;
 use whatcha_lookin_at::wla_apk::sdex::{Instruction, InvokeKind, MethodId, Reg};
-use whatcha_lookin_at::wla_callgraph::provenance_oracle::pending_strings;
-use whatcha_lookin_at::wla_callgraph::{Provenance, UrlOrigin};
+use whatcha_lookin_at::wla_apk::{Dex, Sapk, SectionTag};
+use whatcha_lookin_at::wla_callgraph::provenance_oracle::{self, pending_strings};
+use whatcha_lookin_at::wla_callgraph::{
+    entry_points, record_web_calls_with, CallGraph, Provenance, ReachScratch, UrlOrigin,
+};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
-use whatcha_lookin_at::wla_sdk_index::SdkIndex;
+use whatcha_lookin_at::wla_decompile::webview_subclasses_dex_interned;
+use whatcha_lookin_at::wla_intern::LocalInterner;
+use whatcha_lookin_at::wla_manifest::{wireformat, Manifest};
+use whatcha_lookin_at::wla_sdk_index::{LabelCache, SdkIndex};
 use whatcha_lookin_at::wla_static::dataflow::method_provenance;
 use whatcha_lookin_at::wla_static::{analyze_app_timed_with, AnalysisCtx, DataflowCounters};
 
@@ -82,6 +89,50 @@ proptest! {
     }
 }
 
+/// The URL origins of an app's reachable load-method and `launchUrl`
+/// sites, the sites its analyzed row carries, with every graph annotated
+/// by the pending-string heuristic in place of the pass.
+fn heuristic_origins(container: &[u8], catalog: &SdkIndex) -> Vec<UrlOrigin> {
+    let apk = Sapk::decode(container).expect("clean container decodes");
+    let manifest: Manifest = wireformat::decode(apk.manifest_bytes().unwrap()).unwrap();
+    let dexes: Vec<Dex> = apk
+        .sections()
+        .iter()
+        .filter(|s| s.tag == SectionTag::Dex)
+        .map(|s| Dex::decode_bytes(s.data.clone()).unwrap())
+        .collect();
+    let mut lexicon = LocalInterner::new();
+    let (mut labels, mut reach) = (LabelCache::new(), ReachScratch::new());
+    let subclasses = webview_subclasses_dex_interned(&dexes, &mut lexicon);
+    let mut origins = Vec::new();
+    for dex in &dexes {
+        let mut graph = CallGraph::build(dex);
+        provenance_oracle::annotate(dex, graph.sites_mut());
+        let roots = entry_points(&graph, &manifest);
+        let record = record_web_calls_with(
+            &graph,
+            &roots,
+            &subclasses,
+            catalog,
+            &mut lexicon,
+            &mut labels,
+            &mut reach,
+        );
+        let loads = record
+            .webview
+            .iter()
+            .filter(|s| s.reachable && WEBVIEW_LOAD_METHOD_MASK & (1 << s.method_idx) != 0)
+            .map(|s| s.origin);
+        let launches = record
+            .custom_tabs
+            .iter()
+            .filter(|s| s.reachable && s.is_launch)
+            .map(|s| s.origin);
+        origins.extend(loads.chain(launches));
+    }
+    origins
+}
+
 /// On the register-shuffled corpus the relationship is strict dominance:
 /// the pass resolves every URL-bearing site, the heuristic none of them.
 #[test]
@@ -98,34 +149,33 @@ fn dataflow_strictly_dominates_oracle_on_shuffled_corpus() {
     let mut flow_resolved = 0u64;
     let mut oracle_resolved = 0u64;
     for g in corpus.iter().filter(|g| !g.corrupted) {
-        for ablate in [false, true] {
-            let mut ctx = AnalysisCtx::new(&catalog);
-            ctx.use_dataflow = !ablate;
-            let bytes = Bytes::copy_from_slice(&g.bytes);
-            let row = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
-                .expect("clean container analyzes");
-            let analysis = ctx.results.get(row).expect("an analyzed row");
-            let origins = analysis
-                .webview_sites
-                .iter()
-                .filter(|s| s.is_load_method())
-                .map(|s| s.origin)
-                .chain(
-                    analysis
-                        .ct_sites
-                        .iter()
-                        .filter(|s| s.is_launch)
-                        .map(|s| s.origin),
-                );
-            for origin in origins {
-                let hit = u64::from(origin == UrlOrigin::Resolved);
-                if ablate {
-                    oracle_resolved += hit;
-                } else {
-                    total += 1;
-                    flow_resolved += hit;
-                }
-            }
+        let mut ctx = AnalysisCtx::new(&catalog);
+        let bytes = Bytes::copy_from_slice(&g.bytes);
+        let row = analyze_app_timed_with(&g.spec.meta, bytes, &mut ctx)
+            .expect("clean container analyzes");
+        let analysis = ctx.results.get(row).expect("an analyzed row");
+        let origins: Vec<UrlOrigin> = analysis
+            .webview_sites
+            .iter()
+            .filter(|s| s.is_load_method())
+            .map(|s| s.origin)
+            .chain(
+                analysis
+                    .ct_sites
+                    .iter()
+                    .filter(|s| s.is_launch)
+                    .map(|s| s.origin),
+            )
+            .collect();
+        let heuristic = heuristic_origins(&g.bytes, &catalog);
+        // Both sides read the same sites.
+        assert_eq!(heuristic.len(), origins.len(), "{}", g.spec.meta.package);
+        for origin in origins {
+            total += 1;
+            flow_resolved += u64::from(origin == UrlOrigin::Resolved);
+        }
+        for origin in heuristic {
+            oracle_resolved += u64::from(origin == UrlOrigin::Resolved);
         }
     }
 

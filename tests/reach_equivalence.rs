@@ -331,12 +331,12 @@ proptest! {
         let base = run_pipeline(
             &inputs,
             &catalog,
-            PipelineConfig { workers: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 1 },
         );
         let out = run_pipeline(
             &inputs,
             &catalog,
-            PipelineConfig { workers, ..PipelineConfig::default() },
+            PipelineConfig { workers },
         );
         prop_assert_eq!(out.stats.workers.len(), workers);
         prop_assert_eq!(out.results().len(), base.results().len());
