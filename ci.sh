@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, warning-free rustdoc, the full test
-# suite, the streamed-corpus example run twice into one directory (1:2000,
+# Local CI gate: formatting, lints, no unused library dependency,
+# warning-free rustdoc, the full test suite, the streamed-corpus example run twice into one directory (1:2000,
 # then the smaller 1:4000 corpus; the example asserts its streamed results
 # equal Study::run_static, so a leftover shard of the first run fails it),
 # the tests of the end-to-end benchmark package
@@ -317,6 +317,17 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== unused crate dependencies =="
+# Every `[dependencies]` entry of a workspace library must be named by
+# that library: one named only by tests, examples or benches belongs in
+# `[dev-dependencies]`. The vendored stand-ins are excluded as below; the
+# check builds in its own target directory, since changing RUSTFLAGS
+# would otherwise invalidate the main build.
+RUSTFLAGS="-D unused-crate-dependencies" CARGO_TARGET_DIR=target/unused-deps \
+    cargo check --workspace --lib -q \
+    --exclude bytes --exclude criterion --exclude parking_lot --exclude proptest \
+    --exclude rand
 
 echo "== cargo doc -D warnings =="
 # Workspace crates only: the excluded packages are the vendored stand-ins

@@ -18,7 +18,7 @@ use crate::graph::{BuildStats, CallGraph, CallSite, UrlOrigin};
 use std::collections::{HashMap, HashSet};
 use wla_apk::names::{framework, package_of_into, CT_LAUNCH_METHOD, WEBVIEW_CONTENT_METHODS};
 use wla_apk::sdex::{Dex, MethodId};
-use wla_intern::{LocalInterner, PkgId, Symbol, U32BuildHasher};
+use wla_intern::{FxBuildHasher, LocalInterner, PkgId, Symbol};
 use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
 
 /// A recorded call to a WebView content method. All names are symbols in
@@ -312,7 +312,7 @@ pub(crate) fn record_sites(
     // TypeId → (class symbol, package + label). TypeIds are per-dex, so
     // this memo must not outlive the call.
     type CallerInfo = (Symbol, Option<(PkgId, LabelId)>);
-    let mut callers: HashMap<u32, CallerInfo, U32BuildHasher> = HashMap::default();
+    let mut callers: HashMap<u32, CallerInfo, FxBuildHasher> = HashMap::default();
     let mut scratch = String::new();
 
     for site in sites {

@@ -21,12 +21,19 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)
 }
 
-/// Download-count model: `log10(downloads) ~ N(mu, sigma)`, clamped to
-/// `[0, cap]`. With the Table 2 calibration (`mu = 2.2`, `sigma = 2.0`),
-/// `P(downloads ≥ 1e5) = P(Z ≥ 1.4) ≈ 8.08%` — the Play-found → 100K+
-/// funnel ratio.
-pub fn log10_downloads<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64, cap: f64) -> u64 {
-    let x = normal(rng, mu, sigma).clamp(0.0, cap);
+/// Mean of log10(downloads): with [`LOG10_DOWNLOADS_SIGMA`],
+/// `P(downloads ≥ 1e5) = P(Z ≥ (5 − 2.2) / 2.0 = 1.4) ≈ 8.08%` — the
+/// Play-found → 100K+ funnel ratio of Table 2.
+const LOG10_DOWNLOADS_MU: f64 = 2.2;
+/// Standard deviation of log10(downloads).
+const LOG10_DOWNLOADS_SIGMA: f64 = 2.0;
+/// Cap on log10(downloads) (5e9 installs ≈ 9.7).
+const LOG10_DOWNLOADS_CAP: f64 = 9.7;
+
+/// Download-count model: `log10(downloads) ~ N(2.2, 2.0)`, clamped to
+/// `[0, 9.7]`.
+pub fn log10_downloads<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    let x = normal(rng, LOG10_DOWNLOADS_MU, LOG10_DOWNLOADS_SIGMA).clamp(0.0, LOG10_DOWNLOADS_CAP);
     10f64.powf(x) as u64
 }
 
@@ -93,7 +100,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 300_000;
         let over = (0..n)
-            .filter(|_| log10_downloads(&mut rng, 2.2, 2.0, 9.7) >= 100_000)
+            .filter(|_| log10_downloads(&mut rng) >= 100_000)
             .count();
         let frac = over as f64 / n as f64;
         // Expected P(Z >= 1.4) = 1 - Phi(1.4) ≈ 0.0808.

@@ -1,7 +1,8 @@
 //! Per-app behaviour sampling, calibrated to the paper's aggregates.
 //!
-//! The sampling model (constants in [`EcosystemParams`], all derived from
-//! the paper; see DESIGN.md §2):
+//! The sampling model (the pool totals in [`EcosystemParams`], every other
+//! value a constant next to the code that samples it; all derived from the
+//! paper, see DESIGN.md §2):
 //!
 //! * **SDK adoption** is sampled per *(SDK category, mechanism pool)*: an
 //!   app adopts the WebView-advertising pool with probability
@@ -35,18 +36,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wla_sdk_index::{Sdk, SdkCategory, SdkIndex};
 
-/// The seven WebView content methods of Table 7, in table order.
-/// (Mirrors `wla_apk::names::WEBVIEW_CONTENT_METHODS`; redefined here to
-/// keep index-based [`MethodSet`] self-contained.)
-pub const METHODS: [&str; 7] = [
-    "loadUrl",
-    "addJavascriptInterface",
-    "loadDataWithBaseURL",
-    "evaluateJavascript",
-    "removeJavascriptInterface",
-    "loadData",
-    "postUrl",
-];
+/// The seven WebView content methods of Table 7, in table order: bit `i`
+/// of a [`MethodSet`] is method `i`.
+pub use wla_apk::names::WEBVIEW_CONTENT_METHODS as METHODS;
 
 /// Index of `loadUrl` in [`METHODS`].
 pub const M_LOAD_URL: usize = 0;
@@ -311,52 +303,23 @@ pub struct TopAppSpec {
     pub link_behavior: LinkBehavior,
 }
 
-/// All calibration constants. Defaults encode the paper's numbers; fields
-/// are public so experiments can perturb them (sensitivity analyses).
+/// The pool adoption totals, the one calibration a caller changes: `wla
+/// whatif` moves mass between the two lists
+/// ([`EcosystemParams::simulate_ct_migration`]). Defaults encode Tables 4
+/// and 5; pool adoption is each total over the analyzed corpus
+/// ([`crate::ANALYZED_APPS`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EcosystemParams {
-    /// Analyzed-corpus size the probabilities are normalized by.
-    pub population: u64,
     /// Per-category WebView-pool adoption totals (paper scale, Table 4).
     pub wv_pool_totals: Vec<(SdkCategory, u64)>,
     /// Per-category CT-pool adoption totals (paper scale, Table 5).
     pub ct_pool_totals: Vec<(SdkCategory, u64)>,
-    /// Adoption total for the obfuscated packages' pool.
-    pub obfuscated_pool_total: u64,
-    /// P(app monetizes with ads) — the latent trait that engagement SDKs
-    /// and CT affinity key on. Defaults to the advertising pool's adoption
-    /// (39,163 / 146,558); kept separate so what-if transforms that move
-    /// pool mass between mechanisms don't silently change it.
-    pub ad_monetization_probability: f64,
-    /// P(engagement adoption | advertising adopter) — engagement SDKs
-    /// measure ad performance, so they ride on ads.
-    pub engagement_given_ads: f64,
-    /// P(CT-affinity | ad adopter) and P(CT-affinity | not ad adopter):
-    /// the latent subset CT pools are sampled within.
-    pub ct_affinity_given_ads: f64,
-    /// See above.
-    pub ct_affinity_otherwise: f64,
-    /// P(first-party WebView code | app).
-    pub direct_webview_probability: f64,
-    /// P(first-party CT code | app).
-    pub direct_ct_probability: f64,
-    /// P(method | direct WebView user), indexed like [`METHODS`].
-    pub direct_method_probabilities: [f64; 7],
-    /// P(first-party code defines an `extends WebView` subclass | direct).
-    pub direct_subclass_probability: f64,
-    /// P(app exports a BROWSABLE deep-link activity).
-    pub deep_link_probability: f64,
-    /// P(the deep-link activity renders in a WebView | deep link).
-    pub deep_link_webview_probability: f64,
-    /// P(app ships dead code that calls WebView APIs).
-    pub dead_code_probability: f64,
 }
 
 impl Default for EcosystemParams {
     fn default() -> Self {
         use SdkCategory::*;
         EcosystemParams {
-            population: crate::ANALYZED_APPS,
             wv_pool_totals: vec![
                 (Advertising, 39_163),
                 (Engagement, 21_040),
@@ -379,25 +342,46 @@ impl Default for EcosystemParams {
                 (Utility, 71),
                 (Unknown, 350),
             ],
-            obfuscated_pool_total: 900,
-            ad_monetization_probability: 39_163.0 / 146_558.0,
-            engagement_given_ads: 0.537,
-            ct_affinity_given_ads: 0.62,
-            ct_affinity_otherwise: 0.183,
-            direct_webview_probability: 0.320,
-            direct_ct_probability: 0.006,
-            // Residuals of Table 7: (total − via-top-SDKs), corrected for
-            // the SDK-overlap each method already has, over the direct-user
-            // population. The removeJavascriptInterface entry is
-            // conditional on addJavascriptInterface.
-            direct_method_probabilities: [0.881, 0.35, 0.215, 0.20, 0.32, 0.158, 0.051],
-            direct_subclass_probability: 0.35,
-            deep_link_probability: 0.18,
-            deep_link_webview_probability: 0.5,
-            dead_code_probability: 0.15,
         }
     }
 }
+
+/// Adoption total for the obfuscated packages' pool.
+const OBFUSCATED_POOL_TOTAL: u64 = 900;
+/// P(app monetizes with ads) — the latent trait that engagement SDKs and
+/// CT affinity key on: the advertising pool's adoption (39,163 / 146,558),
+/// fixed so what-if transforms that move pool mass between mechanisms
+/// leave it alone.
+const AD_MONETIZATION_PROBABILITY: f64 = 39_163.0 / 146_558.0;
+/// P(engagement adoption | advertising adopter) — engagement SDKs measure
+/// ad performance, so they ride on ads.
+const ENGAGEMENT_GIVEN_ADS: f64 = 0.537;
+/// P(CT affinity | ad adopter): the latent subset CT pools are sampled
+/// within.
+const CT_AFFINITY_GIVEN_ADS: f64 = 0.62;
+/// P(CT affinity | not an ad adopter).
+const CT_AFFINITY_OTHERWISE: f64 = 0.183;
+/// The population-level CT affinity the two above imply; CT pool adoption
+/// is divided by it inside the affinity subset.
+const CT_AFFINITY_MARGINAL: f64 = 0.30;
+/// P(first-party WebView code | app).
+const DIRECT_WEBVIEW_PROBABILITY: f64 = 0.320;
+/// P(first-party CT code | app).
+const DIRECT_CT_PROBABILITY: f64 = 0.006;
+/// P(method | direct WebView user), indexed like [`METHODS`]: Table 7's
+/// residuals (total − via-top-SDKs), corrected for the SDK overlap each
+/// method already has, over the direct-user population. The
+/// `removeJavascriptInterface` entry is conditional on
+/// `addJavascriptInterface`.
+const DIRECT_METHOD_PROBABILITIES: [f64; 7] = [0.881, 0.35, 0.215, 0.20, 0.32, 0.158, 0.051];
+/// P(first-party code defines an `extends WebView` subclass | direct).
+const DIRECT_SUBCLASS_PROBABILITY: f64 = 0.35;
+/// P(app exports a BROWSABLE deep-link activity).
+const DEEP_LINK_PROBABILITY: f64 = 0.18;
+/// P(the deep-link activity renders in a WebView | deep link).
+const DEEP_LINK_WEBVIEW_PROBABILITY: f64 = 0.5;
+/// P(app ships dead code that calls WebView APIs).
+const DEAD_CODE_PROBABILITY: f64 = 0.15;
 
 /// Figure 3 app-category effect: multiplier applied to a pool's adoption
 /// probability for apps of `play_cat`.
@@ -463,7 +447,6 @@ pub fn mean_category_multiplier(sdk_cat: SdkCategory, custom_tabs_pool: bool) ->
 /// The ecosystem sampler. Owns the catalog-derived pools.
 #[derive(Debug)]
 pub struct Ecosystem {
-    params: EcosystemParams,
     /// Category per catalog index (avoids borrowing the catalog at sample
     /// time).
     catalog_categories: Vec<SdkCategory>,
@@ -516,54 +499,45 @@ fn adjust_for_forcing(weights: &[f64]) -> Vec<f64> {
     adj
 }
 
+/// One mechanism's pools: per `(category, total)`, the catalog's
+/// non-obfuscated SDKs of that category with apps on the mechanism, each
+/// weighted by its app count over `total` (Table 4 for WebViews, Table 5
+/// for Custom Tabs).
+fn mechanism_pools(
+    catalog: &SdkIndex,
+    totals: &[(SdkCategory, u64)],
+    custom_tabs: bool,
+) -> Vec<Pool> {
+    let apps = |s: &Sdk| if custom_tabs { s.ct_apps } else { s.wv_apps };
+    totals
+        .iter()
+        .map(|&(cat, total)| {
+            let members: Vec<usize> = catalog
+                .sdks()
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.category == cat && !s.obfuscated && apps(s) > 0)
+                .map(|(i, _)| i)
+                .collect();
+            let weights: Vec<f64> = members
+                .iter()
+                .map(|&i| apps(&catalog.sdks()[i]) as f64 / total as f64)
+                .collect();
+            Pool {
+                category: cat,
+                adoption: total as f64 / crate::ANALYZED_APPS as f64,
+                multiplier_mean: mean_category_multiplier(cat, custom_tabs),
+                members,
+                sample_weights: adjust_for_forcing(&weights),
+                weights,
+            }
+        })
+        .collect()
+}
+
 impl Ecosystem {
-    /// Build pools from the catalog and calibration parameters.
+    /// Build pools from the catalog and the pool totals.
     pub fn new(catalog: &SdkIndex, params: EcosystemParams) -> Self {
-        let n = params.population as f64;
-        let mut wv_pools = Vec::new();
-        for &(cat, total) in &params.wv_pool_totals {
-            let members: Vec<usize> = catalog
-                .sdks()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.category == cat && !s.obfuscated && s.wv_apps > 0)
-                .map(|(i, _)| i)
-                .collect();
-            let weights: Vec<f64> = members
-                .iter()
-                .map(|&i| catalog.sdks()[i].wv_apps as f64 / total as f64)
-                .collect();
-            wv_pools.push(Pool {
-                category: cat,
-                adoption: total as f64 / n,
-                multiplier_mean: mean_category_multiplier(cat, false),
-                members,
-                sample_weights: adjust_for_forcing(&weights),
-                weights,
-            });
-        }
-        let mut ct_pools = Vec::new();
-        for &(cat, total) in &params.ct_pool_totals {
-            let members: Vec<usize> = catalog
-                .sdks()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.category == cat && !s.obfuscated && s.ct_apps > 0)
-                .map(|(i, _)| i)
-                .collect();
-            let weights: Vec<f64> = members
-                .iter()
-                .map(|&i| catalog.sdks()[i].ct_apps as f64 / total as f64)
-                .collect();
-            ct_pools.push(Pool {
-                category: cat,
-                adoption: total as f64 / n,
-                multiplier_mean: mean_category_multiplier(cat, true),
-                members,
-                sample_weights: adjust_for_forcing(&weights),
-                weights,
-            });
-        }
         let obf_members: Vec<usize> = catalog
             .sdks()
             .iter()
@@ -581,24 +555,18 @@ impl Ecosystem {
             .collect();
         let obf_pool = Pool {
             category: SdkCategory::Unknown,
-            adoption: params.obfuscated_pool_total as f64 / n,
+            adoption: OBFUSCATED_POOL_TOTAL as f64 / crate::ANALYZED_APPS as f64,
             multiplier_mean: 1.0,
             sample_weights: adjust_for_forcing(&obf_weights),
             weights: obf_weights,
             members: obf_members,
         };
         Ecosystem {
-            params,
             catalog_categories: catalog.sdks().iter().map(|s| s.category).collect(),
-            wv_pools,
-            ct_pools,
+            wv_pools: mechanism_pools(catalog, &params.wv_pool_totals, false),
+            ct_pools: mechanism_pools(catalog, &params.ct_pool_totals, true),
             obf_pool,
         }
-    }
-
-    /// Parameters in effect.
-    pub fn params(&self) -> &EcosystemParams {
-        &self.params
     }
 
     /// Sample the included members of one pool: each member by weight,
@@ -619,24 +587,22 @@ impl Ecosystem {
 
     /// Sample the full behaviour of one app given its metadata.
     pub fn sample_app<R: Rng + ?Sized>(&self, rng: &mut R, meta: AppMeta) -> AppSpec {
-        let p = &self.params;
         let mut wv_sdks: Vec<usize> = Vec::new();
         // The latent monetization trait: drawn first so engagement riding
         // and CT affinity survive what-if transforms that empty the
         // advertising WebView pool.
-        let ads_adopted = coin(rng, p.ad_monetization_probability);
+        let ads_adopted = coin(rng, AD_MONETIZATION_PROBABILITY);
 
         for pool in &self.wv_pools {
             let mult =
                 category_multiplier(meta.category, pool.category, false) / pool.multiplier_mean;
             let adopted = match pool.category {
                 // Engagement rides on ads rather than adopting independently.
-                SdkCategory::Engagement => ads_adopted && coin(rng, p.engagement_given_ads),
+                SdkCategory::Engagement => ads_adopted && coin(rng, ENGAGEMENT_GIVEN_ADS),
                 // The ad pool is the monetization trait expressed through
                 // this mechanism: conditional on the latent draw.
                 SdkCategory::Advertising => {
-                    let conditional =
-                        (pool.adoption * mult / p.ad_monetization_probability).min(1.0);
+                    let conditional = (pool.adoption * mult / AD_MONETIZATION_PROBABILITY).min(1.0);
                     ads_adopted && coin(rng, conditional)
                 }
                 _ => coin(rng, (pool.adoption * mult).min(0.95)),
@@ -651,17 +617,16 @@ impl Ecosystem {
 
         // CT pools sample within the latent affinity subset.
         let affinity = if ads_adopted {
-            p.ct_affinity_given_ads
+            CT_AFFINITY_GIVEN_ADS
         } else {
-            p.ct_affinity_otherwise
+            CT_AFFINITY_OTHERWISE
         };
-        let marginal_affinity = 0.30; // implied population-level affinity
         let mut ct_sdks: Vec<usize> = Vec::new();
         if coin(rng, affinity) {
             for pool in &self.ct_pools {
                 let mult =
                     category_multiplier(meta.category, pool.category, true) / pool.multiplier_mean;
-                let conditional = (pool.adoption * mult / marginal_affinity).min(0.95);
+                let conditional = (pool.adoption * mult / CT_AFFINITY_MARGINAL).min(0.95);
                 if coin(rng, conditional) {
                     ct_sdks.extend(Self::sample_pool(rng, pool));
                 }
@@ -707,10 +672,10 @@ impl Ecosystem {
 
         // First-party usage. The `removeJavascriptInterface` entry of the
         // probability table is conditional on `addJavascriptInterface`.
-        let direct_wv = coin(rng, p.direct_webview_probability);
+        let direct_wv = coin(rng, DIRECT_WEBVIEW_PROBABILITY);
         let mut direct_wv_methods = MethodSet::EMPTY;
         if direct_wv {
-            for (i, &pi) in p.direct_method_probabilities.iter().enumerate() {
+            for (i, &pi) in DIRECT_METHOD_PROBABILITIES.iter().enumerate() {
                 if i == M_REMOVE_JS_IFACE {
                     continue;
                 }
@@ -719,22 +684,22 @@ impl Ecosystem {
                 }
             }
             if direct_wv_methods.contains(M_ADD_JS_IFACE)
-                && coin(rng, p.direct_method_probabilities[M_REMOVE_JS_IFACE])
+                && coin(rng, DIRECT_METHOD_PROBABILITIES[M_REMOVE_JS_IFACE])
             {
                 direct_wv_methods.insert(M_REMOVE_JS_IFACE);
             }
             if direct_wv_methods.is_empty() {
-                let i = weighted_index(rng, &p.direct_method_probabilities);
+                let i = weighted_index(rng, &DIRECT_METHOD_PROBABILITIES);
                 direct_wv_methods.insert(i);
             }
         }
-        let direct_wv_subclass = direct_wv && coin(rng, p.direct_subclass_probability);
-        let direct_ct = coin(rng, p.direct_ct_probability);
+        let direct_wv_subclass = direct_wv && coin(rng, DIRECT_SUBCLASS_PROBABILITY);
+        let direct_ct = coin(rng, DIRECT_CT_PROBABILITY);
 
-        let deep_link = if coin(rng, p.deep_link_probability) {
+        let deep_link = if coin(rng, DEEP_LINK_PROBABILITY) {
             Some(DeepLinkSpec {
                 host: format!("www.{}.example.com", meta.package.replace('.', "-")),
-                uses_webview: coin(rng, p.deep_link_webview_probability),
+                uses_webview: coin(rng, DEEP_LINK_WEBVIEW_PROBABILITY),
             })
         } else {
             None
@@ -748,7 +713,7 @@ impl Ecosystem {
             direct_wv_subclass,
             direct_ct,
             deep_link,
-            dead_code_webview: coin(rng, p.dead_code_probability),
+            dead_code_webview: coin(rng, DEAD_CODE_PROBABILITY),
             noise_classes: rng.gen_range(2..10),
         }
     }

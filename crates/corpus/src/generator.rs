@@ -1,10 +1,10 @@
 //! Corpus assembly: sample post-filter app metadata, sample behaviour,
 //! lower to bytes, and corrupt the paper's broken-APK fraction.
 
-use crate::distributions::weighted_index;
+use crate::distributions::{log10_downloads, weighted_index};
 use crate::ecosystem::{AppSpec, Ecosystem, EcosystemParams};
 use crate::lowering::lower;
-use crate::playstore::{AppMeta, PlayCategory, CUTOFF_2021, SNAPSHOT_DAY};
+use crate::playstore::{AppMeta, PlayCategory, CUTOFF_2021, POPULAR_DOWNLOADS, SNAPSHOT_DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wla_apk::corrupt::{corrupt, CorruptionKind};
@@ -18,7 +18,7 @@ pub struct CorpusConfig {
     pub scale: u32,
     /// Master seed.
     pub seed: u64,
-    /// Ecosystem calibration.
+    /// The ecosystem's pool adoption totals.
     pub params: EcosystemParams,
     /// Fraction of containers to damage (paper: 242 / 146,800).
     pub corrupt_fraction: f64,
@@ -74,16 +74,20 @@ impl<'a> Generator<'a> {
 
     /// Sample metadata for one post-filter app (downloads ≥ 100K via
     /// rejection from the universe's log-normal; update date after the
-    /// cutoff by construction).
-    fn sample_filtered_meta<R: Rng + ?Sized>(rng: &mut R, i: usize) -> AppMeta {
+    /// cutoff by construction); `category_weights` are
+    /// [`PlayCategory::weight`] over [`PlayCategory::ALL`].
+    fn sample_filtered_meta<R: Rng + ?Sized>(
+        rng: &mut R,
+        i: usize,
+        category_weights: &[f64],
+    ) -> AppMeta {
         let downloads = loop {
-            let d = crate::distributions::log10_downloads(rng, 2.2, 2.0, 9.7);
-            if d >= 100_000 {
+            let d = log10_downloads(rng);
+            if d >= POPULAR_DOWNLOADS {
                 break d;
             }
         };
-        let weights: Vec<f64> = PlayCategory::ALL.iter().map(|c| c.weight()).collect();
-        let cat = PlayCategory::ALL[weighted_index(rng, &weights)];
+        let cat = PlayCategory::ALL[weighted_index(rng, category_weights)];
         AppMeta {
             package: format!("com.vendor{:05}.app{:03}", i / 512, i % 512),
             on_play_store: true,
@@ -98,9 +102,10 @@ impl<'a> Generator<'a> {
         let n = self.config.app_count();
         let eco = Ecosystem::new(self.catalog, self.config.params.clone());
         let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let category_weights = PlayCategory::ALL.map(PlayCategory::weight);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            let meta = Self::sample_filtered_meta(&mut rng, i);
+            let meta = Self::sample_filtered_meta(&mut rng, i, &category_weights);
             let spec = eco.sample_app(&mut rng, meta);
             let apk = lower(&spec, self.catalog, &mut rng);
             let clean = apk.encode();
@@ -207,6 +212,34 @@ mod tests {
         }
         assert_eq!((apps.len(), len), (1_468, 2_434_849));
         assert_eq!(format!("{hash:016x}"), "d9abe1feba2eb802");
+    }
+
+    /// The same pin after `wla whatif`'s last scenario, where payment,
+    /// identity, social and advertising SDKs move all of their WebView
+    /// adoption to Custom Tabs: the one path that changes
+    /// [`EcosystemParams`].
+    #[test]
+    fn whatif_corpus_bytes_are_pinned() {
+        use wla_sdk_index::SdkCategory::*;
+        let catalog = SdkIndex::paper();
+        let cfg = CorpusConfig {
+            scale: 100,
+            seed: 0xDA7A_5EED,
+            params: EcosystemParams::default()
+                .simulate_ct_migration(&[Payments, Authentication, Social, Advertising], 1.0),
+            ..CorpusConfig::default()
+        };
+        let apps = Generator::new(&catalog, cfg).generate();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut len = 0;
+        for app in &apps {
+            len += app.bytes.len();
+            for &byte in &app.bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!((apps.len(), len), (1_468, 2_108_356));
+        assert_eq!(format!("{hash:016x}"), "e1dfd42fc23f525a");
     }
 
     #[test]

@@ -52,10 +52,6 @@ pub use shard::{
 
 /// Number of Play-Store apps in the AndroZoo snapshot (Table 2 row 1).
 pub const ANDROZOO_PLAY_APPS: u64 = 6_507_222;
-/// Apps whose metadata was found on the Play Store (Table 2 row 2).
-pub const FOUND_ON_PLAY: u64 = 2_454_488;
-/// Apps with 100K+ downloads (Table 2 row 3).
-pub const POPULAR_APPS: u64 = 198_324;
 /// Popular apps also updated after 2021-01-01 (Table 2 row 4).
 pub const POPULAR_MAINTAINED_APPS: u64 = 146_800;
 /// Apps whose APKs decoded successfully (Table 2 row 5).

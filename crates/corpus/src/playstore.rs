@@ -182,6 +182,9 @@ pub struct AppMeta {
     pub last_update_day: u32,
 }
 
+/// Minimum download count of a popular app (Table 2's 100K+ row).
+pub const POPULAR_DOWNLOADS: u64 = 100_000;
+
 /// The §3.1.1 selection filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterSpec {
@@ -194,7 +197,7 @@ pub struct FilterSpec {
 impl Default for FilterSpec {
     fn default() -> Self {
         FilterSpec {
-            min_downloads: 100_000,
+            min_downloads: POPULAR_DOWNLOADS,
             updated_after_day: CUTOFF_2021,
         }
     }
@@ -212,23 +215,13 @@ impl FilterSpec {
     }
 }
 
-/// Calibration for the metadata universe.
+/// The metadata universe a caller picks: its size and its seed. The
+/// calibration is constants: the on-Play probability, the download model
+/// ([`log10_downloads`]) and [`maintained_probability`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniverseConfig {
     /// Total AndroZoo Play apps to generate.
     pub total_apps: u64,
-    /// Probability an app's metadata is still on the Play Store.
-    pub on_play_probability: f64,
-    /// Mean of log10(downloads) for listed apps.
-    pub log_downloads_mu: f64,
-    /// Std-dev of log10(downloads).
-    pub log_downloads_sigma: f64,
-    /// Cap on log10(downloads) (5e9 installs ≈ 9.7).
-    pub log_downloads_cap: f64,
-    /// Base of the maintenance probability (see [`maintained_probability`]).
-    pub maintenance_base: f64,
-    /// Slope of maintenance probability per log10(download).
-    pub maintenance_slope: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -237,35 +230,34 @@ impl Default for UniverseConfig {
     fn default() -> Self {
         UniverseConfig {
             total_apps: crate::ANDROZOO_PLAY_APPS,
-            // 2,454,488 / 6,507,222.
-            on_play_probability: 0.377_2,
-            // P(log10 d >= 5) = P(Z >= (5 - 2.2) / 2.0 = 1.4) ≈ 8.08% —
-            // the found → 100K+ ratio of Table 2.
-            log_downloads_mu: 2.2,
-            log_downloads_sigma: 2.0,
-            log_downloads_cap: 9.7,
-            // Tuned so that P(updated after 2021 | downloads >= 100K) ≈
-            // 146,800 / 198,324 = 74.0%.
-            maintenance_base: 0.27,
-            maintenance_slope: 0.079,
             seed: 0x5EED_AB00,
         }
     }
 }
 
+/// Probability an app's metadata is still on the Play Store: 2,454,488 /
+/// 6,507,222.
+const ON_PLAY_PROBABILITY: f64 = 0.377_2;
+/// Base and slope per log10(download) of [`maintained_probability`], tuned
+/// so that P(updated after 2021 | downloads ≥ 100K) ≈ 146,800 / 198,324 =
+/// 74.0%.
+const MAINTENANCE_BASE: f64 = 0.27;
+/// See [`MAINTENANCE_BASE`].
+const MAINTENANCE_SLOPE: f64 = 0.079;
+
 /// Probability that an app with `downloads` was updated after the cutoff.
 /// Popular apps are better maintained; the linear-in-log10 model is clamped
 /// to a sane range.
-pub fn maintained_probability(cfg: &UniverseConfig, downloads: u64) -> f64 {
+pub fn maintained_probability(downloads: u64) -> f64 {
     let logd = (downloads.max(1) as f64).log10();
-    (cfg.maintenance_base + cfg.maintenance_slope * logd).clamp(0.02, 0.98)
+    (MAINTENANCE_BASE + MAINTENANCE_SLOPE * logd).clamp(0.02, 0.98)
 }
 
 /// The `last_update_day` of a record with `downloads` installs: the
 /// maintenance coin, then a day on the side of the cutoff it picked. Two
 /// words.
-fn update_day(rng: &mut StdRng, cfg: &UniverseConfig, downloads: u64) -> u32 {
-    if coin(rng, maintained_probability(cfg, downloads)) {
+fn update_day(rng: &mut StdRng, downloads: u64) -> u32 {
+    if coin(rng, maintained_probability(downloads)) {
         rng.gen_range(CUTOFF_2021..=SNAPSHOT_DAY)
     } else {
         rng.gen_range(0..CUTOFF_2021)
@@ -309,23 +301,18 @@ pub fn count_funnel(cfg: &UniverseConfig, filter: &FilterSpec) -> FunnelCounts {
         ..FunnelCounts::default()
     };
     for _ in 0..cfg.total_apps {
-        if !coin(&mut rng, cfg.on_play_probability) {
+        if !coin(&mut rng, ON_PLAY_PROBABILITY) {
             skip(&mut rng, WORDS_PER_RECORD - 1);
             continue;
         }
         counts.found += 1;
-        let downloads = log10_downloads(
-            &mut rng,
-            cfg.log_downloads_mu,
-            cfg.log_downloads_sigma,
-            cfg.log_downloads_cap,
-        );
+        let downloads = log10_downloads(&mut rng);
         if downloads < filter.min_downloads {
             skip(&mut rng, WORDS_PER_RECORD - 3);
             continue;
         }
         counts.popular += 1;
-        if update_day(&mut rng, cfg, downloads) >= filter.updated_after_day {
+        if update_day(&mut rng, downloads) >= filter.updated_after_day {
             counts.maintained += 1;
         }
         skip(&mut rng, WORDS_PER_RECORD - 5);
@@ -356,11 +343,6 @@ impl MetadataUniverse {
             category_weights,
         }
     }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &UniverseConfig {
-        &self.cfg
-    }
 }
 
 impl Iterator for MetadataUniverse {
@@ -374,16 +356,11 @@ impl Iterator for MetadataUniverse {
         self.produced += 1;
         let rng = &mut self.rng;
 
-        let on_play_store = coin(rng, self.cfg.on_play_probability);
+        let on_play_store = coin(rng, ON_PLAY_PROBABILITY);
         // Downloads exist in AndroZoo even for delisted apps, but the paper
         // can only filter on scraped metadata; model both the same way.
-        let downloads = log10_downloads(
-            rng,
-            self.cfg.log_downloads_mu,
-            self.cfg.log_downloads_sigma,
-            self.cfg.log_downloads_cap,
-        );
-        let last_update_day = update_day(rng, &self.cfg, downloads);
+        let downloads = log10_downloads(rng);
+        let last_update_day = update_day(rng, downloads);
         let cat_idx = crate::distributions::weighted_index(rng, &self.category_weights);
 
         Some(AppMeta {
@@ -478,11 +455,7 @@ mod tests {
     #[test]
     fn counting_equals_folding_the_records() {
         for (seed, total_apps) in [(0x5EED_AB00, 50_000), (1, 30_000), (0xDA7A_5EED, 30_000)] {
-            let cfg = UniverseConfig {
-                total_apps,
-                seed,
-                ..UniverseConfig::default()
-            };
+            let cfg = UniverseConfig { total_apps, seed };
             for filter in [
                 FilterSpec::default(),
                 FilterSpec {
@@ -560,11 +533,10 @@ mod tests {
 
     #[test]
     fn maintenance_grows_with_popularity() {
-        let cfg = UniverseConfig::default();
-        assert!(maintained_probability(&cfg, 10_000_000) > maintained_probability(&cfg, 100_000));
+        assert!(maintained_probability(10_000_000) > maintained_probability(100_000));
         // Clamped on both ends.
-        assert!(maintained_probability(&cfg, 0) >= 0.02);
-        assert!(maintained_probability(&cfg, u64::MAX) <= 0.98);
+        assert!(maintained_probability(0) >= 0.02);
+        assert!(maintained_probability(u64::MAX) <= 0.98);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! calls the *site itself* makes and (b) how much IAB-injected machinery
 //! activates (Figure 6's x-axis effect).
 
-use std::sync::Arc;
 use wla_device::webview::{PageSource, PreparedPage};
-use wla_web::Document;
 
 /// Site categories (Sitereview-style; the x-axis of Figures 6a/6b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,104 +117,11 @@ impl TopSite {
     }
 }
 
-/// Prepare a site's page once — DOM and resolved subresource URL list —
-/// for sharing across every visit to that site. Builds the document and
-/// its resolved fetch list directly from the same recipe [`site_html`]
-/// renders, skipping the markup/parse/DOM-walk round-trip;
-/// `site_page_matches_parsed_markup` pins the two paths node-for-node and
-/// URL-for-URL over the whole corpus.
+/// Prepare a site's page once — parse [`site_html`] and resolve its fetch
+/// list, then [`site_extra_requests`] — for sharing across every visit to
+/// that site.
 pub fn site_page(site: &TopSite) -> PreparedPage {
-    let r = site.category.richness() as usize;
-    let mut doc = Document::new();
-    let head = doc.head().expect("skeleton");
-    let body = doc.body().expect("skeleton");
-    // Resolved subresources accumulate in document order — the order
-    // `collect_subresource_urls` walks the parsed DOM.
-    let mut sub_urls: Vec<Arc<str>> = Vec::with_capacity(10 + r / 2);
-
-    let meta = doc.alloc_element("meta");
-    doc.set_attr(meta, "name", "description");
-    doc.set_attr(meta, "content", &format!("{} landing", site.host));
-    doc.append_child(head, meta);
-    let link = doc.alloc_element("link");
-    doc.set_attr(link, "href", "/static/site.css");
-    doc.append_child(head, link);
-    sub_urls.push(format!("https://{}/static/site.css", site.host).into());
-
-    let h1 = doc.alloc_element("h1");
-    let title = doc.alloc_text(&site.host);
-    doc.append_child(h1, title);
-    doc.append_child(body, h1);
-    for p in 0..(2 + r) {
-        let para = doc.alloc_element("p");
-        let text = doc.alloc_text(&format!(
-            "Article paragraph {p} with body copy for {}.",
-            site.category.label()
-        ));
-        doc.append_child(para, text);
-        doc.append_child(body, para);
-    }
-    for img in 0..(1 + r / 2) {
-        let el = doc.alloc_element("img");
-        doc.set_attr(el, "src", &format!("/media/img{img}.jpg"));
-        doc.append_child(body, el);
-        sub_urls.push(format!("https://{}/media/img{img}.jpg", site.host).into());
-    }
-    let mut script = |doc: &mut Document, src: &str, resolved: Arc<str>| {
-        let el = doc.alloc_element("script");
-        doc.set_attr(el, "src", src);
-        doc.append_child(body, el);
-        sub_urls.push(resolved);
-    };
-    script(
-        &mut doc,
-        "/static/bundle.js",
-        format!("https://{}/static/bundle.js", site.host).into(),
-    );
-    script(
-        &mut doc,
-        "https://analytics.site-metrics.net/ga.js",
-        "https://analytics.site-metrics.net/ga.js".into(),
-    );
-    if r >= 5 {
-        script(
-            &mut doc,
-            "https://static.site-ads.net/slot.js",
-            "https://static.site-ads.net/slot.js".into(),
-        );
-        let ins = doc.alloc_element("ins");
-        doc.set_attr(ins, "class", "adsbygoogle");
-        doc.append_child(body, ins);
-    }
-    if r >= 8 {
-        script(
-            &mut doc,
-            "https://cdn.tag-manager.net/tm.js",
-            "https://cdn.tag-manager.net/tm.js".into(),
-        );
-        let frame = doc.alloc_element("iframe");
-        doc.set_attr(frame, "src", "https://video.player-cdn.net/embed");
-        doc.append_child(body, frame);
-        sub_urls.push("https://video.player-cdn.net/embed".into());
-    }
-
-    // The site's own non-DOM requests (`site_extra_requests`) close the
-    // fetch list, as `PreparedPage::from_document` appends them.
-    sub_urls.push(format!("https://{}/api/config", site.host).into());
-    if r >= 6 {
-        sub_urls.push("https://beacons.site-metrics.net/v1/collect".into());
-    }
-
-    // Freeze the page at exact capacity: it is shared, read-only, by every
-    // visit to the site.
-    doc.shrink_to_fit();
-    sub_urls.shrink_to_fit();
-    PreparedPage {
-        url: site.url().into(),
-        doc: Arc::new(doc),
-        sub_urls,
-        readonly: Default::default(),
-    }
+    PreparedPage::from_markup(&site.url(), &site_html(site), &site_extra_requests(site))
 }
 
 /// The 100-site list: ten per category, deterministic.
@@ -286,22 +191,36 @@ pub fn site_extra_requests(site: &TopSite) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// The 100 prepared pages, pinned: their summed heap, their fetch-list
+    /// length, and a plain FNV-1a-64 over, per site in order, the page URL,
+    /// each `(tag, count)` of the document's tag census (the tag's bytes,
+    /// then the count as a little-endian `u64`), its text content and
+    /// every fetch URL. A change to the markup, the parser or the fetch
+    /// list that moves one of them fails it.
     #[test]
-    fn site_page_matches_parsed_markup() {
-        // The direct document build must equal the markup round-trip
-        // node-for-node (same arena order, attributes, and text), and the
-        // resolved fetch list must match URL-for-URL.
-        for site in top_100_sites() {
-            let direct = site_page(&site);
-            let parsed = PreparedPage::from_markup(
-                &site.url(),
-                &site_html(&site),
-                &site_extra_requests(&site),
-            );
-            assert_eq!(*direct.doc, *parsed.doc, "{}", site.host);
-            assert_eq!(direct.sub_urls, parsed.sub_urls, "{}", site.host);
-            assert_eq!(direct.url, parsed.url);
+    fn prepared_pages_are_pinned() {
+        fn fnv(hash: &mut u64, bytes: &[u8]) {
+            for &byte in bytes {
+                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
         }
+        let (mut hash, mut heap, mut urls) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+        for site in top_100_sites() {
+            let page = site_page(&site);
+            heap += page.heap_bytes();
+            urls += page.sub_urls.len();
+            fnv(&mut hash, page.url.as_bytes());
+            for (tag, n) in page.doc.tag_counts() {
+                fnv(&mut hash, tag.as_bytes());
+                fnv(&mut hash, &(n as u64).to_le_bytes());
+            }
+            fnv(&mut hash, page.doc.text_content().as_bytes());
+            for url in &page.sub_urls {
+                fnv(&mut hash, url.as_bytes());
+            }
+        }
+        assert_eq!((heap, urls), (286_374, 930));
+        assert_eq!(format!("{hash:016x}"), "37d7485d65d063a4");
     }
 
     #[test]

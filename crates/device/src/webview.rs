@@ -107,15 +107,11 @@ pub struct ReadOnlyCache {
 }
 
 impl PreparedPage {
-    /// Parse `markup` once and precompute the full fetch list.
+    /// Parse `markup` once and precompute the full fetch list: the
+    /// DOM-referenced subresources, then `extra_requests`. The document and
+    /// the list are frozen at exact capacity.
     pub fn from_markup(url: &str, markup: &str, extra_requests: &[String]) -> PreparedPage {
-        PreparedPage::from_document(url, html::parse(markup), extra_requests)
-    }
-
-    /// Wrap an already-built document (a corpus generator emitting DOM
-    /// directly) and precompute the full fetch list. The document and the
-    /// list are frozen at exact capacity.
-    pub fn from_document(url: &str, mut doc: Document, extra_requests: &[String]) -> PreparedPage {
+        let mut doc = html::parse(markup);
         let page_host = host_of(url).unwrap_or("localhost");
         let mut sub_urls: Vec<Arc<str>> = collect_subresource_urls(&doc, page_host)
             .into_iter()

@@ -26,7 +26,7 @@ use wla_crawler::sites::{site_page, SiteCategory, TopSite};
 use wla_device::iab::{all_profiles, IabProfile};
 use wla_device::session::VisitSession;
 use wla_device::webview::PreparedPage;
-use wla_intern::{merge_ordered, LocalInterner, Symbol, SymbolTable, U32BuildHasher};
+use wla_intern::{merge_ordered, FxBuildHasher, LocalInterner, Symbol, SymbolTable};
 use wla_pool::{PoolOutput, WorkerStats};
 
 /// Parallelism for the crawl pipeline.
@@ -230,9 +230,9 @@ struct CrawlWorker {
     lexicon: LocalInterner,
     /// Per-visit distinct-host scratch, symbol-keyed: strings hash once at
     /// intern time.
-    seen: HashSet<Symbol, U32BuildHasher>,
+    seen: HashSet<Symbol, FxBuildHasher>,
     /// Per-host third-party classification memo.
-    kind_memo: HashMap<Symbol, EndpointKind, U32BuildHasher>,
+    kind_memo: HashMap<Symbol, EndpointKind, FxBuildHasher>,
     /// URL-identity memo: netlog URLs are `Arc`s shared across visits
     /// (prepared subresources, endpoint-rule collect URLs), so the pointer
     /// identifies the string and one lookup replaces the host parse +
@@ -340,7 +340,7 @@ struct HostEntry {
 }
 
 /// Pointer-keyed URL → host memo (see `HostEntry`).
-type HostMemo = HashMap<usize, HostEntry, U32BuildHasher>;
+type HostMemo = HashMap<usize, HostEntry, FxBuildHasher>;
 
 impl CrawlWorker {
     /// Turn one completed visit's session into an interned record plus its
@@ -510,7 +510,7 @@ fn join_crawl(
     stats.visits_completed = stats.visits_total - failures.len();
 
     // Baseline host sets per site, for figure subtraction.
-    let baseline_sets: Vec<Option<HashSet<Symbol, U32BuildHasher>>> = cells[0]
+    let baseline_sets: Vec<Option<HashSet<Symbol, FxBuildHasher>>> = cells[0]
         .iter()
         .map(|cell| cell.as_ref().map(|rec| rec.hosts.iter().copied().collect()))
         .collect();
@@ -547,7 +547,7 @@ fn join_crawl(
 /// behavior for sites absent from the baseline.
 fn figure6_interned(
     row: &[Option<VisitRecord>],
-    baseline_sets: &[Option<HashSet<Symbol, U32BuildHasher>>],
+    baseline_sets: &[Option<HashSet<Symbol, FxBuildHasher>>],
     sites: &[TopSite],
 ) -> Vec<Figure6Row> {
     let mut per_cat: BTreeMap<SiteCategory, Vec<BTreeMap<EndpointKind, usize>>> =

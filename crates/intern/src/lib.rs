@@ -16,9 +16,9 @@
 //!   symbols, where they are stored, into one fresh table in input order,
 //!   so global symbol ids are deterministic regardless of worker count or
 //!   scheduling;
-//! * [`FxBuildHasher`] / [`U32BuildHasher`] — the multiplicative hashers
-//!   the hot maps use (strings hashed once at intern time, `u32` keys
-//!   everywhere after).
+//! * [`FxBuildHasher`] — the multiplicative hasher every hot map uses
+//!   (strings hashed once at intern time, `u32` keys everywhere after; a
+//!   `u32` or `usize` key costs one multiply).
 //!
 //! Symbol lifecycle: decode → per-worker intern → merge (remap + freeze) →
 //! report-time resolve. A `Symbol` is only meaningful relative to the
@@ -128,47 +128,11 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`] — use for string-keyed maps.
+/// `BuildHasher` for [`FxHasher`] — use for every hot map: on a string
+/// key it hashes eight bytes per multiply, and on a `u32` or `usize` key
+/// ([`Symbol`], [`PkgId`], catalog indices, pointer identities) one
+/// multiply spreads the already-unique key across buckets.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// Single-multiply hasher for `u32`-sized keys ([`Symbol`], [`PkgId`],
-/// catalog indices): the key is already unique, so one Fibonacci multiply
-/// spreads it across buckets.
-#[derive(Default, Clone)]
-pub struct U32Hasher {
-    hash: u64,
-}
-
-impl Hasher for U32Hasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u32 writes (e.g. derived Hash on wrappers).
-        for &b in bytes {
-            self.hash = (self.hash ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.hash = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        // Pointer-sized keys (e.g. `Arc` identities) get the same
-        // single-multiply treatment; the multiplier mixes the zeroed
-        // alignment bits into the bucket index.
-        self.hash = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`U32Hasher`] — use for symbol-keyed hot maps.
-pub type U32BuildHasher = BuildHasherDefault<U32Hasher>;
 
 // ---------------------------------------------------------------------------
 // LocalInterner and its frozen SymbolTable

@@ -275,7 +275,7 @@ impl SdkIndex {
 /// pipeline's interner observability.
 #[derive(Debug, Default)]
 pub struct LabelCache {
-    map: std::collections::HashMap<u32, LabelId, wla_intern::U32BuildHasher>,
+    map: std::collections::HashMap<u32, LabelId, wla_intern::FxBuildHasher>,
     /// Labels served from the memo.
     pub hits: u64,
     /// Labels that walked the trie.

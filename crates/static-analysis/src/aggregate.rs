@@ -20,7 +20,7 @@ use std::fmt;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
 use wla_corpus::METHODS;
-use wla_intern::U32BuildHasher;
+use wla_intern::FxBuildHasher;
 use wla_sdk_index::{LabelId, SdkCategory, SdkIndex};
 
 /// Number of SDK categories (Table 3 rows).
@@ -203,8 +203,8 @@ pub struct Tally<'c> {
     catalog: &'c SdkIndex,
     sums: Sums,
     // Per-app scratch, reused across apps (cleared, not realloc'd).
-    app_wv_sdks: HashSet<u32, U32BuildHasher>,
-    app_ct_sdks: HashSet<u32, U32BuildHasher>,
+    app_wv_sdks: HashSet<u32, FxBuildHasher>,
+    app_ct_sdks: HashSet<u32, FxBuildHasher>,
 }
 
 /// The sums a [`Tally`] keeps; its scratch sets are no part of them.
