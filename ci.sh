@@ -32,6 +32,12 @@
 # wherever it sits in its file (a test module, or a test-only method
 # inside an `impl`), with the attributes, comments and blank lines
 # between the attribute and its item. One row per crate, then the total.
+# `ci.sh loc REV` counts revision REV the same way and prints, per crate
+# and in total, its count, the work tree's and the delta: REV's `src/` and
+# `crates/` are extracted with `git archive` into a directory under
+# `target/` (removed afterwards), so `.git` and the work tree are never
+# touched, and counted there with this work tree's counter. An unknown
+# revision exits 2 without starting cargo.
 #
 # `ci.sh bench-snapshot` refreshes the committed bench snapshots in quick
 # mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes):
@@ -292,6 +298,38 @@ loc() {
         }' $files
 }
 
+loc_against() {
+    # $1 = a revision: its count, the work tree's and the delta, per crate
+    # (a crate on one side only counts 0 on the other) and in total.
+    local rev=$1 commit dir base work
+    commit=$(git rev-parse --verify --quiet "$rev^{commit}") || {
+        echo "ci.sh loc: unknown revision \"$rev\"" >&2
+        exit 2
+    }
+    dir=target/loc-$commit
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    git archive "$commit" src crates | tar -x -C "$dir"
+    base=$(cd "$dir" && loc)
+    rm -rf "$dir"
+    work=$(loc)
+    awk -v rev="$rev" '
+        NR == FNR { at[$1] = $2; seen[$1] = 1; next }
+        { now[$1] = $2; seen[$1] = 1 }
+        END {
+            printf "%-24s %9s %9s %7s\n", "crate", rev, "work tree", "delta"
+            for (c in seen) if (c != "total")
+                printf "%-24s %9d %9d %+7d\n", c, at[c], now[c], now[c] - at[c] | "LC_ALL=C sort"
+            close("LC_ALL=C sort")
+            printf "%-24s %9d %9d %+7d\n", "total", at["total"], now["total"], now["total"] - at["total"]
+        }' <(echo "$base") <(echo "$work")
+}
+
+usage() {
+    echo "usage: ./ci.sh [bench-snapshot | bench-check | loc [REV]]  (no argument: the full gate)" >&2
+    exit 2
+}
+
 case "${1:-}" in
 bench-snapshot)
     bench_snapshot
@@ -302,13 +340,16 @@ bench-check)
     exit 0
     ;;
 loc)
-    loc
+    case $# in
+    1) loc ;;
+    2) loc_against "$2" ;;
+    *) usage ;;
+    esac
     exit 0
     ;;
 "") ;;
 *)
-    echo "usage: ./ci.sh [bench-snapshot | bench-check | loc]  (no argument: the full gate)" >&2
-    exit 2
+    usage
     ;;
 esac
 

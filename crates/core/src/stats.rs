@@ -307,16 +307,17 @@ fn crawl_summary_table(s: &CrawlStats) -> Table {
     t
 }
 
-/// Where the crawl's wall clock went: page prep, the pool, the serial tail.
+/// Where the crawl's wall clock went: the pool (page prep inside its
+/// claims), the serial tail.
 fn crawl_timing_table(s: &CrawlStats) -> Table {
     let mut t = Table::new("Crawl phase timing", &["Phase", "Time (ms)"]);
     t.row_owned(vec![
-        "prepare pages".into(),
-        format!("{:.1}", ms(s.prepare_ns)),
-    ]);
-    t.row_owned(vec![
         "visits (summed busy)".into(),
         format!("{:.1}", ms(s.visit_ns)),
+    ]);
+    t.row_owned(vec![
+        "  of which page prep".into(),
+        format!("{:.1}", ms(s.prepare_ns)),
     ]);
     t.row_owned(vec!["merge tail".into(), format!("{:.1}", ms(s.merge_ns))]);
     t.row_owned(vec!["wall".into(), format!("{:.1}", ms(s.total_ns))]);
@@ -629,8 +630,8 @@ Crawl phase timing
 +----------------------+-----------+
 | Phase                | Time (ms) |
 +----------------------+-----------+
-| prepare pages        |       0.8 |
 | visits (summed busy) |      11.0 |
+|   of which page prep |       0.8 |
 | merge tail           |       0.6 |
 | wall                 |      12.5 |
 +----------------------+-----------+
@@ -753,7 +754,7 @@ URL-origin census (constant propagation at URL-bearing sites)
         assert!(r.contains("97.0%")); // intern hit rate
         assert!(r.contains("93.0%")); // classify memo hit rate
         assert!(r.contains("Crawl phase timing"));
-        assert!(r.contains("prepare pages"));
+        assert!(r.contains("of which page prep"));
         assert!(r.contains("merge tail"));
         assert!(r.contains("Crawl failure taxonomy"));
         assert!(r.contains("visit-panic"));

@@ -177,8 +177,7 @@ impl AppSpec {
     /// Ground truth: does any reachable code use a WebView?
     /// (Per-category method sets are never empty, so any linked WebView
     /// module implies at least one call.)
-    pub fn uses_webview(&self, catalog: &SdkIndex) -> bool {
-        let _ = catalog;
+    pub fn uses_webview(&self) -> bool {
         !self.direct_wv_methods.is_empty() || self.sdks.iter().any(|u| u.webview)
     }
 
@@ -189,8 +188,7 @@ impl AppSpec {
 
     /// Ground truth: the full method census for this app (union of the
     /// per-category SDK sets and the direct methods).
-    pub fn method_census(&self, catalog: &SdkIndex) -> MethodSet {
-        let _ = catalog;
+    pub fn method_census(&self) -> MethodSet {
         let mut set = self.direct_wv_methods;
         for (_, m) in &self.sdk_category_methods {
             set = set.union(*m);
@@ -975,13 +973,13 @@ mod tests {
 
     #[test]
     fn population_shares_match_paper_shape() {
-        let (cat, specs) = sample_specs(6_000, 42);
+        let (_, specs) = sample_specs(6_000, 42);
         let n = specs.len() as f64;
-        let wv = specs.iter().filter(|s| s.uses_webview(&cat)).count() as f64 / n;
+        let wv = specs.iter().filter(|s| s.uses_webview()).count() as f64 / n;
         let ct = specs.iter().filter(|s| s.uses_custom_tabs()).count() as f64 / n;
         let both = specs
             .iter()
-            .filter(|s| s.uses_webview(&cat) && s.uses_custom_tabs())
+            .filter(|s| s.uses_webview() && s.uses_custom_tabs())
             .count() as f64
             / n;
         // Paper: 55.7% / ~20% / ~15%. Allow generous sampling tolerance.
@@ -1196,7 +1194,7 @@ mod migration_tests {
                 .collect();
             let n = specs.len() as f64;
             (
-                specs.iter().filter(|s| s.uses_webview(&catalog)).count() as f64 / n,
+                specs.iter().filter(|s| s.uses_webview()).count() as f64 / n,
                 specs.iter().filter(|s| s.uses_custom_tabs()).count() as f64 / n,
             )
         };

@@ -6,7 +6,7 @@
 //! calls the *site itself* makes and (b) how much IAB-injected machinery
 //! activates (Figure 6's x-axis effect).
 
-use wla_device::webview::{PageSource, PreparedPage};
+use wla_device::webview::{resolve_url, PageSource, PreparedPage};
 
 /// Site categories (Sitereview-style; the x-axis of Figures 6a/6b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -121,7 +121,7 @@ impl TopSite {
 /// list, then [`site_extra_requests`] — for sharing across every visit to
 /// that site.
 pub fn site_page(site: &TopSite) -> PreparedPage {
-    PreparedPage::from_markup(&site.url(), &site_html(site), &site_extra_requests(site))
+    PreparedPage::from_markup(&site.url(), &site_html(site), site_extra_refs(site))
 }
 
 /// The 100-site list: ten per category, deterministic.
@@ -180,11 +180,20 @@ pub fn site_html(site: &TopSite) -> String {
 
 /// Extra (non-DOM) requests the site itself fires, e.g. XHR beacons.
 pub fn site_extra_requests(site: &TopSite) -> Vec<String> {
-    let mut extra = vec![format!("https://{}/api/config", site.host)];
+    site_extra_refs(site)
+        .iter()
+        .map(|raw| resolve_url(raw, &site.host))
+        .collect()
+}
+
+/// [`site_extra_requests`] as the site's script writes them, relative to
+/// the page or absolute.
+fn site_extra_refs(site: &TopSite) -> &'static [&'static str] {
     if site.category.richness() >= 6 {
-        extra.push("https://beacons.site-metrics.net/v1/collect".to_owned());
+        &["/api/config", "https://beacons.site-metrics.net/v1/collect"]
+    } else {
+        &["/api/config"]
     }
-    extra
 }
 
 #[cfg(test)]

@@ -108,16 +108,21 @@ pub struct ReadOnlyCache {
 
 impl PreparedPage {
     /// Parse `markup` once and precompute the full fetch list: the
-    /// DOM-referenced subresources, then `extra_requests`. The document and
-    /// the list are frozen at exact capacity.
-    pub fn from_markup(url: &str, markup: &str, extra_requests: &[String]) -> PreparedPage {
+    /// DOM-referenced subresources, then `extra_requests`, each reference
+    /// resolved against the page ([`resolve_url`]) straight into its shared
+    /// string. The document and the list are frozen at exact capacity.
+    pub fn from_markup(url: &str, markup: &str, extra_requests: &[&str]) -> PreparedPage {
         let mut doc = html::parse(markup);
         let page_host = host_of(url).unwrap_or("localhost");
-        let mut sub_urls: Vec<Arc<str>> = collect_subresource_urls(&doc, page_host)
-            .into_iter()
-            .map(Arc::from)
+        let mut resolved_url = String::new();
+        let mut sub_urls: Vec<Arc<str>> = subresource_refs(&doc)
+            .chain(extra_requests.iter().copied())
+            .map(|raw| {
+                resolved_url.clear();
+                resolved_url.extend(resolved(raw, page_host));
+                Arc::from(resolved_url.as_str())
+            })
             .collect();
-        sub_urls.extend(extra_requests.iter().map(|u| Arc::from(u.as_str())));
         sub_urls.shrink_to_fit();
         doc.shrink_to_fit();
         PreparedPage {
@@ -164,18 +169,22 @@ impl PreparedPage {
 /// Subresource URLs referenced by a parsed DOM, resolved against the page
 /// host — the fetch list a WebView issues after the main document.
 pub fn collect_subresource_urls(doc: &Document, page_host: &str) -> Vec<String> {
-    let mut sub_urls = Vec::new();
-    for node in doc.walk() {
-        let attr = match doc.tag(node) {
-            Some("script") | Some("img") | Some("iframe") => doc.get_attr(node, "src"),
+    subresource_refs(doc)
+        .map(|raw| resolve_url(raw, page_host))
+        .collect()
+}
+
+/// The subresource references of a parsed DOM as the page writes them, in
+/// document order: the `src` of each `script`, `img` and `iframe`, the
+/// `href` of each `link`.
+fn subresource_refs(doc: &Document) -> impl Iterator<Item = &str> {
+    doc.walk()
+        .into_iter()
+        .filter_map(move |node| match doc.tag(node) {
+            Some("script" | "img" | "iframe") => doc.get_attr(node, "src"),
             Some("link") => doc.get_attr(node, "href"),
             _ => None,
-        };
-        if let Some(raw) = attr {
-            sub_urls.push(resolve_url(raw, page_host));
-        }
-    }
-    sub_urls
+        })
 }
 
 /// One WebView instance inside an app.
@@ -412,15 +421,22 @@ impl WebViewInstance {
 }
 
 /// Resolve a (possibly relative) resource URL against the page host.
-fn resolve_url(raw: &str, page_host: &str) -> String {
+pub fn resolve_url(raw: &str, page_host: &str) -> String {
+    resolved(raw, page_host).concat()
+}
+
+/// The pieces [`resolve_url`] joins: an absolute URL as is, anything else
+/// fetched over https from the host it names or, when relative, the
+/// page's.
+fn resolved<'a>(raw: &'a str, page_host: &'a str) -> [&'a str; 4] {
     if raw.starts_with("http://") || raw.starts_with("https://") {
-        raw.to_owned()
+        [raw, "", "", ""]
     } else if let Some(rest) = raw.strip_prefix("//") {
-        format!("https://{rest}")
+        ["https://", rest, "", ""]
     } else if raw.starts_with('/') {
-        format!("https://{page_host}{raw}")
+        ["https://", page_host, raw, ""]
     } else {
-        format!("https://{page_host}/{raw}")
+        ["https://", page_host, "/", raw]
     }
 }
 

@@ -2,20 +2,25 @@
 //!
 //! The crawl matrix is `(baseline + selected apps) × sites`. The
 //! workspace's one claim pool ([`wla_pool::run`], which schedules
-//! `wla-static`'s pipelines too) runs every visit on its own
-//! [`VisitSession`] under the pool's panic isolator — a poisoned site
-//! becomes a [`CrawlFailure`], never a dead run — and each worker records
-//! endpoints as worker-local [`wla_intern::Symbol`]s with a per-host
-//! classification memo. The serial join tail translates local symbols into
-//! one fresh [`SymbolTable`] with [`wla_intern::merge_ordered`] (the static
-//! pipeline's input-order merge), which the [`CrawlOutput`] owns, and folds
+//! `wla-static`'s pipelines too) claims one site column at a time: the
+//! claim prepares the site's page, visits it through every row in row
+//! order, each visit on its own [`VisitSession`] under its own
+//! [`wla_pool::isolate`] — a poisoned visit becomes a [`CrawlFailure`],
+//! never a dead run or a dead column — and drops the page when it ends,
+//! so a worker holds at most one page. Each worker records endpoints as
+//! worker-local [`wla_intern::Symbol`]s with a per-host classification
+//! memo, and each claim keeps its visits' hosts in one exact-size table.
+//! The serial join tail translates local symbols into one fresh
+//! [`SymbolTable`] with [`wla_intern::merge_ordered`] (the static
+//! pipeline's input-order merge) over a row-major walk of the visits,
+//! moves each table's hosts into the [`CrawlOutput`]'s records, and folds
 //! Figure 6 through the crawler crate's own row averaging.
 //!
 //! Determinism contract: for a given `(sites, apps)` input the output is
 //! bit-identical at any worker count — records, figures, failure list, and
 //! visit counts — because every visit is a pure function of its task, task
 //! order is fixed by the matrix, and global symbol ids depend only on the
-//! input-order walk. `tests/crawl_equivalence.rs` pins this down.
+//! row-major walk. `tests/crawl_equivalence.rs` pins this down.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -33,7 +38,8 @@ use wla_pool::{PoolOutput, WorkerStats};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrawlConfig {
     /// Worker threads (0 ⇒ one per available core). Explicit counts are
-    /// honoured, capped at the number of visits.
+    /// honoured, capped at the number of sites: a worker claims a site's
+    /// whole column.
     pub workers: usize,
 }
 
@@ -88,18 +94,6 @@ pub struct VisitRecord {
     pub kinds: Vec<EndpointKind>,
 }
 
-impl VisitRecord {
-    /// Rewrite every symbol through `f` — how the join translates
-    /// worker-local symbols into the global table.
-    pub fn remap_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
-        self.app = f(self.app);
-        self.site = f(self.site);
-        for h in &mut self.hosts {
-            *h = f(*h);
-        }
-    }
-}
-
 /// Symbol-table and classification-memo counters, folded across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrawlInternerCounters {
@@ -148,13 +142,16 @@ pub struct CrawlStats {
     pub requests_logged: u64,
     /// Failure counts by taxonomy label.
     pub failure_kinds: BTreeMap<&'static str, usize>,
-    /// The pool's per-worker counters, in spawn order.
+    /// The pool's per-worker counters, in spawn order; `items` counts
+    /// visits (the pool counts claims, and a claim is a site's column).
     pub workers: Vec<WorkerStats>,
-    /// Nanoseconds preparing per-site pages (serial, before the pool).
+    /// Nanoseconds preparing the sites' pages, each inside its claim,
+    /// summed over claims: part of `visit_ns`.
     pub prepare_ns: u64,
-    /// Heap bytes the prepared pages hold for the whole run: each page's
+    /// Heap bytes the sites' pages held, summed over pages: each page's
     /// node, attribute and string tables, URL and fetch list
-    /// ([`PreparedPage::heap_bytes`]).
+    /// ([`PreparedPage::heap_bytes`]). A page lives only inside its claim,
+    /// so at most one per worker is alive at a time.
     pub prepared_bytes: usize,
     /// Summed worker busy nanoseconds.
     pub visit_ns: u64,
@@ -223,48 +220,101 @@ impl CrawlOutput {
     }
 }
 
-/// One crawl worker's private state: its lexicon plus the memos that keep
-/// the per-visit harvest allocation-free.
+/// One crawl worker's private state: its lexicon, the memos that keep the
+/// per-visit harvest allocation-free, and the host table of the claim it
+/// is running.
 #[derive(Default)]
 struct CrawlWorker {
     lexicon: LocalInterner,
     /// Per-visit distinct-host scratch, symbol-keyed: strings hash once at
     /// intern time.
     seen: HashSet<Symbol, FxBuildHasher>,
-    /// Per-host third-party classification memo.
+    /// Per-host third-party classification memo, kept for the whole run.
     kind_memo: HashMap<Symbol, EndpointKind, FxBuildHasher>,
-    /// URL-identity memo: netlog URLs are `Arc`s shared across visits
-    /// (prepared subresources, endpoint-rule collect URLs), so the pointer
-    /// identifies the string and one lookup replaces the host parse +
-    /// intern. Entries own an `Arc` clone, pinning the allocation so an
-    /// address is never recycled under a live key.
+    /// URL-identity memo: netlog URLs are `Arc`s shared across the visits
+    /// of one page (its prepared subresources, endpoint-rule collect
+    /// URLs), so the pointer identifies the string and one lookup replaces
+    /// the host parse + intern. Entries own an `Arc` clone, pinning the
+    /// allocation so an address is never recycled under a live key; so
+    /// each claim clears the memo as it ends, or the memo would keep every
+    /// finished page's URLs alive.
     host_memo: HostMemo,
+    /// The running claim's host column: each completed visit's distinct
+    /// hosts, one visit after another.
+    hosts: Vec<Symbol>,
+    /// Endpoint kind per host, parallel to `hosts`.
+    kinds: Vec<EndpointKind>,
     classify_hits: u64,
     classify_misses: u64,
 }
 
-/// The full visit matrix for one run.
-struct CrawlMatrix<'a> {
-    sites: &'a [TopSite],
-    pages: Vec<Arc<PreparedPage>>,
-    /// `None` = the baseline row; `Some` = an app row.
-    rows: Vec<Option<&'a IabProfile>>,
+/// What one completed visit left in its claim: its record's symbols, where
+/// its hosts lie in the claim's columns, and its script-step and
+/// netlog-event counts.
+struct Harvest {
+    app: Symbol,
+    site: Symbol,
+    start: u32,
+    end: u32,
+    steps: u32,
+    requests: u32,
 }
 
-impl CrawlMatrix<'_> {
-    fn visits(&self) -> usize {
-        self.rows.len() * self.sites.len()
+/// A visit's outcome: `Ok(None)` when its netlog captured nothing (a
+/// [`CrawlFailureKind::EmptyNetlog`] failure at the join), `Err` with the
+/// panic text when it panicked.
+type Visit = Result<Option<Harvest>, String>;
+
+/// One site's column of the matrix, as its claim left it.
+struct SiteColumn {
+    /// Every row's visit of the site, in row order.
+    visits: Vec<Visit>,
+    /// The completed visits' hosts, one visit after another, at exact size.
+    hosts: Box<[Symbol]>,
+    /// Endpoint kind per host, parallel to `hosts`.
+    kinds: Box<[EndpointKind]>,
+    /// Nanoseconds preparing the site's page.
+    prepare_ns: u64,
+    /// Heap bytes the page held ([`PreparedPage::heap_bytes`]).
+    prepared_bytes: usize,
+}
+
+impl SiteColumn {
+    /// Row `row`'s visit of the site, if it completed.
+    fn completed(&self, row: usize) -> Option<&Harvest> {
+        self.visits[row].as_ref().ok()?.as_ref()
     }
 
-    /// Site, prepared page, and row profile of visit `t`. Visits are
-    /// row-major: every site of a row comes before the next row.
-    fn cell(&self, t: usize) -> (&TopSite, &Arc<PreparedPage>, Option<&IabProfile>) {
-        let s = t % self.sites.len();
-        (
-            &self.sites[s],
-            &self.pages[s],
-            self.rows[t / self.sites.len()],
-        )
+    /// A completed visit's hosts and their kinds.
+    fn hosts(&self, visit: &Harvest) -> (&[Symbol], &[EndpointKind]) {
+        let range = visit.start as usize..visit.end as usize;
+        (&self.hosts[range.clone()], &self.kinds[range])
+    }
+
+    /// Rewrite every symbol of `row`'s visit through `f`: app, site, then
+    /// hosts, where they lie.
+    fn remap(&mut self, row: usize, f: &mut dyn FnMut(Symbol) -> Symbol) {
+        let Ok(Some(visit)) = &mut self.visits[row] else {
+            unreachable!("the merge walks completed visits only");
+        };
+        visit.app = f(visit.app);
+        visit.site = f(visit.site);
+        for host in &mut self.hosts[visit.start as usize..visit.end as usize] {
+            *host = f(*host);
+        }
+    }
+
+    /// The record of a completed visit of this column's site, its hosts
+    /// copied out of the column's table.
+    fn record(&self, visit: &Harvest, category: SiteCategory) -> VisitRecord {
+        let (hosts, kinds) = self.hosts(visit);
+        VisitRecord {
+            app: visit.app,
+            site: visit.site,
+            category,
+            hosts: hosts.to_vec(),
+            kinds: kinds.to_vec(),
+        }
     }
 }
 
@@ -298,36 +348,23 @@ where
         + Sync,
 {
     let started = Instant::now();
-
-    // Prepare every site's page once — parse, subresource resolution, and
-    // URL allocation are per-site, not per-visit.
-    let prepare_started = Instant::now();
     let profiles = all_profiles();
-    let selected: Vec<&IabProfile> = profiles
-        .iter()
-        .filter(|p| apps.is_none_or(|filter| filter.contains(&p.app_name)))
+    // Row 0 is the baseline; the selected apps follow in profile order.
+    let rows: Vec<Option<&IabProfile>> = std::iter::once(None)
+        .chain(
+            profiles
+                .iter()
+                .filter(|p| apps.is_none_or(|filter| filter.contains(&p.app_name)))
+                .map(Some),
+        )
         .collect();
-    let matrix = CrawlMatrix {
-        sites,
-        pages: sites.iter().map(|s| Arc::new(site_page(s))).collect(),
-        rows: std::iter::once(None)
-            .chain(selected.iter().map(|p| Some(*p)))
-            .collect(),
-    };
-    let prepare_ns = prepare_started.elapsed().as_nanos() as u64;
-
     let pool = wla_pool::run(
-        matrix.visits(),
+        sites.len(),
         config.workers,
         CrawlWorker::default,
-        |worker, t| {
-            let (site, page, profile) = matrix.cell(t);
-            let mut session = VisitSession::new();
-            let obs = visit(site, page, profile, &mut session);
-            worker.harvest(site, app_of(profile), &session, obs)
-        },
+        |worker, s| worker.claim(&sites[s], &rows, &visit),
     );
-    join_crawl(&matrix, &selected, prepare_ns, started, pool)
+    join_crawl(sites, &rows, started, pool)
 }
 
 /// One `host_memo` entry: the resolved host of a shared URL `Arc`. The
@@ -342,40 +379,92 @@ struct HostEntry {
 /// Pointer-keyed URL → host memo (see `HostEntry`).
 type HostMemo = HashMap<usize, HostEntry, FxBuildHasher>;
 
+/// Why a claim cannot panic: its visits run under their own isolators,
+/// and what runs outside them (preparing the page, freezing the columns)
+/// does not panic on any site.
+const ISOLATED: &str = "every visit of a site column runs under its own isolator";
+
+/// A column offset as the claim stores it.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a claim's host column fits u32 offsets")
+}
+
 impl CrawlWorker {
-    /// Turn one completed visit's session into an interned record plus its
-    /// script-step and netlog-event counts. Returns `None` when the netlog
-    /// captured nothing (a [`CrawlFailureKind::EmptyNetlog`] failure at
-    /// the join).
+    /// Claim `site`'s column: prepare its page, visit it through every row
+    /// in row order, each visit on a fresh session under its own isolator,
+    /// and freeze the hosts the completed visits contacted into the
+    /// column's table. A visit that panics leaves nothing in the table.
+    /// The page, and every memo entry that points into it, die with the
+    /// claim.
+    fn claim<F>(&mut self, site: &TopSite, rows: &[Option<&IabProfile>], visit: &F) -> SiteColumn
+    where
+        F: Fn(
+            &TopSite,
+            &Arc<PreparedPage>,
+            Option<&IabProfile>,
+            &mut VisitSession,
+        ) -> VisitObservation,
+    {
+        let prepare_started = Instant::now();
+        let page = Arc::new(site_page(site));
+        let prepare_ns = prepare_started.elapsed().as_nanos() as u64;
+        let visits = rows
+            .iter()
+            .map(|&profile| {
+                let start = self.hosts.len();
+                let outcome = wla_pool::isolate(|| {
+                    let mut session = VisitSession::new();
+                    let obs = visit(site, &page, profile, &mut session);
+                    self.harvest(site, app_of(profile), &session, obs)
+                });
+                if outcome.is_err() {
+                    self.hosts.truncate(start);
+                    self.kinds.truncate(start);
+                }
+                outcome
+            })
+            .collect();
+        self.host_memo.clear();
+        SiteColumn {
+            visits,
+            hosts: self.hosts.drain(..).collect(),
+            kinds: self.kinds.drain(..).collect(),
+            prepare_ns,
+            prepared_bytes: page.heap_bytes(),
+        }
+    }
+
+    /// Append one completed visit's distinct hosts, interned and
+    /// classified, to the claim's columns. Returns `None`, appending
+    /// nothing, when the netlog captured nothing.
     fn harvest(
         &mut self,
         site: &TopSite,
         app: &str,
         session: &VisitSession,
         obs: VisitObservation,
-    ) -> Option<(VisitRecord, u64, u64)> {
+    ) -> Option<Harvest> {
         let CrawlWorker {
             lexicon,
             seen,
             kind_memo,
             host_memo,
+            hosts,
+            kinds,
             classify_hits,
             classify_misses,
         } = self;
-        let requests = session.requests_logged() as u64;
+        let requests = session.requests_logged();
         if requests == 0 {
             return None;
         }
         let app_sym = lexicon.intern(app);
         let site_sym = lexicon.intern(&site.host);
         seen.clear();
-        let mut hosts = Vec::new();
-        let mut kinds = Vec::new();
+        let start = offset(hosts.len());
         session.netlog().for_each_request_url(obs.source_id, |url| {
-            // Memo misses happen at each unique URL's first appearance, so
-            // the local interner sees hosts in exactly the first-occurrence
-            // order the per-event string path produced — symbol assignment,
-            // and with it the merged output, is unchanged.
+            // One memo lookup per event: only a URL's first appearance in
+            // the claim parses and interns its host.
             let entry = host_memo
                 .entry(Arc::as_ptr(url) as *const u8 as usize)
                 .or_insert_with(|| HostEntry {
@@ -405,42 +494,40 @@ impl CrawlWorker {
                 kinds.push(kind);
             }
         });
-        Some((
-            VisitRecord {
-                app: app_sym,
-                site: site_sym,
-                category: site.category,
-                hosts,
-                kinds,
-            },
-            obs.steps as u64,
-            requests,
-        ))
+        Some(Harvest {
+            app: app_sym,
+            site: site_sym,
+            start,
+            end: offset(hosts.len()),
+            steps: obs.steps,
+            requests: u32::try_from(requests).expect("a visit's netlog fits u32 events"),
+        })
     }
 }
 
-/// The serial join tail: turn pool outcomes into records or failures, fold
-/// the stats, translate worker-local symbols through the input-order
-/// merge, and build the baseline-subtracted figures.
+/// The serial join tail: fold the stats, walk the matrix row by row to
+/// list the failures and rank every symbol through the input-order merge,
+/// move each column's hosts into its records, and build the
+/// baseline-subtracted figures.
 fn join_crawl(
-    matrix: &CrawlMatrix<'_>,
-    selected: &[&IabProfile],
-    prepare_ns: u64,
+    sites: &[TopSite],
+    rows: &[Option<&IabProfile>],
     started: Instant,
-    pool: PoolOutput<CrawlWorker, Option<(VisitRecord, u64, u64)>>,
+    pool: PoolOutput<CrawlWorker, SiteColumn>,
 ) -> CrawlOutput {
     let tail_started = Instant::now();
-    let n_sites = matrix.sites.len();
     let mut stats = CrawlStats {
-        visits_total: matrix.visits(),
-        rows: matrix.rows.len(),
-        sites: n_sites,
-        prepare_ns,
-        prepared_bytes: matrix.pages.iter().map(|p| p.heap_bytes()).sum(),
+        visits_total: rows.len() * sites.len(),
+        rows: rows.len(),
+        sites: sites.len(),
         visit_ns: pool.workers.iter().map(|w| w.busy_ns).sum(),
         workers: pool.workers,
         ..CrawlStats::default()
     };
+    // The pool counted claims, and every claim is one visit per row.
+    for worker in &mut stats.workers {
+        worker.items *= rows.len();
+    }
     let mut lexicons = Vec::with_capacity(pool.contexts.len());
     for worker in pool.contexts {
         stats.interner.local_hits += worker.lexicon.hits();
@@ -449,83 +536,91 @@ fn join_crawl(
         stats.interner.classify_misses += worker.classify_misses;
         lexicons.push(worker.lexicon);
     }
-
-    let mut outcomes: Vec<(usize, Result<VisitRecord, CrawlFailure>)> = pool
+    let mut columns: Vec<(usize, SiteColumn)> = pool
         .results
         .into_iter()
-        .enumerate()
-        .map(|(t, (w, outcome))| {
-            let (site, _, profile) = matrix.cell(t);
-            let failure = |kind, message| CrawlFailure {
-                app: app_of(profile).to_owned(),
-                site_host: site.host.clone(),
-                kind,
-                message,
-            };
-            let result = match outcome {
-                Ok(Some((record, steps, requests))) => {
-                    stats.steps_executed += steps;
-                    stats.requests_logged += requests;
-                    Ok(record)
-                }
-                Ok(None) => Err(failure(CrawlFailureKind::EmptyNetlog, String::new())),
-                Err(message) => {
-                    stats.visits_panicked += 1;
-                    Err(failure(CrawlFailureKind::VisitPanic, message))
-                }
-            };
-            (w, result)
+        .map(|(w, claim)| {
+            let column = claim.expect(ISOLATED);
+            stats.prepare_ns += column.prepare_ns;
+            stats.prepared_bytes += column.prepared_bytes;
+            (w, column)
         })
         .collect();
+
+    // Row-major, as the output lists visits: every site of row 0, then of
+    // row 1, and so on. Failures land in matrix order, and each completed
+    // visit is one `(worker, site, row)` item of the merge, so a global id
+    // is its string's first-occurrence rank in this walk.
+    let mut failures = Vec::new();
+    let mut completed = Vec::with_capacity(stats.visits_total);
+    for (r, &profile) in rows.iter().enumerate() {
+        for (s, (w, column)) in columns.iter_mut().enumerate() {
+            let (kind, message) = match &mut column.visits[r] {
+                Ok(Some(visit)) => {
+                    stats.steps_executed += u64::from(visit.steps);
+                    stats.requests_logged += u64::from(visit.requests);
+                    completed.push((*w, s, r));
+                    continue;
+                }
+                Ok(None) => (CrawlFailureKind::EmptyNetlog, String::new()),
+                Err(message) => {
+                    stats.visits_panicked += 1;
+                    (CrawlFailureKind::VisitPanic, std::mem::take(message))
+                }
+            };
+            *stats.failure_kinds.entry(kind.label()).or_insert(0) += 1;
+            failures.push(CrawlFailure {
+                app: app_of(profile).to_owned(),
+                site_host: sites[s].host.clone(),
+                kind,
+                message,
+            });
+        }
+    }
+    stats.visits_completed = completed.len();
     let symbols = merge_ordered(
-        &mut outcomes,
+        &mut completed,
         &lexicons,
-        |&(w, _)| w,
-        |(_, outcome), f| {
-            if let Ok(record) = outcome {
-                record.remap_symbols(f);
-            }
-        },
+        |&(w, _, _)| w,
+        |&mut (_, s, r), f| columns[s].1.remap(r, f),
     );
     stats.interner.global_symbols = symbols.len();
     stats.interner.global_bytes = symbols.bytes();
+    // Free the merge's inputs before the records are built: the join's
+    // peak is the records plus whatever is still alive then.
+    drop((completed, lexicons));
 
-    // Split the matrix back into rows. `cells[r][s]` is the (possibly
-    // failed) visit of site `s` through row `r`.
-    let mut cells: Vec<Vec<Option<VisitRecord>>> = matrix
-        .rows
+    let figures = rows
         .iter()
-        .map(|_| (0..n_sites).map(|_| None).collect())
+        .copied()
+        .enumerate()
+        .filter_map(|(r, profile)| {
+            Some((
+                profile?.app_name.to_owned(),
+                figure6_interned(r, &columns, sites),
+            ))
+        })
         .collect();
-    let mut failures = Vec::new();
-    for (t, (_, outcome)) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(record) => cells[t / n_sites][t % n_sites] = Some(record),
-            Err(failure) => {
-                *stats.failure_kinds.entry(failure.kind.label()).or_insert(0) += 1;
-                failures.push(failure);
+
+    // Move each column's hosts into its records, one site at a time, and
+    // drop the column: every row's records stay in site order.
+    let mut records: Vec<Vec<VisitRecord>> = rows.iter().map(|_| Vec::new()).collect();
+    for (site, (_, column)) in sites.iter().zip(columns) {
+        for (row, visit) in records.iter_mut().zip(&column.visits) {
+            if let Ok(Some(visit)) = visit {
+                row.push(column.record(visit, site.category));
             }
         }
     }
-    stats.visits_completed = stats.visits_total - failures.len();
-
-    // Baseline host sets per site, for figure subtraction.
-    let baseline_sets: Vec<Option<HashSet<Symbol, FxBuildHasher>>> = cells[0]
+    let mut records = records.into_iter();
+    let baseline = records.next().expect("row 0 is the baseline");
+    // The app rows, in row order: `flatten` skips the baseline's `None`.
+    let per_app = rows
         .iter()
-        .map(|cell| cell.as_ref().map(|rec| rec.hosts.iter().copied().collect()))
+        .flatten()
+        .map(|profile| profile.app_name.to_owned())
+        .zip(records)
         .collect();
-
-    let mut per_app = BTreeMap::new();
-    let mut figures = BTreeMap::new();
-    for (row, profile) in selected.iter().enumerate() {
-        let records: Vec<VisitRecord> = cells[row + 1].iter().flatten().cloned().collect();
-        figures.insert(
-            profile.app_name.to_owned(),
-            figure6_interned(&cells[row + 1], &baseline_sets, matrix.sites),
-        );
-        per_app.insert(profile.app_name.to_owned(), records);
-    }
-    let baseline: Vec<VisitRecord> = cells[0].iter().flatten().cloned().collect();
 
     stats.merge_ns = tail_started.elapsed().as_nanos() as u64;
     stats.total_ns = started.elapsed().as_nanos() as u64;
@@ -539,31 +634,34 @@ fn join_crawl(
     }
 }
 
-/// Figure 6 over interned records: tally each visit's baseline-subtracted
-/// endpoint kinds, then fold through the crawler crate's
+/// Figure 6 for row `row`, read off the site columns: tally each of the
+/// row's visits' hosts that the same site's baseline visit did not
+/// contact, by kind, then fold through the crawler crate's
 /// [`figure6_row`] — identical accumulation order to the string-path
 /// oracle, hence bit-identical averages. Visits whose baseline is missing
 /// (site failed in the shell row) are skipped, mirroring the oracle's
 /// behavior for sites absent from the baseline.
 fn figure6_interned(
-    row: &[Option<VisitRecord>],
-    baseline_sets: &[Option<HashSet<Symbol, FxBuildHasher>>],
+    row: usize,
+    columns: &[(usize, SiteColumn)],
     sites: &[TopSite],
 ) -> Vec<Figure6Row> {
     let mut per_cat: BTreeMap<SiteCategory, Vec<BTreeMap<EndpointKind, usize>>> =
         SiteCategory::ALL.iter().map(|&c| (c, Vec::new())).collect();
-    for (s, cell) in row.iter().enumerate() {
-        let (Some(record), Some(base)) = (cell, &baseline_sets[s]) else {
+    for (site, (_, column)) in sites.iter().zip(columns) {
+        let (Some(visit), Some(base)) = (column.completed(row), column.completed(0)) else {
             continue;
         };
+        let (base, _) = column.hosts(base);
         let mut kinds: BTreeMap<EndpointKind, usize> = BTreeMap::new();
-        for (h, k) in record.hosts.iter().zip(&record.kinds) {
+        let (hosts, host_kinds) = column.hosts(visit);
+        for (h, k) in hosts.iter().zip(host_kinds) {
             if !base.contains(h) {
                 *kinds.entry(*k).or_insert(0) += 1;
             }
         }
         per_cat
-            .get_mut(&sites[s].category)
+            .get_mut(&site.category)
             .expect("ALL covers every category")
             .push(kinds);
     }

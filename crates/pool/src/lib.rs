@@ -5,8 +5,8 @@
 //! broken, and they belong in Table 2's broken row rather than in a
 //! stopped run) and the §3.2.2 crawl over `(app, site)` visits (Figure 6).
 //! Every parallel runner in the workspace is [`run`] over its item count —
-//! 64-app batches, 64-app shards, or visits — and every per-unit fault
-//! boundary is [`isolate`].
+//! 64-app batches, 64-app shards, or site columns — and every per-unit
+//! fault boundary is [`isolate`].
 //!
 //! The scheduling rule is the simplest one that measured as fast as the
 //! alternatives: scoped threads that each claim **one index per relaxed
@@ -14,14 +14,16 @@
 //! caller's choice. The static runners claim a 64-app batch (in memory)
 //! or a 64-app shard (streamed) per index and run each app inside the
 //! claim under its own [`isolate`], so the pool keeps one outcome per
-//! batch, not per app; the crawl claims one visit, ~10 µs, far above a
-//! contended increment. Batch and per-app claiming of the static pass
-//! bench level on 2 cores. [`run`] starts no more workers than there are
-//! claims, and a worker can finish up to one batch after the rest; what
-//! that costs above 2 cores (a 1:1000 corpus is 3 batches) is not
-//! measured. Results come back in index order whatever the schedule, so
-//! a caller that folds them in order is deterministic at any worker
-//! count.
+//! batch, not per app. The crawl claims one site's column: it prepares
+//! the site's page and visits it through the baseline and every selected
+//! app, each visit under its own [`isolate`], ~0.15 ms for all ten apps,
+//! far above a contended increment. Batch and per-app claiming of the
+//! static pass bench level on 2 cores. [`run`] starts no more workers
+//! than there are claims, and a worker can finish up to one batch after
+//! the rest; what that costs above 2 cores (a 1:1000 corpus is 3 batches)
+//! is not measured. Results come back in index order whatever the
+//! schedule, so a caller that folds them in order is deterministic at any
+//! worker count.
 
 #![forbid(unsafe_code)]
 

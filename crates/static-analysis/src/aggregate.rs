@@ -672,11 +672,10 @@ mod tests {
 
     #[test]
     fn recovered_totals_match_ground_truth_exactly() {
-        let catalog = SdkIndex::paper();
         let (results, apps) = study(400, 21);
         let truth_wv = apps
             .iter()
-            .filter(|g| !g.corrupted && g.spec.uses_webview(&catalog))
+            .filter(|g| !g.corrupted && g.spec.uses_webview())
             .count();
         let truth_ct = apps
             .iter()

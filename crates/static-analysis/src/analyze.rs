@@ -497,7 +497,7 @@ mod tests {
             let analysis = table.get(0).unwrap();
             assert_eq!(
                 analysis.uses_webview(),
-                spec.uses_webview(&catalog),
+                spec.uses_webview(),
                 "webview mismatch at seed {seed}"
             );
             assert_eq!(
@@ -516,7 +516,7 @@ mod tests {
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let table = analyze_app(&meta(), &bytes).unwrap();
             let analysis = table.get(0).unwrap();
-            let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();
+            let truth: HashSet<&str> = spec.method_census().names().collect();
             let measured = analysis.methods_used();
             assert_eq!(measured, truth, "seed {seed}");
         }
@@ -787,12 +787,12 @@ mod multidex_tests {
 
     #[test]
     fn multidex_analysis_matches_ground_truth() {
-        let (catalog, spec, bytes) = multidex_app();
+        let (_, spec, bytes) = multidex_app();
         let table = analyze_app(&meta(), &bytes).unwrap();
         let analysis = table.get(0).unwrap();
-        assert_eq!(analysis.uses_webview(), spec.uses_webview(&catalog));
+        assert_eq!(analysis.uses_webview(), spec.uses_webview());
         assert_eq!(analysis.uses_custom_tabs(), spec.uses_custom_tabs());
-        let truth: HashSet<&str> = spec.method_census(&catalog).names().collect();
+        let truth: HashSet<&str> = spec.method_census().names().collect();
         assert_eq!(analysis.methods_used(), truth);
         // The dead class lives in classes2.dex and stays dead.
         assert_eq!(analysis.unreachable_webview_sites, 1);

@@ -7,14 +7,23 @@
 //!   the interned figures reproduces exactly what the string-path
 //!   `crawl_app`/`crawl_baseline`/`figure6` oracle computes;
 //! * fault isolation: a poisoned site panics its visits, the run
-//!   completes, and the failures land in the taxonomy.
+//!   completes, and the failures land in the taxonomy; a visit that panics
+//!   inside its site's column costs only itself; visits with empty
+//!   netlogs fail in matrix order, and the figures skip them;
+//! * the whole 100-site crawl through all ten apps is pinned by digest at
+//!   1, 2 and 8 workers.
 
-use std::collections::BTreeSet;
-use wla_crawler::driver::{crawl_app, crawl_baseline, figure6, run_visit_prepared};
+use std::collections::{BTreeMap, BTreeSet};
+use wla_crawler::classify::EndpointKind;
+use wla_crawler::driver::{
+    crawl_app, crawl_baseline, figure6, run_visit_prepared, CrawlRecord, VisitObservation,
+    BASELINE_APP,
+};
 use wla_crawler::sites::{top_100_sites, TopSite};
 use wla_device::iab::all_profiles;
 use wla_dynamic::{
     run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlOutput,
+    VisitRecord,
 };
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
@@ -212,5 +221,233 @@ fn poisoned_runs_stay_deterministic_across_worker_counts() {
     assert_eq!(serial.stats.visits_panicked, 2);
     for workers in [2, 5, 8] {
         assert_identical(&serial, &run_with(workers));
+    }
+}
+
+/// Every completed visit of `out`, keyed by `(row, site)` (the row is the
+/// app package, or the baseline's), with its category and its hosts and
+/// kinds resolved, in record order.
+type ResolvedCells = BTreeMap<(String, String), (&'static str, Vec<(String, EndpointKind)>)>;
+
+fn resolved_cells(out: &CrawlOutput) -> ResolvedCells {
+    out.baseline
+        .iter()
+        .chain(out.per_app.values().flatten())
+        .map(|r| {
+            let hosts = r
+                .hosts
+                .iter()
+                .zip(&r.kinds)
+                .map(|(&h, &k)| (out.symbols.resolve(h).to_owned(), k))
+                .collect();
+            let key = (
+                out.symbols.resolve(r.app).to_owned(),
+                out.symbols.resolve(r.site).to_owned(),
+            );
+            (key, (r.category.label(), hosts))
+        })
+        .collect()
+}
+
+#[test]
+fn a_visit_panicking_inside_its_column_fails_alone() {
+    quiet_injected_panics();
+    let sites = subset(10, 3);
+    let poisoned = sites[4].host.clone();
+    let kik = all_profiles()
+        .into_iter()
+        .find(|p| p.app_name == "Kik")
+        .expect("Kik is a Table 8 app")
+        .package;
+    let mut expect = resolved_cells(&run_crawl_pipeline(
+        &sites,
+        None,
+        CrawlConfig { workers: 1 },
+    ));
+    assert_eq!(expect.len(), 11 * 10);
+    assert!(expect.remove(&(kik.to_owned(), poisoned.clone())).is_some());
+    for workers in [1, 2, 8] {
+        let run = run_crawl_pipeline_with(
+            &sites,
+            None,
+            CrawlConfig { workers },
+            |site, page, profile, session| {
+                let obs = run_visit_prepared(site, page, profile, session);
+                if site.host == poisoned && profile.is_some_and(|p| p.app_name == "Kik") {
+                    assert!(session.requests_logged() > 0);
+                    panic!("injected fault after the visit logged its requests");
+                }
+                obs
+            },
+        );
+        // Only Kik's visit of the site failed: the site's baseline and
+        // other apps, and every other site, are the clean run's, host for
+        // host.
+        assert_eq!(run.stats.visits_panicked, 1, "{workers} workers");
+        assert_eq!(run.stats.visits_completed, 11 * 10 - 1);
+        assert_eq!(run.failures.len(), 1);
+        let failure = &run.failures[0];
+        assert_eq!(
+            (
+                failure.app.as_str(),
+                failure.site_host.as_str(),
+                failure.kind
+            ),
+            (kik, poisoned.as_str(), CrawlFailureKind::VisitPanic)
+        );
+        assert!(failure.message.contains("injected"), "{failure:?}");
+        assert_eq!(resolved_cells(&run), expect, "{workers} workers");
+        assert!(run.baseline.len() == 10 && run.per_app["Kik"].len() == 9);
+    }
+}
+
+/// Visits whose netlog captured nothing fail as `EmptyNetlog`, listed in
+/// matrix order (row by row, then site by site) whichever column they sit
+/// in; the figures fold only the completed visits whose site's baseline
+/// completed, as the string oracle does over the same cells.
+#[test]
+fn empty_netlogs_fail_their_visits_in_matrix_order() {
+    let sites = subset(6, 5);
+    // `(row app, site index)`: the baseline's last site, then LinkedIn's
+    // and Kik's earlier ones.
+    let empty = [(None, 5), (Some("LinkedIn"), 2), (Some("Kik"), 0)];
+    let index = |host: &str| sites.iter().position(|s| s.host == host).unwrap();
+    let profiles = all_profiles();
+    let profile = |app: &str| profiles.iter().find(|p| p.app_name == app).unwrap();
+    let keep = |records: Vec<CrawlRecord>, app: Option<&str>| -> Vec<CrawlRecord> {
+        records
+            .into_iter()
+            .filter(|r| !empty.contains(&(app, index(&r.site_host))))
+            .collect()
+    };
+    let baseline = keep(crawl_baseline(&sites), None);
+    for workers in [1, 3] {
+        let run = run_crawl_pipeline_with(
+            &sites,
+            Some(APPS),
+            CrawlConfig { workers },
+            |site, page, row, session| {
+                if empty.contains(&(row.map(|p| p.app_name), index(&site.host))) {
+                    // The visit never loads the page: nothing is logged.
+                    let source_id = session.allocate_source_id();
+                    return VisitObservation {
+                        source_id,
+                        steps: 0,
+                    };
+                }
+                run_visit_prepared(site, page, row, session)
+            },
+        );
+        let failed: Vec<(&str, &str, CrawlFailureKind, &str)> = run
+            .failures
+            .iter()
+            .map(|f| {
+                (
+                    f.app.as_str(),
+                    f.site_host.as_str(),
+                    f.kind,
+                    f.message.as_str(),
+                )
+            })
+            .collect();
+        let empty_netlog = CrawlFailureKind::EmptyNetlog;
+        assert_eq!(
+            failed,
+            [
+                (BASELINE_APP, sites[5].host.as_str(), empty_netlog, ""),
+                (
+                    profile("LinkedIn").package,
+                    &sites[2].host,
+                    empty_netlog,
+                    ""
+                ),
+                (profile("Kik").package, &sites[0].host, empty_netlog, ""),
+            ],
+            "{workers} workers"
+        );
+        assert_eq!(run.stats.visits_completed, 4 * 6 - 3);
+        assert_eq!(run.stats.visits_panicked, 0);
+        assert_eq!(run.stats.failure_kinds.get(empty_netlog.label()), Some(&3));
+        assert_eq!(run.baseline.len(), baseline.len());
+        for app in APPS {
+            let records = keep(crawl_app(profile(app), &sites), Some(app));
+            assert_eq!(run.per_app[*app].len(), records.len(), "{app}");
+            assert_eq!(run.figures[*app], figure6(&records, &baseline), "{app}");
+        }
+    }
+}
+
+/// The whole crawl — `top_100_sites()` through all ten apps and the
+/// baseline — pinned at 1, 2 and 8 workers by a plain FNV-1a-64 over:
+/// every record of the baseline, then of each app in map order after the
+/// app's name (`app` and `site` each as its raw id, little-endian `u32`,
+/// then its text; the category label; the host count as a `u32`; each
+/// host's raw id, text and kind label); then each app's figure rows after
+/// its name (category label, `avg_endpoints` bits, each `by_kind` kind
+/// label and value bits); then the failure count and the symbol-table
+/// length as `u64`s. Raw ids are hashed, so the pin also holds the
+/// row-major order of the merged symbol table.
+#[test]
+fn the_whole_crawl_is_pinned() {
+    fn fnv(hash: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let sites = top_100_sites();
+    for workers in [1, 2, 8] {
+        let out = run_crawl_pipeline(&sites, None, CrawlConfig { workers });
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let record = |hash: &mut u64, r: &VisitRecord| {
+            for sym in [r.app, r.site] {
+                fnv(hash, &sym.raw().to_le_bytes());
+                fnv(hash, out.symbols.resolve(sym).as_bytes());
+            }
+            fnv(hash, r.category.label().as_bytes());
+            fnv(hash, &(r.hosts.len() as u32).to_le_bytes());
+            for (&host, &kind) in r.hosts.iter().zip(&r.kinds) {
+                fnv(hash, &host.raw().to_le_bytes());
+                fnv(hash, out.symbols.resolve(host).as_bytes());
+                fnv(hash, kind.label().as_bytes());
+            }
+        };
+        for r in &out.baseline {
+            record(&mut hash, r);
+        }
+        for (app, records) in &out.per_app {
+            fnv(&mut hash, app.as_bytes());
+            for r in records {
+                record(&mut hash, r);
+            }
+        }
+        for (app, rows) in &out.figures {
+            fnv(&mut hash, app.as_bytes());
+            for row in rows {
+                fnv(&mut hash, row.category.label().as_bytes());
+                fnv(&mut hash, &row.avg_endpoints.to_bits().to_le_bytes());
+                for (kind, value) in &row.by_kind {
+                    fnv(&mut hash, kind.label().as_bytes());
+                    fnv(&mut hash, &value.to_bits().to_le_bytes());
+                }
+            }
+        }
+        fnv(&mut hash, &(out.failures.len() as u64).to_le_bytes());
+        fnv(&mut hash, &(out.symbols.len() as u64).to_le_bytes());
+        let records = out.baseline.len() + out.per_app.values().map(Vec::len).sum::<usize>();
+        assert_eq!(
+            (records, out.symbols.len(), out.failures.len()),
+            (1_100, 146, 0),
+            "{workers} workers"
+        );
+        assert_eq!(
+            out.symbols.resolve(out.baseline[0].app),
+            BASELINE_APP,
+            "{workers} workers"
+        );
+        assert_eq!(
+            format!("{hash:016x}"),
+            "2db9fd13a5f8d381",
+            "{workers} workers"
+        );
     }
 }

@@ -30,7 +30,7 @@ fn pipeline_recovers_planted_ground_truth_exactly() {
         let analysis = table.get(0).expect("an analyzed row");
         assert_eq!(
             analysis.uses_webview(),
-            g.spec.uses_webview(&catalog),
+            g.spec.uses_webview(),
             "webview verdict for {}",
             g.spec.meta.package
         );
@@ -40,8 +40,7 @@ fn pipeline_recovers_planted_ground_truth_exactly() {
             "ct verdict for {}",
             g.spec.meta.package
         );
-        let truth: std::collections::HashSet<&str> =
-            g.spec.method_census(&catalog).names().collect();
+        let truth: std::collections::HashSet<&str> = g.spec.method_census().names().collect();
         assert_eq!(analysis.methods_used(), truth, "{}", g.spec.meta.package);
     }
 }
