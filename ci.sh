@@ -16,7 +16,13 @@
 # allocator; ~3 s once built), and the full-universe funnel count (the
 # ignored `wla-corpus` unit test in release: `count_funnel` must equal
 # folding all 6,507,222 `MetadataUniverse` records at three seeds, and
-# read Table 2's rows at the default one; ~8 s once built).
+# read Table 2's rows at the default one; ~8 s once built), and the
+# release-only stdout pins (the ignored `tests/pins.rs` tests in release:
+# the FNV-1a-64 of `wla static --scale 10`'s and `wla all --scale 10`'s
+# stdout; ~2 s once built). The debug suite pins every other `wla`
+# subcommand's stdout at its default flags, the 100 prepared crawl pages
+# (`tests/pins.rs`) and the crawl's live-heap bound
+# (`tests/crawl_footprint.rs`), so `cargo test -q` at the root runs them.
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -403,6 +409,9 @@ cargo test --release -q -p wla-static --test output_footprint -- --ignored
 
 echo "== full-universe funnel count (6,507,222 records at three seeds, release) =="
 cargo test --release -q -p wla-corpus --lib -- --ignored
+
+echo "== scale-10 stdout pins (wla static and wla all, release) =="
+cargo test --release -q --test pins -- --ignored
 
 echo "== cargo build --benches (smoke) =="
 bench_start=$SECONDS

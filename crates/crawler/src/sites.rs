@@ -200,38 +200,6 @@ fn site_extra_refs(site: &TopSite) -> &'static [&'static str] {
 mod tests {
     use super::*;
 
-    /// The 100 prepared pages, pinned: their summed heap, their fetch-list
-    /// length, and a plain FNV-1a-64 over, per site in order, the page URL,
-    /// each `(tag, count)` of the document's tag census (the tag's bytes,
-    /// then the count as a little-endian `u64`), its text content and
-    /// every fetch URL. A change to the markup, the parser or the fetch
-    /// list that moves one of them fails it.
-    #[test]
-    fn prepared_pages_are_pinned() {
-        fn fnv(hash: &mut u64, bytes: &[u8]) {
-            for &byte in bytes {
-                *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        let (mut hash, mut heap, mut urls) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
-        for site in top_100_sites() {
-            let page = site_page(&site);
-            heap += page.heap_bytes();
-            urls += page.sub_urls.len();
-            fnv(&mut hash, page.url.as_bytes());
-            for (tag, n) in page.doc.tag_counts() {
-                fnv(&mut hash, tag.as_bytes());
-                fnv(&mut hash, &(n as u64).to_le_bytes());
-            }
-            fnv(&mut hash, page.doc.text_content().as_bytes());
-            for url in &page.sub_urls {
-                fnv(&mut hash, url.as_bytes());
-            }
-        }
-        assert_eq!((heap, urls), (286_374, 930));
-        assert_eq!(format!("{hash:016x}"), "37d7485d65d063a4");
-    }
-
     #[test]
     fn exactly_one_hundred_sites_ten_per_category() {
         let sites = top_100_sites();

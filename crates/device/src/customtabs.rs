@@ -8,9 +8,9 @@
 //! app context (no bidirectional access)" (Table 1).
 
 use crate::browser::Browser;
+use crate::webview::PreparedPage;
 use wla_net::netlog::host_of;
 use wla_net::NetLogPhase;
-use wla_web::html;
 
 /// Navigation events surfaced through `CustomTabsCallback` — the paper
 /// notes CTs "natively measure similar user engagement signals" (§4.1.2),
@@ -42,7 +42,8 @@ pub struct CustomTab {
 
 impl CustomTab {
     /// `CustomTabsIntent.launchUrl`: load `url` (with `html` content) in
-    /// the browser context.
+    /// the browser context. The page is parsed and its fetch list resolved
+    /// as a WebView's would be, and arrives on a browser tab source.
     pub fn launch(browser: &mut Browser, url: &str, page_html: &str) -> CustomTab {
         let source_id = browser.allocate_source();
         browser
@@ -50,34 +51,8 @@ impl CustomTab {
             .record(source_id, url, NetLogPhase::RequestSent);
         // The page sees the browser's cookies: an authenticated session on
         // this host stays authenticated (Table 1's UX row).
-        browser
-            .netlog
-            .record(source_id, url, NetLogPhase::ResponseReceived);
-        let doc = html::parse(page_html);
-        let page_host = host_of(url).unwrap_or("localhost").to_owned();
-        for node in doc.walk() {
-            let attr = match doc.tag(node) {
-                Some("script") | Some("img") | Some("iframe") => doc.get_attr(node, "src"),
-                Some("link") => doc.get_attr(node, "href"),
-                _ => None,
-            };
-            if let Some(raw) = attr {
-                let sub = if raw.starts_with("http") {
-                    raw.to_owned()
-                } else if let Some(rest) = raw.strip_prefix("//") {
-                    format!("https://{rest}")
-                } else {
-                    format!("https://{page_host}/{}", raw.trim_start_matches('/'))
-                };
-                browser.netlog.advance_clock(1);
-                browser
-                    .netlog
-                    .record(source_id, &sub, NetLogPhase::RequestSent);
-                browser
-                    .netlog
-                    .record(source_id, &sub, NetLogPhase::ResponseReceived);
-            }
-        }
+        let page = PreparedPage::from_markup(url, page_html, &[]);
+        page.record_arrival(&browser.netlog, source_id, 1);
         CustomTab {
             source_id,
             url: url.to_owned(),
@@ -191,6 +166,46 @@ mod tests {
         let hosts = netlog.distinct_hosts_for(tab.source_id);
         assert!(hosts.contains("site.example"));
         assert!(hosts.contains("cdn.example"));
+    }
+
+    #[test]
+    fn a_custom_tab_requests_what_a_webview_requests() {
+        use crate::webview::{PageSource, WebViewInstance};
+        use crate::{FridaRecorder, Logcat};
+        let (url, page) = (
+            "https://site.example/news/",
+            "<img src=\"httpdocs/a.png\"><script src=\"//cdn.example/x.js\"></script>",
+        );
+        let tab_log = NetLog::new();
+        let tab = CustomTab::launch(&mut Browser::new(tab_log.clone()), url, page);
+        let webview_log = NetLog::new();
+        let mut wv = WebViewInstance::new(
+            7,
+            "com.example.app",
+            FridaRecorder::new(),
+            webview_log.clone(),
+            Logcat::new(),
+        );
+        wv.load(PageSource::Synthetic {
+            url: url.into(),
+            html: page.into(),
+            extra_requests: vec![],
+        });
+        let requests = |log: &NetLog, source_id| {
+            let mut urls = Vec::new();
+            log.for_each_request_url(source_id, |url| urls.push(url.to_string()));
+            urls
+        };
+        let in_tab = requests(&tab_log, tab.source_id);
+        assert_eq!(in_tab, requests(&webview_log, 7));
+        assert_eq!(
+            in_tab,
+            [
+                url,
+                "https://site.example/httpdocs/a.png",
+                "https://cdn.example/x.js"
+            ]
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::frida::FridaRecorder;
 use crate::logcat::Logcat;
 use crate::webview::{PageSource, WebViewInstance};
+use std::sync::Arc;
 use wla_net::{NetLog, NetLogPhase};
 use wla_web::script::{AdPayload, ScriptEffect, ScriptOutcome};
 
@@ -18,12 +19,27 @@ use wla_web::script::{AdPayload, ScriptEffect, ScriptOutcome};
 /// content-rich the visited page is (0 = always, 10 = only the richest).
 /// A profile's rules are kept ordered by `min_richness`, so the set that
 /// fires for a given page is always a prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointRule {
     /// Host contacted.
     pub host: &'static str,
     /// Minimum page richness (0–10) for the contact to fire.
     pub min_richness: u8,
+    /// The contact URL, made once with the rule and shared by every visit
+    /// that fires it.
+    pub url: Arc<str>,
+}
+
+impl EndpointRule {
+    /// A rule contacting `https://{host}/collect` on pages of at least
+    /// `min_richness`.
+    pub fn new(host: &'static str, min_richness: u8) -> EndpointRule {
+        EndpointRule {
+            host,
+            min_richness,
+            url: format!("https://{host}/collect").into(),
+        }
+    }
 }
 
 /// Behaviour profile of one app's IAB.
@@ -45,10 +61,6 @@ pub struct IabProfile {
     pub scripts: Vec<ScriptEffect>,
     /// IAB-initiated endpoint contacts, ordered by `min_richness`.
     pub endpoint_rules: Vec<EndpointRule>,
-    /// Contact URL per endpoint rule, derived once by
-    /// [`IabProfile::with_collect_urls`] and shared across visits so the
-    /// hot crawl path records them without allocating.
-    pub collect_urls: Vec<std::sync::Arc<str>>,
 }
 
 impl IabProfile {
@@ -60,24 +72,6 @@ impl IabProfile {
     /// Does the profile inject any JS bridge?
     pub fn injects_bridge(&self) -> bool {
         !self.bridges.is_empty()
-    }
-
-    /// Derive the shared per-rule contact URLs (and check the richness
-    /// ordering the prefix-firing fast path relies on).
-    pub fn with_collect_urls(mut self) -> IabProfile {
-        debug_assert!(
-            self.endpoint_rules
-                .windows(2)
-                .all(|w| w[0].min_richness <= w[1].min_richness),
-            "{}: endpoint rules must be ordered by min_richness",
-            self.app_name
-        );
-        self.collect_urls = self
-            .endpoint_rules
-            .iter()
-            .map(|rule| format!("https://{}/collect", rule.host).into())
-            .collect();
-        self
     }
 }
 
@@ -118,7 +112,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "Post",
             redirector: Some("lm.facebook.com/l.php"),
             bridges: meta_bridges.clone(),
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: meta_scripts.clone(),
             endpoint_rules: vec![],
@@ -129,7 +122,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "DM",
             redirector: Some("l.instagram.com"),
             bridges: meta_bridges,
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: meta_scripts,
             endpoint_rules: vec![],
@@ -140,7 +132,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "Story",
             redirector: None,
             bridges: vec![],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![],
             endpoint_rules: vec![],
@@ -151,7 +142,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "DM",
             redirector: Some("t.co"),
             bridges: vec![],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![],
             endpoint_rules: vec![],
@@ -162,40 +152,18 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "Post",
             redirector: None,
             bridges: vec![],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             // The Cedexis Radar client runs as injected JS interacting with
             // the radar API; its network side is the endpoint rules below.
             scripts: vec![ScriptEffect::ReadOnlyScan],
             endpoint_rules: vec![
-                EndpointRule {
-                    host: "radar.cedexis.com",
-                    min_richness: 0,
-                },
-                EndpointRule {
-                    host: "cedexis-radar.net",
-                    min_richness: 0,
-                },
-                EndpointRule {
-                    host: "licdn.com",
-                    min_richness: 2,
-                },
-                EndpointRule {
-                    host: "perf.linkedin.com",
-                    min_richness: 4,
-                },
-                EndpointRule {
-                    host: "px.ads.linkedin.com",
-                    min_richness: 5,
-                },
-                EndpointRule {
-                    host: "api.linkedin.com",
-                    min_richness: 7,
-                },
-                EndpointRule {
-                    host: "www.linkedin.com",
-                    min_richness: 8,
-                },
+                EndpointRule::new("radar.cedexis.com", 0),
+                EndpointRule::new("cedexis-radar.net", 0),
+                EndpointRule::new("licdn.com", 2),
+                EndpointRule::new("perf.linkedin.com", 4),
+                EndpointRule::new("px.ads.linkedin.com", 5),
+                EndpointRule::new("api.linkedin.com", 7),
+                EndpointRule::new("www.linkedin.com", 8),
             ],
         },
         IabProfile {
@@ -204,7 +172,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "DM",
             redirector: None,
             bridges: vec!["a"],
-            collect_urls: Vec::new(),
             obfuscated_bridge: true,
             scripts: vec![],
             endpoint_rules: vec![],
@@ -215,18 +182,11 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "Profile",
             redirector: None,
             bridges: vec!["googleAdsJsInterface"],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![google_ads_probe()],
             endpoint_rules: vec![
-                EndpointRule {
-                    host: "googleads.g.doubleclick.net",
-                    min_richness: 0,
-                },
-                EndpointRule {
-                    host: "pagead2.googlesyndication.com",
-                    min_richness: 3,
-                },
+                EndpointRule::new("googleads.g.doubleclick.net", 0),
+                EndpointRule::new("pagead2.googlesyndication.com", 3),
             ],
         },
         IabProfile {
@@ -235,18 +195,11 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "Bio",
             redirector: None,
             bridges: vec!["googleAdsJsInterface"],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![google_ads_probe()],
             endpoint_rules: vec![
-                EndpointRule {
-                    host: "googleads.g.doubleclick.net",
-                    min_richness: 0,
-                },
-                EndpointRule {
-                    host: "pagead2.googlesyndication.com",
-                    min_richness: 3,
-                },
+                EndpointRule::new("googleads.g.doubleclick.net", 0),
+                EndpointRule::new("pagead2.googlesyndication.com", 3),
             ],
         },
         IabProfile {
@@ -255,7 +208,6 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "DM",
             redirector: None,
             bridges: vec![],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![],
             endpoint_rules: vec![],
@@ -266,88 +218,30 @@ pub fn all_profiles() -> Vec<IabProfile> {
             surface: "DM",
             redirector: None,
             bridges: vec!["googleAdsJsInterface"],
-            collect_urls: Vec::new(),
             obfuscated_bridge: false,
             scripts: vec![google_ads_probe(), ScriptEffect::ReadOnlyScan],
             endpoint_rules: vec![
-                EndpointRule {
-                    host: "ads.mopub.com",
-                    min_richness: 0,
-                },
-                EndpointRule {
-                    host: "supply.inmobicdn.net",
-                    min_richness: 2,
-                },
-                EndpointRule {
-                    host: "googleads.g.doubleclick.net",
-                    min_richness: 3,
-                },
-                EndpointRule {
-                    host: "cloudfront.net",
-                    min_richness: 3,
-                },
-                EndpointRule {
-                    host: "adnxs.com",
-                    min_richness: 4,
-                },
-                EndpointRule {
-                    host: "criteo.com",
-                    min_richness: 4,
-                },
-                EndpointRule {
-                    host: "rubiconproject.com",
-                    min_richness: 5,
-                },
-                EndpointRule {
-                    host: "openx.net",
-                    min_richness: 5,
-                },
-                EndpointRule {
-                    host: "pubmatic.com",
-                    min_richness: 6,
-                },
-                EndpointRule {
-                    host: "adsrvr.org",
-                    min_richness: 6,
-                },
-                EndpointRule {
-                    host: "casalemedia.com",
-                    min_richness: 7,
-                },
-                EndpointRule {
-                    host: "smartadserver.com",
-                    min_richness: 7,
-                },
-                EndpointRule {
-                    host: "taboola.com",
-                    min_richness: 7,
-                },
-                EndpointRule {
-                    host: "outbrain.com",
-                    min_richness: 8,
-                },
-                EndpointRule {
-                    host: "amazon-adsystem.com",
-                    min_richness: 8,
-                },
-                EndpointRule {
-                    host: "yieldmo.com",
-                    min_richness: 8,
-                },
-                EndpointRule {
-                    host: "sharethrough.com",
-                    min_richness: 9,
-                },
-                EndpointRule {
-                    host: "triplelift.com",
-                    min_richness: 9,
-                },
+                EndpointRule::new("ads.mopub.com", 0),
+                EndpointRule::new("supply.inmobicdn.net", 2),
+                EndpointRule::new("googleads.g.doubleclick.net", 3),
+                EndpointRule::new("cloudfront.net", 3),
+                EndpointRule::new("adnxs.com", 4),
+                EndpointRule::new("criteo.com", 4),
+                EndpointRule::new("rubiconproject.com", 5),
+                EndpointRule::new("openx.net", 5),
+                EndpointRule::new("pubmatic.com", 6),
+                EndpointRule::new("adsrvr.org", 6),
+                EndpointRule::new("casalemedia.com", 7),
+                EndpointRule::new("smartadserver.com", 7),
+                EndpointRule::new("taboola.com", 7),
+                EndpointRule::new("outbrain.com", 8),
+                EndpointRule::new("amazon-adsystem.com", 8),
+                EndpointRule::new("yieldmo.com", 8),
+                EndpointRule::new("sharethrough.com", 9),
+                EndpointRule::new("triplelift.com", 9),
             ],
         },
     ]
-    .into_iter()
-    .map(IabProfile::with_collect_urls)
-    .collect()
 }
 
 /// Profile lookup by package name.
@@ -450,22 +344,15 @@ pub fn open_in_iab(
     }
 
     // IAB-initiated endpoint contacts, richness-gated. Rules are ordered
-    // by `min_richness`, so the firing set is a prefix; profiles built by
-    // [`IabProfile::with_collect_urls`] record it without allocating.
+    // by `min_richness`, so the firing set is a prefix.
     let fired = profile
         .endpoint_rules
         .partition_point(|rule| richness >= rule.min_richness);
-    if profile.collect_urls.len() == profile.endpoint_rules.len() {
-        netlog.record_request_pairs(source_id, &profile.collect_urls[..fired], 1);
-    } else {
-        // Hand-built profile without derived URLs: same records, per-rule.
-        for rule in &profile.endpoint_rules[..fired] {
-            let url = format!("https://{}/collect", rule.host);
-            netlog.advance_clock(1);
-            netlog.record(source_id, &url, NetLogPhase::RequestSent);
-            netlog.record(source_id, &url, NetLogPhase::ResponseReceived);
-        }
-    }
+    netlog.record_request_pairs(
+        source_id,
+        profile.endpoint_rules[..fired].iter().map(|rule| &rule.url),
+        1,
+    );
 
     IabVisit {
         webview,
@@ -502,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_rules_are_richness_ordered_with_derived_urls() {
+    fn endpoint_rules_are_richness_ordered() {
         for p in all_profiles() {
             assert!(
                 p.endpoint_rules
@@ -511,9 +398,8 @@ mod tests {
                 "{}",
                 p.app_name
             );
-            assert_eq!(p.collect_urls.len(), p.endpoint_rules.len());
-            for (url, rule) in p.collect_urls.iter().zip(&p.endpoint_rules) {
-                assert_eq!(url.as_ref(), format!("https://{}/collect", rule.host));
+            for rule in &p.endpoint_rules {
+                assert_eq!(rule.url.as_ref(), format!("https://{}/collect", rule.host));
             }
         }
     }

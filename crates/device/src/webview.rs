@@ -2,11 +2,12 @@
 //!
 //! Every public method interposes through the attached [`FridaRecorder`]
 //! (method name + arguments) before acting — that is the paper's
-//! measurement surface. Pages load either over real loopback HTTP (the
-//! controlled page) or from synthetic site content (the top-site crawl);
-//! either way the instance's netlog records the main document and every
-//! subresource the parsed DOM references, attributable to this instance's
-//! source id.
+//! measurement surface. Pages load over real loopback HTTP (the
+//! controlled page), from synthetic site markup, or as a page prepared
+//! once per site (the top-site crawl); every source becomes one
+//! [`PreparedPage`], whose arrival records the main document and every
+//! subresource the parsed DOM references in the instance's netlog,
+//! attributable to this instance's source id.
 
 use crate::browser::CookieJar;
 use crate::frida::FridaRecorder;
@@ -15,7 +16,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use wla_net::netlog::host_of;
 use wla_net::{fetch, NetLog, NetLogPhase, Request};
-use wla_web::script::{execute, execute_readonly, ScriptEffect, ScriptOutcome};
+use wla_web::script::{execute, ScriptEffect, ScriptOutcome};
 use wla_web::webapi::DomSession;
 use wla_web::{html, Document};
 
@@ -38,11 +39,13 @@ impl Default for WebViewSettings {
     }
 }
 
-/// Where a page's content comes from.
+/// Where a page's content comes from. [`WebViewInstance::load`] turns
+/// every variant into one [`PreparedPage`].
 #[derive(Debug, Clone)]
 pub enum PageSource {
     /// Fetch `path` from a real loopback server; the page is *addressed*
-    /// as `url` for netlog purposes.
+    /// as `url` for netlog purposes. The fetched body is parsed with no
+    /// extra requests; a failed fetch loads an empty document.
     Http {
         /// Server to fetch from.
         server: SocketAddr,
@@ -51,19 +54,20 @@ pub enum PageSource {
         /// Logical URL of the page.
         url: String,
     },
-    /// Synthetic content (top-site model).
+    /// Synthetic content (top-site model), parsed on load.
     Synthetic {
         /// Logical URL.
         url: String,
         /// Page markup.
         html: String,
         /// Additional requests the page makes beyond DOM-referenced
-        /// subresources (XHR endpoints, trackers).
+        /// subresources (XHR endpoints, trackers), resolved against the
+        /// page like the DOM's references.
         extra_requests: Vec<String>,
     },
     /// A page parsed once and shared across many visits (the crawl
-    /// pipeline visits every site through eleven different IABs; parsing
-    /// and subresource resolution happen once per site, not per visit).
+    /// visits every site through eleven WebViews; the parse and the
+    /// fetch list are made once per site, not per visit).
     Prepared(Arc<PreparedPage>),
 }
 
@@ -77,33 +81,21 @@ impl PageSource {
     }
 }
 
-/// A page whose parse, subresource resolution, and URL strings are
-/// computed once and shared (`Arc`) across visits. Loading a prepared
-/// page records exactly the netlog event sequence the equivalent
-/// [`PageSource::Synthetic`] load would — same URLs, same order, same
-/// clock steps — but without re-parsing or re-allocating any of it.
+/// A loaded page: its parsed document and its fetch list, each URL
+/// resolved once into a shared string. Every page a WebView or Custom Tab
+/// loads is one, and [`PreparedPage::from_markup`] is the one way to make
+/// it. A page may be shared (`Arc`) across visits: a visit's
+/// [`DomSession`] reads the shared document and copies it only to change
+/// it.
 #[derive(Debug, Clone)]
 pub struct PreparedPage {
     /// Logical URL.
     pub url: Arc<str>,
-    /// Parsed DOM prototype; visits that run scripts clone it so DOM
-    /// mutations stay visit-local.
+    /// Parsed document, shared by every session loaded from the page.
     pub doc: Arc<Document>,
     /// Resolved subresource URLs (DOM-referenced first, then extras), in
-    /// the order a synthetic load would fetch them.
+    /// the order the page fetches them.
     pub sub_urls: Vec<Arc<str>>,
-    /// Cached intrinsic read-only outcomes (see [`ReadOnlyCache`]).
-    pub readonly: ReadOnlyCache,
-}
-
-/// Lazily computed outcomes of the intrinsic (payload-free) read-only
-/// effects — pure functions of the shared prototype DOM, so the first
-/// visit's computation serves every later visit to the page.
-#[derive(Debug, Clone, Default)]
-pub struct ReadOnlyCache {
-    scan: std::sync::OnceLock<ScriptOutcome>,
-    tag_counts: std::sync::OnceLock<ScriptOutcome>,
-    simhash: std::sync::OnceLock<ScriptOutcome>,
 }
 
 impl PreparedPage {
@@ -129,8 +121,15 @@ impl PreparedPage {
             url: Arc::from(url),
             doc: Arc::new(doc),
             sub_urls,
-            readonly: ReadOnlyCache::default(),
         }
+    }
+
+    /// Record the page arriving on `source_id`: the main document's
+    /// response, then a request/response pair per subresource, the clock
+    /// advancing `clock_step_ms` before each pair.
+    pub fn record_arrival(&self, netlog: &NetLog, source_id: u32, clock_step_ms: u64) {
+        netlog.record_shared(source_id, self.url.clone(), NetLogPhase::ResponseReceived);
+        netlog.record_request_pairs(source_id, &self.sub_urls, clock_step_ms);
     }
 
     /// Heap bytes the page holds: the shared document (its node,
@@ -147,31 +146,6 @@ impl PreparedPage {
             + self.sub_urls.capacity() * size_of::<Arc<str>>()
             + self.sub_urls.iter().map(|u| arc(u.len())).sum::<usize>()
     }
-
-    /// Run a read-only effect against the shared prototype, caching the
-    /// intrinsic ones so each page computes them at most once.
-    fn readonly_outcome(&self, effect: &ScriptEffect) -> Option<ScriptOutcome> {
-        let slot = match effect {
-            ScriptEffect::ReadOnlyScan => &self.readonly.scan,
-            ScriptEffect::DomTagCounts => &self.readonly.tag_counts,
-            ScriptEffect::SimHashPage => &self.readonly.simhash,
-            _ => return execute_readonly(effect, &self.doc),
-        };
-        Some(
-            slot.get_or_init(|| {
-                execute_readonly(effect, &self.doc).expect("intrinsic effects are read-only")
-            })
-            .clone(),
-        )
-    }
-}
-
-/// Subresource URLs referenced by a parsed DOM, resolved against the page
-/// host — the fetch list a WebView issues after the main document.
-pub fn collect_subresource_urls(doc: &Document, page_host: &str) -> Vec<String> {
-    subresource_refs(doc)
-        .map(|raw| resolve_url(raw, page_host))
-        .collect()
 }
 
 /// The subresource references of a parsed DOM as the page writes them, in
@@ -203,23 +177,9 @@ pub struct WebViewInstance {
     netlog: NetLog,
     logcat: Logcat,
     bridges: Vec<String>,
-    dom: PageDom,
+    dom: Option<DomSession>,
     current_url: Option<Arc<str>>,
     reporter: Option<SocketAddr>,
-}
-
-/// DOM state of the instance. Prepared pages stay `Pending` (a shared,
-/// immutable prototype) until a script or bridge actually needs the DOM,
-/// at which point the prototype is cloned into a visit-local session —
-/// script-free visits never pay for a DOM copy.
-#[derive(Debug)]
-enum PageDom {
-    /// Nothing loaded.
-    None,
-    /// Prepared page loaded; session not yet materialized.
-    Pending(Arc<PreparedPage>),
-    /// Materialized, visit-local instrumented session.
-    Live(DomSession),
 }
 
 impl WebViewInstance {
@@ -240,7 +200,7 @@ impl WebViewInstance {
             netlog,
             logcat,
             bridges: Vec::new(),
-            dom: PageDom::None,
+            dom: None,
             current_url: None,
             reporter: None,
         }
@@ -259,28 +219,17 @@ impl WebViewInstance {
     }
 
     /// The instrumented DOM session of the loaded page (`None` until a
-    /// page is loaded; prepared pages materialize on first mutable use).
+    /// page is loaded).
     pub fn session(&self) -> Option<&DomSession> {
-        match &self.dom {
-            PageDom::Live(session) => Some(session),
-            _ => None,
-        }
+        self.dom.as_ref()
     }
 
     /// Mutable session access (for assertions and follow-up effects).
-    /// Materializes a pending prepared page into a visit-local session.
     pub fn session_mut(&mut self) -> Option<&mut DomSession> {
-        if let PageDom::Pending(page) = &self.dom {
-            let doc = Document::clone(&page.doc);
-            self.dom = PageDom::Live(self.make_session(doc));
-        }
-        match &mut self.dom {
-            PageDom::Live(session) => Some(session),
-            _ => None,
-        }
+        self.dom.as_mut()
     }
 
-    fn make_session(&self, doc: Document) -> DomSession {
+    fn make_session(&self, doc: Arc<Document>) -> DomSession {
         match self.reporter {
             Some(addr) => DomSession::with_reporter(doc, addr, &self.app_package),
             None => DomSession::new(doc),
@@ -307,8 +256,10 @@ impl WebViewInstance {
         self.bridges.retain(|b| b != name);
     }
 
-    /// `loadUrl` with a page source. Records the hook, fetches/parses the
-    /// content, logs the main document and every subresource.
+    /// `loadUrl` with a page source. Records the hook, turns the source
+    /// into a [`PreparedPage`] (fetching and parsing it unless it comes
+    /// prepared), records its arrival, and opens a session on its
+    /// document. A failed fetch records `Failed` and opens an empty one.
     pub fn load(&mut self, source: PageSource) {
         let url: Arc<str> = match &source {
             PageSource::Prepared(page) => page.url.clone(),
@@ -320,69 +271,37 @@ impl WebViewInstance {
         self.netlog
             .record_shared(self.source_id, url.clone(), NetLogPhase::RequestSent);
 
-        if let PageSource::Prepared(page) = &source {
-            // Fast path: the parse, subresource resolution, and URL
-            // strings were computed once for the site; replay them.
-            self.netlog
-                .record_shared(self.source_id, url.clone(), NetLogPhase::ResponseReceived);
-            self.netlog
-                .record_request_pairs(self.source_id, &page.sub_urls, 2);
-            self.dom = PageDom::Pending(page.clone());
-            self.current_url = Some(url);
-            return;
-        }
-
-        let (doc, extra) = match &source {
+        let page = match source {
+            PageSource::Prepared(page) => page,
+            PageSource::Synthetic {
+                html: markup,
+                extra_requests,
+                ..
+            } => {
+                let extras: Vec<&str> = extra_requests.iter().map(String::as_str).collect();
+                Arc::new(PreparedPage::from_markup(&url, &markup, &extras))
+            }
             PageSource::Http { server, path, .. } => {
-                let request =
-                    Request::get(path.clone()).with_header("X-Requested-With", &self.app_package);
-                match fetch(*server, request) {
+                let request = Request::get(path).with_header("X-Requested-With", &self.app_package);
+                match fetch(server, request) {
                     Ok(resp) => {
-                        self.netlog.record_shared(
-                            self.source_id,
-                            url.clone(),
-                            NetLogPhase::ResponseReceived,
-                        );
-                        let body = String::from_utf8_lossy(&resp.body).into_owned();
-                        (html::parse(&body), Vec::new())
+                        let body = String::from_utf8_lossy(&resp.body);
+                        Arc::new(PreparedPage::from_markup(&url, &body, &[]))
                     }
                     Err(e) => {
                         self.netlog
                             .record_shared(self.source_id, url.clone(), NetLogPhase::Failed);
                         self.logcat
                             .info("WebView", &format!("load failed for {url}: {e}"));
-                        (Document::new(), Vec::new())
+                        self.dom = Some(self.make_session(Arc::new(Document::new())));
+                        self.current_url = Some(url);
+                        return;
                     }
                 }
             }
-            PageSource::Synthetic {
-                html: markup,
-                extra_requests,
-                ..
-            } => {
-                self.netlog.record_shared(
-                    self.source_id,
-                    url.clone(),
-                    NetLogPhase::ResponseReceived,
-                );
-                (html::parse(markup), extra_requests.clone())
-            }
-            PageSource::Prepared(_) => unreachable!("handled above"),
         };
-
-        // Subresources referenced by the DOM.
-        let page_host = host_of(&url).unwrap_or("localhost");
-        let mut sub_urls = collect_subresource_urls(&doc, page_host);
-        sub_urls.extend(extra);
-        for sub in sub_urls {
-            self.netlog.advance_clock(2);
-            self.netlog
-                .record(self.source_id, &sub, NetLogPhase::RequestSent);
-            self.netlog
-                .record(self.source_id, &sub, NetLogPhase::ResponseReceived);
-        }
-
-        self.dom = PageDom::Live(self.make_session(doc));
+        page.record_arrival(&self.netlog, self.source_id, 2);
+        self.dom = Some(self.make_session(page.doc.clone()));
         self.current_url = Some(url);
     }
 
@@ -407,16 +326,7 @@ impl WebViewInstance {
                 .info("WebView", "JS disabled; injection ignored");
             return None;
         }
-        // A read-only effect on a still-pending prepared page runs against
-        // the shared prototype (cached for the intrinsic effects) — the
-        // visit never pays for a DOM copy.
-        if let PageDom::Pending(page) = &self.dom {
-            if let Some(outcome) = page.readonly_outcome(effect) {
-                return Some(outcome);
-            }
-        }
-        let session = self.session_mut()?;
-        Some(execute(effect, session))
+        Some(execute(effect, self.session_mut()?))
     }
 }
 
@@ -511,6 +421,45 @@ mod tests {
         assert!(events.len() >= 3, "{events:?}");
         // DOM-referenced subresources appear (page.js etc.).
         assert!(events.iter().any(|e| e.url.contains("page.js")));
+    }
+
+    #[test]
+    fn a_refused_fetch_fails_the_load_and_leaves_an_empty_session() {
+        // A port whose listener is dropped refuses the connection.
+        let refused = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .unwrap();
+        let (netlog, logcat) = (NetLog::new(), Logcat::new());
+        let url = "https://measurement.example/page";
+        let mut wv = WebViewInstance::new(
+            5,
+            "com.example.app",
+            FridaRecorder::new(),
+            netlog.clone(),
+            logcat.clone(),
+        );
+        wv.load(PageSource::Http {
+            server: refused,
+            path: "/page".into(),
+            url: url.into(),
+        });
+        let events: Vec<_> = netlog
+            .events_for(5)
+            .into_iter()
+            .map(|e| (e.url.to_string(), e.phase))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (url.to_owned(), NetLogPhase::RequestSent),
+                (url.to_owned(), NetLogPhase::Failed),
+            ]
+        );
+        assert!(logcat.contains("load failed"));
+        let session = wv.session().expect("a failed load still opens a session");
+        assert_eq!(*session.doc, Document::new());
+        assert!(session.calls().is_empty());
+        assert_eq!(wv.current_url(), Some(url));
     }
 
     #[test]

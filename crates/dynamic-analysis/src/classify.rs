@@ -125,7 +125,6 @@ fn generic_iab(package: &str) -> IabProfile {
         obfuscated_bridge: false,
         scripts: vec![],
         endpoint_rules: vec![],
-        collect_urls: Vec::new(),
     }
 }
 

@@ -6,11 +6,13 @@
 //! the simulated device: every URL request a WebView (or CT/browser) makes
 //! is logged with a source id, phase, and simulated-clock timestamp.
 //!
-//! URLs are stored as `Arc<str>`: the crawl pipeline replays the same
-//! prepared per-site subresource lists through thousands of visits, and
-//! sharing the backing string turns each replayed event into a refcount
-//! bump instead of a fresh heap allocation ([`NetLog::record_shared`],
-//! [`NetLog::record_request_pairs`]).
+//! URLs are stored as `Arc<str>`. Every page a WebView or Custom Tab loads
+//! carries its fetch list resolved once into shared strings, and every IAB
+//! endpoint rule holds its contact URL once, so recording a page's arrival
+//! or a rule's contact bumps a reference count per event instead of
+//! allocating a string ([`NetLog::record_shared`],
+//! [`NetLog::record_request_pairs`]). The crawl visits each site's page
+//! through eleven WebViews, so its URLs are shared across all of them.
 
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -87,10 +89,17 @@ impl NetLog {
 
     /// Record a `RequestSent`/`ResponseReceived` pair per URL under one
     /// lock acquisition, advancing the clock by `clock_step_ms` before
-    /// each pair — the shape of a page's subresource fetch burst.
-    pub fn record_request_pairs(&self, source_id: u32, urls: &[Arc<str>], clock_step_ms: u64) {
+    /// each pair — the shape of a page's subresource fetch burst. Room for
+    /// the events is reserved once, from the iterator's size hint.
+    pub fn record_request_pairs<'a>(
+        &self,
+        source_id: u32,
+        urls: impl IntoIterator<Item = &'a Arc<str>>,
+        clock_step_ms: u64,
+    ) {
+        let urls = urls.into_iter();
         let mut inner = self.inner.lock();
-        inner.events.reserve(urls.len() * 2);
+        inner.events.reserve(urls.size_hint().0 * 2);
         for url in urls {
             inner.clock_ms += clock_step_ms;
             let timestamp_ms = inner.clock_ms;

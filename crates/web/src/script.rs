@@ -100,80 +100,6 @@ pub enum ScriptOutcome {
     },
 }
 
-/// Execute an effect that never mutates the DOM directly against a shared
-/// document, without materializing an instrumented session. Returns the
-/// same outcome [`execute`] would produce (the unit tests pin the two
-/// paths together); `None` when the effect mutates and needs a
-/// visit-local session. This is the crawl pipeline's fast path: prepared
-/// pages stay un-cloned across visits whose scripts only read.
-pub fn execute_readonly(effect: &ScriptEffect, doc: &crate::Document) -> Option<ScriptOutcome> {
-    match effect {
-        ScriptEffect::DomTagCounts => {
-            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            for node in doc.query_selector_all("*") {
-                if let Some(tag) = doc.tag(node) {
-                    *counts.entry(tag.to_owned()).or_insert(0) += 1;
-                }
-            }
-            Some(ScriptOutcome::TagCounts(counts))
-        }
-
-        ScriptEffect::SimHashPage => {
-            let body = *doc
-                .get_elements_by_tag_name("body")
-                .first()
-                .expect("page has a body");
-            // Subtree element walk, in the same order the session's
-            // `Element.getElementsByTagName(body, "*")` visits.
-            let mut dom_tokens: Vec<String> = Vec::new();
-            let mut stack = vec![body];
-            while let Some(id) = stack.pop() {
-                if id != body {
-                    if let Some(tag) = doc.tag(id) {
-                        dom_tokens.push(tag.to_owned());
-                        if doc.has_attr(id, "id") {
-                            dom_tokens.push("#has-id".to_owned());
-                        }
-                    }
-                }
-                stack.extend(doc.children(id).rev());
-            }
-            let text = doc.text_content();
-            Some(ScriptOutcome::SimHashes {
-                text_and_dom: simhash64(
-                    text.split_whitespace()
-                        .chain(dom_tokens.iter().map(String::as_str)),
-                ),
-                text: simhash_text(&text),
-                dom: simhash64(dom_tokens.iter().map(String::as_str)),
-            })
-        }
-
-        // A zero-sized slot bails before touching the DOM at all.
-        ScriptEffect::AdProbe(payload) if payload.width == 0 || payload.height == 0 => {
-            Some(ScriptOutcome::AdResult {
-                displayed: false,
-                not_visible_reason: Some("noAdView".to_owned()),
-            })
-        }
-
-        ScriptEffect::ReadOnlyScan => {
-            let slots = doc.query_selector_all(".adsbygoogle, ins");
-            let metas = doc.query_selector_all("meta");
-            let inspected = metas
-                .iter()
-                .filter(|&&meta| doc.get_attr(meta, "name").is_some())
-                .count();
-            Some(ScriptOutcome::ScanResult {
-                ad_slots: slots.len(),
-                metas: inspected,
-            })
-        }
-
-        _ => None,
-    }
-}
-
 /// Execute one effect against the session.
 pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome {
     match effect {
@@ -189,8 +115,8 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
             let scripts = session.get_elements_by_tag_name("script");
             let fjs = session.collection_item(&scripts, 0);
             let js = session.create_element("script");
-            session.doc.set_attr(js, "id", element_id);
-            session.doc.set_attr(js, "src", src);
+            session.doc_mut().set_attr(js, "id", element_id);
+            session.doc_mut().set_attr(js, "src", src);
             match fjs {
                 Some(fjs) => {
                     let parent = session
@@ -204,7 +130,7 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
                     let first = session.doc.children(body).next();
                     match first {
                         Some(first) => session.insert_before(body, js, first),
-                        None => session.doc.append_child(body, js),
+                        None => session.doc_mut().append_child(body, js),
                     }
                 }
             }
@@ -275,12 +201,12 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
             }
             // Drop a timing marker into the body, as the logger script does.
             let marker = session.create_element("span");
-            session.doc.set_attr(marker, "id", "wla-perf-marker");
+            session.doc_mut().set_attr(marker, "id", "wla-perf-marker");
             let body = session.doc.body().expect("body exists");
             if let Some(first) = session.doc.children(body).next() {
                 session.insert_before(body, marker, first);
             } else {
-                session.doc.append_child(body, marker);
+                session.doc_mut().append_child(body, marker);
             }
             ScriptOutcome::Performance {
                 dom_content_loaded_ms: *dom_content_loaded_ms,
@@ -305,14 +231,13 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
                 }
             } else {
                 let ad = session.create_element("iframe");
-                session
-                    .doc
-                    .set_attr(ad, "src", &format!("https://{}/ad", payload.source_host));
+                let src = format!("https://{}/ad", payload.source_host);
+                session.doc_mut().set_attr(ad, "src", &src);
                 let slot = slots[0];
                 let children = session.doc.children(slot).next();
                 match children {
                     Some(first) => session.insert_before(slot, ad, first),
-                    None => session.doc.append_child(slot, ad),
+                    None => session.doc_mut().append_child(slot, ad),
                 }
                 ScriptOutcome::AdResult {
                     displayed: true,
@@ -342,48 +267,50 @@ pub fn execute(effect: &ScriptEffect, session: &mut DomSession) -> ScriptOutcome
 mod tests {
     use super::*;
     use crate::testpage::{reference_tag_counts, test_page};
+    use std::sync::Arc;
 
     fn session() -> DomSession {
         DomSession::new(test_page())
     }
 
     #[test]
-    fn readonly_path_matches_session_execution() {
+    fn a_shared_document_is_copied_only_to_mutate() {
+        let page = Arc::new(test_page());
         let read_only = [
             ScriptEffect::DomTagCounts,
             ScriptEffect::SimHashPage,
+            ScriptEffect::ReadOnlyScan,
             ScriptEffect::AdProbe(AdPayload {
                 ad_unit: "/1/x".into(),
                 source_host: "ads.example".into(),
                 width: 0,
                 height: 0,
             }),
-            ScriptEffect::ReadOnlyScan,
         ];
+        let mut s = DomSession::new(page.clone());
         for effect in &read_only {
-            let doc = test_page();
-            let shared = execute_readonly(effect, &doc).expect("read-only");
-            let mut s = DomSession::new(doc);
-            assert_eq!(shared, execute(effect, &mut s), "{effect:?}");
+            execute(effect, &mut s);
+            assert!(Arc::ptr_eq(&s.doc, &page), "{effect:?} copied the page");
         }
-        // Mutating effects refuse the shared path.
-        for effect in [
-            ScriptEffect::InsertScriptElement {
-                src: "//x/y.js".into(),
-                element_id: "i".into(),
-            },
-            ScriptEffect::LogPerformance {
+        let insert = ScriptEffect::InsertScriptElement {
+            src: "//x.example/y.js".into(),
+            element_id: "inserted".into(),
+        };
+        execute(&insert, &mut s);
+        assert!(!Arc::ptr_eq(&s.doc, &page));
+        assert_eq!(Arc::strong_count(&page), 1, "the session owns its copy");
+        let copy = Arc::as_ptr(&s.doc);
+        execute(
+            &ScriptEffect::LogPerformance {
                 dom_content_loaded_ms: 1,
             },
-            ScriptEffect::AdProbe(AdPayload {
-                ad_unit: "/1/x".into(),
-                source_host: "ads.example".into(),
-                width: 300,
-                height: 250,
-            }),
-        ] {
-            assert!(execute_readonly(&effect, &test_page()).is_none());
-        }
+            &mut s,
+        );
+        assert_eq!(Arc::as_ptr(&s.doc), copy, "the copy is not copied again");
+        assert_eq!(*page, test_page());
+        let inserted = s.doc.get_element_by_id("inserted").expect("in the copy");
+        assert_eq!(s.doc.get_attr(inserted, "src"), Some("//x.example/y.js"));
+        assert!(page.get_element_by_id("inserted").is_none());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::dom::{Document, NodeId};
 use std::net::SocketAddr;
+use std::sync::Arc;
 use wla_net::beacon::encode_beacon;
 use wla_net::{fetch, Request};
 
@@ -20,18 +21,22 @@ use wla_net::{fetch, Request};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiCall {
     /// Interface name as a harness would report it.
-    pub interface: String,
+    pub interface: &'static str,
     /// Method name.
-    pub method: String,
+    pub method: &'static str,
     /// Stringified first argument.
     pub argument: Option<String>,
 }
 
 /// An instrumented DOM session for one page visit.
+///
+/// The document may be shared with the page it was loaded from: reads go
+/// straight to it, and the first change ([`DomSession::doc_mut`]) copies
+/// it, so a visit whose scripts only read never copies the page.
 #[derive(Debug)]
 pub struct DomSession {
-    /// The live document.
-    pub doc: Document,
+    /// The live document. Change it only through [`DomSession::doc_mut`].
+    pub doc: Arc<Document>,
     calls: Vec<ApiCall>,
     reporter: Option<(SocketAddr, String)>,
     /// Registered event listeners (event name, marker).
@@ -40,9 +45,9 @@ pub struct DomSession {
 
 impl DomSession {
     /// Session without network reporting (local recording only).
-    pub fn new(doc: Document) -> DomSession {
+    pub fn new(doc: impl Into<Arc<Document>>) -> DomSession {
         DomSession {
-            doc,
+            doc: doc.into(),
             calls: Vec::new(),
             reporter: None,
             listeners: Vec::new(),
@@ -51,13 +56,23 @@ impl DomSession {
 
     /// Session that reports every call to a measurement server as
     /// `visitor` (the app package, mirroring `X-Requested-With`).
-    pub fn with_reporter(doc: Document, server: SocketAddr, visitor: &str) -> DomSession {
+    pub fn with_reporter(
+        doc: impl Into<Arc<Document>>,
+        server: SocketAddr,
+        visitor: &str,
+    ) -> DomSession {
         DomSession {
-            doc,
+            doc: doc.into(),
             calls: Vec::new(),
             reporter: Some((server, visitor.to_owned())),
             listeners: Vec::new(),
         }
+    }
+
+    /// The document, for a change: copied first if the page still shares
+    /// it, so the change stays in this session.
+    pub fn doc_mut(&mut self) -> &mut Document {
+        Arc::make_mut(&mut self.doc)
     }
 
     /// All intercepted calls, in order.
@@ -70,17 +85,17 @@ impl DomSession {
         let mut pairs: Vec<(String, String)> = self
             .calls
             .iter()
-            .map(|c| (c.interface.clone(), c.method.clone()))
+            .map(|c| (c.interface.to_owned(), c.method.to_owned()))
             .collect();
         pairs.sort();
         pairs.dedup();
         pairs
     }
 
-    fn record(&mut self, interface: &str, method: &str, argument: Option<&str>) {
+    fn record(&mut self, interface: &'static str, method: &'static str, argument: Option<&str>) {
         self.calls.push(ApiCall {
-            interface: interface.to_owned(),
-            method: method.to_owned(),
+            interface,
+            method,
             argument: argument.map(str::to_owned),
         });
         if let Some((addr, visitor)) = &self.reporter {
@@ -102,7 +117,7 @@ impl DomSession {
     /// `Document.createElement`.
     pub fn create_element(&mut self, tag: &str) -> NodeId {
         self.record("Document", "createElement", Some(tag));
-        self.doc.alloc_element(tag)
+        self.doc_mut().alloc_element(tag)
     }
 
     /// `Document.querySelectorAll` (returns a NodeList).
@@ -155,7 +170,7 @@ impl DomSession {
         };
         let arg = self.doc.tag(node).map(str::to_owned);
         self.record(interface, "insertBefore", arg.as_deref());
-        self.doc.insert_before(parent, node, reference);
+        self.doc_mut().insert_before(parent, node, reference);
     }
 
     /// `Element.hasAttribute`.
@@ -251,7 +266,7 @@ mod tests {
             .calls()
             .iter()
             .filter(|c| c.method == "getAttribute")
-            .map(|c| c.interface.clone())
+            .map(|c| c.interface)
             .collect();
         assert_eq!(ifaces, ["HTMLMetaElement", "Element"]);
     }
