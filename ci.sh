@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, no unused library dependency,
-# warning-free rustdoc, the full test suite, the streamed-corpus example run twice into one directory (1:2000,
+# Local CI gate: no stale dev-dependency, formatting, lints, no unused
+# library dependency, warning-free rustdoc, the full test suite, the streamed-corpus example run twice into one directory (1:2000,
 # then the smaller 1:4000 corpus; the example asserts its streamed results
 # equal Study::run_static, so a leftover shard of the first run fails it),
 # the tests of the end-to-end benchmark package
@@ -10,7 +10,7 @@
 # aggregate and the fold's (`run_pipeline_tallied`) must equal the streamed
 # one, ~22 s once built — the one test that takes the pipeline join, the
 # tally merge and the resume cache through a 50K+ corpus), and the
-# scale-10 footprint bounds (the ignored `output_footprint` tests in
+# scale-10 footprint bounds (the ignored root `output_footprint` tests in
 # release: what a 14,680-app `run_pipeline` output holds, and the most a
 # `run_pipeline_tallied` fold adds above its inputs, counted by a global
 # allocator; ~3 s once built), and the full-universe funnel count (the
@@ -20,9 +20,12 @@
 # release-only stdout pins (the ignored `tests/pins.rs` tests in release:
 # the FNV-1a-64 of `wla static --scale 10`'s and `wla all --scale 10`'s
 # stdout; ~2 s once built). The debug suite pins every other `wla`
-# subcommand's stdout at its default flags, the 100 prepared crawl pages
-# (`tests/pins.rs`) and the crawl's live-heap bound
-# (`tests/crawl_footprint.rs`), so `cargo test -q` at the root runs them.
+# subcommand's stdout at its default flags, the 1:100 and what-if corpus
+# bytes, the SDK catalog, the resume-cache bytes and the 100 prepared
+# crawl pages (`tests/pins.rs`), the stats tables
+# (`tests/stats_golden.rs`), and the output, fold and crawl heap bounds
+# (`tests/output_footprint.rs`, `tests/crawl_footprint.rs`), so `cargo
+# test -q` at the root runs them.
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -331,6 +334,36 @@ loc_against() {
         }' <(echo "$base") <(echo "$work")
 }
 
+stale_dev_deps() {
+    # Every `[dev-dependencies]` entry of the root package and of each
+    # crate under crates/ must be named, as its Rust identifier, by a `.rs`
+    # file under that package's src/, tests/, benches/ or examples/; an
+    # entry nothing names only costs builds. A text search: it starts no
+    # cargo. Returns 1, listing them, when any entry is stale.
+    local manifest dir d dep stale=0
+    local -a dirs
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        dir=$(dirname "$manifest")
+        dirs=()
+        for d in src tests benches examples; do
+            if [[ -d $dir/$d ]]; then dirs+=("$dir/$d"); fi
+        done
+        for dep in $(awk '
+            /^\[/ { dev = ($0 == "[dev-dependencies]"); next }
+            dev && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, 1, RLENGTH) }' "$manifest"); do
+            if ((${#dirs[@]} == 0)) || ! grep -rqw --include='*.rs' -e "${dep//-/_}" "${dirs[@]}"; then
+                echo "  $manifest: $dep is named by no source, test, bench or example"
+                stale=$((stale + 1))
+            fi
+        done
+    done
+    if ((stale > 0)); then
+        echo "dev-dependencies: $stale stale entries; remove them"
+        return 1
+    fi
+    echo "dev-dependencies: every entry is named"
+}
+
 usage() {
     echo "usage: ./ci.sh [bench-snapshot | bench-check | loc [REV]]  (no argument: the full gate)" >&2
     exit 2
@@ -358,6 +391,9 @@ loc)
     usage
     ;;
 esac
+
+echo "== stale dev-dependencies =="
+stale_dev_deps
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -405,7 +441,7 @@ echo "== paper-scale streamed, in-memory and folded runs (73,400 apps, release) 
 cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
 echo "== scale-10 output and fold footprints (14,680 apps, release) =="
-cargo test --release -q -p wla-static --test output_footprint -- --ignored
+cargo test --release -q --test output_footprint -- --ignored
 
 echo "== full-universe funnel count (6,507,222 records at three seeds, release) =="
 cargo test --release -q -p wla-corpus --lib -- --ignored

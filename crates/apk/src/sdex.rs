@@ -32,6 +32,7 @@ use crate::wire::{adler32, get_string_span, get_uvarint, put_string, put_uvarint
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 use std::fmt;
+use wla_intern::FxBuildHasher;
 
 /// Magic bytes at the start of every SDEX blob.
 pub const SDEX_MAGIC: [u8; 4] = *b"SDEX";
@@ -952,14 +953,15 @@ fn validate_instruction(
 /// behaviour through.
 #[derive(Debug, Default)]
 pub struct DexBuilder {
-    strings: Vec<String>,
-    string_index: HashMap<String, u32>,
+    /// Each interned string, held once, to its pool index.
+    string_index: HashMap<Box<str>, u32, FxBuildHasher>,
     types: Vec<u32>,
-    type_index: HashMap<u32, TypeId>,
+    type_index: HashMap<u32, TypeId, FxBuildHasher>,
     methods: Vec<MethodRef>,
-    method_index: HashMap<(TypeId, u32, u32), MethodId>,
+    method_index: HashMap<(TypeId, u32, u32), MethodId, FxBuildHasher>,
     classes: Vec<ClassDef>,
-    class_index: HashMap<TypeId, usize>,
+    /// type -> position in `classes`, laid out as [`Dex::class_index`].
+    class_index: Vec<u32>,
 }
 
 impl DexBuilder {
@@ -973,9 +975,8 @@ impl DexBuilder {
         if let Some(&i) = self.string_index.get(s) {
             return i;
         }
-        let i = self.strings.len() as u32;
-        self.strings.push(s.to_owned());
-        self.string_index.insert(s.to_owned(), i);
+        let i = self.string_index.len() as u32;
+        self.string_index.insert(s.into(), i);
         i
     }
 
@@ -988,6 +989,7 @@ impl DexBuilder {
         let t = TypeId(self.types.len() as u32);
         self.types.push(s);
         self.type_index.insert(s, t);
+        self.class_index.push(NO_CLASS);
         t
     }
 
@@ -1019,11 +1021,11 @@ impl DexBuilder {
         methods: Vec<MethodDef>,
     ) -> Result<TypeId, ApkError> {
         let ty = self.intern_type(name);
-        if self.class_index.contains_key(&ty) {
+        if self.class_index[ty.0 as usize] != NO_CLASS {
             return Err(ApkError::Invalid("duplicate class definition"));
         }
         let superclass = superclass.map(|s| self.intern_type(s));
-        self.class_index.insert(ty, self.classes.len());
+        self.class_index[ty.0 as usize] = self.classes.len() as u32;
         self.classes.push(ClassDef {
             ty,
             superclass,
@@ -1033,44 +1035,38 @@ impl DexBuilder {
         Ok(ty)
     }
 
-    /// Whether a class with this name is already defined.
-    pub fn has_class(&self, name: &str) -> bool {
-        self.string_index
-            .get(name)
-            .and_then(|s| self.type_index.get(s))
-            .is_some_and(|t| self.class_index.contains_key(t))
-    }
-
     /// Finish, producing an immutable [`Dex`]. The interned strings are
-    /// packed into one contiguous pool so lookups go through the same span
-    /// path as decoded files.
+    /// packed by pool index into one contiguous pool, so lookups go
+    /// through the same span path as decoded files.
     pub fn build(self) -> Dex {
-        let total: usize = self.strings.iter().map(String::len).sum();
-        let mut pool = BytesMut::with_capacity(total);
-        let mut spans = Vec::with_capacity(self.strings.len());
-        for s in &self.strings {
-            spans.push(StrSpan {
-                off: pool.len() as u32,
-                len: s.len() as u32,
-            });
-            pool.put_slice(s.as_bytes());
+        let mut by_index = vec![""; self.string_index.len()];
+        for (s, &i) in &self.string_index {
+            by_index[i as usize] = s;
         }
+        let mut pool = BytesMut::with_capacity(by_index.iter().map(|s| s.len()).sum());
+        let spans: Vec<StrSpan> = by_index
+            .iter()
+            .map(|s| {
+                let span = StrSpan {
+                    off: pool.len() as u32,
+                    len: s.len() as u32,
+                };
+                pool.put_slice(s.as_bytes());
+                span
+            })
+            .collect();
         let pool = pool.freeze();
         let lut = build_type_lut(self.types.len(), |t| {
             let s = spans[self.types[t as usize] as usize];
             &pool[s.off as usize..(s.off + s.len) as usize]
         });
-        let mut class_index = vec![NO_CLASS; self.types.len()].into_boxed_slice();
-        for (ty, i) in self.class_index {
-            class_index[ty.0 as usize] = i as u32;
-        }
         Dex {
             pool,
             strings: spans,
             types: self.types,
             methods: self.methods,
             classes: self.classes,
-            class_index,
+            class_index: self.class_index.into_boxed_slice(),
             lut,
         }
     }

@@ -220,21 +220,26 @@ pub fn category_method_probs(category: SdkCategory) -> [f64; 7] {
     }
 }
 
-/// Sample one (app, category) method set.
-pub fn sample_category_methods<R: Rng + ?Sized>(rng: &mut R, category: SdkCategory) -> MethodSet {
-    let p = category_method_probs(category);
+/// One coin per method of `p` (index-aligned with [`METHODS`]), in
+/// order, with the `removeJavascriptInterface` coin drawn last and only
+/// when `addJavascriptInterface` came up: a caller only removes a bridge
+/// it added. The set may be empty.
+fn sample_methods<R: Rng + ?Sized>(rng: &mut R, p: &[f64; 7]) -> MethodSet {
     let mut set = MethodSet::EMPTY;
     for (i, &pi) in p.iter().enumerate() {
-        if i == M_REMOVE_JS_IFACE {
-            continue;
-        }
-        if coin(rng, pi) {
+        if i != M_REMOVE_JS_IFACE && coin(rng, pi) {
             set.insert(i);
         }
     }
     if set.contains(M_ADD_JS_IFACE) && coin(rng, p[M_REMOVE_JS_IFACE]) {
         set.insert(M_REMOVE_JS_IFACE);
     }
+    set
+}
+
+/// Sample one (app, category) method set.
+pub fn sample_category_methods<R: Rng + ?Sized>(rng: &mut R, category: SdkCategory) -> MethodSet {
+    let mut set = sample_methods(rng, &category_method_probs(category));
     // A linked WebView module calls at least something.
     if set.is_empty() {
         set.insert(M_LOAD_URL);
@@ -668,27 +673,14 @@ impl Ecosystem {
             .map(|c| (c, sample_category_methods(rng, c)))
             .collect();
 
-        // First-party usage. The `removeJavascriptInterface` entry of the
-        // probability table is conditional on `addJavascriptInterface`.
+        // First-party usage: an app that uses a WebView calls at least
+        // one method, drawn by weight when every coin came up tails.
         let direct_wv = coin(rng, DIRECT_WEBVIEW_PROBABILITY);
         let mut direct_wv_methods = MethodSet::EMPTY;
         if direct_wv {
-            for (i, &pi) in DIRECT_METHOD_PROBABILITIES.iter().enumerate() {
-                if i == M_REMOVE_JS_IFACE {
-                    continue;
-                }
-                if coin(rng, pi) {
-                    direct_wv_methods.insert(i);
-                }
-            }
-            if direct_wv_methods.contains(M_ADD_JS_IFACE)
-                && coin(rng, DIRECT_METHOD_PROBABILITIES[M_REMOVE_JS_IFACE])
-            {
-                direct_wv_methods.insert(M_REMOVE_JS_IFACE);
-            }
+            direct_wv_methods = sample_methods(rng, &DIRECT_METHOD_PROBABILITIES);
             if direct_wv_methods.is_empty() {
-                let i = weighted_index(rng, &DIRECT_METHOD_PROBABILITIES);
-                direct_wv_methods.insert(i);
+                direct_wv_methods.insert(weighted_index(rng, &DIRECT_METHOD_PROBABILITIES));
             }
         }
         let direct_wv_subclass = direct_wv && coin(rng, DIRECT_SUBCLASS_PROBABILITY);

@@ -193,55 +193,6 @@ mod tests {
         }
     }
 
-    /// The bytes of the 1:100 corpus at `wla`'s default seed, pinned by
-    /// plain FNV-1a-64 (offset basis `0xcbf2_9ce4_8422_2325`, prime
-    /// `0x100_0000_01b3`, one byte at a time) over every app's
-    /// `GeneratedApp::bytes` concatenated in corpus order: a change to
-    /// the generator, the lowering or the container encoding that moves
-    /// one byte fails it.
-    #[test]
-    fn scale_100_corpus_bytes_are_pinned() {
-        let apps = small_corpus(100, 0xDA7A_5EED);
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut len = 0;
-        for app in &apps {
-            len += app.bytes.len();
-            for &byte in &app.bytes {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        assert_eq!((apps.len(), len), (1_468, 2_434_849));
-        assert_eq!(format!("{hash:016x}"), "d9abe1feba2eb802");
-    }
-
-    /// The same pin after `wla whatif`'s last scenario, where payment,
-    /// identity, social and advertising SDKs move all of their WebView
-    /// adoption to Custom Tabs: the one path that changes
-    /// [`EcosystemParams`].
-    #[test]
-    fn whatif_corpus_bytes_are_pinned() {
-        use wla_sdk_index::SdkCategory::*;
-        let catalog = SdkIndex::paper();
-        let cfg = CorpusConfig {
-            scale: 100,
-            seed: 0xDA7A_5EED,
-            params: EcosystemParams::default()
-                .simulate_ct_migration(&[Payments, Authentication, Social, Advertising], 1.0),
-            ..CorpusConfig::default()
-        };
-        let apps = Generator::new(&catalog, cfg).generate();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut len = 0;
-        for app in &apps {
-            len += app.bytes.len();
-            for &byte in &app.bytes {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        assert_eq!((apps.len(), len), (1_468, 2_108_356));
-        assert_eq!(format!("{hash:016x}"), "e1dfd42fc23f525a");
-    }
-
     #[test]
     fn default_corruption_fraction_is_papers() {
         let cfg = CorpusConfig::default();

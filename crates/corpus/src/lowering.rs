@@ -199,6 +199,34 @@ fn public_method(b: &mut DexBuilder, class: &str, name: &str, code: Vec<Instruct
     MethodDef::new(b.intern_method(class, name, "()V"), true, false, full)
 }
 
+/// A public static method whose body is `code` then `return-void`.
+fn static_method(method: MethodId, mut code: Vec<Instruction>) -> MethodDef {
+    code.push(Instruction::ReturnVoid);
+    MethodDef::new(method, true, true, code)
+}
+
+/// `invoke-static method()`.
+fn invoke_static(method: MethodId) -> Instruction {
+    Instruction::Invoke {
+        kind: InvokeKind::Static,
+        method,
+        args: vec![],
+    }
+}
+
+/// Define the public class `name`. Every lowered class is named
+/// `{app package}/…` or `{SDK primary prefix}/…`, an app lowers each SDK
+/// once, and no two catalog SDKs share a primary prefix, so a name that
+/// is already defined is a generator bug.
+fn define(b: &mut DexBuilder, name: &str, superclass: &str, methods: Vec<MethodDef>) {
+    let flags = ClassFlags {
+        public: true,
+        ..Default::default()
+    };
+    b.define_class(name, Some(superclass), flags, methods)
+        .expect("every lowered class name is defined once");
+}
+
 /// Lower one app to a SAPK container.
 ///
 /// `rng` controls only inessential variety (SDK call-chain depth, noise
@@ -222,21 +250,19 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
 
         // MainActivity.onCreate → SdkEntry.init (static façade call).
         let entry = b.intern_method(&entry_class, entry_name, "()V");
-        main_on_create.push(Instruction::Invoke {
-            kind: InvokeKind::Static,
-            method: entry,
-            args: vec![],
-        });
+        main_on_create.push(invoke_static(entry));
 
-        // Internal chain of 1–3 hops inside the SDK package.
+        // The façade, then an internal chain of 1–3 hops inside the SDK
+        // package: each class calls the next one's static method.
         let depth = rng.gen_range(1..=3u32);
-        let mut chain_methods: Vec<MethodId> = Vec::new();
+        let mut hops = vec![(entry_class, entry)];
         for k in 0..depth {
             let cls = format!("{prefix}/internal/Chain{k}");
-            chain_methods.push(b.intern_method(&cls, "step", "()V"));
+            let step = b.intern_method(&cls, "step", "()V");
+            hops.push((cls, step));
         }
 
-        // Terminal class performs the actual web-content calls.
+        // The last chain class performs the actual web-content calls.
         let mut terminal_code: Vec<Instruction> = Vec::new();
         if use_.webview {
             // The methods *this app's* build of the SDK calls (modular
@@ -244,18 +270,7 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
             let methods = spec.methods_for(sdk.category);
             let receiver = if sdk_uses_subclass(sdk) {
                 let sub = format!("{prefix}/view/SdkWebView");
-                if !b.has_class(&sub) {
-                    b.define_class(
-                        &sub,
-                        Some(framework::WEBVIEW),
-                        ClassFlags {
-                            public: true,
-                            ..Default::default()
-                        },
-                        vec![],
-                    )
-                    .expect("fresh subclass");
-                }
+                define(&mut b, &sub, framework::WEBVIEW, vec![]);
                 sub
             } else {
                 framework::WEBVIEW.to_owned()
@@ -278,52 +293,27 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
             );
         }
 
-        // Wire the chain: entry → Chain0 → … → terminal code in the last
-        // chain class (or directly in the entry when depth bookkeeping
-        // collapses).
-        let mut defs_per_class: Vec<(String, &str, Vec<Instruction>)> = Vec::new();
-        let entry_body = vec![Instruction::Invoke {
-            kind: InvokeKind::Static,
-            method: chain_methods[0],
-            args: vec![],
-        }];
-        defs_per_class.push((entry_class.clone(), entry_name, entry_body));
-        for k in 0..depth as usize {
-            let cls = format!("{prefix}/internal/Chain{k}");
-            let body = if k + 1 < depth as usize {
-                vec![Instruction::Invoke {
-                    kind: InvokeKind::Static,
-                    method: chain_methods[k + 1],
-                    args: vec![],
-                }]
-            } else {
-                terminal_code.clone()
-            };
-            defs_per_class.push((cls, "step", body));
+        // The chain is defined only now, after its terminal code, so the
+        // dex's class and type tables keep their order (an `SdkWebView`
+        // precedes the chain). Each hop calls the next; the last one runs
+        // the terminal code.
+        for pair in hops.windows(2) {
+            let (cls, method) = &pair[0];
+            let call = vec![invoke_static(pair[1].1)];
+            define(
+                &mut b,
+                cls,
+                framework::OBJECT,
+                vec![static_method(*method, call)],
+            );
         }
-        for (cls, name, body) in defs_per_class {
-            if b.has_class(&cls) {
-                // Same SDK already lowered for this app via another pool
-                // (both mechanisms) — merge by defining a sibling method
-                // name instead of a duplicate class. Simplest faithful
-                // merge: skip; the first lowering already carries both
-                // paths because `use_` merges mechanisms per SDK.
-                continue;
-            }
-            let mut code = body;
-            code.push(Instruction::ReturnVoid);
-            let method = b.intern_method(&cls, name, "()V");
-            b.define_class(
-                &cls,
-                Some(framework::OBJECT),
-                ClassFlags {
-                    public: true,
-                    ..Default::default()
-                },
-                vec![MethodDef::new(method, true, true, code)],
-            )
-            .expect("fresh sdk class");
-        }
+        let (cls, step) = hops.last().expect("hops start with the façade");
+        define(
+            &mut b,
+            cls,
+            framework::OBJECT,
+            vec![static_method(*step, terminal_code)],
+        );
     }
 
     // ---- Direct WebView usage -------------------------------------------
@@ -331,16 +321,7 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
         let web_activity = format!("{app_pkg}/web/WebActivity");
         let receiver = if spec.direct_wv_subclass {
             let sub = format!("{app_pkg}/web/AppWebView");
-            b.define_class(
-                &sub,
-                Some(framework::WEBVIEW),
-                ClassFlags {
-                    public: true,
-                    ..Default::default()
-                },
-                vec![],
-            )
-            .expect("fresh app webview subclass");
+            define(&mut b, &sub, framework::WEBVIEW, vec![]);
             sub
         } else {
             framework::WEBVIEW.to_owned()
@@ -355,16 +336,7 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
             "content.example.org",
         );
         let def = public_method(&mut b, &web_activity, "onCreate", code);
-        b.define_class(
-            &web_activity,
-            Some(framework::ACTIVITY),
-            ClassFlags {
-                public: true,
-                ..Default::default()
-            },
-            vec![def],
-        )
-        .expect("fresh web activity");
+        define(&mut b, &web_activity, framework::ACTIVITY, vec![def]);
         manifest
             .components
             .push(Component::simple(ComponentKind::Activity, web_activity));
@@ -375,23 +347,14 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
         let launcher = format!("{app_pkg}/web/TabLauncher");
         let mut code = Vec::new();
         emit_ct_launch(&mut b, &mut code, rng, "link.example.org");
-        code.push(Instruction::ReturnVoid);
         let open = b.intern_method(&launcher, "open", "()V");
-        b.define_class(
+        define(
+            &mut b,
             &launcher,
-            Some(framework::OBJECT),
-            ClassFlags {
-                public: true,
-                ..Default::default()
-            },
-            vec![MethodDef::new(open, true, true, code)],
-        )
-        .expect("fresh tab launcher");
-        main_on_create.push(Instruction::Invoke {
-            kind: InvokeKind::Static,
-            method: open,
-            args: vec![],
-        });
+            framework::OBJECT,
+            vec![static_method(open, code)],
+        );
+        main_on_create.push(invoke_static(open));
     }
 
     // ---- Deep-link activity (first-party; excluded by the pipeline) ------
@@ -409,16 +372,7 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
             );
         }
         let def = public_method(&mut b, &link_activity, "onCreate", code);
-        b.define_class(
-            &link_activity,
-            Some(framework::ACTIVITY),
-            ClassFlags {
-                public: true,
-                ..Default::default()
-            },
-            vec![def],
-        )
-        .expect("fresh link activity");
+        define(&mut b, &link_activity, framework::ACTIVITY, vec![def]);
         manifest.components.push(Component {
             kind: ComponentKind::Activity,
             class_name: link_activity,
@@ -452,16 +406,7 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
                 "legacy.example.org",
             );
             let def = public_method(cold, &dead, "show", code);
-            cold.define_class(
-                &dead,
-                Some(framework::OBJECT),
-                ClassFlags {
-                    public: true,
-                    ..Default::default()
-                },
-                vec![def],
-            )
-            .expect("fresh dead class");
+            define(cold, &dead, framework::OBJECT, vec![def]);
             // Deliberately never invoked from any entry point.
         }
 
@@ -476,31 +421,13 @@ pub fn lower<R: Rng + ?Sized>(spec: &AppSpec, catalog: &SdkIndex, rng: &mut R) -
                 code.push(Instruction::Goto { offset: -1 });
             }
             let def = public_method(cold, &cls, "doWork", code);
-            cold.define_class(
-                &cls,
-                Some(framework::OBJECT),
-                ClassFlags {
-                    public: true,
-                    ..Default::default()
-                },
-                vec![def],
-            )
-            .expect("fresh noise class");
+            define(cold, &cls, framework::OBJECT, vec![def]);
         }
     }
 
     // ---- MainActivity -----------------------------------------------------
     let main_def = public_method(&mut b, &main_activity, "onCreate", main_on_create);
-    b.define_class(
-        &main_activity,
-        Some(framework::ACTIVITY),
-        ClassFlags {
-            public: true,
-            ..Default::default()
-        },
-        vec![main_def],
-    )
-    .expect("fresh main activity");
+    define(&mut b, &main_activity, framework::ACTIVITY, vec![main_def]);
     manifest.components.insert(
         0,
         Component {

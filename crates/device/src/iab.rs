@@ -10,8 +10,9 @@
 
 use crate::frida::FridaRecorder;
 use crate::logcat::Logcat;
-use crate::webview::{PageSource, WebViewInstance};
+use crate::webview::{resolve_url, PageSource, WebViewInstance};
 use std::sync::Arc;
+use wla_net::netlog::host_of;
 use wla_net::{NetLog, NetLogPhase};
 use wla_web::script::{AdPayload, ScriptEffect, ScriptOutcome};
 
@@ -322,20 +323,18 @@ pub fn open_in_iab(
     }
 
     // Script injections.
+    let page_host = host_of(&requested_url).unwrap_or("localhost");
     let mut outcomes = Vec::new();
     for effect in &profile.scripts {
         if let Some(outcome) = webview.evaluate_javascript(effect) {
-            // An inserted script element is fetched by the page.
+            // An inserted script element is fetched by the page, its
+            // `src` resolved against the page as a subresource's is.
             if let ScriptOutcome::ScriptInserted {
                 src,
                 already_present: false,
             } = &outcome
             {
-                let url = if src.starts_with("//") {
-                    format!("https:{src}")
-                } else {
-                    src.clone()
-                };
+                let url = resolve_url(src, page_host);
                 netlog.record(source_id, &url, NetLogPhase::RequestSent);
                 netlog.record(source_id, &url, NetLogPhase::ResponseReceived);
             }
@@ -446,6 +445,38 @@ mod tests {
             .contains("connect.facebook.net"));
         // Frida saw injections beyond loading.
         assert!(recorder.interacts_beyond_loading());
+    }
+
+    #[test]
+    fn an_inserted_script_resolves_against_the_page() {
+        let mut profile = profile_for("com.facebook.katana").expect("profile");
+        profile.scripts = vec![ScriptEffect::InsertScriptElement {
+            src: "/sdk/loader.js".into(),
+            element_id: "relative-loader".into(),
+        }];
+        let netlog = NetLog::new();
+        open_in_iab(
+            &profile,
+            42,
+            PageSource::Synthetic {
+                url: "https://example.com/article".into(),
+                html: test_page_html(),
+                extra_requests: vec![],
+            },
+            0,
+            FridaRecorder::new(),
+            netlog.clone(),
+            Logcat::new(),
+            None,
+        );
+        let mut fetched = Vec::new();
+        netlog.for_each_request_url(42, |url| fetched.push(url.to_string()));
+        assert!(
+            fetched
+                .iter()
+                .any(|u| u == "https://example.com/sdk/loader.js"),
+            "{fetched:?}"
+        );
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //! state machines, multiplexed with the `poll(2)` shim in [`crate::poll`].
 //! Connections are keep-alive by default (HTTP/1.1 semantics), requests
 //! may be pipelined, and both directions are bounded: the read buffer is
-//! capped by the codec [`Limits`], the write buffer by
-//! [`ServerConfig::write_buf_limit`] — a connection whose peer stops
-//! draining responses stops being read (TCP backpressure) instead of
-//! growing server memory.
+//! capped by the codec [`Limits`], the write buffer at 256 KiB a
+//! connection — a connection whose peer stops draining responses stops
+//! being read (TCP backpressure) instead of growing server memory.
 //!
 //! Overload policy: past [`ServerConfig::shed_high_water`] open
 //! connections a new accept is answered with an immediate
 //! `503 Service Unavailable` + `connection: close` (load shedding); past
-//! [`ServerConfig::max_connections`] the listener is simply not polled
-//! (accept backpressure via the OS backlog). An idle-timeout sweep closes
-//! keep-alive connections that go quiet so they can never pin the loop —
-//! in particular not past [`Server::shutdown`], which idle peers would
-//! otherwise survive.
+//! 1,024 open connections the listener is simply not polled (accept
+//! backpressure via the OS backlog). A loop waits at most 25 ms in one
+//! poll, which bounds how long shutdown and the idle sweep wait. An
+//! idle-timeout sweep closes keep-alive connections that go quiet so they
+//! can never pin the loop — in particular not past [`Server::shutdown`],
+//! which idle peers would otherwise survive.
 //!
 //! The seed thread-per-connection blocking server is preserved as
 //! [`oracle`]; `tests/server_equivalence.rs` pins the two byte-identical
@@ -48,35 +48,23 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 pub struct ServerConfig {
     /// Codec limits applied to every connection.
     pub limits: Limits,
-    /// Hard cap on open connections per server; at the cap the listener
-    /// stops being polled and the OS backlog absorbs the burst.
-    pub max_connections: usize,
     /// Load-shed threshold: a connection accepted while this many are
     /// already open gets an immediate 503 and a close.
     pub shed_high_water: usize,
     /// Keep-alive connections quiet for longer than this are closed by
     /// the sweep (and counted in `ServerStats::idle_closed`).
     pub idle_timeout: Duration,
-    /// Per-connection cap on buffered response bytes; past it the
-    /// connection is not read until the peer drains.
-    pub write_buf_limit: usize,
     /// Number of sharded event loops, each with its own cloned listener.
     pub event_loops: usize,
-    /// Upper bound on one poll wait: bounds shutdown and idle-sweep
-    /// latency, never adds request latency (poll returns on readiness).
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             limits: Limits::default(),
-            max_connections: 1024,
             shed_high_water: 896,
             idle_timeout: Duration::from_secs(5),
-            write_buf_limit: 256 * 1024,
             event_loops: 2,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -158,7 +146,7 @@ impl Server {
             return;
         }
         // Wake whichever loop wins the accept race; the rest notice the
-        // flag within one poll_interval.
+        // flag within one `POLL_INTERVAL`.
         let _ = TcpStream::connect(self.addr);
         for h in self.loops.drain(..) {
             let _ = h.join();
@@ -280,7 +268,7 @@ impl Conn {
         !self.dead
             && !self.read_closed
             && !self.close_after_flush
-            && self.pending_write() < config.write_buf_limit
+            && self.pending_write() < WRITE_BUF_LIMIT
             && self.read_buf.len() < Conn::read_cap(&config.limits)
     }
 
@@ -317,7 +305,7 @@ impl Conn {
     /// buffered, appending responses to the write buffer.
     fn drain_requests(&mut self, handler: &Handler, config: &ServerConfig, stats: &ServerStats) {
         while !self.dead && !self.close_after_flush {
-            if self.pending_write() >= config.write_buf_limit {
+            if self.pending_write() >= WRITE_BUF_LIMIT {
                 // Backpressure: stop producing responses the peer is not
                 // draining; leftover buffered requests wait here.
                 break;
@@ -393,6 +381,16 @@ impl Conn {
     }
 }
 
+/// Hard cap on open connections per server; at the cap the listener stops
+/// being polled and the OS backlog absorbs the burst.
+const MAX_CONNECTIONS: usize = 1024;
+/// Per-connection cap on buffered response bytes; past it the connection
+/// is not read until the peer drains.
+const WRITE_BUF_LIMIT: usize = 256 * 1024;
+/// Upper bound on one poll wait: bounds shutdown and idle-sweep latency,
+/// never adds request latency (poll returns on readiness).
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// One sharded event loop: poll listener + connections, accept/shed,
 /// read/parse/dispatch, flush, sweep.
 fn event_loop(
@@ -406,13 +404,13 @@ fn event_loop(
     let mut conns: Vec<Conn> = Vec::new();
     let mut sources: Vec<Interest> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        let accepting = (stats.active.load(Ordering::Relaxed) as usize) < config.max_connections;
+        let accepting = (stats.active.load(Ordering::Relaxed) as usize) < MAX_CONNECTIONS;
         sources.clear();
         sources.push(Interest::new(listener_fd, accepting, false));
         for c in &conns {
             sources.push(Interest::new(c.fd, c.wants_read(&config), c.wants_write()));
         }
-        poll::wait(&mut sources, config.poll_interval);
+        poll::wait(&mut sources, POLL_INTERVAL);
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -422,7 +420,7 @@ fn event_loop(
         // accept race to a sibling loop is just WouldBlock).
         if accepting && sources[0].readable {
             loop {
-                if (stats.active.load(Ordering::Relaxed) as usize) >= config.max_connections {
+                if (stats.active.load(Ordering::Relaxed) as usize) >= MAX_CONNECTIONS {
                     break;
                 }
                 match listener.accept() {

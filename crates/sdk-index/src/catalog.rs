@@ -242,31 +242,6 @@ pub fn paper_catalog() -> Vec<Sdk> {
 mod tests {
     use super::*;
 
-    /// FNV-1a-64 over every entry, in order: name, category, mechanism,
-    /// prefixes, both calibration targets and the obfuscation flag. A
-    /// dropped, reordered or retyped entry moves it.
-    #[test]
-    fn catalog_entries_are_pinned() {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for s in paper_catalog() {
-            let line = format!(
-                "{}|{:?}|{:?}|{}|{}|{}|{}\n",
-                s.name,
-                s.category,
-                s.mechanism,
-                s.prefixes.join(","),
-                s.wv_apps,
-                s.ct_apps,
-                s.obfuscated
-            );
-            for b in line.bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        assert_eq!(hash, 0x0027_65ce_691d_e9fc);
-    }
-
     #[test]
     fn catalog_size() {
         // 136 categorized + 4 obfuscated = 140; with the excluded

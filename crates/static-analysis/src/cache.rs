@@ -9,7 +9,7 @@
 //! worker's lexicon. The format is version 2, and it does not depend on
 //! how rows are stored: a WebView site is written with its method name
 //! and load flag, both derived from its method index, and
-//! `resume_cache_bytes_are_pinned` (`tests/stream_equivalence.rs`) pins
+//! `resume_cache_bytes_are_pinned` (the root `tests/pins.rs`) pins
 //! the bytes, since a writer that drifted would turn every existing cache
 //! into a miss. Loading parses each entry straight into the
 //! loading worker's table, re-interning the strings into its lexicon;

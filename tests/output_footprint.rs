@@ -154,7 +154,7 @@ fn output_footprint_does_not_depend_on_the_worker_count() {
 
 /// The scale-10 bound (14,680 apps): at most 3.2 MiB in at most 3,200
 /// heap blocks. Ignored in debug runs; run with
-/// `cargo test --release -p wla-static --test output_footprint -- --ignored`.
+/// `cargo test --release --test output_footprint -- --ignored`.
 #[test]
 #[ignore = "scale 10: run in release mode"]
 fn scale_10_output_footprint() {
@@ -207,7 +207,7 @@ fn fold_peak_does_not_grow_with_the_corpus() {
 
 /// The scale-10 bound (14,680 apps): the fold peaks at most 160 KiB
 /// above its inputs (~130 KiB now). Ignored in debug runs; run with
-/// `cargo test --release -p wla-static --test output_footprint -- --ignored`.
+/// `cargo test --release --test output_footprint -- --ignored`.
 #[test]
 #[ignore = "scale 10: run in release mode"]
 fn scale_10_fold_peak() {

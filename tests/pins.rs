@@ -1,4 +1,6 @@
-//! Byte pins on what `wla` prints and on the pages the crawl loads.
+//! Byte pins on what `wla` prints, on the corpus it generates, on the
+//! SDK catalog, on the resume cache it writes and on the pages the crawl
+//! loads.
 //!
 //! Each `wla` subcommand runs at its default flags and its stdout is
 //! pinned by a plain FNV-1a-64 (offset basis `0xcbf2_9ce4_8422_2325`,
@@ -9,13 +11,30 @@
 //! pins are ignored here and run in release by `./ci.sh`. A change that
 //! moves a pinned output on purpose updates its constant and says why.
 
+use std::path::PathBuf;
 use std::process::Command;
+use wla_corpus::{write_sharded_corpus, CorpusConfig, EcosystemParams, GeneratedApp, Generator};
 use wla_crawler::sites::{site_page, top_100_sites};
+use wla_sdk_index::catalog::paper_catalog;
+use wla_sdk_index::{Sdk, SdkIndex};
+use wla_static::stream::MANIFEST_SUBDIR;
+use wla_static::{run_pipeline_streamed, StreamConfig};
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &byte in bytes {
         *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
     }
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    fnv(&mut hash, bytes);
+    hash
+}
+
+fn generate(config: CorpusConfig) -> Vec<GeneratedApp> {
+    Generator::new(&SdkIndex::paper(), config).generate()
 }
 
 /// Run `wla args` and return the FNV-1a-64 of its stdout, in hex.
@@ -114,4 +133,152 @@ fn prepared_pages_are_pinned() {
     }
     assert_eq!((heap, urls), (286_374, 930));
     assert_eq!(format!("{hash:016x}"), "37d7485d65d063a4");
+}
+
+/// The bytes of the 1:100 corpus at `wla`'s default seed, pinned by
+/// FNV-1a-64 over every app's `GeneratedApp::bytes` concatenated in
+/// corpus order: a change to the generator, the lowering or the container
+/// encoding that moves one byte fails it.
+#[test]
+fn scale_100_corpus_bytes_are_pinned() {
+    let apps = generate(CorpusConfig {
+        scale: 100,
+        seed: 0xDA7A_5EED,
+        ..CorpusConfig::default()
+    });
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut len = 0;
+    for app in &apps {
+        len += app.bytes.len();
+        fnv(&mut hash, &app.bytes);
+    }
+    assert_eq!((apps.len(), len), (1_468, 2_434_849));
+    assert_eq!(format!("{hash:016x}"), "d9abe1feba2eb802");
+}
+
+/// The same pin after `wla whatif`'s last scenario, where payment,
+/// identity, social and advertising SDKs move all of their WebView
+/// adoption to Custom Tabs: the one path that changes
+/// [`EcosystemParams`].
+#[test]
+fn whatif_corpus_bytes_are_pinned() {
+    use wla_sdk_index::SdkCategory::*;
+    let apps = generate(CorpusConfig {
+        scale: 100,
+        seed: 0xDA7A_5EED,
+        params: EcosystemParams::default()
+            .simulate_ct_migration(&[Payments, Authentication, Social, Advertising], 1.0),
+        ..CorpusConfig::default()
+    });
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut len = 0;
+    for app in &apps {
+        len += app.bytes.len();
+        fnv(&mut hash, &app.bytes);
+    }
+    assert_eq!((apps.len(), len), (1_468, 2_108_356));
+    assert_eq!(format!("{hash:016x}"), "e1dfd42fc23f525a");
+}
+
+/// FNV-1a-64 over every catalog entry, in order: name, category,
+/// mechanism, prefixes, both calibration targets and the obfuscation
+/// flag. A dropped, reordered or retyped entry moves it.
+#[test]
+fn catalog_entries_are_pinned() {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in paper_catalog() {
+        let line = format!(
+            "{}|{:?}|{:?}|{}|{}|{}|{}\n",
+            s.name,
+            s.category,
+            s.mechanism,
+            s.prefixes.join(","),
+            s.wv_apps,
+            s.ct_apps,
+            s.obfuscated
+        );
+        fnv(&mut hash, line.as_bytes());
+    }
+    assert_eq!(hash, 0x0027_65ce_691d_e9fc);
+}
+
+/// No two catalog SDKs share a primary prefix. The corpus lowering names
+/// an SDK's classes `{primary prefix}/…`, so two SDKs with one prefix in
+/// an app would define the same class twice.
+#[test]
+fn catalog_primary_prefixes_are_unique() {
+    let catalog = SdkIndex::paper();
+    let mut prefixes: Vec<&str> = catalog.sdks().iter().map(Sdk::primary_prefix).collect();
+    prefixes.sort_unstable();
+    let shared: Vec<&str> = prefixes
+        .windows(2)
+        .filter(|w| w[0] == w[1])
+        .map(|w| w[0])
+        .collect();
+    assert!(shared.is_empty(), "primary prefixes held twice: {shared:?}");
+}
+
+/// The resume cache's bytes are a format: a writer that drifted would
+/// turn every existing cache into a miss. The 1:2000 corpus at seed 7,
+/// written as 64-app shards, must produce exactly the `.done` files the
+/// boxed per-app records wrote (length and FNV-1a-64 recorded then), with
+/// the default broken share and with one app in ten broken.
+#[test]
+fn resume_cache_bytes_are_pinned() {
+    let catalog = SdkIndex::paper();
+    /// A cache file's name, length and digest.
+    type Pinned = (&'static str, usize, u64);
+    let pinned: [(f64, [Pinned; 2]); 2] = [
+        (
+            CorpusConfig::default().corrupt_fraction,
+            [
+                ("shard-00000.done", 39_893, 0xc08c_57d5_9b7d_d0cf),
+                ("shard-00001.done", 6_570, 0xf5a8_482a_2eab_db01),
+            ],
+        ),
+        (
+            0.1,
+            [
+                ("shard-00000.done", 32_674, 0xe534_626d_b465_be79),
+                ("shard-00001.done", 5_308, 0x6bf4_5ece_88fc_3285),
+            ],
+        ),
+    ];
+    for (corrupt, files) in pinned {
+        let apps = generate(CorpusConfig {
+            scale: 2_000,
+            seed: 7,
+            corrupt_fraction: corrupt,
+            ..CorpusConfig::default()
+        });
+        let dir = temp_dir(&format!("pinned-{}", files[0].1));
+        write_sharded_corpus(&dir, &apps, 64).unwrap();
+        let out = run_pipeline_streamed(&dir, &catalog, StreamConfig::default()).unwrap();
+        assert_eq!(out.stats.stream.entries_streamed, apps.len());
+        let mut written: Vec<_> = std::fs::read_dir(dir.join(MANIFEST_SUBDIR))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        written.sort();
+        assert_eq!(written.len(), files.len());
+        for (path, (name, len, digest)) in written.iter().zip(files) {
+            let raw = std::fs::read(path).unwrap();
+            assert_eq!(path.file_name().unwrap().to_str(), Some(name));
+            assert_eq!(raw.len(), len, "{name} at corrupt fraction {corrupt}");
+            assert_eq!(
+                fnv1a64(&raw),
+                digest,
+                "{name} at corrupt fraction {corrupt}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A fresh directory for `tag` under the system temp dir, unique to this
+/// process.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wla-pins-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
