@@ -60,50 +60,74 @@
 # core count (`nproc`), CPU model, `rustc --version` and the cargo profile
 # the benches build with (`bench`).
 #
-# `ci.sh bench-check` re-runs the same quick snapshots into temp files and
-# fails, with a printed diff, if any bench present in a committed snapshot
-# got slower than its allowance: 25% for the static microbenches, 50% for
-# the end-to-end crawl runs (whole-pipeline wall times swing more with
-# host load, and the seed-vs-parallel sides of the speedup ratio swing
-# together). Real regressions — an accidental re-allocation in the decode
-# path, a per-visit parse sneaking back in — clear both bars. A snapshot
-# whose `_host` is missing or names another host is not compared at all:
-# that stage fails with "snapshot from <host>, this host is <host>", since
-# timings from another machine say nothing about this one. Re-snapshot
-# on the host that will run the check. Every stage runs — the static
-# check, the saturation and lookup-table floor gates, the dynamic check —
-# and prints its verdict; the check exits 1 at the end, naming the stages
+# `ci.sh bench-check [REV]` (default `HEAD~1`) compares this work tree
+# against revision REV on this host, in one invocation: REV's
+# `Cargo.toml`, `vendor/`, `crates/` and `src/` are extracted with `git
+# archive` into `target/bench-base-<commit>` (kept for the next check
+# against that commit; its benches build in its own target directory),
+# and the same quick benches run there and here alternately: nine
+# passes, in each of which every bench target runs twice on each side in
+# ABBA order, a side's number for the pass being its faster run. A row
+# regresses when the median over the passes of its work/base ratio
+# exceeds its allowance: 25% for the static microbenches, 50% for the
+# end-to-end crawl runs (whole-pipeline wall times swing more with host
+# load, and the seed-vs-parallel sides of the speedup ratio swing
+# together). Real
+# regressions — an accidental re-allocation in the decode path, a
+# per-visit parse sneaking back in — clear both bars, while host drift
+# moves both sides of a pair alike. Every stage runs — the static check,
+# the saturation and lookup-table floor gates, the dynamic check — and
+# prints its verdict; the check exits 1 at the end, naming the stages
 # that failed, if any did, so one failing stage never hides the others.
-# The two floor gates read the fresh static run, not the committed
-# snapshot, so they report a real measurement of this build even when
-# the static check fails on host noise; they are reported as not
-# evaluated, and counted as failed, only when there is no fresh run (a
-# snapshot from another host, or benches that did not run).
+# The two floor gates read the work tree's fresh static run (the
+# per-bench min over its passes); they are reported as not evaluated,
+# and counted as failed, only when the benches did not run. The committed
+# snapshots stay a record: the drift from them is printed last and fails
+# nothing, and a snapshot whose `_host` is missing or names another host
+# is not compared. An unknown REV exits 2 without starting cargo.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 STATIC_BENCHES="--bench callgraph --bench static_pipeline --bench url_provenance --bench corpus_stream --bench http_loop"
 DYNAMIC_BENCHES="--bench crawl --bench simhash"
+# `bench-check`'s passes, and the quick runs of each bench target a pass
+# makes on each side; a side's number for a pass is the min of its runs.
+CHECK_PASSES=9
+CHECK_RUNS=2
 
-run_quick_benches() {
-    # TSV (id<TAB>median_ns), one line per bench, sorted. Two passes with
-    # a per-bench minimum: shared boxes swing their CPU allotment between
-    # runs, and the min is the statistic least sensitive to that noise —
-    # a real regression slows the best case too.
-    local tsv=$1
-    shift
-    rm -f "$tsv.raw"
+quick_run() {
+    # One quick run of the benches the flags after $2 name, in the tree at
+    # $2 (its own target directory), appending `id<TAB>median_ns` lines to
+    # $1 (an absolute path); the benches' own report goes to /dev/null.
     # Failures return explicitly: bench-check runs this where `set -e`
     # does not apply.
-    local pass
-    for pass in 1 2; do
-        WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$tsv.raw" \
-            cargo bench -q -p wla-bench "$@" || return 1
-    done
+    local raw=$1 tree=$2
+    shift 2
+    (cd "$tree" && WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$raw" cargo bench -q -p wla-bench "$@" > /dev/null)
+}
+
+per_bench_min() {
+    # TSV (id<TAB>median_ns), one line per bench, sorted: the smallest of
+    # the `id<TAB>median_ns` lines in $1. Shared boxes swing their CPU
+    # allotment between runs, and the min is the statistic least sensitive
+    # to that noise — a real regression slows the best case too.
     awk -F'\t' '
         !($1 in best) || $2 + 0 < best[$1] + 0 { best[$1] = $2 }
         END { for (id in best) printf "%s\t%s\n", id, best[id] }
-    ' "$tsv.raw" | LC_ALL=C sort > "$tsv" || return 1
+    ' "$1" | LC_ALL=C sort
+}
+
+run_quick_benches() {
+    # $1 = TSV to write: the per-bench min of two quick runs over the
+    # work tree; the rest are the bench flags.
+    local tsv=$1
+    shift
+    rm -f "$tsv.raw"
+    local run
+    for run in 1 2; do
+        quick_run "$tsv.raw" . "$@" || return 1
+    done
+    per_bench_min "$tsv.raw" > "$tsv" || return 1
     rm -f "$tsv.raw"
 }
 
@@ -150,31 +174,102 @@ bench_snapshot() {
     snapshot_one BENCH_dynamic.json $DYNAMIC_BENCHES
 }
 
-check_one() {
-    # $1 = committed snapshot; $2 = regression allowance (e.g. 1.25);
-    # $3 = where to keep the fresh run's TSV (left empty when the benches
-    # did not run); the rest are the bench flags for its suite. Returns 1
-    # on a failure.
-    local json=$1 limit=$2 fresh=$3
-    shift 3
-    [[ -f "$json" ]] || { echo "bench-check: no committed $json"; return 1; }
-    local host snap
+against_base() {
+    # $1 = suite name; $2 = regression allowance (e.g. 1.25); $3 = the base
+    # tree; $4 = an empty scratch directory, left holding `work.tsv`, the
+    # work tree's per-bench min, once every pass ran; the rest are the
+    # suite's `--bench NAME` flags. In each of CHECK_PASSES passes every
+    # bench target runs CHECK_RUNS times on each side, base and work tree
+    # back to back in ABBA order, so both sides of a pair see the same
+    # host; a side's number for the pass is its fastest run, since a quick
+    # run on a shared host lands on a fast or a slow CPU (1.5x apart) and
+    # a regression slows the fast case too. A row regresses when the median
+    # over the passes of its work/base ratio exceeds the allowance. Returns
+    # 1 on a failure.
+    local suite=$1 limit=$2 base=$3 dir=$4
+    shift 4
+    local -a targets=()
+    while (($# >= 2)); do
+        targets+=("$2")
+        shift 2
+    done
+    local pass run target side tree order
+    for ((pass = 1; pass <= CHECK_PASSES; pass++)); do
+        for target in "${targets[@]}"; do
+            for ((run = 1; run <= CHECK_RUNS; run++)); do
+                order="base work"
+                if ((run % 2 == 0)); then order="work base"; fi
+                for side in $order; do
+                    tree=.
+                    if [[ $side == base ]]; then tree=$base; fi
+                    rm -f "$dir/run.raw"
+                    quick_run "$dir/run.raw" "$tree" --bench "$target" || {
+                        echo "bench-check: FAILED ($suite bench $target of the $side tree did not run)"
+                        return 1
+                    }
+                    awk -F'\t' -v pass="$pass" -v side="$side" \
+                        '{ print pass "\t" side "\t" $1 "\t" $2 }' "$dir/run.raw" >> "$dir/passes.tsv"
+                    if [[ $side == work ]]; then cat "$dir/run.raw" >> "$dir/work.raw"; fi
+                done
+            done
+        done
+    done
+    per_bench_min "$dir/work.raw" > "$dir/work.tsv"
+    # A row on one side only (an added or retired bench) is reported but
+    # never fails.
+    awk -F'\t' -v limit="$limit" -v passes="$CHECK_PASSES" '
+        function median(list,   v, n, i, j, t) {
+            n = split(list, v, " ")
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+            return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+        }
+        {
+            key = $1 SUBSEP $2 SUBSEP $3
+            if (!(key in ns) || $4 + 0 < ns[key] + 0) ns[key] = $4
+            ids[$3] = 1
+        }
+        END {
+            out = "LC_ALL=C sort -b -k2,2"
+            for (id in ids) {
+                ratios = ""; bases = ""; works = ""
+                for (p = 1; p <= passes; p++) {
+                    b = (p SUBSEP "base" SUBSEP id); w = (p SUBSEP "work" SUBSEP id)
+                    if ((b in ns) && (w in ns) && ns[b] > 0) {
+                        ratios = ratios sprintf(" %.3f", ns[w] / ns[b])
+                        bases = bases " " ns[b]; works = works " " ns[w]
+                    } else if (b in ns) only[id] = "retired"
+                    else only[id] = "new"
+                }
+                if (id in only) { printf "  %-9s %s\n", only[id], id | out; continue }
+                r = median(ratios)
+                if (r > limit) bad++
+                printf "  %-9s %-40s %12.0f -> %12.0f ns  median ratio %.3f (%s )\n",
+                    (r > limit ? "REGRESSED" : "ok"), id, median(bases), median(works), r, ratios | out
+            }
+            close(out)
+            exit bad > 0 ? 1 : 0
+        }' "$dir/passes.tsv" || {
+        echo "bench-check: FAILED ($suite rows above the ${limit}x allowance of the base)"
+        return 1
+    }
+    echo "bench-check: $suite rows within the ${limit}x allowance of the base"
+}
+
+snapshot_drift() {
+    # $1 = committed snapshot; $2 = its allowance; $3 = the work tree's
+    # fresh TSV. A record of how far this host and tree are from the
+    # snapshot: printed, and fails nothing. A snapshot whose `_host` is
+    # missing or names another host is not compared.
+    local json=$1 limit=$2 tsv=$3 host snap
+    [[ -f "$json" ]] || { echo "  no committed $json"; return 0; }
     host=$(host_id)
     snap=$(snapshot_host "$json")
     if [[ "$snap" != "$host" ]]; then
-        echo "bench-check: $json: snapshot from ${snap:-an unrecorded host}, this host is $host"
-        return 1
+        echo "  $json: snapshot from ${snap:-an unrecorded host}, this host is $host; not compared"
+        return 0
     fi
-    local tsv
-    tsv=$(mktemp)
-    run_quick_benches "$tsv" "$@" || {
-        rm -f "$tsv"
-        echo "bench-check: FAILED (benches of $json did not run)"
-        return 1
-    }
-    cp "$tsv" "$fresh"
-    # Compare every committed entry against the fresh run; entries only on
-    # one side (added or retired benches) are reported but never fail.
+    echo "  $json (rows past ${limit}x marked \"over\"):"
     awk -F'\t' -v limit="$limit" '
         NR == FNR { fresh[$1] = $2; next }
         /":/ {
@@ -186,17 +281,10 @@ check_one() {
             if (!(id in fresh)) { printf "  retired   %-40s (baseline %.0f ns)\n", id, old; next }
             new = fresh[id] + 0
             ratio = (old > 0) ? new / old : 1
-            verdict = (ratio > limit) ? "REGRESSED" : "ok"
-            printf "  %-9s %-40s %12.0f -> %12.0f ns (%+.1f%%)\n", verdict, id, old, new, (ratio - 1) * 100
-            if (ratio > limit) bad++
+            printf "  %-9s %-40s %12.0f -> %12.0f ns (%+.1f%%)\n", (ratio > limit ? "over" : "ok"), id, old, new, (ratio - 1) * 100
             seen[id] = 1
         }
-        END {
-            for (id in fresh) if (!(id in seen)) printf "  new       %-40s %12.0f ns\n", id, fresh[id] + 0
-            exit bad > 0 ? 1 : 0
-        }' "$tsv" "$json" || { rm -f "$tsv"; echo "bench-check: FAILED (regression above allowance in $json)"; return 1; }
-    rm -f "$tsv"
-    echo "bench-check: $json within its allowance"
+        END { for (id in fresh) if (!(id in seen)) printf "  new       %-40s %12.0f ns\n", id, fresh[id] + 0 }' "$tsv" "$json"
 }
 
 lookup_table_gate() {
@@ -235,26 +323,43 @@ saturation_gate() {
 }
 
 bench_check() {
-    # Every stage runs and prints its verdict; a failed stage is named at
-    # the end, and fails the check, without skipping the stages after it.
-    echo "== bench check (quick mode regression gate) =="
-    local failed=() fresh
-    fresh=$(mktemp)
-    # The floor gates read the fresh static run, whether or not it stayed
-    # within its allowance of the snapshot; only without one are they
-    # not evaluated.
+    # $1 = the base revision. Every stage runs and prints its verdict; a
+    # failed stage is named at the end, and fails the check, without
+    # skipping the stages after it.
+    local rev=$1 commit base
+    commit=$(rev_commit "$rev") || exit 2
+    # The base tree is kept for the next check against the same commit, so
+    # its benches build once; `cargo clean` removes it with `target/`.
+    base=target/bench-base-$commit
+    if [[ ! -f $base/.extracted ]]; then
+        extract_rev "$commit" "$base" Cargo.toml vendor crates src || {
+            echo "bench-check: could not extract $rev"
+            return 1
+        }
+        touch "$base/.extracted"
+    fi
+    echo "== bench check (quick mode, $CHECK_PASSES alternating passes against $rev, ${commit:0:12}) =="
+    local failed=() dir
+    dir=$(mktemp -d)
+    mkdir "$dir/static" "$dir/dynamic"
     # shellcheck disable=SC2086
-    check_one BENCH_static.json 1.25 "$fresh" $STATIC_BENCHES || failed+=("static check")
-    if [[ -s "$fresh" ]]; then
-        saturation_gate "$fresh" || failed+=("saturation gate")
-        lookup_table_gate "$fresh" || failed+=("lookup-table gate")
+    against_base static 1.25 "$base" "$dir/static" $STATIC_BENCHES || failed+=("static check")
+    # The floor gates read the work tree's fresh static run, whether or not
+    # it stayed within its allowance of the base; only without one are they
+    # not evaluated.
+    if [[ -s $dir/static/work.tsv ]]; then
+        saturation_gate "$dir/static/work.tsv" || failed+=("saturation gate")
+        lookup_table_gate "$dir/static/work.tsv" || failed+=("lookup-table gate")
     else
         failed+=("saturation gate (not evaluated)" "lookup-table gate (not evaluated)")
         echo "bench-check: saturation and lookup-table gates not evaluated (no fresh static run)"
     fi
-    rm -f "$fresh"
     # shellcheck disable=SC2086
-    check_one BENCH_dynamic.json 1.50 /dev/null $DYNAMIC_BENCHES || failed+=("dynamic check")
+    against_base dynamic 1.50 "$base" "$dir/dynamic" $DYNAMIC_BENCHES || failed+=("dynamic check")
+    echo "-- drift from the committed snapshots (a record; fails nothing) --"
+    if [[ -s $dir/static/work.tsv ]]; then snapshot_drift BENCH_static.json 1.25 "$dir/static/work.tsv"; fi
+    if [[ -s $dir/dynamic/work.tsv ]]; then snapshot_drift BENCH_dynamic.json 1.50 "$dir/dynamic/work.tsv"; fi
+    rm -rf "$dir"
     if ((${#failed[@]} > 0)); then
         local list
         list=$(printf ', %s' "${failed[@]}")
@@ -307,18 +412,33 @@ loc() {
         }' $files
 }
 
+rev_commit() {
+    # The commit revision $1 names; exits 2 when it names none. Call it as
+    # `commit=$(rev_commit REV) || exit 2`.
+    git rev-parse --verify --quiet "$1^{commit}" || {
+        echo "ci.sh: unknown revision \"$1\"" >&2
+        exit 2
+    }
+}
+
+extract_rev() {
+    # $1 = a commit; $2 = a directory, emptied first; the rest are the
+    # paths of the commit to extract there with `git archive`, so `.git`
+    # and the work tree are never touched.
+    local commit=$1 dir=$2
+    shift 2
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    git archive "$commit" "$@" | tar -x -C "$dir"
+}
+
 loc_against() {
     # $1 = a revision: its count, the work tree's and the delta, per crate
     # (a crate on one side only counts 0 on the other) and in total.
     local rev=$1 commit dir base work
-    commit=$(git rev-parse --verify --quiet "$rev^{commit}") || {
-        echo "ci.sh loc: unknown revision \"$rev\"" >&2
-        exit 2
-    }
+    commit=$(rev_commit "$rev") || exit 2
     dir=target/loc-$commit
-    rm -rf "$dir"
-    mkdir -p "$dir"
-    git archive "$commit" src crates | tar -x -C "$dir"
+    extract_rev "$commit" "$dir" src crates
     base=$(cd "$dir" && loc)
     rm -rf "$dir"
     work=$(loc)
@@ -365,7 +485,7 @@ stale_dev_deps() {
 }
 
 usage() {
-    echo "usage: ./ci.sh [bench-snapshot | bench-check | loc [REV]]  (no argument: the full gate)" >&2
+    echo "usage: ./ci.sh [bench-snapshot | bench-check [REV] | loc [REV]]  (no argument: the full gate)" >&2
     exit 2
 }
 
@@ -375,7 +495,11 @@ bench-snapshot)
     exit 0
     ;;
 bench-check)
-    bench_check || exit 1
+    case $# in
+    1) bench_check HEAD~1 || exit 1 ;;
+    2) bench_check "$2" || exit 1 ;;
+    *) usage ;;
+    esac
     exit 0
     ;;
 loc)

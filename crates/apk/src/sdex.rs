@@ -948,6 +948,9 @@ fn validate_instruction(
     }
 }
 
+/// [`DexBuilder`]'s `type_index` entry for a string that names no type.
+const NO_TYPE: u32 = u32::MAX;
+
 /// Incremental writer for [`Dex`] files with interning of strings, types,
 /// and method references. This is what the corpus generator lowers app
 /// behaviour through.
@@ -956,7 +959,9 @@ pub struct DexBuilder {
     /// Each interned string, held once, to its pool index.
     string_index: HashMap<Box<str>, u32, FxBuildHasher>,
     types: Vec<u32>,
-    type_index: HashMap<u32, TypeId, FxBuildHasher>,
+    /// string pool index -> the type it names, or [`NO_TYPE`]; one entry
+    /// per interned string.
+    type_index: Vec<u32>,
     methods: Vec<MethodRef>,
     method_index: HashMap<(TypeId, u32, u32), MethodId, FxBuildHasher>,
     classes: Vec<ClassDef>,
@@ -977,20 +982,20 @@ impl DexBuilder {
         }
         let i = self.string_index.len() as u32;
         self.string_index.insert(s.into(), i);
+        self.type_index.push(NO_TYPE);
         i
     }
 
     /// Intern a type by binary name.
     pub fn intern_type(&mut self, name: &str) -> TypeId {
         let s = self.intern_string(name);
-        if let Some(&t) = self.type_index.get(&s) {
-            return t;
+        let slot = &mut self.type_index[s as usize];
+        if *slot == NO_TYPE {
+            *slot = self.types.len() as u32;
+            self.types.push(s);
+            self.class_index.push(NO_CLASS);
         }
-        let t = TypeId(self.types.len() as u32);
-        self.types.push(s);
-        self.type_index.insert(s, t);
-        self.class_index.push(NO_CLASS);
-        t
+        TypeId(*slot)
     }
 
     /// Intern a method reference.

@@ -48,9 +48,9 @@ fn bench(c: &mut Criterion) {
             row
         })
     });
-    // Worker-count sweep. The ids keep their `stats_on` label so
-    // `ci.sh bench-check` still compares them with the committed snapshot;
-    // stage timers are always collected.
+    // Worker-count sweep. The ids keep their `stats_on` label so they
+    // still match the committed snapshot's rows; stage timers are always
+    // collected.
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("corpus_734_apps_stats_on", workers),

@@ -180,7 +180,7 @@ pub fn analysis_json(analysis: AppView<'_>, meta: &AppMeta, ctx: &AnalysisCtx<'_
          \"webview_sites\":[{}],\"ct_sites\":[{}]}}",
         escape(analysis.package),
         escape(analysis.category.label()),
-        number(meta.downloads as f64),
+        meta.downloads,
         analysis.uses_webview(),
         analysis.uses_custom_tabs(),
         methods.join(","),

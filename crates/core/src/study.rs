@@ -27,7 +27,9 @@ pub struct Study {
 /// Output of the §3.1 static campaign.
 #[derive(Debug)]
 pub struct StaticRun {
-    /// Generated corpus (ground truth + bytes).
+    /// Generated corpus: per app its container bytes, its Play metadata
+    /// and its [`GroundTruth`](wla_corpus::GroundTruth) (80 bytes an entry
+    /// plus its bytes and its package name).
     pub corpus: Vec<GeneratedApp>,
     /// Aggregated pipeline results.
     pub results: StudyResults,
@@ -90,7 +92,8 @@ impl Study {
         measured as u64 * self.scale as u64
     }
 
-    /// The study's generated corpus: ground truth plus container bytes.
+    /// The study's generated corpus: per app its container bytes, its Play
+    /// metadata and its [`GroundTruth`](wla_corpus::GroundTruth).
     pub fn corpus(&self) -> Vec<GeneratedApp> {
         let cfg = CorpusConfig {
             scale: self.scale,

@@ -130,8 +130,13 @@ pub struct DeepLinkSpec {
     pub uses_webview: bool,
 }
 
-/// Ground truth for one generated app. The static pipeline never sees this
-/// struct — it is retained so tests can check what the pipeline recovers.
+/// Ground truth for one generated app, as sampled: [`lower`] writes its
+/// container from it. The static pipeline never sees this struct; a
+/// generated corpus keeps only its [`GroundTruth`], what tests check the
+/// pipeline recovers.
+///
+/// [`lower`]: crate::lowering::lower
+/// [`GroundTruth`]: crate::GroundTruth
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppSpec {
     /// Play metadata.

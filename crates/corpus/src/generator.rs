@@ -2,9 +2,11 @@
 //! lower to bytes, and corrupt the paper's broken-APK fraction.
 
 use crate::distributions::{log10_downloads, weighted_index};
-use crate::ecosystem::{AppSpec, Ecosystem, EcosystemParams};
+use crate::ecosystem::{AppSpec, Ecosystem, EcosystemParams, MethodSet};
 use crate::lowering::lower;
-use crate::playstore::{AppMeta, PlayCategory, CUTOFF_2021, POPULAR_DOWNLOADS, SNAPSHOT_DAY};
+use crate::playstore::{
+    package_name, AppMeta, PlayCategory, CUTOFF_2021, POPULAR_DOWNLOADS, SNAPSHOT_DAY,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wla_apk::corrupt::{corrupt, CorruptionKind};
@@ -42,12 +44,60 @@ impl CorpusConfig {
     }
 }
 
-/// One generated app: ground truth plus the bytes the pipeline sees.
+/// What is left of an app's [`AppSpec`] once it is lowered: its Play
+/// metadata and the facts tests check the pipeline recovers. The
+/// pipeline reads only `meta`.
+#[derive(Debug, Clone)]
+pub struct GroundTruth {
+    /// Play metadata.
+    pub meta: AppMeta,
+    /// The app ships a `loadUrl` call no entry point reaches
+    /// ([`AppSpec::dead_code_webview`]).
+    pub dead_code_webview: bool,
+    uses_webview: bool,
+    uses_custom_tabs: bool,
+    method_census: MethodSet,
+}
+
+impl GroundTruth {
+    /// Does any reachable code use a WebView? ([`AppSpec::uses_webview`])
+    pub fn uses_webview(&self) -> bool {
+        self.uses_webview
+    }
+
+    /// Does any reachable code launch a Custom Tab?
+    /// ([`AppSpec::uses_custom_tabs`])
+    pub fn uses_custom_tabs(&self) -> bool {
+        self.uses_custom_tabs
+    }
+
+    /// The WebView methods the app's reachable code calls
+    /// ([`AppSpec::method_census`]).
+    pub fn method_census(&self) -> MethodSet {
+        self.method_census
+    }
+}
+
+impl From<AppSpec> for GroundTruth {
+    fn from(spec: AppSpec) -> Self {
+        GroundTruth {
+            uses_webview: spec.uses_webview(),
+            uses_custom_tabs: spec.uses_custom_tabs(),
+            method_census: spec.method_census(),
+            dead_code_webview: spec.dead_code_webview,
+            meta: spec.meta,
+        }
+    }
+}
+
+/// One generated app: the container bytes the pipeline sees, its Play
+/// metadata and its ground truth. Nothing else of its [`AppSpec`] is
+/// kept.
 #[derive(Debug, Clone)]
 pub struct GeneratedApp {
-    /// Ground-truth spec (for test validation only — the pipeline must not
-    /// read this).
-    pub spec: AppSpec,
+    /// Play metadata and ground truth (the pipeline reads only
+    /// `spec.meta`).
+    pub spec: GroundTruth,
     /// The SAPK container bytes, possibly corrupted.
     pub bytes: Vec<u8>,
     /// Whether this container was deliberately damaged.
@@ -89,7 +139,7 @@ impl<'a> Generator<'a> {
         };
         let cat = PlayCategory::ALL[weighted_index(rng, category_weights)];
         AppMeta {
-            package: format!("com.vendor{:05}.app{:03}", i / 512, i % 512),
+            package: package_name(i as u64),
             on_play_store: true,
             downloads,
             category: cat,
@@ -97,7 +147,9 @@ impl<'a> Generator<'a> {
         }
     }
 
-    /// Generate the full corpus. Deterministic in the config seed.
+    /// Generate the full corpus. Deterministic in the config seed. Each
+    /// app's [`AppSpec`] is dropped once it is lowered, all but its
+    /// [`GroundTruth`].
     pub fn generate(&self) -> Vec<GeneratedApp> {
         let n = self.config.app_count();
         let eco = Ecosystem::new(self.catalog, self.config.params.clone());
@@ -126,7 +178,7 @@ impl<'a> Generator<'a> {
                 clean
             };
             out.push(GeneratedApp {
-                spec,
+                spec: GroundTruth::from(spec),
                 bytes,
                 corrupted,
             });

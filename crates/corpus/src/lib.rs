@@ -41,7 +41,7 @@ pub use ecosystem::{
     named_top_apps, top_thousand, AccessGate, AppSpec, DeepLinkSpec, Ecosystem, EcosystemParams,
     LinkBehavior, MethodSet, SdkUse, TopAppSpec, UgcSurface, METHODS,
 };
-pub use generator::{CorpusConfig, GeneratedApp, Generator};
+pub use generator::{CorpusConfig, GeneratedApp, Generator, GroundTruth};
 pub use playstore::{
     count_funnel, AppMeta, FilterSpec, FunnelCounts, MetadataUniverse, PlayCategory, UniverseConfig,
 };

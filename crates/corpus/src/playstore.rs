@@ -11,6 +11,7 @@
 use crate::distributions::{coin, log10_downloads};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::fmt::Write as _;
 
 /// Days between 2020-01-01 (our epoch) and the AndroZoo snapshot date
 /// (2023-01-13).
@@ -180,6 +181,14 @@ pub struct AppMeta {
     pub category: PlayCategory,
     /// Last update, in days since 2020-01-01.
     pub last_update_day: u32,
+}
+
+/// The package name of app `i`: `com.vendor{i / 512:05}.app{i % 512:03}`,
+/// 22 bytes below 51,200,000 apps, in a `String` of exactly its length.
+pub fn package_name(i: u64) -> String {
+    let mut name = String::with_capacity(22);
+    let _ = write!(name, "com.vendor{:05}.app{:03}", i / 512, i % 512);
+    name
 }
 
 /// Minimum download count of a popular app (Table 2's 100K+ row).
@@ -364,7 +373,7 @@ impl Iterator for MetadataUniverse {
         let cat_idx = crate::distributions::weighted_index(rng, &self.category_weights);
 
         Some(AppMeta {
-            package: format!("com.vendor{:05}.app{:03}", i / 512, i % 512),
+            package: package_name(i),
             on_play_store,
             downloads,
             category: PlayCategory::ALL[cat_idx],
@@ -383,6 +392,15 @@ mod tests {
             ..UniverseConfig::default()
         };
         MetadataUniverse::new(cfg).collect()
+    }
+
+    #[test]
+    fn package_names_are_exact_size() {
+        for i in [0, 511, 512, 6_507_221, 51_199_999] {
+            let name = package_name(i);
+            assert_eq!(name, format!("com.vendor{:05}.app{:03}", i / 512, i % 512));
+            assert_eq!((name.len(), name.capacity()), (22, 22), "{name}");
+        }
     }
 
     #[test]

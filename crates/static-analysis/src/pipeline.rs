@@ -105,7 +105,8 @@ impl AppInput for CorpusInput {
 }
 
 /// Reads only `spec.meta` — the Play metadata — and the container; the
-/// rest of the spec is ground truth the analysis must never see.
+/// rest of the [`GroundTruth`](wla_corpus::GroundTruth) is what the
+/// analysis must recover, never see.
 impl AppInput for GeneratedApp {
     fn meta(&self) -> &AppMeta {
         &self.spec.meta

@@ -83,6 +83,23 @@ fn analyze_responses_match_their_pinned_digest() {
     assert_eq!(digest, ANALYZE_DIGEST, "digest {digest:016x}");
 }
 
+/// `downloads` is echoed as the integer it was parsed as, past 2^53
+/// too, where an `f64` would round it.
+#[test]
+fn downloads_are_echoed_exactly() {
+    let router = analysis_routes(wla_net::Router::new(), Arc::new(SdkIndex::paper()));
+    let corpus = Study::new(2_000, 0xDA7A_5EED).corpus();
+    let app = corpus.iter().find(|g| !g.corrupted).expect("an intact app");
+    for downloads in [0, 100_000, 9_007_199_254_740_993, u64::MAX] {
+        let target = format!("/analyze?downloads={downloads}");
+        let resp = router.dispatch(&Request::post(target, app.bytes.clone()));
+        assert_eq!(resp.status, Status::Ok);
+        let body = String::from_utf8(resp.body.to_vec()).unwrap();
+        let field = format!("\"downloads\":{downloads},");
+        assert!(body.contains(&field), "{field} not in {body}");
+    }
+}
+
 #[test]
 fn corrupted_sdex_is_422_with_error_kind() {
     let resp = on_both(Request::post("/analyze", &b"XXXX not a container"[..]));

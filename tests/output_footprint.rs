@@ -78,6 +78,34 @@ fn corpus(catalog: &SdkIndex, scale: u32) -> Vec<GeneratedApp> {
     Generator::new(catalog, config).generate()
 }
 
+/// What the 1:100 corpus at `wla`'s default seed holds on the heap
+/// beyond its container bytes, measured as what dropping it frees: ≤ 112
+/// bytes an app (its 80-byte entry and its 22-byte package name, ~102
+/// now) in ≤ 2 blocks an app (its bytes and its name) plus the `Vec`'s
+/// buffer. An entry that kept its whole `AppSpec` held ~237 bytes in
+/// ~2.9 blocks an app.
+#[test]
+fn a_corpus_holds_its_containers_and_little_else() {
+    let _serial = one_at_a_time();
+    let catalog = SdkIndex::paper();
+    let apps = corpus(&catalog, 100);
+    let n = apps.len();
+    let containers: usize = apps.iter().map(|a| a.bytes.len()).sum();
+    let (bytes, blocks) = live();
+    drop(apps);
+    let (bytes_after, blocks_after) = live();
+    let beyond = (bytes - bytes_after) as usize - containers;
+    let blocks = (blocks - blocks_after) as usize;
+    eprintln!(
+        "1:100: {n} apps, {containers} container bytes; {beyond} bytes beyond them \
+         ({:.1} an app) in {blocks} heap blocks ({:.2} an app)",
+        beyond as f64 / n as f64,
+        blocks as f64 / n as f64
+    );
+    assert!(beyond <= 112 * n, "{beyond} bytes beyond the containers");
+    assert!(blocks <= 2 * n + 1, "{blocks} heap blocks");
+}
+
 fn workers(workers: usize) -> PipelineConfig {
     PipelineConfig { workers }
 }
