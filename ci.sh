@@ -10,10 +10,11 @@
 # aggregate and the fold's (`run_pipeline_tallied`) must equal the streamed
 # one, ~22 s once built — the one test that takes the pipeline join, the
 # tally merge and the resume cache through a 50K+ corpus), and the
-# scale-10 footprint bounds (the ignored root `output_footprint` tests in
-# release: what a 14,680-app `run_pipeline` output holds, and the most a
-# `run_pipeline_tallied` fold adds above its inputs, counted by a global
-# allocator; ~3 s once built), and the full-universe funnel count (the
+# scale-10 footprint bounds (the ignored root `output_footprint` and
+# `run_peaks` tests in release: what a 14,680-app `run_pipeline` output
+# holds, the most that run adds above its inputs and its output, and the
+# most a `run_pipeline_tallied` fold adds above its inputs, counted by a
+# global allocator; ~4 s once built), and the full-universe funnel count (the
 # ignored `wla-corpus` unit test in release: `count_funnel` must equal
 # folding all 6,507,222 `MetadataUniverse` records at three seeds, and
 # read Table 2's rows at the default one; ~8 s once built), and the
@@ -23,9 +24,9 @@
 # subcommand's stdout at its default flags, the 1:100 and what-if corpus
 # bytes, the SDK catalog, the resume-cache bytes and the 100 prepared
 # crawl pages (`tests/pins.rs`), the stats tables
-# (`tests/stats_golden.rs`), and the output, fold and crawl heap bounds
-# (`tests/output_footprint.rs`, `tests/crawl_footprint.rs`), so `cargo
-# test -q` at the root runs them.
+# (`tests/stats_golden.rs`), and the corpus, output, run-peak and crawl
+# heap bounds (`tests/output_footprint.rs`, `tests/run_peaks.rs`,
+# `tests/crawl_footprint.rs`), so `cargo test -q` at the root runs them.
 #
 # Codec regressions (e.g. the content-length and bare-\r bugs fixed in
 # the net crate) are exactly the kind of thing `clippy -D warnings` plus
@@ -67,7 +68,10 @@
 # against that commit; its benches build in its own target directory),
 # and the same quick benches run there and here alternately: nine
 # passes, in each of which every bench target runs twice on each side in
-# ABBA order, a side's number for the pass being its faster run. A row
+# ABBA order, a side's number for the pass being its faster run. Every
+# target but `http_loop` (whose saturation rows need two CPUs) runs on
+# CPU 0 (`taskset -c 0`) on both sides, so a pair is measured on one
+# vCPU: unpinned, a quick run lands on a fast or a slow one. A row
 # regresses when the median over the passes of its work/base ratio
 # exceeds its allowance: 25% for the static microbenches, 50% for the
 # end-to-end crawl runs (whole-pipeline wall times swing more with host
@@ -94,16 +98,23 @@ DYNAMIC_BENCHES="--bench crawl --bench simhash"
 # makes on each side; a side's number for a pass is the min of its runs.
 CHECK_PASSES=9
 CHECK_RUNS=2
+# The CPU `bench-check` runs every bench target on, both sides alike,
+# except `http_loop`, whose saturation rows need two CPUs: a quick run's
+# number depends on the vCPU it lands on (~1.5x apart on a shared host),
+# and both sides of a pair measured on one CPU see the same one.
+CHECK_CPU=0
 
 quick_run() {
-    # One quick run of the benches the flags after $2 name, in the tree at
-    # $2 (its own target directory), appending `id<TAB>median_ns` lines to
-    # $1 (an absolute path); the benches' own report goes to /dev/null.
-    # Failures return explicitly: bench-check runs this where `set -e`
-    # does not apply.
-    local raw=$1 tree=$2
-    shift 2
-    (cd "$tree" && WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$raw" cargo bench -q -p wla-bench "$@" > /dev/null)
+    # One quick run of the benches the flags after $3 name, in the tree at
+    # $2 (its own target directory), pinned to CPU $3 with `taskset` unless
+    # $3 is empty, appending `id<TAB>median_ns` lines to $1 (an absolute
+    # path); the benches' own report goes to /dev/null. Failures return
+    # explicitly: bench-check runs this where `set -e` does not apply.
+    local raw=$1 tree=$2 cpu=$3
+    shift 3
+    local -a pin=()
+    if [[ -n $cpu ]]; then pin=(taskset -c "$cpu"); fi
+    (cd "$tree" && WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$raw" "${pin[@]}" cargo bench -q -p wla-bench "$@" > /dev/null)
 }
 
 per_bench_min() {
@@ -125,7 +136,7 @@ run_quick_benches() {
     rm -f "$tsv.raw"
     local run
     for run in 1 2; do
-        quick_run "$tsv.raw" . "$@" || return 1
+        quick_run "$tsv.raw" . "" "$@" || return 1
     done
     per_bench_min "$tsv.raw" > "$tsv" || return 1
     rm -f "$tsv.raw"
@@ -181,11 +192,12 @@ against_base() {
     # suite's `--bench NAME` flags. In each of CHECK_PASSES passes every
     # bench target runs CHECK_RUNS times on each side, base and work tree
     # back to back in ABBA order, so both sides of a pair see the same
-    # host; a side's number for the pass is its fastest run, since a quick
-    # run on a shared host lands on a fast or a slow CPU (1.5x apart) and
-    # a regression slows the fast case too. A row regresses when the median
-    # over the passes of its work/base ratio exceeds the allowance. Returns
-    # 1 on a failure.
+    # host; every target but `http_loop` runs on CHECK_CPU, since a quick
+    # run on a shared host lands on a fast or a slow CPU (1.5x apart), and
+    # a side's number for the pass is its fastest run, since a regression
+    # slows the fast case too. A row regresses when the median over the
+    # passes of its work/base ratio exceeds the allowance. Returns 1 on a
+    # failure.
     local suite=$1 limit=$2 base=$3 dir=$4
     shift 4
     local -a targets=()
@@ -193,9 +205,11 @@ against_base() {
         targets+=("$2")
         shift 2
     done
-    local pass run target side tree order
+    local pass run target side tree order cpu
     for ((pass = 1; pass <= CHECK_PASSES; pass++)); do
         for target in "${targets[@]}"; do
+            cpu=$CHECK_CPU
+            if [[ $target == http_loop ]]; then cpu=""; fi
             for ((run = 1; run <= CHECK_RUNS; run++)); do
                 order="base work"
                 if ((run % 2 == 0)); then order="work base"; fi
@@ -203,7 +217,7 @@ against_base() {
                     tree=.
                     if [[ $side == base ]]; then tree=$base; fi
                     rm -f "$dir/run.raw"
-                    quick_run "$dir/run.raw" "$tree" --bench "$target" || {
+                    quick_run "$dir/run.raw" "$tree" "$cpu" --bench "$target" || {
                         echo "bench-check: FAILED ($suite bench $target of the $side tree did not run)"
                         return 1
                     }
@@ -564,8 +578,9 @@ cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.tom
 echo "== paper-scale streamed, in-memory and folded runs (73,400 apps, release) =="
 cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
-echo "== scale-10 output and fold footprints (14,680 apps, release) =="
+echo "== scale-10 output footprint and runner peaks (14,680 apps, release) =="
 cargo test --release -q --test output_footprint -- --ignored
+cargo test --release -q --test run_peaks -- --ignored
 
 echo "== full-universe funnel count (6,507,222 records at three seeds, release) =="
 cargo test --release -q -p wla-corpus --lib -- --ignored

@@ -4,8 +4,10 @@
 //! per-app static analysis as JSON (rendered with `wla_report::json`'s
 //! emitter — stable field order, no wall-clock anything, so responses are
 //! deterministic and the oracle/nonblocking equivalence suite can pin
-//! them byte-for-byte). A container that decodes but is broken is a `422
-//! Unprocessable Entity` whose JSON body carries the stable
+//! them byte-for-byte). The query may set the app's Play `category` and
+//! `downloads`; its package is the one the container's manifest names,
+//! whatever the query says. A container that decodes but is broken is a
+//! `422 Unprocessable Entity` whose JSON body carries the stable
 //! [`ApkError::kind`] label; an oversized body never reaches the handler
 //! (the codec answers 413), and a wrong method never reaches it either
 //! (the router answers 405).
@@ -30,11 +32,13 @@ use wla_static::{CtSiteSummary, WebViewSiteSummary};
 
 /// Mount `POST /analyze` and `GET /healthz` onto a router.
 ///
-/// Each request runs the per-app pipeline in a fresh [`AnalysisCtx`] over
-/// the shared paper catalog: contexts are cheap relative to an analysis,
-/// the handler stays lock-free across event loops, and — since every
-/// symbol is resolved to its string before emission — responses depend
-/// only on the request bytes.
+/// `/analyze` reads `category` and `downloads` from the query and the
+/// package from the container's manifest; a `package` parameter is
+/// ignored. Each request runs the per-app pipeline in a fresh
+/// [`AnalysisCtx`] over the shared paper catalog: contexts are cheap
+/// relative to an analysis, the handler stays lock-free across event
+/// loops, and — since every symbol is resolved to its string before
+/// emission — responses depend only on the request bytes.
 pub fn analysis_routes(router: Router, catalog: Arc<SdkIndex>) -> Router {
     router
         .route(Method::Get, "/healthz", |_req: &Request| {
@@ -75,14 +79,15 @@ pub fn service_router(
 }
 
 /// Build the [`AppMeta`] an analysis request is attributed to from the
-/// optional query parameters `package`, `category`, and `downloads`.
-/// Absent parameters take fixed defaults so identical requests always
-/// analyze identically.
+/// optional query parameters `category` and `downloads`. Absent
+/// parameters take fixed defaults so identical requests always analyze
+/// identically. The package stays empty: the analysis and its JSON take
+/// the one the container's manifest names.
 fn meta_from_query(query: Option<&str>) -> AppMeta {
     let pairs = query.map(parse_form).unwrap_or_default();
     let get = |k: &str| pairs.iter().find(|(n, _)| n == k).map(|(_, v)| v.as_str());
     AppMeta {
-        package: get("package").unwrap_or("app.submitted").to_owned(),
+        package: String::new(),
         on_play_store: true,
         downloads: get("downloads")
             .and_then(|d| d.parse().ok())

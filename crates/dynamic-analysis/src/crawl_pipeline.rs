@@ -580,15 +580,15 @@ fn join_crawl(
     stats.visits_completed = completed.len();
     let symbols = merge_ordered(
         &mut completed,
-        &lexicons,
+        lexicons,
         |&(w, _, _)| w,
         |&mut (_, s, r), f| columns[s].1.remap(r, f),
     );
     stats.interner.global_symbols = symbols.len();
     stats.interner.global_bytes = symbols.bytes();
-    // Free the merge's inputs before the records are built: the join's
+    // Free the merge's items before the records are built: the join's
     // peak is the records plus whatever is still alive then.
-    drop((completed, lexicons));
+    drop(completed);
 
     let figures = rows
         .iter()

@@ -11,11 +11,12 @@
 //!   analysis stages write into: one string arena, its span ends, and an
 //!   open-addressing index, so a new string costs no allocation of its own;
 //! * [`SymbolTable`] — the frozen form of that table (arena plus span
-//!   ends), owned by each run's output for display-time resolution;
-//! * [`merge_ordered`] — the join-time merge that rewrites worker-local
-//!   symbols, where they are stored, into one fresh table in input order,
-//!   so global symbol ids are deterministic regardless of worker count or
-//!   scheduling;
+//!   ends, at exact size), owned by each run's output for display-time
+//!   resolution;
+//! * [`merge_ordered`] — the join-time merge that freezes the workers'
+//!   interners and rewrites their symbols, where they are stored, into one
+//!   fresh table in input order, so global symbol ids are deterministic
+//!   regardless of worker count or scheduling;
 //! * [`FxBuildHasher`] — the multiplicative hasher every hot map uses
 //!   (strings hashed once at intern time, `u32` keys everywhere after; a
 //!   `u32` or `usize` key costs one multiply).
@@ -176,6 +177,17 @@ impl LocalInterner {
     /// Empty interner.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty interner that holds `strings` strings of `bytes` bytes in
+    /// all without growing its arena, its span ends or its index.
+    fn with_capacity(strings: usize, bytes: usize) -> Self {
+        LocalInterner {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(strings),
+            index: vec![EMPTY; ((strings + 1) * 2).next_power_of_two().max(MIN_SLOTS)],
+            ..Self::default()
+        }
     }
 
     fn str_at(&self, id: u32) -> &str {
@@ -344,58 +356,59 @@ impl SymbolTable {
 /// stands for through the given function and store what it returns. An
 /// item may be the record itself or a handle to a record stored elsewhere
 /// (a row of a worker's result table): either way the symbols are
-/// rewritten where they live, and nothing is copied. Three phases:
+/// rewritten where they live, and nothing is copied. The lexicons are
+/// frozen first, so the merge reads each worker's strings without its
+/// index. Then two visits per item, in input order:
 ///
-/// * (A) one visit per item, in input order, ranks each worker's first
-///   occurrences;
-/// * (B) the ranked strings are interned, in rank order, into a fresh
-///   table whose arena is reserved up front for their summed length, so
-///   equal strings from different workers share the first one's id and a
-///   global id is the string's first-occurrence rank;
-/// * (C) a second visit rewrites every symbol to its global id, and the
-///   table is frozen.
+/// * the first marks each worker's symbols that items name, and sizes the
+///   fresh table for their strings;
+/// * the second interns each marked string at its first occurrence and
+///   rewrites every symbol to its global id, so equal strings from
+///   different workers share the first one's id and a global id is the
+///   string's first-occurrence rank. The table is then frozen.
 ///
 /// Global ids — and so every merged item — are therefore the same at any
 /// worker count and under any schedule that produced the lexicons, which
 /// is what keeps parallel runs bit-identical to serial ones.
 pub fn merge_ordered<T>(
     items: &mut [T],
-    lexicons: &[LocalInterner],
+    lexicons: Vec<LocalInterner>,
     worker: impl Fn(&T) -> usize,
     mut visit: impl FnMut(&mut T, &mut dyn FnMut(Symbol) -> Symbol),
 ) -> SymbolTable {
+    /// A local symbol no item has named.
     const UNSEEN: u32 = u32::MAX;
-    // `table[w][local]`: the first-occurrence rank after (A), the global
-    // id after (B).
-    let mut table: Vec<Vec<u32>> = lexicons.iter().map(|l| vec![UNSEEN; l.len()]).collect();
-    let mut order: Vec<(usize, Symbol)> = Vec::new();
+    /// A local symbol an item names, not interned yet.
+    const SEEN: u32 = u32::MAX - 1;
+    let lexicons: Vec<SymbolTable> = lexicons.into_iter().map(LocalInterner::freeze).collect();
+    // `slots[w][local]`: UNSEEN, SEEN after the first visit, the global id
+    // after the second.
+    let mut slots: Vec<Vec<u32>> = lexicons.iter().map(|l| vec![UNSEEN; l.len()]).collect();
+    let (mut strings, mut bytes) = (0, 0);
     for item in items.iter_mut() {
         let w = worker(item);
-        let slots = &mut table[w];
+        let (lexicon, slots) = (&lexicons[w], &mut slots[w]);
         visit(item, &mut |sym| {
             let slot = &mut slots[sym.raw() as usize];
             if *slot == UNSEEN {
-                *slot = order.len() as u32;
-                order.push((w, sym));
+                *slot = SEEN;
+                strings += 1;
+                bytes += lexicon.resolve(sym).len();
             }
             sym
         });
     }
-    let mut global = LocalInterner::new();
-    let text_len = order
-        .iter()
-        .map(|&(w, sym)| lexicons[w].resolve(sym).len())
-        .sum();
-    global.text.reserve_exact(text_len);
-    for &(w, sym) in &order {
-        table[w][sym.raw() as usize] = global.intern(lexicons[w].resolve(sym)).raw();
-    }
+    let mut global = LocalInterner::with_capacity(strings, bytes);
     for item in items.iter_mut() {
-        let slots = &table[worker(item)];
+        let w = worker(item);
+        let (lexicon, slots) = (&lexicons[w], &mut slots[w]);
         visit(item, &mut |sym| {
-            let global = slots[sym.raw() as usize];
-            debug_assert_ne!(global, UNSEEN, "phase A visited every symbol");
-            Symbol::new(global)
+            let slot = &mut slots[sym.raw() as usize];
+            debug_assert_ne!(*slot, UNSEEN, "the first visit saw every symbol");
+            if *slot == SEEN {
+                *slot = global.intern(lexicon.resolve(sym)).raw();
+            }
+            Symbol::new(*slot)
         });
     }
     global.freeze()
@@ -508,7 +521,7 @@ mod tests {
             .collect();
         let table = merge_ordered(
             &mut local,
-            &lexicons,
+            lexicons,
             |&(w, _)| w,
             |(_, syms), f| {
                 for sym in syms.iter_mut() {

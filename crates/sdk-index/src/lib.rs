@@ -162,13 +162,14 @@ impl Sdk {
     }
 }
 
-/// Result of labeling a package name: a `Copy` handle suitable for
-/// storing on interned call-site summaries and for `u32`-keyed
-/// aggregation. `Sdk` carries the catalog index of the matched entry.
+/// Result of labeling a package name: a 4-byte `Copy` handle stored on
+/// every call-site record. `Sdk` carries the catalog index of the matched
+/// entry, a `u16`: [`SdkIndex::new`] refuses a catalog past `u16::MAX`
+/// entries (the paper's has 140).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelId {
     /// Attributed to a cataloged SDK (catalog index).
-    Sdk(u32),
+    Sdk(u16),
     /// Part of the core Android SDK (`com.google.android`), excluded from
     /// SDK accounting "due to its multiple essential functions".
     CoreAndroid,
@@ -193,7 +194,16 @@ impl SdkIndex {
     /// Build an index over an arbitrary catalog. The trie borrows the
     /// catalog's static prefixes and is sized once from their segment
     /// count, so this allocates its three tables and nothing else.
+    ///
+    /// # Panics
+    /// If the catalog has more entries than a [`LabelId::Sdk`] index can
+    /// name (`u16::MAX + 1`).
     pub fn new(sdks: Vec<Sdk>) -> Self {
+        assert!(
+            sdks.len() <= usize::from(u16::MAX) + 1,
+            "a catalog of {} SDKs does not fit a u16 label index",
+            sdks.len()
+        );
         let segments = sdks
             .iter()
             .flat_map(|sdk| sdk.prefixes)
@@ -239,7 +249,7 @@ impl SdkIndex {
         }
         match best {
             Some((_, i)) if self.sdks[i].obfuscated => LabelId::Obfuscated,
-            Some((_, i)) => LabelId::Sdk(i as u32),
+            Some((_, i)) => LabelId::Sdk(i as u16),
             None if is_obfuscated_package(package) => LabelId::Obfuscated,
             None => LabelId::Unlabeled,
         }
@@ -257,7 +267,8 @@ impl SdkIndex {
             if self.sdks[idx as usize].obfuscated {
                 return LabelId::Obfuscated;
             }
-            return LabelId::Sdk(idx);
+            // `new` refused a catalog whose indices do not fit a `u16`.
+            return LabelId::Sdk(idx as u16);
         }
         if is_obfuscated_package(package) {
             return LabelId::Obfuscated;
@@ -478,6 +489,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A label names an SDK by a `u16` index, so a catalog of 65,536
+    /// entries is the largest an index accepts.
+    #[test]
+    #[should_panic(expected = "a catalog of 65537 SDKs does not fit a u16 label index")]
+    fn a_catalog_past_u16_is_refused() {
+        let sdk = catalog::paper_catalog()[0];
+        let largest = SdkIndex::new(vec![sdk; 65_536]);
+        assert_eq!(largest.label_id(sdk.primary_prefix()), LabelId::Sdk(65_535));
+        SdkIndex::new(vec![sdk; 65_537]);
     }
 
     #[test]

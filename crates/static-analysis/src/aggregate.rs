@@ -333,7 +333,7 @@ impl<'c> Tally<'c> {
                     let cat = sdks[idx as usize].category;
                     methods_by_cat[cat.table3_index()][mi] = true;
                     if is_load_method {
-                        app_wv_sdks.insert(idx);
+                        app_wv_sdks.insert(u32::from(idx));
                     }
                 }
                 LabelId::Obfuscated if is_load_method => app_obfuscated = true,
@@ -347,7 +347,7 @@ impl<'c> Tally<'c> {
             }
             tally_origin(&mut s.census, site.origin);
             if let LabelId::Sdk(idx) = site.label {
-                app_ct_sdks.insert(idx);
+                app_ct_sdks.insert(u32::from(idx));
             }
         }
         if app_url_sites > 0 {

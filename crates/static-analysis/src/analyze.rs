@@ -658,9 +658,9 @@ mod tests {
     #[test]
     fn records_have_exact_layouts() {
         use std::mem::size_of;
-        assert!(size_of::<WebViewSiteSummary>() <= 24);
-        assert!(size_of::<CtSiteSummary>() <= 28);
-        assert!(size_of::<crate::table::AppRow>() <= 28);
+        assert!(size_of::<WebViewSiteSummary>() <= 20);
+        assert!(size_of::<CtSiteSummary>() <= 24);
+        assert!(size_of::<crate::table::AppRow>() <= 24);
     }
 
     #[test]

@@ -256,13 +256,14 @@ fn get_opt_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Option<Sym
     }
 }
 
-/// A label; an SDK's index must be one of the catalog's `sdks`.
+/// A label; an SDK's index must be one of the catalog's `sdks`, and an
+/// index past `u16` is past every catalog.
 fn get_label(cur: &mut &[u8], sdks: usize) -> Result<LabelId, ApkError> {
     Ok(match get_u8(cur)? {
         0 => LabelId::CoreAndroid,
         1 => LabelId::Obfuscated,
         2 => LabelId::Unlabeled,
-        3 => match u32::try_from(get_uvarint(cur)?) {
+        3 => match u16::try_from(get_uvarint(cur)?) {
             Ok(i) if (i as usize) < sdks => LabelId::Sdk(i),
             _ => return Err(ApkError::Invalid("cache sdk index")),
         },
@@ -727,13 +728,20 @@ mod tests {
     /// An SDK label indexes the loading worker's catalog when the shard is
     /// aggregated, so a WebView or Custom-Tabs site labelled at or past the
     /// catalog's end makes the file a miss that keeps the table, while the
-    /// catalog's last SDK still loads.
+    /// catalog's last SDK still loads. An index past `u16`, which no
+    /// [`LabelId`] can hold, is past every catalog.
     #[test]
     fn an_sdk_label_past_the_catalog_is_a_miss() {
+        for (index, catalog, loads) in [(65_535, 65_536, true), (65_536, usize::MAX, false)] {
+            let mut buf = vec![3];
+            put_uvarint(&mut buf, index);
+            let label = get_label(&mut &buf[..], catalog);
+            assert_eq!(label.is_ok(), loads, "Sdk({index})");
+        }
         let dir = temp_dir("sdk-label");
         let path = dir.join("s.done");
         let catalog = SdkIndex::paper();
-        let sdks = catalog.sdks().len() as u32;
+        let sdks = catalog.sdks().len() as u16;
         for (sdk, loads) in [(sdks - 1, true), (sdks, false), (10_000, false)] {
             for on_ct in [false, true] {
                 let mut lex = LocalInterner::new();

@@ -616,7 +616,7 @@ pub(crate) fn join(
     // the rows in row order: the merge ranks symbols in input order.
     let symbols = merge_ordered(
         &mut claims,
-        &lexicons,
+        lexicons,
         |&(w, _)| w,
         |(_, table), f| table.remap(f),
     );
@@ -1000,7 +1000,7 @@ pub(crate) mod tests {
         /// after a WebView site labelled far past it if `webview`.
         fn mislabel(meta: &AppMeta, ctx: &mut AnalysisCtx<'_>, webview: bool) -> usize {
             let class = ctx.lexicon.intern("com/past/Catalog");
-            let past = ctx.catalog.sdks().len() as u32;
+            let past = ctx.catalog.sdks().len() as u16;
             let mut row = ctx.results.row();
             if webview {
                 row.push_webview(WebViewSiteSummary {

@@ -5,12 +5,12 @@
 //! [`AnalysisCtx`](crate::AnalysisCtx) owns one: the per-app analysis
 //! writes the app's WebView-site, Custom-Tabs-site and custom-class
 //! records into the open tail of the table's columns through a
-//! [`RowWriter`], and commits one fixed-size row — Play category, where
-//! the app's records and package text end, its unreachable-site count, its
-//! error slot — only when the app is done. Until then nothing is visible:
-//! a panic or a failed cache parse leaves an uncommitted tail, and the
-//! next row, error or freeze truncates it, so it never becomes an orphan
-//! row.
+//! [`RowWriter`], and commits one fixed-size row — where the app's records
+//! and package text end, then its Play category and unreachable-site count,
+//! or its error slot if it failed — only when the app is done. Until then
+//! nothing is visible: a panic or a failed cache parse leaves an
+//! uncommitted tail, and the next row, error or freeze truncates it, so it
+//! never becomes an orphan row.
 //!
 //! At the end of each claim, a shard (streamed) or a 64-app batch
 //! (in-memory), the runner freezes the worker's rows into a new
@@ -22,7 +22,6 @@
 
 use crate::analyze::{AppView, CtSiteSummary, WebViewSiteSummary};
 use std::mem::size_of;
-use std::num::NonZeroU32;
 use wla_apk::ApkError;
 use wla_corpus::playstore::PlayCategory;
 use wla_intern::{PkgId, Symbol};
@@ -37,16 +36,23 @@ struct Ends {
     package: u32,
 }
 
-/// One app's fixed-size row.
+/// One app's fixed-size row: 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AppRow {
     ends: Ends,
-    unreachable_webview_sites: u32,
-    /// `Some(slot)`: the app failed with its table's `errors[slot - 1]`
-    /// and has no records.
-    error: Option<NonZeroU32>,
-    /// Meaningless for a failed app.
-    category: PlayCategory,
+    outcome: Outcome,
+}
+
+/// What a row holds besides where its records end: 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The app analyzed.
+    Analyzed {
+        category: PlayCategory,
+        unreachable_webview_sites: u32,
+    },
+    /// The app failed with its table's `errors[slot]` and has no records.
+    Failed(u32),
 }
 
 /// The ends of the row before `rows[i]`.
@@ -87,15 +93,14 @@ impl ResultTable {
     /// # Panics
     /// If `row` is not a committed row.
     pub fn get(&self, row: usize) -> Result<AppView<'_>, &ApkError> {
-        let AppRow {
-            ends: to,
-            unreachable_webview_sites,
-            error,
-            category,
-        } = self.rows[row];
-        if let Some(slot) = error {
-            return Err(&self.errors[slot.get() as usize - 1]);
-        }
+        let AppRow { ends: to, outcome } = self.rows[row];
+        let (category, unreachable_webview_sites) = match outcome {
+            Outcome::Analyzed {
+                category,
+                unreachable_webview_sites,
+            } => (category, unreachable_webview_sites),
+            Outcome::Failed(slot) => return Err(&self.errors[slot as usize]),
+        };
         let from = starts(&self.rows, row);
         let range = |a: u32, b: u32| a as usize..b as usize;
         Ok(AppView {
@@ -124,13 +129,9 @@ impl ResultTable {
     /// records an unfinished row left behind. Returns its row number.
     pub fn commit_error(&mut self, error: ApkError) -> usize {
         self.rollback();
+        let slot = u32::try_from(self.errors.len()).expect("error slots fit u32");
         self.errors.push(error);
-        let slot = u32::try_from(self.errors.len())
-            .ok()
-            .and_then(NonZeroU32::new)
-            .expect("error slots fit u32");
-        // A failed app's category is never read.
-        self.push_row(0, Some(slot), PlayCategory::ALL[0])
+        self.push_row(Outcome::Failed(slot))
     }
 
     /// Drop every row, keeping the columns' capacity: how a worker's table
@@ -144,9 +145,11 @@ impl ResultTable {
     pub(crate) fn truncate(&mut self, n: usize) {
         self.rows.truncate(n);
         self.rollback();
-        let errors = self.rows.iter().rev().find_map(|r| r.error);
-        self.errors
-            .truncate(errors.map_or(0, |slot| slot.get() as usize));
+        let errors = self.rows.iter().rev().find_map(|r| match r.outcome {
+            Outcome::Failed(slot) => Some(slot as usize + 1),
+            Outcome::Analyzed { .. } => None,
+        });
+        self.errors.truncate(errors.unwrap_or(0));
     }
 
     /// Move the committed rows into a new exact-size table, a claim's, and
@@ -227,12 +230,7 @@ impl ResultTable {
 
     /// Commit a row whose records end where the columns do now; returns
     /// its row number.
-    fn push_row(
-        &mut self,
-        unreachable_webview_sites: u32,
-        error: Option<NonZeroU32>,
-        category: PlayCategory,
-    ) -> usize {
+    fn push_row(&mut self, outcome: Outcome) -> usize {
         let end = |len: usize| u32::try_from(len).expect("a table column fits u32 offsets");
         let ends = Ends {
             webview: end(self.webview.len()),
@@ -240,12 +238,7 @@ impl ResultTable {
             classes: end(self.classes.len()),
             package: end(self.text.len()),
         };
-        self.rows.push(AppRow {
-            ends,
-            unreachable_webview_sites,
-            error,
-            category,
-        });
+        self.rows.push(AppRow { ends, outcome });
         self.rows.len() - 1
     }
 }
@@ -289,10 +282,13 @@ impl RowWriter<'_> {
         package: &str,
         unreachable_webview_sites: usize,
     ) -> usize {
-        let unreachable =
+        let unreachable_webview_sites =
             u32::try_from(unreachable_webview_sites).expect("unreachable-site counts fit u32");
         self.table.text.push_str(package);
-        self.table.push_row(unreachable, None, category)
+        self.table.push_row(Outcome::Analyzed {
+            category,
+            unreachable_webview_sites,
+        })
     }
 }
 

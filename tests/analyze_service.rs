@@ -100,6 +100,29 @@ fn downloads_are_echoed_exactly() {
     }
 }
 
+/// The package is the container manifest's: a `package` query parameter,
+/// whatever it says, leaves the response byte-identical.
+#[test]
+fn a_package_parameter_changes_nothing() {
+    let router = analysis_routes(wla_net::Router::new(), Arc::new(SdkIndex::paper()));
+    let corpus = Study::new(2_000, 0xDA7A_5EED).corpus();
+    let app = corpus.iter().find(|g| !g.corrupted).expect("an intact app");
+    let answer = |target: &str| router.dispatch(&Request::post(target, app.bytes.clone()));
+    let plain = answer("/analyze?category=Tools");
+    assert_eq!(plain.status, Status::Ok);
+    for target in [
+        "/analyze?package=a&category=Tools",
+        "/analyze?category=Tools&package=b",
+    ] {
+        let resp = answer(target);
+        assert_eq!(
+            (resp.status, &resp.headers, &resp.body),
+            (plain.status, &plain.headers, &plain.body),
+            "{target}"
+        );
+    }
+}
+
 #[test]
 fn corrupted_sdex_is_422_with_error_kind() {
     let resp = on_both(Request::post("/analyze", &b"XXXX not a container"[..]));
