@@ -50,7 +50,8 @@
 # revision exits 2 without starting cargo.
 #
 # `ci.sh bench-snapshot` refreshes the committed bench snapshots in quick
-# mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes):
+# mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes), each row run
+# pinned or free as `bench-check` runs it:
 #   BENCH_static.json  — callgraph, static-pipeline, url-provenance, and
 #                        corpus-stream benches;
 #   BENCH_dynamic.json — the crawl-study benches (seed oracle vs interned
@@ -59,7 +60,8 @@
 # for order-of-magnitude regression spotting, and EXPERIMENTS.md for the
 # measured full-mode ablations. Each snapshot opens with a `"_host"` entry:
 # core count (`nproc`), CPU model, `rustc --version` and the cargo profile
-# the benches build with (`bench`).
+# the benches build with (`bench`), and the CPU the single-threaded rows
+# run on.
 #
 # `ci.sh bench-check [REV]` (default `HEAD~1`) compares this work tree
 # against revision REV on this host, in one invocation: REV's
@@ -67,11 +69,14 @@
 # archive` into `target/bench-base-<commit>` (kept for the next check
 # against that commit; its benches build in its own target directory),
 # and the same quick benches run there and here alternately: nine
-# passes, in each of which every bench target runs twice on each side in
-# ABBA order, a side's number for the pass being its faster run. Every
-# target but `http_loop` (whose saturation rows need two CPUs) runs on
-# CPU 0 (`taskset -c 0`) on both sides, so a pair is measured on one
-# vCPU: unpinned, a quick run lands on a fast or a slow one. A row
+# passes, in each of which every bench job runs twice on each side in
+# ABBA order, a side's number for the pass being its faster run. A job
+# (`STATIC_JOBS`, `DYNAMIC_JOBS`) is a bench target's single-threaded rows,
+# run on CPU 0 (`taskset -c 0`) on both sides so a pair is measured on one
+# vCPU, or its rows that run a worker pool or client threads, run
+# unpinned. Both sides run under the work tree's bench harness
+# (`vendor/criterion`, copied into the base tree), which reads the jobs'
+# row filters. A row
 # regresses when the median over the passes of its work/base ratio
 # exceeds its allowance: 25% for the static microbenches, 50% for the
 # end-to-end crawl runs (whole-pipeline wall times swing more with host
@@ -92,29 +97,48 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STATIC_BENCHES="--bench callgraph --bench static_pipeline --bench url_provenance --bench corpus_stream --bench http_loop"
-DYNAMIC_BENCHES="--bench crawl --bench simhash"
-# `bench-check`'s passes, and the quick runs of each bench target a pass
+# The bench jobs of each snapshot suite. A job is a bench target, where
+# its rows run, and the harness filters that pick them (positional
+# patterns, `--skip PATTERN`; see `vendor/criterion`). `pinned` rows run on
+# CHECK_CPU, both sides of a check alike: a quick run's number depends on
+# the vCPU it lands on (~1.5x apart on a shared host). `free` rows run
+# unpinned: each runs a worker pool or client threads (the static
+# pipeline's 1/2/4/8-worker sweep, the provenance run's four workers, the
+# corpus stream's eight, the crawl's parallel rows, the http_loop grid),
+# and on one CPU they would measure summed work, not wall time, so a
+# change that serialized the pool would not move them.
+STATIC_JOBS=(
+    "callgraph pinned"
+    "static_pipeline pinned --skip corpus_734_apps_stats_on"
+    "static_pipeline free corpus_734_apps_stats_on"
+    "url_provenance pinned --skip pipeline_dataflow"
+    "url_provenance free pipeline_dataflow"
+    "corpus_stream free"
+    "http_loop free"
+)
+DYNAMIC_JOBS=(
+    "crawl pinned --skip parallel"
+    "crawl free parallel"
+    "simhash pinned"
+)
+CHECK_CPU=0
+# `bench-check`'s passes, and the quick runs of each bench job a pass
 # makes on each side; a side's number for a pass is the min of its runs.
 CHECK_PASSES=9
 CHECK_RUNS=2
-# The CPU `bench-check` runs every bench target on, both sides alike,
-# except `http_loop`, whose saturation rows need two CPUs: a quick run's
-# number depends on the vCPU it lands on (~1.5x apart on a shared host),
-# and both sides of a pair measured on one CPU see the same one.
-CHECK_CPU=0
 
 quick_run() {
-    # One quick run of the benches the flags after $3 name, in the tree at
-    # $2 (its own target directory), pinned to CPU $3 with `taskset` unless
-    # $3 is empty, appending `id<TAB>median_ns` lines to $1 (an absolute
-    # path); the benches' own report goes to /dev/null. Failures return
-    # explicitly: bench-check runs this where `set -e` does not apply.
-    local raw=$1 tree=$2 cpu=$3
-    shift 3
-    local -a pin=()
-    if [[ -n $cpu ]]; then pin=(taskset -c "$cpu"); fi
-    (cd "$tree" && WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$raw" "${pin[@]}" cargo bench -q -p wla-bench "$@" > /dev/null)
+    # One quick run of bench job $3 (see STATIC_JOBS) in the tree at $2
+    # (its own target directory), appending `id<TAB>median_ns` lines to $1
+    # (an absolute path); the benches' own report goes to /dev/null.
+    # Failures return explicitly: bench-check runs this where `set -e`
+    # does not apply.
+    local raw=$1 tree=$2
+    local -a job pin=()
+    read -r -a job <<< "$3"
+    if [[ ${job[1]} == pinned ]]; then pin=(taskset -c "$CHECK_CPU"); fi
+    (cd "$tree" && WLA_BENCH_QUICK=1 WLA_BENCH_JSON="$raw" "${pin[@]}" \
+        cargo bench -q -p wla-bench --bench "${job[0]}" -- "${job[@]:2}" > /dev/null)
 }
 
 per_bench_min() {
@@ -129,14 +153,16 @@ per_bench_min() {
 }
 
 run_quick_benches() {
-    # $1 = TSV to write: the per-bench min of two quick runs over the
-    # work tree; the rest are the bench flags.
+    # $1 = TSV to write: the per-bench min of two quick runs of each bench
+    # job over the work tree; the rest are the jobs.
     local tsv=$1
     shift
     rm -f "$tsv.raw"
-    local run
+    local run job
     for run in 1 2; do
-        quick_run "$tsv.raw" . "" "$@" || return 1
+        for job in "$@"; do
+            quick_run "$tsv.raw" . "$job" || return 1
+        done
     done
     per_bench_min "$tsv.raw" > "$tsv" || return 1
     rm -f "$tsv.raw"
@@ -144,12 +170,13 @@ run_quick_benches() {
 
 host_id() {
     # What a bench number depends on besides the code: core count, CPU
-    # model, compiler, and the cargo profile `cargo bench` builds with.
-    # Quotes and backslashes are dropped so the line is a plain JSON string.
+    # model, compiler, the cargo profile `cargo bench` builds with, and the
+    # CPU the pinned rows run on. Quotes and backslashes are dropped so the
+    # line is a plain JSON string.
     local cpu
     cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
-    printf '%s cores, %s, %s, bench profile' \
-        "$(nproc)" "${cpu:-unknown CPU}" "$(rustc --version)" | tr -d '"\\'
+    printf '%s cores, %s, %s, bench profile, single-threaded rows on CPU %s' \
+        "$(nproc)" "${cpu:-unknown CPU}" "$(rustc --version)" "$CHECK_CPU" | tr -d '"\\'
 }
 
 snapshot_host() {
@@ -166,7 +193,7 @@ tsv_to_json() {
 }
 
 snapshot_one() {
-    # $1 = snapshot file; the rest are the bench flags for its suite.
+    # $1 = snapshot file; the rest are the bench jobs of its suite.
     local json=$1
     shift
     local tsv
@@ -179,37 +206,26 @@ snapshot_one() {
 
 bench_snapshot() {
     echo "== bench snapshot (quick mode) =="
-    # shellcheck disable=SC2086
-    snapshot_one BENCH_static.json $STATIC_BENCHES
-    # shellcheck disable=SC2086
-    snapshot_one BENCH_dynamic.json $DYNAMIC_BENCHES
+    snapshot_one BENCH_static.json "${STATIC_JOBS[@]}"
+    snapshot_one BENCH_dynamic.json "${DYNAMIC_JOBS[@]}"
 }
 
 against_base() {
     # $1 = suite name; $2 = regression allowance (e.g. 1.25); $3 = the base
     # tree; $4 = an empty scratch directory, left holding `work.tsv`, the
     # work tree's per-bench min, once every pass ran; the rest are the
-    # suite's `--bench NAME` flags. In each of CHECK_PASSES passes every
-    # bench target runs CHECK_RUNS times on each side, base and work tree
-    # back to back in ABBA order, so both sides of a pair see the same
-    # host; every target but `http_loop` runs on CHECK_CPU, since a quick
-    # run on a shared host lands on a fast or a slow CPU (1.5x apart), and
-    # a side's number for the pass is its fastest run, since a regression
-    # slows the fast case too. A row regresses when the median over the
-    # passes of its work/base ratio exceeds the allowance. Returns 1 on a
-    # failure.
+    # suite's bench jobs. In each of CHECK_PASSES passes every job runs
+    # CHECK_RUNS times on each side, base and work tree back to back in
+    # ABBA order, so both sides of a pair see the same host (and a pinned
+    # job the same CPU), and a side's number for the pass is its fastest
+    # run, since a regression slows the fast case too. A row regresses
+    # when the median over the passes of its work/base ratio exceeds the
+    # allowance. Returns 1 on a failure.
     local suite=$1 limit=$2 base=$3 dir=$4
     shift 4
-    local -a targets=()
-    while (($# >= 2)); do
-        targets+=("$2")
-        shift 2
-    done
-    local pass run target side tree order cpu
+    local pass run job side tree order
     for ((pass = 1; pass <= CHECK_PASSES; pass++)); do
-        for target in "${targets[@]}"; do
-            cpu=$CHECK_CPU
-            if [[ $target == http_loop ]]; then cpu=""; fi
+        for job in "$@"; do
             for ((run = 1; run <= CHECK_RUNS; run++)); do
                 order="base work"
                 if ((run % 2 == 0)); then order="work base"; fi
@@ -217,8 +233,8 @@ against_base() {
                     tree=.
                     if [[ $side == base ]]; then tree=$base; fi
                     rm -f "$dir/run.raw"
-                    quick_run "$dir/run.raw" "$tree" "$cpu" --bench "$target" || {
-                        echo "bench-check: FAILED ($suite bench $target of the $side tree did not run)"
+                    quick_run "$dir/run.raw" "$tree" "$job" || {
+                        echo "bench-check: FAILED ($suite bench job \"$job\" of the $side tree did not run)"
                         return 1
                     }
                     awk -F'\t' -v pass="$pass" -v side="$side" \
@@ -352,12 +368,19 @@ bench_check() {
         }
         touch "$base/.extracted"
     fi
+    # Both sides run under the work tree's bench harness, as under its
+    # `ci.sh`: one instrument measures both, and it reads the jobs' row
+    # filters. Copied with its times kept, so an unchanged copy rebuilds
+    # nothing.
+    if ! diff -rq vendor/criterion "$base/vendor/criterion" > /dev/null 2>&1; then
+        rm -rf "$base/vendor/criterion"
+        cp -Rp vendor/criterion "$base/vendor/criterion"
+    fi
     echo "== bench check (quick mode, $CHECK_PASSES alternating passes against $rev, ${commit:0:12}) =="
     local failed=() dir
     dir=$(mktemp -d)
     mkdir "$dir/static" "$dir/dynamic"
-    # shellcheck disable=SC2086
-    against_base static 1.25 "$base" "$dir/static" $STATIC_BENCHES || failed+=("static check")
+    against_base static 1.25 "$base" "$dir/static" "${STATIC_JOBS[@]}" || failed+=("static check")
     # The floor gates read the work tree's fresh static run, whether or not
     # it stayed within its allowance of the base; only without one are they
     # not evaluated.
@@ -368,8 +391,7 @@ bench_check() {
         failed+=("saturation gate (not evaluated)" "lookup-table gate (not evaluated)")
         echo "bench-check: saturation and lookup-table gates not evaluated (no fresh static run)"
     fi
-    # shellcheck disable=SC2086
-    against_base dynamic 1.50 "$base" "$dir/dynamic" $DYNAMIC_BENCHES || failed+=("dynamic check")
+    against_base dynamic 1.50 "$base" "$dir/dynamic" "${DYNAMIC_JOBS[@]}" || failed+=("dynamic check")
     echo "-- drift from the committed snapshots (a record; fails nothing) --"
     if [[ -s $dir/static/work.tsv ]]; then snapshot_drift BENCH_static.json 1.25 "$dir/static/work.tsv"; fi
     if [[ -s $dir/dynamic/work.tsv ]]; then snapshot_drift BENCH_dynamic.json 1.50 "$dir/dynamic/work.tsv"; fi

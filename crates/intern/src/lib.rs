@@ -367,6 +367,11 @@ impl SymbolTable {
 ///   different workers share the first one's id and a global id is the
 ///   string's first-occurrence rank. The table is then frozen.
 ///
+/// The first visit only sizes the table, and it pays for itself: a single
+/// visit that interns as it goes reaches the same live-heap peak but
+/// grows the table by doubling, and the buffers it outgrows stay
+/// resident (a streamed 1:10 run's resident peak read ~0.34 MiB higher).
+///
 /// Global ids — and so every merged item — are therefore the same at any
 /// worker count and under any schedule that produced the lexicons, which
 /// is what keeps parallel runs bit-identical to serial ones.

@@ -164,8 +164,8 @@ impl Sdk {
 
 /// Result of labeling a package name: a 4-byte `Copy` handle stored on
 /// every call-site record. `Sdk` carries the catalog index of the matched
-/// entry, a `u16`: [`SdkIndex::new`] refuses a catalog past `u16::MAX`
-/// entries (the paper's has 140).
+/// entry, a `u16`: [`SdkIndex::new`] refuses a catalog past `u16::MAX +
+/// 1` (65,536) entries (the paper's has 140).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LabelId {
     /// Attributed to a cataloged SDK (catalog index).

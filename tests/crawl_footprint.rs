@@ -8,51 +8,14 @@
 //! pool's workers have joined before the runner returns, so no other
 //! thread allocates in between.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+mod common;
+
+use common::{live, one_at_a_time, peak_above, reset_peak, Counting};
 use wla_crawler::sites::top_100_sites;
 use wla_dynamic::{run_crawl_pipeline, CrawlConfig};
 
-/// The system allocator, counting live bytes and their peak.
-struct Counting;
-
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
-
-/// Add `by` to the live bytes and raise the peak to the new total.
-fn grow(by: isize) {
-    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// only observe the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// One measurement at a time: the counters see every thread.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The most live heap the 100-site crawl through all ten apps and the
 /// baseline adds above its inputs on `workers` workers, and the bytes its
@@ -60,15 +23,14 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
 fn crawl_footprint(workers: usize) -> (usize, usize) {
     let _serial = one_at_a_time();
     let sites = top_100_sites();
-    let inputs = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(inputs, Ordering::Relaxed);
+    let inputs = reset_peak();
     let out = run_crawl_pipeline(&sites, None, CrawlConfig { workers });
-    let peak = (PEAK_BYTES.load(Ordering::Relaxed) - inputs) as usize;
+    let peak = peak_above(inputs);
     assert_eq!(out.stats.visits_completed, 1_100);
     assert_eq!(out.stats.workers.len(), workers);
-    let with_output = LIVE_BYTES.load(Ordering::Relaxed);
+    let with_output = live().0;
     drop(out);
-    let held = (with_output - LIVE_BYTES.load(Ordering::Relaxed)) as usize;
+    let held = (with_output - live().0) as usize;
     eprintln!(
         "{workers} workers: the crawl peaks {peak} bytes ({:.1} KiB) above its inputs; \
          its output holds {held} bytes ({:.1} KiB)",

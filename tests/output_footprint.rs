@@ -6,68 +6,14 @@
 //! workers have joined before a runner returns. `tests/run_peaks.rs`
 //! bounds what the runners add while they run.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use wla_corpus::{CorpusConfig, GeneratedApp, Generator};
+mod common;
+
+use common::{corpus, live, one_at_a_time, Counting, TWO_WORKERS};
 use wla_sdk_index::SdkIndex;
 use wla_static::{run_pipeline, PipelineConfig};
 
-/// The system allocator, counting live bytes and blocks.
-struct Counting;
-
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-static LIVE_BLOCKS: AtomicIsize = AtomicIsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// only observe the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn live() -> (isize, isize) {
-    (
-        LIVE_BYTES.load(Ordering::Relaxed),
-        LIVE_BLOCKS.load(Ordering::Relaxed),
-    )
-}
-
-/// One measurement at a time: the counters see every thread.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The `scale` corpus at `wla`'s default seed.
-fn corpus(catalog: &SdkIndex, scale: u32) -> Vec<GeneratedApp> {
-    let config = CorpusConfig {
-        scale,
-        seed: 0xDA7A_5EED,
-        ..CorpusConfig::default()
-    };
-    Generator::new(catalog, config).generate()
-}
 
 /// What the 1:100 corpus at `wla`'s default seed holds on the heap
 /// beyond its container bytes, measured as what dropping it frees: ≤ 112
@@ -95,15 +41,6 @@ fn a_corpus_holds_its_containers_and_little_else() {
     );
     assert!(beyond <= 112 * n, "{beyond} bytes beyond the containers");
     assert!(blocks <= 2 * n + 1, "{blocks} heap blocks");
-}
-
-fn workers(workers: usize) -> PipelineConfig {
-    PipelineConfig { workers }
-}
-
-/// Two workers: the bounds below were measured at two.
-fn two_workers() -> PipelineConfig {
-    workers(2)
 }
 
 /// Bytes and heap blocks the `run_pipeline` output of the `scale`
@@ -150,7 +87,7 @@ fn output_footprint(scale: u32, config: PipelineConfig) -> (usize, usize, usize)
 /// has 1,468 apps.
 #[test]
 fn output_holds_no_per_app_allocation() {
-    let (bytes, blocks, _) = output_footprint(100, two_workers());
+    let (bytes, blocks, _) = output_footprint(100, TWO_WORKERS);
     assert!(bytes <= 325 * 1024, "output holds {bytes} bytes");
     assert!(blocks <= 315, "output holds {blocks} heap blocks");
 }
@@ -163,7 +100,7 @@ fn output_holds_no_per_app_allocation() {
 #[test]
 fn output_footprint_does_not_depend_on_the_worker_count() {
     let footprint = |n| {
-        let (_, blocks, reported) = output_footprint(100, workers(n));
+        let (_, blocks, reported) = output_footprint(100, PipelineConfig { workers: n });
         (reported, blocks)
     };
     let one = footprint(1);
@@ -178,7 +115,7 @@ fn output_footprint_does_not_depend_on_the_worker_count() {
 #[test]
 #[ignore = "scale 10: run in release mode"]
 fn scale_10_output_footprint() {
-    let (bytes, blocks, _) = output_footprint(10, two_workers());
+    let (bytes, blocks, _) = output_footprint(10, TWO_WORKERS);
     assert!(bytes <= 3_000_000, "output holds {bytes} bytes");
     assert!(blocks <= 3_200, "output holds {blocks} heap blocks");
 }

@@ -11,72 +11,14 @@
 //! the 1:100 measurements one after another, and `--ignored` the
 //! scale-10 ones. The pool's workers have joined before a runner returns.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-use wla_corpus::{CorpusConfig, GeneratedApp, Generator};
+mod common;
+
+use common::{corpus, live, peak_above, reset_peak, Counting, TWO_WORKERS};
 use wla_sdk_index::SdkIndex;
-use wla_static::{run_pipeline, run_pipeline_tallied, PipelineConfig};
-
-/// The system allocator, counting live bytes and their peak.
-struct Counting;
-
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
-
-/// Add `by` to the live bytes and raise the peak to the new total.
-fn grow(by: isize) {
-    let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// only observe the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use wla_static::{run_pipeline, run_pipeline_tallied};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Live bytes now; the peak starts again from here.
-fn reset_peak() -> isize {
-    let live = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(live, Ordering::Relaxed);
-    live
-}
-
-/// The peak since `reset_peak` returned `from`, above `from`.
-fn peak_above(from: isize) -> usize {
-    (PEAK_BYTES.load(Ordering::Relaxed) - from) as usize
-}
-
-/// The `scale` corpus at `wla`'s default seed, and the catalog.
-fn inputs(scale: u32) -> (SdkIndex, Vec<GeneratedApp>) {
-    let catalog = SdkIndex::paper();
-    let config = CorpusConfig {
-        scale,
-        seed: 0xDA7A_5EED,
-        ..CorpusConfig::default()
-    };
-    let apps = Generator::new(&catalog, config).generate();
-    (catalog, apps)
-}
-
-/// Two workers: the bounds below were measured at two.
-const TWO_WORKERS: PipelineConfig = PipelineConfig { workers: 2 };
 
 /// The most live heap a two-worker `run_pipeline_tallied` over the `scale`
 /// corpus adds, at any moment of its run, above the heap that holds the
@@ -86,7 +28,8 @@ const TWO_WORKERS: PipelineConfig = PipelineConfig { workers: 2 };
 /// in flight. A `Vec` or a lexicon that keeps something per app, or per
 /// distinct name the corpus holds, grows with the corpus instead.
 fn fold_peak(scale: u32) -> usize {
-    let (catalog, apps) = inputs(scale);
+    let catalog = SdkIndex::paper();
+    let apps = corpus(&catalog, scale);
     let from = reset_peak();
     let results = run_pipeline_tallied(&apps, &catalog, TWO_WORKERS, 1);
     let peak = peak_above(from);
@@ -107,13 +50,14 @@ fn fold_peak(scale: u32) -> usize {
 /// runs, and the join holds the workers' lexicons and the merge's
 /// per-symbol tables while it builds the output's symbol table.
 fn keep_output_peak(scale: u32) -> usize {
-    let (catalog, apps) = inputs(scale);
+    let catalog = SdkIndex::paper();
+    let apps = corpus(&catalog, scale);
     let from = reset_peak();
     let out = run_pipeline(&apps, &catalog, TWO_WORKERS);
     let peak = peak_above(from);
-    let with_output = LIVE_BYTES.load(Ordering::Relaxed);
+    let with_output = live().0;
     drop(out);
-    let output = (with_output - LIVE_BYTES.load(Ordering::Relaxed)) as usize;
+    let output = (with_output - live().0) as usize;
     let above = peak - output;
     eprintln!(
         "1:{scale}: {} apps, run_pipeline peaks {above} bytes ({:.1} KiB) above its inputs \
