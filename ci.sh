@@ -9,18 +9,23 @@
 # workers plus a full resume pass, where at each worker count the in-memory
 # aggregate and the fold's (`run_pipeline_tallied`) must equal the streamed
 # one, ~22 s once built — the one test that takes the pipeline join, the
-# tally merge and the resume cache through a 50K+ corpus), and the
-# scale-10 footprint bounds (the ignored root `output_footprint` and
-# `run_peaks` tests in release: what a 14,680-app `run_pipeline` output
-# holds, the most that run adds above its inputs and its output, and the
-# most a `run_pipeline_tallied` fold adds above its inputs, counted by a
-# global allocator; ~4 s once built), and the full-universe funnel count (the
+# tally merge and the resume cache through a 50K+ corpus), and the heap
+# bounds in release (each root heap test binary, `output_footprint`,
+# `run_peaks` and `crawl_footprint`, run once with `--include-ignored`,
+# so its 1:100 tests and its ignored scale-10 ones run side by side and a
+# test that measures without the lock fails: what a 14,680-app
+# `run_pipeline` output holds, the most that run adds above its inputs
+# and its output, and the most a `run_pipeline_tallied` fold adds above
+# its inputs, counted by a global allocator; ~6 s once built), and the
+# full-universe funnel count (the
 # ignored `wla-corpus` unit test in release: `count_funnel` must equal
 # folding all 6,507,222 `MetadataUniverse` records at three seeds, and
 # read Table 2's rows at the default one; ~8 s once built), and the
-# release-only stdout pins (the ignored `tests/pins.rs` tests in release:
-# the FNV-1a-64 of `wla static --scale 10`'s and `wla all --scale 10`'s
-# stdout; ~2 s once built). The debug suite pins every other `wla`
+# release-only pins (the ignored `tests/pins.rs` tests in release: the
+# FNV-1a-64 of `wla static --scale 10`'s and `wla all --scale 10`'s
+# stdout, and EXPERIMENTS.md's "paper vs measured" blocks against what
+# `wla all --scale 25` and `wla static --scale 10` print; ~4 s once
+# built). The debug suite pins every other `wla`
 # subcommand's stdout at its default flags, the 1:100 and what-if corpus
 # bytes, the SDK catalog, the resume-cache bytes and the 100 prepared
 # crawl pages (`tests/pins.rs`), the stats tables
@@ -600,14 +605,18 @@ cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.tom
 echo "== paper-scale streamed, in-memory and folded runs (73,400 apps, release) =="
 cargo test --release -q -p wla-static --test stream_equivalence -- --ignored
 
-echo "== scale-10 output footprint and runner peaks (14,680 apps, release) =="
-cargo test --release -q --test output_footprint -- --ignored
-cargo test --release -q --test run_peaks -- --ignored
+echo "== heap bounds, 1:100 and scale-10 in one run per binary (release) =="
+# `--include-ignored`: each heap test binary runs its debug-suite tests and
+# its ignored scale-10 ones together, so a test that measures without the
+# lock (`one_at_a_time`) counts another test's allocations and fails here.
+cargo test --release -q --test output_footprint -- --include-ignored
+cargo test --release -q --test run_peaks -- --include-ignored
+cargo test --release -q --test crawl_footprint -- --include-ignored
 
 echo "== full-universe funnel count (6,507,222 records at three seeds, release) =="
 cargo test --release -q -p wla-corpus --lib -- --ignored
 
-echo "== scale-10 stdout pins (wla static and wla all, release) =="
+echo "== release-only pins: scale-10 stdout and EXPERIMENTS.md's tables =="
 cargo test --release -q --test pins -- --ignored
 
 echo "== cargo build --benches (smoke) =="

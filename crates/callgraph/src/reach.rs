@@ -8,11 +8,13 @@
 //! — the worker's `AnalysisCtx` owns one scratch for its whole shard.
 //!
 //! Recording is also where strings leave the hot path: every name a site
-//! carries (method, classes, package, argument) is interned into the
-//! worker's [`LocalInterner`] here, and the caller package is labeled
-//! against the SDK catalog while its dotted text is still at hand.
-//! Downstream stages (summaries, aggregation) operate purely on the
-//! resulting `u32` handles.
+//! carries (method, classes, argument) is interned into the worker's
+//! [`LocalInterner`] here, and the caller package is derived from the
+//! caller class and labeled against the SDK catalog while its dotted text
+//! is still at hand. A site keeps the label, not the package: the package
+//! is a function of the class (`wla_apk::names::package_of`), and a reader
+//! that prints it derives it. Downstream stages (summaries, aggregation)
+//! operate purely on the resulting `u32` handles.
 
 use crate::graph::{BuildStats, CallGraph, CallSite, UrlOrigin};
 use std::collections::{HashMap, HashSet};
@@ -35,9 +37,8 @@ pub struct WebViewSite {
     /// Binary name of the static receiver type (WebView itself or a
     /// subclass).
     pub receiver_class: Symbol,
-    /// Dotted package of the caller class (`None` for the default package).
-    pub caller_package: Option<PkgId>,
-    /// Catalog label of the caller package, resolved at record time.
+    /// Catalog label of the caller class's package, resolved at record
+    /// time (`Unlabeled` for the default package).
     pub label: LabelId,
     /// Resolved string argument of the call (URL / JS / bridge name),
     /// when provenance analysis pinned it to a single constant.
@@ -58,9 +59,8 @@ pub struct CtSite {
     pub is_launch: bool,
     /// Binary name of the class containing the call.
     pub caller_class: Symbol,
-    /// Dotted package of the caller class (`None` for the default package).
-    pub caller_package: Option<PkgId>,
-    /// Catalog label of the caller package, resolved at record time.
+    /// Catalog label of the caller class's package, resolved at record
+    /// time (`Unlabeled` for the default package).
     pub label: LabelId,
     /// Resolved URL argument for `launchUrl` sites, when provenance
     /// analysis pinned it to a single constant.
@@ -246,8 +246,8 @@ pub fn reachable_methods(graph: &CallGraph<'_>, roots: &[MethodId]) -> HashSet<M
 /// `webview_subclasses` is the set of (interned) binary names the
 /// decompilation step found to extend WebView; its symbols must come from
 /// `lexicon`. Caller classes are interned once per dex type (memoized),
-/// their packages extracted into a reused scratch buffer and labeled
-/// through `labels`.
+/// their packages extracted into a reused scratch buffer, interned as the
+/// key of `labels` and labeled through it.
 pub fn record_web_calls_with(
     graph: &CallGraph<'_>,
     roots: &[MethodId],
@@ -309,10 +309,9 @@ pub(crate) fn record_sites(
 ) -> WebCallRecord {
     let mut record = WebCallRecord::default();
 
-    // TypeId → (class symbol, package + label). TypeIds are per-dex, so
-    // this memo must not outlive the call.
-    type CallerInfo = (Symbol, Option<(PkgId, LabelId)>);
-    let mut callers: HashMap<u32, CallerInfo, FxBuildHasher> = HashMap::default();
+    // TypeId → (class symbol, label). TypeIds are per-dex, so this memo
+    // must not outlive the call.
+    let mut callers: HashMap<u32, (Symbol, LabelId), FxBuildHasher> = HashMap::default();
     let mut scratch = String::new();
 
     for site in sites {
@@ -339,19 +338,16 @@ pub(crate) fn record_sites(
             continue;
         }
 
-        let (caller_class, package) = *callers.entry(site.caller_class.0).or_insert_with(|| {
+        let (caller_class, label) = *callers.entry(site.caller_class.0).or_insert_with(|| {
             let class_name = dex.type_name(site.caller_class);
             let sym = lexicon.intern(class_name);
-            let pkg = package_of_into(class_name, &mut scratch).then(|| {
-                let id = PkgId(lexicon.intern(&scratch));
-                (id, labels.label(catalog, id, &scratch))
-            });
-            (sym, pkg)
+            let label = if package_of_into(class_name, &mut scratch) {
+                labels.label(catalog, PkgId(lexicon.intern(&scratch)), &scratch)
+            } else {
+                LabelId::Unlabeled
+            };
+            (sym, label)
         });
-        let (caller_package, label) = match package {
-            Some((id, l)) => (Some(id), l),
-            None => (None, LabelId::Unlabeled),
-        };
         let reachable = is_reachable(site.caller);
         let argument = site
             .provenance
@@ -365,7 +361,6 @@ pub(crate) fn record_sites(
                 method_idx: idx as u8,
                 caller_class,
                 receiver_class: lexicon.intern(receiver),
-                caller_package,
                 label,
                 argument,
                 origin,
@@ -378,7 +373,6 @@ pub(crate) fn record_sites(
                 method: lexicon.intern(name),
                 is_launch: name == CT_LAUNCH_METHOD,
                 caller_class,
-                caller_package,
                 label,
                 argument,
                 origin,
@@ -548,10 +542,6 @@ mod tests {
         assert_eq!(
             dead[0].argument.map(|s| lexicon.resolve(s)),
             Some("https://dead.example")
-        );
-        assert_eq!(
-            dead[0].caller_package.map(|p| lexicon.resolve(p.symbol())),
-            Some("com.x")
         );
 
         // Subclass receiver recorded as WebView usage, with the Table 7

@@ -17,10 +17,10 @@
 //! both pipelines — `wla serve` exposes exactly that.
 
 use std::sync::Arc;
+use wla_apk::names::package_of_into;
 use wla_apk::ApkError;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::{AppMeta, PlayCategory};
-use wla_intern::Symbol;
 use wla_net::beacon::{beacon_routes, BeaconStore};
 use wla_net::http::{parse_form, Method, Request, Response, Status};
 use wla_net::netlog::{netlog_routes, NetLog};
@@ -116,39 +116,41 @@ fn label_str(label: LabelId, catalog: &SdkIndex) -> &'static str {
     }
 }
 
-fn opt_sym_json(sym: Option<Symbol>, ctx: &AnalysisCtx<'_>) -> String {
-    match sym {
-        Some(s) => format!("\"{}\"", escape(ctx.lexicon.resolve(s))),
+fn opt_json(text: Option<&str>) -> String {
+    match text {
+        Some(text) => format!("\"{}\"", escape(text)),
         None => "null".to_owned(),
     }
 }
 
-fn webview_site_json(s: &WebViewSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
+fn webview_site_json(s: &WebViewSiteSummary, ctx: &AnalysisCtx<'_>, pkg: &mut String) -> String {
+    let class = ctx.lexicon.resolve(s.caller_class);
     format!(
         "{{\"method\":\"{}\",\"caller_class\":\"{}\",\"caller_package\":{},\"label\":\"{}\",\
          \"deep_link\":{},\"load_method\":{},\"argument\":{},\"origin\":\"{}\"}}",
         escape(s.method()),
-        escape(ctx.lexicon.resolve(s.caller_class)),
-        opt_sym_json(s.caller_package.map(|p| p.symbol()), ctx),
+        escape(class),
+        opt_json(package_of_into(class, pkg).then_some(pkg)),
         escape(label_str(s.label, ctx.catalog)),
         s.in_deep_link_activity,
         s.is_load_method(),
-        opt_sym_json(s.argument, ctx),
+        opt_json(s.argument.map(|a| ctx.lexicon.resolve(a))),
         origin_str(s.origin),
     )
 }
 
-fn ct_site_json(s: &CtSiteSummary, ctx: &AnalysisCtx<'_>) -> String {
+fn ct_site_json(s: &CtSiteSummary, ctx: &AnalysisCtx<'_>, pkg: &mut String) -> String {
+    let class = ctx.lexicon.resolve(s.caller_class);
     format!(
         "{{\"method\":\"{}\",\"caller_class\":\"{}\",\"caller_package\":{},\"label\":\"{}\",\
          \"deep_link\":{},\"launch\":{},\"argument\":{},\"origin\":\"{}\"}}",
         escape(ctx.lexicon.resolve(s.method)),
-        escape(ctx.lexicon.resolve(s.caller_class)),
-        opt_sym_json(s.caller_package.map(|p| p.symbol()), ctx),
+        escape(class),
+        opt_json(package_of_into(class, pkg).then_some(pkg)),
         escape(label_str(s.label, ctx.catalog)),
         s.in_deep_link_activity,
         s.is_launch,
-        opt_sym_json(s.argument, ctx),
+        opt_json(s.argument.map(|a| ctx.lexicon.resolve(a))),
         origin_str(s.origin),
     )
 }
@@ -168,15 +170,18 @@ pub fn analysis_json(analysis: AppView<'_>, meta: &AppMeta, ctx: &AnalysisCtx<'_
         .iter()
         .map(|c| format!("\"{}\"", escape(ctx.lexicon.resolve(*c))))
         .collect();
+    // A site's caller package is derived from its class, as the recorder
+    // derived the package it labeled, into this one scratch string.
+    let mut package = String::new();
     let wv: Vec<String> = analysis
         .webview_sites
         .iter()
-        .map(|s| webview_site_json(s, ctx))
+        .map(|s| webview_site_json(s, ctx, &mut package))
         .collect();
     let ct: Vec<String> = analysis
         .ct_sites
         .iter()
-        .map(|s| ct_site_json(s, ctx))
+        .map(|s| ct_site_json(s, ctx, &mut package))
         .collect();
     format!(
         "{{\"package\":\"{}\",\"category\":\"{}\",\"downloads\":{},\

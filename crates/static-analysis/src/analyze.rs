@@ -2,9 +2,11 @@
 //! subclass map → call graph → recorded, deep-link-filtered call sites.
 //!
 //! Everything downstream of decoding speaks the interned IR: site
-//! summaries carry [`Symbol`]/[`PkgId`] handles resolved against the
-//! worker's [`LocalInterner`], and package labels are baked in at record
-//! time. Results go straight into the worker's [`ResultTable`]: the
+//! summaries carry [`Symbol`] handles resolved against the worker's
+//! [`LocalInterner`], and package labels are baked in at record time. A
+//! site stores its caller class and that label, not the package: a reader
+//! that prints the package derives it from the class. Results go straight
+//! into the worker's [`ResultTable`]: the
 //! app's WebView-site, Custom-Tabs-site and custom-class records, then
 //! one fixed-size row (Play category, record ends, package text,
 //! unreachable-site count) committed when the app is done. A failed
@@ -28,7 +30,7 @@ use wla_callgraph::{
 };
 use wla_corpus::playstore::{AppMeta, PlayCategory};
 use wla_decompile::webview_subclasses_dex_interned;
-use wla_intern::{LocalInterner, PkgId, Symbol};
+use wla_intern::{LocalInterner, Symbol};
 use wla_manifest::{wireformat, Manifest};
 use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
 
@@ -151,10 +153,13 @@ impl<'c> AnalysisCtx<'c> {
     }
 }
 
-/// One reachable WebView content-method call, summarized for aggregation.
-/// Names are symbols in the producing [`AnalysisCtx`]'s lexicon (or the
-/// run's symbol table after the join). The method is its index alone:
-/// its name and whether it loads content both follow from it.
+/// One reachable WebView content-method call, summarized for aggregation:
+/// 16 bytes. Names are symbols in the producing [`AnalysisCtx`]'s lexicon
+/// (or the run's symbol table after the join). The method is its index
+/// alone: its name and whether it loads content both follow from it. The
+/// caller package follows from the caller class
+/// ([`package_of`](wla_apk::names::package_of)), so only its label is
+/// stored; a reader that prints the package derives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WebViewSiteSummary {
     /// Position of the method in
@@ -163,9 +168,8 @@ pub struct WebViewSiteSummary {
     pub method_idx: u8,
     /// Binary name of the calling class.
     pub caller_class: Symbol,
-    /// Dotted package of the calling class (`None` for default package).
-    pub caller_package: Option<PkgId>,
-    /// Catalog label of the caller package, fixed at record time.
+    /// Catalog label of the calling class's package, fixed at record time
+    /// (`Unlabeled` for the default package).
     pub label: LabelId,
     /// The call sits inside a deep-link (first-party) activity and is
     /// excluded from third-party accounting.
@@ -190,7 +194,8 @@ impl WebViewSiteSummary {
     }
 }
 
-/// One reachable Custom-Tabs interaction.
+/// One reachable Custom-Tabs interaction: 20 bytes. Like a WebView site,
+/// it stores its caller package's label, not the package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtSiteSummary {
     /// `launchUrl`, `build`, or `<init>`.
@@ -199,9 +204,8 @@ pub struct CtSiteSummary {
     pub is_launch: bool,
     /// Binary name of the calling class.
     pub caller_class: Symbol,
-    /// Dotted package of the calling class.
-    pub caller_package: Option<PkgId>,
-    /// Catalog label of the caller package, fixed at record time.
+    /// Catalog label of the calling class's package, fixed at record time
+    /// (`Unlabeled` for the default package).
     pub label: LabelId,
     /// Deep-link exclusion flag (parallel to WebView sites).
     pub in_deep_link_activity: bool,
@@ -281,12 +285,10 @@ impl<'a> AppView<'a> {
         let mut out = Vec::new();
         for s in self.webview_sites {
             out.push(s.caller_class);
-            out.extend(s.caller_package.map(PkgId::symbol));
             out.extend(s.argument);
         }
         for s in self.ct_sites {
             out.extend([s.method, s.caller_class]);
-            out.extend(s.caller_package.map(PkgId::symbol));
             out.extend(s.argument);
         }
         out.extend(self.custom_webview_classes);
@@ -405,7 +407,6 @@ fn finish_analysis(
             row.push_webview(WebViewSiteSummary {
                 method_idx: s.method_idx,
                 caller_class: s.caller_class,
-                caller_package: s.caller_package,
                 label: s.label,
                 in_deep_link_activity: deep_link_classes.contains(&s.caller_class),
                 argument: s.argument,
@@ -417,7 +418,6 @@ fn finish_analysis(
                 method: s.method,
                 is_launch: s.is_launch,
                 caller_class: s.caller_class,
-                caller_package: s.caller_package,
                 label: s.label,
                 in_deep_link_activity: deep_link_classes.contains(&s.caller_class),
                 argument: s.argument,
@@ -462,6 +462,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wla_apk::names::package_of;
     use wla_corpus::ecosystem::{Ecosystem, MethodSet};
     use wla_corpus::lowering::lower;
     use wla_corpus::playstore::PlayCategory;
@@ -658,8 +659,8 @@ mod tests {
     #[test]
     fn records_have_exact_layouts() {
         use std::mem::size_of;
-        assert!(size_of::<WebViewSiteSummary>() <= 20);
-        assert!(size_of::<CtSiteSummary>() <= 24);
+        assert!(size_of::<WebViewSiteSummary>() <= 16);
+        assert!(size_of::<CtSiteSummary>() <= 20);
         assert!(size_of::<crate::table::AppRow>() <= 24);
     }
 
@@ -670,7 +671,6 @@ mod tests {
             let site = WebViewSiteSummary {
                 method_idx: i as u8,
                 caller_class: LocalInterner::new().intern("C"),
-                caller_package: None,
                 label: LabelId::Unlabeled,
                 in_deep_link_activity: false,
                 argument: None,
@@ -721,11 +721,10 @@ mod tests {
         let mut ctx = AnalysisCtx::new(&catalog);
         let row = analyze_app_timed_with(&meta(), bytes, &mut ctx).unwrap();
         let analysis = ctx.results.get(row).unwrap();
-        let load_packages: HashSet<&str> = analysis
+        let load_packages: HashSet<String> = analysis
             .third_party_webview()
             .filter(|s| s.is_load_method())
-            .filter_map(|s| s.caller_package)
-            .map(|p| ctx.lexicon.resolve(p.symbol()))
+            .filter_map(|s| package_of(ctx.lexicon.resolve(s.caller_class)))
             .collect();
         assert!(
             load_packages.iter().all(|p| p.starts_with("com.applovin")),

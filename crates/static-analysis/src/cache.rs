@@ -17,14 +17,22 @@
 //! by first-occurrence input order of the *strings*, a resumed run
 //! produces bit-identical results to a fresh one.
 //!
+//! A site is written with its caller package after its caller class, as
+//! format 2 has always stored it, but the package is not a field of the
+//! site: the writer derives it from the class
+//! ([`package_of_into`]), the way the recorder derived the package it
+//! labeled, and the loader checks the stored package against the one its
+//! class derives and does not intern it.
+//!
 //! The loader is strictly best-effort: a missing file, stale stamp, bad
 //! checksum, unknown version, or any parse failure is a cache miss, and
 //! the table is left exactly as it was: rows committed before the failure
 //! are dropped. The shard is simply re-analyzed. A parse failure includes
 //! a WebView site whose method name or load flag disagrees with its method
-//! index, and an SDK label at or past the loading worker's catalog, which
-//! aggregation would index out of bounds. Nothing here can corrupt a run,
-//! only fail to accelerate it.
+//! index, a site whose stored caller package is not the one its caller
+//! class derives, and an SDK label at or past the loading worker's
+//! catalog, which aggregation would index out of bounds. Nothing here can
+//! corrupt a run, only fail to accelerate it.
 
 use crate::analyze::{AnalysisCtx, AppView, CtSiteSummary, WebViewSiteSummary};
 use crate::table::ResultTable;
@@ -33,13 +41,13 @@ use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
-use wla_apk::names::WEBVIEW_CONTENT_METHODS;
+use wla_apk::names::{package_of_into, WEBVIEW_CONTENT_METHODS};
 use wla_apk::wire::{adler32, get_uvarint, put_string, put_uvarint};
 use wla_apk::ApkError;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
 use wla_corpus::shard::{write_atomic, ShardStamp};
-use wla_intern::{LocalInterner, PkgId, Symbol};
+use wla_intern::{LocalInterner, Symbol};
 use wla_sdk_index::LabelId;
 
 /// Leading magic bytes of a result-cache file.
@@ -68,14 +76,21 @@ fn leak_static(s: &str) -> &'static str {
     leaked
 }
 
-fn put_opt_symbol(buf: &mut Vec<u8>, sym: Option<Symbol>, lex: &LocalInterner) {
-    match sym {
+fn put_opt_str(buf: &mut Vec<u8>, text: Option<&str>) {
+    match text {
         None => buf.push(0),
-        Some(s) => {
+        Some(text) => {
             buf.push(1);
-            put_string(buf, lex.resolve(s));
+            put_string(buf, text);
         }
     }
+}
+
+/// A site's caller class, then the package it derives (through
+/// `scratch`).
+fn put_caller(buf: &mut Vec<u8>, class: &str, scratch: &mut String) {
+    put_string(buf, class);
+    put_opt_str(buf, package_of_into(class, scratch).then_some(scratch));
 }
 
 fn put_label(buf: &mut Vec<u8>, label: LabelId) {
@@ -152,30 +167,28 @@ fn put_error(buf: &mut Vec<u8>, e: &ApkError) {
     }
 }
 
-fn put_analysis(buf: &mut Vec<u8>, a: AppView<'_>, lex: &LocalInterner) {
+fn put_analysis(buf: &mut Vec<u8>, a: AppView<'_>, lex: &LocalInterner, scratch: &mut String) {
     put_string(buf, a.category.label());
     put_string(buf, a.package);
     put_uvarint(buf, a.webview_sites.len() as u64);
     for s in a.webview_sites {
         put_string(buf, s.method());
         buf.push(s.method_idx);
-        put_string(buf, lex.resolve(s.caller_class));
-        put_opt_symbol(buf, s.caller_package.map(|p| p.symbol()), lex);
+        put_caller(buf, lex.resolve(s.caller_class), scratch);
         put_label(buf, s.label);
         buf.push(s.in_deep_link_activity as u8);
         buf.push(s.is_load_method() as u8);
-        put_opt_symbol(buf, s.argument, lex);
+        put_opt_str(buf, s.argument.map(|a| lex.resolve(a)));
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.ct_sites.len() as u64);
     for s in a.ct_sites {
         put_string(buf, lex.resolve(s.method));
         buf.push(s.is_launch as u8);
-        put_string(buf, lex.resolve(s.caller_class));
-        put_opt_symbol(buf, s.caller_package.map(|p| p.symbol()), lex);
+        put_caller(buf, lex.resolve(s.caller_class), scratch);
         put_label(buf, s.label);
         buf.push(s.in_deep_link_activity as u8);
-        put_opt_symbol(buf, s.argument, lex);
+        put_opt_str(buf, s.argument.map(|a| lex.resolve(a)));
         buf.push(s.origin as u8);
     }
     put_uvarint(buf, a.custom_webview_classes.len() as u64);
@@ -200,11 +213,12 @@ pub(crate) fn write_result_cache(
     file.extend_from_slice(&stamp.file_len.to_le_bytes());
     file.extend_from_slice(&[0u8; 4]); // body checksum, patched below
     put_uvarint(&mut file, table.len() as u64);
+    let mut package = String::new();
     for row in table.iter() {
         match row {
             Ok(a) => {
                 file.push(0);
-                put_analysis(&mut file, a, lex);
+                put_analysis(&mut file, a, lex, &mut package);
             }
             Err(e) => {
                 file.push(1);
@@ -248,12 +262,26 @@ fn get_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Symbol, ApkErr
     Ok(lex.intern(get_str(cur)?))
 }
 
-fn get_opt_symbol(cur: &mut &[u8], lex: &mut LocalInterner) -> Result<Option<Symbol>, ApkError> {
+fn get_opt_str<'a>(cur: &mut &'a [u8]) -> Result<Option<&'a str>, ApkError> {
     if get_bool(cur)? {
-        Ok(Some(get_symbol(cur, lex)?))
+        get_str(cur).map(Some)
     } else {
         Ok(None)
     }
+}
+
+/// A site's caller class, interned, once its stored package is the one
+/// the class derives (through `scratch`).
+fn get_caller(
+    cur: &mut &[u8],
+    lex: &mut LocalInterner,
+    scratch: &mut String,
+) -> Result<Symbol, ApkError> {
+    let class = get_str(cur)?;
+    if get_opt_str(cur)? != package_of_into(class, scratch).then_some(scratch.as_str()) {
+        return Err(ApkError::Invalid("cache caller package"));
+    }
+    Ok(lex.intern(class))
 }
 
 /// A label; an SDK's index must be one of the catalog's `sdks`, and an
@@ -347,7 +375,12 @@ fn get_count(cur: &mut &[u8], what: &'static str) -> Result<usize, ApkError> {
 }
 
 /// Parse one analysis and commit it as the next row of `ctx.results`.
-fn get_analysis(cur: &mut &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkError> {
+/// `scratch` holds each site's derived caller package in turn.
+fn get_analysis(
+    cur: &mut &[u8],
+    ctx: &mut AnalysisCtx<'_>,
+    scratch: &mut String,
+) -> Result<(), ApkError> {
     let sdks = ctx.catalog.sdks().len();
     let lex = &mut ctx.lexicon;
     let category = get_category(cur)?;
@@ -359,17 +392,15 @@ fn get_analysis(cur: &mut &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkErr
         if WEBVIEW_CONTENT_METHODS.get(method_idx as usize) != Some(&method) {
             return Err(ApkError::Invalid("cache method name"));
         }
-        let caller_class = get_symbol(cur, lex)?;
-        let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
+        let caller_class = get_caller(cur, lex, scratch)?;
         let label = get_label(cur, sdks)?;
         let in_deep_link_activity = get_bool(cur)?;
         let is_load_method = get_bool(cur)?;
-        let argument = get_opt_symbol(cur, lex)?;
+        let argument = get_opt_str(cur)?.map(|a| lex.intern(a));
         let origin = get_origin(cur)?;
         let site = WebViewSiteSummary {
             method_idx,
             caller_class,
-            caller_package,
             label,
             in_deep_link_activity,
             argument,
@@ -383,17 +414,15 @@ fn get_analysis(cur: &mut &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkErr
     for _ in 0..get_count(cur, "cache site count")? {
         let method = get_symbol(cur, lex)?;
         let is_launch = get_bool(cur)?;
-        let caller_class = get_symbol(cur, lex)?;
-        let caller_package = get_opt_symbol(cur, lex)?.map(PkgId);
+        let caller_class = get_caller(cur, lex, scratch)?;
         let label = get_label(cur, sdks)?;
         let in_deep_link_activity = get_bool(cur)?;
-        let argument = get_opt_symbol(cur, lex)?;
+        let argument = get_opt_str(cur)?.map(|a| lex.intern(a));
         let origin = get_origin(cur)?;
         row.push_ct(CtSiteSummary {
             method,
             is_launch,
             caller_class,
-            caller_package,
             label,
             in_deep_link_activity,
             argument,
@@ -412,9 +441,10 @@ fn get_analysis(cur: &mut &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkErr
 /// Parse a cache body, committing each entry as the next row of
 /// `ctx.results`.
 fn parse_body(mut cur: &[u8], ctx: &mut AnalysisCtx<'_>) -> Result<(), ApkError> {
+    let mut package = String::new();
     for _ in 0..get_count(&mut cur, "cache result count")? {
         match get_u8(&mut cur)? {
-            0 => get_analysis(&mut cur, ctx)?,
+            0 => get_analysis(&mut cur, ctx, &mut package)?,
             1 => {
                 ctx.results.commit_error(get_error(&mut cur)?);
             }
@@ -483,7 +513,6 @@ mod tests {
         row.push_webview(WebViewSiteSummary {
             method_idx: 0,
             caller_class: lex.intern("com/sdk/ads/Banner"),
-            caller_package: Some(PkgId(lex.intern("com.sdk.ads"))),
             label: LabelId::Sdk(3),
             in_deep_link_activity: false,
             argument: Some(lex.intern("https://ads.example/")),
@@ -493,7 +522,6 @@ mod tests {
             method: lex.intern("launchUrl"),
             is_launch: true,
             caller_class: lex.intern("com/app/Main"),
-            caller_package: None,
             label: LabelId::Unlabeled,
             in_deep_link_activity: true,
             argument: None,
@@ -698,10 +726,8 @@ mod tests {
             ("trailing byte", edited(&|f| f.push(0))),
         ];
         let catalog = SdkIndex::paper();
-        for (what, mut bad) in damaged {
-            let checksum = adler32(&bad[CACHE_PREFIX..]);
-            bad[CACHE_PREFIX - 4..CACHE_PREFIX].copy_from_slice(&checksum.to_le_bytes());
-            fs::write(&path, &bad).unwrap();
+        for (what, bad) in damaged {
+            fs::write(&path, restamped(bad)).unwrap();
             let mut ctx = kept_rows(&catalog);
             let before = ctx.results.clone();
             assert!(!load_result_cache(&path, stamp(), &mut ctx), "{what}");
@@ -712,6 +738,66 @@ mod tests {
         let mut ctx = AnalysisCtx::new(&catalog);
         assert!(load_result_cache(&path, stamp(), &mut ctx));
         assert_eq!(ctx.results.len(), results.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `file` with its body checksum recomputed, so damage reaches the
+    /// parser.
+    fn restamped(mut file: Vec<u8>) -> Vec<u8> {
+        let checksum = adler32(&file[CACHE_PREFIX..]);
+        file[CACHE_PREFIX - 4..CACHE_PREFIX].copy_from_slice(&checksum.to_le_bytes());
+        file
+    }
+
+    /// A site's stored caller package must be the package its caller
+    /// class derives: a file that stores another package, or none for a
+    /// class in a package, is a miss that keeps the table, however well
+    /// its checksum matches.
+    #[test]
+    fn a_caller_package_its_class_does_not_derive_is_a_miss() {
+        let dir = temp_dir("package");
+        let path = dir.join("s.done");
+        let mut lex = LocalInterner::new();
+        let results = sample_table(&mut lex);
+        write_result_cache(&path, stamp(), &results, &lex).unwrap();
+        let pristine = fs::read(&path).unwrap();
+        // Each site stores its class, then a package flag and the package.
+        let splice = |from: &[u8], to: &[u8]| {
+            let at = pristine
+                .windows(from.len())
+                .position(|w| w == from)
+                .expect("bytes in the cache file");
+            let mut file = pristine[..at].to_vec();
+            file.extend_from_slice(to);
+            file.extend_from_slice(&pristine[at + from.len()..]);
+            restamped(file)
+        };
+        let damaged = [
+            (
+                "a WebView site's parent package",
+                splice(b"\x01\x0bcom.sdk.ads", b"\x01\x07com.sdk"),
+            ),
+            (
+                "a WebView site's dotted class",
+                splice(b"\x01\x0bcom.sdk.ads", b"\x01\x12com.sdk.ads.Banner"),
+            ),
+            (
+                "no package for a CT site's class",
+                splice(b"\x0ccom/app/Main\x01\x07com.app", b"\x0ccom/app/Main\x00"),
+            ),
+        ];
+        let catalog = SdkIndex::paper();
+        for (what, bad) in damaged {
+            fs::write(&path, bad).unwrap();
+            let mut ctx = kept_rows(&catalog);
+            let before = ctx.results.clone();
+            assert!(!load_result_cache(&path, stamp(), &mut ctx), "{what}");
+            assert_eq!(ctx.results, before, "{what}");
+        }
+        fs::write(&path, &pristine).unwrap();
+        let mut ctx = kept_rows(&catalog);
+        assert!(load_result_cache(&path, stamp(), &mut ctx));
+        assert_eq!(ctx.results.len(), 2 + results.len());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -753,7 +839,6 @@ mod tests {
                         method: lex.intern("launchUrl"),
                         is_launch: true,
                         caller_class,
-                        caller_package: None,
                         label: LabelId::Sdk(sdk),
                         in_deep_link_activity: false,
                         argument: None,
@@ -763,7 +848,6 @@ mod tests {
                     row.push_webview(WebViewSiteSummary {
                         method_idx: 0,
                         caller_class,
-                        caller_package: None,
                         label: LabelId::Sdk(sdk),
                         in_deep_link_activity: false,
                         argument: None,

@@ -3,9 +3,9 @@
 //! A faithful copy of the *pre-interning* aggregation: every site's method
 //! is taken as text (a WebView site's name by its index, a Custom-Tabs
 //! site's resolved) and matched by string compare,
-//! every caller package is resolved to text and re-labeled through
-//! [`SdkIndex::label_id`] per site (no memo), and per-SDK accounting goes
-//! through keyed maps. It exists for two jobs:
+//! every caller package is derived as text from the resolved caller class
+//! and re-labeled through [`SdkIndex::label_id`] per site (no memo), and
+//! per-SDK accounting goes through keyed maps. It exists for two jobs:
 //!
 //! 1. the metamorphic suite proves `aggregate` (interned path) produces
 //!    *identical* [`StudyResults`] on randomized corpora, and
@@ -22,9 +22,11 @@ use crate::aggregate::{
 use crate::analyze::AppView;
 use crate::pipeline::PipelineOutput;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use wla_apk::names::package_of_into;
 use wla_callgraph::UrlOrigin;
 use wla_corpus::playstore::PlayCategory;
 use wla_corpus::METHODS;
+use wla_intern::Symbol;
 use wla_sdk_index::{LabelId, SdkCategory, SdkIndex};
 
 /// [`crate::aggregate::aggregate`] re-implemented over resolved strings.
@@ -35,6 +37,15 @@ pub fn aggregate_string_oracle(
 ) -> StudyResults {
     let symbols = &output.symbols;
     let analyses: Vec<AppView<'_>> = output.analyzed().collect();
+    // A caller class's label, from its package's text in `package`.
+    let mut package = String::new();
+    let mut label_of = |class: Symbol| {
+        if package_of_into(symbols.resolve(class), &mut package) {
+            catalog.label_id(&package)
+        } else {
+            LabelId::Unlabeled
+        }
+    };
 
     // Per-SDK app counts, keyed by catalog index.
     let mut sdk_wv_apps: HashMap<usize, usize> = HashMap::new();
@@ -102,11 +113,7 @@ pub fn aggregate_string_oracle(
                 .position(|m| *m == method)
                 .expect("known method");
             methods[mi] = true;
-            let label = site
-                .caller_package
-                .map(|p| catalog.label_id(symbols.resolve(p.symbol())))
-                .unwrap_or(LabelId::Unlabeled);
-            match label {
+            match label_of(site.caller_class) {
                 LabelId::Sdk(idx) => {
                     methods_sdk[mi] = true;
                     let category = catalog.sdks()[idx as usize].category;
@@ -124,11 +131,7 @@ pub fn aggregate_string_oracle(
             if symbols.resolve(site.method) != wla_apk::names::CT_LAUNCH_METHOD {
                 continue;
             }
-            let label = site
-                .caller_package
-                .map(|p| catalog.label_id(symbols.resolve(p.symbol())))
-                .unwrap_or(LabelId::Unlabeled);
-            if let LabelId::Sdk(idx) = label {
+            if let LabelId::Sdk(idx) = label_of(site.caller_class) {
                 app_ct_sdks.insert(idx as usize);
             }
         }

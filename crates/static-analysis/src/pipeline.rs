@@ -921,7 +921,6 @@ pub(crate) mod tests {
         row.push_webview(WebViewSiteSummary {
             method_idx: 0,
             caller_class: class,
-            caller_package: None,
             label: wla_sdk_index::LabelId::Unlabeled,
             in_deep_link_activity: false,
             argument: Some(class),
@@ -1006,7 +1005,6 @@ pub(crate) mod tests {
                 row.push_webview(WebViewSiteSummary {
                     method_idx: 0,
                     caller_class: class,
-                    caller_package: None,
                     label: LabelId::Sdk(10_000),
                     in_deep_link_activity: false,
                     argument: None,
@@ -1017,7 +1015,6 @@ pub(crate) mod tests {
                 method: class,
                 is_launch: true,
                 caller_class: class,
-                caller_package: None,
                 label: LabelId::Sdk(past),
                 in_deep_link_activity: false,
                 argument: None,

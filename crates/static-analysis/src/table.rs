@@ -24,7 +24,7 @@ use crate::analyze::{AppView, CtSiteSummary, WebViewSiteSummary};
 use std::mem::size_of;
 use wla_apk::ApkError;
 use wla_corpus::playstore::PlayCategory;
-use wla_intern::{PkgId, Symbol};
+use wla_intern::Symbol;
 
 /// Where a row's records end in its table's columns; its records start
 /// where the previous row's end (at 0 for a table's first row).
@@ -164,26 +164,19 @@ impl ResultTable {
 
     /// Rewrite every symbol through `f` where it is stored, row by row in
     /// row order and, per row, in the order the join's merge ranks them:
-    /// per WebView site its caller class, package and argument; per
-    /// Custom-Tabs site its method, caller class, package and argument;
-    /// then the custom classes.
+    /// per WebView site its caller class and argument; per Custom-Tabs
+    /// site its method, caller class and argument; then the custom
+    /// classes.
     pub(crate) fn remap(&mut self, f: &mut dyn FnMut(Symbol) -> Symbol) {
-        fn remap_package(p: &mut Option<PkgId>, f: &mut dyn FnMut(Symbol) -> Symbol) {
-            if let Some(p) = p {
-                *p = PkgId(f(p.symbol()));
-            }
-        }
         let mut from = Ends::default();
         for &AppRow { ends: to, .. } in &self.rows {
             for s in &mut self.webview[from.webview as usize..to.webview as usize] {
                 s.caller_class = f(s.caller_class);
-                remap_package(&mut s.caller_package, f);
                 s.argument = s.argument.map(&mut *f);
             }
             for s in &mut self.ct[from.ct as usize..to.ct as usize] {
                 s.method = f(s.method);
                 s.caller_class = f(s.caller_class);
-                remap_package(&mut s.caller_package, f);
                 s.argument = s.argument.map(&mut *f);
             }
             for c in &mut self.classes[from.classes as usize..to.classes as usize] {
@@ -303,7 +296,6 @@ mod tests {
         WebViewSiteSummary {
             method_idx: 0,
             caller_class: lex.intern(class),
-            caller_package: None,
             label: LabelId::Unlabeled,
             in_deep_link_activity: false,
             argument: None,
@@ -382,7 +374,6 @@ mod tests {
             method: lex.intern("launchUrl"),
             is_launch: true,
             caller_class: lex.intern("orphan/D"),
-            caller_package: None,
             label: LabelId::Unlabeled,
             in_deep_link_activity: false,
             argument: None,
@@ -425,7 +416,6 @@ mod tests {
             method: lex.intern("launchUrl"),
             is_launch: true,
             caller_class: lex.intern("b/Ct"),
-            caller_package: None,
             label: LabelId::Unlabeled,
             in_deep_link_activity: false,
             argument: None,

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use wla_corpus::{write_sharded_corpus, CorpusConfig, GeneratedApp, Generator};
-use wla_intern::SymbolTable;
 use wla_sdk_index::SdkIndex;
 use wla_static::stream::MANIFEST_SUBDIR;
 use wla_static::{
@@ -57,11 +56,6 @@ fn assert_outputs_identical(streamed: &PipelineOutput, baseline: &PipelineOutput
     let (ss, bs) = (&streamed.symbols, &baseline.symbols);
     for a in streamed.analyzed() {
         for site in a.webview_sites {
-            let package = |s: &SymbolTable| {
-                site.caller_package
-                    .map(|p| s.resolve(p.symbol()).to_owned())
-            };
-            assert_eq!(package(ss), package(bs));
             assert_eq!(ss.resolve(site.caller_class), bs.resolve(site.caller_class));
         }
         for site in a.ct_sites {

@@ -8,8 +8,10 @@
 //! print the same bytes. `wla crawl` prints only LinkedIn's and Kik's
 //! Figure 6 rows, so the ten-app crawl is pinned whole by
 //! `crawl_equivalence::the_whole_crawl_is_pinned`. The two `--scale 10`
-//! pins are ignored here and run in release by `./ci.sh`. A change that
-//! moves a pinned output on purpose updates its constant and says why.
+//! pins are ignored here and run in release by `./ci.sh`, as is the check
+//! that EXPERIMENTS.md's "paper vs measured" blocks are what `wla all
+//! --scale 25` and `wla static --scale 10` print. A change that moves a
+//! pinned output on purpose updates its constant and says why.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -37,8 +39,8 @@ fn generate(config: CorpusConfig) -> Vec<GeneratedApp> {
     Generator::new(&SdkIndex::paper(), config).generate()
 }
 
-/// Run `wla args` and return the FNV-1a-64 of its stdout, in hex.
-fn stdout_digest(args: &[&str]) -> String {
+/// Run `wla args` and return its stdout.
+fn stdout(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_wla"))
         .args(args)
         .output()
@@ -48,9 +50,31 @@ fn stdout_digest(args: &[&str]) -> String {
         "wla {args:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8(out.stdout).expect("wla prints UTF-8")
+}
+
+/// Run `wla args` and return the FNV-1a-64 of its stdout, in hex.
+fn stdout_digest(args: &[&str]) -> String {
     let mut hash = 0xcbf2_9ce4_8422_2325;
-    fnv(&mut hash, &out.stdout);
+    fnv(&mut hash, stdout(args).as_bytes());
     format!("{hash:016x}")
+}
+
+/// Every "paper vs measured" table in `text`, in order, as its
+/// experiment id and its lines: the title line `<id> — paper vs
+/// measured` (an id is alphanumeric, as `table3` or `fig7`) and the
+/// table's `+`/`|` lines under it.
+fn comparison_blocks(text: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut lines = text.lines();
+    let mut blocks = Vec::new();
+    while let Some(line) = lines.next() {
+        let id = line.strip_suffix(" — paper vs measured");
+        if let Some(id) = id.filter(|id| id.bytes().all(|b| b.is_ascii_alphanumeric())) {
+            let table = lines.clone().take_while(|l| l.starts_with(['+', '|']));
+            blocks.push((id, std::iter::once(line).chain(table).collect()));
+        }
+    }
+    blocks
 }
 
 #[test]
@@ -106,6 +130,37 @@ fn static_scale_10_stdout_is_pinned() {
 #[ignore = "14,680 apps: run in release (./ci.sh)"]
 fn all_scale_10_stdout_is_pinned() {
     assert_eq!(stdout_digest(&["all", "--scale", "10"]), "7790733b4080e2d1");
+}
+
+/// EXPERIMENTS.md's "paper vs measured" blocks are what the runs it
+/// names print, byte for byte: Table 3's as `wla static --scale 10`
+/// prints it, and every other one as `wla all --scale 25` does. The doc
+/// holds one block per experiment `wla all` prints, in its order.
+#[test]
+#[ignore = "5,872 and 14,680 apps: run in release (./ci.sh)"]
+fn experiments_blocks_are_what_their_runs_print() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    let (all, static_10) = (
+        stdout(&["all", "--scale", "25"]),
+        stdout(&["static", "--scale", "10"]),
+    );
+    let (all, static_10) = (comparison_blocks(&all), comparison_blocks(&static_10));
+    let documented = comparison_blocks(&doc);
+    fn ids<'a>(blocks: &[(&'a str, Vec<&str>)]) -> Vec<&'a str> {
+        blocks.iter().map(|b| b.0).collect()
+    }
+    assert_eq!(ids(&documented), ids(&all), "EXPERIMENTS.md's blocks");
+    for (id, block) in &documented {
+        let run = if *id == "table3" { &static_10 } else { &all };
+        let printed = &run.iter().find(|b| b.0 == *id).expect("a printed block").1;
+        assert!(
+            printed == block,
+            "EXPERIMENTS.md's {id} block:\n{}\nthe run prints:\n{}",
+            block.join("\n"),
+            printed.join("\n")
+        );
+    }
 }
 
 /// The 100 prepared pages, pinned: their summed heap, their fetch-list

@@ -6,14 +6,15 @@
 //! the live heap that holds its inputs; a `run_pipeline` run as the most
 //! it adds above its inputs and the output it returns, which is what its
 //! workers and its join hold only for a while. The counters see every
-//! thread, and the test harness starts a test's thread while another
-//! test runs, so this binary has one test per mode: the debug suite runs
-//! the 1:100 measurements one after another, and `--ignored` the
-//! scale-10 ones. The pool's workers have joined before a runner returns.
+//! thread, so each test holds one lock (`one_at_a_time`) through its
+//! measurements, as the other heap tests do: `--include-ignored` runs
+//! the 1:100 test and the scale-10 one on two threads, and without the
+//! lock one's peak would count the other's run. The pool's workers have
+//! joined before a runner returns.
 
 mod common;
 
-use common::{corpus, live, peak_above, reset_peak, Counting, TWO_WORKERS};
+use common::{corpus, live, one_at_a_time, peak_above, reset_peak, Counting, TWO_WORKERS};
 use wla_sdk_index::SdkIndex;
 use wla_static::{run_pipeline, run_pipeline_tallied};
 
@@ -71,16 +72,19 @@ fn keep_output_peak(scale: u32) -> usize {
 /// At 1:100 (1,468 apps):
 ///
 /// * a `run_pipeline` run peaks at most 256 KiB above its inputs and its
-///   output (155–197 KiB now, as the two workers' claims interleave; 336
-///   KiB when the join merged through the workers' indexed lexicons and a
+///   output (205–217 KiB now, as the two workers' claims interleave;
+///   155–197 KiB while sites stored their caller package, since the
+///   output this subtracts shrank more than the pool's peak did; 336 KiB
+///   when the join merged through the workers' indexed lexicons and a
 ///   16-byte-per-symbol rank list, and sites and rows were 4 bytes wider);
-/// * the fold peaks at most 160 KiB above its inputs (~94–107 KiB now),
+/// * the fold peaks at most 160 KiB above its inputs (~95–102 KiB now),
 ///   and at most 64 KiB higher than at 1:1000 (146 apps): ten times the
 ///   apps hold no more. Which apps the two workers have in flight together
 ///   sets most of the fold's peak, so the 1:1000 run, with three batches to
 ///   schedule, spreads 64–88 KiB. Keeping 50 bytes or more per app fails it.
 #[test]
 fn static_runners_peak_within_their_bounds() {
+    let _serial = one_at_a_time();
     let kept = keep_output_peak(100);
     assert!(
         kept <= 256 * 1024,
@@ -96,14 +100,15 @@ fn static_runners_peak_within_their_bounds() {
 }
 
 /// The scale-10 bounds (14,680 apps): a `run_pipeline` run peaks at most
-/// 1.5 MiB above its inputs and its output (~1.23 MiB now; 2.0–2.4 MiB
-/// with the merge and the records the 1:100 bound describes), and the
-/// fold at most 160 KiB above its inputs (~114–130 KiB now). Ignored in
-/// debug runs; run with `cargo test --release --test run_peaks --
-/// --ignored`.
+/// 1.5 MiB above its inputs and its output (1.06–1.39 MiB now, 1.12–1.23
+/// MiB while sites stored their caller package; 2.0–2.4 MiB with the
+/// merge and the records the 1:100 bound describes), and the fold at most
+/// 160 KiB above its inputs (~113–130 KiB now). Ignored in debug runs;
+/// run with `cargo test --release --test run_peaks -- --include-ignored`.
 #[test]
 #[ignore = "scale 10: run in release mode"]
 fn scale_10_static_runners_peak_within_their_bounds() {
+    let _serial = one_at_a_time();
     let kept = keep_output_peak(10);
     assert!(
         kept <= 1536 * 1024,
