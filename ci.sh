@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: no stale dev-dependency, formatting, lints, no unused
-# library dependency, warning-free rustdoc, the full test suite, the streamed-corpus example run twice into one directory (1:2000,
+# library dependency, warning-free rustdoc, the full test suite, the reach
+# step (every production file that defines a `fn` contributes a symbol to
+# the debug `wla`, but the two REACH_ALLOWED files of the streamed path),
+# the streamed-corpus example run twice into one directory (1:2000,
 # then the smaller 1:4000 corpus; the example asserts its streamed results
 # equal Study::run_static, so a leftover shard of the first run fails it),
 # the tests of the end-to-end benchmark package
@@ -38,21 +41,26 @@
 # the proptest suites catch mechanically — run this before every push.
 #
 # With no argument `ci.sh` runs the whole gate; its subcommands are `loc`,
-# `bench-snapshot` and `bench-check`, and any other argument prints them
-# and exits 2 without starting cargo.
+# `reach`, `bench-snapshot` and `bench-check`, and any other argument
+# prints them and exits 2 without starting cargo.
 #
-# `ci.sh loc` prints the production Rust line count every CHANGES entry
-# reports: every line of `src/**/*.rs` and `crates/*/src/**/*.rs`,
-# `crates/bench` left out, and every `#[cfg(test)]`-gated item left out
-# wherever it sits in its file (a test module, or a test-only method
-# inside an `impl`), with the attributes, comments and blank lines
-# between the attribute and its item. One row per crate, then the total.
-# `ci.sh loc REV` counts revision REV the same way and prints, per crate
-# and in total, its count, the work tree's and the delta: REV's `src/` and
-# `crates/` are extracted with `git archive` into a directory under
-# `target/` (removed afterwards), so `.git` and the work tree are never
-# touched, and counted there with this work tree's counter. An unknown
-# revision exits 2 without starting cargo.
+# `ci.sh loc` prints the Rust line count every CHANGES entry reports:
+# every line of `src/**/*.rs` and `crates/*/src/**/*.rs`, `crates/bench`
+# left out, and every `#[cfg(test)]`-gated item left out wherever it sits
+# in its file (a test module, or a test-only method inside an `impl`),
+# with the attributes, comments and blank lines between the attribute and
+# its item. One row per crate, then two totals: `production`, every crate
+# but REFERENCE_CRATES (the number CHANGES entries report), and
+# `reference`, those crates. `ci.sh loc REV` counts revision REV the same
+# way and prints, per crate and for both totals, its count, the work
+# tree's and the delta (a tree without a crate counts 0 for it): REV's
+# `src/` and `crates/` are extracted with `git archive` into a directory
+# under `target/` (removed afterwards), so `.git` and the work tree are
+# never touched, and counted there with this work tree's counter. An
+# unknown revision exits 2 without starting cargo.
+#
+# `ci.sh reach` builds the debug `wla` and runs the gate's reach step
+# alone.
 #
 # `ci.sh bench-snapshot` refreshes the committed bench snapshots in quick
 # mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes), each row run
@@ -127,6 +135,17 @@ DYNAMIC_JOBS=(
     "simhash pinned"
 )
 CHECK_CPU=0
+# Crates of references and §5 discussion models: only the root package's
+# tests and examples and `crates/bench`'s benches depend on them. `loc`
+# totals them apart from production, and `reach` does not ask them to link
+# into `wla`.
+REFERENCE_CRATES=(crates/oracle crates/extensions)
+# Production files `reach` lets contribute no symbol to `wla`, each with
+# its reason.
+declare -A REACH_ALLOWED=(
+    [crates/corpus/src/shard.rs]="the streamed path: only stream_s10 and Study::run_static_streamed reach it until ROADMAP item 3 gives it a wla entry"
+    [crates/static-analysis/src/cache.rs]="the streamed path's resume cache: only stream_s10 and Study::run_static_streamed reach it until ROADMAP item 3 gives it a wla entry"
+)
 # `bench-check`'s passes, and the quick runs of each bench job a pass
 # makes on each side; a side's number for a pass is the min of its runs.
 CHECK_PASSES=9
@@ -410,13 +429,11 @@ bench_check() {
     echo "bench-check: every stage passed"
 }
 
-loc() {
-    # A gated item ends at its first `;` when no `{` came before it (a
-    # `use`, a `mod x;`), or where its braces balance. Braces inside string
-    # and char literals and after `//` are not counted.
-    local files
-    files=$(find src crates/*/src -name '*.rs' -not -path 'crates/bench/*' | LC_ALL=C sort)
-    # shellcheck disable=SC2086
+non_test_lines() {
+    # Every line of the files $@ that no `#[cfg(test)]`-gated item holds,
+    # as `FILE<TAB>LINE`. A gated item ends at its first `;` when no `{`
+    # came before it (a `use`, a `mod x;`), or where its braces balance.
+    # Braces inside string and char literals and after `//` are not counted.
     awk '
         function braces(s,   t) {
             t = s
@@ -441,16 +458,99 @@ loc() {
                 else if (opens > 0 && opens == closes) gated = 0
                 next
             }
-            split(FILENAME, part, "/")
+            print FILENAME "\t" $0
+        }' "$@"
+}
+
+rust_sources() {
+    # Every `.rs` file under `src/` and `crates/*/src/`, `crates/bench`
+    # left out, sorted.
+    find src crates/*/src -name '*.rs' -not -path 'crates/bench/*' | LC_ALL=C sort
+}
+
+loc() {
+    # One row per crate, then the production total and the reference total
+    # (the crates in REFERENCE_CRATES; 0 in a tree without them).
+    local files
+    files=$(rust_sources)
+    # shellcheck disable=SC2086
+    non_test_lines $files | awk -F'\t' -v refs="${REFERENCE_CRATES[*]}" '
+        BEGIN { split(refs, r, " "); for (i in r) ref[r[i]] = 1 }
+        {
+            split($1, part, "/")
             crate = part[1] == "crates" ? "crates/" part[2] : part[1]
             lines[crate]++
-            total++
+            if (crate in ref) reference++
+            else production++
         }
         END {
             for (c in lines) printf "%-24s %7d\n", c, lines[c] | "LC_ALL=C sort"
             close("LC_ALL=C sort")
-            printf "%-24s %7d\n", "total", total
-        }' $files
+            printf "%-24s %7d\n", "production", production
+            printf "%-24s %7d\n", "reference", reference
+        }'
+}
+
+reach() {
+    # Every production `.rs` file (`rust_sources` less REFERENCE_CRATES)
+    # that defines a non-test `fn` must contribute a symbol to the debug
+    # `wla`: some `nm -C` name must lie under its module path
+    # (`wla_static::cache::` for crates/static-analysis/src/cache.rs,
+    # `wla::` for src/main.rs). Lists every file that contributes none, and
+    # fails unless each is in REACH_ALLOWED. Returns 1 on a failure.
+    local bin=target/debug/wla files file crate dir rel modules="" bad=0
+    local -a unreached
+    cargo build -q --bin wla
+    files=$(rust_sources | grep -v -E "^($(IFS='|'; echo "${REFERENCE_CRATES[*]}"))/")
+    # shellcheck disable=SC2086
+    for file in $(non_test_lines $files | awk -F'\t' '
+        $2 ~ /^[ \t]*((pub(\([^)]*\))?|const|async|unsafe|extern( "[^"]*")?)[ \t]+)*fn[ \t]+[A-Za-z_]/ { print $1 }' | uniq); do
+        case $file in
+        src/main.rs) crate=wla rel=main ;;
+        src/*) crate=whatcha_lookin_at rel=${file#src/} ;;
+        *)
+            dir=${file%%/src/*}
+            crate=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1)
+            rel=${file#"$dir"/src/}
+            ;;
+        esac
+        rel=${rel%.rs}
+        case $rel in
+        lib | main) rel= ;;
+        */mod) rel=${rel%/mod} ;;
+        esac
+        modules+="$file ${crate//-/_}${rel:+::${rel//\//::}}::"$'\n'
+    done
+    # Each `nm -C` name gives its path prefixes (`a::b::c`: `a::`, `a::b::`).
+    mapfile -t unreached < <(nm -C "$bin" | awk '
+        NR == FNR { if (NF) { file[$2] = $1; order[++n] = $2 }; next }
+        {
+            line = $0
+            gsub(/[^A-Za-z0-9_:]+/, " ", line)
+            k = split(line, tok, " ")
+            for (i = 1; i <= k; i++) {
+                t = tok[i]; p = ""
+                while ((j = index(t, "::")) > 0) {
+                    p = p substr(t, 1, j + 1); t = substr(t, j + 2)
+                    if (p in file) hit[p] = 1
+                }
+            }
+        }
+        END { for (i = 1; i <= n; i++) if (!(order[i] in hit)) print file[order[i]] }' \
+        <(printf '%s' "$modules") -)
+    for file in "${unreached[@]}"; do
+        if [[ -n ${REACH_ALLOWED[$file]:-} ]]; then
+            echo "  allowed    $file: ${REACH_ALLOWED[$file]}"
+        else
+            echo "  unreached  $file"
+            bad=$((bad + 1))
+        fi
+    done
+    if ((bad > 0)); then
+        echo "reach: FAILED ($bad production files contribute no symbol to $bin: move them out of the production crates, or make wla run them)"
+        return 1
+    fi
+    echo "reach: every production file with a fn contributes a symbol to $bin, but the allowed ones"
 }
 
 rev_commit() {
@@ -488,10 +588,14 @@ loc_against() {
         { now[$1] = $2; seen[$1] = 1 }
         END {
             printf "%-24s %9s %9s %7s\n", "crate", rev, "work tree", "delta"
-            for (c in seen) if (c != "total")
+            for (c in seen) if (c != "production" && c != "reference")
                 printf "%-24s %9d %9d %+7d\n", c, at[c], now[c], now[c] - at[c] | "LC_ALL=C sort"
             close("LC_ALL=C sort")
-            printf "%-24s %9d %9d %+7d\n", "total", at["total"], now["total"], now["total"] - at["total"]
+            split("production reference", totals, " ")
+            for (i = 1; i <= 2; i++) {
+                c = totals[i]
+                printf "%-24s %9d %9d %+7d\n", c, at[c], now[c], now[c] - at[c]
+            }
         }' <(echo "$base") <(echo "$work")
 }
 
@@ -526,7 +630,7 @@ stale_dev_deps() {
 }
 
 usage() {
-    echo "usage: ./ci.sh [bench-snapshot | bench-check [REV] | loc [REV]]  (no argument: the full gate)" >&2
+    echo "usage: ./ci.sh [bench-snapshot | bench-check [REV] | loc [REV] | reach]  (no argument: the full gate)" >&2
     exit 2
 }
 
@@ -549,6 +653,11 @@ loc)
     2) loc_against "$2" ;;
     *) usage ;;
     esac
+    exit 0
+    ;;
+reach)
+    (($# == 1)) || usage
+    reach || exit 1
     exit 0
     ;;
 "") ;;
@@ -587,6 +696,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
 
 echo "== cargo test =="
 cargo test --workspace -q
+
+echo "== reach: every production file links into wla =="
+reach
 
 echo "== streamed corpus example (1:2000, then 1:4000, one directory) =="
 # Debug build, already compiled by `cargo test`: seconds.

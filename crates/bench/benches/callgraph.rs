@@ -7,9 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wla_core::wla_apk::sdex::{ClassFlags, DexBuilder, Instruction, InvokeKind, MethodDef, Reg};
 use wla_core::wla_apk::{Dex, TypeId};
-use wla_core::wla_callgraph::oracle::{
-    reachable_methods_oracle, record_web_calls_oracle, HashCallGraph,
-};
 use wla_core::wla_callgraph::reach::{
     reachable_methods, record_web_calls, record_web_calls_with, ReachScratch,
 };
@@ -20,6 +17,7 @@ use wla_core::wla_corpus::playstore::{AppMeta, PlayCategory};
 use wla_core::wla_intern::{LocalInterner, Symbol};
 use wla_core::wla_manifest::{wireformat, Manifest};
 use wla_core::wla_sdk_index::{LabelCache, SdkIndex};
+use wla_oracle::{reachable_methods_oracle, record_web_calls_oracle, HashCallGraph};
 
 fn fixture() -> (Dex, Manifest) {
     // A heavyweight app: scan seeds for the spec with the most SDKs so the

@@ -9,10 +9,10 @@
 //! N threads — explicit counts are honoured, even past the host's cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wla_core::wla_crawler::driver::{crawl_app, crawl_baseline, figure6};
 use wla_core::wla_crawler::sites::top_100_sites;
 use wla_core::wla_device::iab::all_profiles;
 use wla_core::wla_dynamic::{run_crawl_pipeline, CrawlConfig};
+use wla_oracle::{crawl_app, crawl_baseline, figure6};
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
 

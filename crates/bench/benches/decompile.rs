@@ -7,11 +7,9 @@ use wla_core::wla_apk::Dex;
 use wla_core::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use wla_core::wla_corpus::lowering::lower;
 use wla_core::wla_corpus::playstore::{AppMeta, PlayCategory};
-use wla_core::wla_decompile::{
-    lift_dex, parse_source, webview_subclasses, webview_subclasses_interned,
-};
 use wla_core::wla_intern::LocalInterner;
 use wla_core::wla_sdk_index::SdkIndex;
+use wla_oracle::{lift_dex, parse_source, webview_subclasses, webview_subclasses_interned};
 
 fn representative_dex() -> Dex {
     let catalog = SdkIndex::paper();

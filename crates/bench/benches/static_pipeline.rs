@@ -10,9 +10,9 @@ use wla_core::wla_apk::{Dex, Sapk, SectionTag};
 use wla_core::wla_corpus::{CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{
-    aggregate, aggregate_string_oracle, analyze_app_timed_with, run_pipeline, AnalysisCtx,
-    AppInput, PipelineConfig,
+    aggregate, analyze_app_timed_with, run_pipeline, AnalysisCtx, AppInput, PipelineConfig,
 };
+use wla_oracle::aggregate_string_oracle;
 
 fn corpus(n_apps_scale: u32) -> Vec<GeneratedApp> {
     let catalog = SdkIndex::paper();

@@ -5,10 +5,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_apk::{Dex, Sapk, SectionTag};
-use wla_core::wla_callgraph::{provenance_oracle, CallGraph, CallSite};
+use wla_core::wla_callgraph::{CallGraph, CallSite};
 use wla_core::wla_corpus::{CorpusConfig, GeneratedApp, Generator};
 use wla_core::wla_sdk_index::SdkIndex;
 use wla_core::wla_static::{dataflow, run_pipeline, DataflowCounters, PipelineConfig};
+use wla_oracle::provenance;
 
 fn corpus(scale: u32) -> Vec<GeneratedApp> {
     let catalog = SdkIndex::paper();
@@ -62,7 +63,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             for (dex, sites) in &fixtures {
                 let mut sites = sites.clone();
-                provenance_oracle::annotate(black_box(dex), &mut sites);
+                provenance::annotate(black_box(dex), &mut sites);
                 black_box(&sites);
             }
         })

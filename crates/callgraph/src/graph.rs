@@ -9,15 +9,17 @@
 //! interface dispatch resolve through a per-class **flattened vtable**
 //! built lazily (once per receiver class) instead of walking the
 //! superclass chain at every invoke site. The pre-CSR hash-based build is
-//! preserved verbatim in [`crate::oracle`] as the correctness reference.
+//! preserved verbatim in `wla_oracle::callgraph` as the correctness
+//! reference.
 
 use std::collections::HashMap;
 use wla_apk::sdex::{Dex, Instruction, InvokeKind, MethodDef, MethodId, TypeId};
 
 /// What is known about the string argument of a call site after provenance
 /// analysis. Produced by the `wla-static` dataflow pass (or, in tests, by
-/// [`crate::provenance_oracle`]), never by graph construction itself —
-/// freshly built graphs carry [`Provenance::Unknown`] everywhere.
+/// the pending-string reference `wla_oracle::provenance`), never by graph
+/// construction itself — freshly built graphs carry [`Provenance::Unknown`]
+/// everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// No single string constant is known to reach the argument.
@@ -344,9 +346,10 @@ fn csr_from_pairs(n: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>, u64) {
 ///
 /// `per_method` returns one [`Provenance`] per invoke, in code order, for
 /// each defined method. Sites are walked in the same class/method/
-/// instruction order [`CallGraph::build`] (and the hash oracle) pushed
-/// them, so the two streams zip positionally; both builders over the same
-/// dex therefore receive bit-identical annotations from the same resolver.
+/// instruction order [`CallGraph::build`] (and the hash-based reference)
+/// pushed them, so the two streams zip positionally; both builders over
+/// the same dex therefore receive bit-identical annotations from the same
+/// resolver.
 pub fn annotate_provenance(
     dex: &Dex,
     sites: &mut [CallSite],
@@ -509,7 +512,6 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance_oracle;
     use wla_apk::sdex::{ClassFlags, DexBuilder, MethodDef, Reg};
 
     fn def(b: &mut DexBuilder, class: &str, name: &str, code: Vec<Instruction>) -> MethodDef {
@@ -711,7 +713,14 @@ mod tests {
             Provenance::Unknown,
             "sites start unannotated"
         );
-        provenance_oracle::annotate(&dex, g.sites_mut());
+        // Every invoke of the one method takes the URL constant.
+        annotate_provenance(&dex, g.sites_mut(), |m| {
+            m.code
+                .iter()
+                .filter(|i| matches!(i, Instruction::Invoke { .. }))
+                .map(|_| Provenance::Const(url))
+                .collect()
+        });
         let site = g.sites()[0];
         assert_eq!(dex.method_name(site.callee_ref), "loadUrl");
         assert_eq!(
@@ -719,184 +728,5 @@ mod tests {
             "https://x.example"
         );
         assert_eq!(site.provenance.origin(), UrlOrigin::Resolved);
-    }
-
-    #[test]
-    fn pending_string_does_not_leak_across_calls() {
-        let mut b = DexBuilder::new();
-        let f = b.intern_method("com/x/Ext", "f", "()V");
-        let gm = b.intern_method("com/x/Ext", "g", "()V");
-        let s = b.intern_string("only-for-f");
-        let caller = def(
-            &mut b,
-            "com/x/Main",
-            "go",
-            vec![
-                Instruction::ConstString {
-                    dst: Reg(0),
-                    string: s,
-                },
-                Instruction::Invoke {
-                    kind: InvokeKind::Static,
-                    method: f,
-                    args: vec![Reg(0)],
-                },
-                Instruction::Invoke {
-                    kind: InvokeKind::Static,
-                    method: gm,
-                    args: vec![Reg(0)],
-                },
-                Instruction::ReturnVoid,
-            ],
-        );
-        b.define_class("com/x/Main", None, ClassFlags::default(), vec![caller])
-            .unwrap();
-        let dex = b.build();
-        let mut g = CallGraph::build(&dex);
-        provenance_oracle::annotate(&dex, g.sites_mut());
-        assert_eq!(g.sites().len(), 2);
-        assert_eq!(g.sites()[0].provenance, Provenance::Const(s));
-        assert_eq!(g.sites()[1].provenance, Provenance::Unknown);
-    }
-
-    #[test]
-    fn intervening_instructions_clear_the_pending_string() {
-        // const-string, <something>, invoke — the heuristic must give up
-        // when the intervening instruction could disturb the value, but
-        // see through semantic no-ops. One invoke per intervening kind,
-        // plus a control site with the const-string directly adjacent.
-        let mut b = DexBuilder::new();
-        let ty = b.intern_type("com/x/Obj");
-        let f = b.intern_method("com/x/Ext", "f", "()V");
-        let s = b.intern_string("stale-by-the-time-f-runs");
-        let clobbers = [
-            Instruction::NewInstance { ty },
-            Instruction::Goto { offset: 1 },
-            Instruction::IfTest { offset: 1 },
-            Instruction::Move {
-                dst: Reg(1),
-                src: Reg(0),
-            },
-        ];
-        let n_clobbers = clobbers.len();
-        let mut code = Vec::new();
-        for ins in clobbers {
-            code.push(Instruction::ConstString {
-                dst: Reg(0),
-                string: s,
-            });
-            code.push(ins);
-            code.push(Instruction::Invoke {
-                kind: InvokeKind::Static,
-                method: f,
-                args: vec![Reg(0)],
-            });
-        }
-        // Nop padding is transparent: the string still attaches.
-        code.push(Instruction::ConstString {
-            dst: Reg(0),
-            string: s,
-        });
-        code.push(Instruction::Nop);
-        code.push(Instruction::Invoke {
-            kind: InvokeKind::Static,
-            method: f,
-            args: vec![Reg(0)],
-        });
-        code.push(Instruction::ReturnVoid);
-        let caller = def(&mut b, "com/x/Main", "go", code);
-        b.define_class("com/x/Main", None, ClassFlags::default(), vec![caller])
-            .unwrap();
-        let dex = b.build();
-        let mut g = CallGraph::build(&dex);
-        provenance_oracle::annotate(&dex, g.sites_mut());
-        assert_eq!(g.sites().len(), n_clobbers + 1);
-        for (i, site) in g.sites().iter().take(n_clobbers).enumerate() {
-            assert_eq!(
-                site.provenance,
-                Provenance::Unknown,
-                "site {i}: intervening instruction must clear the string"
-            );
-        }
-        assert_eq!(
-            g.sites()[n_clobbers].provenance,
-            Provenance::Const(s),
-            "nop-separated const-string must still attach"
-        );
-    }
-
-    #[test]
-    fn hash_vtables_match_the_hash_oracle() {
-        // A deep override chain plus an unresolved external call exercises
-        // hit, miss, and shadowing paths; the hash-vtable CSR build must
-        // agree with the chain-walking oracle on every edge and count.
-        let mut b = DexBuilder::new();
-        let c_handle = b.intern_method("com/x/C", "handle", "()V");
-        let c_other = b.intern_method("com/x/C", "other", "(I)V");
-        let missing = b.intern_method("com/x/C", "absent", "()V");
-        let mut code = Vec::new();
-        for _ in 0..3 {
-            code.push(Instruction::Invoke {
-                kind: InvokeKind::Virtual,
-                method: c_handle,
-                args: vec![],
-            });
-        }
-        code.push(Instruction::Invoke {
-            kind: InvokeKind::Virtual,
-            method: c_other,
-            args: vec![Reg(0)],
-        });
-        code.push(Instruction::Invoke {
-            kind: InvokeKind::Virtual,
-            method: missing,
-            args: vec![],
-        });
-        code.push(Instruction::ReturnVoid);
-        let caller = def(&mut b, "com/x/Main", "go", code);
-        let a_def = def(&mut b, "com/x/A", "handle", vec![Instruction::ReturnVoid]);
-        let a_other = MethodDef::new(
-            b.intern_method("com/x/A", "other", "(I)V"),
-            true,
-            false,
-            vec![Instruction::ReturnVoid],
-        );
-        let b_def = def(&mut b, "com/x/B", "handle", vec![Instruction::ReturnVoid]);
-        b.define_class("com/x/A", None, ClassFlags::default(), vec![a_def, a_other])
-            .unwrap();
-        b.define_class(
-            "com/x/B",
-            Some("com/x/A"),
-            ClassFlags::default(),
-            vec![b_def],
-        )
-        .unwrap();
-        b.define_class("com/x/C", Some("com/x/B"), ClassFlags::default(), vec![])
-            .unwrap();
-        b.define_class("com/x/Main", None, ClassFlags::default(), vec![caller])
-            .unwrap();
-        let dex = b.build();
-
-        let g = CallGraph::build(&dex);
-        let oracle = crate::oracle::HashCallGraph::build(&dex);
-        // The oracle keeps duplicate edges; the CSR build counts the ones
-        // it dedups.
-        assert_eq!(
-            g.edge_count() + g.build_stats().duplicate_edges as usize,
-            oracle.edge_count()
-        );
-        assert_eq!(g.defined_count(), oracle.defined_count());
-        assert_eq!(g.sites(), oracle.sites());
-        let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
-        let mut h: Vec<MethodId> = g.callees(main).collect();
-        let mut o = oracle.callees(main).to_vec();
-        h.sort();
-        o.sort();
-        o.dedup();
-        assert_eq!(h, o);
-        // Nearest override must win under the hash layout.
-        assert!(h
-            .iter()
-            .any(|&m| dex.type_name(g.defining_class(m).unwrap()) == "com/x/B"));
     }
 }

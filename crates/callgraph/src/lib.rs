@@ -20,23 +20,20 @@
 //!   and the recording of WebView / Custom-Tabs call sites with their
 //!   reachability status. Recorded sites carry *interned* names
 //!   ([`wla_intern::Symbol`]) plus record-time package labels, so later
-//!   pipeline stages never touch strings;
-//! * [`oracle`] — the pre-CSR hash-based path, kept as `reach_oracle` for
-//!   equivalence tests and the ablation bench;
-//! * [`provenance_oracle`] — the linear pending-string heuristic for URL
-//!   provenance, kept as the baseline the dataflow pass is pinned against.
+//!   pipeline stages never touch strings.
+//!
+//! The references these are pinned against, the pre-CSR hash call graph
+//! (recording through [`reach::record_sites`]) and the pending-string URL
+//! provenance heuristic, live in `wla-oracle`.
 
 #![forbid(unsafe_code)]
 
 pub mod entrypoints;
 pub mod graph;
-pub mod oracle;
-pub mod provenance_oracle;
 pub mod reach;
 
 pub use entrypoints::entry_points;
 pub use graph::{annotate_provenance, BuildStats, CallGraph, CallSite, Provenance, UrlOrigin};
-pub use oracle::{reachable_methods_oracle, record_web_calls_oracle, HashCallGraph};
 pub use reach::{
     record_web_calls, record_web_calls_with, CallGraphCounters, CtSite, ReachScratch,
     WebCallRecord, WebViewSite,

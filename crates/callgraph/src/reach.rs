@@ -296,9 +296,9 @@ pub fn record_web_calls(
 }
 
 /// The site-recording loop, shared between the CSR path and the hash
-/// oracle so both provably apply identical semantics: only the
-/// reachability predicate differs.
-pub(crate) fn record_sites(
+/// oracle (`wla_oracle::callgraph`) so both provably apply identical
+/// semantics: only the reachability predicate differs.
+pub fn record_sites(
     dex: &Dex,
     sites: &[CallSite],
     mut is_reachable: impl FnMut(MethodId) -> bool,
@@ -399,7 +399,7 @@ impl WebCallRecord {
 mod tests {
     use super::*;
     use crate::entrypoints::entry_points;
-    use crate::provenance_oracle;
+    use crate::graph::{annotate_provenance, Provenance};
     use wla_apk::names::WEBVIEW_LOAD_METHOD_MASK;
     use wla_apk::sdex::{ClassFlags, DexBuilder, Instruction, InvokeKind, MethodDef, Reg};
     use wla_manifest::{Component, ComponentKind, Manifest};
@@ -512,6 +512,22 @@ mod tests {
         (b.build(), manifest)
     }
 
+    /// Each invoke's URL: the string of a `const-string` right before it.
+    fn adjacent_strings(m: &MethodDef) -> Vec<Provenance> {
+        let mut out = Vec::new();
+        let mut pending = None;
+        for ins in &m.code {
+            if let Instruction::Invoke { .. } = ins {
+                out.push(pending.map_or(Provenance::Unknown, Provenance::Const));
+            }
+            pending = match ins {
+                Instruction::ConstString { string, .. } => Some(*string),
+                _ => None,
+            };
+        }
+        out
+    }
+
     fn record(
         dex: &wla_apk::Dex,
         manifest: &Manifest,
@@ -519,7 +535,7 @@ mod tests {
         lexicon: &mut LocalInterner,
     ) -> WebCallRecord {
         let mut g = CallGraph::build(dex);
-        provenance_oracle::annotate(dex, g.sites_mut());
+        annotate_provenance(dex, g.sites_mut(), adjacent_strings);
         let roots = entry_points(&g, manifest);
         let subs: HashSet<Symbol> = subclass_names.iter().map(|n| lexicon.intern(n)).collect();
         let catalog = SdkIndex::new(vec![]);

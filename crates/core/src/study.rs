@@ -82,7 +82,7 @@ impl Study {
         }
     }
 
-    /// Default experiment configuration: scale 100, fixed seed.
+    /// Default experiment configuration (`wla`'s defaults): scale 100, fixed seed.
     pub fn default_experiment() -> Study {
         Study::new(100, 0xDA7A_5EED)
     }

@@ -153,9 +153,10 @@ impl Shard {
         }
         let mut cur = &data[SHARD_PREFIX..];
         let n = get_uvarint(&mut cur)? as usize;
-        // Each entry costs at least 7 bytes of metadata, so a count larger
-        // than the file is bogus; refuse before allocating the table.
-        if n > cur.len() {
+        // Each entry costs at least 7 bytes of metadata, so a count the
+        // rest of the file cannot hold is bogus; refuse before allocating
+        // the table.
+        if n > cur.len() / 7 {
             return Err(ApkError::Invalid("shard entry count exceeds file size").into());
         }
         let payload_len = get_uvarint(&mut cur)?;
@@ -543,6 +544,43 @@ mod tests {
             assert!(Shard::open(&paths[0]).is_err(), "cut at {cut} accepted");
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_entry_count_the_file_cannot_hold_is_refused_before_any_entry() {
+        // A valid prefix and checksum over a claimed count, a zero payload
+        // length and zero filler: every entry would need at least 7 bytes.
+        let restamped = |n: u64, filler: usize| {
+            let mut raw = SHARD_MAGIC.to_vec();
+            raw.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+            raw.extend_from_slice(&[0u8; 4]);
+            put_uvarint(&mut raw, n);
+            put_uvarint(&mut raw, 0);
+            raw.resize(raw.len() + filler, 0);
+            let checksum = adler32(&raw[SHARD_PREFIX..]);
+            raw[6..SHARD_PREFIX].copy_from_slice(&checksum.to_le_bytes());
+            Bytes::from(raw)
+        };
+        // After the 1-byte count, the rest is the 1-byte payload length
+        // and the filler.
+        let filler = 68;
+        let rest = 1 + filler;
+        match Shard::parse(restamped((rest / 7 + 1) as u64, filler)) {
+            Err(
+                e @ ShardError::Format(ApkError::Invalid("shard entry count exceeds file size")),
+            ) => {
+                assert_eq!(e.kind(), "invalid-structure")
+            }
+            other => panic!("expected the entry-count refusal, got {other:?}"),
+        }
+        // One entry fewer passes the count check and fails on the first
+        // entry's empty category label instead.
+        match Shard::parse(restamped((rest / 7) as u64, filler)) {
+            Err(ShardError::Format(ApkError::Invalid(what))) => {
+                assert_eq!(what, "unknown category label")
+            }
+            other => panic!("expected a bad first entry, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,23 +1,25 @@
-//! The ADB-analog crawl driver and Figure 6 aggregation.
+//! The ADB-analog visit script and the Figure 6 row.
 //!
 //! Per visit the paper's script "(i) launch\[es\] the app, (ii) navigate\[s\]
 //! to the intended activity …, (iii) insert\[s\] the desired crawl URL,
 //! (iv) tap\[s\] on the URL …, (v) swipe\[s\] upwards … Following a 20-second
 //! wait …, we gather the device's network log. To ready the system for the
 //! next crawl, we also purge the logs on the device, terminate the app,
-//! and wait for 1 minute." [`crawl_app`] executes exactly that loop on the
-//! simulated device; [`crawl_baseline`] is the System WebView Shell run.
+//! and wait for 1 minute." [`run_visit_with_source`] executes exactly that
+//! script on the simulated device, through an app's IAB or, with no
+//! profile, the System WebView Shell (the baseline).
 //!
 //! Every visit runs on its own [`VisitSession`] — fresh netlog, fresh
-//! logcat, visit-scoped source ids — so [`run_visit`] is a pure function
-//! of `(site, profile)` and the paper's "purge the logs" step is the
-//! session drop itself. The string-keyed [`CrawlRecord`]/[`figure6`] path
-//! here is the serial oracle the interned parallel pipeline in
-//! `wla-dynamic` is equivalence-pinned against.
+//! logcat, visit-scoped source ids — so a visit is a pure function of
+//! `(site, profile, page)` and the paper's "purge the logs" step is the
+//! session drop itself. `wla-dynamic`'s parallel crawl visits through
+//! [`run_visit_prepared`] and folds each category through [`figure6_row`];
+//! the serial string-keyed crawl it is equivalence-pinned against
+//! (`wla_oracle::crawl`) visits through the same script.
 
-use crate::classify::{classify_endpoint, EndpointKind};
+use crate::classify::EndpointKind;
 use crate::sites::{SiteCategory, TopSite};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use wla_device::iab::{open_in_iab, IabProfile};
 use wla_device::session::VisitSession;
@@ -65,61 +67,14 @@ pub const VISIT_SCRIPT: [CrawlStep; 10] = [
 /// What a single visit left behind in its session: which source id the
 /// page loaded under, and how much work the script did. The caller pulls
 /// hosts out of the session in whatever representation it wants (owned
-/// strings for the oracle path, interned symbols for the pipeline).
+/// strings for the serial reference crawl, interned symbols for the
+/// pipeline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VisitObservation {
     /// Netlog source id of the visit's WebView instance.
     pub source_id: u32,
     /// Script steps executed.
     pub steps: u32,
-}
-
-/// Result of one (app, site) visit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrawlRecord {
-    /// App package (or `"system-webview-shell"` for the baseline).
-    pub app: String,
-    /// Site visited.
-    pub site_host: String,
-    /// Site category.
-    pub category: SiteCategory,
-    /// Distinct hosts contacted during the visit.
-    pub hosts: BTreeSet<String>,
-    /// Endpoint kind per host, parallel to `hosts` iteration order —
-    /// classified exactly once, at record construction.
-    pub kinds: Vec<EndpointKind>,
-}
-
-impl CrawlRecord {
-    /// Build a record, classifying every host once.
-    pub fn new(
-        app: String,
-        site_host: String,
-        category: SiteCategory,
-        hosts: BTreeSet<String>,
-    ) -> CrawlRecord {
-        let kinds = hosts
-            .iter()
-            .map(|h| classify_endpoint(h, &site_host))
-            .collect();
-        CrawlRecord {
-            app,
-            site_host,
-            category,
-            hosts,
-            kinds,
-        }
-    }
-
-    /// Hosts by kind (relative to the visited site), counted from the
-    /// kinds stored at construction.
-    pub fn classified(&self) -> BTreeMap<EndpointKind, usize> {
-        let mut out = BTreeMap::new();
-        for k in &self.kinds {
-            *out.entry(*k).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 /// Display app id for the baseline run.
@@ -189,17 +144,6 @@ pub fn run_visit_with_source(
     VisitObservation { source_id, steps }
 }
 
-/// [`run_visit_with_source`] over freshly generated synthetic site
-/// content — the seed path, regenerating and re-parsing the page markup
-/// on every visit. Kept as the oracle and the bench ablation baseline.
-pub fn run_visit(
-    site: &TopSite,
-    profile: Option<&IabProfile>,
-    session: &mut VisitSession,
-) -> VisitObservation {
-    run_visit_with_source(site, site.synthetic_source(), profile, session)
-}
-
 /// [`run_visit_with_source`] over a page prepared once per site — the
 /// pipeline's fast path (no re-parse, shared URL strings).
 pub fn run_visit_prepared(
@@ -209,35 +153,6 @@ pub fn run_visit_prepared(
     session: &mut VisitSession,
 ) -> VisitObservation {
     run_visit_with_source(site, PageSource::Prepared(page.clone()), profile, session)
-}
-
-fn record_for(site: &TopSite, profile: Option<&IabProfile>) -> CrawlRecord {
-    let mut session = VisitSession::new();
-    let obs = run_visit(site, profile, &mut session);
-    let app = profile
-        .map(|p| p.package.to_owned())
-        .unwrap_or_else(|| BASELINE_APP.to_owned());
-    CrawlRecord::new(
-        app,
-        site.host.clone(),
-        site.category,
-        session.netlog().distinct_hosts_for(obs.source_id),
-    )
-}
-
-/// Crawl every site through one app's IAB.
-pub fn crawl_app(profile: &IabProfile, sites: &[TopSite]) -> Vec<CrawlRecord> {
-    sites
-        .iter()
-        .map(|site| record_for(site, Some(profile)))
-        .collect()
-}
-
-/// Crawl every site through the System WebView Shell (baseline: "the
-/// network requests expected to be made from a WebView without any
-/// injections").
-pub fn crawl_baseline(sites: &[TopSite]) -> Vec<CrawlRecord> {
-    sites.iter().map(|site| record_for(site, None)).collect()
 }
 
 /// One Figure 6 bar: per site category, the average number of distinct
@@ -257,9 +172,10 @@ pub struct Figure6Row {
 /// specific-endpoint tally for one category; an empty slice yields the
 /// explicit all-zero row (a category crawled zero times, or one whose
 /// IAB added nothing, must still appear in the figure). Public because the
-/// interned pipeline in `wla-dynamic` folds its symbol-keyed tallies
-/// through this exact function — sharing the accumulation order is what
-/// makes its figures bit-identical to this string-path oracle.
+/// interned pipeline in `wla-dynamic` and the string-path reference crawl
+/// (`wla_oracle::crawl`) both fold their tallies through this exact
+/// function — sharing the accumulation order is what makes the two
+/// pipelines' figures bit-identical.
 pub fn figure6_row(category: SiteCategory, visits: &[BTreeMap<EndpointKind, usize>]) -> Figure6Row {
     if visits.is_empty() {
         return Figure6Row {
@@ -287,177 +203,9 @@ pub fn figure6_row(category: SiteCategory, visits: &[BTreeMap<EndpointKind, usiz
     }
 }
 
-/// Aggregate app-vs-baseline crawls into Figure 6 rows — one row per
-/// [`SiteCategory`], in category order, zero rows included. Endpoint
-/// kinds come from the records (classified once at construction), not
-/// from re-running the classifier here.
-pub fn figure6(app_records: &[CrawlRecord], baseline: &[CrawlRecord]) -> Vec<Figure6Row> {
-    let baseline_by_site: BTreeMap<&str, &CrawlRecord> =
-        baseline.iter().map(|r| (r.site_host.as_str(), r)).collect();
-    let mut per_cat: BTreeMap<SiteCategory, Vec<BTreeMap<EndpointKind, usize>>> =
-        SiteCategory::ALL.iter().map(|&c| (c, Vec::new())).collect();
-    for rec in app_records {
-        let base_hosts: &BTreeSet<String> = match baseline_by_site.get(rec.site_host.as_str()) {
-            Some(b) => &b.hosts,
-            None => continue,
-        };
-        let mut kinds: BTreeMap<EndpointKind, usize> = BTreeMap::new();
-        for (h, k) in rec.hosts.iter().zip(&rec.kinds) {
-            if !base_hosts.contains(h) {
-                *kinds.entry(*k).or_insert(0) += 1;
-            }
-        }
-        per_cat
-            .get_mut(&rec.category)
-            .expect("ALL covers every category")
-            .push(kinds);
-    }
-    per_cat
-        .into_iter()
-        .map(|(category, visits)| figure6_row(category, &visits))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sites::{site_page, top_100_sites};
-    use wla_device::iab::profile_for;
-
-    #[test]
-    fn baseline_contacts_only_site_resources() {
-        let sites: Vec<TopSite> = top_100_sites().into_iter().take(10).collect();
-        let records = crawl_baseline(&sites);
-        assert_eq!(records.len(), 10);
-        for rec in &records {
-            // No IAB-specific hosts in the baseline.
-            assert!(!rec.hosts.contains("radar.cedexis.com"), "{rec:?}");
-            assert!(!rec.hosts.contains("ads.mopub.com"), "{rec:?}");
-            assert!(rec.hosts.contains(&rec.site_host));
-        }
-    }
-
-    #[test]
-    fn prepared_visit_matches_synthetic_visit() {
-        let sites = top_100_sites();
-        let profile = profile_for("kik.android").unwrap();
-        for site in sites.iter().step_by(17) {
-            let page = Arc::new(site_page(site));
-            for profile in [None, Some(&profile)] {
-                let mut fresh = VisitSession::new();
-                let a = run_visit(site, profile, &mut fresh);
-                let mut prepared = VisitSession::new();
-                let b = run_visit_prepared(site, &page, profile, &mut prepared);
-                assert_eq!(a, b);
-                // Same events in the same order — not just the same hosts.
-                assert_eq!(fresh.netlog().events(), prepared.netlog().events());
-                assert_eq!(fresh.logcat().lines(), prepared.logcat().lines());
-            }
-        }
-    }
-
-    #[test]
-    fn record_kinds_parallel_hosts_and_classified_agrees() {
-        let sites = top_100_sites();
-        let profile = profile_for("kik.android").unwrap();
-        let rec = &crawl_app(&profile, &sites[..3])[0];
-        assert_eq!(rec.hosts.len(), rec.kinds.len());
-        for ((h, k), via_classify) in rec
-            .hosts
-            .iter()
-            .zip(&rec.kinds)
-            .map(|(h, k)| ((h, *k), classify_endpoint(h, &rec.site_host)))
-        {
-            assert_eq!(k, via_classify, "{h}");
-        }
-        let counted: usize = rec.classified().values().sum();
-        assert_eq!(counted, rec.hosts.len());
-    }
-
-    #[test]
-    fn linkedin_figure6_shape() {
-        let sites = top_100_sites();
-        let profile = profile_for("com.linkedin.android").unwrap();
-        let rows = figure6(&crawl_app(&profile, &sites), &crawl_baseline(&sites));
-        let get = |cat: SiteCategory| {
-            rows.iter()
-                .find(|r| r.category == cat)
-                .expect("every category has a row")
-                .avg_endpoints
-        };
-        // News-rich pages trigger more IAB endpoints than Search.
-        assert!(get(SiteCategory::News) > get(SiteCategory::Search));
-        // At least 2 trackers on rich content (§4.2.2).
-        let news = rows
-            .iter()
-            .find(|r| r.category == SiteCategory::News)
-            .unwrap();
-        assert!(
-            news.by_kind
-                .get(&EndpointKind::Tracker)
-                .copied()
-                .unwrap_or(0.0)
-                >= 2.0,
-            "{news:?}"
-        );
-    }
-
-    #[test]
-    fn kik_contacts_many_ad_networks_on_rich_sites() {
-        let sites = top_100_sites();
-        let profile = profile_for("kik.android").unwrap();
-        let rows = figure6(&crawl_app(&profile, &sites), &crawl_baseline(&sites));
-        let news = rows
-            .iter()
-            .find(|r| r.category == SiteCategory::News)
-            .unwrap();
-        // "over 15 ad network endpoints" on content-rich sites.
-        assert!(news.avg_endpoints >= 15.0, "{news:?}");
-        assert!(
-            news.by_kind
-                .get(&EndpointKind::AdNetwork)
-                .copied()
-                .unwrap_or(0.0)
-                >= 10.0,
-            "{news:?}"
-        );
-        let search = rows
-            .iter()
-            .find(|r| r.category == SiteCategory::Search)
-            .unwrap();
-        assert!(search.avg_endpoints < news.avg_endpoints);
-    }
-
-    #[test]
-    fn snapchat_is_indistinguishable_from_baseline() {
-        let sites: Vec<TopSite> = top_100_sites().into_iter().take(20).collect();
-        let profile = profile_for("com.snapchat.android").unwrap();
-        let rows = figure6(&crawl_app(&profile, &sites), &crawl_baseline(&sites));
-        assert_eq!(rows.len(), SiteCategory::ALL.len());
-        for row in rows {
-            assert_eq!(row.avg_endpoints, 0.0, "{row:?}");
-        }
-    }
-
-    #[test]
-    fn every_category_gets_a_row_even_on_subsets() {
-        // The first ten sites are all News — the other nine categories
-        // must still be present, as explicit zero rows.
-        let sites: Vec<TopSite> = top_100_sites().into_iter().take(10).collect();
-        assert!(sites.iter().all(|s| s.category == SiteCategory::News));
-        let profile = profile_for("kik.android").unwrap();
-        let rows = figure6(&crawl_app(&profile, &sites), &crawl_baseline(&sites));
-        assert_eq!(rows.len(), SiteCategory::ALL.len());
-        let news = rows
-            .iter()
-            .find(|r| r.category == SiteCategory::News)
-            .unwrap();
-        assert!(news.avg_endpoints > 0.0);
-        for row in rows.iter().filter(|r| r.category != SiteCategory::News) {
-            assert_eq!(row.avg_endpoints, 0.0, "{row:?}");
-            assert!(row.by_kind.is_empty(), "{row:?}");
-        }
-    }
 
     #[test]
     fn visit_script_matches_paper_sequence() {

@@ -12,10 +12,12 @@
 //!   site's *own* third-party calls, so IAB-specific endpoints must be
 //!   isolated by baseline subtraction rather than assumed;
 //! * [`classify`] — the endpoint classifier (Symantec Sitereview analog);
-//! * [`driver`] — the ADB-analog crawl loop and the Figure 6 aggregation
+//! * [`driver`] — the ADB-analog visit script and the Figure 6 row
 //!   (average distinct IAB-specific endpoints per site category);
 //! * [`loadtime`] — the Figure 7 page-load-time model (CT vs Chrome vs
 //!   external browser vs WebView).
+//!
+//! The serial crawl `wla-dynamic` is pinned against lives in `wla-oracle`.
 
 #![forbid(unsafe_code)]
 
@@ -26,8 +28,8 @@ pub mod sites;
 
 pub use classify::{classify_endpoint, classify_third_party, is_first_party, EndpointKind};
 pub use driver::{
-    crawl_app, crawl_baseline, figure6, figure6_row, run_visit, run_visit_prepared, CrawlRecord,
-    CrawlStep, Figure6Row, VisitObservation, BASELINE_APP, VISIT_SCRIPT,
+    figure6_row, run_visit_prepared, CrawlStep, Figure6Row, VisitObservation, BASELINE_APP,
+    VISIT_SCRIPT,
 };
 pub use loadtime::{load_time_ms, LoadContext, LoadMode};
 pub use sites::{site_page, top_100_sites, SiteCategory, TopSite};

@@ -22,6 +22,9 @@
 //!   profile through a page visit;
 //! * [`browser`] — the default browser: cookie persistence and a netlog
 //!   source of its own.
+//!
+//! §5's models built on this device (OAuth, Safe Browsing, JS bridges, the
+//! Monkey) live in `wla-extensions`.
 
 #![forbid(unsafe_code)]
 
@@ -31,9 +34,6 @@ pub mod frida;
 pub mod iab;
 pub mod intent;
 pub mod logcat;
-pub mod monkey;
-pub mod oauth;
-pub mod security;
 pub mod session;
 pub mod webview;
 
@@ -43,8 +43,5 @@ pub use frida::{FridaRecorder, HookedCall};
 pub use iab::{profile_for, IabProfile, IabVisit};
 pub use intent::{resolve_intent, Intent, IntentTarget};
 pub use logcat::Logcat;
-pub use monkey::{monkey_success_rate, run_monkey, MonkeyOutcome};
-pub use oauth::{run_oauth_flow, AuthMechanism, OAuthOutcome};
-pub use security::{page_invoke_bridge, BridgeData, BridgeHost, LoadVerdict, SafeBrowsing};
 pub use session::VisitSession;
 pub use webview::{PageSource, PreparedPage, WebViewInstance, WebViewSettings};

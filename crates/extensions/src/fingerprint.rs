@@ -9,7 +9,7 @@
 //! [`Fingerprint`] collects the classic entropy sources; the tests encode
 //! the linkability contrast.
 
-use crate::simhash::simhash64;
+use wla_web::simhash::simhash64;
 
 /// What kind of client surface is being fingerprinted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

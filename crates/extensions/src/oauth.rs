@@ -12,13 +12,13 @@
 //!   controllable surface* (keystrokes and DOM are both interceptable) —
 //!   and the IDP may refuse it outright (Figure 5).
 
-use crate::browser::Browser;
-use crate::customtabs::CustomTab;
-use crate::frida::FridaRecorder;
-use crate::logcat::Logcat;
-use crate::webview::{PageSource, WebViewInstance};
+use crate::website::{ClientContext, Website};
+use wla_device::browser::Browser;
+use wla_device::customtabs::CustomTab;
+use wla_device::frida::FridaRecorder;
+use wla_device::logcat::Logcat;
+use wla_device::webview::{PageSource, WebViewInstance};
 use wla_net::NetLog;
-use wla_web::website::{ClientContext, Website};
 
 /// Which mechanism the app's auth SDK uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +108,7 @@ pub fn run_oauth_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wla_web::website::WebViewLoginPolicy;
+    use crate::website::WebViewLoginPolicy;
 
     fn idp() -> Website {
         Website::new("idp.example", WebViewLoginPolicy::Allow)

@@ -12,10 +12,10 @@
 //!   [`page_invoke_bridge`] is the malicious page's call. The CT analog
 //!   does not exist: `CustomTab` has no bridge API at all.
 
-use crate::webview::WebViewInstance;
 use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::Arc;
+use wla_device::webview::WebViewInstance;
 
 /// A Safe-Browsing-style URL reputation service.
 #[derive(Debug, Default, Clone)]
@@ -126,9 +126,9 @@ pub fn page_invoke_bridge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frida::FridaRecorder;
-    use crate::logcat::Logcat;
-    use crate::webview::PageSource;
+    use wla_device::frida::FridaRecorder;
+    use wla_device::logcat::Logcat;
+    use wla_device::webview::PageSource;
     use wla_net::NetLog;
 
     fn webview() -> WebViewInstance {

@@ -7,8 +7,8 @@
 //! that inspects that header and applies a policy — the server-side
 //! counterpart to everything else in this crate.
 
-use crate::dom::Document;
-use crate::html::parse;
+use wla_web::dom::Document;
+use wla_web::html::parse;
 
 /// How a site treats sessions arriving from a WebView.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -315,7 +315,7 @@ impl Request {
     }
 
     /// Parse a request from a buffered reader under explicit limits — the
-    /// blocking (`server::oracle`) read path.
+    /// blocking reference server's (`wla_oracle::server`) read path.
     pub fn read_from_limited<R: Read>(
         reader: &mut BufReader<R>,
         limits: &Limits,
@@ -525,9 +525,9 @@ impl Response {
     }
 
     /// Serialize into a byte buffer, choosing the connection framing. Both
-    /// servers (readiness-loop and blocking oracle) emit responses through
-    /// this one function, which is what lets the equivalence suite pin
-    /// their byte streams against each other.
+    /// servers (readiness-loop and the blocking reference) emit responses
+    /// through this one function, which is what lets the equivalence suite
+    /// pin their byte streams against each other.
     pub fn write_into(&self, out: &mut Vec<u8>, close: bool) {
         use std::io::Write as _;
         let _ = write!(

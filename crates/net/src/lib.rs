@@ -24,9 +24,10 @@
 //! * [`server`] — the readiness-loop nonblocking server: keep-alive,
 //!   pipelining, bounded per-connection buffers, connection limits with
 //!   accept backpressure, 503 load shedding past a high-water mark, and an
-//!   idle-timeout sweep. The seed thread-per-connection blocking server is
-//!   preserved as [`server::oracle`] and pinned byte-identical by
-//!   `tests/server_equivalence.rs`;
+//!   idle-timeout sweep. The seed thread-per-connection blocking server
+//!   lives in `wla-oracle` (`wla_oracle::server`), built on this crate's
+//!   [`server::dispatch`] and [`server::error_response`], and is pinned
+//!   byte-identical by `tests/server_equivalence.rs`;
 //! * [`stats`] — [`ServerStats`]: accepted/active/shed gauges, requests
 //!   per connection, parse failures, p50/p99 service-time histogram;
 //! * [`router`] — method+path dispatch (404/405) shared by every frontend;

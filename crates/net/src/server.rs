@@ -20,11 +20,11 @@
 //! which idle peers would otherwise survive.
 //!
 //! The seed thread-per-connection blocking server is preserved as
-//! [`oracle`]; `tests/server_equivalence.rs` pins the two byte-identical
-//! for identical request streams. Everything behavior-relevant is shared:
-//! the codec parsers ([`parse_request`] is proptest-pinned against the
-//! streaming reader), the crate-private `error_response` and `dispatch`,
-//! and [`Response::write_into`].
+//! `wla_oracle::server`; `tests/server_equivalence.rs` pins the two
+//! byte-identical for identical request streams. Everything
+//! behavior-relevant is shared: the codec parsers ([`parse_request`] is
+//! proptest-pinned against the streaming reader), [`error_response`],
+//! [`dispatch`] and [`Response::write_into`].
 
 use crate::http::{parse_request, HttpError, Limits, Method, Request, Response, Status};
 use crate::poll::{self, Interest};
@@ -36,11 +36,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub mod oracle;
-
 /// Request handler: pure function from request to response. Handlers run
-/// on event-loop (or, for the oracle, connection) threads, so they must be
-/// `Send + Sync`.
+/// on event-loop (or, in the blocking reference server, connection)
+/// threads, so they must be `Send + Sync`.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// Tuning knobs for the readiness-loop server.
@@ -160,9 +158,10 @@ impl Drop for Server {
     }
 }
 
-/// Map a codec error onto the response both servers emit for it. EOF is
-/// not in the table: a peer that closes mid-message gets a silent close.
-pub(crate) fn error_response(e: &HttpError) -> Response {
+/// Map a codec error onto the response both servers (this one and
+/// `wla_oracle::server`) emit for it. EOF is not in the table: a peer
+/// that closes mid-message gets a silent close.
+pub fn error_response(e: &HttpError) -> Response {
     match e {
         HttpError::BodyTooLarge(_) => Response::error(Status::PayloadTooLarge, "body too large"),
         HttpError::HeadersTooLarge | HttpError::TooManyHeaders(_) => {
@@ -172,16 +171,16 @@ pub(crate) fn error_response(e: &HttpError) -> Response {
     }
 }
 
-/// Answer one request, shared by both servers: the handler runs under the
-/// panic isolator, so a panicking handler costs its own request a 500 —
-/// never the event loop or the connection — and the flag reports the
-/// panic.
+/// Answer one request, shared by both servers (this one and
+/// `wla_oracle::server`): the handler runs under the panic isolator, so a
+/// panicking handler costs its own request a 500 — never the event loop or
+/// the connection — and the flag reports the panic.
 ///
 /// RFC 9110 §9.3.2: HEAD responses carry the GET's metadata but no body.
 /// Our codec frames strictly on content-length, so the would-be entity
 /// size is advertised in `x-entity-length` instead of lying in
 /// content-length (documented codec deviation).
-pub(crate) fn dispatch(handler: &Handler, request: &Request) -> (Response, bool) {
+pub fn dispatch(handler: &Handler, request: &Request) -> (Response, bool) {
     let (mut response, panicked) = match wla_pool::isolate(|| handler(request)) {
         Ok(response) => (response, false),
         Err(_) => (

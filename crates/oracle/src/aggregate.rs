@@ -15,12 +15,6 @@
 //! Deliberately not optimized — its value is being the obviously-correct
 //! old semantics, kept compiling against the interned data model.
 
-use crate::aggregate::{
-    CategoryBreakdown, HeatmapRow, MethodCensusRow, SdkTypeCount, SdkUsageRow, StudyResults,
-    UrlOriginCensus,
-};
-use crate::analyze::AppView;
-use crate::pipeline::PipelineOutput;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use wla_apk::names::package_of_into;
 use wla_callgraph::UrlOrigin;
@@ -28,8 +22,13 @@ use wla_corpus::playstore::PlayCategory;
 use wla_corpus::METHODS;
 use wla_intern::Symbol;
 use wla_sdk_index::{LabelId, SdkCategory, SdkIndex};
+use wla_static::aggregate::{
+    CategoryBreakdown, HeatmapRow, MethodCensusRow, SdkTypeCount, SdkUsageRow, StudyResults,
+    UrlOriginCensus,
+};
+use wla_static::{AppView, PipelineOutput};
 
-/// [`crate::aggregate::aggregate`] re-implemented over resolved strings.
+/// [`wla_static::aggregate()`] re-implemented over resolved strings.
 pub fn aggregate_string_oracle(
     output: &PipelineOutput,
     catalog: &SdkIndex,
@@ -356,9 +355,8 @@ pub fn aggregate_string_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::aggregate;
-    use crate::pipeline::{run_pipeline, PipelineConfig};
     use wla_corpus::{CorpusConfig, Generator};
+    use wla_static::{aggregate, run_pipeline, PipelineConfig};
 
     #[test]
     fn oracle_agrees_with_interned_aggregate_on_a_fixed_corpus() {

@@ -6,10 +6,10 @@
 //! against it on randomized dexes; the `callgraph` bench uses it as the
 //! ablation baseline.
 
-use crate::graph::{CallSite, Provenance};
-use crate::reach::{record_sites, WebCallRecord};
 use std::collections::{HashMap, HashSet};
 use wla_apk::sdex::{Dex, Instruction, InvokeKind, MethodId, TypeId};
+use wla_callgraph::reach::record_sites;
+use wla_callgraph::{CallSite, Provenance, WebCallRecord};
 use wla_intern::{LocalInterner, Symbol};
 use wla_sdk_index::{LabelCache, SdkIndex};
 
@@ -166,8 +166,13 @@ pub fn record_web_calls_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::CallGraph;
-    use wla_apk::sdex::{ClassFlags, DexBuilder, MethodDef};
+    use wla_apk::sdex::{ClassFlags, DexBuilder, MethodDef, Reg};
+    use wla_callgraph::reach::reachable_methods;
+    use wla_callgraph::CallGraph;
+
+    fn def(b: &mut DexBuilder, class: &str, name: &str, code: Vec<Instruction>) -> MethodDef {
+        MethodDef::new(b.intern_method(class, name, "()V"), true, false, code)
+    }
 
     #[test]
     fn oracle_and_csr_agree_on_a_small_graph() {
@@ -209,8 +214,83 @@ mod tests {
         assert_eq!(oracle.sites(), csr.sites());
         assert_eq!(
             reachable_methods_oracle(&oracle, &[a_id]),
-            crate::reach::reachable_methods(&csr, &[a_id])
+            reachable_methods(&csr, &[a_id])
         );
         assert_eq!(oracle.defining_class(callee), csr.defining_class(callee));
+    }
+
+    #[test]
+    fn hash_vtables_match_the_hash_oracle() {
+        // A deep override chain plus an unresolved external call exercises
+        // hit, miss, and shadowing paths; the hash-vtable CSR build must
+        // agree with the chain-walking oracle on every edge and count.
+        let mut b = DexBuilder::new();
+        let c_handle = b.intern_method("com/x/C", "handle", "()V");
+        let c_other = b.intern_method("com/x/C", "other", "(I)V");
+        let missing = b.intern_method("com/x/C", "absent", "()V");
+        let mut code = Vec::new();
+        for _ in 0..3 {
+            code.push(Instruction::Invoke {
+                kind: InvokeKind::Virtual,
+                method: c_handle,
+                args: vec![],
+            });
+        }
+        code.push(Instruction::Invoke {
+            kind: InvokeKind::Virtual,
+            method: c_other,
+            args: vec![Reg(0)],
+        });
+        code.push(Instruction::Invoke {
+            kind: InvokeKind::Virtual,
+            method: missing,
+            args: vec![],
+        });
+        code.push(Instruction::ReturnVoid);
+        let caller = def(&mut b, "com/x/Main", "go", code);
+        let a_def = def(&mut b, "com/x/A", "handle", vec![Instruction::ReturnVoid]);
+        let a_other = MethodDef::new(
+            b.intern_method("com/x/A", "other", "(I)V"),
+            true,
+            false,
+            vec![Instruction::ReturnVoid],
+        );
+        let b_def = def(&mut b, "com/x/B", "handle", vec![Instruction::ReturnVoid]);
+        b.define_class("com/x/A", None, ClassFlags::default(), vec![a_def, a_other])
+            .unwrap();
+        b.define_class(
+            "com/x/B",
+            Some("com/x/A"),
+            ClassFlags::default(),
+            vec![b_def],
+        )
+        .unwrap();
+        b.define_class("com/x/C", Some("com/x/B"), ClassFlags::default(), vec![])
+            .unwrap();
+        b.define_class("com/x/Main", None, ClassFlags::default(), vec![caller])
+            .unwrap();
+        let dex = b.build();
+
+        let g = CallGraph::build(&dex);
+        let oracle = HashCallGraph::build(&dex);
+        // The oracle keeps duplicate edges; the CSR build counts the ones
+        // it dedups.
+        assert_eq!(
+            g.edge_count() + g.build_stats().duplicate_edges as usize,
+            oracle.edge_count()
+        );
+        assert_eq!(g.defined_count(), oracle.defined_count());
+        assert_eq!(g.sites(), oracle.sites());
+        let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
+        let mut h: Vec<MethodId> = g.callees(main).collect();
+        let mut o = oracle.callees(main).to_vec();
+        h.sort();
+        o.sort();
+        o.dedup();
+        assert_eq!(h, o);
+        // Nearest override must win under the hash layout.
+        assert!(h
+            .iter()
+            .any(|&m| dex.type_name(g.defining_class(m).unwrap()) == "com/x/B"));
     }
 }

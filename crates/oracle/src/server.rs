@@ -5,15 +5,12 @@
 //! shape (every response is framed `connection: close`) and is the bench
 //! baseline the nonblocking server is measured against;
 //! [`Server::start_persistent`] runs the same blocking read path in a
-//! keep-alive loop, which — because both servers share the codec, the
-//! crate-private `error_response` and `dispatch`, and
-//! `Response::write_into` — makes its byte stream the reference the
-//! equivalence suite pins the nonblocking server against, pipelining
-//! included (the `BufReader` naturally carries buffered follow-on
-//! requests between iterations).
+//! keep-alive loop, which — because both servers share the codec,
+//! [`error_response`], [`dispatch`] and `Response::write_into` — makes its
+//! byte stream the reference the equivalence suite pins the nonblocking
+//! server against, pipelining included (the `BufReader` naturally carries
+//! buffered follow-on requests between iterations).
 
-use super::{dispatch, error_response, Handler};
-use crate::http::{HttpError, Limits, Request};
 use parking_lot::Mutex;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -21,6 +18,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use wla_net::server::{dispatch, error_response};
+use wla_net::{Handler, HttpError, Limits, Request};
 
 /// A running blocking HTTP server bound to a loopback port.
 ///
@@ -177,9 +176,8 @@ fn serve_connection(stream: TcpStream, handler: Handler, limits: Limits, persist
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::fetch;
-    use crate::http::{Method, Response, Status};
     use std::io::Read;
+    use wla_net::{fetch, Method, Response, Status};
 
     fn echo_server() -> Server {
         Server::start(Arc::new(|req: &Request| match (req.method, req.path()) {
@@ -278,7 +276,7 @@ mod tests {
         let server = echo_server();
         let raw = format!(
             "POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            crate::http::MAX_BODY_BYTES + 1
+            wla_net::http::MAX_BODY_BYTES + 1
         );
         let buf = raw_exchange(server.addr(), raw.as_bytes());
         assert!(buf.starts_with("HTTP/1.1 413"), "{buf}");

@@ -49,7 +49,7 @@ pub struct StageTimings {
     pub decode_ns: u64,
     /// `extends WebView` closure over the dex class tables (the stage the
     /// paper spends on JADX decompilation; the lifted-source oracle lives
-    /// in `wla-decompile`).
+    /// in `wla-oracle`).
     pub decompile_ns: u64,
     /// Call-graph construction, entry points, traversal, recording.
     pub callgraph_ns: u64,
@@ -352,7 +352,7 @@ fn finish_analysis(
     // (3) custom WebView classes across all dexes. The closure runs
     // directly on the pooled dex superclass links; the paper-faithful
     // lift-to-Java + re-parse route (`webview_subclasses_interned`) is the
-    // oracle it is equivalence-pinned against — see `wla-decompile`.
+    // oracle it is equivalence-pinned against — see `wla-oracle`.
     let started = Instant::now();
     let subclasses = webview_subclasses_dex_interned(&dexes, &mut ctx.lexicon);
     ctx.stage.decompile_ns += started.elapsed().as_nanos() as u64;
@@ -551,47 +551,6 @@ mod tests {
             assert!(ctx.dataflow.iterations >= ctx.dataflow.blocks);
         }
         assert!(sites_seen > 0, "corpus sample must contain URL sites");
-    }
-
-    #[test]
-    fn ablated_pending_string_oracle_resolves_nothing_shuffled() {
-        // The legacy single-pending-string heuristic, annotating the same
-        // graphs the pass does: the register shuffle defeats every site,
-        // since the move chain between the const-string and the invoke
-        // always clears the pending string.
-        let mut sites_seen = 0usize;
-        for seed in 0..20 {
-            let (catalog, spec) = sample_spec(seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let bytes = Bytes::from(lower(&spec, &catalog, &mut rng).encode());
-            let mut ctx = AnalysisCtx::new(&catalog);
-            let apk = Sapk::decode_bytes(bytes).unwrap();
-            let (manifest, dexes) = decode_rest(apk, &mut ctx).unwrap();
-            let subclasses = webview_subclasses_dex_interned(&dexes, &mut ctx.lexicon);
-            for dex in &dexes {
-                let mut graph = CallGraph::build(dex);
-                wla_callgraph::provenance_oracle::annotate(dex, graph.sites_mut());
-                let roots = entry_points(&graph, &manifest);
-                let record = record_web_calls_with(
-                    &graph,
-                    &roots,
-                    &subclasses,
-                    &catalog,
-                    &mut ctx.lexicon,
-                    &mut ctx.labels,
-                    &mut ctx.reach,
-                );
-                let load = |s: &&wla_callgraph::WebViewSite| {
-                    s.reachable && WEBVIEW_LOAD_METHOD_MASK & (1 << s.method_idx) != 0
-                };
-                for s in record.webview.iter().filter(load) {
-                    assert_eq!(s.origin, UrlOrigin::Unknown, "seed {seed}");
-                    assert!(s.argument.is_none());
-                    sites_seen += 1;
-                }
-            }
-        }
-        assert!(sites_seen > 0);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! input.
 //!
 //! The legacy single-pending-string heuristic survives as
-//! [`wla_callgraph::provenance_oracle`]; `tests/provenance_equivalence.rs`
-//! proves this pass equal to it on adjacency-shaped code and strictly
-//! better on register-shuffled code.
+//! `wla_oracle::provenance`; `tests/provenance_equivalence.rs` proves this
+//! pass equal to it on adjacency-shaped code and strictly better on
+//! register-shuffled code.
 
 use wla_apk::sdex::{Instruction, MethodDef};
 use wla_apk::Dex;

@@ -4,8 +4,9 @@
 //!
 //! 1. metadata filter (done upstream by `wla-corpus`'s [`FilterSpec`]) —
 //!    `(2)` download the most recent APK;
-//! 2. `(3)` decompile and extract `extends WebView` classes
-//!    ([`wla_decompile`]);
+//! 2. `(3)` extract the `extends WebView` classes (the paper decompiles
+//!    with JADX and parses with javalang; here the closure runs on the
+//!    dex superclass links, [`wla_decompile`]);
 //! 3. `(4)` generate the whole-app call graph ([`wla_callgraph`]);
 //! 4. `(5)` traverse from every component entry point and record each
 //!    WebView content-method call and Custom-Tabs interaction, excluding
@@ -18,6 +19,8 @@
 //! 6. aggregate into the paper's tables and figures, including the
 //!    resolved-vs-unknown URL-origin census.
 //!
+//! [`aggregate()`]'s string-path reference lives in `wla-oracle`.
+//!
 //! [`FilterSpec`]: wla_corpus::FilterSpec
 
 #![forbid(unsafe_code)]
@@ -26,7 +29,6 @@ pub mod aggregate;
 pub mod analyze;
 mod cache;
 pub mod dataflow;
-pub mod oracle;
 pub mod pipeline;
 pub mod privacy;
 pub mod stream;
@@ -41,7 +43,6 @@ pub use analyze::{
     StageTimings, WebViewSiteSummary,
 };
 pub use dataflow::{method_provenance, DataflowCounters};
-pub use oracle::aggregate_string_oracle;
 pub use pipeline::{
     run_pipeline, run_pipeline_tallied, run_pipeline_with, AppInput, CorpusInput, InternerCounters,
     PipelineConfig, PipelineOutput, PipelineStats, WorkerStats, CLAIM_APPS,

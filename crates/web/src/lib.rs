@@ -18,6 +18,8 @@
 //! * [`script`] — injected-script effects: the behaviours Table 8 infers
 //!   (autofill SDK insertion, DOM tag counts, simhash, performance logging,
 //!   ad-payload probing), executed for real against the DOM session.
+//!
+//! §5's fingerprinting and website-defense models live in `wla-extensions`.
 
 #![forbid(unsafe_code)]
 
@@ -35,16 +37,13 @@
 //! ```
 
 pub mod dom;
-pub mod fingerprint;
 pub mod html;
 pub mod script;
 pub mod simhash;
 pub mod testpage;
 pub mod webapi;
-pub mod website;
 
 pub use dom::{Document, NodeId};
 pub use script::{ScriptEffect, ScriptOutcome};
 pub use simhash::{hamming, simhash64, simhash64_scalar};
 pub use webapi::{ApiCall, DomSession};
-pub use website::{ClientContext, LoginPage, WebViewLoginPolicy, Website};

@@ -10,13 +10,11 @@
 
 use whatcha_lookin_at::wla_device::browser::Browser;
 use whatcha_lookin_at::wla_device::customtabs::CustomTab;
-use whatcha_lookin_at::wla_device::security::{
-    page_invoke_bridge, BridgeData, BridgeHost, SafeBrowsing,
-};
 use whatcha_lookin_at::wla_device::webview::{PageSource, WebViewInstance};
 use whatcha_lookin_at::wla_device::{FridaRecorder, Logcat};
 use whatcha_lookin_at::wla_net::NetLog;
-use whatcha_lookin_at::wla_web::website::{ClientContext, Website};
+use wla_extensions::security::{page_invoke_bridge, BridgeData, BridgeHost, SafeBrowsing};
+use wla_extensions::website::{ClientContext, Website};
 
 fn main() {
     println!("== 1. Safe Browsing can be switched off in a WebView ==");

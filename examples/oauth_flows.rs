@@ -7,11 +7,11 @@
 //! ```
 
 use whatcha_lookin_at::wla_device::browser::Browser;
-use whatcha_lookin_at::wla_device::oauth::{run_oauth_flow, AuthMechanism};
 use whatcha_lookin_at::wla_net::NetLog;
-use whatcha_lookin_at::wla_web::website::{WebViewLoginPolicy, Website};
+use wla_extensions::oauth::{run_oauth_flow, AuthMechanism, OAuthOutcome};
+use wla_extensions::website::{WebViewLoginPolicy, Website};
 
-fn show(label: &str, out: &whatcha_lookin_at::wla_device::oauth::OAuthOutcome) {
+fn show(label: &str, out: &OAuthOutcome) {
     println!("{label}");
     println!("  authorized:            {}", out.authorized);
     println!("  session reused:        {}", out.session_reused);

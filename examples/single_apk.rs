@@ -13,10 +13,10 @@ use whatcha_lookin_at::wla_callgraph::{entry_points, record_web_calls, CallGraph
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
-use whatcha_lookin_at::wla_decompile::{lift_dex, webview_subclasses_interned};
 use whatcha_lookin_at::wla_intern::LocalInterner;
 use whatcha_lookin_at::wla_manifest::wireformat;
 use whatcha_lookin_at::wla_sdk_index::{LabelCache, LabelId, SdkIndex};
+use wla_oracle::{lift_dex, webview_subclasses_interned};
 
 fn main() {
     let seed: u64 = std::env::args()

@@ -27,8 +27,8 @@ use whatcha_lookin_at::{experiments, stats, Study};
 
 struct Args {
     command: String,
-    scale: u32,
-    seed: u64,
+    /// `Study::default_experiment()`, with `--scale` and `--seed` applied.
+    study: Study,
     json: bool,
     port: u16,
     smoke: bool,
@@ -44,8 +44,7 @@ const USAGE: &str = "usage: wla <static|funnel|dynamic|crawl|labels|ablation|wha
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
-        scale: 100,
-        seed: 0xDA7A_5EED,
+        study: Study::default_experiment(),
         json: false,
         port: 0,
         smoke: false,
@@ -54,8 +53,8 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => args.scale = flag_value::<NonZeroU32>("--scale", argv.next())?.get(),
-            "--seed" => args.seed = flag_value("--seed", argv.next())?,
+            "--scale" => args.study.scale = flag_value::<NonZeroU32>("--scale", argv.next())?.get(),
+            "--seed" => args.study.seed = flag_value("--seed", argv.next())?,
             "--json" => args.json = true,
             "--port" => args.port = flag_value("--port", argv.next())?,
             "--smoke" => args.smoke = true,
@@ -90,7 +89,7 @@ fn main() {
         eprintln!("wla: {e}");
         usage()
     });
-    let study = Study::new(args.scale, args.seed);
+    let study = &args.study;
     let print_exp = |exp: &experiments::Experiment| {
         if args.json {
             println!(
@@ -107,12 +106,12 @@ fn main() {
             eprintln!("static campaign at scale 1:{} …", study.scale);
             let run = study.run_static();
             for exp in [
-                experiments::table3(&study, &run),
-                experiments::table4(&study, &run),
-                experiments::table5(&study, &run),
-                experiments::table7(&study, &run),
-                experiments::fig3(&study, &run),
-                experiments::fig4(&study, &run),
+                experiments::table3(study, &run),
+                experiments::table4(study, &run),
+                experiments::table5(study, &run),
+                experiments::table7(study, &run),
+                experiments::fig3(study, &run),
+                experiments::fig4(study, &run),
             ] {
                 print_exp(&exp);
             }
@@ -121,7 +120,7 @@ fn main() {
         "funnel" => {
             let run = study.run_static();
             let funnel = study.run_funnel(&run);
-            print_exp(&experiments::table2(&study, &funnel));
+            print_exp(&experiments::table2(study, &funnel));
             eprintln!("{}", stats::render_pipeline_stats(&run.stats));
         }
         "dynamic" => {
@@ -182,11 +181,11 @@ fn main() {
         "ablation" => {
             eprintln!("running static pipeline at scale 1:{} …", study.scale);
             let run = study.run_static();
-            print_exp(&experiments::ablation(&study, &run));
+            print_exp(&experiments::ablation(study, &run));
         }
         "whatif" => {
             eprintln!("running four scenarios at scale 1:{} …", study.scale);
-            print_exp(&experiments::whatif(&study));
+            print_exp(&experiments::whatif(study));
         }
         "all" => {
             let static_run = study.run_static();
@@ -195,16 +194,16 @@ fn main() {
             let crawl_run = study
                 .run_crawl_parallel(None, whatcha_lookin_at::wla_dynamic::CrawlConfig::default());
             let all = [
-                experiments::table2(&study, &funnel),
-                experiments::table3(&study, &static_run),
-                experiments::table4(&study, &static_run),
-                experiments::table5(&study, &static_run),
+                experiments::table2(study, &funnel),
+                experiments::table3(study, &static_run),
+                experiments::table4(study, &static_run),
+                experiments::table5(study, &static_run),
                 experiments::table6(&dynamic_run),
-                experiments::table7(&study, &static_run),
+                experiments::table7(study, &static_run),
                 experiments::table8(&dynamic_run),
                 experiments::table9(&dynamic_run),
-                experiments::fig3(&study, &static_run),
-                experiments::fig4(&study, &static_run),
+                experiments::fig3(study, &static_run),
+                experiments::fig4(study, &static_run),
                 experiments::fig6(&crawl_run),
                 experiments::fig7(),
             ];

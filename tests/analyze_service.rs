@@ -14,8 +14,8 @@
 use std::sync::Arc;
 use wla_core::{analysis_routes, Study};
 use wla_net::http::form_encode;
-use wla_net::server::oracle;
 use wla_net::{fetch, Handler, Limits, Request, Response, Server, ServerConfig, Status};
+use wla_oracle::server as oracle;
 use wla_sdk_index::SdkIndex;
 
 fn analyze_handler() -> Handler {

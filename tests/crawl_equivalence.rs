@@ -15,16 +15,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use wla_crawler::classify::EndpointKind;
-use wla_crawler::driver::{
-    crawl_app, crawl_baseline, figure6, run_visit_prepared, CrawlRecord, VisitObservation,
-    BASELINE_APP,
-};
+use wla_crawler::driver::{run_visit_prepared, VisitObservation, BASELINE_APP};
 use wla_crawler::sites::{top_100_sites, TopSite};
 use wla_device::iab::all_profiles;
 use wla_dynamic::{
     run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlOutput,
     VisitRecord,
 };
+use wla_oracle::crawl::{crawl_app, crawl_baseline, figure6, CrawlRecord};
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
 

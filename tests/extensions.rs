@@ -4,14 +4,14 @@
 
 use whatcha_lookin_at::wla_corpus::ecosystem::top_thousand;
 use whatcha_lookin_at::wla_device::browser::Browser;
-use whatcha_lookin_at::wla_device::monkey::monkey_success_rate;
-use whatcha_lookin_at::wla_device::oauth::{run_oauth_flow, AuthMechanism};
 use whatcha_lookin_at::wla_dynamic::classify::{classify_top_apps, PROBE_URL};
 use whatcha_lookin_at::wla_net::NetLog;
 use whatcha_lookin_at::wla_static::{grade_distribution, privacy_label, ExposureGrade};
-use whatcha_lookin_at::wla_web::fingerprint::{collect, DeviceProfile, Surface};
-use whatcha_lookin_at::wla_web::website::Website;
 use whatcha_lookin_at::Study;
+use wla_extensions::fingerprint::{collect, DeviceProfile, Surface};
+use wla_extensions::monkey::monkey_success_rate;
+use wla_extensions::oauth::{run_oauth_flow, AuthMechanism};
+use wla_extensions::website::Website;
 
 #[test]
 fn scripted_driver_beats_the_monkey() {

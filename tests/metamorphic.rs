@@ -11,8 +11,9 @@ use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{
-    aggregate, aggregate_string_oracle, analyze_app, run_pipeline, AppView, PipelineConfig, Tally,
+    aggregate, analyze_app, run_pipeline, AppView, PipelineConfig, Tally,
 };
+use wla_oracle::aggregate_string_oracle;
 
 fn meta() -> AppMeta {
     AppMeta {

@@ -2,7 +2,7 @@
 //!
 //! The constant-propagation pass (`wla-static::dataflow`) replaces the
 //! paper's linear pending-string heuristic
-//! (`wla-callgraph::provenance_oracle`). Two properties pin the swap:
+//! (`wla_oracle::provenance`). Two properties pin the swap:
 //!
 //! 1. **Equivalence on adjacency-shaped code** — on branch-free programs
 //!    where every `const-string` feeds the next invoke through a fresh
@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 use whatcha_lookin_at::wla_apk::names::WEBVIEW_LOAD_METHOD_MASK;
 use whatcha_lookin_at::wla_apk::sdex::{Instruction, InvokeKind, MethodId, Reg};
 use whatcha_lookin_at::wla_apk::{Dex, Sapk, SectionTag};
-use whatcha_lookin_at::wla_callgraph::provenance_oracle::{self, pending_strings};
 use whatcha_lookin_at::wla_callgraph::{
     entry_points, record_web_calls_with, CallGraph, Provenance, ReachScratch, UrlOrigin,
 };
@@ -31,6 +30,7 @@ use whatcha_lookin_at::wla_manifest::{wireformat, Manifest};
 use whatcha_lookin_at::wla_sdk_index::{LabelCache, SdkIndex};
 use whatcha_lookin_at::wla_static::dataflow::method_provenance;
 use whatcha_lookin_at::wla_static::{analyze_app_timed_with, AnalysisCtx, DataflowCounters};
+use wla_oracle::provenance::{self, pending_strings};
 
 /// Build a branch-free, adjacency-shaped method body: a run of call
 /// units, each either "armed" (`const-string rN; nop*; invoke(rN)`) or
@@ -107,7 +107,7 @@ fn heuristic_origins(container: &[u8], catalog: &SdkIndex) -> Vec<UrlOrigin> {
     let mut origins = Vec::new();
     for dex in &dexes {
         let mut graph = CallGraph::build(dex);
-        provenance_oracle::annotate(dex, graph.sites_mut());
+        provenance::annotate(dex, graph.sites_mut());
         let roots = entry_points(&graph, &manifest);
         let record = record_web_calls_with(
             &graph,

@@ -1,5 +1,5 @@
 //! Equivalence of the CSR + bitset call-graph path against the hash-based
-//! oracle (`wla_callgraph::oracle`), in the style of the interned-IR
+//! oracle (`wla_oracle::callgraph`), in the style of the interned-IR
 //! oracle suite: randomized inputs, bit-identical outputs.
 //!
 //! Three layers of property:
@@ -20,9 +20,6 @@ use std::collections::HashSet;
 use whatcha_lookin_at::wla_apk::sdex::{
     ClassFlags, Dex, DexBuilder, Instruction, InvokeKind, MethodDef, MethodId, Reg,
 };
-use whatcha_lookin_at::wla_callgraph::oracle::{
-    reachable_methods_oracle, record_web_calls_oracle, HashCallGraph,
-};
 use whatcha_lookin_at::wla_callgraph::reach::{
     reachable_methods, record_web_calls_with, ReachScratch,
 };
@@ -32,6 +29,7 @@ use whatcha_lookin_at::wla_intern::{LocalInterner, Symbol};
 use whatcha_lookin_at::wla_manifest::{Component, ComponentKind, Manifest};
 use whatcha_lookin_at::wla_sdk_index::{LabelCache, SdkIndex};
 use whatcha_lookin_at::wla_static::{run_pipeline, PipelineConfig};
+use wla_oracle::callgraph::{reachable_methods_oracle, record_web_calls_oracle, HashCallGraph};
 
 const NAMES: [&str; 6] = ["handle", "run", "go", "onCreate", "process", "loadUrl"];
 const DESCRIPTORS: [&str; 2] = ["()V", "(Ljava/lang/String;)V"];

@@ -11,9 +11,9 @@ use whatcha_lookin_at::wla_apk::Dex;
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
-use whatcha_lookin_at::wla_decompile::{lift_dex, parse_source};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::analyze_app;
+use wla_oracle::{lift_dex, parse_source};
 
 fn meta() -> AppMeta {
     AppMeta {

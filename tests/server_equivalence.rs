@@ -1,5 +1,5 @@
 //! The readiness-loop server is pinned byte-identical to the blocking
-//! thread-per-connection oracle (`wla_net::server::oracle`).
+//! thread-per-connection oracle (`wla_oracle::server`).
 //!
 //! Both servers share one response serialization (`Response::write_into`)
 //! and one error classification (`server::error_response`), so for any
@@ -17,8 +17,8 @@ use std::time::Duration;
 use wla_core::service_router;
 use wla_corpus::generator::{CorpusConfig, Generator};
 use wla_net::beacon::encode_beacon;
-use wla_net::server::oracle;
 use wla_net::{Handler, Method, Request, Server, ServerConfig};
+use wla_oracle::server as oracle;
 use wla_sdk_index::SdkIndex;
 
 /// A fresh service router over the paper catalog, plus a `/panic` route
