@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Local CI gate: no stale dev-dependency, formatting, lints, no unused
 # library dependency, warning-free rustdoc, the full test suite, the reach
-# step (every production file that defines a `fn` contributes a symbol to
-# the debug `wla`, but the two REACH_ALLOWED files of the streamed path),
-# the streamed-corpus example run twice into one directory (1:2000,
-# then the smaller 1:4000 corpus; the example asserts its streamed results
-# equal Study::run_static, so a leftover shard of the first run fails it),
+# step (every production file that defines a `fn`, and every public
+# function in one, puts a symbol into the debug `wla`, but what
+# REACH_ALLOWED names with its reason), the streamed-corpus example run
+# twice into one directory (1:2000, then the smaller 1:4000 corpus; the
+# example asserts its streamed results equal Study::run_static, so a
+# leftover shard of the first run fails it),
 # the tests of the end-to-end benchmark package
 # (crates/bench/src/bin/benchmark), and the paper-scale streamed run (the
 # ignored `stream_equivalence` test in release: 73,400 apps at 1/2/4/8
@@ -60,7 +61,12 @@
 # unknown revision exits 2 without starting cargo.
 #
 # `ci.sh reach` builds the debug `wla` and runs the gate's reach step
-# alone.
+# alone. It matches `nm -C`'s demangled names by full path: lifetimes are
+# erased (`CallGraph<'d>`'s methods read `CallGraph::build`), a generic
+# type's method reads `Type<T>::method`, and trait-impl methods are out of
+# scope. A debug build emits every function it calls; a `const fn` that is
+# only ever evaluated at compile time, or an `#[inline(always)]` one, would
+# put no symbol in, and no production function is either today.
 #
 # `ci.sh bench-snapshot` refreshes the committed bench snapshots in quick
 # mode (WLA_BENCH_QUICK=1, ~seconds instead of minutes), each row run
@@ -140,11 +146,32 @@ CHECK_CPU=0
 # totals them apart from production, and `reach` does not ask them to link
 # into `wla`.
 REFERENCE_CRATES=(crates/oracle crates/extensions)
-# Production files `reach` lets contribute no symbol to `wla`, each with
-# its reason.
+# What `reach` lets put no symbol into `wla`, each with its reason. A key
+# is a public function's full path, or a module path ending in `::`, which
+# allows that module's file and every function in it. An entry may only
+# name what the end-to-end benchmark package calls, the streamed path
+# (until ROADMAP item 3 gives it a `wla` entry), an `is_empty` that clippy's
+# `len_without_is_empty` pairs with a linked `len`, or a reference ROADMAP
+# item 6 keeps in place because moving it would make a private item `pub`.
 declare -A REACH_ALLOWED=(
-    [crates/corpus/src/shard.rs]="the streamed path: only stream_s10 and Study::run_static_streamed reach it until ROADMAP item 3 gives it a wla entry"
-    [crates/static-analysis/src/cache.rs]="the streamed path's resume cache: only stream_s10 and Study::run_static_streamed reach it until ROADMAP item 3 gives it a wla entry"
+    [wla_corpus::shard::]="the streamed path's shards: only the end-to-end benchmark's stream_s10 reaches them (it calls write_sharded_corpus, then run_pipeline_streamed) until ROADMAP item 3 gives the streamed path a wla entry"
+    [wla_static::cache::]="the streamed path's resume cache: only run_pipeline_streamed reaches it"
+    [wla_static::stream::run_pipeline_streamed]="the streamed runner: the end-to-end benchmark's stream_s10 calls it"
+    [wla_static::aggregate::aggregate]="the keep-output aggregation: the end-to-end benchmark's traced static_s10 and its stream_s10 call it"
+    [wla_static::pipeline::PipelineOutput::broken_count]="the end-to-end benchmark checks its per-app drive against it"
+    [wla_apk::sdex::Dex::decode_bytes_with]="the end-to-end benchmark's per-app drive calls it (one of ROADMAP item 6's shims)"
+    [wla_callgraph::graph::CallGraph::build_with]="the end-to-end benchmark's per-app drive calls it (one of ROADMAP item 6's shims)"
+    [wla_callgraph::reach::WebCallRecord::reachable_webview]="the end-to-end benchmark's per-app drive counts reachable sites with it"
+    [wla_callgraph::reach::WebCallRecord::reachable_custom_tabs]="the end-to-end benchmark's per-app drive counts reachable sites with it"
+    [wla_intern::SymbolTable::is_empty]="clippy's len_without_is_empty pairs it with the linked SymbolTable::len"
+    [wla_net::netlog::NetLog::is_empty]="clippy's len_without_is_empty pairs it with the linked NetLog::len"
+    [wla_static::table::ResultTable::is_empty]="clippy's len_without_is_empty pairs it with the linked ResultTable::len"
+    [wla_apk::sdex::oracle::decode]="the owning decoder decode_equivalence pins Dex::decode_bytes against; in wla-oracle it would need sdex.rs's private readers and validators pub"
+    [wla_web::simhash::simhash64_scalar]="the branchy simhash the nibble-spread simhash64 is pinned against; in wla-oracle it would need simhash.rs's private fnv1a pub"
+    [wla_net::http::Request::read_from]="the blocking reference server's request reader; in wla-oracle it would need the private readers it shares with Response::read_from pub"
+    [wla_net::http::Request::read_from_limited]="the blocking reference server's request reader; in wla-oracle it would need the private readers it shares with Response::read_from pub"
+    [wla_crawler::sites::TopSite::synthetic_source]="the serial crawl reference's page source; in wla-oracle it would need sites.rs's private site_extra_refs, which site_page shares, pub"
+    [wla_crawler::sites::site_extra_requests]="the serial crawl reference's extra requests; in wla-oracle it would need sites.rs's private site_extra_refs, which site_page shares, pub"
 )
 # `bench-check`'s passes, and the quick runs of each bench job a pass
 # makes on each side; a side's number for a pass is the min of its runs.
@@ -491,20 +518,96 @@ loc() {
         }'
 }
 
+public_fns() {
+    # Every non-test `pub fn` at module level and inherent `pub` method of
+    # the `FILE<TAB>LINE` input (`non_test_lines`), as `FILE<TAB>PATH`, the
+    # path a demangled symbol carries: the module path `$1` maps the file
+    # to (a `FILE MODULE` line each), inline `mod`s, the impl's type, the
+    # name (`wla_report::table::Table::row_owned`). Trait items and trait
+    # impls are skipped, and so is anything inside a function body. Braces
+    # inside string and char literals and after `//` are not counted.
+    awk '
+        NR == FNR { if (NF) module[$1] = $2; next }
+        function path(   i, p) {
+            p = module[file]
+            for (i = 1; i <= depth; i++) if (kind[i] == "mod") p = p name[i] "::"
+            if (depth > 0 && kind[depth] == "impl") p = p name[depth] "::"
+            return p
+        }
+        {
+            file = $1
+            t = substr($0, length(file) + 2)
+            if (file != last) { last = file; depth = 0; pending = "" }
+            gsub(/"([^"\\]|\\.)*"/, "\"\"", t)
+            gsub(/\047([^\047\\]|\\.)\047/, "\047\047", t)
+            gsub(/\/\/.*$/, "", t)
+            scope = depth > 0 ? kind[depth] : "mod"
+            if (pending == "" && scope != "fn" && scope != "block") {
+                if (match(t, /^[ \t]*(pub(\([^)]*\))?[ \t]+)?mod[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                    pending = "mod"; pname = substr(t, RSTART, RLENGTH); sub(/.*mod[ \t]+/, "", pname)
+                } else if (match(t, /^[ \t]*(unsafe[ \t]+)?impl([ \t<]|$)/)) {
+                    # Drop the impl'"'"'s own generics, then tell a trait impl
+                    # from an inherent one and keep the type'"'"'s last segment.
+                    h = t; sub(/^[ \t]*(unsafe[ \t]+)?impl/, "", h)
+                    if (substr(h, 1, 1) == "<") {
+                        open = 0
+                        for (i = 1; i <= length(h); i++) {
+                            c = substr(h, i, 1)
+                            if (c == "<") open++
+                            else if (c == ">" && --open == 0) break
+                        }
+                        h = substr(h, i + 1)
+                    }
+                    if (h ~ /[ \t]for[ \t]/) { pending = "trait"; pname = "" }
+                    else {
+                        sub(/^[ \t]+/, "", h); match(h, /^[A-Za-z0-9_:]+/)
+                        n = split(substr(h, 1, RLENGTH), seg, "::")
+                        pending = "impl"; pname = seg[n]
+                    }
+                } else if (t ~ /^[ \t]*(pub(\([^)]*\))?[ \t]+)?(unsafe[ \t]+)?trait[ \t]/) {
+                    pending = "trait"; pname = ""
+                } else if (match(t, /^[ \t]*((pub(\([^)]*\))?|const|async|unsafe|extern( "[^"]*")?)[ \t]+)*fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                    head = substr(t, RSTART, RLENGTH)
+                    pname = head; sub(/.*fn[ \t]+/, "", pname)
+                    if (scope != "trait" && head ~ /^[ \t]*pub[ \t]/) print file "\t" path() pname
+                    pending = "fn"
+                }
+            }
+            for (i = 1; i <= length(t); i++) {
+                c = substr(t, i, 1)
+                if (c == "{") {
+                    depth++
+                    kind[depth] = pending == "" ? "block" : pending; name[depth] = pname
+                    pending = ""
+                } else if (c == "}") {
+                    if (depth > 0) depth--
+                } else if (c == ";" && pending != "impl" && pending != "trait") {
+                    pending = ""
+                }
+            }
+        }' "$1" -
+}
+
 reach() {
     # Every production `.rs` file (`rust_sources` less REFERENCE_CRATES)
     # that defines a non-test `fn` must contribute a symbol to the debug
     # `wla`: some `nm -C` name must lie under its module path
     # (`wla_static::cache::` for crates/static-analysis/src/cache.rs,
-    # `wla::` for src/main.rs). Lists every file that contributes none, and
-    # fails unless each is in REACH_ALLOWED. Returns 1 on a failure.
-    local bin=target/debug/wla files file crate dir rel modules="" bad=0
+    # `wla::` for src/main.rs). And every non-test `pub fn` and inherent
+    # `pub` method of those files (`public_fns`) must put a symbol under
+    # its full path (`wla_report::table::Table::row_owned`, a generic
+    # type's method as `Type<T>::method`). A debug build emits every
+    # function it calls, so a function with no symbol is one `wla` never
+    # runs. Lists every file and function that puts none and is not in
+    # REACH_ALLOWED, and every REACH_ALLOWED entry that allows nothing (it
+    # now links, or names no production function or module); prints each
+    # allowed entry with its reason. Returns 1 on a failure.
+    local bin=target/debug/wla files file crate dir rel modules="" key kind item bad=0
     local -a unreached
+    local -A allows=()
     cargo build -q --bin wla
     files=$(rust_sources | grep -v -E "^($(IFS='|'; echo "${REFERENCE_CRATES[*]}"))/")
-    # shellcheck disable=SC2086
-    for file in $(non_test_lines $files | awk -F'\t' '
-        $2 ~ /^[ \t]*((pub(\([^)]*\))?|const|async|unsafe|extern( "[^"]*")?)[ \t]+)*fn[ \t]+[A-Za-z_]/ { print $1 }' | uniq); do
+    for file in $files; do
         case $file in
         src/main.rs) crate=wla rel=main ;;
         src/*) crate=whatcha_lookin_at rel=${file#src/} ;;
@@ -521,36 +624,74 @@ reach() {
         esac
         modules+="$file ${crate//-/_}${rel:+::${rel//\//::}}::"$'\n'
     done
-    # Each `nm -C` name gives its path prefixes (`a::b::c`: `a::`, `a::b::`).
+    # Each `nm -C` name gives its path prefixes (`a::b::c`: `a::`, `a::b::`,
+    # `a::b::c::`), read as written and with the generic arguments after a
+    # name dropped (`Type<T>::method` reads `Type::method`). A file is
+    # reached when its module path is a prefix, a function when its path is.
+    # shellcheck disable=SC2086
     mapfile -t unreached < <(nm -C "$bin" | awk '
-        NR == FNR { if (NF) { file[$2] = $1; order[++n] = $2 }; next }
+        FILENAME == ARGV[1] { if (NF) { module[$2] = $1; order[++files] = $2 }; next }
+        FILENAME == ARGV[2] { fn[++fns] = $2; where[fns] = $1; next }
         {
             line = $0
-            gsub(/[^A-Za-z0-9_:]+/, " ", line)
-            k = split(line, tok, " ")
-            for (i = 1; i <= k; i++) {
-                t = tok[i]; p = ""
-                while ((j = index(t, "::")) > 0) {
-                    p = p substr(t, 1, j + 1); t = substr(t, j + 2)
-                    if (p in file) hit[p] = 1
+            while (match(line, /[A-Za-z0-9_]<[^<>]*>/))
+                line = substr(line, 1, RSTART) substr(line, RSTART + RLENGTH)
+            for (pass = 1; pass <= 2; pass++) {
+                s = pass == 1 ? $0 : line
+                gsub(/[^A-Za-z0-9_:]+/, " ", s)
+                k = split(s, tok, " ")
+                for (i = 1; i <= k; i++) {
+                    t = tok[i] "::"; p = ""
+                    while ((j = index(t, "::")) > 0) {
+                        p = p substr(t, 1, j + 1); t = substr(t, j + 2)
+                        have[p] = 1
+                    }
                 }
             }
         }
-        END { for (i = 1; i <= n; i++) if (!(order[i] in hit)) print file[order[i]] }' \
-        <(printf '%s' "$modules") -)
-    for file in "${unreached[@]}"; do
-        if [[ -n ${REACH_ALLOWED[$file]:-} ]]; then
-            echo "  allowed    $file: ${REACH_ALLOWED[$file]}"
+        END {
+            for (i = 1; i <= files; i++) if (!(order[i] in have)) print "file\t" order[i] "\t" module[order[i]]
+            for (i = 1; i <= fns; i++) if (!((fn[i] "::") in have)) print "fn\t" fn[i] "\t" where[i]
+        }' \
+        <(printf '%s' "$modules" | awk 'NR == FNR { m[$1] = $2; next } ($1 in m) { print $1 " " m[$1] }' - \
+            <(non_test_lines $files | awk -F'\t' '
+                $2 ~ /^[ \t]*((pub(\([^)]*\))?|const|async|unsafe|extern( "[^"]*")?)[ \t]+)*fn[ \t]+[A-Za-z_]/ { print $1 }' | uniq)) \
+        <(non_test_lines $files | public_fns <(printf '%s' "$modules")) -)
+    for item in "${unreached[@]}"; do
+        IFS=$'\t' read -r kind key file <<< "$item"
+        if [[ -n ${REACH_ALLOWED[$key]:-} ]]; then
+            allows[$key]=1
+            continue
+        fi
+        if [[ $kind == fn ]]; then
+            # A function under an allowed module.
+            dir=$key
+            while [[ $dir == *::*::* ]]; do
+                dir=${dir%::*}
+                if [[ -n ${REACH_ALLOWED[$dir::]:-} ]]; then
+                    allows[$dir::]=1
+                    continue 2
+                fi
+            done
+            echo "  unreached  $key ($file)"
         else
-            echo "  unreached  $file"
+            echo "  unreached  $file (no symbol under $key)"
+        fi
+        bad=$((bad + 1))
+    done
+    for key in $(printf '%s\n' "${!REACH_ALLOWED[@]}" | LC_ALL=C sort); do
+        if [[ -n ${allows[$key]:-} ]]; then
+            echo "  allowed    $key: ${REACH_ALLOWED[$key]}"
+        else
+            echo "  stale      $key: it links into $bin, or names no production function or module"
             bad=$((bad + 1))
         fi
     done
     if ((bad > 0)); then
-        echo "reach: FAILED ($bad production files contribute no symbol to $bin: move them out of the production crates, or make wla run them)"
+        echo "reach: FAILED ($bad unreached or stale: move unreached code out of the production crates, make wla run it, or drop a stale REACH_ALLOWED entry)"
         return 1
     fi
-    echo "reach: every production file with a fn contributes a symbol to $bin, but the allowed ones"
+    echo "reach: every production file with a fn and every public function puts a symbol into $bin, but the allowed ones"
 }
 
 rev_commit() {
@@ -697,7 +838,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== reach: every production file links into wla =="
+echo "== reach: every production file and public function links into wla =="
 reach
 
 echo "== streamed corpus example (1:2000, then 1:4000, one directory) =="

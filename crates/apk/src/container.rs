@@ -105,12 +105,6 @@ impl Sapk {
             .ok_or(ApkError::MissingSection("manifest"))
     }
 
-    /// The dex section, required for analysis.
-    pub fn dex_bytes(&self) -> Result<&Bytes, ApkError> {
-        self.section(SectionTag::Dex)
-            .ok_or(ApkError::MissingSection("dex"))
-    }
-
     /// Serialize to the SAPK wire format, in one buffer of exactly the
     /// container's length: the header, the directory and the payload are
     /// written in place, and the checksum last, over what follows it.
@@ -249,7 +243,10 @@ mod tests {
     fn accessors() {
         let apk = sample();
         assert_eq!(&apk.manifest_bytes().unwrap()[..], b"manifest-bytes");
-        assert_eq!(&apk.dex_bytes().unwrap()[..], b"dex-bytes-here");
+        assert_eq!(
+            &apk.section(SectionTag::Dex).unwrap()[..],
+            b"dex-bytes-here"
+        );
     }
 
     #[test]
@@ -258,10 +255,6 @@ mod tests {
         assert_eq!(
             apk.manifest_bytes().unwrap_err(),
             ApkError::MissingSection("manifest")
-        );
-        assert_eq!(
-            apk.dex_bytes().unwrap_err(),
-            ApkError::MissingSection("dex")
         );
     }
 
@@ -358,7 +351,7 @@ mod tests {
         apk.push(SectionTag::Dex, &b"first"[..]);
         apk.push(SectionTag::Dex, &b"second"[..]);
         let back = Sapk::decode(&apk.encode()).unwrap();
-        assert_eq!(&back.dex_bytes().unwrap()[..], b"first");
+        assert_eq!(&back.section(SectionTag::Dex).unwrap()[..], b"first");
         assert_eq!(back.sections().len(), 2);
     }
 }

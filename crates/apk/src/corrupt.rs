@@ -389,7 +389,7 @@ mod tests {
             CorruptionKind::ClobberRegister { site_num: 3 },
         );
         let back = Sapk::decode(&bad).expect("container decode must survive");
-        let err = crate::Dex::decode(back.dex_bytes().unwrap()).unwrap_err();
+        let err = crate::Dex::decode(back.section(SectionTag::Dex).unwrap()).unwrap_err();
         assert_eq!(err.kind(), "index-out-of-range");
     }
 
@@ -434,7 +434,7 @@ mod tests {
             CorruptionKind::ClobberLookupTable { slot_num: 2 },
         );
         let back = Sapk::decode(&bad).expect("container decode must survive");
-        let err = crate::Dex::decode(back.dex_bytes().unwrap()).unwrap_err();
+        let err = crate::Dex::decode(back.section(SectionTag::Dex).unwrap()).unwrap_err();
         assert_eq!(err.kind(), "index-out-of-range");
     }
 

@@ -73,18 +73,11 @@ pub const WEBVIEW_LOAD_METHOD_MASK: u8 = {
 /// The CT method that populates content.
 pub const CT_LAUNCH_METHOD: &str = "launchUrl";
 
-/// The package of a binary class name: `com/foo/bar/Baz` → `com.foo.bar`.
-/// Returns `None` for classes in the default package.
-pub fn package_of(binary_name: &str) -> Option<String> {
-    let idx = binary_name.rfind('/')?;
-    Some(binary_name[..idx].replace('/', "."))
-}
-
-/// Allocation-free variant of [`package_of`] for interning hot paths:
-/// writes the dotted package into `out` (cleared first) and returns `true`,
-/// or returns `false` for classes in the default package. The caller keeps
-/// one scratch `String` alive across call sites instead of allocating per
-/// class.
+/// The package of a binary class name (`com/foo/bar/Baz` → `com.foo.bar`)
+/// without allocating: writes the dotted package into `out` (cleared
+/// first) and returns `true`, or returns `false` for classes in the default
+/// package. The caller keeps one scratch `String` alive across call sites
+/// instead of allocating per class.
 pub fn package_of_into(binary_name: &str, out: &mut String) -> bool {
     out.clear();
     let Some(idx) = binary_name.rfind('/') else {
@@ -97,32 +90,9 @@ pub fn package_of_into(binary_name: &str, out: &mut String) -> bool {
     true
 }
 
-/// The simple (unqualified) name: `com/foo/Baz$Inner` → `Baz$Inner`.
-pub fn simple_name(binary_name: &str) -> &str {
-    match binary_name.rfind('/') {
-        Some(idx) => &binary_name[idx + 1..],
-        None => binary_name,
-    }
-}
-
-/// Convert a binary name to a Java source name: `com/foo/Baz` → `com.foo.Baz`.
-pub fn to_source_name(binary_name: &str) -> String {
-    binary_name.replace(['/', '$'], ".")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn package_extraction() {
-        assert_eq!(
-            package_of("com/applovin/adview/AdRenderer").as_deref(),
-            Some("com.applovin.adview")
-        );
-        assert_eq!(package_of("TopLevel"), None);
-        assert_eq!(package_of("a/b").as_deref(), Some("a"));
-    }
 
     #[test]
     fn package_extraction_into_scratch() {
@@ -136,17 +106,6 @@ mod tests {
         assert!(scratch.is_empty());
         assert!(package_of_into("a/b", &mut scratch));
         assert_eq!(scratch, "a");
-    }
-
-    #[test]
-    fn simple_names() {
-        assert_eq!(simple_name("com/foo/Baz$Inner"), "Baz$Inner");
-        assert_eq!(simple_name("TopLevel"), "TopLevel");
-    }
-
-    #[test]
-    fn source_names() {
-        assert_eq!(to_source_name("com/foo/Baz$Inner"), "com.foo.Baz.Inner");
     }
 
     #[test]

@@ -426,19 +426,9 @@ impl Dex {
         unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
-    /// Number of entries in the string pool.
-    pub fn string_count(&self) -> usize {
-        self.strings.len()
-    }
-
     /// Binary name of a type, e.g. `com/example/Foo`.
     pub fn type_name(&self, ty: TypeId) -> &str {
         self.string(self.types[ty.0 as usize])
-    }
-
-    /// All types referenced by this file.
-    pub fn type_ids(&self) -> impl Iterator<Item = TypeId> + '_ {
-        (0..self.types.len() as u32).map(TypeId)
     }
 
     /// Number of entries in the type table — direct-indexed caches (e.g.
@@ -503,11 +493,6 @@ impl Dex {
         &mut self.lut
     }
 
-    /// Look up a defined class by binary name.
-    pub fn class_by_name(&self, name: &str) -> Option<&ClassDef> {
-        self.type_by_name(name).and_then(|t| self.class(t))
-    }
-
     /// Walk the superclass chain of `ty` (excluding `ty` itself), yielding
     /// type ids until the chain leaves the defined set. Allocation-free;
     /// the call-graph resolver and entry-point discovery iterate this per
@@ -517,16 +502,6 @@ impl Dex {
             dex: self,
             cur: self.class(ty).and_then(|c| c.superclass),
         }
-    }
-
-    /// Total number of instructions across every defined method — a useful
-    /// size metric for benches.
-    pub fn instruction_count(&self) -> usize {
-        self.classes
-            .iter()
-            .flat_map(|c| &c.methods)
-            .map(|m| m.code.len())
-            .sum()
     }
 
     /// Serialize to the SDEX wire format.
@@ -1106,7 +1081,7 @@ pub mod oracle {
     /// resolve to the same strings and the tables match.
     impl PartialEq<OwnedDex> for Dex {
         fn eq(&self, other: &OwnedDex) -> bool {
-            self.string_count() == other.strings.len()
+            self.strings.len() == other.strings.len()
                 && (0..other.strings.len() as u32)
                     .all(|i| self.string(i) == other.strings[i as usize])
                 && self.types == other.types
@@ -1360,7 +1335,7 @@ mod tests {
         let back = Dex::decode_bytes(blob.clone()).unwrap();
         // The resolved strings point into the blob itself, not a copy.
         let range = blob.as_ptr() as usize..blob.as_ptr() as usize + blob.len();
-        for i in 0..back.string_count() as u32 {
+        for i in 0..back.strings.len() as u32 {
             let s = back.string(i);
             assert!(
                 s.is_empty() || range.contains(&(s.as_ptr() as usize)),
@@ -1408,13 +1383,14 @@ mod tests {
     #[test]
     fn lookup_helpers() {
         let dex = sample_dex();
-        let act = dex.class_by_name("com/example/app/MainActivity").unwrap();
+        let main = dex.type_by_name("com/example/app/MainActivity").unwrap();
+        let act = dex.class(main).unwrap();
         assert_eq!(dex.type_name(act.ty), "com/example/app/MainActivity");
         assert_eq!(
             dex.type_name(act.superclass.unwrap()),
             "android/app/Activity"
         );
-        assert!(dex.class_by_name("missing/Class").is_none());
+        assert!(dex.type_by_name("missing/Class").is_none());
         let wv = dex.type_by_name("android/webkit/WebView").unwrap();
         // WebView is referenced but not defined here.
         assert!(dex.class(wv).is_none());
@@ -1532,11 +1508,6 @@ mod tests {
     }
 
     #[test]
-    fn instruction_count() {
-        assert_eq!(sample_dex().instruction_count(), 5);
-    }
-
-    #[test]
     fn trailing_garbage_rejected() {
         // Appending bytes invalidates the checksum; fixing the checksum then
         // trips the trailing-bytes rule. Cover the latter path directly.
@@ -1557,7 +1528,7 @@ mod tests {
         let dex = DexBuilder::new().build();
         let back = Dex::decode(&dex.encode()).unwrap();
         assert_eq!(back.classes().len(), 0);
-        assert_eq!(back.string_count(), 0);
+        assert_eq!(back.strings.len(), 0);
     }
 
     #[test]
@@ -1766,15 +1737,16 @@ mod tests {
     #[test]
     fn lookup_table_probe_matches_linear_scan() {
         let dex = sample_dex();
-        for t in dex.type_ids() {
+        let types = || (0..dex.type_count() as u32).map(TypeId);
+        for t in types() {
             let name = dex.type_name(t).to_owned();
-            let scan = dex.type_ids().find(|&u| dex.type_name(u) == name);
+            let scan = types().find(|&u| dex.type_name(u) == name);
             assert_eq!(dex.type_by_name(&name), scan, "{name}");
         }
         assert_eq!(dex.type_by_name("missing/Class"), None);
         // The stored table survives the wire roundtrip and probes the same.
         let back = Dex::decode_bytes(dex.encode()).unwrap();
-        for t in back.type_ids() {
+        for t in (0..back.type_count() as u32).map(TypeId) {
             let name = back.type_name(t).to_owned();
             assert_eq!(back.type_by_name(&name), Some(t));
         }

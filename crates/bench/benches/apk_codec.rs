@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wla_core::wla_apk::{Dex, Sapk};
+use wla_core::wla_apk::{Dex, Sapk, SectionTag};
 use wla_core::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use wla_core::wla_corpus::lowering::lower;
 use wla_core::wla_corpus::playstore::{AppMeta, PlayCategory};
@@ -27,7 +27,7 @@ fn representative_container() -> Vec<u8> {
 fn bench(c: &mut Criterion) {
     let bytes = representative_container();
     let apk = Sapk::decode(&bytes).unwrap();
-    let dex_bytes = apk.dex_bytes().unwrap().to_vec();
+    let dex_bytes = apk.section(SectionTag::Dex).unwrap().to_vec();
     let dex = Dex::decode(&dex_bytes).unwrap();
 
     let mut group = c.benchmark_group("apk_codec");

@@ -6,10 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wla_core::wla_apk::sdex::{ClassFlags, DexBuilder, Instruction, InvokeKind, MethodDef, Reg};
-use wla_core::wla_apk::{Dex, TypeId};
-use wla_core::wla_callgraph::reach::{
-    reachable_methods, record_web_calls, record_web_calls_with, ReachScratch,
-};
+use wla_core::wla_apk::{Dex, SectionTag, TypeId};
+use wla_core::wla_callgraph::reach::{record_web_calls_with, ReachScratch};
 use wla_core::wla_callgraph::{entry_points, CallGraph};
 use wla_core::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use wla_core::wla_corpus::lowering::lower;
@@ -17,6 +15,7 @@ use wla_core::wla_corpus::playstore::{AppMeta, PlayCategory};
 use wla_core::wla_intern::{LocalInterner, Symbol};
 use wla_core::wla_manifest::{wireformat, Manifest};
 use wla_core::wla_sdk_index::{LabelCache, SdkIndex};
+use wla_oracle::callgraph::{reachable_methods, record_web_calls};
 use wla_oracle::{reachable_methods_oracle, record_web_calls_oracle, HashCallGraph};
 
 fn fixture() -> (Dex, Manifest) {
@@ -41,7 +40,7 @@ fn fixture() -> (Dex, Manifest) {
     let mut rng = StdRng::seed_from_u64(1);
     let apk = lower(&spec, &catalog, &mut rng);
     let manifest = wireformat::decode(apk.manifest_bytes().unwrap()).unwrap();
-    let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+    let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
     (dex, manifest)
 }
 
@@ -118,7 +117,7 @@ fn bench(c: &mut Criterion) {
     });
     // Name-lookup ablation: O(1) probes into the stored wire lookup table
     // versus a linear scan of the type table — the pre-v3 shape every
-    // `class_by_name` caller paid per lookup.
+    // by-name class lookup paid.
     let class_names: Vec<String> = dex
         .classes()
         .iter()

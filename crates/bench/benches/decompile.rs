@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wla_core::wla_apk::Dex;
+use wla_core::wla_apk::{Dex, SectionTag};
 use wla_core::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use wla_core::wla_corpus::lowering::lower;
 use wla_core::wla_corpus::playstore::{AppMeta, PlayCategory};
@@ -24,7 +24,7 @@ fn representative_dex() -> Dex {
     };
     let spec = eco.sample_app(&mut rng, meta);
     let apk = lower(&spec, &catalog, &mut rng);
-    Dex::decode(apk.dex_bytes().unwrap()).unwrap()
+    Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap()
 }
 
 fn bench(c: &mut Criterion) {

@@ -23,9 +23,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use wla_core::wla_net::beacon::encode_beacon;
 use wla_core::wla_net::{
-    fetch, ClientConn, Handler, MeasurementServer, Request, Response, Server, ServerConfig,
+    fetch, Handler, MeasurementServer, Request, Response, Server, ServerConfig,
 };
 use wla_core::wla_web::testpage::test_page_html;
+use wla_oracle::client::ClientConn;
 use wla_oracle::server as oracle;
 
 /// Concurrent client threads for the saturation grid.

@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wla_core::wla_sdk_index::SdkIndex;
+use wla_oracle::labels::label_linear;
 
 fn probes() -> Vec<String> {
     let index = SdkIndex::paper();
@@ -33,7 +34,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("linear_scan", |b| {
         b.iter(|| {
             for p in &probes {
-                black_box(index.label_linear(p));
+                black_box(label_linear(&index, p));
             }
         })
     });

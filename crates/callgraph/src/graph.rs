@@ -102,11 +102,8 @@ pub struct CallGraph<'d> {
     dex: &'d Dex,
     /// `MethodId.0 → dense node index`; [`NOT_DEFINED`] for external refs.
     dense: Vec<u32>,
-    /// dense index → method-table id.
-    nodes: Vec<MethodId>,
-    /// dense index → class defining the method.
-    node_class: Vec<TypeId>,
-    /// CSR row starts into `targets`; `len == nodes.len() + 1`.
+    /// CSR row starts into `targets`, one per dense node (a distinct
+    /// method this dex defines) plus the end.
     offsets: Vec<u32>,
     /// CSR edge arena: dense callee indices, sorted and deduped per caller.
     targets: Vec<u32>,
@@ -136,27 +133,18 @@ impl<'d> CallGraph<'d> {
                     .count();
             }
         }
-        let mut nodes: Vec<MethodId> = Vec::with_capacity(defined_methods);
-        let mut node_class: Vec<TypeId> = Vec::with_capacity(defined_methods);
+        let mut nodes = 0u32;
         let mut by_signature: HashMap<(u32, u32, u32), u32> =
             HashMap::with_capacity(defined_methods);
         for class in dex.classes() {
             for m in &class.methods {
+                // A re-defined method id merges its edges into one node.
                 let slot = &mut dense[m.method.0 as usize];
-                let idx = if *slot == NOT_DEFINED {
-                    let idx = nodes.len() as u32;
-                    *slot = idx;
-                    nodes.push(m.method);
-                    node_class.push(class.ty);
-                    idx
-                } else {
-                    // Re-defined method id: merge edges into one node and
-                    // let the later defining class win, matching the
-                    // hash-path's insert-overwrites semantics.
-                    let idx = *slot;
-                    node_class[idx as usize] = class.ty;
-                    idx
-                };
+                if *slot == NOT_DEFINED {
+                    *slot = nodes;
+                    nodes += 1;
+                }
+                let idx = *slot;
                 let r = dex.method_ref(m.method);
                 by_signature.insert((class.ty.0, r.name, r.descriptor), idx);
             }
@@ -196,14 +184,12 @@ impl<'d> CallGraph<'d> {
             }
         }
 
-        let (offsets, targets, duplicate_edges) = csr_from_pairs(nodes.len(), &pairs);
+        let (offsets, targets, duplicate_edges) = csr_from_pairs(nodes as usize, &pairs);
         stats.duplicate_edges = duplicate_edges;
 
         CallGraph {
             dex,
             dense,
-            nodes,
-            node_class,
             offsets,
             targets,
             sites,
@@ -239,7 +225,7 @@ impl<'d> CallGraph<'d> {
 
     /// Number of graph nodes (methods defined in this dex).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.offsets.len() - 1
     }
 
     /// Dense node index of `m`, or `None` for external (framework) refs.
@@ -249,44 +235,12 @@ impl<'d> CallGraph<'d> {
         (d != NOT_DEFINED).then_some(d)
     }
 
-    /// Method-table id of a dense node.
-    #[inline]
-    pub fn method_at(&self, idx: u32) -> MethodId {
-        self.nodes[idx as usize]
-    }
-
-    /// Defining class of a dense node.
-    #[inline]
-    pub fn class_at(&self, idx: u32) -> TypeId {
-        self.node_class[idx as usize]
-    }
-
     /// CSR out-edge slice of a dense node (sorted, deduped dense indices).
     #[inline]
     pub fn callee_indices(&self, idx: u32) -> &[u32] {
         let start = self.offsets[idx as usize] as usize;
         let end = self.offsets[idx as usize + 1] as usize;
         &self.targets[start..end]
-    }
-
-    /// Resolved internal callees of `m` as method ids (compat wrapper over
-    /// the dense CSR slice).
-    pub fn callees(&self, m: MethodId) -> impl Iterator<Item = MethodId> + '_ {
-        let slice = match self.node_index(m) {
-            Some(i) => self.callee_indices(i),
-            None => &[],
-        };
-        slice.iter().map(|&t| self.method_at(t))
-    }
-
-    /// Class defining `m`, if `m` is defined in this dex.
-    pub fn defining_class(&self, m: MethodId) -> Option<TypeId> {
-        self.node_index(m).map(|i| self.class_at(i))
-    }
-
-    /// Number of defined methods (graph nodes with potential out-edges).
-    pub fn defined_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Total internal edge count (after per-caller dedup).
@@ -549,9 +503,9 @@ mod tests {
             .unwrap()
             .methods[0]
             .method;
-        assert_eq!(g.callees(a_id).count(), 1);
+        assert_eq!(g.callee_indices(g.node_index(a_id).unwrap()).len(), 1);
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.defined_count(), 2);
+        assert_eq!(g.node_count(), 2);
     }
 
     #[test]
@@ -559,7 +513,7 @@ mod tests {
         // C extends B extends A; call site references C.handle but only A
         // defines it — resolution must walk up.
         let mut b = DexBuilder::new();
-        let _a_handle = b.intern_method("com/x/A", "handle", "()V");
+        let a_handle = b.intern_method("com/x/A", "handle", "()V");
         let c_handle = b.intern_method("com/x/C", "handle", "()V");
         let caller = def(
             &mut b,
@@ -585,13 +539,13 @@ mod tests {
             .unwrap();
         let dex = b.build();
         let g = CallGraph::build(&dex);
-        let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
-        let callees: Vec<MethodId> = g.callees(main).collect();
-        assert_eq!(callees.len(), 1);
-        assert_eq!(
-            dex.type_name(g.defining_class(callees[0]).unwrap()),
-            "com/x/A"
-        );
+        let main = dex
+            .class(dex.type_by_name("com/x/Main").unwrap())
+            .unwrap()
+            .methods[0]
+            .method;
+        let callees = g.callee_indices(g.node_index(main).unwrap());
+        assert_eq!(callees, [g.node_index(a_handle).unwrap()]);
         // The walk went through the vtable cache, not an exact-probe hit.
         assert_eq!(g.build_stats().vtable_misses, 1);
     }
@@ -617,6 +571,7 @@ mod tests {
         );
         let a_def = def(&mut b, "com/x/A", "handle", vec![Instruction::ReturnVoid]);
         let b_def = def(&mut b, "com/x/B", "handle", vec![Instruction::ReturnVoid]);
+        let b_handle = b_def.method;
         b.define_class("com/x/A", None, ClassFlags::default(), vec![a_def])
             .unwrap();
         b.define_class(
@@ -632,13 +587,13 @@ mod tests {
             .unwrap();
         let dex = b.build();
         let g = CallGraph::build(&dex);
-        let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
-        let callees: Vec<MethodId> = g.callees(main).collect();
-        assert_eq!(callees.len(), 1);
-        assert_eq!(
-            dex.type_name(g.defining_class(callees[0]).unwrap()),
-            "com/x/B"
-        );
+        let main = dex
+            .class(dex.type_by_name("com/x/Main").unwrap())
+            .unwrap()
+            .methods[0]
+            .method;
+        let callees = g.callee_indices(g.node_index(main).unwrap());
+        assert_eq!(callees, [g.node_index(b_handle).unwrap()]);
     }
 
     #[test]
@@ -676,8 +631,12 @@ mod tests {
         assert_eq!(g.sites().len(), 4, "every invoke site is retained");
         assert_eq!(g.edge_count(), 2, "edges are deduped per caller");
         assert_eq!(g.build_stats().duplicate_edges, 2);
-        let a_id = dex.class_by_name("com/x/A").unwrap().methods[0].method;
-        assert_eq!(g.callees(a_id).count(), 2);
+        let a_id = dex
+            .class(dex.type_by_name("com/x/A").unwrap())
+            .unwrap()
+            .methods[0]
+            .method;
+        assert_eq!(g.callee_indices(g.node_index(a_id).unwrap()).len(), 2);
     }
 
     #[test]

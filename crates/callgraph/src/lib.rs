@@ -35,6 +35,5 @@ pub mod reach;
 pub use entrypoints::entry_points;
 pub use graph::{annotate_provenance, BuildStats, CallGraph, CallSite, Provenance, UrlOrigin};
 pub use reach::{
-    record_web_calls, record_web_calls_with, CallGraphCounters, CtSite, ReachScratch,
-    WebCallRecord, WebViewSite,
+    record_web_calls_with, CallGraphCounters, CtSite, ReachScratch, WebCallRecord, WebViewSite,
 };

@@ -12,7 +12,7 @@
 //! [`LocalInterner`] here, and the caller package is derived from the
 //! caller class and labeled against the SDK catalog while its dotted text
 //! is still at hand. A site keeps the label, not the package: the package
-//! is a function of the class (`wla_apk::names::package_of`), and a reader
+//! is a function of the class (`wla_apk::names::package_of_into`), and a reader
 //! that prints it derives it. Downstream stages (summaries, aggregation)
 //! operate purely on the resulting `u32` handles.
 
@@ -24,7 +24,7 @@ use wla_intern::{FxBuildHasher, LocalInterner, PkgId, Symbol};
 use wla_sdk_index::{LabelCache, LabelId, SdkIndex};
 
 /// A recorded call to a WebView content method. All names are symbols in
-/// the interner `record_web_calls` was handed.
+/// the interner `record_web_calls_with` was handed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WebViewSite {
     /// Method name (`loadUrl`, …).
@@ -222,23 +222,6 @@ impl CallGraphCounters {
     }
 }
 
-/// BFS over internal edges from `roots`, as a set of method ids.
-///
-/// Compat wrapper over [`ReachScratch::mark_reachable`] for callers that
-/// want a queryable set; like the old hash path, the result contains every
-/// root (even external refs) plus every defined method reached.
-pub fn reachable_methods(graph: &CallGraph<'_>, roots: &[MethodId]) -> HashSet<MethodId> {
-    let mut scratch = ReachScratch::new();
-    scratch.mark_reachable(graph, roots);
-    let mut seen: HashSet<MethodId> = roots.iter().copied().collect();
-    for idx in 0..graph.node_count() as u32 {
-        if scratch.is_marked(idx) {
-            seen.insert(graph.method_at(idx));
-        }
-    }
-    seen
-}
-
 /// Record every WebView content-method call and CT interaction in `graph`,
 /// marking reachability from `roots`, using the caller-owned `scratch` for
 /// the traversal (allocation-free after the first app).
@@ -270,28 +253,6 @@ pub fn record_web_calls_with(
         catalog,
         lexicon,
         labels,
-    )
-}
-
-/// [`record_web_calls_with`] with a throwaway scratch — convenience for
-/// tests and one-shot callers.
-pub fn record_web_calls(
-    graph: &CallGraph<'_>,
-    roots: &[MethodId],
-    webview_subclasses: &HashSet<Symbol>,
-    catalog: &SdkIndex,
-    lexicon: &mut LocalInterner,
-    labels: &mut LabelCache,
-) -> WebCallRecord {
-    let mut scratch = ReachScratch::new();
-    record_web_calls_with(
-        graph,
-        roots,
-        webview_subclasses,
-        catalog,
-        lexicon,
-        labels,
-        &mut scratch,
     )
 }
 
@@ -540,7 +501,16 @@ mod tests {
         let subs: HashSet<Symbol> = subclass_names.iter().map(|n| lexicon.intern(n)).collect();
         let catalog = SdkIndex::new(vec![]);
         let mut labels = LabelCache::new();
-        record_web_calls(&g, &roots, &subs, &catalog, lexicon, &mut labels)
+        let mut scratch = ReachScratch::new();
+        record_web_calls_with(
+            &g,
+            &roots,
+            &subs,
+            &catalog,
+            lexicon,
+            &mut labels,
+            &mut scratch,
+        )
     }
 
     #[test]
@@ -604,7 +574,16 @@ mod tests {
         let subs: HashSet<Symbol> = [lexicon.intern("com/x/MyWebView")].into();
         let catalog = SdkIndex::paper();
         let mut labels = LabelCache::new();
-        let rec = record_web_calls(&g, &roots, &subs, &catalog, &mut lexicon, &mut labels);
+        let mut scratch = ReachScratch::new();
+        let rec = record_web_calls_with(
+            &g,
+            &roots,
+            &subs,
+            &catalog,
+            &mut lexicon,
+            &mut labels,
+            &mut scratch,
+        );
         // `com.x` is in no catalog and not obfuscated-looking ("com" is 3
         // chars): everything here is Unlabeled, computed without any
         // downstream string resolution.
@@ -659,8 +638,10 @@ mod tests {
         .unwrap();
         let dex = b.build();
         let g = CallGraph::build(&dex);
-        let reach = reachable_methods(&g, &[f]);
-        assert_eq!(reach.len(), 2);
+        let mut scratch = ReachScratch::new();
+        scratch.mark_reachable(&g, &[f]);
+        let reached = (0..g.node_count() as u32).filter(|&i| scratch.is_marked(i));
+        assert_eq!(reached.count(), 2);
     }
 
     #[test]

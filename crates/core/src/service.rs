@@ -215,6 +215,7 @@ pub fn analysis_error_json(e: &ApkError) -> String {
 mod tests {
     use super::*;
     use wla_corpus::generator::{CorpusConfig, Generator};
+    use wla_net::http::header;
 
     fn one_app() -> (AppMeta, Vec<u8>) {
         let catalog = SdkIndex::paper();
@@ -228,8 +229,9 @@ mod tests {
         let app = apps
             .into_iter()
             .find(|a| {
-                wla_static::analyze::analyze_app(&a.spec.meta, &a.bytes)
-                    .is_ok_and(|table| table.get(0).is_ok_and(|r| r.uses_webview()))
+                let mut ctx = AnalysisCtx::new(&catalog);
+                analyze_app_timed_with(&a.spec.meta, a.bytes.clone().into(), &mut ctx)
+                    .is_ok_and(|row| ctx.results.get(row).is_ok_and(|r| r.uses_webview()))
             })
             .expect("corpus contains a webview app");
         (app.spec.meta, app.bytes)
@@ -248,7 +250,10 @@ mod tests {
         );
         let resp = router.dispatch(&Request::post(target, bytes.clone()));
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.header("content-type"), Some("application/json"));
+        assert_eq!(
+            header(&resp.headers, "content-type"),
+            Some("application/json")
+        );
         let body = String::from_utf8(resp.body.to_vec()).unwrap();
         assert!(body.contains("\"uses_webview\":true"), "{body}");
         assert!(body.contains("\"webview_sites\":["), "{body}");
@@ -282,7 +287,7 @@ mod tests {
         let router = analysis_routes(Router::new(), catalog);
         let resp = router.dispatch(&Request::get("/analyze"));
         assert_eq!(resp.status, Status::MethodNotAllowed);
-        assert_eq!(resp.header("allow"), Some("POST"));
+        assert_eq!(header(&resp.headers, "allow"), Some("POST"));
     }
 
     #[test]

@@ -561,12 +561,13 @@ mod tests {
         let study = Study::new(4_000, 11);
         let dir = std::env::temp_dir().join(format!("wla-stats-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let run = study
-            .run_static_streamed(&dir, wla_static::PipelineConfig::default())
-            .unwrap();
-        assert!(run.stats.stream.shards_read > 0);
-        assert_eq!(run.stats.stream.entries_streamed, run.stats.total);
-        let rendered = render_pipeline_stats(&run.stats);
+        wla_corpus::write_sharded_corpus(&dir, &study.corpus(), wla_static::CLAIM_APPS).unwrap();
+        let config = wla_static::PipelineConfig::default();
+        let output = wla_static::run_pipeline_streamed(&dir, &study.catalog, config).unwrap();
+        let stats = output.stats;
+        assert!(stats.stream.shards_read > 0);
+        assert_eq!(stats.stream.entries_streamed, stats.total);
+        let rendered = render_pipeline_stats(&stats);
         assert!(rendered.contains("Shard streaming"));
         assert!(rendered.contains("Entries streamed"));
         assert!(rendered.contains("Shard bytes read"));

@@ -7,10 +7,7 @@ use wla_dynamic::classify::{classify_top_apps, ClassificationOutcome, Table6Coun
 use wla_dynamic::iab_study::{run_iab_study, IabStudy};
 use wla_dynamic::{run_crawl_pipeline, CrawlConfig, CrawlOutput};
 use wla_sdk_index::SdkIndex;
-use wla_static::{
-    aggregate, run_pipeline_streamed, run_pipeline_tallied, PipelineConfig, PipelineStats,
-    StudyResults, CLAIM_APPS,
-};
+use wla_static::{run_pipeline_tallied, PipelineConfig, PipelineStats, StudyResults};
 
 /// Top-level study configuration.
 #[derive(Debug, Clone)]
@@ -125,33 +122,6 @@ impl Study {
         }
     }
 
-    /// Run the §3.1 campaign through the sharded on-disk streaming path:
-    /// generate the corpus, persist it as shards of [`CLAIM_APPS`] apps
-    /// under `dir`, and analyze it with [`run_pipeline_streamed`] — results
-    /// are bit-identical to [`Study::run_static`] at any worker count.
-    ///
-    /// The generator is deterministic, so re-persisting writes the exact
-    /// same shard bytes (same checksums): a rerun over the same `dir`
-    /// serves completed shards from the resume manifest instead of
-    /// re-analyzing them.
-    pub fn run_static_streamed(
-        &self,
-        dir: &std::path::Path,
-        config: PipelineConfig,
-    ) -> std::io::Result<StaticRun> {
-        let corpus = self.corpus();
-        wla_corpus::write_sharded_corpus(dir, &corpus, CLAIM_APPS)?;
-        let output = run_pipeline_streamed(dir, &self.catalog, config)?;
-        let top_sdk_threshold = 1;
-        let results = aggregate(&output, &self.catalog, top_sdk_threshold);
-        Ok(StaticRun {
-            corpus,
-            results,
-            stats: output.stats,
-            top_sdk_threshold,
-        })
-    }
-
     /// Run the Table 2 funnel: the metadata universe is always counted at
     /// full scale ([`count_funnel`] builds no record); the analyzed row
     /// comes from the scaled byte-level corpus via `static_run`.
@@ -200,6 +170,18 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+    use wla_corpus::write_sharded_corpus;
+    use wla_static::{aggregate, run_pipeline_streamed, CLAIM_APPS};
+
+    /// The §3.1 campaign through the sharded on-disk path: `study`'s corpus
+    /// written as shards of [`CLAIM_APPS`] apps under `dir`, streamed, and
+    /// aggregated at `run_static`'s threshold.
+    fn run_streamed(study: &Study, dir: &Path) -> (StudyResults, PipelineStats) {
+        write_sharded_corpus(dir, &study.corpus(), CLAIM_APPS).unwrap();
+        let output = run_pipeline_streamed(dir, &study.catalog, PipelineConfig::default()).unwrap();
+        (aggregate(&output, &study.catalog, 1), output.stats)
+    }
 
     #[test]
     fn small_static_run_is_consistent() {
@@ -222,23 +204,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wla-study-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let streamed = study
-            .run_static_streamed(&dir, PipelineConfig::default())
-            .unwrap();
-        assert_eq!(streamed.results, baseline.results);
-        assert_eq!(streamed.stats.total, baseline.stats.total);
-        assert!(streamed.stats.stream.entries_streamed > 0);
-        assert_eq!(streamed.stats.stream.entries_cached, 0);
+        let (results, stats) = run_streamed(&study, &dir);
+        assert_eq!(results, baseline.results);
+        assert_eq!(stats.total, baseline.stats.total);
+        assert!(stats.stream.entries_streamed > 0);
+        assert_eq!(stats.stream.entries_cached, 0);
 
         // Same dir, same seed: the deterministic generator re-persists
         // identical shard bytes, so the second run is served from the
         // resume manifest — and is still identical.
-        let resumed = study
-            .run_static_streamed(&dir, PipelineConfig::default())
-            .unwrap();
-        assert_eq!(resumed.results, baseline.results);
-        assert_eq!(resumed.stats.stream.shards_read, 0);
-        assert_eq!(resumed.stats.stream.entries_cached, baseline.stats.total);
+        let (results, stats) = run_streamed(&study, &dir);
+        assert_eq!(results, baseline.results);
+        assert_eq!(stats.stream.shards_read, 0);
+        assert_eq!(stats.stream.entries_cached, baseline.stats.total);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -249,15 +227,11 @@ mod tests {
         // first run's leftover shard-00001.
         let dir = std::env::temp_dir().join(format!("wla-study-rewrite-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        Study::new(2_000, 7)
-            .run_static_streamed(&dir, PipelineConfig::default())
-            .unwrap();
+        run_streamed(&Study::new(2_000, 7), &dir);
         let study = Study::new(4_000, 7);
-        let streamed = study
-            .run_static_streamed(&dir, PipelineConfig::default())
-            .unwrap();
-        assert_eq!(streamed.stats.total, 36);
-        assert_eq!(streamed.results, study.run_static().results);
+        let (results, stats) = run_streamed(&study, &dir);
+        assert_eq!(stats.total, 36);
+        assert_eq!(results, study.run_static().results);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -62,27 +62,27 @@ pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.gen::<f64>() < p
 }
 
-/// Standard normal CDF (Abramowitz–Stegun 7.1.26 approximation), used by
-/// calibration tests to check sampled tail masses.
-pub fn normal_cdf(z: f64) -> f64 {
-    let t = 1.0 / (1.0 + 0.2316419 * z.abs());
-    let poly = t
-        * (0.319381530
-            + t * (-0.356563782 + t * (1.781477937 + t * (-1.821255978 + t * 1.330274429))));
-    let pdf = (-z * z / 2.0).exp() / (std::f64::consts::TAU).sqrt();
-    let p = 1.0 - pdf * poly;
-    if z >= 0.0 {
-        p
-    } else {
-        1.0 - p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Standard normal CDF (Abramowitz–Stegun 7.1.26 approximation), used by
+    /// calibration tests to check sampled tail masses.
+    fn normal_cdf(z: f64) -> f64 {
+        let t = 1.0 / (1.0 + 0.2316419 * z.abs());
+        let poly = t
+            * (0.319381530
+                + t * (-0.356563782 + t * (1.781477937 + t * (-1.821255978 + t * 1.330274429))));
+        let pdf = (-z * z / 2.0).exp() / (std::f64::consts::TAU).sqrt();
+        let p = 1.0 - pdf * poly;
+        if z >= 0.0 {
+            p
+        } else {
+            1.0 - p
+        }
+    }
 
     #[test]
     fn normal_moments() {

@@ -89,20 +89,6 @@ impl MethodSet {
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
-
-    /// Iterate over contained method names.
-    pub fn names(self) -> impl Iterator<Item = &'static str> {
-        METHODS
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| self.contains(*i))
-            .map(|(_, m)| *m)
-    }
-
-    /// Number of methods in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
 }
 
 /// One SDK embedded in an app. For `Both`-mechanism SDKs the app may link
@@ -951,9 +937,6 @@ mod tests {
         s.insert(M_EVAL_JS);
         assert!(s.contains(M_LOAD_URL));
         assert!(!s.contains(M_POST_URL));
-        assert_eq!(s.len(), 2);
-        let names: Vec<_> = s.names().collect();
-        assert_eq!(names, ["loadUrl", "evaluateJavascript"]);
     }
 
     #[test]

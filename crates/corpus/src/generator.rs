@@ -54,28 +54,14 @@ pub struct GroundTruth {
     /// The app ships a `loadUrl` call no entry point reaches
     /// ([`AppSpec::dead_code_webview`]).
     pub dead_code_webview: bool,
-    uses_webview: bool,
-    uses_custom_tabs: bool,
-    method_census: MethodSet,
-}
-
-impl GroundTruth {
-    /// Does any reachable code use a WebView? ([`AppSpec::uses_webview`])
-    pub fn uses_webview(&self) -> bool {
-        self.uses_webview
-    }
-
-    /// Does any reachable code launch a Custom Tab?
-    /// ([`AppSpec::uses_custom_tabs`])
-    pub fn uses_custom_tabs(&self) -> bool {
-        self.uses_custom_tabs
-    }
-
+    /// Some reachable code uses a WebView ([`AppSpec::uses_webview`]).
+    pub uses_webview: bool,
+    /// Some reachable code launches a Custom Tab
+    /// ([`AppSpec::uses_custom_tabs`]).
+    pub uses_custom_tabs: bool,
     /// The WebView methods the app's reachable code calls
     /// ([`AppSpec::method_census`]).
-    pub fn method_census(&self) -> MethodSet {
-        self.method_census
-    }
+    pub method_census: MethodSet,
 }
 
 impl From<AppSpec> for GroundTruth {
@@ -115,11 +101,6 @@ impl<'a> Generator<'a> {
     /// New generator over `catalog`.
     pub fn new(catalog: &'a SdkIndex, config: CorpusConfig) -> Self {
         Generator { catalog, config }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &CorpusConfig {
-        &self.config
     }
 
     /// Sample metadata for one post-filter app (downloads ≥ 100K via

@@ -43,7 +43,7 @@ pub use ecosystem::{
 };
 pub use generator::{CorpusConfig, GeneratedApp, Generator, GroundTruth};
 pub use playstore::{
-    count_funnel, AppMeta, FilterSpec, FunnelCounts, MetadataUniverse, PlayCategory, UniverseConfig,
+    count_funnel, AppMeta, FilterSpec, FunnelCounts, PlayCategory, UniverseConfig,
 };
 pub use shard::{
     list_shards, read_shard_stamp, write_shard, write_sharded_corpus, Shard, ShardEntry,

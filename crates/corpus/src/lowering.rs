@@ -491,7 +491,7 @@ mod tests {
             let back = Sapk::decode(&bytes).expect("container decodes");
             let manifest = wireformat::decode(back.manifest_bytes().unwrap()).unwrap();
             assert_eq!(manifest.package, "com.testvendor.app");
-            let dex = Dex::decode(back.dex_bytes().unwrap()).expect("dex decodes");
+            let dex = Dex::decode(back.section(SectionTag::Dex).unwrap()).expect("dex decodes");
             assert!(!dex.classes().is_empty());
         }
     }
@@ -506,7 +506,7 @@ mod tests {
         spec.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(3);
         let apk = lower(&spec, &cat, &mut rng);
-        let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+        let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
         assert!(dex.type_by_name(framework::WEBVIEW).is_some());
         assert!(dex.type_by_name(framework::CUSTOM_TABS_INTENT).is_none());
     }
@@ -522,7 +522,7 @@ mod tests {
         spec.dead_code_webview = false;
         let mut rng = StdRng::seed_from_u64(4);
         let apk = lower(&spec, &cat, &mut rng);
-        let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+        let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
         assert!(dex.type_by_name(framework::CUSTOM_TABS_BUILDER).is_some());
         assert!(dex.type_by_name(framework::WEBVIEW).is_none());
     }
@@ -535,9 +535,10 @@ mod tests {
         spec.direct_wv_subclass = true;
         let mut rng = StdRng::seed_from_u64(5);
         let apk = lower(&spec, &cat, &mut rng);
-        let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+        let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
         let sub = dex
-            .class_by_name("com/testvendor/app/web/AppWebView")
+            .type_by_name("com/testvendor/app/web/AppWebView")
+            .and_then(|t| dex.class(t))
             .expect("subclass defined");
         assert_eq!(dex.type_name(sub.superclass.unwrap()), framework::WEBVIEW);
     }

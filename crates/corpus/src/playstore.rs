@@ -212,6 +212,7 @@ impl Default for FilterSpec {
     }
 }
 
+#[cfg(test)]
 impl FilterSpec {
     /// Does `meta` pass the popularity filter (ignoring maintenance)?
     pub fn is_popular(&self, meta: &AppMeta) -> bool {
@@ -292,16 +293,16 @@ pub struct FunnelCounts {
     pub total: u64,
     /// Records still on the Play Store.
     pub found: u64,
-    /// Records [`FilterSpec::is_popular`] keeps.
+    /// Found records with at least `min_downloads` installs.
     pub popular: u64,
-    /// Records [`FilterSpec::accepts`] keeps.
+    /// Popular records updated on or after `updated_after_day`.
     pub maintained: u64,
 }
 
-/// What [`MetadataUniverse::new`]`(cfg)` would yield, counted through
-/// `filter` without building a record: the same stream, read only as far
-/// as each record's verdict needs. An off-Play record skips its last five
-/// words and a found one under `min_downloads` its last three; only a
+/// The metadata universe `cfg` describes, counted through `filter` without
+/// building a record: one RNG stream of six words a record, read only as
+/// far as each record's verdict needs. An off-Play record skips its last
+/// five words and a found one under `min_downloads` its last three; only a
 /// popular record draws its update day.
 pub fn count_funnel(cfg: &UniverseConfig, filter: &FilterSpec) -> FunnelCounts {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -329,9 +330,11 @@ pub fn count_funnel(cfg: &UniverseConfig, filter: &FilterSpec) -> FunnelCounts {
     counts
 }
 
-/// Streaming generator for the metadata universe. Generating 6.5M records
-/// allocates only per-record strings; memory stays flat. The funnel counts
-/// the same stream with [`count_funnel`] instead.
+/// Streaming generator for the metadata universe, the records
+/// [`count_funnel`] counts: the ecosystem and calibration tests fold it.
+/// Generating 6.5M records allocates only per-record strings; memory stays
+/// flat.
+#[cfg(test)]
 #[derive(Debug)]
 pub struct MetadataUniverse {
     cfg: UniverseConfig,
@@ -340,6 +343,7 @@ pub struct MetadataUniverse {
     category_weights: Vec<f64>,
 }
 
+#[cfg(test)]
 impl MetadataUniverse {
     /// New universe with the given calibration.
     pub fn new(cfg: UniverseConfig) -> Self {
@@ -354,6 +358,7 @@ impl MetadataUniverse {
     }
 }
 
+#[cfg(test)]
 impl Iterator for MetadataUniverse {
     type Item = AppMeta;
 

@@ -23,20 +23,6 @@ pub enum EndpointKind {
     Other,
 }
 
-impl EndpointKind {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EndpointKind::AdNetwork => "Ad Network",
-            EndpointKind::Tracker => "Tracker",
-            EndpointKind::Cdn => "CDN",
-            EndpointKind::FirstParty => "First Party",
-            EndpointKind::AppService => "App Service",
-            EndpointKind::Other => "Other",
-        }
-    }
-}
-
 /// Suffix rules for known third parties. Order matters: first match wins.
 const RULES: &[(&str, EndpointKind)] = &[
     // Ad networks and exchanges.
@@ -104,9 +90,9 @@ pub fn is_first_party(host: &str, site_host: &str) -> bool {
 }
 
 /// Classify `host` by the suffix-rule tables alone, ignoring which site
-/// was visited. This is the site-independent part of
-/// [`classify_endpoint`] — a pure function of the host, which is what
-/// makes the crawl pipeline's per-symbol classification memo sound.
+/// was visited: the verdict for a host [`is_first_party`] rejects. A pure
+/// function of the host, which is what makes the crawl pipeline's
+/// per-symbol classification memo sound.
 pub fn classify_third_party(host: &str) -> EndpointKind {
     for (suffix, kind) in RULES {
         if suffix_matches(host, suffix) {
@@ -121,17 +107,17 @@ pub fn classify_third_party(host: &str) -> EndpointKind {
     EndpointKind::Other
 }
 
-/// Classify `host` relative to the visited `site_host`.
-pub fn classify_endpoint(host: &str, site_host: &str) -> EndpointKind {
-    if is_first_party(host, site_host) {
-        return EndpointKind::FirstParty;
-    }
-    classify_third_party(host)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `wla_oracle::crawl::classify_endpoint` composes.
+    fn classify_endpoint(host: &str, site_host: &str) -> EndpointKind {
+        if is_first_party(host, site_host) {
+            return EndpointKind::FirstParty;
+        }
+        classify_third_party(host)
+    }
 
     #[test]
     fn known_third_parties() {
@@ -189,26 +175,6 @@ mod tests {
             classify_endpoint("px.ads.linkedin.com", "x.com"),
             EndpointKind::AdNetwork
         );
-    }
-
-    #[test]
-    fn split_classifier_matches_composed_one() {
-        for (host, site) in [
-            ("ads.mopub.com", "news0.example-1.com"),
-            ("cdn.news0.example-1.com", "news0.example-1.com"),
-            ("px.ads.linkedin.com", "x.com"),
-            ("mopub.com.evil.net", "x.com"),
-            ("om", "t.co"), // shorter than every suffix
-            ("co", "t.co"),
-        ] {
-            let composed = classify_endpoint(host, site);
-            let split = if is_first_party(host, site) {
-                EndpointKind::FirstParty
-            } else {
-                classify_third_party(host)
-            };
-            assert_eq!(composed, split, "{host} vs {site}");
-        }
     }
 
     #[test]

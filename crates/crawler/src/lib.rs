@@ -26,7 +26,7 @@ pub mod driver;
 pub mod loadtime;
 pub mod sites;
 
-pub use classify::{classify_endpoint, classify_third_party, is_first_party, EndpointKind};
+pub use classify::{classify_third_party, is_first_party, EndpointKind};
 pub use driver::{
     figure6_row, run_visit_prepared, CrawlStep, Figure6Row, VisitObservation, BASELINE_APP,
     VISIT_SCRIPT,

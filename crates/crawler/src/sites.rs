@@ -82,11 +82,6 @@ impl SiteCategory {
             SiteCategory::Search => 2,
         }
     }
-
-    /// Approximate page weight in KB (drives the Figure 7 load model).
-    pub fn page_weight_kb(self) -> u32 {
-        60 + self.richness() as u32 * 140
-    }
 }
 
 /// One crawled site.

@@ -16,4 +16,4 @@
 
 pub mod subclasses;
 
-pub use subclasses::{webview_subclasses_dex, webview_subclasses_dex_interned};
+pub use subclasses::webview_subclasses_dex_interned;

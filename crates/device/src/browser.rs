@@ -1,64 +1,14 @@
-//! The device's default browser: persistent cookies and its own netlog
-//! sources. Custom Tabs borrow both — that sharing is the UX advantage the
-//! paper highlights (sessions persist, no repeated logins).
+//! The device's default browser: the netlog and the netlog sources Custom
+//! Tabs load on. The cookie sessions a CT shares with the browser are
+//! modeled in `wla-extensions`.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
 use wla_net::NetLog;
-
-/// A per-host cookie store.
-#[derive(Debug, Default, Clone)]
-pub struct CookieJar {
-    inner: Arc<Mutex<HashMap<String, HashMap<String, String>>>>,
-}
-
-impl CookieJar {
-    /// Fresh empty jar.
-    pub fn new() -> CookieJar {
-        CookieJar::default()
-    }
-
-    /// Set a cookie for a host.
-    pub fn set(&self, host: &str, name: &str, value: &str) {
-        self.inner
-            .lock()
-            .entry(host.to_owned())
-            .or_default()
-            .insert(name.to_owned(), value.to_owned());
-    }
-
-    /// Read a cookie.
-    pub fn get(&self, host: &str, name: &str) -> Option<String> {
-        self.inner.lock().get(host)?.get(name).cloned()
-    }
-
-    /// Mark the user as logged in on `host` (session cookie).
-    pub fn login(&self, host: &str) {
-        self.set(host, "session", "authenticated");
-    }
-
-    /// Whether an authenticated session exists for `host`.
-    pub fn is_logged_in(&self, host: &str) -> bool {
-        self.get(host, "session").as_deref() == Some("authenticated")
-    }
-
-    /// Number of hosts with cookies.
-    pub fn host_count(&self) -> usize {
-        self.inner.lock().len()
-    }
-}
 
 /// The default browser.
 #[derive(Debug)]
 pub struct Browser {
-    /// Persistent cookie store (shared with Custom Tabs).
-    pub cookies: CookieJar,
     /// Netlog shared with the rest of the device.
     pub netlog: NetLog,
-    /// Whether the browser engine is warm (pre-initialized) — Custom Tabs
-    /// benefit from this, WebViews cannot (Figure 7).
-    warm: bool,
     next_source: u32,
 }
 
@@ -66,21 +16,9 @@ impl Browser {
     /// New browser over the device netlog.
     pub fn new(netlog: NetLog) -> Browser {
         Browser {
-            cookies: CookieJar::new(),
             netlog,
-            warm: false,
             next_source: 1_000,
         }
-    }
-
-    /// Pre-initialize the engine (`CustomTabsClient.warmup`).
-    pub fn warm_up(&mut self) {
-        self.warm = true;
-    }
-
-    /// Whether the engine is warm.
-    pub fn is_warm(&self) -> bool {
-        self.warm
     }
 
     /// Allocate a netlog source id for a new tab.
@@ -96,30 +34,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cookie_persistence_and_login() {
-        let jar = CookieJar::new();
-        assert!(!jar.is_logged_in("facebook.com"));
-        jar.login("facebook.com");
-        assert!(jar.is_logged_in("facebook.com"));
-        assert!(!jar.is_logged_in("example.com"));
-        jar.set("example.com", "pref", "dark");
-        assert_eq!(jar.get("example.com", "pref").as_deref(), Some("dark"));
-        assert_eq!(jar.host_count(), 2);
-    }
-
-    #[test]
     fn browser_sources_are_distinct() {
         let mut b = Browser::new(NetLog::new());
         let a = b.allocate_source();
         let c = b.allocate_source();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn warmup_flag() {
-        let mut b = Browser::new(NetLog::new());
-        assert!(!b.is_warm());
-        b.warm_up();
-        assert!(b.is_warm());
     }
 }

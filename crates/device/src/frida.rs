@@ -43,7 +43,10 @@ impl FridaRecorder {
     pub fn calls(&self) -> Vec<HookedCall> {
         self.calls.lock().clone()
     }
+}
 
+#[cfg(test)]
+impl FridaRecorder {
     /// Calls to a specific method.
     pub fn calls_to(&self, method: &str) -> Vec<HookedCall> {
         self.calls
@@ -61,11 +64,6 @@ impl FridaRecorder {
             .lock()
             .iter()
             .any(|c| c.method != "loadUrl" || c.args.iter().any(|a| a.starts_with("javascript:")))
-    }
-
-    /// Clear between visits.
-    pub fn clear(&self) {
-        self.calls.lock().clear();
     }
 }
 
@@ -108,7 +106,5 @@ mod tests {
         let other = rec.clone();
         rec.record("loadUrl", &["x"]);
         assert_eq!(other.calls().len(), 1);
-        other.clear();
-        assert!(rec.calls().is_empty());
     }
 }

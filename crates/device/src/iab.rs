@@ -64,6 +64,7 @@ pub struct IabProfile {
     pub endpoint_rules: Vec<EndpointRule>,
 }
 
+#[cfg(test)]
 impl IabProfile {
     /// Does the profile inject any HTML/JS?
     pub fn injects_js(&self) -> bool {
@@ -253,7 +254,7 @@ pub fn profile_for(package: &str) -> Option<IabProfile> {
 /// Result of driving a profile through one page visit.
 #[derive(Debug)]
 pub struct IabVisit {
-    /// The WebView instance after the visit (session, bridges, cookies).
+    /// The WebView instance after the visit (session, bridges).
     pub webview: WebViewInstance,
     /// Script outcomes in injection order.
     pub outcomes: Vec<ScriptOutcome>,

@@ -9,22 +9,23 @@
 //! * [`webview`] — the WebView runtime: settings, JS bridges
 //!   (`addJavascriptInterface`), page loading over real loopback HTTP or
 //!   from synthetic page content, script injection via
-//!   `evaluateJavascript`/`loadUrl("javascript:…")`, per-instance netlog
-//!   attribution, and cookie isolation;
-//! * [`customtabs`] — the Custom Tabs runtime: browser-context loading,
-//!   shared browser cookies (sessions persist), warmup/pre-init, and *no*
-//!   injection surface — the security contrast the paper centers on;
+//!   `evaluateJavascript`/`loadUrl("javascript:…")` and per-instance
+//!   netlog attribution;
+//! * [`customtabs`] — the Custom Tabs runtime: browser-context loading on
+//!   a browser netlog source, and *no* injection surface — the security
+//!   contrast the paper centers on;
 //! * [`frida`] — the dynamic-instrumentation analog: a recorder that
 //!   intercepts every WebView API call with its arguments;
 //! * [`logcat`] — the device log buffer;
 //! * [`iab`] — In-App Browser behaviour profiles for the ten WebView-IAB
 //!   apps of Table 8 (plus Discord's CT IAB), and the machinery to drive a
 //!   profile through a page visit;
-//! * [`browser`] — the default browser: cookie persistence and a netlog
-//!   source of its own.
+//! * [`browser`] — the default browser: the netlog sources its tabs load
+//!   on.
 //!
-//! §5's models built on this device (OAuth, Safe Browsing, JS bridges, the
-//! Monkey) live in `wla-extensions`.
+//! §4.1.2's and §5's models built on this device (cookie sessions shared
+//! with Custom Tabs, engagement signals, Partial Custom Tabs, OAuth, Safe
+//! Browsing, JS bridges, the Monkey) live in `wla-extensions`.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +39,7 @@ pub mod session;
 pub mod webview;
 
 pub use browser::Browser;
-pub use customtabs::{CustomTab, NavigationEvent, PartialCustomTab};
+pub use customtabs::{CustomTab, NavigationEvent};
 pub use frida::{FridaRecorder, HookedCall};
 pub use iab::{profile_for, IabProfile, IabVisit};
 pub use intent::{resolve_intent, Intent, IntentTarget};

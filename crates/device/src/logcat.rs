@@ -53,20 +53,16 @@ impl Logcat {
         self.log(Priority::Info, tag, message);
     }
 
-    /// Snapshot of all lines.
-    pub fn lines(&self) -> Vec<LogLine> {
-        self.lines.lock().clone()
-    }
-
     /// Does any line mention `needle`? (The manual workflow greps logs for
     /// intent launches.)
     pub fn contains(&self, needle: &str) -> bool {
         self.lines.lock().iter().any(|l| l.message.contains(needle))
     }
 
-    /// Purge ("we also purge the logs on the device" between crawls).
-    pub fn clear(&self) {
-        self.lines.lock().clear();
+    /// Snapshot of all lines.
+    #[cfg(test)]
+    pub fn lines(&self) -> Vec<LogLine> {
+        self.lines.lock().clone()
     }
 }
 
@@ -85,13 +81,5 @@ mod tests {
         assert_eq!(log.lines().len(), 2);
         assert!(log.contains("android.intent.action.VIEW"));
         assert!(!log.contains("missing"));
-    }
-
-    #[test]
-    fn clear_purges() {
-        let log = Logcat::new();
-        log.info("t", "m");
-        log.clear();
-        assert!(log.lines().is_empty());
     }
 }

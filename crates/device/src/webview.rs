@@ -9,7 +9,6 @@
 //! subresource the parsed DOM references in the instance's netlog,
 //! attributable to this instance's source id.
 
-use crate::browser::CookieJar;
 use crate::frida::FridaRecorder;
 use crate::logcat::Logcat;
 use std::net::SocketAddr;
@@ -170,15 +169,11 @@ pub struct WebViewInstance {
     pub app_package: String,
     /// Settings.
     pub settings: WebViewSettings,
-    /// This WebView's own cookie jar — *not* shared with the browser,
-    /// which is why sessions don't persist (Table 1).
-    pub cookies: CookieJar,
     recorder: FridaRecorder,
     netlog: NetLog,
     logcat: Logcat,
     bridges: Vec<String>,
     dom: Option<DomSession>,
-    current_url: Option<Arc<str>>,
     reporter: Option<SocketAddr>,
 }
 
@@ -195,13 +190,11 @@ impl WebViewInstance {
             source_id,
             app_package: app_package.to_owned(),
             settings: WebViewSettings::default(),
-            cookies: CookieJar::new(),
             recorder,
             netlog,
             logcat,
             bridges: Vec::new(),
             dom: None,
-            current_url: None,
             reporter: None,
         }
     }
@@ -220,6 +213,7 @@ impl WebViewInstance {
 
     /// The instrumented DOM session of the loaded page (`None` until a
     /// page is loaded).
+    #[cfg(test)]
     pub fn session(&self) -> Option<&DomSession> {
         self.dom.as_ref()
     }
@@ -236,11 +230,6 @@ impl WebViewInstance {
         }
     }
 
-    /// Currently loaded URL.
-    pub fn current_url(&self) -> Option<&str> {
-        self.current_url.as_deref()
-    }
-
     /// `addJavascriptInterface` — expose a JS bridge.
     pub fn add_javascript_interface(&mut self, object_class: &str, name: &str) {
         self.recorder
@@ -248,12 +237,6 @@ impl WebViewInstance {
         self.logcat
             .info("WebView", &format!("bridge exposed: {name}"));
         self.bridges.push(name.to_owned());
-    }
-
-    /// `removeJavascriptInterface`.
-    pub fn remove_javascript_interface(&mut self, name: &str) {
-        self.recorder.record("removeJavascriptInterface", &[name]);
-        self.bridges.retain(|b| b != name);
     }
 
     /// `loadUrl` with a page source. Records the hook, turns the source
@@ -294,7 +277,6 @@ impl WebViewInstance {
                         self.logcat
                             .info("WebView", &format!("load failed for {url}: {e}"));
                         self.dom = Some(self.make_session(Arc::new(Document::new())));
-                        self.current_url = Some(url);
                         return;
                     }
                 }
@@ -302,7 +284,6 @@ impl WebViewInstance {
         };
         page.record_arrival(&self.netlog, self.source_id, 2);
         self.dom = Some(self.make_session(page.doc.clone()));
-        self.current_url = Some(url);
     }
 
     /// `evaluateJavascript` — inject and run a script effect.
@@ -310,13 +291,6 @@ impl WebViewInstance {
     pub fn evaluate_javascript(&mut self, effect: &ScriptEffect) -> Option<ScriptOutcome> {
         self.recorder
             .record("evaluateJavascript", &[&effect_js(effect)]);
-        self.run_effect(effect)
-    }
-
-    /// `loadUrl("javascript:…")` — the other injection route (§3.2.2).
-    pub fn load_javascript_url(&mut self, effect: &ScriptEffect) -> Option<ScriptOutcome> {
-        self.recorder
-            .record("loadUrl", &[&format!("javascript:{}", effect_js(effect))]);
         self.run_effect(effect)
     }
 
@@ -458,8 +432,6 @@ mod tests {
         assert!(logcat.contains("load failed"));
         let session = wv.session().expect("a failed load still opens a session");
         assert_eq!(*session.doc, Document::new());
-        assert!(session.calls().is_empty());
-        assert_eq!(wv.current_url(), Some(url));
     }
 
     #[test]
@@ -521,27 +493,7 @@ mod tests {
         );
         wv.add_javascript_interface("com.google.ads.JsBridge", "googleAdsJsInterface");
         assert_eq!(wv.bridges(), ["googleAdsJsInterface"]);
-        wv.remove_javascript_interface("googleAdsJsInterface");
-        assert!(wv.bridges().is_empty());
         assert_eq!(recorder.calls_to("addJavascriptInterface").len(), 1);
-        assert_eq!(recorder.calls_to("removeJavascriptInterface").len(), 1);
-    }
-
-    #[test]
-    fn javascript_url_injection_recorded_as_loadurl() {
-        let recorder = FridaRecorder::new();
-        let mut wv =
-            WebViewInstance::new(4, "com.app", recorder.clone(), NetLog::new(), Logcat::new());
-        wv.load(PageSource::Synthetic {
-            url: "https://x.example/".into(),
-            html: "<p>t</p>".into(),
-            extra_requests: vec![],
-        });
-        wv.load_javascript_url(&ScriptEffect::DomTagCounts);
-        let loads = recorder.calls_to("loadUrl");
-        assert_eq!(loads.len(), 2);
-        assert!(loads[1].args[0].starts_with("javascript:"));
-        assert!(recorder.interacts_beyond_loading());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   controllable surface* (keystrokes and DOM are both interceptable) —
 //!   and the IDP may refuse it outright (Figure 5).
 
+use crate::customtabs::{session_restored, CookieJar};
 use crate::website::{ClientContext, Website};
 use wla_device::browser::Browser;
 use wla_device::customtabs::CustomTab;
@@ -45,12 +46,13 @@ pub struct OAuthOutcome {
 }
 
 /// Run an authorization flow for `app_package` against `idp`, given the
-/// user's browser state.
+/// user's browser and the browser's sessions `cookies`.
 pub fn run_oauth_flow(
     mechanism: AuthMechanism,
     app_package: &str,
     idp: &Website,
     browser: &mut Browser,
+    cookies: &mut CookieJar,
 ) -> OAuthOutcome {
     match mechanism {
         AuthMechanism::CustomTab => {
@@ -60,11 +62,11 @@ pub fn run_oauth_flow(
                 &format!("https://{}/oauth/authorize", idp.host),
                 "<p>authorize</p>",
             );
-            let session_reused = tab.session_restored(browser);
+            let session_reused = session_restored(&tab, cookies);
             if !session_reused {
                 // The user signs in *in the browser context*; the session
                 // persists for every future flow.
-                browser.cookies.login(&idp.host);
+                cookies.login(&idp.host);
             }
             OAuthOutcome {
                 authorized: page.login_possible(),
@@ -89,14 +91,12 @@ pub fn run_oauth_flow(
             });
             let page = idp.login_page(&ClientContext::webview(app_package));
             let refused = !page.login_possible();
-            // WebView cookie jars are per-app and start cold: the browser
-            // session is invisible, so credentials must be typed unless
-            // the IDP refuses entirely.
-            let session_reused = wv.cookies.is_logged_in(&idp.host);
-            debug_assert!(!session_reused);
+            // A WebView's cookie jar is its own and starts cold: the
+            // browser session is invisible, so credentials must be typed
+            // unless the IDP refuses entirely.
             OAuthOutcome {
                 authorized: !refused,
-                session_reused,
+                session_reused: false,
                 credentials_typed_in_app_surface: !refused,
                 trusted_ui: false,
                 refused_by_idp: refused,
@@ -117,8 +117,15 @@ mod tests {
     #[test]
     fn ct_flow_reuses_browser_session() {
         let mut browser = Browser::new(NetLog::new());
-        browser.cookies.login("idp.example");
-        let out = run_oauth_flow(AuthMechanism::CustomTab, "com.app", &idp(), &mut browser);
+        let mut cookies = CookieJar::new();
+        cookies.login("idp.example");
+        let out = run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.app",
+            &idp(),
+            &mut browser,
+            &mut cookies,
+        );
         assert!(out.authorized);
         assert!(out.session_reused);
         assert!(!out.credentials_typed_in_app_surface);
@@ -128,23 +135,38 @@ mod tests {
     #[test]
     fn first_ct_login_persists_for_later_flows() {
         let mut browser = Browser::new(NetLog::new());
-        let first = run_oauth_flow(AuthMechanism::CustomTab, "com.a", &idp(), &mut browser);
+        let mut cookies = CookieJar::new();
+        let first = run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.a",
+            &idp(),
+            &mut browser,
+            &mut cookies,
+        );
         assert!(!first.session_reused);
         // A different app's flow now reuses the session — the conversion
         // benefit the paper attributes to Facebook's CT migration.
-        let second = run_oauth_flow(AuthMechanism::CustomTab, "com.b", &idp(), &mut browser);
+        let second = run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.b",
+            &idp(),
+            &mut browser,
+            &mut cookies,
+        );
         assert!(second.session_reused);
     }
 
     #[test]
     fn webview_flow_types_credentials_without_trusted_ui() {
         let mut browser = Browser::new(NetLog::new());
-        browser.cookies.login("idp.example"); // browser session exists…
+        let mut cookies = CookieJar::new();
+        cookies.login("idp.example"); // browser session exists…
         let out = run_oauth_flow(
             AuthMechanism::EmbeddedWebView,
             "com.app",
             &idp(),
             &mut browser,
+            &mut cookies,
         );
         assert!(out.authorized);
         // …but the WebView can't see it: credentials go through app
@@ -158,10 +180,23 @@ mod tests {
     fn blocking_idp_refuses_webview_but_not_ct() {
         let fb = Website::facebook();
         let mut browser = Browser::new(NetLog::new());
-        let wv = run_oauth_flow(AuthMechanism::EmbeddedWebView, "com.app", &fb, &mut browser);
+        let mut cookies = CookieJar::new();
+        let wv = run_oauth_flow(
+            AuthMechanism::EmbeddedWebView,
+            "com.app",
+            &fb,
+            &mut browser,
+            &mut cookies,
+        );
         assert!(wv.refused_by_idp);
         assert!(!wv.authorized);
-        let ct = run_oauth_flow(AuthMechanism::CustomTab, "com.app", &fb, &mut browser);
+        let ct = run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.app",
+            &fb,
+            &mut browser,
+            &mut cookies,
+        );
         assert!(ct.authorized);
         assert!(!ct.refused_by_idp);
     }

@@ -194,18 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn removed_bridge_is_unreachable() {
-        let mut wv = webview();
-        wv.add_javascript_interface("com.paysdk.CheckoutBridge", "checkoutBridge");
-        wv.remove_javascript_interface("checkoutBridge");
-        let hosts = [BridgeHost {
-            name: "checkoutBridge".into(),
-            data: BridgeData::Benign,
-        }];
-        assert_eq!(page_invoke_bridge(&wv, &hosts, "checkoutBridge"), None);
-    }
-
-    #[test]
     fn unexposed_bridge_is_unreachable() {
         let wv = webview();
         let hosts = [BridgeHost {

@@ -263,16 +263,19 @@ impl LocalInterner {
     }
 
     /// Number of distinct strings interned.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.ends.len()
     }
 
     /// Whether nothing has been interned.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
 
     /// Total bytes of distinct interned strings.
+    #[cfg(test)]
     pub fn bytes(&self) -> usize {
         self.text.len()
     }

@@ -136,13 +136,6 @@ impl Manifest {
         }
     }
 
-    /// All activities.
-    pub fn activities(&self) -> impl Iterator<Item = &Component> {
-        self.components
-            .iter()
-            .filter(|c| c.kind == ComponentKind::Activity)
-    }
-
     /// Deep-link activities to exclude from third-party WebView accounting.
     pub fn deep_link_activities(&self) -> Vec<&Component> {
         self.components

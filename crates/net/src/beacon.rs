@@ -38,11 +38,6 @@ impl BeaconStore {
         self.0.lock().clone()
     }
 
-    /// Clear between crawl visits ("purge the logs on the device").
-    pub fn clear(&self) {
-        self.0.lock().clear();
-    }
-
     fn push(&self, record: BeaconRecord) {
         self.0.lock().push(record);
     }
@@ -100,11 +95,6 @@ impl MeasurementServer {
     /// Recorded beacons.
     pub fn records(&self) -> Vec<BeaconRecord> {
         self.store.records()
-    }
-
-    /// Clear recorded beacons.
-    pub fn clear(&self) {
-        self.store.clear()
     }
 
     /// Stop the server.
@@ -186,16 +176,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resp.status, Status::BadRequest);
-        assert!(server.records().is_empty());
-    }
-
-    #[test]
-    fn clear_purges_between_visits() {
-        let server = MeasurementServer::start(String::new()).unwrap();
-        let body = encode_beacon("Document", "querySelectorAll", None, "v");
-        fetch(server.addr(), Request::post("/beacon", body.into_bytes())).unwrap();
-        assert_eq!(server.records().len(), 1);
-        server.clear();
         assert!(server.records().is_empty());
     }
 }

@@ -54,62 +54,6 @@ pub fn fetch(addr: SocketAddr, request: Request) -> Result<Response, ClientError
     Ok(Response::read_from(&mut reader)?)
 }
 
-/// A persistent keep-alive client connection.
-///
-/// Where [`fetch`] opens a fresh connection per request (`connection:
-/// close` framing), this holds one socket open and frames every request
-/// keep-alive — the client side of the nonblocking server's hot path, and
-/// what the saturation bench and the equivalence suite drive. Pipelining
-/// is explicit via [`ClientConn::send_pipelined`]: all requests are
-/// written back-to-back before any response is read.
-#[derive(Debug)]
-pub struct ClientConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl ClientConn {
-    /// Open a persistent connection.
-    pub fn connect(addr: SocketAddr) -> Result<ClientConn, ClientError> {
-        let stream = TcpStream::connect_timeout(&addr, TIMEOUT)
-            .map_err(|e| ClientError::Connect(e.to_string()))?;
-        stream
-            .set_read_timeout(Some(TIMEOUT))
-            .map_err(|e| ClientError::Connect(e.to_string()))?;
-        stream.set_nodelay(true).ok();
-        let writer = stream
-            .try_clone()
-            .map_err(|e| ClientError::Connect(e.to_string()))?;
-        Ok(ClientConn {
-            writer,
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// One keep-alive request/response exchange.
-    pub fn send(&mut self, request: &Request) -> Result<Response, ClientError> {
-        request.write_into(&mut self.writer, false)?;
-        Ok(Response::read_from(&mut self.reader)?)
-    }
-
-    /// Write every request back-to-back (pipelined), then read the
-    /// responses in order.
-    pub fn send_pipelined(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        let mut raw = Vec::new();
-        for request in requests {
-            request.write_into(&mut raw, false)?;
-        }
-        use std::io::Write as _;
-        self.writer
-            .write_all(&raw)
-            .map_err(|e| ClientError::Http(HttpError::Io(e.to_string())))?;
-        requests
-            .iter()
-            .map(|_| Response::read_from(&mut self.reader).map_err(ClientError::from))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

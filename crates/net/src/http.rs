@@ -234,11 +234,7 @@ impl Request {
 
     /// First header value by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Path portion of the target (before `?`).
@@ -356,16 +352,37 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     Ok((name.trim().to_ascii_lowercase(), value.trim().to_owned()))
 }
 
-/// Declared body length from the header list (`None` header means 0);
-/// present-but-unparseable is an error, oversized is [`HttpError::BodyTooLarge`].
+/// The first value of header `name`, matched case-insensitively, in
+/// `headers`, whose names are lowercased: what [`Request::header`]
+/// returns, and how a response's headers are read.
+pub fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    let name = name.to_ascii_lowercase();
+    headers
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Declared body length from the header list (no `content-length` means
+/// 0). A value that is not `1*DIGIT` (RFC 9110 §8.6; `usize::from_str`
+/// alone also takes a leading `+`), or that overflows, is malformed, and
+/// so are two fields that disagree (RFC 9112 §6.3); oversized is
+/// [`HttpError::BodyTooLarge`].
 fn declared_body_len(headers: &[(String, String)], limits: &Limits) -> Result<usize, HttpError> {
-    let len: usize = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .trim()
-            .parse()
-            .map_err(|_| HttpError::Malformed("content-length"))?,
-    };
+    let malformed = || HttpError::Malformed("content-length");
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n == "content-length") {
+        let v = v.trim();
+        if !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(malformed());
+        }
+        let n: usize = v.parse().map_err(|_| malformed())?;
+        if declared.is_some_and(|d| d != n) {
+            return Err(malformed());
+        }
+        declared = Some(n);
+    }
+    let len = declared.unwrap_or(0);
     if len > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge(len));
     }
@@ -489,15 +506,6 @@ impl Response {
         }
     }
 
-    /// 302 redirect.
-    pub fn redirect(location: &str) -> Response {
-        Response {
-            status: Status::Found,
-            headers: vec![("location".into(), location.into())],
-            body: Bytes::new(),
-        }
-    }
-
     /// Error response with a plain-text body.
     pub fn error(status: Status, message: &str) -> Response {
         Response {
@@ -505,23 +513,6 @@ impl Response {
             headers: vec![("content-type".into(), "text/plain".into())],
             body: Bytes::copy_from_slice(message.as_bytes()),
         }
-    }
-
-    /// First header value by name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Serialize onto a writer with `Connection: close` framing.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), HttpError> {
-        let mut out = Vec::new();
-        self.write_into(&mut out, true);
-        w.write_all(&out)?;
-        Ok(())
     }
 
     /// Serialize into a byte buffer, choosing the connection framing. Both
@@ -713,7 +704,7 @@ mod tests {
 
     fn roundtrip_response(resp: &Response) -> Response {
         let mut buf = Vec::new();
-        resp.write_to(&mut buf).unwrap();
+        resp.write_into(&mut buf, true);
         Response::read_from(&mut BufReader::new(Cursor::new(buf))).unwrap()
     }
 
@@ -735,16 +726,8 @@ mod tests {
         let resp = Response::ok("text/html", &b"<html></html>"[..]);
         let back = roundtrip_response(&resp);
         assert_eq!(back.status, Status::Ok);
-        assert_eq!(back.header("content-type"), Some("text/html"));
+        assert_eq!(header(&back.headers, "content-type"), Some("text/html"));
         assert_eq!(&back.body[..], b"<html></html>");
-    }
-
-    #[test]
-    fn redirect_roundtrip() {
-        let resp = Response::redirect("https://example.com/next");
-        let back = roundtrip_response(&resp);
-        assert_eq!(back.status, Status::Found);
-        assert_eq!(back.header("location"), Some("https://example.com/next"));
     }
 
     #[test]
@@ -812,14 +795,25 @@ mod tests {
 
     #[test]
     fn unparseable_content_length_is_malformed() {
-        // "abc", a negative value, and a value overflowing usize must all
-        // be rejected, not silently framed as an empty body.
-        for bad in ["abc", "-5", "18446744073709551616", "12 34", "0x10"] {
-            let raw = format!("POST / HTTP/1.1\r\ncontent-length: {bad}\r\n\r\n");
-            let err =
-                Request::read_from(&mut BufReader::new(Cursor::new(raw.into_bytes()))).unwrap_err();
+        // "abc", a negative or signed value, and a value overflowing usize
+        // must all be rejected, not silently framed as an empty body; so
+        // must two fields that disagree. A repeat of one value frames it.
+        let read = |raw: String| Request::read_from(&mut BufReader::new(Cursor::new(raw)));
+        for bad in [
+            "abc",
+            "-5",
+            "+5",
+            "18446744073709551616",
+            "12 34",
+            "0x10",
+            "5\r\ncontent-length: 7",
+        ] {
+            let raw = format!("POST / HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nhello!!");
+            let err = read(raw).unwrap_err();
             assert_eq!(err, HttpError::Malformed("content-length"), "value {bad:?}");
         }
+        let repeated = "POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(&read(repeated.into()).unwrap().body[..], b"hello");
     }
 
     #[test]
@@ -843,7 +837,7 @@ mod tests {
             body: Bytes::new(),
         };
         let back = roundtrip_response(&resp);
-        assert_eq!(back.header("x-odd"), Some("left\rright"));
+        assert_eq!(header(&back.headers, "x-odd"), Some("left\rright"));
     }
 
     #[test]

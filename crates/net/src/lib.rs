@@ -31,8 +31,7 @@
 //! * [`stats`] — [`ServerStats`]: accepted/active/shed gauges, requests
 //!   per connection, parse failures, p50/p99 service-time histogram;
 //! * [`router`] — method+path dispatch (404/405) shared by every frontend;
-//! * [`client`] — the blocking `Connection: close` [`fetch`] plus the
-//!   keep-alive/pipelining [`ClientConn`];
+//! * [`client`] — the blocking `Connection: close` [`fetch`];
 //! * [`beacon`] — the measurement server: serves the controlled page,
 //!   records `POST /beacon` Web-API reports;
 //! * [`netlog`] — structured per-source network event capture with
@@ -63,7 +62,7 @@ pub mod server;
 pub mod stats;
 
 pub use beacon::{beacon_routes, BeaconRecord, BeaconStore, MeasurementServer};
-pub use client::{fetch, ClientConn, ClientError};
+pub use client::{fetch, ClientError};
 pub use http::{HttpError, Limits, Method, Request, Response, Status};
 pub use netlog::{netlog_routes, NetLog, NetLogEvent, NetLogPhase};
 pub use router::Router;

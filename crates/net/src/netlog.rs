@@ -65,11 +65,6 @@ impl NetLog {
         self.inner.lock().clock_ms += ms;
     }
 
-    /// Current simulated time.
-    pub fn now_ms(&self) -> u64 {
-        self.inner.lock().clock_ms
-    }
-
     /// Record an event at the current simulated time.
     pub fn record(&self, source_id: u32, url: &str, phase: NetLogPhase) {
         self.record_shared(source_id, Arc::from(url), phase);
@@ -168,11 +163,6 @@ impl NetLog {
             }
         }
     }
-
-    /// Purge all events ("purge the logs on the device" between crawls).
-    pub fn clear(&self) {
-        self.inner.lock().events.clear();
-    }
 }
 
 /// Mount the netlog capture endpoints onto a router: `POST /netlog`
@@ -224,12 +214,16 @@ pub fn netlog_routes(router: crate::router::Router, log: NetLog) -> crate::route
         })
 }
 
-/// Extract the host from a URL (scheme-optional).
+/// Extract the host from a URL (scheme-optional). An IPv6 literal keeps
+/// its brackets (`[::1]`).
 pub fn host_of(url: &str) -> Option<&str> {
     let rest = url.split("://").nth(1).unwrap_or(url);
     let host = rest.split(['/', '?', '#']).next()?;
     let host = host.split('@').next_back()?; // strip userinfo
-    let host = host.split(':').next()?; // strip port
+    let host = match host.strip_prefix('[') {
+        Some(literal) => &host[..literal.find(']')? + 2],
+        None => host.split(':').next()?, // strip port
+    };
     if host.is_empty() {
         None
     } else {
@@ -284,8 +278,12 @@ mod tests {
             serial.record_shared(7, url.clone(), NetLogPhase::RequestSent);
             serial.record_shared(7, url.clone(), NetLogPhase::ResponseReceived);
         }
+        // Both clocks stand at the same time: one more event on each
+        // carries the same timestamp.
+        for log in [&batched, &serial] {
+            log.record(7, "https://x.com/", NetLogPhase::RequestSent);
+        }
         assert_eq!(batched.events(), serial.events());
-        assert_eq!(batched.now_ms(), serial.now_ms());
     }
 
     #[test]
@@ -307,18 +305,12 @@ mod tests {
         assert_eq!(host_of("host.only"), Some("host.only"));
         assert_eq!(host_of("https://user@host/p"), Some("host"));
         assert_eq!(host_of("https:///nohost"), None);
-    }
-
-    #[test]
-    fn clear_purges() {
-        let log = NetLog::new();
-        log.record(1, "https://x/", NetLogPhase::RequestSent);
-        log.clear();
-        assert!(log.events().is_empty());
-        assert!(log.is_empty());
-        // Clock survives the purge.
-        log.advance_clock(5);
-        assert_eq!(log.now_ms(), 5);
+        // An IPv6 literal keeps its brackets, with a port or without.
+        assert_eq!(host_of("http://[::1]:8080/x"), Some("[::1]"));
+        assert_eq!(host_of("https://[2001:db8::7]/p?q"), Some("[2001:db8::7]"));
+        assert_eq!(host_of("[::1]"), Some("[::1]"));
+        assert_eq!(host_of("https://user@[::1]:443/"), Some("[::1]"));
+        assert_eq!(host_of("http://[::1/x"), None);
     }
 
     #[test]

@@ -82,6 +82,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::header;
     use bytes::Bytes;
 
     fn router() -> Router {
@@ -131,8 +132,8 @@ mod tests {
     fn known_path_wrong_method_is_405_with_allow() {
         let resp = router().dispatch(&req(Method::Head, "/page"));
         assert_eq!(resp.status, Status::MethodNotAllowed);
-        assert_eq!(resp.header("allow"), Some("GET"));
+        assert_eq!(header(&resp.headers, "allow"), Some("GET"));
         let resp = router().dispatch(&req(Method::Head, "/beacon"));
-        assert_eq!(resp.header("allow"), Some("POST, GET"));
+        assert_eq!(header(&resp.headers, "allow"), Some("POST, GET"));
     }
 }

@@ -500,6 +500,7 @@ fn event_loop(
 mod tests {
     use super::*;
     use crate::client::fetch;
+    use crate::http::header;
     use std::io::{BufReader, Read, Write};
 
     fn echo_handler() -> Handler {
@@ -570,7 +571,7 @@ mod tests {
             let resp = Response::read_from(&mut reader).unwrap();
             assert_eq!(resp.status, Status::Ok);
             assert_eq!(&resp.body[..], body.as_bytes());
-            assert_eq!(resp.header("connection"), Some("keep-alive"));
+            assert_eq!(header(&resp.headers, "connection"), Some("keep-alive"));
         }
         let snap = server.stats().snapshot();
         assert_eq!(snap.accepted, 1);
@@ -628,7 +629,7 @@ mod tests {
         let resp = fetch(server.addr(), req).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert!(resp.body.is_empty());
-        assert_eq!(resp.header("x-entity-length"), Some("9"));
+        assert_eq!(header(&resp.headers, "x-entity-length"), Some("9"));
     }
 
     #[test]
@@ -654,7 +655,13 @@ mod tests {
     #[test]
     fn bad_content_length_gets_400_not_a_hang() {
         let server = echo_server();
-        for bad in ["abc", "-5", "18446744073709551616"] {
+        for bad in [
+            "abc",
+            "-5",
+            "+5",
+            "18446744073709551616",
+            "5\r\ncontent-length: 7",
+        ] {
             let raw = format!("POST /echo HTTP/1.1\r\ncontent-length: {bad}\r\n\r\nxyz");
             let buf = raw_exchange(server.addr(), raw.as_bytes());
             assert!(buf.starts_with("HTTP/1.1 400"), "value {bad:?}: {buf}");

@@ -9,7 +9,9 @@
 use std::collections::{HashMap, HashSet};
 use wla_apk::sdex::{Dex, Instruction, InvokeKind, MethodId, TypeId};
 use wla_callgraph::reach::record_sites;
-use wla_callgraph::{CallSite, Provenance, WebCallRecord};
+use wla_callgraph::{
+    record_web_calls_with, CallGraph, CallSite, Provenance, ReachScratch, WebCallRecord,
+};
 use wla_intern::{LocalInterner, Symbol};
 use wla_sdk_index::{LabelCache, SdkIndex};
 
@@ -21,6 +23,15 @@ pub struct HashCallGraph<'d> {
     defined: HashMap<MethodId, TypeId>,
     edges: HashMap<MethodId, Vec<MethodId>>,
     sites: Vec<CallSite>,
+}
+
+/// Total number of instructions across every defined method of `dex`.
+pub fn instruction_count(dex: &Dex) -> usize {
+    dex.classes()
+        .iter()
+        .flat_map(|c| &c.methods)
+        .map(|m| m.code.len())
+        .sum()
 }
 
 impl<'d> HashCallGraph<'d> {
@@ -40,7 +51,7 @@ impl<'d> HashCallGraph<'d> {
         }
 
         let mut edges: HashMap<MethodId, Vec<MethodId>> = HashMap::with_capacity(defined.len());
-        let mut sites: Vec<CallSite> = Vec::with_capacity(dex.instruction_count());
+        let mut sites: Vec<CallSite> = Vec::with_capacity(instruction_count(dex));
         for class in dex.classes() {
             for m in &class.methods {
                 for ins in &m.code {
@@ -141,7 +152,83 @@ pub fn reachable_methods_oracle(
     seen
 }
 
-/// Oracle analog of `record_web_calls`: identical recording loop (shared
+/// The methods `graph`'s dex defines, by dense node index: the inverse of
+/// [`CallGraph::node_index`].
+fn csr_methods(graph: &CallGraph<'_>) -> Vec<MethodId> {
+    let mut methods = vec![MethodId(0); graph.node_count()];
+    for d in graph.dex().classes().iter().flat_map(|c| &c.methods) {
+        if let Some(i) = graph.node_index(d.method) {
+            methods[i as usize] = d.method;
+        }
+    }
+    methods
+}
+
+/// The CSR graph's resolved internal callees of `m`, as method ids.
+pub fn csr_callees(graph: &CallGraph<'_>, m: MethodId) -> Vec<MethodId> {
+    let Some(idx) = graph.node_index(m) else {
+        return Vec::new();
+    };
+    let methods = csr_methods(graph);
+    graph
+        .callee_indices(idx)
+        .iter()
+        .map(|&t| methods[t as usize])
+        .collect()
+}
+
+/// The class defining `m` in the CSR graph's dex, if the graph has a node
+/// for it; a re-defined method id belongs to its last defining class, as
+/// in [`HashCallGraph`].
+pub fn csr_defining_class(graph: &CallGraph<'_>, m: MethodId) -> Option<TypeId> {
+    graph.node_index(m)?;
+    let mut classes = graph.dex().classes().iter().rev();
+    classes
+        .find(|c| c.methods.iter().any(|d| d.method == m))
+        .map(|c| c.ty)
+}
+
+/// The CSR graph's bitset BFS ([`ReachScratch::mark_reachable`]) from
+/// `roots`, as a set of method ids: like [`reachable_methods_oracle`], every
+/// root (even an external ref) plus every defined method reached.
+pub fn reachable_methods(graph: &CallGraph<'_>, roots: &[MethodId]) -> HashSet<MethodId> {
+    let mut scratch = ReachScratch::new();
+    scratch.mark_reachable(graph, roots);
+    let mut seen: HashSet<MethodId> = roots.iter().copied().collect();
+    for d in graph.dex().classes().iter().flat_map(|c| &c.methods) {
+        if graph
+            .node_index(d.method)
+            .is_some_and(|i| scratch.is_marked(i))
+        {
+            seen.insert(d.method);
+        }
+    }
+    seen
+}
+
+/// [`record_web_calls_with`] with a throwaway scratch, for one-shot
+/// callers.
+pub fn record_web_calls(
+    graph: &CallGraph<'_>,
+    roots: &[MethodId],
+    webview_subclasses: &HashSet<Symbol>,
+    catalog: &SdkIndex,
+    lexicon: &mut LocalInterner,
+    labels: &mut LabelCache,
+) -> WebCallRecord {
+    let mut scratch = ReachScratch::new();
+    record_web_calls_with(
+        graph,
+        roots,
+        webview_subclasses,
+        catalog,
+        lexicon,
+        labels,
+        &mut scratch,
+    )
+}
+
+/// Oracle analog of [`record_web_calls`]: identical recording loop (shared
 /// via `record_sites`), reachability from the hash BFS.
 pub fn record_web_calls_oracle(
     graph: &HashCallGraph<'_>,
@@ -167,8 +254,6 @@ pub fn record_web_calls_oracle(
 mod tests {
     use super::*;
     use wla_apk::sdex::{ClassFlags, DexBuilder, MethodDef, Reg};
-    use wla_callgraph::reach::reachable_methods;
-    use wla_callgraph::CallGraph;
 
     fn def(b: &mut DexBuilder, class: &str, name: &str, code: Vec<Instruction>) -> MethodDef {
         MethodDef::new(b.intern_method(class, name, "()V"), true, false, code)
@@ -202,10 +287,15 @@ mod tests {
         b.define_class("com/x/B", None, ClassFlags::default(), vec![b_run])
             .unwrap();
         let dex = b.build();
+        assert_eq!(instruction_count(&dex), 4);
 
         let oracle = HashCallGraph::build(&dex);
         let csr = CallGraph::build(&dex);
-        let a_id = dex.class_by_name("com/x/A").unwrap().methods[0].method;
+        let a_id = dex
+            .class(dex.type_by_name("com/x/A").unwrap())
+            .unwrap()
+            .methods[0]
+            .method;
 
         // Oracle keeps the duplicate edge, CSR dedups it — but reachability
         // and sites agree.
@@ -216,7 +306,10 @@ mod tests {
             reachable_methods_oracle(&oracle, &[a_id]),
             reachable_methods(&csr, &[a_id])
         );
-        assert_eq!(oracle.defining_class(callee), csr.defining_class(callee));
+        assert_eq!(
+            oracle.defining_class(callee),
+            csr_defining_class(&csr, callee)
+        );
     }
 
     #[test]
@@ -279,10 +372,14 @@ mod tests {
             g.edge_count() + g.build_stats().duplicate_edges as usize,
             oracle.edge_count()
         );
-        assert_eq!(g.defined_count(), oracle.defined_count());
+        assert_eq!(g.node_count(), oracle.defined_count());
         assert_eq!(g.sites(), oracle.sites());
-        let main = dex.class_by_name("com/x/Main").unwrap().methods[0].method;
-        let mut h: Vec<MethodId> = g.callees(main).collect();
+        let main = dex
+            .class(dex.type_by_name("com/x/Main").unwrap())
+            .unwrap()
+            .methods[0]
+            .method;
+        let mut h = csr_callees(&g, main);
         let mut o = oracle.callees(main).to_vec();
         h.sort();
         o.sort();
@@ -291,6 +388,6 @@ mod tests {
         // Nearest override must win under the hash layout.
         assert!(h
             .iter()
-            .any(|&m| dex.type_name(g.defining_class(m).unwrap()) == "com/x/B"));
+            .any(|&m| dex.type_name(csr_defining_class(&g, m).unwrap()) == "com/x/B"));
     }
 }

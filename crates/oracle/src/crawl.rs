@@ -3,13 +3,34 @@
 //! at a time, each page re-parsed per visit, hosts kept as owned strings.
 
 use std::collections::{BTreeMap, BTreeSet};
-use wla_crawler::classify::{classify_endpoint, EndpointKind};
+use wla_crawler::classify::{classify_third_party, is_first_party, EndpointKind};
 use wla_crawler::driver::{
     figure6_row, run_visit_with_source, Figure6Row, VisitObservation, BASELINE_APP,
 };
 use wla_crawler::sites::{SiteCategory, TopSite};
 use wla_device::iab::IabProfile;
 use wla_device::session::VisitSession;
+
+/// Classify `host` relative to the visited `site_host`: first party, or
+/// the suffix rules' verdict.
+pub fn classify_endpoint(host: &str, site_host: &str) -> EndpointKind {
+    if is_first_party(host, site_host) {
+        return EndpointKind::FirstParty;
+    }
+    classify_third_party(host)
+}
+
+/// The display label of an endpoint kind.
+pub fn endpoint_label(kind: EndpointKind) -> &'static str {
+    match kind {
+        EndpointKind::AdNetwork => "Ad Network",
+        EndpointKind::Tracker => "Tracker",
+        EndpointKind::Cdn => "CDN",
+        EndpointKind::FirstParty => "First Party",
+        EndpointKind::AppService => "App Service",
+        EndpointKind::Other => "Other",
+    }
+}
 
 /// Result of one (app, site) visit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,6 +160,26 @@ mod tests {
     use wla_device::iab::profile_for;
 
     #[test]
+    fn split_classifier_matches_composed_one() {
+        for (host, site) in [
+            ("ads.mopub.com", "news0.example-1.com"),
+            ("cdn.news0.example-1.com", "news0.example-1.com"),
+            ("px.ads.linkedin.com", "x.com"),
+            ("mopub.com.evil.net", "x.com"),
+            ("om", "t.co"), // shorter than every suffix
+            ("co", "t.co"),
+        ] {
+            let composed = classify_endpoint(host, site);
+            let split = if is_first_party(host, site) {
+                EndpointKind::FirstParty
+            } else {
+                classify_third_party(host)
+            };
+            assert_eq!(composed, split, "{host} vs {site}");
+        }
+    }
+
+    #[test]
     fn baseline_contacts_only_site_resources() {
         let sites: Vec<TopSite> = top_100_sites().into_iter().take(10).collect();
         let records = crawl_baseline(&sites);
@@ -165,7 +206,9 @@ mod tests {
                 assert_eq!(a, b);
                 // Same events in the same order — not just the same hosts.
                 assert_eq!(fresh.netlog().events(), prepared.netlog().events());
-                assert_eq!(fresh.logcat().lines(), prepared.logcat().lines());
+                // A `Logcat` prints its lines.
+                let logs = |s: &VisitSession| format!("{:?}", s.logcat());
+                assert_eq!(logs(&fresh), logs(&prepared));
             }
         }
     }

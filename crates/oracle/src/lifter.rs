@@ -7,8 +7,20 @@
 //! assuming sterile input.
 
 use std::collections::{BTreeMap, BTreeSet};
-use wla_apk::names::{simple_name, to_source_name};
 use wla_apk::sdex::{ClassDef, Dex, Instruction, InvokeKind};
+
+/// The simple (unqualified) name: `com/foo/Baz$Inner` → `Baz$Inner`.
+pub fn simple_name(binary_name: &str) -> &str {
+    match binary_name.rfind('/') {
+        Some(idx) => &binary_name[idx + 1..],
+        None => binary_name,
+    }
+}
+
+/// Convert a binary name to a Java source name: `com/foo/Baz` → `com.foo.Baz`.
+pub fn to_source_name(binary_name: &str) -> String {
+    binary_name.replace(['/', '$'], ".")
+}
 
 /// One decompiled source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,6 +219,17 @@ mod tests {
     use super::*;
     use wla_apk::sdex::{ClassFlags, DexBuilder, Instruction, InvokeKind, MethodDef, Reg};
 
+    #[test]
+    fn simple_names() {
+        assert_eq!(simple_name("com/foo/Baz$Inner"), "Baz$Inner");
+        assert_eq!(simple_name("TopLevel"), "TopLevel");
+    }
+
+    #[test]
+    fn source_names() {
+        assert_eq!(to_source_name("com/foo/Baz$Inner"), "com.foo.Baz.Inner");
+    }
+
     fn webview_app_dex() -> Dex {
         let mut b = DexBuilder::new();
         let load = b.intern_method("android/webkit/WebView", "loadUrl", "(Ljava/lang/String;)V");
@@ -313,7 +336,10 @@ mod tests {
         )
         .unwrap();
         let dex = b.build();
-        let src = lift_class(&dex, dex.class_by_name("com/x/Main").unwrap());
+        let src = lift_class(
+            &dex,
+            dex.class(dex.type_by_name("com/x/Main").unwrap()).unwrap(),
+        );
         assert!(!src.contains("import com.x.Helper;"), "{src}");
         assert!(src.contains("Helper.go();"));
     }

@@ -177,6 +177,7 @@ fn serve_connection(stream: TcpStream, handler: Handler, limits: Limits, persist
 mod tests {
     use super::*;
     use std::io::Read;
+    use wla_net::http::header;
     use wla_net::{fetch, Method, Response, Status};
 
     fn echo_server() -> Server {
@@ -322,7 +323,7 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         assert!(resp.body.is_empty());
         // The would-be entity length is advertised.
-        assert_eq!(resp.header("x-entity-length"), Some("22"));
+        assert_eq!(header(&resp.headers, "x-entity-length"), Some("22"));
     }
 
     #[test]
@@ -347,7 +348,7 @@ mod tests {
             out.write_all(&raw).unwrap();
             let resp = Response::read_from(&mut reader).unwrap();
             assert_eq!(&resp.body[..], body.as_bytes());
-            assert_eq!(resp.header("connection"), Some("keep-alive"));
+            assert_eq!(header(&resp.headers, "connection"), Some("keep-alive"));
         }
         // ...then a pipelined burst ending in connection: close.
         let mut raw = Vec::new();

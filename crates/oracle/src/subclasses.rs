@@ -5,7 +5,21 @@
 use crate::lifter::SourceFile;
 use crate::parser::{parse_source, ParsedClass};
 use std::collections::{HashMap, HashSet};
+use wla_apk::Dex;
+use wla_decompile::webview_subclasses_dex_interned;
 use wla_intern::{LocalInterner, Symbol};
+
+/// `wla_decompile`'s dex-direct closure over `dexes`, as owned binary
+/// names: the form the equivalence tests compare with
+/// [`webview_subclasses`].
+pub fn webview_subclasses_dex(dexes: &[Dex]) -> HashSet<String> {
+    let mut lexicon = LocalInterner::new();
+    let subclasses = webview_subclasses_dex_interned(dexes, &mut lexicon);
+    subclasses
+        .into_iter()
+        .map(|s| lexicon.resolve(s).to_owned())
+        .collect()
+}
 
 /// Qualified source name of the WebView class.
 pub const WEBVIEW_SOURCE_NAME: &str = "android.webkit.WebView";
@@ -166,7 +180,6 @@ mod tests {
         use super::super::*;
         use crate::lifter::lift_dex;
         use wla_apk::{ClassFlags, Dex, DexBuilder};
-        use wla_decompile::webview_subclasses_dex;
 
         /// A hierarchy exercising every closure case: a direct subclass, a
         /// transitive chain crossing packages, an unrelated class, and a

@@ -21,13 +21,6 @@ impl Table {
         }
     }
 
-    /// Append a row.
-    pub fn row(&mut self, cells: &[&str]) -> &mut Table {
-        self.rows
-            .push(cells.iter().map(|c| (*c).to_owned()).collect());
-        self
-    }
-
     /// Append a row of owned strings.
     pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Table {
         self.rows.push(cells);
@@ -116,8 +109,11 @@ mod tests {
 
     fn sample() -> Table {
         let mut t = Table::new("Table 2: Dataset", &["Dataset", "No. of apps"]);
-        t.row(&["Play Store apps in Androzoo", "6,507,222"]);
-        t.row(&["Apps successfully analyzed", "146,558"]);
+        t.row_owned(vec![
+            "Play Store apps in Androzoo".into(),
+            "6,507,222".into(),
+        ]);
+        t.row_owned(vec!["Apps successfully analyzed".into(), "146,558".into()]);
         t
     }
 
@@ -135,7 +131,7 @@ mod tests {
     #[test]
     fn ragged_rows_padded() {
         let mut t = Table::new("t", &["a", "b", "c"]);
-        t.row(&["only-one"]);
+        t.row_owned(vec!["only-one".into()]);
         let r = t.render();
         assert!(r.contains("| only-one |   |   |"), "{r}");
     }

@@ -121,6 +121,7 @@ pub enum WebMechanism {
     Both,
 }
 
+#[cfg(test)]
 impl WebMechanism {
     /// Does the SDK have a WebView code path?
     pub fn uses_webview(self) -> bool {
@@ -228,33 +229,6 @@ impl SdkIndex {
         &self.sdks
     }
 
-    /// Linear-scan labeling with identical semantics to
-    /// [`label_id`](Self::label_id) — the reference the trie is pinned
-    /// against, and the baseline of the `sdk_labeling` ablation bench.
-    pub fn label_linear(&self, package: &str) -> LabelId {
-        if package == CORE_ANDROID_PREFIX || package.starts_with("com.google.android.") {
-            return LabelId::CoreAndroid;
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for (i, sdk) in self.sdks.iter().enumerate() {
-            for &p in sdk.prefixes {
-                let matches = package == p
-                    || (package.len() > p.len()
-                        && package.starts_with(p)
-                        && package.as_bytes()[p.len()] == b'.');
-                if matches && best.is_none_or(|(l, _)| p.len() > l) {
-                    best = Some((p.len(), i));
-                }
-            }
-        }
-        match best {
-            Some((_, i)) if self.sdks[i].obfuscated => LabelId::Obfuscated,
-            Some((_, i)) => LabelId::Sdk(i as u16),
-            None if is_obfuscated_package(package) => LabelId::Obfuscated,
-            None => LabelId::Unlabeled,
-        }
-    }
-
     /// Label a dotted package name: `com.google.android` takes precedence,
     /// then the longest catalog prefix; obfuscated catalog entries and
     /// unmatched packages that pass the obfuscation heuristic both
@@ -321,15 +295,15 @@ impl LabelCache {
 
 /// ProGuard/R8-style obfuscation heuristic: every segment is at most two
 /// characters (`a.b`; `com.a.b` is *not* obfuscated because `com` is 3
-/// chars — matching how analysts eyeball these).
-fn is_obfuscated_package(pkg: &str) -> bool {
+/// chars — matching how analysts eyeball these). [`SdkIndex::label_id`]
+/// labels an unmatched package that passes it [`LabelId::Obfuscated`].
+pub fn is_obfuscated_package(pkg: &str) -> bool {
     pkg.split('.').all(|s| !s.is_empty() && s.len() <= 2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn paper_catalog_matches_table3_counts() {
@@ -453,44 +427,6 @@ mod tests {
         assert!(!is_obfuscated_package("com.applovin"));
     }
 
-    #[test]
-    fn trie_and_linear_agree_on_catalog() {
-        let index = SdkIndex::paper();
-        let probes = [
-            "com.applovin.adview",
-            "com.applovin",
-            "com.applovinx",
-            "com.google.android",
-            "com.google.android.gms",
-            "com.google.android.gms.ads",
-            "com.google.firebase.auth.internal",
-            "io.flutter.plugins.webview",
-            "zendesk.support.ui",
-            "a.b",
-            "ab.cd.ef",
-            "com.unknownthing.x",
-            "epic.mychart.android",
-            "com.navercorp.nid.oauth",
-        ];
-        for p in probes {
-            assert_eq!(index.label_id(p), index.label_linear(p), "mismatch for {p}");
-        }
-    }
-
-    #[test]
-    fn label_id_agrees_with_linear_on_every_catalog_prefix() {
-        let index = SdkIndex::paper();
-        for p in index.sdks().iter().flat_map(|s| s.prefixes) {
-            for probe in [p.to_string(), format!("{p}.internal.ui"), format!("{p}x")] {
-                assert_eq!(
-                    index.label_id(&probe),
-                    index.label_linear(&probe),
-                    "mismatch for {probe}"
-                );
-            }
-        }
-    }
-
     /// A label names an SDK by a `u16` index, so a catalog of 65,536
     /// entries is the largest an index accepts.
     #[test]
@@ -528,39 +464,6 @@ mod tests {
             for p in sdk.prefixes {
                 assert!(seen.insert(p), "duplicate prefix {p} ({})", sdk.name);
             }
-        }
-    }
-
-    /// One package segment group: a whole catalog prefix, the core-Android
-    /// prefix, an obfuscation-length segment, or a random segment.
-    fn segment() -> impl Strategy<Value = String> {
-        let prefixes: Vec<&str> = SdkIndex::paper()
-            .sdks()
-            .iter()
-            .flat_map(|s| s.prefixes)
-            .copied()
-            .collect();
-        prop_oneof![
-            any::<prop::sample::Index>()
-                .prop_map(move |i| prefixes[i.index(prefixes.len())].to_owned()),
-            Just(CORE_ANDROID_PREFIX.to_owned()),
-            "[a-z]{1,2}",
-            "[a-z0-9_]{1,8}",
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-        /// The one labeler equals the linear scan on packages built around
-        /// the real catalog: core-Android precedence, obfuscated catalog
-        /// entries, the obfuscation heuristic and longest-prefix match.
-        #[test]
-        fn prop_label_id_matches_linear_on_catalog_packages(
-            segments in proptest::collection::vec(segment(), 1..5)
-        ) {
-            let index = SdkIndex::paper();
-            let package = segments.join(".");
-            prop_assert_eq!(index.label_id(&package), index.label_linear(&package), "{}", package);
         }
     }
 }

@@ -28,7 +28,6 @@ pub struct InternedTrie<'a> {
     children: HashMap<u64, u32, FxBuildHasher>,
     /// Node → payload of the prefix that ends there; node 0 is the root.
     values: Vec<Option<u32>>,
-    len: usize,
 }
 
 /// The edge-table key of `node`'s child along segment `sid`. The segment
@@ -45,11 +44,6 @@ impl Default for InternedTrie<'_> {
 }
 
 impl<'a> InternedTrie<'a> {
-    /// Empty trie.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty trie with room for prefixes of `segments` segments in all
     /// (`"com.applovin"` is two): inserting them never grows a table.
     pub fn with_capacity(segments: usize) -> Self {
@@ -59,18 +53,7 @@ impl<'a> InternedTrie<'a> {
             segments: HashMap::with_capacity_and_hasher(segments, FxBuildHasher::default()),
             children: HashMap::with_capacity_and_hasher(segments, FxBuildHasher::default()),
             values,
-            len: 0,
         }
-    }
-
-    /// Number of prefixes inserted.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the trie holds no prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert `prefix` (dotted) with payload `value`. Re-inserting a prefix
@@ -86,9 +69,7 @@ impl<'a> InternedTrie<'a> {
                 self.values.push(None);
             }
         }
-        if self.values[node as usize].replace(value).is_none() {
-            self.len += 1;
-        }
+        self.values[node as usize] = Some(value);
     }
 
     /// Payload of the longest inserted prefix of `package`, if any.
@@ -118,7 +99,7 @@ mod tests {
 
     #[test]
     fn exact_and_descendant_match() {
-        let mut t = InternedTrie::new();
+        let mut t = InternedTrie::default();
         t.insert("com.applovin", 1);
         assert_eq!(t.longest_match("com.applovin"), Some(1));
         assert_eq!(t.longest_match("com.applovin.adview"), Some(1));
@@ -128,7 +109,7 @@ mod tests {
 
     #[test]
     fn longest_wins() {
-        let mut t = InternedTrie::new();
+        let mut t = InternedTrie::default();
         t.insert("com.naver", 1);
         t.insert("com.naver.maps", 2);
         assert_eq!(t.longest_match("com.naver.maps.geo"), Some(2));
@@ -137,17 +118,15 @@ mod tests {
 
     #[test]
     fn reinsert_overwrites() {
-        let mut t = InternedTrie::new();
+        let mut t = InternedTrie::default();
         t.insert("a.b", 1);
         t.insert("a.b", 2);
-        assert_eq!(t.len(), 1);
         assert_eq!(t.longest_match("a.b.c"), Some(2));
     }
 
     #[test]
     fn empty_trie() {
-        let t = InternedTrie::new();
-        assert!(t.is_empty());
+        let t = InternedTrie::default();
         assert_eq!(t.longest_match("anything.at.all"), None);
     }
 
@@ -156,12 +135,11 @@ mod tests {
         fn prop_inserted_prefixes_match_themselves(
             prefixes in proptest::collection::hash_set("[a-z]{1,6}(\\.[a-z]{1,6}){0,3}", 1..20)
         ) {
-            let mut t = InternedTrie::new();
+            let mut t = InternedTrie::default();
             let v: Vec<_> = prefixes.iter().cloned().collect();
             for (i, p) in v.iter().enumerate() {
                 t.insert(p, i as u32);
             }
-            prop_assert_eq!(t.len(), v.len());
             for (i, p) in v.iter().enumerate() {
                 // Exact lookup returns this value or a longer prefix's value;
                 // for exact strings it must be this one.
@@ -175,7 +153,7 @@ mod tests {
         #[test]
         fn prop_no_false_positives(pkg in "[A-Z]{1,8}(\\.[A-Z]{1,8}){0,3}") {
             // Catalog prefixes are lowercase; uppercase packages never match.
-            let mut t = InternedTrie::new();
+            let mut t = InternedTrie::default();
             t.insert("com.applovin", 1);
             t.insert("io.flutter", 2);
             prop_assert_eq!(t.longest_match(&pkg), None);
@@ -189,11 +167,10 @@ mod tests {
             probes in proptest::collection::vec("[a-z]{1,4}(\\.[a-z]{1,4}){0,5}", 1..32),
         ) {
             let prefixes: Vec<String> = prefixes.into_iter().collect();
-            let mut itrie = InternedTrie::new();
+            let mut itrie = InternedTrie::default();
             for (i, p) in prefixes.iter().enumerate() {
                 itrie.insert(p, i as u32);
             }
-            prop_assert_eq!(itrie.len(), prefixes.len());
             // Probe both the random packages and the prefixes themselves
             // (plus a descendant of each) for boundary coverage.
             let mut all = probes;
@@ -221,19 +198,17 @@ mod tests {
 
     #[test]
     fn interned_trie_basics() {
-        let mut t = InternedTrie::new();
+        let mut t = InternedTrie::default();
         t.insert("com.applovin", 1);
         t.insert("com.naver.maps", 2);
         t.insert("com.naver", 3);
-        assert_eq!(t.len(), 3);
         assert_eq!(t.longest_match("com.applovin.adview"), Some(1));
         assert_eq!(t.longest_match("com.applovinx"), None);
         assert_eq!(t.longest_match("com.naver.maps.geo"), Some(2));
         assert_eq!(t.longest_match("com.naver.login"), Some(3));
         assert_eq!(t.longest_match("org.other"), None);
-        // Reinsert overwrites without growing.
+        // Reinsert overwrites.
         t.insert("com.applovin", 9);
-        assert_eq!(t.len(), 3);
         assert_eq!(t.longest_match("com.applovin"), Some(9));
     }
 }

@@ -108,15 +108,6 @@ impl UrlOriginCensus {
     pub fn sites(&self) -> usize {
         self.resolved_sites + self.unknown_sites + self.conflict_sites
     }
-
-    /// Fraction of URL-bearing sites resolved to a constant.
-    pub fn resolved_rate(&self) -> f64 {
-        let total = self.sites();
-        if total == 0 {
-            return 0.0;
-        }
-        self.resolved_sites as f64 / total as f64
-    }
 }
 
 /// Everything the static study measures.
@@ -675,11 +666,11 @@ mod tests {
         let (results, apps) = study(400, 21);
         let truth_wv = apps
             .iter()
-            .filter(|g| !g.corrupted && g.spec.uses_webview())
+            .filter(|g| !g.corrupted && g.spec.uses_webview)
             .count();
         let truth_ct = apps
             .iter()
-            .filter(|g| !g.corrupted && g.spec.uses_custom_tabs())
+            .filter(|g| !g.corrupted && g.spec.uses_custom_tabs)
             .count();
         assert_eq!(results.webview_apps, truth_wv);
         assert_eq!(results.ct_apps, truth_ct);
@@ -755,7 +746,6 @@ mod tests {
         assert_eq!(c.conflict_sites, 0);
         assert!(c.apps_fully_resolved > 0);
         assert_eq!(c.apps_with_unresolved, 0);
-        assert_eq!(c.resolved_rate(), 1.0);
     }
 
     #[test]

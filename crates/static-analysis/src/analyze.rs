@@ -158,7 +158,7 @@ impl<'c> AnalysisCtx<'c> {
 /// (or the run's symbol table after the join). The method is its index
 /// alone: its name and whether it loads content both follow from it. The
 /// caller package follows from the caller class
-/// ([`package_of`](wla_apk::names::package_of)), so only its label is
+/// ([`package_of_into`](wla_apk::names::package_of_into)), so only its label is
 /// stored; a reader that prints the package derives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WebViewSiteSummary {
@@ -296,12 +296,12 @@ impl<'a> AppView<'a> {
     }
 }
 
-/// Run the full per-app pipeline on raw container bytes, with a private
-/// single-use context over the paper catalog, and hand back its one-row
-/// [`ResultTable`] (row 0 is the app). Convenience for one-off callers;
-/// batch callers should reuse an [`AnalysisCtx`] via
-/// [`analyze_app_timed_with`] (symbols are only meaningful against the
-/// context that produced them).
+/// The per-app pipeline against a reusable worker context. On success the
+/// app's row is committed to `ctx.results` and its row number returned; on
+/// failure nothing is committed. Either way the app's per-stage wall-clock
+/// times are added to `ctx.stage`: a broken container still spends (and
+/// reports) its decode time, which is what the pipeline's
+/// failure-taxonomy throughput accounting wants.
 ///
 /// Multi-dex containers are handled the way the paper's tooling handles
 /// `classes2.dex`: every dex section is decoded (one broken dex makes the
@@ -311,19 +311,6 @@ impl<'a> AppView<'a> {
 /// (external) targets — sound for reachability *within* each dex, and the
 /// generator keeps behavioural chains dex-local, as R8's main-dex rules do
 /// for entry-point code in practice.
-pub fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<ResultTable, ApkError> {
-    let catalog = SdkIndex::paper();
-    let mut ctx = AnalysisCtx::new(&catalog);
-    analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx)?;
-    Ok(ctx.results)
-}
-
-/// The per-app pipeline against a reusable worker context. On success the
-/// app's row is committed to `ctx.results` and its row number returned; on
-/// failure nothing is committed. Either way the app's per-stage wall-clock
-/// times are added to `ctx.stage`: a broken container still spends (and
-/// reports) its decode time, which is what the pipeline's
-/// failure-taxonomy throughput accounting wants.
 ///
 /// `meta` is borrowed: the analysis keeps only its Play category. `bytes`
 /// is shared, never copied: the container decode and every dex
@@ -462,11 +449,29 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use wla_apk::names::package_of;
-    use wla_corpus::ecosystem::{Ecosystem, MethodSet};
+    use wla_apk::names::package_of_into;
+    use wla_corpus::ecosystem::{Ecosystem, MethodSet, METHODS};
     use wla_corpus::lowering::lower;
     use wla_corpus::playstore::PlayCategory;
     use wla_corpus::EcosystemParams;
+
+    /// One app through the pipeline with a fresh context over the paper
+    /// catalog: its one-row table.
+    pub(super) fn analyze_app(meta: &AppMeta, bytes: &[u8]) -> Result<ResultTable, ApkError> {
+        let catalog = SdkIndex::paper();
+        let mut ctx = AnalysisCtx::new(&catalog);
+        analyze_app_timed_with(meta, Bytes::copy_from_slice(bytes), &mut ctx)?;
+        Ok(ctx.results)
+    }
+
+    /// The method names of a ground-truth census.
+    pub(super) fn census_names(census: MethodSet) -> HashSet<&'static str> {
+        let names = METHODS.iter().enumerate();
+        names
+            .filter(|&(i, _)| census.contains(i))
+            .map(|(_, &m)| m)
+            .collect()
+    }
 
     fn meta() -> AppMeta {
         AppMeta {
@@ -517,7 +522,7 @@ mod tests {
             let bytes = lower(&spec, &catalog, &mut rng).encode();
             let table = analyze_app(&meta(), &bytes).unwrap();
             let analysis = table.get(0).unwrap();
-            let truth: HashSet<&str> = spec.method_census().names().collect();
+            let truth = census_names(spec.method_census());
             let measured = analysis.methods_used();
             assert_eq!(measured, truth, "seed {seed}");
         }
@@ -683,7 +688,11 @@ mod tests {
         let load_packages: HashSet<String> = analysis
             .third_party_webview()
             .filter(|s| s.is_load_method())
-            .filter_map(|s| package_of(ctx.lexicon.resolve(s.caller_class)))
+            .filter_map(|s| {
+                let mut package = String::new();
+                package_of_into(ctx.lexicon.resolve(s.caller_class), &mut package)
+                    .then_some(package)
+            })
             .collect();
         assert!(
             load_packages.iter().all(|p| p.starts_with("com.applovin")),
@@ -700,6 +709,7 @@ mod tests {
 
 #[cfg(test)]
 mod multidex_tests {
+    use super::tests::{analyze_app, census_names};
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -750,7 +760,7 @@ mod multidex_tests {
         let analysis = table.get(0).unwrap();
         assert_eq!(analysis.uses_webview(), spec.uses_webview());
         assert_eq!(analysis.uses_custom_tabs(), spec.uses_custom_tabs());
-        let truth: HashSet<&str> = spec.method_census().names().collect();
+        let truth = census_names(spec.method_census());
         assert_eq!(analysis.methods_used(), truth);
         // The dead class lives in classes2.dex and stays dead.
         assert_eq!(analysis.unreachable_webview_sites, 1);

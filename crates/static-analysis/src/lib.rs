@@ -39,8 +39,8 @@ pub use aggregate::{
     StudyResults, Tally, UrlOriginCensus,
 };
 pub use analyze::{
-    analyze_app, analyze_app_timed_with, AnalysisCtx, AppView, CtSiteSummary, DecodeCounters,
-    StageTimings, WebViewSiteSummary,
+    analyze_app_timed_with, AnalysisCtx, AppView, CtSiteSummary, DecodeCounters, StageTimings,
+    WebViewSiteSummary,
 };
 pub use dataflow::{method_provenance, DataflowCounters};
 pub use pipeline::{

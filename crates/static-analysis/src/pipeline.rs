@@ -67,9 +67,10 @@ use wla_sdk_index::{LabelId, SdkIndex};
 
 pub use wla_pool::WorkerStats;
 
-/// Apps one static claim covers: an in-memory runner's batch, and a shard
-/// of the corpus `wla-core`'s `Study::run_static_streamed` writes, so a
-/// run claims the same 64 apps at a time in memory and streamed. A
+/// Apps one static claim covers: an in-memory runner's batch, and the
+/// shard size a streamed corpus is written at (the end-to-end benchmark's
+/// `stream_s10` writes 64-app shards), so a run claims the same 64 apps at
+/// a time in memory and streamed. A
 /// keep-output worker freezes each claim's rows into one exact-size
 /// [`ResultTable`].
 pub const CLAIM_APPS: usize = 64;
@@ -320,11 +321,6 @@ impl PipelineOutput {
     /// Successfully analyzed apps.
     pub fn analyzed(&self) -> impl Iterator<Item = AppView<'_>> {
         self.results().filter_map(Result::ok)
-    }
-
-    /// Number of successfully analyzed apps.
-    pub fn analyzed_count(&self) -> usize {
-        self.results().len() - self.broken_count()
     }
 
     /// Number of broken containers (Table 2's 242).
@@ -744,7 +740,7 @@ pub(crate) mod tests {
         let out = run_pipeline(&ins, &catalog, PipelineConfig::default());
         assert_eq!(out.results().len(), ins.len());
         assert!(out.broken_count() > 0);
-        assert_eq!(out.analyzed_count() + out.broken_count(), ins.len());
+        assert_eq!(out.analyzed().count() + out.broken_count(), ins.len());
         assert_fold_matches_materialized(&ins, &catalog);
     }
 
@@ -878,7 +874,7 @@ pub(crate) mod tests {
             }
             other => panic!("expected AnalysisPanic, got {other:?}"),
         }
-        assert_eq!(out.analyzed_count() + out.broken_count(), ins.len());
+        assert_eq!(out.analyzed().count() + out.broken_count(), ins.len());
         assert_eq!(out.stats.failure_kinds.get("analysis-panic"), Some(&1));
 
         // The fold: the trapped app never reaches its worker's tally, so
@@ -1088,7 +1084,7 @@ pub(crate) mod tests {
             );
             let s = &out.stats;
             prop_assert_eq!(s.total, out.results().len());
-            prop_assert_eq!(s.analyzed, out.analyzed_count());
+            prop_assert_eq!(s.analyzed, out.analyzed().count());
             prop_assert_eq!(s.broken, out.broken_count());
             prop_assert_eq!(s.analyzed + s.broken, s.total);
             prop_assert_eq!(s.panicked, 0);

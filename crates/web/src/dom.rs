@@ -25,7 +25,6 @@
 //! with a `HierarchyRequestError` — a node into itself or its own subtree,
 //! or under a text node — leaves the tree unchanged.
 
-use std::collections::BTreeMap;
 use std::iter::FusedIterator;
 
 /// Index of a node in its document's arena.
@@ -112,6 +111,7 @@ impl Document {
     }
 
     /// Root element (`<html>`).
+    #[cfg(test)]
     pub fn root(&self) -> NodeId {
         self.root
     }
@@ -127,11 +127,13 @@ impl Document {
     }
 
     /// Number of nodes in the arena (including detached ones).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// Whether the arena is empty (never true after `new`).
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -429,8 +431,9 @@ impl Document {
 
     /// Frequency dictionary of attached element tags — what Facebook's
     /// injected JS returns (Table 8: "Returns DOM Tag Counts").
-    pub fn tag_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
+    #[cfg(test)]
+    pub fn tag_counts(&self) -> std::collections::BTreeMap<String, usize> {
+        let mut counts = std::collections::BTreeMap::new();
         for n in self.preorder() {
             if let Some(tag) = self.tag(n) {
                 *counts.entry(tag.to_owned()).or_insert(0) += 1;
@@ -538,6 +541,7 @@ impl FusedIterator for Children<'_> {}
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn sample() -> Document {
         let mut d = Document::new();

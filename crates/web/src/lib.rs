@@ -25,7 +25,7 @@
 
 //! ```
 //! use wla_web::html::parse;
-//! use wla_web::simhash::{hamming, simhash_text};
+//! use wla_web::simhash::simhash_text;
 //!
 //! let doc = parse("<div id=\"main\"><p>hello <b>world</b></p></div>");
 //! assert!(doc.get_element_by_id("main").is_some());
@@ -33,7 +33,7 @@
 //!
 //! let a = simhash_text("the quick brown fox");
 //! let b = simhash_text("the quick brown foxes");
-//! assert!(hamming(a, b) < 24);
+//! assert!((a ^ b).count_ones() < 24);
 //! ```
 
 pub mod dom;
@@ -45,5 +45,5 @@ pub mod webapi;
 
 pub use dom::{Document, NodeId};
 pub use script::{ScriptEffect, ScriptOutcome};
-pub use simhash::{hamming, simhash64, simhash64_scalar};
+pub use simhash::{simhash64, simhash64_scalar};
 pub use webapi::{ApiCall, DomSession};

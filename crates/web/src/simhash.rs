@@ -119,6 +119,7 @@ pub fn simhash64_scalar<'a, I: IntoIterator<Item = &'a str>>(tokens: I) -> u64 {
 }
 
 /// Hamming distance between two hashes.
+#[cfg(test)]
 pub fn hamming(a: u64, b: u64) -> u32 {
     (a ^ b).count_ones()
 }
@@ -126,12 +127,6 @@ pub fn hamming(a: u64, b: u64) -> u32 {
 /// Convenience: simhash of whitespace-split text.
 pub fn simhash_text(text: &str) -> u64 {
     simhash64(text.split_whitespace())
-}
-
-/// Cloaking verdict: pages whose simhashes differ by more than `threshold`
-/// bits are considered different content (the cloaking signal).
-pub fn looks_cloaked(reference: u64, observed: u64, threshold: u32) -> bool {
-    hamming(reference, observed) > threshold
 }
 
 #[cfg(test)]
@@ -197,14 +192,6 @@ mod tests {
             simhash64(mixed.iter().map(String::as_str)),
             simhash64_scalar(mixed.iter().map(String::as_str)),
         );
-    }
-
-    #[test]
-    fn cloaking_verdict() {
-        let served = simhash_text("buy cheap meds online now click here fast");
-        let reference = simhash_text("family photo album spring flowers garden");
-        assert!(looks_cloaked(reference, served, 10));
-        assert!(!looks_cloaked(reference, reference, 10));
     }
 
     proptest! {

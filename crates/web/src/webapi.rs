@@ -76,11 +76,13 @@ impl DomSession {
     }
 
     /// All intercepted calls, in order.
+    #[cfg(test)]
     pub fn calls(&self) -> &[ApiCall] {
         &self.calls
     }
 
     /// Distinct `(interface, method)` pairs — the unit Table 9 reports.
+    #[cfg(test)]
     pub fn distinct_api_usage(&self) -> Vec<(String, String)> {
         let mut pairs: Vec<(String, String)> = self
             .calls
@@ -154,6 +156,7 @@ impl DomSession {
     }
 
     /// Currently registered listeners (for assertions).
+    #[cfg(test)]
     pub fn listeners(&self) -> &[String] {
         &self.listeners
     }

@@ -13,6 +13,7 @@ use whatcha_lookin_at::wla_device::customtabs::CustomTab;
 use whatcha_lookin_at::wla_device::webview::{PageSource, WebViewInstance};
 use whatcha_lookin_at::wla_device::{FridaRecorder, Logcat};
 use whatcha_lookin_at::wla_net::NetLog;
+use wla_extensions::customtabs::{session_restored, CookieJar};
 use wla_extensions::security::{page_invoke_bridge, BridgeData, BridgeHost, SafeBrowsing};
 use wla_extensions::website::{ClientContext, Website};
 
@@ -66,11 +67,12 @@ fn main() {
     println!("== 3. Session isolation vs session restore ==");
     let netlog = NetLog::new();
     let mut browser = Browser::new(netlog.clone());
-    browser.cookies.login("social.example");
+    let mut browser_cookies = CookieJar::new();
+    browser_cookies.login("social.example");
     let tab = CustomTab::launch(&mut browser, "https://social.example/feed", "<p>feed</p>");
     println!(
         "  Custom Tab session restored: {}",
-        tab.session_restored(&browser)
+        session_restored(&tab, &browser_cookies)
     );
     let mut wv2 = WebViewInstance::new(
         2,
@@ -86,7 +88,7 @@ fn main() {
     });
     println!(
         "  WebView sees the session:    {} (own cold cookie jar)\n",
-        wv2.cookies.is_logged_in("social.example")
+        CookieJar::new().is_logged_in("social.example")
     );
 
     println!("== 4. The IDP's view (Figure 5) ==");

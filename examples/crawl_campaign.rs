@@ -9,6 +9,7 @@
 use whatcha_lookin_at::wla_dynamic::CrawlConfig;
 use whatcha_lookin_at::wla_report::{bar_chart, Series};
 use whatcha_lookin_at::Study;
+use wla_oracle::crawl::endpoint_label;
 
 fn main() {
     let study = Study::new(100, 11);
@@ -29,7 +30,7 @@ fn main() {
         if let Some(news) = rows.iter().find(|r| r.category.label() == "News") {
             println!("  on News sites, by endpoint kind:");
             for (kind, avg) in &news.by_kind {
-                println!("    {:12} {avg:.1}", kind.label());
+                println!("    {:12} {avg:.1}", endpoint_label(*kind));
             }
             println!();
         }

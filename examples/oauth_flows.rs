@@ -10,6 +10,7 @@ use whatcha_lookin_at::wla_device::browser::Browser;
 use whatcha_lookin_at::wla_net::NetLog;
 use wla_extensions::oauth::{run_oauth_flow, AuthMechanism, OAuthOutcome};
 use wla_extensions::website::{WebViewLoginPolicy, Website};
+use wla_extensions::CookieJar;
 
 fn show(label: &str, out: &OAuthOutcome) {
     println!("{label}");
@@ -26,11 +27,18 @@ fn show(label: &str, out: &OAuthOutcome) {
 fn main() {
     let idp = Website::new("login.idp.example", WebViewLoginPolicy::Allow);
     let mut browser = Browser::new(NetLog::new());
-    browser.cookies.login("login.idp.example"); // user signed in yesterday
+    let mut cookies = CookieJar::new();
+    cookies.login("login.idp.example"); // user signed in yesterday
 
     show(
         "— Custom Tab flow (RFC 8252 best practice) —",
-        &run_oauth_flow(AuthMechanism::CustomTab, "com.game.app", &idp, &mut browser),
+        &run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.game.app",
+            &idp,
+            &mut browser,
+            &mut cookies,
+        ),
     );
     show(
         "— Embedded WebView flow —",
@@ -39,6 +47,7 @@ fn main() {
             "com.game.app",
             &idp,
             &mut browser,
+            &mut cookies,
         ),
     );
 
@@ -51,10 +60,17 @@ fn main() {
             "com.game.app",
             &fb,
             &mut browser,
+            &mut cookies,
         ),
     );
     show(
         "  via Custom Tab:",
-        &run_oauth_flow(AuthMechanism::CustomTab, "com.game.app", &fb, &mut browser),
+        &run_oauth_flow(
+            AuthMechanism::CustomTab,
+            "com.game.app",
+            &fb,
+            &mut browser,
+            &mut cookies,
+        ),
     );
 }

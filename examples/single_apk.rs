@@ -8,14 +8,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use whatcha_lookin_at::wla_apk::{Dex, Sapk};
-use whatcha_lookin_at::wla_callgraph::{entry_points, record_web_calls, CallGraph};
+use whatcha_lookin_at::wla_apk::{Dex, Sapk, SectionTag};
+use whatcha_lookin_at::wla_callgraph::{entry_points, CallGraph};
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_intern::LocalInterner;
 use whatcha_lookin_at::wla_manifest::wireformat;
 use whatcha_lookin_at::wla_sdk_index::{LabelCache, LabelId, SdkIndex};
+use wla_oracle::callgraph::{instruction_count, record_web_calls};
 use wla_oracle::{lift_dex, webview_subclasses_interned};
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
     // 2. Decode the container and its sections.
     let apk = Sapk::decode(&bytes).expect("valid container");
     let manifest = wireformat::decode(apk.manifest_bytes().unwrap()).unwrap();
-    let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+    let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
     println!(
         "manifest: package {} with {} components ({} deep-link)",
         manifest.package,
@@ -53,7 +54,7 @@ fn main() {
         "dex: {} classes, {} method refs, {} instructions",
         dex.classes().len(),
         dex.method_count(),
-        dex.instruction_count()
+        instruction_count(&dex)
     );
 
     // 3. Decompile and parse for WebView subclasses (interned handles; the
@@ -81,7 +82,7 @@ fn main() {
     let roots = entry_points(&graph, &manifest);
     println!(
         "\ncall graph: {} defined methods, {} internal edges, {} entry points",
-        graph.defined_count(),
+        graph.node_count(),
         graph.edge_count(),
         roots.len()
     );

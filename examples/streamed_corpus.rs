@@ -11,9 +11,23 @@
 //! Reusing a directory is safe at any scale: a smaller corpus written
 //! over a larger one removes the larger one's extra shards.
 
+use std::path::Path;
 use whatcha_lookin_at::stats::render_pipeline_stats;
-use whatcha_lookin_at::wla_static::PipelineConfig;
+use whatcha_lookin_at::wla_corpus::write_sharded_corpus;
+use whatcha_lookin_at::wla_static::{
+    aggregate, run_pipeline_streamed, PipelineConfig, PipelineStats, StudyResults, CLAIM_APPS,
+};
 use whatcha_lookin_at::Study;
+
+/// Write `study`'s corpus as shards of `CLAIM_APPS` apps under `dir`,
+/// stream them through the pipeline and aggregate the output as
+/// `Study::run_static` does. The corpus is dropped once written.
+fn run_streamed(study: &Study, dir: &Path) -> (StudyResults, PipelineStats) {
+    write_sharded_corpus(dir, &study.corpus(), CLAIM_APPS).expect("shards written");
+    let output = run_pipeline_streamed(dir, &study.catalog, PipelineConfig::default())
+        .expect("streamed run");
+    (aggregate(&output, &study.catalog, 1), output.stats)
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -27,27 +41,23 @@ fn main() {
         dir.display()
     );
 
-    let run = study
-        .run_static_streamed(&dir, PipelineConfig::default())
-        .expect("streamed run");
-    println!("{}", render_pipeline_stats(&run.stats));
+    let (results, stats) = run_streamed(&study, &dir);
+    println!("{}", render_pipeline_stats(&stats));
     let in_memory = study.run_static();
-    assert_eq!(run.stats.total, in_memory.stats.total);
-    assert_eq!(run.results, in_memory.results);
+    assert_eq!(stats.total, in_memory.stats.total);
+    assert_eq!(results, in_memory.results);
     println!(
         "\napps using WebViews: {} — identical to Study::run_static at any worker count",
-        run.results.webview_apps
+        results.webview_apps
     );
 
     // Same dir, same seed: the deterministic generator re-persists
     // byte-identical shards, so this run is served from the manifest.
-    let resumed = study
-        .run_static_streamed(&dir, PipelineConfig::default())
-        .expect("resumed run");
+    let (resumed, resumed_stats) = run_streamed(&study, &dir);
     println!(
         "\nrerun: {} shards re-analyzed, {} entries served from the resume manifest",
-        resumed.stats.stream.shards_read, resumed.stats.stream.entries_cached
+        resumed_stats.stream.shards_read, resumed_stats.stream.entries_cached
     );
-    assert_eq!(resumed.results, run.results);
+    assert_eq!(resumed, results);
     println!("results identical — safe to interrupt and resume paper-scale runs");
 }

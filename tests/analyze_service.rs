@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use wla_core::{analysis_routes, Study};
-use wla_net::http::form_encode;
+use wla_net::http::{form_encode, header};
 use wla_net::{fetch, Handler, Limits, Request, Response, Server, ServerConfig, Status};
 use wla_oracle::server as oracle;
 use wla_sdk_index::SdkIndex;
@@ -127,7 +127,10 @@ fn a_package_parameter_changes_nothing() {
 fn corrupted_sdex_is_422_with_error_kind() {
     let resp = on_both(Request::post("/analyze", &b"XXXX not a container"[..]));
     assert_eq!(resp.status, Status::UnprocessableEntity);
-    assert_eq!(resp.header("content-type"), Some("application/json"));
+    assert_eq!(
+        header(&resp.headers, "content-type"),
+        Some("application/json")
+    );
     let body = String::from_utf8(resp.body.to_vec()).unwrap();
     assert!(body.contains("\"error\":{\"kind\":\"bad-magic\""), "{body}");
     assert!(body.contains("\"detail\":"), "{body}");
@@ -172,5 +175,5 @@ fn oversized_body_is_413_from_the_codec() {
 fn wrong_method_is_405_with_allow_header() {
     let resp = on_both(Request::get("/analyze"));
     assert_eq!(resp.status, Status::MethodNotAllowed);
-    assert_eq!(resp.header("allow"), Some("POST"));
+    assert_eq!(header(&resp.headers, "allow"), Some("POST"));
 }

@@ -22,7 +22,9 @@ use wla_dynamic::{
     run_crawl_pipeline, run_crawl_pipeline_with, CrawlConfig, CrawlFailureKind, CrawlOutput,
     VisitRecord,
 };
-use wla_oracle::crawl::{crawl_app, crawl_baseline, figure6, CrawlRecord};
+use wla_oracle::crawl::{
+    classify_endpoint, crawl_app, crawl_baseline, endpoint_label, figure6, CrawlRecord,
+};
 
 const APPS: &[&str] = &["LinkedIn", "Kik", "Snapchat"];
 
@@ -98,7 +100,7 @@ fn interned_study_matches_string_oracle() {
         for (&h, &k) in interned.hosts.iter().zip(&interned.kinds) {
             assert_eq!(
                 k,
-                wla_crawler::classify_endpoint(study.symbols.resolve(h), &oracle.site_host)
+                classify_endpoint(study.symbols.resolve(h), &oracle.site_host)
             );
         }
     }
@@ -406,7 +408,7 @@ fn the_whole_crawl_is_pinned() {
             for (&host, &kind) in r.hosts.iter().zip(&r.kinds) {
                 fnv(hash, &host.raw().to_le_bytes());
                 fnv(hash, out.symbols.resolve(host).as_bytes());
-                fnv(hash, kind.label().as_bytes());
+                fnv(hash, endpoint_label(kind).as_bytes());
             }
         };
         for r in &out.baseline {
@@ -424,7 +426,7 @@ fn the_whole_crawl_is_pinned() {
                 fnv(&mut hash, row.category.label().as_bytes());
                 fnv(&mut hash, &row.avg_endpoints.to_bits().to_le_bytes());
                 for (kind, value) in &row.by_kind {
-                    fnv(&mut hash, kind.label().as_bytes());
+                    fnv(&mut hash, endpoint_label(*kind).as_bytes());
                     fnv(&mut hash, &value.to_bits().to_le_bytes());
                 }
             }

@@ -18,10 +18,9 @@ use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
-use whatcha_lookin_at::wla_decompile::webview_subclasses_dex;
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
 use whatcha_lookin_at::wla_static::{run_pipeline, PipelineConfig};
-use wla_oracle::{lift_dex, webview_subclasses};
+use wla_oracle::{lift_dex, webview_subclasses, webview_subclasses_dex};
 
 fn meta() -> AppMeta {
     AppMeta {

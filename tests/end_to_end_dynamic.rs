@@ -10,6 +10,7 @@ use whatcha_lookin_at::wla_device::{FridaRecorder, Logcat};
 use whatcha_lookin_at::wla_dynamic::iab_study::study_app;
 use whatcha_lookin_at::wla_net::NetLog;
 use whatcha_lookin_at::Study;
+use wla_extensions::customtabs::{session_restored, CookieJar};
 
 #[test]
 fn full_dynamic_run_reproduces_tables_6_8_9() {
@@ -64,14 +65,15 @@ fn custom_tab_restores_sessions_but_webview_does_not() {
     // their browser. A CT sees the session; a WebView starts cold.
     let netlog = NetLog::new();
     let mut browser = Browser::new(netlog.clone());
-    browser.cookies.login("shop.example.com");
+    let mut browser_cookies = CookieJar::new();
+    browser_cookies.login("shop.example.com");
 
     let tab = CustomTab::launch(
         &mut browser,
         "https://shop.example.com/checkout",
         "<p>cart</p>",
     );
-    assert!(tab.session_restored(&browser));
+    assert!(session_restored(&tab, &browser_cookies));
     assert!(tab.secure_ui);
 
     let mut wv = WebViewInstance::new(
@@ -86,8 +88,10 @@ fn custom_tab_restores_sessions_but_webview_does_not() {
         html: "<p>cart</p>".into(),
         extra_requests: vec![],
     });
-    // The WebView has its own jar; the browser session is invisible.
-    assert!(!wv.cookies.is_logged_in("shop.example.com"));
+    // The WebView has its own jar, empty at creation; the browser session
+    // is invisible.
+    let webview_cookies = CookieJar::new();
+    assert!(!webview_cookies.is_logged_in("shop.example.com"));
 }
 
 #[test]

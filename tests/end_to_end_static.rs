@@ -1,10 +1,11 @@
 //! Cross-crate integration: the full §3.1 static pipeline from corpus
 //! bytes to aggregated results, checked against planted ground truth.
 
-use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
+use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator, METHODS};
 use whatcha_lookin_at::wla_sdk_index::{SdkCategory, SdkIndex};
-use whatcha_lookin_at::wla_static::{aggregate, analyze_app, run_pipeline, PipelineConfig};
+use whatcha_lookin_at::wla_static::{aggregate, run_pipeline, PipelineConfig};
 use whatcha_lookin_at::Study;
+use wla_oracle::analyze::analyze_app;
 
 #[test]
 fn pipeline_recovers_planted_ground_truth_exactly() {
@@ -30,17 +31,22 @@ fn pipeline_recovers_planted_ground_truth_exactly() {
         let analysis = table.get(0).expect("an analyzed row");
         assert_eq!(
             analysis.uses_webview(),
-            g.spec.uses_webview(),
+            g.spec.uses_webview,
             "webview verdict for {}",
             g.spec.meta.package
         );
         assert_eq!(
             analysis.uses_custom_tabs(),
-            g.spec.uses_custom_tabs(),
+            g.spec.uses_custom_tabs,
             "ct verdict for {}",
             g.spec.meta.package
         );
-        let truth: std::collections::HashSet<&str> = g.spec.method_census().names().collect();
+        let truth: std::collections::HashSet<&str> = METHODS
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| g.spec.method_census.contains(i))
+            .map(|(_, &m)| m)
+            .collect();
         assert_eq!(analysis.methods_used(), truth, "{}", g.spec.meta.package);
     }
 }

@@ -12,6 +12,7 @@ use wla_extensions::fingerprint::{collect, DeviceProfile, Surface};
 use wla_extensions::monkey::monkey_success_rate;
 use wla_extensions::oauth::{run_oauth_flow, AuthMechanism};
 use wla_extensions::website::Website;
+use wla_extensions::CookieJar;
 
 #[test]
 fn scripted_driver_beats_the_monkey() {
@@ -41,7 +42,7 @@ fn privacy_labels_cover_the_corpus_and_track_bridges() {
         .collect();
     let dist = grade_distribution(&labels);
     let total: usize = dist.iter().map(|(_, n)| *n).sum();
-    assert_eq!(total, out.analyzed_count());
+    assert_eq!(total, out.analyzed().count());
     // Cross-check against the pipeline's own bridge census.
     let high = labels
         .iter()
@@ -60,9 +61,22 @@ fn privacy_labels_cover_the_corpus_and_track_bridges() {
 #[test]
 fn oauth_against_blocking_idp_mirrors_figure5() {
     let mut browser = Browser::new(NetLog::new());
+    let mut cookies = CookieJar::new();
     let fb = Website::facebook();
-    let wv = run_oauth_flow(AuthMechanism::EmbeddedWebView, "com.app", &fb, &mut browser);
-    let ct = run_oauth_flow(AuthMechanism::CustomTab, "com.app", &fb, &mut browser);
+    let wv = run_oauth_flow(
+        AuthMechanism::EmbeddedWebView,
+        "com.app",
+        &fb,
+        &mut browser,
+        &mut cookies,
+    );
+    let ct = run_oauth_flow(
+        AuthMechanism::CustomTab,
+        "com.app",
+        &fb,
+        &mut browser,
+        &mut cookies,
+    );
     assert!(wv.refused_by_idp && !ct.refused_by_idp);
     assert!(!wv.trusted_ui && ct.trusted_ui);
 }

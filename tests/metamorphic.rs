@@ -10,10 +10,9 @@ use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_corpus::{CorpusConfig, Generator};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
-use whatcha_lookin_at::wla_static::{
-    aggregate, analyze_app, run_pipeline, AppView, PipelineConfig, Tally,
-};
+use whatcha_lookin_at::wla_static::{aggregate, run_pipeline, AppView, PipelineConfig, Tally};
 use wla_oracle::aggregate_string_oracle;
+use wla_oracle::analyze::analyze_app;
 
 fn meta() -> AppMeta {
     AppMeta {

@@ -177,7 +177,11 @@ fn prepared_pages_are_pinned() {
         heap += page.heap_bytes();
         urls += page.sub_urls.len();
         fnv(&mut hash, page.url.as_bytes());
-        for (tag, n) in page.doc.tag_counts() {
+        let mut tags = std::collections::BTreeMap::new();
+        for tag in page.doc.walk().into_iter().filter_map(|n| page.doc.tag(n)) {
+            *tags.entry(tag).or_insert(0usize) += 1;
+        }
+        for (tag, n) in tags {
             fnv(&mut hash, tag.as_bytes());
             fnv(&mut hash, &(n as u64).to_le_bytes());
         }

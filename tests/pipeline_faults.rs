@@ -61,7 +61,7 @@ fn panicking_containers_do_not_abort_the_corpus_run() {
     let expected_panics = inputs.len().div_ceil(10);
     assert_eq!(output.results().len(), inputs.len());
     assert_eq!(
-        output.analyzed_count() + output.broken_count(),
+        output.analyzed().count() + output.broken_count(),
         inputs.len(),
         "every app must be accounted for"
     );

@@ -6,13 +6,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use whatcha_lookin_at::wla_apk::corrupt::{corrupt, CorruptionKind};
-use whatcha_lookin_at::wla_apk::names::to_source_name;
-use whatcha_lookin_at::wla_apk::Dex;
+use whatcha_lookin_at::wla_apk::{Dex, SectionTag};
 use whatcha_lookin_at::wla_corpus::ecosystem::{Ecosystem, EcosystemParams};
 use whatcha_lookin_at::wla_corpus::lowering::lower;
 use whatcha_lookin_at::wla_corpus::playstore::{AppMeta, PlayCategory};
 use whatcha_lookin_at::wla_sdk_index::SdkIndex;
-use whatcha_lookin_at::wla_static::analyze_app;
+use wla_oracle::analyze::analyze_app;
+use wla_oracle::lifter::to_source_name;
 use wla_oracle::{lift_dex, parse_source};
 
 fn meta() -> AppMeta {
@@ -66,14 +66,14 @@ proptest! {
     fn decompile_parse_roundtrip(seed in 0u64..48) {
         let bytes = app_bytes(seed);
         let apk = whatcha_lookin_at::wla_apk::Sapk::decode(&bytes).unwrap();
-        let dex = Dex::decode(apk.dex_bytes().unwrap()).unwrap();
+        let dex = Dex::decode(apk.section(SectionTag::Dex).unwrap()).unwrap();
         for file in lift_dex(&dex) {
             let parsed = parse_source(&file.source)
                 .unwrap_or_else(|e| panic!("{}: {e}", file.binary_name));
             let expected = to_source_name(&file.binary_name);
             prop_assert_eq!(parsed.qualified_name(), expected.clone(), "{}", file.binary_name);
             // Superclass agreement (java/lang/Object prints as no extends).
-            let class = dex.class_by_name(&file.binary_name).unwrap();
+            let class = dex.class(dex.type_by_name(&file.binary_name).unwrap()).unwrap();
             let dex_super = class
                 .superclass
                 .map(|t| to_source_name(dex.type_name(t)))
@@ -87,7 +87,7 @@ proptest! {
     fn dex_encoding_is_canonical(seed in 0u64..32) {
         let bytes = app_bytes(seed);
         let apk = whatcha_lookin_at::wla_apk::Sapk::decode(&bytes).unwrap();
-        let dex_bytes = apk.dex_bytes().unwrap();
+        let dex_bytes = apk.section(SectionTag::Dex).unwrap();
         let dex = Dex::decode(dex_bytes).unwrap();
         prop_assert_eq!(&dex.encode()[..], &dex_bytes[..]);
     }

@@ -145,7 +145,7 @@ fn analyze_streams_match() {
     let app = Generator::new(&catalog, config)
         .generate()
         .into_iter()
-        .find(|a| wla_static::analyze::analyze_app(&a.spec.meta, &a.bytes).is_ok())
+        .find(|a| wla_oracle::analyze::analyze_app(&a.spec.meta, &a.bytes).is_ok())
         .expect("corpus contains a decodable app");
     let stream = stream_of(&[
         Request::post("/analyze?package=com.equiv.app", app.bytes),
